@@ -151,14 +151,13 @@ func BenchmarkInclusiveEstimator(b *testing.B) {
 	}
 }
 
-// --- Sharded ingestion throughput (the tentpole pipeline) ---
+// --- Lane ingestion throughput ---
 
-// benchShardedOffer measures end-to-end sharded ingestion of one
-// assignment: n Offers through the batched channels plus the terminal
-// Sketch (flush, drain, merge). Throughput scales with workers on
-// multi-core hardware; on a single core the channel overhead is the price
-// of the pipeline.
-func benchShardedOffer(b *testing.B, shards, workers int) {
+// BenchmarkLaneOffer measures end-to-end ingestion of one assignment
+// through a single pruned lane: n Offers plus the terminal Sketch. One lane
+// is the per-core cost; lanes > 1 multiply it across cores (see the scale
+// experiment for the concurrent drive).
+func BenchmarkLaneOffer(b *testing.B) {
 	const n = 1 << 16
 	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 1, K: 1024}
 	keys := make([]string, n)
@@ -171,7 +170,7 @@ func benchShardedOffer(b *testing.B, shards, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := coordsample.NewShardedSketcher(cfg, 0, shards, workers)
+		s := coordsample.NewLaneSketcher(cfg, 0, 1)
 		for j := range keys {
 			s.Offer(keys[j], weights[j])
 		}
@@ -180,22 +179,9 @@ func benchShardedOffer(b *testing.B, shards, workers int) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
-func BenchmarkShardedOffer(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			if workers > shards {
-				continue
-			}
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				benchShardedOffer(b, shards, workers)
-			})
-		}
-	}
-}
-
-// BenchmarkShardedOfferBaseline is the single-stream reference for the
-// BenchmarkShardedOffer series: same stream, same k, no pipeline.
-func BenchmarkShardedOfferBaseline(b *testing.B) {
+// BenchmarkLaneOfferBaseline is the single-stream reference for
+// BenchmarkLaneOffer: same stream, same k, every offer ranked and offered.
+func BenchmarkLaneOfferBaseline(b *testing.B) {
 	const n = 1 << 16
 	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 1, K: 1024}
 	keys := make([]string, n)
@@ -220,13 +206,13 @@ func BenchmarkShardedOfferBaseline(b *testing.B) {
 func BenchmarkSummarizeDispersedParallel(b *testing.B) {
 	ds := benchDataset(20000, 2)
 	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 1, K: 1024}
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, lanes := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i) + 1
-				coordsample.SummarizeDispersedParallel(cfg, ds, shards, 0)
+				coordsample.SummarizeDispersedParallel(cfg, ds, lanes)
 			}
 		})
 	}
@@ -245,8 +231,8 @@ func BenchmarkKMinsJaccard(b *testing.B) {
 
 // BenchmarkMultiSketcherOfferVector measures the hash-once vector front-end:
 // one key hashed once, fanned to every assignment's threshold-pruned
-// builders. Compare against numAsg × BenchmarkShardedOffer for the ×B → ×1
-// hash collapse.
+// lane. Compare against numAsg × BenchmarkLaneOffer for the ×B → ×1 hash
+// collapse.
 func BenchmarkMultiSketcherOfferVector(b *testing.B) {
 	const n = 1 << 15
 	for _, numAsg := range []int{2, 8} {
@@ -265,7 +251,7 @@ func BenchmarkMultiSketcherOfferVector(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := coordsample.NewMultiSketcher(cfg, numAsg, 4, 0)
+				m := coordsample.NewMultiSketcher(cfg, numAsg, 1)
 				for j := range keys {
 					m.OfferVector(keys[j], vecs[j])
 				}

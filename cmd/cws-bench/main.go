@@ -57,8 +57,6 @@ func main() {
 	runs := flag.Int("runs", 25, "sampling repetitions per measured point")
 	ks := flag.String("ks", "", "comma-separated k sweep (default per experiment)")
 	seed := flag.Uint64("seed", 0xC0FFEE, "hash seed")
-	shards := flag.Int("shards", 0, "shard count for the sharding/serve/ingest experiments (0 = sweep defaults)")
-	workers := flag.Int("workers", 0, "cap process parallelism and per-assignment ingestion workers (0 = GOMAXPROCS)")
 	conns := flag.Int("conns", 0, "client connections for the loadtest experiment (0 = sweep defaults)")
 	addr := flag.String("addr", "", "target an already-running cws-serve at host:port for the loadtest experiment (default: in-process server)")
 	peers := flag.Int("peers", 0, "member count for the cluster experiment (0 = 3)")
@@ -67,12 +65,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	flag.Parse()
-	if *workers > 0 {
-		// Bounds every worker pool in the process: the parallel sampling
-		// repetitions and the sharded-ingestion drains alike.
-		runtime.GOMAXPROCS(*workers)
-	}
-
 	if *list || *run == "" {
 		listExperiments()
 		if *run == "" && !*list {
@@ -84,7 +76,7 @@ func main() {
 
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 
-	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed, Shards: *shards, Workers: *workers, Conns: *conns, Addr: *addr, Peers: *peers, Overload: *overload}
+	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed, Conns: *conns, Addr: *addr, Peers: *peers, Overload: *overload}
 	if *ks != "" {
 		for _, part := range strings.Split(*ks, ",") {
 			k, err := strconv.Atoi(strings.TrimSpace(part))

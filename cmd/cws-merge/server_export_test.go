@@ -26,7 +26,6 @@ func TestServerSketchExportAcceptedByMerge(t *testing.T) {
 	srv, err := coordsample.NewServer(coordsample.ServerConfig{
 		Sample:      cfg,
 		Assignments: 2,
-		Shards:      2,
 	})
 	if err != nil {
 		t.Fatal(err)

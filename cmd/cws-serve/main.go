@@ -4,9 +4,10 @@
 // coordinated sketches — the dispersed pipeline as a service instead of a
 // one-shot tool.
 //
-// Ingestion streams into the current epoch through sharded concurrent
-// sketchers behind -lanes concurrent ingest lanes (requests on distinct
-// lanes offer in parallel); POST /freeze detaches the epoch, freezes and
+// Ingestion streams into the current epoch through -lanes concurrent
+// ingest lanes, each with a private bottom-k builder per assignment under
+// one shared admission threshold (requests on distinct lanes offer in
+// parallel); POST /freeze detaches the epoch, freezes and
 // merges it into the cumulative sketches across a bounded worker pool
 // (exact, by the merge lemma), and atomically swaps the serving snapshot,
 // so queries never block ingestion and never see a half-built sketch.
@@ -105,8 +106,6 @@ func main() {
 	assignments := flag.Int("assignments", 2, "number of weight assignments |W|")
 	k := flag.Int("k", 1024, "sketch size per assignment")
 	seed := flag.Uint64("seed", 1, "hash seed shared by all assignments (and all coordinating sites)")
-	shards := flag.Int("shards", 4, "per-assignment ingestion shards")
-	workers := flag.Int("workers", 0, "ingestion workers per assignment (0 = GOMAXPROCS)")
 	lanes := flag.Int("lanes", 0, "concurrent ingest lanes: requests on distinct lanes offer in parallel (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "durable epoch store directory (empty = memory only; epochs are lost on exit)")
 	retain := flag.Int("retain", 8, "recent epochs kept individually for epoch-range queries (older ones are compacted)")
@@ -141,8 +140,6 @@ func main() {
 	cfg := coordsample.ServerConfig{
 		Sample:       coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: *seed, K: *k},
 		Assignments:  *assignments,
-		Shards:       *shards,
-		Workers:      *workers,
 		Lanes:        *lanes,
 		Retain:       *retain,
 		Faults:       fset,
@@ -234,8 +231,8 @@ func main() {
 	if fset != nil {
 		logger.Warn(fmt.Sprintf("FAULT INJECTION ACTIVE at %v — this node will deliberately fail", fset.Points()))
 	}
-	logger.Info(fmt.Sprintf("listening on %s (%d assignments, k=%d, seed=%d, %d shards/assignment, %s, %s)",
-		ln.Addr(), *assignments, *k, *seed, *shards, durability, mode))
+	logger.Info(fmt.Sprintf("listening on %s (%d assignments, k=%d, seed=%d, %s, %s)",
+		ln.Addr(), *assignments, *k, *seed, durability, mode))
 
 	httpSrv := coordsample.NewHTTPServer(*addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -260,7 +257,7 @@ func main() {
 		os.Exit(1)
 	}
 	// Requests are drained: auto-freeze the open epoch (persisting it when
-	// durable) and release the ingestion workers.
+	// durable) and stop ingestion.
 	if err := srv.Shutdown(); err != nil {
 		logger.Error(fmt.Sprintf("final freeze: %v", err))
 		os.Exit(1)

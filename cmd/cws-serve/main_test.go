@@ -331,7 +331,7 @@ func TestSIGKILLDuringParallelDurableFreeze(t *testing.T) {
 	chunks := e2eStream(2400, settled+1, 23)
 
 	args := []string{"-assignments", "2", "-k", "128", "-seed", "7",
-		"-data-dir", dataDir, "-retain", "8", "-shards", "7", "-workers", "2", "-lanes", "2"}
+		"-data-dir", dataDir, "-retain", "8", "-lanes", "2"}
 	p1 := startServe(t, serveBin, args...)
 	for e := 0; e < settled; e++ {
 		p1.post(t, "/offer", map[string]any{"offers": chunks[e]})

@@ -5,22 +5,17 @@
 //
 // Input: a CSV with header "key,<a1>,<a2>,..." (as produced by cws-datagen),
 // one weight column per assignment. Each column is sketched independently
-// through the dispersed pipeline, so the results are identical to running
-// one sketcher per site.
+// through the dispersed pipeline (one pruned ingest lane: a key is hashed
+// once per row and most rows are dropped on that hash alone), so the
+// results are identical to running one sketcher per site.
 //
 // Usage:
 //
 //	cws-sketch -in data.csv -k 1024 -query L1          # Σ |w1 − w2| over all keys
 //	cws-sketch -in data.csv -k 1024 -query min -R 0,1,2
 //	cws-sketch -in data.csv -k 1024 -query sum -b 0 -prefix "192.168."
-//	cws-sketch -in data.csv -k 1024 -shards 8 -workers 4   # sharded concurrent ingestion
 //	cws-sketch -in siteA.csv -k 1024 -out siteA -query none  # ship: siteA.0.cws, siteA.1.cws, ...
 //	cws-merge -query L1 siteA.*.cws siteB.*.cws              # ...query the shipped files
-//
-// With -shards > 1 each assignment's stream is hash-partitioned across
-// disjoint shards sketched by concurrent workers and merged; the resulting
-// sketches (and therefore all query answers) are identical to the
-// single-stream ones.
 package main
 
 import (
@@ -47,14 +42,9 @@ func main() {
 	rFlag := flag.String("R", "", "comma-separated assignment subset (default all)")
 	prefix := flag.String("prefix", "", "restrict to keys with this prefix (subpopulation)")
 	estimator := flag.String("estimator", "aw", "estimator family: "+coordsample.EstimatorNames)
-	shards := flag.Int("shards", 1, "hash-partition each assignment's stream across this many shards (>1 enables concurrent ingestion)")
-	workers := flag.Int("workers", 0, "ingestion workers per assignment (0 = GOMAXPROCS; only with -shards > 1)")
 	out := flag.String("out", "", "write one sketch file per assignment: <out>.<b>.cws[.json]")
 	format := flag.String("format", "binary", "sketch file format for -out: binary or json")
 	flag.Parse()
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards must be ≥ 1, got %d", *shards))
-	}
 	codec, err := coordsample.ParseSketchCodec(*format)
 	if err != nil {
 		fatal(err)
@@ -71,13 +61,9 @@ func main() {
 	}
 
 	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: *seed, K: *k}
-	names, sketchers, err := sketchCSV(bufio.NewReader(r), cfg, *shards, *workers)
+	names, sketches, err := sketchCSV(bufio.NewReader(r), cfg)
 	if err != nil {
 		fatal(err)
-	}
-	sketches := make([]*coordsample.BottomK, len(sketchers))
-	for i, s := range sketchers {
-		sketches[i] = s.Sketch()
 	}
 
 	if *out != "" {
@@ -146,27 +132,15 @@ func writeSketchFile(path string, c coordsample.SketchCodec, cfg coordsample.Con
 	return f.Close()
 }
 
-// ingestor is the common stream interface of the single-stream and sharded
-// sketchers; both freeze to the bit-identical bottom-k sketch.
-type ingestor interface {
-	Offer(key string, weight float64)
-	Sketch() *coordsample.BottomK
-}
-
-func sketchCSV(r io.Reader, cfg coordsample.Config, shards, workers int) ([]string, []ingestor, error) {
+// sketchCSV streams the CSV's rows through one ingest lane over every
+// assignment and returns the assignment names and frozen sketches.
+func sketchCSV(r io.Reader, cfg coordsample.Config) ([]string, []*coordsample.BottomK, error) {
 	cr, err := csvio.NewReader(r)
 	if err != nil {
 		return nil, nil, err
 	}
 	names := cr.AssignmentNames()
-	sketchers := make([]ingestor, len(names))
-	for b := range sketchers {
-		if shards > 1 {
-			sketchers[b] = coordsample.NewShardedSketcher(cfg, b, shards, workers)
-		} else {
-			sketchers[b] = coordsample.NewAssignmentSketcher(cfg, b)
-		}
-	}
+	m := coordsample.NewMultiSketcher(cfg, len(names), 1)
 	for {
 		row, err := cr.Next()
 		if err == io.EOF {
@@ -175,13 +149,9 @@ func sketchCSV(r io.Reader, cfg coordsample.Config, shards, workers int) ([]stri
 		if err != nil {
 			return nil, nil, err
 		}
-		for b, w := range row.Weights {
-			if w > 0 {
-				sketchers[b].Offer(row.Key, w)
-			}
-		}
+		m.OfferVector(row.Key, row.Weights)
 	}
-	return names, sketchers, nil
+	return names, m.Sketches(), nil
 }
 
 func fatal(err error) {

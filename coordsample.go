@@ -48,7 +48,7 @@
 // assignment.
 //
 // Beyond the batch pipelines, NewServer runs the whole stack as a resident
-// HTTP service (cmd/cws-serve): sharded concurrent ingestion into epochs,
+// HTTP service (cmd/cws-serve): concurrent lane ingestion into epochs,
 // freeze-and-swap snapshots, online queries bit-identical to the offline
 // pipeline, and wire-codec sketch export compatible with cws-merge.
 //
@@ -84,15 +84,16 @@ type (
 	AssignmentSketcher = core.AssignmentSketcher
 	// ColocatedSummarizer summarizes colocated (key, vector) records.
 	ColocatedSummarizer = core.ColocatedSummarizer
-	// ShardedSketcher sketches one assignment of dispersed data across
-	// hash-partitioned shards sketched concurrently; the frozen sketch is
-	// bit-identical to AssignmentSketcher's.
-	ShardedSketcher = core.ShardedSketcher
-	// MultiSketcher fronts one ShardedSketcher per assignment, hashing each
+	// LaneSketcher sketches one assignment of dispersed data across
+	// concurrent producer lanes — a private builder per lane under one
+	// shared admission threshold; the frozen sketch is bit-identical to
+	// AssignmentSketcher's.
+	LaneSketcher = core.LaneSketcher
+	// MultiSketcher fronts one LaneSketcher per assignment, hashing each
 	// offered key once (shared-seed coordination hashes a whole weight
 	// vector once).
 	MultiSketcher = core.MultiSketcher
-	// Lane is one concurrent ingest lane of a ShardedSketcher: a
+	// Lane is one concurrent ingest lane of a LaneSketcher: a
 	// single-producer front-end. Distinct lanes offer concurrently, and the
 	// frozen sketch is bit-identical regardless of how the stream was
 	// interleaved across lanes.
@@ -207,49 +208,35 @@ func SummarizeDispersed(cfg Config, ds *Dataset) *Dispersed {
 	return core.SummarizeDispersed(cfg, ds)
 }
 
-// NewShardedSketcher creates a concurrent dispersed-model sketcher for
-// assignment b: each offered key is hashed once, with the raw hash reused
-// for shard routing, threshold pruning (items that certainly miss the
-// bottom-k are dropped at the producer with one multiply/compare), and the
-// rank of admitted items. Sketch() merges the shard sketches into the exact
-// single-stream result — bit-identical, pruning included — and shuts the
-// pipeline down. workers ≤ 0 selects GOMAXPROCS.
-func NewShardedSketcher(cfg Config, b, shards, workers int) *ShardedSketcher {
-	return core.NewShardedSketcher(cfg, b, shards, workers)
+// NewLaneSketcher creates a concurrent dispersed-model sketcher for
+// assignment b with the given number of ingest lanes (lanes ≤ 0 selects
+// GOMAXPROCS). Each lane returned by Lanes() is a single-producer front-end
+// with a private bottom-k builder; distinct lanes offer concurrently and
+// prune against one shared admission threshold (items that certainly miss
+// the bottom-k are dropped with one multiply/compare). Sketch() merges the
+// lanes into the exact single-stream result — bit-identical, pruning
+// included, however the stream was split across lanes — and is terminal.
+func NewLaneSketcher(cfg Config, b, lanes int) *LaneSketcher {
+	return core.NewLaneSketcher(cfg, b, lanes)
 }
 
-// NewShardedSketcherLanes is NewShardedSketcher with an explicit number of
-// concurrent ingest lanes (lanes ≤ 0 selects GOMAXPROCS): each lane
-// returned by Lanes() is a single-producer front-end, and distinct lanes
-// may offer concurrently — the frozen sketch is bit-identical to a
-// single-stream pass no matter how the stream is split across lanes.
-func NewShardedSketcherLanes(cfg Config, b, shards, workers, lanes int) *ShardedSketcher {
-	return core.NewShardedSketcherLanes(cfg, b, shards, workers, lanes)
+// NewMultiSketcher creates the multi-assignment ingest front-end: one lane
+// sketcher per assignment index 0..assignments-1 under cfg, with lane j of
+// every assignment exposed as one MultiLane via Lanes() (lanes ≤ 0 selects
+// GOMAXPROCS). Offer ingests dispersed (assignment, key, weight)
+// observations; OfferVector ingests a key's whole weight vector, hashing
+// the key exactly once under shared-seed coordination. Sketches() freezes
+// all assignments.
+func NewMultiSketcher(cfg Config, assignments, lanes int) *MultiSketcher {
+	return core.NewMultiSketcher(cfg, assignments, lanes)
 }
 
-// NewMultiSketcher creates the multi-assignment ingest front-end: one
-// sharded sketcher per assignment index 0..assignments-1 under cfg. Offer
-// ingests dispersed (assignment, key, weight) observations; OfferVector
-// ingests a key's whole weight vector, hashing the key exactly once under
-// shared-seed coordination. Sketches() freezes all assignments.
-func NewMultiSketcher(cfg Config, assignments, shards, workers int) *MultiSketcher {
-	return core.NewMultiSketcher(cfg, assignments, shards, workers)
-}
-
-// NewMultiSketcherLanes is NewMultiSketcher with an explicit number of
-// concurrent ingest lanes per assignment (lanes ≤ 0 selects GOMAXPROCS);
-// lane j of every assignment is exposed as one MultiLane via Lanes().
-func NewMultiSketcherLanes(cfg Config, assignments, shards, workers, lanes int) *MultiSketcher {
-	return core.NewMultiSketcherLanes(cfg, assignments, shards, workers, lanes)
-}
-
-// SummarizeDispersedParallel runs the dispersed pipeline with all
-// assignments sketched concurrently, each ingested through a sharded
-// sketcher with the given shards and per-assignment worker count. The
-// summary is identical to SummarizeDispersed's — sharding changes
-// wall-clock time, never the sample.
-func SummarizeDispersedParallel(cfg Config, ds *Dataset, shards, workers int) *Dispersed {
-	return core.SummarizeDispersedParallel(cfg, ds, shards, workers)
+// SummarizeDispersedParallel runs the dispersed pipeline with the dataset's
+// rows split across lanes concurrent producers (lanes ≤ 0 selects
+// GOMAXPROCS). The summary is identical to SummarizeDispersed's — lanes
+// change wall-clock time, never the sample.
+func SummarizeDispersedParallel(cfg Config, ds *Dataset, lanes int) *Dispersed {
+	return core.SummarizeDispersedParallel(cfg, ds, lanes)
 }
 
 // SummarizeColocated runs the colocated pipeline over an in-memory dataset.
@@ -382,14 +369,14 @@ func SummarizeColocatedPoisson(cfg Config, ds *Dataset) *Colocated {
 // Online serving layer (cmd/cws-serve).
 type (
 	// Server is the resident sketch service: an http.Handler that ingests
-	// weighted observations into epochs of sharded concurrent sketchers
+	// weighted observations into epochs of concurrent lane sketchers
 	// and answers aggregate queries from immutable frozen snapshots. See
 	// the internal/server package documentation for the epoch lifecycle
 	// and memory model.
 	Server = server.Server
 	// ServerConfig configures a Server: the sampling Config shared with
-	// coordinating sites, the number of assignments, and the per-assignment
-	// ingestion shard and worker counts.
+	// coordinating sites, the number of assignments, and the ingest lane
+	// count.
 	ServerConfig = server.Config
 	// ServerOffer is one weighted observation as carried by POST /offer.
 	ServerOffer = server.Offer
@@ -419,8 +406,8 @@ type (
 // cws-merge combines like any other site's. With a StoreConfig-opened
 // EpochStore attached, freezes are durable and the server recovers every
 // acknowledged epoch on restart; GET /query?epochs=lo..hi answers any
-// aggregate over a retained window of epochs. A discarded Server must be
-// Closed to release its ingestion workers.
+// aggregate over a retained window of epochs. Close stops ingestion;
+// queries keep serving the last snapshot.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	return server.New(cfg)
 }

@@ -1,14 +1,16 @@
-// Sharded ingestion: the same coordinated sketches, built concurrently.
+// Lane ingestion: the same coordinated sketches, built concurrently.
 //
 // A stream of per-key traffic volumes is ingested twice: once through the
-// classic single-stream AssignmentSketcher and once through a
-// ShardedSketcher that hash-partitions keys across disjoint shards sketched
-// by worker goroutines. The two sketches are verified to be bit-identical —
-// the merge lemma (sketch.Merge over disjoint shards is exact) means
-// sharding changes wall-clock time, never the sample — and the combined
-// summary answers the usual multiple-assignment queries.
+// classic single-stream AssignmentSketcher and once through a LaneSketcher
+// whose lanes — each with a private bottom-k builder, all pruning against
+// one shared admission threshold — are driven by one goroutine apiece over
+// a round-robin split of the stream. The two sketches are verified to be
+// bit-identical: the lanes hold disjoint key sets, so the merge lemma
+// (sketch.Merge over disjoint parts is exact) means lanes change
+// wall-clock time, never the sample — and the combined summary answers the
+// usual multiple-assignment queries.
 //
-// Run: go run ./examples/shardedingest
+// Run: go run ./examples/laneingest
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"time"
 
 	"coordsample"
@@ -25,7 +28,6 @@ func main() {
 	const (
 		numKeys = 300000
 		k       = 4096
-		shards  = 8
 	)
 	cfg := coordsample.Config{
 		Family: coordsample.IPPS,
@@ -52,14 +54,23 @@ func main() {
 	ref := single.Sketch()
 	singleTime := time.Since(start)
 
-	// Sharded concurrent pipeline over the same stream.
+	// Concurrent lanes over the same stream: one per schedulable core.
 	start = time.Now()
-	sharded := coordsample.NewShardedSketcher(cfg, 0, shards, 0)
-	for i, key := range keys {
-		sharded.Offer(key, weights[i])
+	sketcher := coordsample.NewLaneSketcher(cfg, 0, 0)
+	lanes := sketcher.Lanes()
+	var wg sync.WaitGroup
+	wg.Add(len(lanes))
+	for j, lane := range lanes {
+		go func() {
+			defer wg.Done()
+			for i := j; i < numKeys; i += len(lanes) {
+				lane.Offer(keys[i], weights[i])
+			}
+		}()
 	}
-	merged := sharded.Sketch()
-	shardedTime := time.Since(start)
+	wg.Wait()
+	merged := sketcher.Sketch()
+	laneTime := time.Since(start)
 
 	identical := ref.Size() == merged.Size() &&
 		ref.KthRank() == merged.KthRank() &&
@@ -71,10 +82,10 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%d keys, k=%d, %d shards, %d workers (GOMAXPROCS=%d)\n",
-		numKeys, k, shards, sharded.NumWorkers(), runtime.GOMAXPROCS(0))
+	fmt.Printf("%d keys, k=%d, %d lanes (GOMAXPROCS=%d)\n",
+		numKeys, k, len(lanes), runtime.GOMAXPROCS(0))
 	fmt.Printf("  single-stream: %v\n", singleTime.Round(time.Microsecond))
-	fmt.Printf("  sharded:       %v\n", shardedTime.Round(time.Microsecond))
+	fmt.Printf("  lanes:         %v\n", laneTime.Round(time.Microsecond))
 	fmt.Printf("  sketches bit-identical: %v (entries=%d, kth=%.6g, threshold=%.6g)\n",
 		identical, merged.Size(), merged.KthRank(), merged.Threshold())
 

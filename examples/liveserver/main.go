@@ -28,7 +28,6 @@ func main() {
 	srv, err := coordsample.NewServer(coordsample.ServerConfig{
 		Sample:      cfg,
 		Assignments: 2, // period 1 and period 2
-		Shards:      4,
 	})
 	if err != nil {
 		log.Fatal(err)

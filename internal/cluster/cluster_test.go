@@ -61,7 +61,6 @@ func newTestCluster(t *testing.T, k int, cfg Config, peerFaults map[int]*faults.
 		s, err := server.New(server.Config{
 			Sample:      testSample,
 			Assignments: testAssignments,
-			Shards:      2,
 			Lanes:       1,
 			Faults:      peerFaults[i],
 			OwnsKey:     func(key string) bool { return shard.ShardOf(key, k) == i },
@@ -176,7 +175,7 @@ func (tc *testCluster) clusterFreeze(t *testing.T) (int, map[string]any) {
 // given parameter strings.
 func referenceEstimates(t *testing.T, offers []server.Offer, params []string) map[string]float64 {
 	t.Helper()
-	s, err := server.New(server.Config{Sample: testSample, Assignments: testAssignments, Shards: 2, Lanes: 1})
+	s, err := server.New(server.Config{Sample: testSample, Assignments: testAssignments, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ func shardedTestDataset(numKeys, numAsg int, seed int64) *dataset.Dataset {
 }
 
 // TestShardedSketcherMatchesAssignmentSketcher pins the equivalence at the
-// core layer: the concurrent sketcher and the sequential one freeze
-// bit-identical sketches for every shard count.
+// core layer: the lane sketcher and the sequential one freeze
+// bit-identical sketches for every lane count.
 func TestShardedSketcherMatchesAssignmentSketcher(t *testing.T) {
 	ds := shardedTestDataset(4000, 3, 13)
 	cfg := Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 99, K: 128}
@@ -46,25 +46,25 @@ func TestShardedSketcherMatchesAssignmentSketcher(t *testing.T) {
 			}
 		}
 		want := single.Sketch()
-		for _, shards := range []int{1, 2, 7, 16} {
-			sk := NewShardedSketcher(cfg, b, shards, 4)
+		for _, lanes := range []int{1, 2, 3, 8} {
+			sk := NewLaneSketcher(cfg, b, lanes)
 			for i := 0; i < ds.NumKeys(); i++ {
 				if col[i] > 0 {
-					sk.Offer(ds.Key(i), col[i])
+					sk.Lanes()[i%lanes].Offer(ds.Key(i), col[i])
 				}
 			}
 			got := sk.Sketch()
 			if got.KthRank() != want.KthRank() || got.Threshold() != want.Threshold() {
-				t.Fatalf("b=%d shards=%d: conditioning ranks (%v, %v), want (%v, %v)",
-					b, shards, got.KthRank(), got.Threshold(), want.KthRank(), want.Threshold())
+				t.Fatalf("b=%d lanes=%d: conditioning ranks (%v, %v), want (%v, %v)",
+					b, lanes, got.KthRank(), got.Threshold(), want.KthRank(), want.Threshold())
 			}
 			ge, we := got.Entries(), want.Entries()
 			if len(ge) != len(we) {
-				t.Fatalf("b=%d shards=%d: %d entries, want %d", b, shards, len(ge), len(we))
+				t.Fatalf("b=%d lanes=%d: %d entries, want %d", b, lanes, len(ge), len(we))
 			}
 			for i := range ge {
 				if ge[i] != we[i] {
-					t.Fatalf("b=%d shards=%d: entry %d = %+v, want %+v", b, shards, i, ge[i], we[i])
+					t.Fatalf("b=%d lanes=%d: entry %d = %+v, want %+v", b, lanes, i, ge[i], we[i])
 				}
 			}
 		}
@@ -79,10 +79,10 @@ func TestSummarizeDispersedParallelMatchesSequential(t *testing.T) {
 	cfg := Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, K: 64}
 	want := SummarizeDispersed(cfg, ds)
 	// Estimate() sums a map whose iteration order Go randomizes, so even two
-	// sequential runs differ in the last ulp; the sharding guarantee is
+	// sequential runs differ in the last ulp; the lane guarantee is
 	// per-key: the same keys are sampled with the same adjusted weights.
-	for _, shards := range []int{1, 2, 7, 16} {
-		got := SummarizeDispersedParallel(cfg, ds, shards, 2)
+	for _, lanes := range []int{1, 2, 3, 8} {
+		got := SummarizeDispersedParallel(cfg, ds, lanes)
 		summaries := []struct {
 			name        string
 			gotS, wantS estimate.AWSummary
@@ -96,30 +96,30 @@ func TestSummarizeDispersedParallelMatchesSequential(t *testing.T) {
 		for _, c := range summaries {
 			gk, wk := c.gotS.Keys(), c.wantS.Keys()
 			if len(gk) != len(wk) {
-				t.Fatalf("shards=%d %s: %d sampled keys, want %d", shards, c.name, len(gk), len(wk))
+				t.Fatalf("lanes=%d %s: %d sampled keys, want %d", lanes, c.name, len(gk), len(wk))
 			}
 			for i, key := range gk {
 				if key != wk[i] {
-					t.Fatalf("shards=%d %s: key %d = %q, want %q", shards, c.name, i, key, wk[i])
+					t.Fatalf("lanes=%d %s: key %d = %q, want %q", lanes, c.name, i, key, wk[i])
 				}
 				if c.gotS.AdjustedWeight(key) != c.wantS.AdjustedWeight(key) {
-					t.Errorf("shards=%d %s: adjusted weight of %q = %v, want %v",
-						shards, c.name, key, c.gotS.AdjustedWeight(key), c.wantS.AdjustedWeight(key))
+					t.Errorf("lanes=%d %s: adjusted weight of %q = %v, want %v",
+						lanes, c.name, key, c.gotS.AdjustedWeight(key), c.wantS.AdjustedWeight(key))
 				}
 			}
 		}
 		if got.DistinctKeys(nil) != want.DistinctKeys(nil) {
-			t.Errorf("shards=%d: distinct keys %d != %d", shards, got.DistinctKeys(nil), want.DistinctKeys(nil))
+			t.Errorf("lanes=%d: distinct keys %d != %d", lanes, got.DistinctKeys(nil), want.DistinctKeys(nil))
 		}
 	}
 }
 
 // TestEstimatorSeamShardInvariance: the Estimator seam must be blind to how
-// the sketches were built. For every shard count and coordination mode,
-// both estimator families answer over the sharded parallel pipeline with
+// the sketches were built. For every lane count and coordination mode,
+// both estimator families answer over the concurrent lane pipeline with
 // byte-identical summaries (keys, adjusted weights, AND variances) to the
-// sequential pipeline — the shard dimension cannot leak a single ulp into
-// estimation.
+// sequential pipeline — how the stream was split cannot leak a single ulp
+// into estimation.
 func TestEstimatorSeamShardInvariance(t *testing.T) {
 	ds := shardedTestDataset(2000, 2, 23)
 	aggs := []struct {
@@ -136,25 +136,25 @@ func TestEstimatorSeamShardInvariance(t *testing.T) {
 	for _, mode := range []rank.Coordination{rank.SharedSeed, rank.Independent} {
 		cfg := Config{Family: rank.IPPS, Mode: mode, Seed: 5, K: 48}
 		want := SummarizeDispersed(cfg, ds)
-		for _, shards := range []int{1, 2, 7, 16} {
-			got := SummarizeDispersedParallel(cfg, ds, shards, 2)
+		for _, lanes := range []int{1, 2, 3, 8} {
+			got := SummarizeDispersedParallel(cfg, ds, lanes)
 			for _, est := range []estimate.Estimator{estimate.AWEstimator, estimate.DiscardedEstimator} {
 				for _, c := range aggs {
 					gs, ws := est.Summary(got, c.f), est.Summary(want, c.f)
 					gk, wk := gs.Keys(), ws.Keys()
 					if len(gk) != len(wk) {
-						t.Fatalf("%v shards=%d %s/%s: %d sampled keys, want %d",
-							mode, shards, est.Name(), c.name, len(gk), len(wk))
+						t.Fatalf("%v lanes=%d %s/%s: %d sampled keys, want %d",
+							mode, lanes, est.Name(), c.name, len(gk), len(wk))
 					}
 					for i, key := range gk {
 						if key != wk[i] {
-							t.Fatalf("%v shards=%d %s/%s: key %d = %q, want %q",
-								mode, shards, est.Name(), c.name, i, key, wk[i])
+							t.Fatalf("%v lanes=%d %s/%s: key %d = %q, want %q",
+								mode, lanes, est.Name(), c.name, i, key, wk[i])
 						}
 						if math.Float64bits(gs.AdjustedWeight(key)) != math.Float64bits(ws.AdjustedWeight(key)) ||
 							math.Float64bits(gs.VarianceOf(key)) != math.Float64bits(ws.VarianceOf(key)) {
-							t.Errorf("%v shards=%d %s/%s: %q = (%v, var %v), want (%v, var %v)",
-								mode, shards, est.Name(), c.name, key,
+							t.Errorf("%v lanes=%d %s/%s: %q = (%v, var %v), want (%v, var %v)",
+								mode, lanes, est.Name(), c.name, key,
 								gs.AdjustedWeight(key), gs.VarianceOf(key),
 								ws.AdjustedWeight(key), ws.VarianceOf(key))
 						}

@@ -92,7 +92,7 @@ func runCluster(opts Options) Result {
 	for i := range peers {
 		i := i
 		srv, err := server.New(server.Config{
-			Sample: cfg, Assignments: numAsg, Shards: 4, Workers: opts.Workers, Lanes: 0,
+			Sample: cfg, Assignments: numAsg,
 			OwnsKey: func(key string) bool { return shard.ShardOf(key, numPeers) == i },
 		})
 		if err != nil {

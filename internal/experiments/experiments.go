@@ -27,14 +27,6 @@ type Options struct {
 	Ks []int
 	// Seed drives all sampling randomness.
 	Seed uint64
-	// Workers caps the worker pool of experiments that manage their own
-	// concurrency (the sharding experiment's ingestion workers); 0 means
-	// GOMAXPROCS. cws-bench additionally applies -workers process-wide via
-	// GOMAXPROCS, which bounds the parallel sampling repetitions too.
-	Workers int
-	// Shards fixes the shard count of the sharding experiment; 0 sweeps a
-	// default set of shard counts.
-	Shards int
 	// Conns fixes the client-connection count of the loadtest experiment;
 	// 0 sweeps a default set.
 	Conns int

@@ -19,7 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table2", "table_ip2", "table3", "table4",
 		"unweighted", "jaccard",
 		"ablation_family", "ablation_sketch", "ablation_fixedk", "ablation_generic",
-		"sharding", "serve", "ingest", "store", "estimators",
+		"serve", "ingest", "store", "estimators",
 		"scale", "loadtest", "cluster",
 	}
 	for _, id := range wantIDs {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,7 +22,7 @@ func init() {
 	register(Experiment{
 		ID:    "ingest",
 		Paper: "not from the paper",
-		Desc:  "threshold-pruned ingest fast path: offers/s and allocs/offer vs shards, against the single-stream per-offer baseline; frozen sketches verified bit-identical",
+		Desc:  "ingest layer by layer: hash, rank, single-stream builder, and the pruned lane path across a lane sweep, then the server's three ingest encodings; frozen sketches verified bit-identical",
 		Run:   runIngest,
 	})
 }
@@ -35,6 +37,24 @@ func ingestRuns(opts Options) int {
 	return 5
 }
 
+// identicalSketches reports whether got matches want sketch by sketch —
+// entries, r_k and r_{k+1} — the bit-identity column of the ingest and scale
+// experiments.
+func identicalSketches(got, want []*sketch.BottomK) bool {
+	for b := range want {
+		g, w := got[b], want[b]
+		if g.KthRank() != w.KthRank() || g.Threshold() != w.Threshold() || len(g.Entries()) != len(w.Entries()) {
+			return false
+		}
+		for i, e := range w.Entries() {
+			if g.Entries()[i] != e {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ingestColumn is one assignment's aggregated stream, flattened out of the
 // dataset so the measured loops pay no accessor overhead.
 type ingestColumn struct {
@@ -42,111 +62,17 @@ type ingestColumn struct {
 	weights []float64
 }
 
-// legacySketcher reimplements the PR-3 sharded ingest path, preserved here
-// as the experiment's "before" measurement: a second hash per offer for
-// seed-free shard routing, every offer shipped through the batched channels
-// in a freshly allocated batch, and the full rank computation (key hash +
-// quantile) in the worker. The threshold-pruned fast path in package shard
-// replaced it; this copy keeps the before/after comparison honest and
-// reproducible.
-type legacySketcher struct {
-	assigner   rank.Assigner
-	assignment int
-	shards     int
-	builders   []*sketch.BottomKBuilder
-	chans      []chan []legacyItem
-	pending    [][]legacyItem
-	wg         sync.WaitGroup
-}
-
-type legacyItem struct {
-	key    string
-	weight float64
-	shard  int32
-}
-
-const legacyBatch = 256
-
-func newLegacySketcher(cfg core.Config, assignment, shards, workers int) *legacySketcher {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shards {
-		workers = shards
-	}
-	a := cfg.Assigner()
-	s := &legacySketcher{
-		assigner:   a,
-		assignment: assignment,
-		shards:     shards,
-		builders:   make([]*sketch.BottomKBuilder, shards),
-		chans:      make([]chan []legacyItem, workers),
-		pending:    make([][]legacyItem, workers),
-	}
-	fp := a.Fingerprint(assignment, cfg.K)
-	for i := range s.builders {
-		s.builders[i] = sketch.NewBottomKBuilderWithFingerprint(cfg.K, fp)
-	}
-	for w := range s.chans {
-		s.chans[w] = make(chan []legacyItem, 4)
-		s.pending[w] = make([]legacyItem, 0, legacyBatch)
-	}
-	s.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		ch := s.chans[w]
-		go func() {
-			defer s.wg.Done()
-			for batch := range ch {
-				for _, it := range batch {
-					r := s.assigner.Rank(it.key, s.assignment, it.weight)
-					s.builders[it.shard].Offer(it.key, r, it.weight)
-				}
-			}
-		}()
-	}
-	return s
-}
-
-func (s *legacySketcher) Offer(key string, weight float64) {
-	if weight <= 0 {
-		return
-	}
-	sh := int(hashing.ShardHash(key) % uint64(s.shards))
-	w := sh % len(s.chans)
-	s.pending[w] = append(s.pending[w], legacyItem{key: key, weight: weight, shard: int32(sh)})
-	if len(s.pending[w]) == legacyBatch {
-		s.chans[w] <- s.pending[w]
-		s.pending[w] = make([]legacyItem, 0, legacyBatch)
-	}
-}
-
-func (s *legacySketcher) Sketch() *sketch.BottomK {
-	for w, batch := range s.pending {
-		if len(batch) > 0 {
-			s.chans[w] <- batch
-		}
-		s.pending[w] = nil
-		close(s.chans[w])
-	}
-	s.wg.Wait()
-	parts := make([]*sketch.BottomK, s.shards)
-	for i, b := range s.builders {
-		parts[i] = b.Sketch()
-	}
-	merged, err := sketch.Merge(parts...)
-	if err != nil {
-		panic(err)
-	}
-	return merged
-}
-
 // runIngest measures the producer-side cost of bottom-k ingestion on the
-// serve benchmark workload: the PR-3 per-offer baseline (hash + quantile +
-// builder call for every offer, via the single-stream AssignmentSketcher)
-// against the threshold-pruned sharded fast path (hash once, admission
-// bound, pooled batches) and the hash-once-per-key vector front-end. Every
-// fast-path configuration's frozen sketches are verified bit-identical —
-// entries, r_k, r_{k+1} — to the single-stream builder's, for both
+// serve benchmark workload, layer by layer in one run on one machine: the
+// hash alone, the full rank (hash + quantile), the single-stream
+// AssignmentSketcher (rank + builder call for every offer), and the lane
+// sketchers across a lane sweep (hash once, prune against the shared
+// admission threshold, materialise and rank only what a builder is
+// offered), plus the hash-once-per-key vector front-end. The vs_hash+rank
+// column — a path's ns/offer over the hash row's plus the rank row's — is
+// the machine-independent number scripts/check_bench_regression.sh gates
+// on. Every lane configuration's frozen sketches are verified bit-identical
+// — entries, r_k, r_{k+1} — to the single-stream builder's, for both
 // dispersed coordination modes.
 func runIngest(opts Options) Result {
 	opts = opts.WithDefaults()
@@ -155,29 +81,11 @@ func runIngest(opts Options) Result {
 	if m := ds.NumKeys() / 4; k > m && m >= 1 {
 		k = m
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shardSweep := []int{1, 2, 7, 16}
-	if opts.Shards > 0 {
-		shardSweep = []int{opts.Shards}
-	}
+	laneSweep := []int{1, 2, 3, 8}
 	runs := ingestRuns(opts)
 
-	numAsg := ds.NumAssignments()
-	cols := make([]ingestColumn, numAsg)
-	offered := 0
-	for b := 0; b < numAsg; b++ {
-		col := ds.Column(b)
-		for i := 0; i < ds.NumKeys(); i++ {
-			if col[i] > 0 {
-				cols[b].keys = append(cols[b].keys, ds.Key(i))
-				cols[b].weights = append(cols[b].weights, col[i])
-				offered++
-			}
-		}
-	}
+	cols, offered := flattenColumns(ds)
+	numAsg := len(cols)
 	// The vector path offers whole rows; precompute them once.
 	vecKeys := make([]string, ds.NumKeys())
 	vecs := make([][]float64, ds.NumKeys())
@@ -188,24 +96,27 @@ func runIngest(opts Options) Result {
 	}
 
 	t := Table{
-		Title: fmt.Sprintf("ingest fast path, %d offers (%d keys × %d assignments), k=%d, %d workers/assignment, best of %d runs; speedup is vs the PR-3 sharded path at the same shard count",
-			offered, ds.NumKeys(), numAsg, k, workers, runs),
-		Columns: []string{"mode", "path", "shards", "offers/s", "allocs/offer", "speedup", "identical"},
+		Title: fmt.Sprintf("ingest layers, %d offers (%d keys × %d assignments), k=%d, best of %d runs; a lanes=L row drives L lanes from L goroutines (GOMAXPROCS=%d here); vs_hash+rank is ns/offer over the hash row's plus the rank row's",
+			offered, ds.NumKeys(), numAsg, k, runs, runtime.GOMAXPROCS(0)),
+		Columns: []string{"mode", "path", "lanes", "offers/s", "ns/offer", "allocs/offer", "vs_hash+rank", "identical"},
 	}
 
-	// measure streams the workload runs times through fresh sketchers (run
-	// constructs its own — sharded pipelines are terminal), returning the
-	// best throughput, the minimum allocations per offer across runs (the
-	// first pass pays pool and stack warmup), and one run's frozen sketches.
-	measure := func(run func() []*sketch.BottomK) (float64, float64, []*sketch.BottomK) {
+	// measure streams the workload runs times: setup constructs what a run
+	// feeds (lane sketchers are terminal) and returns the offer loop, which is
+	// what is timed, and the freeze, which is not — at small scales a freeze
+	// costs as much as the offers. It returns the best ns/offer, the minimum
+	// allocations per offer across runs (the first pass pays stack warmup),
+	// and one run's frozen sketches.
+	measure := func(setup func() (offer func(), freeze func() []*sketch.BottomK)) (float64, float64, []*sketch.BottomK) {
 		best := time.Duration(1<<63 - 1)
 		minAllocs := float64(1 << 62)
 		var frozen []*sketch.BottomK
 		for r := 0; r < runs; r++ {
+			offer, freeze := setup()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			start := time.Now()
-			sk := run()
+			offer()
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&m1)
 			if elapsed < best {
@@ -214,100 +125,124 @@ func runIngest(opts Options) Result {
 			if a := float64(m1.Mallocs-m0.Mallocs) / float64(offered); a < minAllocs {
 				minAllocs = a
 			}
-			frozen = sk
-		}
-		return float64(offered) / best.Seconds(), minAllocs, frozen
-	}
-
-	identicalSketches := func(got, want []*sketch.BottomK) bool {
-		for b := range want {
-			g, w := got[b], want[b]
-			if g.KthRank() != w.KthRank() || g.Threshold() != w.Threshold() || len(g.Entries()) != len(w.Entries()) {
-				return false
-			}
-			for i, e := range w.Entries() {
-				if g.Entries()[i] != e {
-					return false
-				}
+			if freeze != nil {
+				frozen = freeze()
 			}
 		}
-		return true
+		return float64(best.Nanoseconds()) / float64(offered), minAllocs, frozen
 	}
 
 	for _, mode := range []rank.Coordination{rank.SharedSeed, rank.Independent} {
 		cfg := core.Config{Family: rank.IPPS, Mode: mode, Seed: opts.Seed, K: k}
+		assigner := cfg.Assigner()
+		var floor float64 // hash + rank ns/offer, the ratio's denominator
+		row := func(path, lanes string, ns, allocs float64, identical string) {
+			t.AddRow(mode.String(), path, lanes, fsci(1e9/ns), fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.3f", allocs),
+				fmt.Sprintf("%.2fx", ns/floor), identical)
+		}
 
-		baseRate, baseAllocs, baseSketches := measure(func() []*sketch.BottomK {
-			frozen := make([]*sketch.BottomK, numAsg)
-			for b := 0; b < numAsg; b++ {
-				sk := core.NewAssignmentSketcher(cfg, b)
-				for i, key := range cols[b].keys {
-					sk.Offer(key, cols[b].weights[i])
+		var hsink uint64
+		hashNs, hashAllocs, _ := measure(func() (func(), func() []*sketch.BottomK) {
+			return func() {
+				for b := range cols {
+					seed := assigner.RankHashSeed(b)
+					for _, key := range cols[b].keys {
+						hsink ^= hashing.Hash64(seed, key)
+					}
 				}
-				frozen[b] = sk.Sketch()
-			}
-			return frozen
+			}, nil
 		})
-		t.AddRow(mode.String(), "single-stream", "-", fsci(baseRate), fmt.Sprintf("%.3f", baseAllocs), "-", "ref")
-
-		for _, shards := range shardSweep {
-			legacyRate, legacyAllocs, legacyFrozen := measure(func() []*sketch.BottomK {
-				out := make([]*sketch.BottomK, numAsg)
-				for b := 0; b < numAsg; b++ {
-					sk := newLegacySketcher(cfg, b, shards, workers)
+		var rsink float64
+		rankNs, rankAllocs, _ := measure(func() (func(), func() []*sketch.BottomK) {
+			return func() {
+				for b := range cols {
 					for i, key := range cols[b].keys {
-						sk.Offer(key, cols[b].weights[i])
+						rsink += assigner.Rank(key, b, cols[b].weights[i])
 					}
-					out[b] = sk.Sketch()
 				}
-				return out
-			})
-			t.AddRow(mode.String(), "sharded-pr3", fmt.Sprintf("%d", shards), fsci(legacyRate),
-				fmt.Sprintf("%.3f", legacyAllocs), "1.00x",
-				fmt.Sprintf("%v", identicalSketches(legacyFrozen, baseSketches)))
+			}, nil
+		})
+		if hsink == 0 || rsink == 0 {
+			panic("ingest experiment: degenerate hashes") // and the loops above are kept
+		}
+		floor = hashNs + rankNs
+		row("hash", "-", hashNs, hashAllocs, "-")
+		row("rank", "-", rankNs, rankAllocs, "-")
 
-			rate, allocs, frozen := measure(func() []*sketch.BottomK {
-				out := make([]*sketch.BottomK, numAsg)
-				for b := 0; b < numAsg; b++ {
-					sk := core.NewShardedSketcher(cfg, b, shards, workers)
-					for i, key := range cols[b].keys {
-						sk.Offer(key, cols[b].weights[i])
+		baseNs, baseAllocs, ref := measure(func() (func(), func() []*sketch.BottomK) {
+			sketchers := make([]*core.AssignmentSketcher, numAsg)
+			for b := range sketchers {
+				sketchers[b] = core.NewAssignmentSketcher(cfg, b)
+			}
+			return func() {
+					for b, sk := range sketchers {
+						for i, key := range cols[b].keys {
+							sk.Offer(key, cols[b].weights[i])
+						}
 					}
-					out[b] = sk.Sketch()
+				}, func() []*sketch.BottomK {
+					frozen := make([]*sketch.BottomK, numAsg)
+					for b, sk := range sketchers {
+						frozen[b] = sk.Sketch()
+					}
+					return frozen
 				}
-				return out
-			})
-			t.AddRow(mode.String(), "sharded-pruned", fmt.Sprintf("%d", shards), fsci(rate),
-				fmt.Sprintf("%.3f", allocs), fmt.Sprintf("%.2fx", rate/legacyRate),
-				fmt.Sprintf("%v", identicalSketches(frozen, baseSketches)))
+		})
+		row("single-stream", "-", baseNs, baseAllocs, "ref")
 
-			vrate, vallocs, vfrozen := measure(func() []*sketch.BottomK {
-				m := core.NewMultiSketcher(cfg, numAsg, shards, workers)
+		for _, lanes := range laneSweep {
+			ns, allocs, frozen := measure(func() (func(), func() []*sketch.BottomK) {
+				m := core.NewMultiSketcher(cfg, numAsg, lanes)
+				mlanes := m.Lanes()
+				return func() {
+					var wg sync.WaitGroup
+					wg.Add(len(mlanes))
+					for j, ml := range mlanes {
+						go func() {
+							defer wg.Done()
+							for b := range cols {
+								keys, weights := cols[b].keys, cols[b].weights
+								for i := j; i < len(keys); i += len(mlanes) {
+									ml.Offer(b, keys[i], weights[i])
+								}
+							}
+						}()
+					}
+					wg.Wait()
+				}, m.Sketches
+			})
+			row("lanes", fmt.Sprintf("%d", lanes), ns, allocs, fmt.Sprintf("%v", identicalSketches(frozen, ref)))
+		}
+
+		vns, vallocs, vfrozen := measure(func() (func(), func() []*sketch.BottomK) {
+			m := core.NewMultiSketcher(cfg, numAsg, 1)
+			return func() {
 				for i, key := range vecKeys {
 					m.OfferVector(key, vecs[i])
 				}
-				return m.Sketches()
-			})
-			t.AddRow(mode.String(), "vector-hash-once", fmt.Sprintf("%d", shards), fsci(vrate),
-				fmt.Sprintf("%.3f", vallocs), fmt.Sprintf("%.2fx", vrate/legacyRate),
-				fmt.Sprintf("%v", identicalSketches(vfrozen, baseSketches)))
-		}
+			}, m.Sketches
+		})
+		row("vector-hash-once", "1", vns, vallocs, fmt.Sprintf("%v", identicalSketches(vfrozen, ref)))
 	}
-	return Result{Tables: []Table{t, runIngestServer(opts, cols, offered, k, workers, shardSweep, runs)}}
+	return Result{Tables: []Table{t, runIngestServer(opts, cols, offered, k, runs)}}
 }
 
-// runIngestServer measures the serving system's ingest lanes end to end
-// through the HTTP handler: the PR-3 baseline path (POST /offer JSON
-// batches — the lane BENCH_serve.json recorded at ~0.8M offers/s) against
-// the streaming POST /ingest lanes (NDJSON and the binary framing), which
-// decode into reused observation buffers and feed the hash-once,
-// threshold-pruned sketchers. After each measured stream the epoch is
-// frozen and an L1 query must equal the offline pipeline's answer exactly.
-func runIngestServer(opts Options, cols []ingestColumn, offered, k, workers int, shardSweep []int, runs int) Table {
+// runIngestServer measures the server's three ingest encodings end to end
+// through the HTTP handler: POST /offer JSON batches, and the streaming
+// POST /ingest in NDJSON and in the binary framing. All three stage into
+// the same pointer-free batches and reach the same lane entry point; they
+// differ in decode cost, and only the binary decoder hashes a key where it
+// lies and never makes a string for a pruned record — so its allocations
+// per offer must stay within the admitted share (read back from the
+// server's own cws_ingest_* counters) plus a per-request remainder, which is
+// what scripts/check_bench_regression.sh gates on. After each measured
+// stream the epoch is frozen and an L1 query must equal the offline
+// pipeline's answer exactly.
+func runIngestServer(opts Options, cols []ingestColumn, offered, k, runs int) Table {
 	cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: opts.Seed, K: k}
 
-	// Pre-encode each lane's request bodies once; encoding cost belongs to
-	// the client, not the measured server.
+	// Pre-encode each encoding's request bodies once; encoding cost belongs
+	// to the client, not the measured server.
 	const jsonBatch = 512
 	var jsonBodies [][]byte
 	batch := make([]server.Offer, 0, jsonBatch)
@@ -340,11 +275,6 @@ func runIngestServer(opts Options, cols []ingestColumn, offered, k, workers int,
 	}
 	flush()
 
-	type lane struct {
-		name        string
-		run         func(srv *server.Server)
-		contentType string
-	}
 	post := func(srv *server.Server, path, contentType string, body []byte) {
 		req, _ := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		if contentType != "" {
@@ -352,16 +282,25 @@ func runIngestServer(opts Options, cols []ingestColumn, offered, k, workers int,
 		}
 		srv.ServeHTTP(newDiscardWriter(false), req)
 	}
-	lanes := []lane{
-		{name: "http-offer-json (pr3)", run: func(srv *server.Server) {
+	get := func(srv *server.Server, path string) []byte {
+		req, _ := http.NewRequest(http.MethodGet, path, nil)
+		w := newDiscardWriter(true)
+		srv.ServeHTTP(w, req)
+		return w.body.Bytes()
+	}
+	encodings := []struct {
+		name string
+		run  func(srv *server.Server)
+	}{
+		{"http-offer-json", func(srv *server.Server) {
 			for _, body := range jsonBodies {
 				post(srv, "/offer", "application/json", body)
 			}
 		}},
-		{name: "http-ingest-ndjson", run: func(srv *server.Server) {
+		{"http-ingest-ndjson", func(srv *server.Server) {
 			post(srv, "/ingest", "application/x-ndjson", ndjson.Bytes())
 		}},
-		{name: "http-ingest-binary", run: func(srv *server.Server) {
+		{"http-ingest-binary", func(srv *server.Server) {
 			post(srv, "/ingest", server.ContentTypeBinaryIngest, binBody)
 		}},
 	}
@@ -383,53 +322,67 @@ func runIngestServer(opts Options, cols []ingestColumn, offered, k, workers int,
 	}()
 
 	t := Table{
-		Title: fmt.Sprintf("server ingest lanes (HTTP handler end to end), %d offers, k=%d, %d workers/assignment, best of %d runs; speedup is vs the PR-3 /offer JSON lane at the same shard count",
-			offered, k, workers, runs),
-		Columns: []string{"shards", "lane", "offers/s", "allocs/offer", "speedup", "identical"},
+		Title: fmt.Sprintf("server ingest encodings (HTTP handler end to end), %d offers, k=%d, best of %d runs; admit_ratio is admitted/offered from the server's own counters; speedup is vs the /offer JSON row",
+			offered, k, runs),
+		Columns: []string{"encoding", "offers/s", "allocs/offer", "admit_ratio", "speedup", "identical"},
 	}
-	for _, shards := range shardSweep {
-		var jsonRate float64
-		for _, ln := range lanes {
-			best := time.Duration(1<<63 - 1)
-			minAllocs := float64(1 << 62)
-			identical := true
-			for r := 0; r < runs; r++ {
-				srv, err := server.New(server.Config{Sample: cfg, Assignments: len(cols), Shards: shards, Workers: workers})
-				if err != nil {
-					panic(err)
-				}
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				start := time.Now()
-				ln.run(srv)
-				elapsed := time.Since(start)
-				runtime.ReadMemStats(&m1)
-				post(srv, "/freeze", "", nil)
-				req, _ := http.NewRequest(http.MethodGet, "/query?agg=L1", nil)
-				w := newDiscardWriter(true)
-				srv.ServeHTTP(w, req)
-				var resp struct {
-					Estimate float64 `json:"estimate"`
-				}
-				if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil {
-					panic(fmt.Sprintf("ingest experiment: bad query response %q: %v", w.body.String(), err))
-				}
-				identical = identical && resp.Estimate == refL1
-				srv.Close()
-				if elapsed < best {
-					best = elapsed
-				}
-				if a := float64(m1.Mallocs-m0.Mallocs) / float64(offered); a < minAllocs {
-					minAllocs = a
-				}
+	var jsonRate float64
+	for _, e := range encodings {
+		best := time.Duration(1<<63 - 1)
+		minAllocs := float64(1 << 62)
+		identical := true
+		var admitRatio float64
+		for r := 0; r < runs; r++ {
+			srv, err := server.New(server.Config{Sample: cfg, Assignments: len(cols)})
+			if err != nil {
+				panic(err)
 			}
-			rate := float64(offered) / best.Seconds()
-			if ln.name == lanes[0].name {
-				jsonRate = rate
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			start := time.Now()
+			e.run(srv)
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&m1)
+			metrics := get(srv, "/metrics")
+			admitRatio = sumSeries(metrics, "cws_ingest_admitted_total") / sumSeries(metrics, "cws_ingest_offered_total")
+			post(srv, "/freeze", "", nil)
+			var resp struct {
+				Estimate float64 `json:"estimate"`
 			}
-			t.AddRow(fmt.Sprintf("%d", shards), ln.name, fsci(rate), fmt.Sprintf("%.3f", minAllocs),
-				fmt.Sprintf("%.2fx", rate/jsonRate), fmt.Sprintf("%v", identical))
+			body := get(srv, "/query?agg=L1")
+			if err := json.Unmarshal(body, &resp); err != nil {
+				panic(fmt.Sprintf("ingest experiment: bad query response %q: %v", body, err))
+			}
+			identical = identical && resp.Estimate == refL1
+			if elapsed < best {
+				best = elapsed
+			}
+			if a := float64(m1.Mallocs-m0.Mallocs) / float64(offered); a < minAllocs {
+				minAllocs = a
+			}
 		}
+		rate := float64(offered) / best.Seconds()
+		if e.name == encodings[0].name {
+			jsonRate = rate
+		}
+		t.AddRow(e.name, fsci(rate), fmt.Sprintf("%.3f", minAllocs), fmt.Sprintf("%.3f", admitRatio),
+			fmt.Sprintf("%.2fx", rate/jsonRate), fmt.Sprintf("%v", identical))
 	}
 	return t
+}
+
+// sumSeries adds up every series of one metric family in a Prometheus text
+// exposition.
+func sumSeries(exposition []byte, name string) float64 {
+	var total float64
+	for _, line := range strings.Split(string(exposition), "\n") {
+		if rest, ok := strings.CutPrefix(line, name); ok && rest != "" && (rest[0] == '{' || rest[0] == ' ') {
+			v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+			if err != nil {
+				panic(fmt.Sprintf("ingest experiment: bad exposition line %q: %v", line, err))
+			}
+			total += v
+		}
+	}
+	return total
 }

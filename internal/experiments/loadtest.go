@@ -299,7 +299,7 @@ func loadTarget(opts Options, cfg core.Config, numAsg int) (string, func()) {
 	if opts.Overload {
 		maxInflight = overloadInflight
 	}
-	srv, err := server.New(server.Config{Sample: cfg, Assignments: numAsg, Shards: 8, Workers: opts.Workers, Lanes: 0, MaxInflight: maxInflight})
+	srv, err := server.New(server.Config{Sample: cfg, Assignments: numAsg, MaxInflight: maxInflight})
 	if err != nil {
 		panic(err)
 	}

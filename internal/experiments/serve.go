@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"time"
 
 	"coordsample/internal/core"
@@ -85,7 +84,7 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 }
 
 // runServe measures the serving layer end to end through its HTTP handler:
-// batched JSON ingest throughput and freeze cost across a shard sweep, and
+// batched JSON ingest throughput and freeze cost across a lane sweep, and
 // the cold (estimator build) vs warm (snapshot cache) latency of an L1
 // query. Every configuration's answer is verified equal to the offline
 // pipeline's — the freeze-and-swap machinery must never change an estimate.
@@ -97,14 +96,7 @@ func runServe(opts Options) Result {
 		k = m
 	}
 	cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: opts.Seed, K: k}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shardSweep := []int{1, 2, 4, 8}
-	if opts.Shards > 0 {
-		shardSweep = []int{opts.Shards}
-	}
+	laneSweep := []int{1, 2, 4, 8}
 
 	// Pre-marshal the ingest stream into POST /offer bodies of 512 offers,
 	// so marshalling cost is not attributed to the server.
@@ -140,17 +132,16 @@ func runServe(opts Options) Result {
 	refL1 := core.SummarizeDispersed(cfg, ds).RangeLSet(nil).Estimate(nil)
 
 	t := Table{
-		Title: fmt.Sprintf("online serving, %d offers in %d-offer batches, %d keys × %d assignments, k=%d, %d workers/assignment",
-			offered, batchSize, ds.NumKeys(), ds.NumAssignments(), k, workers),
-		Columns: []string{"shards", "ingest", "offers/s", "offer_p50", "offer_p99", "freeze", "q_cold", "q_p50", "q_p95", "q_p99", "identical"},
+		Title: fmt.Sprintf("online serving, %d offers in %d-offer batches, %d keys × %d assignments, k=%d",
+			offered, batchSize, ds.NumKeys(), ds.NumAssignments(), k),
+		Columns: []string{"lanes", "ingest", "offers/s", "offer_p50", "offer_p99", "freeze", "q_cold", "q_p50", "q_p95", "q_p99", "identical"},
 	}
 	const warmQueries = 50
-	for _, shards := range shardSweep {
-		srv, err := server.New(server.Config{Sample: cfg, Assignments: ds.NumAssignments(), Shards: shards, Workers: workers})
+	for _, lanes := range laneSweep {
+		srv, err := server.New(server.Config{Sample: cfg, Assignments: ds.NumAssignments(), Lanes: lanes})
 		if err != nil {
 			panic(err)
 		}
-		defer srv.Close() // release the re-armed epoch's workers after the sweep
 		post := func(path string, body []byte) {
 			req, _ := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 			srv.ServeHTTP(newDiscardWriter(false), req)
@@ -192,7 +183,7 @@ func runServe(opts Options) Result {
 
 		offerPct := pctCols(offerHist)
 		row := []string{
-			fmt.Sprintf("%d", shards),
+			fmt.Sprintf("%d", lanes),
 			ingest.Round(time.Microsecond).String(),
 			fsci(float64(offered) / ingest.Seconds()),
 			offerPct[0], offerPct[2],

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"coordsample/internal/core"
@@ -99,14 +98,6 @@ func runStore(opts Options) Result {
 	opts = opts.WithDefaults()
 	k := 1024
 	cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: opts.Seed, K: k}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := 4
-	if opts.Shards > 0 {
-		shards = opts.Shards
-	}
 	const epochs = 8
 	chunks := storeEpochStream(opts, epochs)
 	offers := 0
@@ -123,12 +114,12 @@ func runStore(opts Options) Result {
 
 	// --- Table 1: freeze-persist overhead ---
 	t1 := Table{
-		Title: fmt.Sprintf("freeze+persist overhead, %d offers in %d epochs, k=%d, %d shards, %d workers/assignment",
-			offers, epochs, k, shards, workers),
+		Title: fmt.Sprintf("freeze+persist overhead, %d offers in %d epochs, k=%d",
+			offers, epochs, k),
 		Columns: []string{"mode", "freeze_total", "freeze_mean", "disk_bytes", "identical"},
 	}
 	for _, durable := range []bool{false, true} {
-		scfg := server.Config{Sample: cfg, Assignments: 2, Shards: shards, Workers: workers, Retain: epochs}
+		scfg := server.Config{Sample: cfg, Assignments: 2, Retain: epochs}
 		var st *store.Store
 		if durable {
 			st, err = store.Open(store.Config{Dir: baseDir + "/persist", Retain: epochs, Sample: cfg, Assignments: 2})
@@ -223,7 +214,7 @@ func runStore(opts Options) Result {
 	if err != nil {
 		panic(err)
 	}
-	srv, err := server.New(server.Config{Sample: cfg, Assignments: 2, Shards: shards, Workers: workers, Store: st})
+	srv, err := server.New(server.Config{Sample: cfg, Assignments: 2, Store: st})
 	if err != nil {
 		panic(err)
 	}

@@ -22,7 +22,7 @@ const (
 // fnv1a runs the 64-bit FNV-1a byte loop over key from the given basis —
 // the shared core of Hash64 and ShardHash, which differ only in how the
 // basis is derived.
-func fnv1a(basis uint64, key string) uint64 {
+func fnv1a[K string | []byte](basis uint64, key K) uint64 {
 	h := basis
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -32,10 +32,13 @@ func fnv1a(basis uint64, key string) uint64 {
 }
 
 // Hash64 returns a 64-bit hash of key seeded with seed. Identical (seed, key)
-// pairs always produce identical values, across processes and platforms.
+// pairs always produce identical values, across processes and platforms —
+// and across key representations: a string and the []byte holding the same
+// bytes hash alike, so a decoder can hash a key in its read buffer and
+// materialise the string only if the key is sampled.
 //
 //cws:hotpath
-func Hash64(seed uint64, key string) uint64 {
+func Hash64[K string | []byte](seed uint64, key K) uint64 {
 	return Mix64(fnv1a(fnvOffset^Mix64(seed), key))
 }
 

@@ -32,8 +32,9 @@ import (
 //
 // Deleting a //cws:hotpath annotation is itself an error for the functions
 // on the requiredHot manifest below: the admission primitives in
-// rank/hashing, BottomKBuilder's offer surface, the shard fan-in, and the
-// server's binary decode loop must stay under contract.
+// rank/hashing, BottomKBuilder's offer surface, the lane entry point and its
+// staging, and the server's binary decode loop and flush must stay under
+// contract.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "flag allocation-prone constructs, mutex ops, and channel sends in //cws:hotpath functions and their package-local callees",
@@ -48,15 +49,21 @@ var HotPath = &Analyzer{
 var requiredHot = map[string][]string{
 	"internal/hashing": {"Hash64", "Mix64", "Unit", "ShardHash"},
 	"internal/rank":    {"Family.Quantile", "Family.RejectsSeed", "Family.SeedMayRankBelow"},
-	"internal/sketch":  {"(*BottomKBuilder).Offer", "(*BottomKBuilder).AdmissionThreshold", "(*BottomKBuilder).NoteRejected"},
+	"internal/sketch":  {"(*BottomKBuilder).Offer", "(*BottomKBuilder).AdmissionThreshold", "(*BottomKBuilder).NoteRejected", "(*BottomKBuilder).Len"},
 	"internal/shard": {
-		"(*Sketcher).Offer", "(*Sketcher).offerHashed", "(*Sketcher).OfferBatch",
-		"(*Lane).Offer", "(*Lane).offerHashed", "(*Lane).OfferBatch",
-		"(*MultiSketcher).Offer", "(*MultiSketcher).OfferBatch", "(*MultiSketcher).OfferVector",
+		"offer", "Stage", "(*Sketcher).lower", "(*Sketcher).AdmissionThreshold",
+		"(*Sketcher).Offer",
+		"(*Lane).Offer", "(*Lane).OfferBatch", "(*Lane).TakeCounts",
+		"(*MultiSketcher).Offer", "(*MultiSketcher).OfferVector",
 		"(*MultiLane).Offer", "(*MultiLane).OfferBatch", "(*MultiLane).OfferVector",
+		"(*MultiLane).OfferStaged", "(*MultiLane).TakeCounts",
+		"(*Staged).Len", "(*Staged).ArenaLen", "(*Staged).Reset",
 	},
-	"internal/server": {"(*Server).ingestBinary", "(*ingestState).add", "(*ingestState).flush"},
-	"internal/obs":    {"(*Histogram).Record", "bucketIndex"},
+	"internal/server": {
+		"(*Server).ingestBinary", "stage", "(*ingestState).flush",
+		"(*epochIngest).acquire", "(*laneSlot).publish",
+	},
+	"internal/obs": {"(*Histogram).Record", "bucketIndex"},
 }
 
 // hotSafePkgs are packages whose calls are presumed allocation-free on the
@@ -303,6 +310,9 @@ func (p *Pass) checkHotCallArgs(call *ast.CallExpr, fn *types.Func, flag func(to
 		default:
 			return
 		}
+		if _, ok := param.(*types.TypeParam); ok {
+			continue // a type parameter's underlying type is its constraint, but the argument is passed as itself
+		}
 		if _, ok := param.Underlying().(*types.Interface); !ok {
 			continue
 		}
@@ -390,12 +400,40 @@ func recvTypeName(fn *types.Func) string {
 }
 
 // stringBytesConversion reports whether a conversion to dst from src is a
-// string <-> []byte/[]rune copy.
+// string <-> []byte/[]rune copy — for a type-parameter operand, whether it
+// is one for some type in the parameter's type set (string(key) with key
+// of type K constrained by string | []byte copies when K is []byte).
 func stringBytesConversion(dst, src types.Type) bool {
 	if src == nil {
 		return false
 	}
-	return (isString(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isString(src))
+	return (typeSetHas(dst, isString) && typeSetHas(src, isByteOrRuneSlice)) ||
+		(typeSetHas(dst, isByteOrRuneSlice) && typeSetHas(src, isString))
+}
+
+// typeSetHas reports whether t — or, when t is a type parameter, some term
+// of its constraint's unions — satisfies is.
+func typeSetHas(t types.Type, is func(types.Type) bool) bool {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return is(t)
+	}
+	iface, ok := tp.Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		union, ok := iface.EmbeddedType(i).(*types.Union)
+		if !ok {
+			continue
+		}
+		for j := 0; j < union.Len(); j++ {
+			if is(union.Term(j).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func isString(t types.Type) bool {

@@ -60,3 +60,23 @@ func (s *sketch) describe(key []byte) {
 func encode(key []byte) uint64 {
 	return uint64(len(key))
 }
+
+// Generic hot functions: a type-parameter argument is passed as itself, not
+// boxed, and a conversion of a type-parameter operand copies whenever some
+// type in its type set would.
+//
+//cws:hotpath
+func (s *sketch) OfferKey(key []byte) {
+	admit(s, key)     // a []byte for K: no boxing
+	admit(s, "named") // a string for K: no boxing
+}
+
+func admit[K string | []byte](s *sketch, key K) {
+	if len(key) == 0 {
+		return
+	}
+	name := string(key) // want `string/\[\]byte conversion`
+	//cws:allow-alloc fixture: the deliberate materialisation on admission
+	name = string(key)
+	s.err = fmt.Errorf("%s", name) // want `call to fmt.Errorf` `argument boxed into interface parameter`
+}

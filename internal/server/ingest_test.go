@@ -1,0 +1,485 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"coordsample/internal/core"
+	"coordsample/internal/rank"
+	"coordsample/internal/sketch"
+)
+
+// ingestDirect runs one /ingest body through the handler in this process.
+func ingestDirect(s *Server, contentType string, body []byte) (int, map[string]any) {
+	return ingestFrom(s, contentType, bytes.NewReader(body))
+}
+
+// chunkReader hands its data out at most chunk bytes per Read — a body
+// arriving in small TCP segments — so that the binary decoder's read buffer
+// keeps ending in the middle of a record.
+type chunkReader struct {
+	data  []byte
+	chunk int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.chunk)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+func ingestFrom(s *Server, contentType string, body io.Reader) (int, map[string]any) {
+	req := httptest.NewRequest(http.MethodPost, "/ingest", body)
+	req.Header.Set("Content-Type", contentType)
+	rw := httptest.NewRecorder()
+	s.ServeHTTP(rw, req)
+	var out map[string]any
+	_ = json.Unmarshal(rw.Body.Bytes(), &out) // a non-JSON body leaves out nil; callers check the fields they need
+	return rw.Code, out
+}
+
+// ingestFramings are the two /ingest encodings, for tests that must hold on
+// both: the content type, one record, and bytes that cut a record short.
+var ingestFramings = map[string]struct {
+	contentType string
+	record      func(assignment int, key string, weight float64) []byte
+	truncated   []byte
+}{
+	"binary": {ContentTypeBinaryIngest,
+		func(a int, key string, w float64) []byte { return AppendBinaryOffer(nil, a, key, w) },
+		[]byte{0x00, 0x03, 'a'}}, // a record cut off inside its key
+	"ndjson": {"application/x-ndjson", ndjsonOffer, []byte("{not json\n")},
+}
+
+// ndjsonOffer renders one NDJSON record.
+func ndjsonOffer(assignment int, key string, weight float64) []byte {
+	line, err := json.Marshal(Offer{Assignment: assignment, Key: key, Weight: weight})
+	if err != nil {
+		panic(err)
+	}
+	return append(line, '\n')
+}
+
+// TestIngestErrorFlushesValidPrefix: both /ingest framings promise that the
+// records preceding a malformed one are ingested and counted. A decode
+// error used to skip the final flush, silently dropping up to
+// ingestFlushEvery−1 staged records while the 400 body under-reported them;
+// the valid prefix must be counted in "accepted" and queryable after the
+// next freeze.
+func TestIngestErrorFlushesValidPrefix(t *testing.T) {
+	const valid = 10 // far below one flush batch: only the error-path flush can ingest them
+	for name, f := range ingestFramings {
+		for _, bad := range []string{"out-of-range assignment", "truncated"} {
+			t.Run(name+"/"+bad, func(t *testing.T) {
+				cfg := Config{
+					Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, K: 64},
+					Assignments: 1,
+				}
+				s, ts := newTestServer(t, cfg)
+				var body []byte
+				want := 0.0
+				for i := 0; i < valid; i++ {
+					body = append(body, f.record(0, fmt.Sprintf("ok-%02d", i), float64(i+1))...)
+					want += float64(i + 1)
+				}
+				body = append(body, f.record(0, "zero-weight-is-skipped", 0)...)
+				if bad == "truncated" {
+					body = append(body, f.truncated...) // runs into the end of the body
+				} else {
+					body = append(body, f.record(7, "bad", 1)...)
+					body = append(body, f.record(0, "after-the-error", 100)...)
+				}
+
+				code, out := ingestDirect(s, f.contentType, body)
+				if code != http.StatusBadRequest {
+					t.Fatalf("status %d (%v), want 400", code, out)
+				}
+				if got, _ := out["accepted"].(float64); got != valid {
+					t.Fatalf("accepted = %v, want %d (the valid non-zero-weight records before the bad one)", out["accepted"], valid)
+				}
+				postJSON(t, ts.URL+"/freeze", nil)
+				if got := queryHTTP(t, ts.URL, "agg=sum&b=0"); got != want {
+					t.Fatalf("sum after freeze = %v, want %v: the valid prefix was not ingested", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestIngestKeyLengthBoundary: a key of exactly maxIngestKeyLen bytes is
+// legal on both framings and round-trips intact — also when enough of them
+// arrive in one request to fill the staging arena several times over, which
+// is what bounds the staged records' 32-bit key offsets — and one byte more
+// is a 400.
+func TestIngestKeyLengthBoundary(t *testing.T) {
+	// 40 maximum-length keys are 2.5 MiB of key bytes: the arena flushes on
+	// ingestFlushBytes twice before the end-of-stream flush.
+	const keys = 40
+	if keys*maxIngestKeyLen < 2*ingestFlushBytes {
+		t.Fatal("the stream no longer crosses the arena flush bound")
+	}
+	maxKey := func(i int) string {
+		return fmt.Sprintf("%04d", i) + strings.Repeat("x", maxIngestKeyLen-4)
+	}
+	for name, f := range ingestFramings {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{
+				Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, K: 64},
+				Assignments: 1,
+			}
+			s, ts := newTestServer(t, cfg)
+			var body []byte
+			for i := 0; i < keys; i++ {
+				body = append(body, f.record(0, maxKey(i), 1)...)
+			}
+			if code, out := ingestDirect(s, f.contentType, body); code != http.StatusOK || out["accepted"].(float64) != keys {
+				t.Fatalf("%d keys of %d bytes: status %d: %v", keys, maxIngestKeyLen, code, out)
+			}
+			postJSON(t, ts.URL+"/freeze", nil)
+			got := s.snap.Load().sketches[0]
+			if got.Size() != keys {
+				t.Fatalf("%d entries retained, want %d", got.Size(), keys)
+			}
+			for i := 0; i < keys; i++ {
+				if !got.Contains(maxKey(i)) {
+					t.Fatalf("key %d did not round-trip intact", i)
+				}
+			}
+
+			tooLong := f.record(0, strings.Repeat("y", maxIngestKeyLen+1), 1)
+			code, out := ingestDirect(s, f.contentType, append(f.record(0, "before", 1), tooLong...))
+			if code != http.StatusBadRequest {
+				t.Fatalf("key of %d bytes: status %d (%v), want 400", maxIngestKeyLen+1, code, out)
+			}
+			if got, _ := out["accepted"].(float64); got != 1 {
+				t.Fatalf("accepted = %v before the oversized key, want 1", out["accepted"])
+			}
+		})
+	}
+}
+
+// TestDuplicateKeySplitAcrossLanesIs409: when the two copies of a key land
+// on different lanes neither lane's own freeze can see the violation — only
+// the lane merge holds both — and it must still surface as the freeze
+// panic, converted to 409, with the previous snapshot left serving.
+func TestDuplicateKeySplitAcrossLanesIs409(t *testing.T) {
+	cfg := Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 16},
+		Assignments: 1,
+		Lanes:       2,
+	}
+	s, ts := newTestServer(t, cfg)
+	postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: "before", Weight: 5})
+	postJSON(t, ts.URL+"/freeze", nil)
+
+	s.ingestMu.RLock()
+	for j, slot := range s.ingest.lanes {
+		slot.mu.Lock()
+		slot.ml.Offer(0, "dup", 7)
+		slot.ml.Offer(0, fmt.Sprintf("only-on-lane-%d", j), 1)
+		slot.mu.Unlock()
+	}
+	s.ingestMu.RUnlock()
+
+	resp, err := http.Post(ts.URL+"/freeze", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := decodeJSONBody(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("freeze of a key split across lanes: status %d (%v), want 409", resp.StatusCode, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "at most once") {
+		t.Fatalf("freeze error does not explain the contract: %v", body)
+	}
+	if s.Epoch() != 1 {
+		t.Fatalf("failed freeze advanced the epoch to %d", s.Epoch())
+	}
+	if got := queryHTTP(t, ts.URL, "agg=sum&b=0"); got != 5 {
+		t.Fatalf("serving snapshot changed after the failed freeze: %v, want 5", got)
+	}
+}
+
+// binaryBody encodes n distinct keys of one assignment with the given
+// weight.
+func binaryBody(prefix string, n int, weight float64) []byte {
+	var body []byte
+	for i := 0; i < n; i++ {
+		body = AppendBinaryOffer(body, 0, fmt.Sprintf("%s-%07d", prefix, i), weight)
+	}
+	return body
+}
+
+// TestBinaryIngestAllocBudget is the allocation budget of the byte seam: a
+// binary /ingest request may allocate one string per record a builder is
+// actually offered, plus a per-request remainder (the request and response
+// themselves) — and nothing at all per pruned record.
+func TestBinaryIngestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled decoder state at random")
+	}
+	const k, n = 64, 8192
+	cfg := Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9, K: k},
+		Assignments: 1,
+		Lanes:       1,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the pooled decoder state and fill the sample.
+	if code, out := ingestDirect(s, ContentTypeBinaryIngest, binaryBody("warm", n, 1)); code != http.StatusOK {
+		t.Fatalf("warm-up ingest: status %d: %v", code, out)
+	}
+	// What a request costs whatever it carries: a few hundred pruned records
+	// (enough that the response's accepted count is boxed like a full
+	// batch's — the runtime interns the integers below 256).
+	fewPruned := binaryBody("few", 300, 1e-300)
+	perRequest := testing.AllocsPerRun(20, func() {
+		ingestDirect(s, ContentTypeBinaryIngest, fewPruned)
+	})
+
+	// Steady state: fresh keys every run (the contract), unit weights.
+	run := 0
+	admittedBefore := s.ingestStats[0].admitted.Load()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs-1, func() { // AllocsPerRun calls f once more to warm up
+		run++
+		ingestDirect(s, ContentTypeBinaryIngest, binaryBody(fmt.Sprintf("steady%02d", run), n, 1))
+	})
+	admitted := float64(s.ingestStats[0].admitted.Load()-admittedBefore) / runs
+	// binaryBody itself allocates: n keys plus the growing body.
+	encode := testing.AllocsPerRun(5, func() { binaryBody("encode-only", n, 1) })
+	perRecord := (allocs - encode - perRequest) / n
+	if limit := admitted/n + 0.01; perRecord > limit {
+		t.Errorf("steady-state binary ingest allocates %.4f per record (%.0f per request of %d), want ≤ admitted/offered + 0.01 = %.4f",
+			perRecord, allocs-encode, n, limit)
+	}
+
+	// A fully pruned batch: vanishing weights rank above any threshold.
+	pruned := binaryBody("pruned", n, 1e-300)
+	admittedBefore = s.ingestStats[0].admitted.Load()
+	allocs = testing.AllocsPerRun(10, func() {
+		ingestDirect(s, ContentTypeBinaryIngest, pruned)
+	})
+	if got := s.ingestStats[0].admitted.Load() - admittedBefore; got != 0 {
+		t.Fatalf("%d records of the pruned batch were admitted", got)
+	}
+	if extra := allocs - perRequest; extra != 0 {
+		t.Errorf("a fully pruned batch of %d records allocates %.1f beyond the %.1f of a 300-record one, want 0", n, extra, perRequest)
+	}
+}
+
+// TestIngestSamplerMetrics: the per-assignment sampler signals on /metrics.
+// After 56×k keys the shared threshold prunes the large majority of the
+// stream (a single builder admits k(1+ln 56) ≈ 5k of them, about 9 %), the
+// threshold gauge holds a finite rank, and the sample is full.
+func TestIngestSamplerMetrics(t *testing.T) {
+	const k, assignments = 64, 2
+	cfg := Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3, K: k},
+		Assignments: assignments,
+	}
+	s, ts := newTestServer(t, cfg)
+	series := func(name string, b int) float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		re := regexp.MustCompile(`(?m)^` + name + `\{assignment="` + strconv.Itoa(b) + `"\} (\S+)$`)
+		m := re.FindSubmatch(raw)
+		if m == nil {
+			t.Fatalf("/metrics has no %s{assignment=%q} series", name, strconv.Itoa(b))
+		}
+		v, err := strconv.ParseFloat(string(m[1]), 64)
+		if err != nil {
+			t.Fatalf("%s = %q: %v", name, m[1], err)
+		}
+		return v
+	}
+	if got := series("cws_ingest_admission_threshold", 0); !math.IsInf(got, 1) {
+		t.Errorf("threshold before any offer = %v, want +Inf", got)
+	}
+	if got := series("cws_ingest_sample_fill", 0); got != 0 {
+		t.Errorf("sample fill before any offer = %v, want 0", got)
+	}
+
+	var body []byte
+	for i := 0; i < 56*k; i++ {
+		for b := 0; b < assignments; b++ {
+			body = AppendBinaryOffer(body, b, fmt.Sprintf("m-%06d", i), 1+float64(i%7))
+		}
+	}
+	body = AppendBinaryOffer(body, 0, "zero-is-not-offered", 0)
+	if code, out := ingestDirect(s, ContentTypeBinaryIngest, body); code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %v", code, out)
+	}
+	for b := 0; b < assignments; b++ {
+		offered, admitted := series("cws_ingest_offered_total", b), series("cws_ingest_admitted_total", b)
+		if offered != 56*k {
+			t.Errorf("assignment %d: offered = %v, want %d", b, offered, 56*k)
+		}
+		if admitted < k || admitted/offered >= 0.15 {
+			t.Errorf("assignment %d: admitted/offered = %v/%v = %.3f, want at least k and below 0.15", b, admitted, offered, admitted/offered)
+		}
+		if got := series("cws_ingest_admission_threshold", b); !(got > 0) || math.IsInf(got, 1) {
+			t.Errorf("assignment %d: admission threshold = %v, want a finite positive rank", b, got)
+		}
+		if got := series("cws_ingest_sample_fill", b); got != 1 {
+			t.Errorf("assignment %d: sample fill = %v, want 1", b, got)
+		}
+	}
+	// The gauges describe the open epoch; the counters are cumulative.
+	postJSON(t, ts.URL+"/freeze", nil)
+	if got := series("cws_ingest_sample_fill", 0); got != 0 {
+		t.Errorf("sample fill after the freeze = %v, want 0 (a fresh epoch)", got)
+	}
+	if got := series("cws_ingest_offered_total", 0); got != 56*k {
+		t.Errorf("offered after the freeze = %v, want the cumulative %d", got, 56*k)
+	}
+}
+
+// referenceIngestBinary is the reader-based binary decoder this package
+// shipped before the in-place one: ReadUvarint and ReadFull for every
+// field, one string per record. It is kept as the fuzzer's oracle: it
+// returns the records a body yields before its first error, and that error.
+func referenceIngestBinary(body []byte, assignments int) (accepted []Offer, err error) {
+	br := bufio.NewReader(bytes.NewReader(body))
+	wb := make([]byte, 8)
+	for n := 0; ; n++ {
+		assignment, err := binary.ReadUvarint(br)
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return accepted, nil
+			}
+			return accepted, fmt.Errorf("record %d: reading assignment: %w", n, err)
+		}
+		keyLen, err := binary.ReadUvarint(br)
+		if err != nil {
+			return accepted, fmt.Errorf("record %d: reading key length: %w", n, err)
+		}
+		if keyLen > maxIngestKeyLen {
+			return accepted, fmt.Errorf("record %d: key length %d exceeds %d", n, keyLen, maxIngestKeyLen)
+		}
+		keyBuf := make([]byte, keyLen)
+		if _, err := io.ReadFull(br, keyBuf); err != nil {
+			return accepted, fmt.Errorf("record %d: reading key: %w", n, err)
+		}
+		if _, err := io.ReadFull(br, wb); err != nil {
+			return accepted, fmt.Errorf("record %d: reading weight: %w", n, err)
+		}
+		weight := math.Float64frombits(binary.LittleEndian.Uint64(wb))
+		if keyLen == 0 {
+			return accepted, fmt.Errorf("record %d: empty key", n)
+		}
+		if a := int(assignment); a < 0 || a >= assignments {
+			return accepted, fmt.Errorf("record %d: assignment %d out of range (have %d assignments)", n, a, assignments)
+		}
+		if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
+			return accepted, fmt.Errorf("record %d: invalid weight %v", n, weight)
+		}
+		if weight == 0 {
+			continue
+		}
+		accepted = append(accepted, Offer{Assignment: int(assignment), Key: string(keyBuf), Weight: weight})
+	}
+}
+
+// FuzzIngestBinary: arbitrary bytes, arriving in arbitrary segment sizes,
+// never panic the binary /ingest decoder, and it accepts exactly the prefix
+// the reference decoder accepts — same count, same error text, and (when
+// the stream respects the once-per-key contract, so that a freeze succeeds)
+// the same frozen sketches bit for bit as a single builder fed the
+// reference's records. The segment size is what moves records between the
+// decoder's two paths: whole in the read buffer, or cut by its end.
+func FuzzIngestBinary(f *testing.F) {
+	// The bulk seeds — a valid 44-record stream, the same stream with a torn
+	// weight and with an out-of-range assignment, each at segment sizes 1, 5,
+	// 14, 38 and 256 — are checked in under testdata/fuzz/FuzzIngestBinary;
+	// the hand-written malformed records are added here.
+	f.Add([]byte{0x00, 0x00, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(255))                   // empty key
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, uint8(255)) // varint overflow
+	f.Add(AppendBinaryOffer(nil, 0, "nan", math.NaN()), uint8(255))
+	f.Add(AppendBinaryOffer(nil, 0, "neg", -1), uint8(7))
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, 0), maxIngestKeyLen+1), uint8(255))
+	f.Add(AppendBinaryOffer(AppendBinaryOffer(nil, 0, "dup", 1), 0, "dup", 2), uint8(9)) // contract violation: 409 at freeze
+
+	cfg := Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 11, K: 8},
+		Assignments: 2,
+		Lanes:       2,
+	}
+	f.Fuzz(func(t *testing.T, body []byte, segment uint8) {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := referenceIngestBinary(body, cfg.Assignments)
+		code, out := ingestFrom(s, ContentTypeBinaryIngest, &chunkReader{data: body, chunk: int(segment) + 1})
+		if got, _ := out["accepted"].(float64); int(got) != len(want) {
+			t.Fatalf("accepted %v records, the reference decoder accepts %d", out["accepted"], len(want))
+		}
+		switch {
+		case wantErr == nil && code != http.StatusOK:
+			t.Fatalf("status %d (%v) for a body the reference decoder accepts", code, out)
+		case wantErr != nil && (code != http.StatusBadRequest || out["error"] != wantErr.Error()):
+			t.Fatalf("status %d, error %q; the reference decoder fails with %q", code, out["error"], wantErr)
+		}
+
+		// Frozen sketches: compare when the accepted prefix is a legal
+		// stream (each key at most once per assignment).
+		seen := make(map[Offer]bool)
+		builders := make([]*sketch.BottomKBuilder, cfg.Assignments)
+		assigner := cfg.Sample.Assigner()
+		for b := range builders {
+			builders[b] = sketch.NewBottomKBuilderWithFingerprint(cfg.Sample.K, assigner.Fingerprint(b, cfg.Sample.K))
+		}
+		for _, o := range want {
+			id := Offer{Assignment: o.Assignment, Key: o.Key}
+			if seen[id] {
+				return // the freeze is a 409; TestDuplicateKeySplitAcrossLanesIs409 covers it
+			}
+			seen[id] = true
+			builders[o.Assignment].Offer(o.Key, assigner.Rank(o.Key, o.Assignment, o.Weight), o.Weight)
+		}
+		snap, err := s.freeze()
+		if err != nil {
+			t.Fatalf("freeze of a legal stream: %v", err)
+		}
+		for b, builder := range builders {
+			ref, got := builder.Sketch(), snap.sketches[b]
+			if math.Float64bits(got.KthRank()) != math.Float64bits(ref.KthRank()) ||
+				math.Float64bits(got.Threshold()) != math.Float64bits(ref.Threshold()) ||
+				len(got.Entries()) != len(ref.Entries()) {
+				t.Fatalf("assignment %d: frozen (%d entries, r_k %v, r_k+1 %v), reference (%d, %v, %v)", b,
+					len(got.Entries()), got.KthRank(), got.Threshold(), len(ref.Entries()), ref.KthRank(), ref.Threshold())
+			}
+			for i, e := range ref.Entries() {
+				g := got.Entries()[i]
+				if g.Key != e.Key || math.Float64bits(g.Rank) != math.Float64bits(e.Rank) || math.Float64bits(g.Weight) != math.Float64bits(e.Weight) {
+					t.Fatalf("assignment %d entry %d: %+v, reference %+v", b, i, g, e)
+				}
+			}
+		}
+	})
+}

@@ -45,8 +45,6 @@ func TestConcurrentIngestStreamsBitIdentical(t *testing.T) {
 			cfg := Config{
 				Sample:      core.Config{Family: rank.IPPS, Mode: mode, Seed: 29, K: 128},
 				Assignments: 2,
-				Shards:      7,
-				Workers:     2,
 				Lanes:       3,
 			}
 			offers := testStream(4000, 13)
@@ -128,7 +126,6 @@ func TestLanesDefaultAndOfferPath(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 3, K: 64},
 		Assignments: 2,
-		Shards:      4,
 	}
 	s, ts := newTestServer(t, cfg)
 	if got := len(s.ingest.lanes); got != 2 {

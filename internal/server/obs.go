@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"strconv"
 	"time"
 
 	"coordsample/internal/obs"
@@ -69,6 +70,31 @@ func (s *Server) initObs(cfg Config) {
 	r.Counter("cws_store_persists_total", "Epochs durably persisted.", s.persists.Value)
 	r.Counter("cws_store_persist_errors_total", "Persist failures (the freeze was not acknowledged).", s.persistErrors.Value)
 	r.Counter("cws_store_compaction_errors_total", "Compaction failures after an acknowledged persist.", s.compactionErrors.Value)
+
+	// Sampler signals, per assignment: how much of the stream the shared
+	// admission threshold prunes, where that threshold stands, and how full
+	// the open epoch's sample is. The counters are cumulative across epochs;
+	// the gauges describe the epoch being ingested, as of its lanes' last
+	// flushes.
+	for b := range s.ingestStats {
+		label := obs.Label("assignment", strconv.Itoa(b))
+		r.CounterL("cws_ingest_offered_total", "Positive-weight offers handed to an ingest lane.", label, s.ingestStats[b].offered.Load)
+		r.CounterL("cws_ingest_admitted_total", "Offers a lane's bottom-k builder was offered; the rest were pruned by hash against the shared threshold.", label, s.ingestStats[b].admitted.Load)
+		r.GaugeL("cws_ingest_admission_threshold", "Shared admission threshold of the open epoch: the smallest k-th rank any lane has reached (+Inf until a lane fills).", label, func() float64 {
+			s.ingestMu.RLock()
+			defer s.ingestMu.RUnlock()
+			return s.ingest.ms.Sketchers()[b].AdmissionThreshold()
+		})
+		r.GaugeL("cws_ingest_sample_fill", "Entries the open epoch's sample would hold if frozen now, as a fraction of k.", label, func() float64 {
+			s.ingestMu.RLock()
+			defer s.ingestMu.RUnlock()
+			var n int64
+			for _, slot := range s.ingest.lanes {
+				n += slot.retained[b].Load()
+			}
+			return min(1, float64(n)/float64(cfg.Sample.K))
+		})
+	}
 
 	r.Gauge("cws_epoch", "Epoch of the serving snapshot.", func() float64 {
 		return float64(s.snap.Load().epoch)

@@ -17,7 +17,6 @@ func obsTestConfig() Config {
 	return Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 8},
 		Assignments: 1,
-		Shards:      1,
 	}
 }
 

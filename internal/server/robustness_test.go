@@ -21,7 +21,6 @@ func robustCfg() Config {
 	return Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 11, K: 32},
 		Assignments: 2,
-		Shards:      2,
 		Lanes:       1,
 	}
 }

@@ -7,10 +7,10 @@
 // # Epoch lifecycle
 //
 // Ingestion and querying never touch the same sketch. Offers stream into
-// the current *epoch*: one sharded, concurrent shard.Sketcher per weight
-// assignment behind a set of concurrent ingest lanes (each lane is a
-// single-producer front-end with its own lock; requests take a lane
-// round-robin, so up to Lanes requests offer in parallel). A freeze
+// the current *epoch*: one shard.Sketcher per weight assignment, each a set
+// of concurrent ingest lanes (a lane is a single-producer front-end with a
+// private bottom-k builder and its own lock; a request's flushes take the
+// lowest idle lane, so up to Lanes requests offer in parallel). A freeze
 // (POST /freeze) detaches the epoch's sketchers, arms fresh ones, and then
 // — off the ingest path, with producers already streaming into the next
 // epoch — terminally freezes the detached sketchers across a bounded
@@ -70,22 +70,24 @@
 //
 // # Ingest fast path
 //
-// The epoch sketchers sit behind a shard.MultiSketcher, so every offer is
-// hashed exactly once, with the raw hash reused for shard routing,
-// admission-bound pruning (items that certainly miss the bottom-k are
-// dropped at the producer with one multiply/compare — almost all of a
-// steady-state stream), and the rank of admitted items. POST /offer keeps
-// the validate-everything-first JSON batch contract; POST /ingest is the
-// high-throughput lane — a streaming NDJSON or binary body decoded into
-// pooled, reused Observation buffers and flushed to the sketchers in large
-// batches, so per-offer ingest cost is dominated by decoding, not by
-// allocation or lock traffic.
+// Every ingest endpoint stages its records the same way: the key is hashed
+// once where the decoder found it (for the binary framing, in the read
+// buffer), its bytes are copied into a reused arena, and a pointer-free
+// (hash, weight, assignment, key window) record joins a pooled shard.Staged
+// batch. Every ingestFlushEvery records the batch is handed to one lane of
+// the epoch's shard.MultiSketcher, which prunes each record against its
+// assignment's shared admission threshold with one multiply/compare —
+// almost all of a steady-state stream — and turns a key into a string only
+// when its builder is actually offered it. POST /offer keeps the
+// validate-everything-first JSON batch contract; POST /ingest is the
+// high-throughput lane, a streaming NDJSON or binary body, so per-offer
+// ingest cost is dominated by decoding, not by allocation or lock traffic.
 //
 // Concurrency: producers hold a read lock (pinning the epoch's ingest
 // front-end against the freeze swap) plus one lane's mutex; distinct lanes
 // are shard.MultiLanes of the same sketchers and may offer concurrently —
-// exactness under interleaving is the shard layer's core-affine-lane
-// guarantee. The freeze takes the write lock only for the swap itself, so
+// exactness under interleaving is the shard layer's lane-merge guarantee.
+// The freeze takes the write lock only for the swap itself, so
 // a freeze never stalls behind a long-running ingest stream (flushes are
 // batch-sized), and ingestion never waits for freeze, persist, or merge
 // work.
@@ -152,18 +154,15 @@ type Config struct {
 	Sample core.Config
 	// Assignments is |W|, the number of weight assignments ingested.
 	Assignments int
-	// Shards is the per-assignment shard count of the concurrent ingestion
-	// pipeline (≥ 1).
+	// Shards is ignored. The ingest path has no shards any more; the field
+	// stays only because the benchmark module (bench/layers.go) sets it, and
+	// goes when a benchmark change drops it.
 	Shards int
-	// Workers is the per-assignment ingestion worker count; ≤ 0 selects
-	// GOMAXPROCS (capped at Shards by the sharded sketcher).
-	Workers int
 	// Lanes is the number of concurrent ingest lanes: independent producer
 	// front-ends onto the epoch's sketchers, each with its own lock, so up
 	// to Lanes HTTP requests offer concurrently instead of serializing on
-	// one ingest mutex. ≤ 0 selects GOMAXPROCS. Requests are assigned to
-	// lanes round-robin; a streaming /ingest request keeps its lane for the
-	// whole stream (connection affinity).
+	// one ingest mutex. ≤ 0 selects GOMAXPROCS. Each flush of a request's
+	// staged records takes the lowest-numbered idle lane.
 	Lanes int
 	// Store, when non-nil, makes the server durable: every freeze persists
 	// the epoch through it before being acknowledged, and New recovers the
@@ -190,7 +189,8 @@ type Config struct {
 	// OwnsKey, when non-nil, is the cluster partition guard: ingest
 	// rejects records whose key the hook refuses, so a misrouted client
 	// cannot break the disjoint-key-sets invariant the exact
-	// scatter-gather merge rests on.
+	// scatter-gather merge rests on. It takes a string, so on a cluster
+	// member every binary /ingest record pays for one.
 	OwnsKey func(key string) bool
 	// Metrics, when non-nil, is the registry GET /metrics scrapes. The
 	// server registers its counters, gauges, and latency histograms into
@@ -235,9 +235,6 @@ func (c Config) check() error {
 	}
 	if c.Assignments < 1 {
 		return fmt.Errorf("server: need at least one assignment, got %d", c.Assignments)
-	}
-	if c.Shards < 1 {
-		return fmt.Errorf("server: invalid shard count %d", c.Shards)
 	}
 	if c.Retain < 0 {
 		return fmt.Errorf("server: negative retain %d", c.Retain)
@@ -413,7 +410,7 @@ type Server struct {
 	closed   atomic.Bool   // Close was called; ingestion is shut down (set under ingestMu)
 	draining atomic.Bool   // SetDraining: readiness false ahead of shutdown
 	epochNow atomic.Int64  // s.epoch mirrored for lock-free reads on the ingest path
-	laneRR   atomic.Uint32 // round-robin lane assignment for producer requests
+	laneRR   atomic.Uint32 // producer tickets: which lane to wait for when all are busy
 	inflight atomic.Int64  // concurrently served ingest requests (shedding bound)
 
 	store *store.Store // nil = memory-only
@@ -428,9 +425,13 @@ type Server struct {
 
 	snap atomic.Pointer[snapshot]
 
-	// obsBufs recycles the per-assignment Observation buffers of the
-	// streaming /ingest decoder across requests.
-	obsBufs sync.Pool
+	// ingestStates recycles the ingest decoders' state — staging batch, read
+	// buffer — across requests.
+	ingestStates sync.Pool
+
+	// ingestStats holds each assignment's cumulative sampler counts, fed
+	// from the lanes' plain counters at every flush (see laneSlot.publish).
+	ingestStats []ingestStat
 
 	// Counters use expvar types for their lock-free increments and expvar
 	// JSON rendering, but are deliberately not registered in the
@@ -487,10 +488,10 @@ func New(cfg Config) (*Server, error) {
 	s.ingest = newEpochIngest(cfg)
 	s.epochNow.Store(int64(s.epoch))
 	s.snap.Store(s.newSnapshot(s.epoch, s.cum, s.retained))
-	s.obsBufs.New = func() any {
-		per := make([][]shard.Observation, cfg.Assignments)
-		return &per
+	s.ingestStates.New = func() any {
+		return &ingestState{srv: s, buf: shard.NewStaged(cfg.Sample.Assigner(), cfg.Assignments)}
 	}
+	s.ingestStats = make([]ingestStat, cfg.Assignments)
 
 	s.initObs(cfg)
 	if s.epoch > 0 {
@@ -536,14 +537,38 @@ func NewHTTPServer(addr string, handler http.Handler) *http.Server {
 	}
 }
 
-// laneSlot is one ingest lane of the current epoch: a hash-once
-// multi-assignment front-end (shard.MultiLane) plus the mutex making it a
-// single producer. Distinct slots offer concurrently; the shard layer's
-// core-affine-lane guarantee makes the frozen sketches bit-identical to a
-// single-stream pass regardless of how requests interleave across slots.
+// laneSlot is one ingest lane of the current epoch: a multi-assignment
+// front-end (shard.MultiLane) plus the mutex making it a single producer.
+// Distinct slots offer concurrently; the shard layer's lane-merge guarantee
+// makes the frozen sketches bit-identical to a single-stream pass
+// regardless of how requests interleave across slots.
 type laneSlot struct {
 	mu sync.Mutex
 	ml *shard.MultiLane
+	// retained is, per assignment, how many entries this lane's builder
+	// held at its last flush — the level behind cws_ingest_sample_fill.
+	retained []atomic.Int64
+}
+
+// ingestStat is one assignment's cumulative sampler counts across epochs:
+// valid offers that reached a lane, and those a builder was offered (the
+// rest were pruned against the shared admission threshold).
+type ingestStat struct {
+	offered, admitted atomic.Int64
+}
+
+// publish moves the slot's per-lane plain counters into the server's
+// metrics — the flush boundary's bookkeeping, a few atomics per assignment
+// per batch instead of any per record. The caller holds slot.mu.
+//
+//cws:hotpath
+func (slot *laneSlot) publish(stats []ingestStat) {
+	for b := range stats {
+		offered, admitted, retained := slot.ml.TakeCounts(b)
+		stats[b].offered.Add(int64(offered))
+		stats[b].admitted.Add(int64(admitted))
+		slot.retained[b].Store(int64(retained))
+	}
 }
 
 // epochIngest is one epoch's ingest state: the per-assignment sketchers
@@ -554,22 +579,36 @@ type epochIngest struct {
 	lanes []*laneSlot
 }
 
-// slot picks the lane for a producer's round-robin ticket.
+// acquire locks a lane for one flush: the lowest-numbered idle one, or —
+// when every lane is busy — the one the producer's ticket names, after
+// waiting for it. Lowest first, not round-robin, because a lane prunes as
+// well as the share of the stream it has seen allows: while one lane keeps
+// up it sees everything and admits what a single builder would (two lanes
+// fed alternately admit about half as much again), and the higher lanes
+// take only what actually overlaps.
 //
 //cws:hotpath
-func (e *epochIngest) slot(ticket uint32) *laneSlot {
-	return e.lanes[int(ticket)%len(e.lanes)]
+func (e *epochIngest) acquire(ticket uint32) *laneSlot {
+	for _, slot := range e.lanes {
+		//cws:allow-alloc one lane lock per flush, paired with the epoch pin; TryLock never blocks
+		if slot.mu.TryLock() {
+			return slot
+		}
+	}
+	slot := e.lanes[int(ticket)%len(e.lanes)]
+	//cws:allow-alloc one lane lock per flush, paired with the epoch pin
+	slot.mu.Lock()
+	return slot
 }
 
-// newEpochIngest arms one sharded concurrent sketcher per assignment
-// behind the hash-once multi-assignment front-end, with cfg.Lanes
-// concurrent producer lanes over them.
+// newEpochIngest arms one lane sketcher per assignment behind the
+// multi-assignment front-end, with cfg.Lanes concurrent producer lanes.
 func newEpochIngest(cfg Config) *epochIngest {
-	ms := core.NewMultiSketcherLanes(cfg.Sample, cfg.Assignments, cfg.Shards, cfg.Workers, cfg.Lanes)
+	ms := core.NewMultiSketcher(cfg.Sample, cfg.Assignments, cfg.Lanes)
 	mlanes := ms.Lanes()
 	e := &epochIngest{ms: ms, lanes: make([]*laneSlot, len(mlanes))}
 	for j, ml := range mlanes {
-		e.lanes[j] = &laneSlot{ml: ml}
+		e.lanes[j] = &laneSlot{ml: ml, retained: make([]atomic.Int64, cfg.Assignments)}
 	}
 	return e
 }
@@ -604,33 +643,18 @@ func (s *Server) Epoch() int { return s.snap.Load().epoch }
 // errClosed reports ingestion attempted after Close.
 var errClosed = errors.New("server: closed")
 
-// Close shuts the ingest pipeline down: the current epoch's sketchers are
-// terminally frozen, releasing their worker goroutines. Offers of the
-// unfrozen epoch are discarded (freeze first to publish them); subsequent
-// offers and freezes fail with 503, while queries, sketch export, and the
-// health/counter endpoints keep serving the last snapshot. Embedders that
-// create servers dynamically (tests, per-tenant setups, the serve bench)
-// must Close discarded instances or their epoch workers leak. Idempotent.
+// Close shuts ingestion down. Offers of the unfrozen epoch are discarded
+// (freeze first to publish them); subsequent offers and freezes fail with
+// 503, while queries, sketch export, and the health/counter endpoints keep
+// serving the last snapshot. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return
-	}
 	// closed is set under the ingest write lock: once it is visible, no
-	// producer is mid-offer, so the terminal freeze below cannot race an
-	// Offer (which would panic in the sketch layer).
+	// producer is mid-flush.
 	s.ingestMu.Lock()
 	s.closed.Store(true)
 	s.ingestMu.Unlock()
-	for _, sk := range s.ingest.ms.Sketchers() {
-		func() {
-			// The freeze result is discarded, so a duplicate-key panic is
-			// irrelevant here — only the worker shutdown matters.
-			defer func() { _ = recover() }()
-			sk.Sketch()
-		}()
-	}
 }
 
 // Shutdown is the graceful counterpart of Close: if any offers arrived
@@ -749,51 +773,44 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Group by assignment so each sketcher sees one amortized batch.
-	perAssignment := make([][]shard.Observation, s.cfg.Assignments)
-	accepted := 0
-	for _, o := range batch {
-		if o.Weight == 0 {
-			continue // never sampled; skip before taking the lock
-		}
-		perAssignment[o.Assignment] = append(perAssignment[o.Assignment], shard.Observation{Key: o.Key, Weight: o.Weight})
-		accepted++
-	}
-	// Pin the epoch (read lock), then serialize only against producers on
-	// the same lane: concurrent /offer requests on distinct lanes ingest
-	// in parallel.
-	s.ingestMu.RLock()
 	if s.closed.Load() {
-		s.ingestMu.RUnlock()
 		writeError(w, http.StatusServiceUnavailable, "%v", errClosed)
 		return
 	}
-	slot := s.ingest.slot(s.laneRR.Add(1))
-	slot.mu.Lock()
-	for b, obs := range perAssignment {
-		if len(obs) > 0 {
-			slot.ml.OfferBatch(b, obs)
+	// Same staging and lane entry as /ingest; the batch lands on one lane.
+	st := s.newIngestState()
+	defer st.release()
+	for _, o := range batch {
+		if o.Weight == 0 {
+			continue // never sampled
+		}
+		if err := stage(st, o.Assignment, o.Key, o.Weight); err != nil {
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			return
 		}
 	}
-	slot.mu.Unlock()
-	if accepted > 0 {
-		s.dirty.Store(true)
+	if err := st.flush(); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
 	}
-	epoch := int(s.epochNow.Load())
-	s.ingestMu.RUnlock()
-	s.offers.Add(int64(accepted))
 	s.offerBatches.Add(1)
 	s.om.offer.Record(time.Since(started))
-	writeJSON(w, http.StatusOK, map[string]any{"accepted": accepted, "epoch": epoch})
+	writeJSON(w, http.StatusOK, map[string]any{"accepted": st.accepted, "epoch": st.epoch})
 }
 
 // --- streaming ingest ---
 
-// ingestFlushEvery is how many buffered observations the streaming /ingest
-// decoder accumulates before taking the ingest lock once and flushing them
-// to the sketchers. Large enough to amortize the lock far below per-offer
-// cost, small enough to keep the per-request buffer memory trivial.
+// ingestFlushEvery is how many staged records an ingest decoder accumulates
+// before taking the ingest lock once and handing them to its lane. Large
+// enough to amortize the lock far below per-offer cost, small enough to
+// keep the per-request buffer memory trivial.
 const ingestFlushEvery = 4096
+
+// ingestFlushBytes flushes a staging batch early once its key arena holds
+// this many bytes, so a stream of maximum-length keys stages about a
+// megabyte per request instead of ingestFlushEvery × maxIngestKeyLen, and
+// the staged records' 32-bit arena offsets can never overflow.
+const ingestFlushBytes = 1 << 20
 
 // maxIngestKeyLen bounds a single key in both /ingest framings, so a
 // corrupt or malicious length prefix (binary) or oversized JSON string
@@ -814,51 +831,50 @@ const maxIngestBody = 256 << 20
 // whitespace between objects, one per line by convention).
 const ContentTypeBinaryIngest = "application/x-cws-ingest"
 
-// ingestState is the reusable decode target of one /ingest request: the
-// per-assignment observation buffers are pooled across requests and reused
-// across flushes, so steady-state ingest does not grow the heap.
+// ingestState is the decode side of one ingest request: a shard.Staged
+// batch reused across flushes, and the binary decoder's read buffer. The
+// whole state is pooled across requests, so steady-state ingest does not
+// grow the heap.
 type ingestState struct {
 	srv      *Server
-	per      *[][]shard.Observation
-	buffered int
+	buf      *shard.Staged
+	br       *bufio.Reader // binary framing only; made on first use
+	scratch  []byte        // binary framing only: a record the read buffer's end cut in two
 	accepted int
 	epoch    int
-	lane     uint32 // round-robin ticket pinned for the whole stream (connection affinity)
+	ticket   uint32 // which lane to wait for when all are busy
 }
 
 func (s *Server) newIngestState() *ingestState {
-	st := &ingestState{srv: s, per: s.obsBufs.Get().(*[][]shard.Observation)}
+	st := s.ingestStates.Get().(*ingestState)
 	// Seed the reported epoch with the current one so a request whose
-	// records are all skipped (or empty) still reports a real epoch, and
-	// pin a lane so every flush of this stream lands on the same slot —
-	// the producer-side sync.Pool and pending batches stay core-affine
-	// for the stream's lifetime.
-	st.epoch = int(s.epochNow.Load())
-	st.lane = s.laneRR.Add(1)
+	// records are all skipped (or empty) still reports a real epoch.
+	st.accepted, st.epoch, st.ticket = 0, int(s.epochNow.Load()), s.laneRR.Add(1)
 	return st
 }
 
-// add buffers one validated observation and flushes when the batch is full.
+// stage hashes and buffers one validated record — key as the decoder holds
+// it, a string or a slice it is about to reuse — and flushes when the batch
+// is full.
 //
 //cws:hotpath
-func (st *ingestState) add(assignment int, key string, weight float64) error {
-	per := *st.per
-	//cws:allow-alloc amortized growth of a pooled buffer; steady-state capacity is reached after the first flush cycle
-	per[assignment] = append(per[assignment], shard.Observation{Key: key, Weight: weight})
-	st.buffered++
-	if st.buffered >= ingestFlushEvery {
+func stage[K string | []byte](st *ingestState, assignment int, key K, weight float64) error {
+	shard.Stage(st.buf, assignment, key, weight)
+	if st.buf.Len() >= ingestFlushEvery || st.buf.ArenaLen() >= ingestFlushBytes {
 		return st.flush()
 	}
 	return nil
 }
 
-// flush hands the buffered observations to the stream's pinned lane under
-// one epoch read lock plus one lane lock, and resets the buffers for
-// reuse. Streams pinned to distinct lanes flush concurrently.
+// flush hands the staged records to the stream's pinned lane under one
+// epoch read lock plus one lane lock, publishes the lane's sampler counts,
+// and resets the batch for reuse. Streams pinned to distinct lanes flush
+// concurrently.
 //
 //cws:hotpath
 func (st *ingestState) flush() error {
-	if st.buffered == 0 {
+	n := st.buf.Len()
+	if n == 0 {
 		return nil
 	}
 	s := st.srv
@@ -868,47 +884,37 @@ func (st *ingestState) flush() error {
 		s.ingestMu.RUnlock()
 		return errClosed
 	}
-	slot := s.ingest.slot(st.lane)
-	//cws:allow-alloc one lane lock per flush, paired with the epoch pin above
-	slot.mu.Lock()
-	per := *st.per
-	for b, obs := range per {
-		if len(obs) > 0 {
-			slot.ml.OfferBatch(b, obs)
-		}
-	}
+	slot := s.ingest.acquire(st.ticket)
+	slot.ml.OfferStaged(st.buf)
+	slot.publish(s.ingestStats)
 	//cws:allow-alloc flush-boundary unlock
 	slot.mu.Unlock()
 	s.dirty.Store(true)
 	st.epoch = int(s.epochNow.Load())
 	//cws:allow-alloc flush-boundary unlock
 	s.ingestMu.RUnlock()
-	s.offers.Add(int64(st.buffered))
-	st.accepted += st.buffered
-	st.buffered = 0
-	for b := range per {
-		per[b] = per[b][:0]
-	}
+	s.offers.Add(int64(n))
+	st.accepted += n
+	st.buf.Reset()
 	return nil
 }
 
-// release returns the buffers to the pool.
+// release returns the state to the pool.
 func (st *ingestState) release() {
-	per := *st.per
-	for b := range per {
-		per[b] = per[b][:0]
+	st.buf.Reset()
+	if st.br != nil {
+		st.br.Reset(nil) // drop the request body
 	}
-	st.srv.obsBufs.Put(st.per)
+	st.srv.ingestStates.Put(st)
 }
 
 // handleIngest is the high-throughput ingest lane: a streaming request
 // body — NDJSON offer objects, or the binary framing under
-// ContentTypeBinaryIngest — decoded record by record into reused
-// observation buffers and flushed to the sketchers in large batches.
-// Unlike POST /offer there is no whole-body validation pass: records
-// preceding a malformed one are already ingested when the 400 is returned
-// (the error response carries the accepted count). Zero weights are
-// skipped; they are never sampled.
+// ContentTypeBinaryIngest — decoded record by record into a reused staging
+// batch and flushed to a lane in large batches. Unlike POST /offer there is
+// no whole-body validation pass: records preceding a malformed one are
+// ingested when the 400 is returned, and the error response's accepted
+// count says how many. Zero weights are skipped; they are never sampled.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -931,8 +937,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	} else {
 		err = s.ingestNDJSON(st, r, w)
 	}
-	if err == nil {
-		err = st.flush()
+	// Flush on the error path too: the valid records staged before a
+	// malformed one are part of the accepted count the client is told.
+	if ferr := st.flush(); ferr != nil {
+		err = ferr
 	}
 	if errors.Is(err, errClosed) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -994,67 +1002,91 @@ func (s *Server) ingestNDJSON(st *ingestState, r *http.Request, w http.ResponseW
 		if o.Weight == 0 {
 			continue
 		}
-		if err := st.add(o.Assignment, o.Key, o.Weight); err != nil {
+		if err := stage(st, o.Assignment, o.Key, o.Weight); err != nil {
 			return err
 		}
 	}
 }
 
-// ingestBinary decodes the length-prefixed binary framing. The key buffer
-// is reused across records; only the key string itself is allocated (the
-// sketch layer retains sampled keys, so they cannot alias a shared buffer).
+// ingestBinary decodes the length-prefixed binary framing. A record that
+// lies whole in the read buffer — all but the few that straddle a refill —
+// is parsed where it lies: the key is hashed and staged straight from the
+// buffer, and no string is made for it here. Anything else (a record cut by
+// the buffer's end, a malformed varint, an oversized key, EOF) takes the
+// byte-at-a-time reader path, which also reports every framing error.
 //
 //cws:hotpath
 func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
-	br := bufio.NewReaderSize(r.Body, 64<<10) //cws:allow-alloc request prologue, one reader per stream, amortized over every record in it
-	keyBuf := make([]byte, 0, 256)            //cws:allow-alloc request prologue, reused across all records
-	wb := make([]byte, 8)                     //cws:allow-alloc hoisted per request; a loop-local array would escape through io.ReadFull and allocate per record
+	if st.br == nil {
+		st.br = bufio.NewReaderSize(nil, 64<<10) //cws:allow-alloc once per pooled state
+	}
+	br := st.br
+	br.Reset(r.Body)
 	for n := 0; ; n++ {
-		assignment, err := binary.ReadUvarint(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
+		var (
+			assignment uint64
+			key        []byte
+			weight     float64
+			inPlace    int // bytes of the read buffer the record occupies, to discard once staged
+		)
+		buf, _ := br.Peek(br.Buffered())
+		a, n1 := binary.Uvarint(buf)
+		keyLen, n2 := uint64(0), 0
+		if n1 > 0 {
+			keyLen, n2 = binary.Uvarint(buf[n1:])
+		}
+		if n2 > 0 && keyLen <= maxIngestKeyLen && uint64(len(buf)-n1-n2) >= keyLen+8 {
+			end := n1 + n2 + int(keyLen)
+			assignment, key = a, buf[n1+n2:end]
+			weight = math.Float64frombits(binary.LittleEndian.Uint64(buf[end:]))
+			inPlace = end + 8
+		} else {
+			var err error
+			assignment, err = binary.ReadUvarint(br)
+			if err != nil {
+				if errors.Is(err, io.EOF) {
+					return nil
+				}
+				return fmt.Errorf("record %d: reading assignment: %w", n, err)
 			}
-			return fmt.Errorf("record %d: reading assignment: %w", n, err)
+			keyLen, err = binary.ReadUvarint(br)
+			if err != nil {
+				return fmt.Errorf("record %d: reading key length: %w", n, err)
+			}
+			if keyLen > maxIngestKeyLen {
+				return fmt.Errorf("record %d: key length %d exceeds %d", n, keyLen, maxIngestKeyLen)
+			}
+			if cap(st.scratch) < int(keyLen)+8 {
+				//cws:allow-alloc growth saturates at the longest record that straddled a refill, then never reallocates
+				st.scratch = make([]byte, keyLen+8)
+			}
+			key = st.scratch[:keyLen]
+			if _, err := io.ReadFull(br, key); err != nil {
+				return fmt.Errorf("record %d: reading key: %w", n, err)
+			}
+			wb := st.scratch[keyLen : keyLen+8]
+			if _, err := io.ReadFull(br, wb); err != nil {
+				return fmt.Errorf("record %d: reading weight: %w", n, err)
+			}
+			weight = math.Float64frombits(binary.LittleEndian.Uint64(wb))
 		}
-		keyLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("record %d: reading key length: %w", n, err)
-		}
-		if keyLen > maxIngestKeyLen {
-			return fmt.Errorf("record %d: key length %d exceeds %d", n, keyLen, maxIngestKeyLen)
-		}
-		if cap(keyBuf) < int(keyLen) {
-			//cws:allow-alloc key-buffer growth saturates at the stream's longest key, then never reallocates
-			keyBuf = make([]byte, 0, keyLen)
-		}
-		keyBuf = keyBuf[:keyLen]
-		if _, err := io.ReadFull(br, keyBuf); err != nil {
-			return fmt.Errorf("record %d: reading key: %w", n, err)
-		}
-		if _, err := io.ReadFull(br, wb); err != nil {
-			return fmt.Errorf("record %d: reading weight: %w", n, err)
-		}
-		weight := math.Float64frombits(binary.LittleEndian.Uint64(wb))
-		// Validate before materializing the key string: skipped and
-		// rejected records never allocate.
-		if keyLen == 0 {
+		if len(key) == 0 {
 			return fmt.Errorf("record %d: empty key", n)
 		}
 		if err := s.checkOffer(n, int(assignment), "-", weight); err != nil {
 			return err
 		}
-		if weight == 0 {
-			continue
+		if weight != 0 {
+			//cws:allow-alloc cluster members only: the partition guard takes a string
+			if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(string(key)) {
+				return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, key)
+			}
+			if err := stage(st, int(assignment), key, weight); err != nil {
+				return err
+			}
 		}
-		//cws:allow-alloc the one deliberate allocation per accepted record: the sketch layer retains sampled keys, so they must not alias the reused buffer
-		key := string(keyBuf)
-		if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(key) {
-			return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, key)
-		}
-		if err := st.add(int(assignment), key, weight); err != nil {
-			return err
-		}
+		// key aliased the read buffer until it was staged; now let it go.
+		_, _ = br.Discard(inPlace) // cannot fail: inPlace ≤ Buffered()
 	}
 }
 
@@ -1202,10 +1234,6 @@ func (s *Server) freeze() (*snapshot, error) {
 // they fan across shard.ParallelDo's bounded pool; with one schedulable
 // core this degenerates to the serial loop, and the error reported is the
 // lowest assignment index's — the one a serial pass would have hit first.
-// Every sketcher is frozen even when one fails: Sketch() is what shuts a
-// sketcher's worker goroutines down, so abandoning the rest on the first
-// failure would leak their workers on every failed freeze — unbounded
-// growth in a server designed to ride failed freezes out indefinitely.
 func freezeAndMerge(ingest *shard.MultiSketcher, cum []*sketch.BottomK) ([]*sketch.BottomK, []*sketch.BottomK, error) {
 	sketchers := ingest.Sketchers()
 	epochs := make([]*sketch.BottomK, len(sketchers))
@@ -1225,7 +1253,8 @@ func freezeAndMerge(ingest *shard.MultiSketcher, cum []*sketch.BottomK) ([]*sket
 // freezeOne terminally freezes one assignment's epoch sketcher and merges
 // it into that assignment's cumulative sketch, recovering the panic the
 // sketch layer raises when a key was offered more than once (within the
-// epoch, in sk.Sketch(); across epochs, in the Merge freeze).
+// epoch — on one lane or split across two — in sk.Sketch(); across epochs,
+// in the Merge freeze).
 func freezeOne(sk *shard.Sketcher, cum *sketch.BottomK) (epochSketch, out *sketch.BottomK, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -146,8 +146,6 @@ func TestBitIdenticalAcrossConcurrentFreezes(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 7, K: 128},
 		Assignments: 2,
-		Shards:      4,
-		Workers:     2,
 	}
 	offers := testStream(3000, 11)
 	offline := offlineSummary(t, cfg.Sample, offers, cfg.Assignments)
@@ -269,7 +267,6 @@ func TestEpochVisibility(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 16},
 		Assignments: 1,
-		Shards:      2,
 	}
 	s, ts := newTestServer(t, cfg)
 
@@ -306,7 +303,6 @@ func TestFreezeContractViolationKeepsServing(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 16},
 		Assignments: 1,
-		Shards:      2,
 	}
 	s, ts := newTestServer(t, cfg)
 	postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: "dup", Weight: 5})
@@ -341,17 +337,15 @@ func TestFreezeContractViolationKeepsServing(t *testing.T) {
 	}
 }
 
-// TestFailedFreezeDoesNotLeakWorkers: a failed freeze must still shut
-// down every assignment's epoch sketcher — the regression was abandoning
-// the not-yet-frozen sketchers on the first panic, leaking their worker
-// goroutines on every failed freeze of a server meant to survive them
-// indefinitely.
+// TestFailedFreezeDoesNotLeakWorkers: a server is meant to ride failed
+// freezes out indefinitely, so a failed freeze may leave nothing behind.
+// The ingest path owns no goroutines at all (the regression this guarded
+// was leaked per-epoch workers; the guard now keeps them from coming back),
+// and the epoch after a failure starts clean.
 func TestFailedFreezeDoesNotLeakWorkers(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 16},
 		Assignments: 3,
-		Shards:      8,
-		Workers:     4,
 		Lanes:       2,
 	}
 	s, err := New(cfg)
@@ -379,10 +373,8 @@ func TestFailedFreezeDoesNotLeakWorkers(t *testing.T) {
 			t.Fatal("freeze of duplicated key succeeded")
 		}
 	}
-	// Each epoch arms assignments×min(workers, shards) drain goroutines;
-	// leaking even one failed freeze's worth would exceed the slack.
 	if got := runtime.NumGoroutine(); got > baseline+6 {
-		t.Fatalf("goroutines grew from %d to %d across %d failed freezes (leaked epoch workers)",
+		t.Fatalf("goroutines grew from %d to %d across %d failed freezes",
 			baseline, got, failedFreezes)
 	}
 	// And the server still works.
@@ -392,15 +384,13 @@ func TestFailedFreezeDoesNotLeakWorkers(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesWorkersAndKeepsServing: Close frees the armed epoch's
-// worker goroutines; afterwards ingestion is refused with 503 while
-// queries and sketch export keep serving the last snapshot.
+// TestCloseReleasesWorkersAndKeepsServing: a closed server holds no
+// goroutines of its own; ingestion is refused with 503 while queries and
+// sketch export keep serving the last snapshot.
 func TestCloseReleasesWorkersAndKeepsServing(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 16},
 		Assignments: 2,
-		Shards:      8,
-		Workers:     4,
 	}
 	baseline := runtime.NumGoroutine()
 	s, ts := newTestServer(t, cfg)
@@ -409,12 +399,12 @@ func TestCloseReleasesWorkersAndKeepsServing(t *testing.T) {
 
 	s.Close()
 	s.Close() // idempotent
-	// Give the released workers a beat to exit before counting.
+	// Give the HTTP connection goroutines a beat to exit before counting.
 	for i := 0; i < 100 && runtime.NumGoroutine() > baseline+4; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > baseline+4 {
-		t.Errorf("goroutines %d > baseline %d after Close (epoch workers not released)", got, baseline)
+		t.Errorf("goroutines %d > baseline %d after Close", got, baseline)
 	}
 
 	status := func(method, path string) int {
@@ -447,7 +437,6 @@ func TestOfferBodyTooLarge(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 8},
 		Assignments: 1,
-		Shards:      1,
 	}
 	_, ts := newTestServer(t, cfg)
 	huge := `{"offers":[{"assignment":0,"key":"` + strings.Repeat("x", maxOfferBody) + `","weight":1}]}`
@@ -468,7 +457,6 @@ func TestBadRequests(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 8},
 		Assignments: 2,
-		Shards:      1,
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -535,7 +523,6 @@ func TestCountersAndHealth(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 8},
 		Assignments: 1,
-		Shards:      1,
 	}
 	_, ts := newTestServer(t, cfg)
 	postJSON(t, ts.URL+"/offer", map[string]any{"offers": []Offer{
@@ -581,18 +568,15 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	base := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 8},
 		Assignments: 1,
-		Shards:      1,
 	}
 	for name, mutate := range map[string]func(*Config){
 		"k=0":          func(c *Config) { c.Sample.K = 0 },
 		"assignments":  func(c *Config) { c.Assignments = 0 },
-		"shards":       func(c *Config) { c.Shards = 0 },
 		"indep-diff":   func(c *Config) { c.Sample.Family = rank.EXP; c.Sample.Mode = rank.IndependentDifferences },
 		"bad family":   func(c *Config) { c.Sample.Family = 99 },
 		"bad mode":     func(c *Config) { c.Sample.Mode = 99 },
 		"ipps+indiff":  func(c *Config) { c.Sample.Mode = rank.IndependentDifferences },
 		"negative k":   func(c *Config) { c.Sample.K = -3 },
-		"neg. shards":  func(c *Config) { c.Shards = -1 },
 		"neg. assign.": func(c *Config) { c.Assignments = -2 },
 	} {
 		cfg := base
@@ -624,8 +608,6 @@ func TestStreamingIngestEquivalence(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 23, K: 128},
 		Assignments: 2,
-		Shards:      4,
-		Workers:     2,
 	}
 	offers := testStream(2500, 17)
 	ref := offlineSummary(t, cfg.Sample, offers, cfg.Assignments).RangeLSet(nil).Estimate(nil)
@@ -679,8 +661,6 @@ func TestStreamingIngestErrors(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, K: 16},
 		Assignments: 2,
-		Shards:      2,
-		Workers:     1,
 	}
 	s, ts := newTestServer(t, cfg)
 
@@ -723,8 +703,6 @@ func TestStreamingIngestEdgeCases(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3, K: 8},
 		Assignments: 1,
-		Shards:      1,
-		Workers:     1,
 	}
 	_, ts := newTestServer(t, cfg)
 	postJSON(t, ts.URL+"/offer", map[string]any{"assignment": 0, "key": "seed", "weight": 1})
@@ -784,8 +762,6 @@ func TestEpochRangeQueriesBitIdentical(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 13, K: 64},
 		Assignments: 2,
-		Shards:      4,
-		Workers:     2,
 		Retain:      8,
 	}
 	const epochs = 4
@@ -866,7 +842,6 @@ func TestEpochRangeEviction(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3, K: 16},
 		Assignments: 1,
-		Shards:      1,
 		Retain:      2,
 	}
 	_, ts := newTestServer(t, cfg)
@@ -920,8 +895,6 @@ func TestStoreBackedRecoveryBitIdentical(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 41, K: 64},
 		Assignments: 2,
-		Shards:      4,
-		Workers:     2,
 	}
 	const epochs = 4
 	chunks := chunkEpochs(testStream(2000, 37), epochs)
@@ -993,7 +966,6 @@ func TestStoreBackedRetentionFollowsStore(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 8, K: 16},
 		Assignments: 1,
-		Shards:      1,
 		Retain:      99, // ignored: the store's retention governs
 	}
 	cfg.Store = openTestStore(t, dir, cfg, 2)
@@ -1032,7 +1004,6 @@ func TestShutdownAutoFreezes(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 2, K: 16},
 		Assignments: 1,
-		Shards:      2,
 	}
 	cfg.Store = openTestStore(t, dir, cfg, 4)
 	s, ts := newTestServer(t, cfg)
@@ -1067,7 +1038,6 @@ func TestNewRejectsStoreMismatch(t *testing.T) {
 	good := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 8},
 		Assignments: 2,
-		Shards:      1,
 	}
 	st := openTestStore(t, dir, good, 2)
 
@@ -1104,7 +1074,6 @@ func TestFailedFreezeDoesNotMintPhantomEpoch(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 6, K: 16},
 		Assignments: 1,
-		Shards:      2,
 	}
 	cfg.Store = openTestStore(t, dir, cfg, 4)
 	s, ts := newTestServer(t, cfg)
@@ -1142,8 +1111,6 @@ func TestEstimatorSelectionEndToEnd(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 21, K: 64},
 		Assignments: 2,
-		Shards:      2,
-		Workers:     1,
 	}
 	offers := testStream(800, 17)
 	offline := offlineSummary(t, cfg.Sample, offers, cfg.Assignments)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -23,40 +22,35 @@ func driveLanes(s *Sketcher, keys []string, weights []float64) {
 	var wg sync.WaitGroup
 	wg.Add(len(lanes))
 	for j, lane := range lanes {
-		go func(j int, lane *Lane) {
+		go func() {
 			defer wg.Done()
 			for i := j; i < len(keys); i += len(lanes) {
 				lane.Offer(keys[i], weights[i])
 			}
-		}(j, lane)
+		}()
 	}
 	wg.Wait()
 }
 
-// TestLaneSeamInvariance is the multi-core seam-invariance matrix: for
-// workers ∈ {1, 2, 7, GOMAXPROCS} × shards ∈ {1, 2, 7, 16} × both dispersed
-// coordination modes, a stream split across concurrently-driven lanes
-// freezes bit-identical — entries, r_k, r_{k+1} — to the single-stream
-// builder, no matter how the scheduler interleaves the lanes. Run under
-// -race in CI, this is the correctness oracle for the core-affine ingest
-// path.
+// TestLaneSeamInvariance is the concurrent half of the exactness matrix:
+// for every lane count × coordination mode × rank family, a stream split
+// across concurrently driven lanes — racing each other on the shared
+// threshold's compare-and-swap — freezes bit-identical to the single-stream
+// builder, no matter how the scheduler interleaves them. Run under -race in
+// CI, this is the correctness oracle for the concurrent ingest path.
 func TestLaneSeamInvariance(t *testing.T) {
+	old := runtime.GOMAXPROCS(4) // interleave for real even on one core
+	defer runtime.GOMAXPROCS(old)
 	rng := rand.New(rand.NewSource(211))
 	keys, weights := randomStream(rng, 4000, "lane")
-	workerSweep := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
-	slices.Sort(workerSweep)
-	workerSweep = slices.Compact(workerSweep)
-	for _, mode := range []rank.Coordination{rank.SharedSeed, rank.Independent} {
-		a := rank.Assigner{Family: rank.IPPS, Mode: mode, Seed: 83}
-		const k = 128
-		want := singleStream(a, 0, k, keys, weights)
-		for _, shards := range []int{1, 2, 7, 16} {
-			for _, workers := range workerSweep {
-				for _, lanes := range []int{2, 4} {
-					s := NewSketcherLanes(a, 0, k, shards, workers, lanes)
+	for _, a := range assigners {
+		for _, k := range []int{1, 128} {
+			want := singleStream(a, 0, k, keys, weights)
+			for _, lanes := range laneSweep {
+				for rep := 0; rep < 3; rep++ {
+					s := NewSketcher(a, 0, k, lanes)
 					driveLanes(s, keys, weights)
-					label := fmt.Sprintf("%v shards=%d workers=%d lanes=%d", mode, shards, workers, lanes)
-					requireIdentical(t, s.Sketch(), want, label)
+					requireIdentical(t, s.Sketch(), want, fmt.Sprintf("%v k=%d lanes=%d", a, k, lanes))
 				}
 			}
 		}
@@ -68,6 +62,8 @@ func TestLaneSeamInvariance(t *testing.T) {
 // under SharedSeed) freeze every assignment bit-identical to the
 // single-stream construction.
 func TestMultiLaneSeamInvariance(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
 	rng := rand.New(rand.NewSource(223))
 	const n, numAsg, k = 3000, 3, 96
 	keys := make([]string, n)
@@ -97,23 +93,22 @@ func TestMultiLaneSeamInvariance(t *testing.T) {
 		for b := range want {
 			want[b] = singleStream(a, b, k, keys, cols[b])
 		}
-		for _, shards := range []int{1, 7, 16} {
-			m := NewMultiSketcherLanes(a, numAsg, k, shards, 2, 4)
+		for _, lanes := range laneSweep {
+			m := NewMultiSketcher(a, numAsg, k, lanes)
 			mlanes := m.Lanes()
 			var wg sync.WaitGroup
 			wg.Add(len(mlanes))
 			for j, ml := range mlanes {
-				go func(j int, ml *MultiLane) {
+				go func() {
 					defer wg.Done()
 					for i := j; i < n; i += len(mlanes) {
 						ml.OfferVector(keys[i], vecs[i])
 					}
-				}(j, ml)
+				}()
 			}
 			wg.Wait()
 			for b, got := range m.Sketches() {
-				requireIdentical(t, got, want[b],
-					fmt.Sprintf("%v shards=%d assignment %d", mode, shards, b))
+				requireIdentical(t, got, want[b], fmt.Sprintf("%v lanes=%d assignment %d", mode, lanes, b))
 			}
 		}
 	}
@@ -121,59 +116,37 @@ func TestMultiLaneSeamInvariance(t *testing.T) {
 
 // TestLaneAscendingRankOrder is the adversarial pruning case under
 // concurrent lanes: with keys offered in globally ascending rank order,
-// once a shard's sample fills every later item is pruned, and each shard's
-// exact r_{k+1} is carried by whichever lane pruned the globally-first
-// pruned item. The per-lane minima merged at freeze must recover it exactly
-// — the frozen Threshold is bit-identical to the serial construction.
+// once any lane's sample fills every later item is pruned, and the exact
+// r_{k+1} is carried by whichever lane pruned the globally-first pruned
+// item. The per-lane minima reported at freeze must recover it exactly —
+// the frozen Threshold is bit-identical to the serial construction.
 func TestLaneAscendingRankOrder(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 233}
-	const n = 4000
-	keys := make([]string, n)
-	weights := make([]float64, n)
 	rng := rand.New(rand.NewSource(97))
+	keys := make([]string, 4000)
+	weights := make([]float64, len(keys))
 	for i := range keys {
 		keys[i] = fmt.Sprintf("lasc-%05d", i)
 		weights[i] = math.Exp(rng.NormFloat64())
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	ranks := make([]float64, n)
-	for i := range ranks {
-		ranks[i] = a.Rank(keys[i], 0, weights[i])
-	}
-	slices.SortFunc(order, func(x, y int) int {
-		switch {
-		case ranks[x] < ranks[y]:
-			return -1
-		case ranks[x] > ranks[y]:
-			return 1
-		default:
-			return 0
-		}
-	})
-	sortedKeys := make([]string, n)
-	sortedWeights := make([]float64, n)
-	for i, idx := range order {
-		sortedKeys[i] = keys[idx]
-		sortedWeights[i] = weights[idx]
-	}
+	sortedKeys, sortedWeights := ascendingByRank(a, keys, weights)
 	for _, k := range []int{1, 16, 128} {
 		want := singleStream(a, 0, k, keys, weights)
-		for _, shards := range []int{1, 2, 7, 16} {
-			s := NewSketcherLanes(a, 0, k, shards, 2, 3)
+		for _, lanes := range laneSweep {
+			s := NewSketcher(a, 0, k, lanes)
 			driveLanes(s, sortedKeys, sortedWeights)
-			requireIdentical(t, s.Sketch(), want,
-				fmt.Sprintf("ascending lanes k=%d shards=%d", k, shards))
+			requireIdentical(t, s.Sketch(), want, fmt.Sprintf("ascending lanes k=%d lanes=%d", k, lanes))
 		}
 	}
 }
 
 // TestLaneDuplicateKeyPanic: the duplicate-key contract violation must
-// surface from the parallel freeze exactly as it does from the serial one —
-// as a panic on the goroutine calling Sketch, not a crash on an internal
-// worker — even when the duplicate was offered from two different lanes.
+// surface as a panic on the goroutine calling Sketch, with the serial
+// builder's message, when both copies went to one lane (that lane's freeze
+// catches it) and when they were split across two lanes (only the merge
+// sees both).
 func TestLaneDuplicateKeyPanic(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 239}
 	serialMsg := func() (msg any) {
@@ -187,60 +160,45 @@ func TestLaneDuplicateKeyPanic(t *testing.T) {
 	if serialMsg == nil {
 		t.Fatal("serial duplicate-key freeze did not panic")
 	}
-	// Force the parallel per-shard freeze path: more than one schedulable
-	// worker in ParallelDo requires shards > 1, so put the duplicate on a
-	// known sketcher and let every shard freeze concurrently.
-	s := NewSketcherLanes(a, 0, 8, 7, 2, 2)
-	lanes := s.Lanes()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for j := 0; j < 2; j++ {
-		go func(j int) {
-			defer wg.Done()
-			// The huge weight gives the duplicate a near-zero rank, so both
-			// copies are certainly admitted and retained in its shard.
-			lanes[j].Offer("dup", 1e9)
+	for name, second := range map[string]int{"same lane": 0, "split across lanes": 1} {
+		s := NewSketcher(a, 0, 8, 2)
+		lanes := s.Lanes()
+		// The huge weight gives the duplicate a near-zero rank, so both
+		// copies are certainly admitted and retained.
+		lanes[0].Offer("dup", 1e9)
+		lanes[second].Offer("dup", 1e9)
+		for j, lane := range lanes {
 			for i := 0; i < 50; i++ {
-				lanes[j].Offer(fmt.Sprintf("fill-%d-%d", j, i), 1+float64(i))
+				lane.Offer(fmt.Sprintf("fill-%d-%d", j, i), 1+float64(i))
 			}
-		}(j)
+		}
+		func() {
+			defer func() {
+				msg := recover()
+				if msg == nil {
+					t.Fatalf("%s: freeze of a duplicate key did not panic", name)
+				}
+				if fmt.Sprint(msg) != fmt.Sprint(serialMsg) {
+					t.Fatalf("%s: freeze panic %q, want serial panic %q", name, msg, serialMsg)
+				}
+			}()
+			s.Sketch()
+		}()
 	}
-	wg.Wait()
-	defer func() {
-		msg := recover()
-		if msg == nil {
-			t.Fatal("parallel freeze of duplicate key did not panic")
-		}
-		if fmt.Sprint(msg) != fmt.Sprint(serialMsg) {
-			t.Fatalf("parallel freeze panic %q, want serial panic %q", msg, serialMsg)
-		}
-	}()
-	s.Sketch()
 }
 
-// TestLaneOfferZeroAllocs is the per-lane allocation budget: once a shard's
-// threshold is published, a pruned Offer on any lane — the steady-state
-// overwhelming majority — must not allocate. Lanes > 1 forces the batched
-// (non-direct) pipeline even on a single-core machine, so this measures the
-// multi-producer fast path, not the synchronous fallback.
+// TestLaneOfferZeroAllocs is the per-lane allocation budget: once one lane
+// has filled and published the shared threshold, a pruned Offer on any
+// lane — including a lane whose own builder is still empty — must not
+// allocate.
 func TestLaneOfferZeroAllocs(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 241}
-	s := NewSketcherLanes(a, 0, 8, 1, 1, 2)
-	if s.direct {
-		t.Fatal("lanes=2 must disable direct mode")
-	}
+	s := NewSketcher(a, 0, 8, 2)
 	warm := s.Lanes()[0]
 	for i := 0; i < 4096; i++ {
 		warm.Offer(fmt.Sprintf("warm-%05d", i), 1)
 	}
-	for i := 0; math.IsInf(s.builders[0].AdmissionThreshold(), 1); i++ {
-		if i > 1_000_000 {
-			t.Fatal("admission threshold never published")
-		}
-		runtime.Gosched()
-	}
-	for _, j := range []int{0, 1} {
-		lane := s.Lanes()[j]
+	for j, lane := range s.Lanes() {
 		allocs := testing.AllocsPerRun(500, func() {
 			lane.Offer("pruned-key", 1e-300)
 		})
@@ -248,29 +206,28 @@ func TestLaneOfferZeroAllocs(t *testing.T) {
 			t.Fatalf("lane %d pruned Offer allocates %v per op, want 0", j, allocs)
 		}
 	}
-	s.Sketch()
+	if _, admitted, retained := s.Lanes()[1].TakeCounts(); admitted != 0 || retained != 0 {
+		t.Fatalf("the idle lane admitted %d and retains %d; it should have pruned against lane 0's threshold", admitted, retained)
+	}
 }
 
 // TestLaneDefaults pins the constructor contract: lanes ≤ 0 selects
-// GOMAXPROCS, NewSketcher keeps the single-lane shape, and multiple lanes
-// disable the synchronous direct mode regardless of core count.
+// GOMAXPROCS, and the MultiSketcher bundles lane j of every assignment.
 func TestLaneDefaults(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 251}
-	s := NewSketcherLanes(a, 0, 4, 2, 1, -1)
-	if s.NumLanes() != runtime.GOMAXPROCS(0) {
-		t.Errorf("defaulted lanes = %d, want GOMAXPROCS = %d", s.NumLanes(), runtime.GOMAXPROCS(0))
+	for _, lanes := range []int{0, -1} {
+		if n := len(NewSketcher(a, 0, 4, lanes).Lanes()); n != runtime.GOMAXPROCS(0) {
+			t.Errorf("lanes=%d: %d lanes, want GOMAXPROCS = %d", lanes, n, runtime.GOMAXPROCS(0))
+		}
 	}
-	s.Sketch()
-	if n := NewSketcher(a, 0, 4, 2, 1).NumLanes(); n != 1 {
-		t.Errorf("NewSketcher lanes = %d, want 1", n)
+	m := NewMultiSketcher(a, 3, 4, 2)
+	if len(m.Lanes()) != 2 || m.NumAssignments() != 3 {
+		t.Fatalf("MultiSketcher has %d lanes over %d assignments, want 2 over 3", len(m.Lanes()), m.NumAssignments())
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	if s := NewSketcherLanes(a, 0, 4, 1, 1, 2); s.direct {
-		t.Error("lanes=2 selected direct mode under GOMAXPROCS=1")
-	}
-	if s := NewSketcherLanes(a, 0, 4, 1, 1, 1); !s.direct {
-		t.Error("lanes=1 workers=1 under GOMAXPROCS=1 should select direct mode")
+	for b, sk := range m.Sketchers() {
+		if len(sk.Lanes()) != 2 {
+			t.Errorf("sketcher %d: %d lanes, want 2", b, len(sk.Lanes()))
+		}
 	}
 }
 

@@ -1,309 +1,229 @@
-// Package shard implements sharded, concurrent ingestion of one weight
-// assignment's aggregated (key, weight) stream, with a threshold-pruned,
-// steady-state-zero-allocation producer fast path and core-affine producer
-// lanes for multi-core ingest.
+// Package shard implements concurrent ingestion of one weight assignment's
+// aggregated (key, weight) stream: one private bottom-k builder per producer
+// lane, one shared admission threshold per assignment, and a freeze that
+// merges the lanes into the exact single-stream sketch. A record's fate is
+// decided by one hash and one compare; its key is materialised only if its
+// lane's builder is actually offered it.
 //
-// The construction rests on three facts. First, per-assignment sketching is
-// a one-pass, O(k)-state operation (Section 3 of the paper), so a stream can
-// be split arbitrarily and each piece sketched independently. Second,
-// sketch.Merge combines bottom-k sketches of *disjoint* key sets into the
-// exact bottom-k sketch of their union. Third — the fast path — a bottom-k
-// builder admits an item only when its rank is below the k-th smallest rank
-// so far, a threshold that only ever decreases; because rank families are
-// monotone with F_w(x) ≤ w·x, a producer holding the item's raw hash can
-// prove "rank certainly above threshold" with one multiply and one compare
-// (rank.Family.RejectsSeed) and drop the item without evaluating a quantile,
-// without an allocation, and without a channel send. Once the samples fill,
-// that is almost every item of the stream.
+// # Lanes
 //
-// A Sketcher therefore hashes each offered key once with the assignment's
-// rank hash (rank.Assigner.RankHashSeed) and reuses the 64-bit word three
-// ways: shard routing (h mod S), admission-bound pruning against the routed
-// shard builder's published threshold (sketch.BottomKBuilder.
-// AdmissionThreshold, a relaxed atomic), and — for the few admitted items —
-// the unit seed from which the receiving worker computes the exact rank.
-// Admitted items travel in pool-recycled batches through per-worker
-// channels, so the steady state allocates nothing.
+// A Sketcher carries L lanes. Each Lane owns a sketch.BottomKBuilder that no
+// other goroutine ever touches, so a lane is driven by one goroutine at a
+// time and distinct lanes run concurrently with nothing between them but a
+// single atomic: the assignment's shared threshold, the float bits of the
+// smallest r_k (k-th smallest rank so far) any lane's builder has reached,
+// lowered by compare-and-swap after an admission. An offer hashes its key
+// with the assignment's rank hash (rank.Assigner.RankHashSeed), proves "rank
+// certainly above the shared threshold" with one multiply and one compare
+// (rank.Family.RejectsSeed — rank families are monotone with F_w(x) ≤ w·x),
+// and only for the few survivors evaluates the quantile and calls the
+// builder. Keys may arrive as strings or as []byte (the server's binary
+// decoder hands over slices of a reused arena); string(key) runs on the
+// admission branch only, so a pruned record allocates nothing.
 //
-// # Core-affine lanes
+// Under the pre-aggregation contract every (key, assignment) is offered
+// once, so however the stream is split across lanes the lanes hold disjoint
+// key sets — which is all sketch.Merge needs. (ShardOf, the seed-free key
+// partition, is what the cluster uses to split a key space across peers for
+// the same reason.)
 //
-// Producer-side state lives in a Lane: per-worker pending batches, a pinned
-// batch pool, and the per-shard pruned-rank minima. A Sketcher built with
-// NewSketcherLanes exposes L lanes; each lane is single-producer, but
-// distinct lanes may offer concurrently from different goroutines (one per
-// core). This is safe without any lane-to-lane synchronization because the
-// hot path is the pruned-rejection path: the admission threshold is a
-// published atomic that only ever decreases, so a stale read is
-// conservative, and a pruned item touches nothing but the lane's own
-// prunedMin array. Only the rare admitted item crosses a channel to the
-// worker that owns its shard (shard s is owned by worker s mod W — a fixed
-// partition, so no builder is ever touched by two goroutines). Recycled
-// batches return to the sending lane's own sync.Pool, whose per-P caches
-// keep a batch's memory on the core that fills it.
+// # Exactness
 //
-// Exactness is preserved bit for bit, per lane count and interleaving.
-// Pruning cannot change the retained entries: thresholds only decrease, so
-// an item whose rank provably exceeds a stale threshold is rejected by every
-// later Offer too. Pruning could only lose the (k+1)-st smallest rank
-// r_{k+1} (the frozen sketch's Threshold, which the estimators condition on)
-// — so each lane tracks the exact minimum rank among the items it pruned per
-// shard (lazily: the quantile is evaluated only when the one-multiply bound
-// says the item might improve the running minimum, which happens O(log n)
-// times) and the freeze merges the lane minima into the builders via
-// NoteRejected. Both the retained bottom-k (a min under the total
-// (rank, key) order) and r_{k+1} (a min over pruned/evicted ranks) are
-// order-independent, so the frozen sketch cannot depend on how offers
-// interleave across lanes: it is bit-identical — same entries, same r_k(I),
-// same r_{k+1}(I) — to the single-stream construction, for every shard,
-// worker, and lane count and both dispersed coordination modes; the shard
-// tests and the ingest/scale experiments enforce this.
+// The frozen sketch is bit-identical — same entries, same r_k(I), same
+// r_{k+1}(I) — to a single builder fed the whole stream, for every lane
+// count, interleaving and both dispersed coordination modes.
 //
-// Routing reuses the rank hash rather than a separate shard hash: one FNV
-// pass per offer instead of two. Which shard a key lands on can therefore
-// correlate with its rank, but that is harmless — the merge lemma makes the
-// frozen sketch independent of how the key space was partitioned, so
-// routing correlation can never affect what the coordinated samples retain.
+// Entries. Each lane's retained set is a k-subset of the union I, so any
+// lane's r_k is an upper bound on r_k(I), and so is the shared threshold at
+// every instant (it only ever holds some lane's past r_k, and those only
+// decrease). An item pruned because its rank strictly exceeds the shared
+// threshold therefore ranks strictly above r_k(I) and can never be among
+// the union's bottom-k; an item that ties the threshold is not pruned and
+// reaches a builder, which breaks ties on the key. Every item of the
+// union's bottom-k thus survives in its lane's builder (it ranks within that
+// lane's own bottom-k a fortiori), and sketch.Merge — which re-offers every
+// retained entry to one builder under the total (rank, key) order — selects
+// exactly them.
+//
+// r_{k+1}. The (k+1)-st smallest rank of I is the minimum rank over the
+// items outside the union's bottom-k. Those are of three kinds: items a lane
+// pruned (each lane keeps the exact minimum rank among them, evaluated
+// lazily — the quantile is computed only when the one-multiply bound says
+// the running minimum might improve — and reports it to its builder with
+// NoteRejected at freeze), items a lane's builder rejected or evicted (the
+// builder's own r_{k+1} tracking), and items a lane retained that the merge
+// evicts. Merge takes the minimum over the parts' thresholds and its own
+// evictions, which is the minimum over all three. A lane that never filled
+// may still carry a finite threshold (it pruned against another lane's
+// r_k); Merge reads a part's entries and threshold only, never its r_k, so
+// such parts are ordinary inputs.
+//
+// Both the bottom-k and r_{k+1} are minima under total orders, so neither
+// depends on arrival order; the lane tests and the ingest/scale experiments
+// enforce the bit-identity.
 package shard
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"coordsample/internal/hashing"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 )
 
-// batchSize is the number of admitted items buffered per worker before a
-// channel send. Batching amortizes channel synchronization over many keys;
-// 256 keeps the per-batch memory small (a few KiB) while making sends rare.
-// With pruning, a batch also bounds how stale the producer's view of a
-// shard's threshold can get: at most 256 admissions happen between the
-// flush that carries threshold-lowering items to the builder and the next.
-const batchSize = 256
-
-// item is one routed stream element that survived producer-side pruning.
-// The unit seed is already computed (from the single rank hash); the
-// receiving worker evaluates only the quantile.
-type item struct {
-	key    string
-	u      float64 // unit seed Unit(Hash64(rankHashSeed, key))
-	weight float64
-	shard  int32
-}
-
-// batch carries admitted items from a lane to a worker together with the
-// pool it came from — the sending lane's pinned pool — so the worker can
-// return the drained batch to the lane that fills it. sync.Pool's per-P
-// caches then keep a batch's memory resident on the core driving that lane.
-type batch struct {
-	items []item
-	home  *sync.Pool
-}
-
-// ShardOf returns the shard index of key under a seed-free partition into
-// shards disjoint pieces. Retained for callers partitioning key spaces
-// outside a Sketcher (distributed sites agreeing on a partition); the
-// Sketcher itself routes on the rank hash to avoid a second hash pass.
+// ShardOf returns the index of key under a seed-free partition of the key
+// space into shards disjoint pieces — the partition cluster peers agree on.
+// It deliberately ignores the rank hash seed, so how keys are split across
+// sites can never correlate with which keys the coordinated samples retain.
 func ShardOf(key string, shards int) int {
 	return int(hashing.ShardHash(key) % uint64(shards))
 }
 
-// Sketcher builds the bottom-k sketch of one weight assignment by
-// hash-partitioning its stream across disjoint shards sketched concurrently,
-// pruning certainly-rejected items on the producer. It is a drop-in
-// replacement for a single-stream sketcher: the frozen sketch is
-// bit-identical to the one-builder construction.
+// Observation is one aggregated (key, weight) stream element, as accepted
+// by OfferBatch.
+type Observation struct {
+	Key    string
+	Weight float64
+}
+
+// Sketcher builds the bottom-k sketch of one weight assignment from a stream
+// split across concurrent producer lanes. It is a drop-in replacement for a
+// single-stream sketcher: the frozen sketch is bit-identical to the
+// one-builder construction.
 //
 // The Sketcher's own Offer methods delegate to lane 0 and must be called
-// from a single goroutine; for concurrent producers, build with
-// NewSketcherLanes and give each producer goroutine its own Lane. Sketch
-// terminates the pipeline: it flushes every lane, waits for the workers, and
-// merges — no lane may Offer afterwards, and all producers must have
-// stopped before it is called.
+// from a single goroutine; concurrent producers each take their own Lane.
+// Sketch is terminal: no lane may Offer afterwards, and all producers must
+// have stopped before it is called.
 type Sketcher struct {
-	family     rank.Family
-	assignment int
-	hashSeed   uint64 // rank.Assigner.RankHashSeed(assignment)
-	shards     uint64
-	workers    int
-	direct     bool                     // no worker goroutines: producer offers admitted items synchronously
-	builders   []*sketch.BottomKBuilder // one per shard; builders[s] is owned by worker s % workers
-	chans      []chan *batch            // one per worker (nil in direct mode)
-	lanes      []*Lane
-	wg         sync.WaitGroup
-	closed     bool
+	family   rank.Family
+	hashSeed uint64 // rank.Assigner.RankHashSeed(assignment)
+
+	// shared is the admission threshold every lane prunes against: the
+	// Float64bits of the smallest r_k any lane's builder has reached, +Inf
+	// until some lane fills. It only decreases, so a stale read is
+	// conservative. Positive floats order like their bit patterns, but the
+	// comparisons below stay in float64 for clarity.
+	shared atomic.Uint64
+
+	lanes  []*Lane
+	frozen *sketch.BottomK
+	closed bool
 }
 
-// NewSketcher creates a single-producer sharded sketcher (one lane) for
-// assignment index assignment with per-assignment sample size k. shards must
-// be ≥ 1; workers ≤ 0 selects GOMAXPROCS, and the worker count is capped at
-// the shard count (shard s is owned by worker s mod workers, so extra
-// workers would idle). The assigner must be a dispersed mode (SharedSeed or
-// Independent); IndependentDifferences requires colocated weights and
-// panics.
-func NewSketcher(assigner rank.Assigner, assignment, k, shards, workers int) *Sketcher {
-	return NewSketcherLanes(assigner, assignment, k, shards, workers, 1)
-}
-
-// NewSketcherLanes is NewSketcher with an explicit producer-lane count:
-// the returned Sketcher carries lanes independent producer front-ends
-// (Lanes), each single-goroutine but mutually concurrent, so L cores can
-// drive one assignment's ingest at once. lanes ≤ 0 selects GOMAXPROCS.
-func NewSketcherLanes(assigner rank.Assigner, assignment, k, shards, workers, lanes int) *Sketcher {
-	if shards < 1 {
-		panic(fmt.Sprintf("shard: invalid shard count %d", shards))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shards {
-		workers = shards
-	}
+// NewSketcher creates a sketcher for assignment index assignment with
+// per-assignment sample size k and the given number of producer lanes
+// (lanes ≤ 0 selects GOMAXPROCS). The assigner must be a dispersed mode
+// (SharedSeed or Independent); IndependentDifferences requires colocated
+// weights and panics.
+func NewSketcher(assigner rank.Assigner, assignment, k, lanes int) *Sketcher {
 	if lanes <= 0 {
 		lanes = runtime.GOMAXPROCS(0)
 	}
-	// With one producer lane, one worker, and one schedulable core there is
-	// no parallelism for the channel hop to buy — producer and worker would
-	// just take turns on the same CPU — so admitted items are offered
-	// synchronously instead: no goroutines, no batches, and the producer
-	// sees threshold updates immediately, which makes pruning strictly more
-	// effective. With more than one lane the builders have concurrent
-	// producers and the worker hand-off is load-bearing, so direct mode is
-	// off. The frozen sketch is identical either way.
-	direct := lanes == 1 && workers == 1 && runtime.GOMAXPROCS(0) == 1
 	s := &Sketcher{
-		family:     assigner.Family,
-		assignment: assignment,
-		hashSeed:   assigner.RankHashSeed(assignment),
-		shards:     uint64(shards),
-		workers:    workers,
-		direct:     direct,
-		builders:   make([]*sketch.BottomKBuilder, shards),
+		family:   assigner.Family,
+		hashSeed: assigner.RankHashSeed(assignment),
+		lanes:    make([]*Lane, lanes),
 	}
-	// Every shard builder carries the assignment's configuration
-	// fingerprint: the shard sketches are bottom-k sketches of (disjoint
-	// pieces of) the same assignment under the same rank assignment, so the
-	// freeze-time Merge is a verified same-fingerprint merge and the frozen
-	// result is itself fingerprinted and wire-portable.
+	s.shared.Store(math.Float64bits(math.Inf(1)))
+	// Every lane builder carries the assignment's configuration fingerprint:
+	// the lane sketches are bottom-k sketches of disjoint pieces of the same
+	// assignment under the same rank assignment, so the freeze-time Merge is
+	// a verified same-fingerprint merge and the frozen result is itself
+	// fingerprinted and wire-portable.
 	fp := assigner.Fingerprint(assignment, k)
-	for i := range s.builders {
-		s.builders[i] = sketch.NewBottomKBuilderWithFingerprint(k, fp)
-	}
-	if !direct {
-		s.chans = make([]chan *batch, workers)
-		for w := range s.chans {
-			s.chans[w] = make(chan *batch, 4)
-		}
-		s.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go s.drain(s.chans[w])
-		}
-	}
-	s.lanes = make([]*Lane, lanes)
-	for i := range s.lanes {
-		s.lanes[i] = newLane(s)
+	for j := range s.lanes {
+		s.lanes[j] = &Lane{s: s, b: sketch.NewBottomKBuilderWithFingerprint(k, fp), prunedMin: math.Inf(1)}
 	}
 	return s
 }
 
-// drain consumes batches, computing each item's rank from its precomputed
-// unit seed and offering it to its shard's builder, then recycles the batch
-// into the pool of the lane that sent it. The fixed shard→worker ownership
-// means no builder is ever touched by two goroutines.
-func (s *Sketcher) drain(ch <-chan *batch) {
-	defer s.wg.Done()
-	for b := range ch {
-		for _, it := range b.items {
-			s.builders[it.shard].Offer(it.key, s.family.Quantile(it.weight, it.u), it.weight)
-		}
-		b.items = b.items[:0]
-		b.home.Put(b)
-	}
-}
-
-// Lane is one producer front-end of a Sketcher: per-worker pending batches,
-// a pinned batch pool, and the lane's own per-shard pruned-rank minima.
-// A Lane must be driven by a single goroutine at a time, but distinct lanes
-// of the same Sketcher may offer concurrently — the builders' published
-// admission thresholds make pruning exact under any interleaving, and only
-// admitted items (rare in steady state) cross a channel to the worker owning
-// their shard.
+// Lane is one producer front-end of a Sketcher: a private bottom-k builder,
+// the exact minimum rank among the items the lane pruned, and plain running
+// counts. A Lane must be driven by a single goroutine at a time; distinct
+// lanes of the same Sketcher may offer concurrently.
 type Lane struct {
 	s         *Sketcher
-	pending   []*batch  // per worker (nil in direct mode)
-	prunedMin []float64 // per shard: exact min rank among items this lane pruned
-	pool      sync.Pool // pinned batch pool: drained batches return here
-}
+	b         *sketch.BottomKBuilder
+	prunedMin float64 // exact min rank among items this lane pruned
+	offered   uint64  // valid offers since the last TakeCounts
+	admitted  uint64  // of those, offers that reached the builder
 
-func newLane(s *Sketcher) *Lane {
-	l := &Lane{s: s, prunedMin: make([]float64, s.shards)}
-	for i := range l.prunedMin {
-		l.prunedMin[i] = math.Inf(1)
-	}
-	l.pool.New = func() any { return &batch{items: make([]item, 0, batchSize), home: &l.pool} }
-	if !s.direct {
-		l.pending = make([]*batch, s.workers)
-		for w := range l.pending {
-			l.pending[w] = l.pool.Get().(*batch)
-		}
-	}
-	return l
+	// Lanes are written on every offer by different cores; the pad keeps two
+	// lanes' hot fields off one cache line wherever the allocator puts them.
+	_ [64]byte
 }
 
 // Offer presents one aggregated key with its weight in this assignment on
 // this lane. Keys must be pre-aggregated (each key offered at most once
 // across all lanes), exactly as for the single-stream sketcher.
-// Nonpositive, NaN, and +Inf weights are never sampled and are rejected
-// here, before any hashing or routing cost.
 //
 //cws:hotpath
 func (l *Lane) Offer(key string, weight float64) {
-	if !(weight > 0) || math.IsInf(weight, 1) {
-		return
-	}
-	l.offerHashed(key, hashing.Hash64(l.s.hashSeed, key), weight)
+	offer(l, key, hashing.Hash64(l.s.hashSeed, key), weight)
 }
 
-// offerHashed is the post-hash fast path: route, prune against the routed
-// shard's published admission threshold, and batch the survivors. h must be
-// Hash64(s.hashSeed, key) — MultiLane computes it once per key and fans it
-// to every assignment's lane under SharedSeed coordination.
+// offer is the one lane entry point, for string and []byte keys alike: drop
+// weights that are never sampled, prune against the shared threshold, and
+// materialise the key only for the builder. h must be Hash64(s.hashSeed,
+// key) — callers that hold the hash already (OfferVector under SharedSeed,
+// a Staged batch hashed by the decoder) pass it in instead of rehashing.
 //
 //cws:hotpath
-func (l *Lane) offerHashed(key string, h uint64, weight float64) {
+func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
 	s := l.s
 	if s.closed {
 		panic("shard: Offer after Sketch")
 	}
-	sh := h % s.shards
+	// Nonpositive, NaN, and +Inf weights are never sampled.
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		return
+	}
+	l.offered++
 	u := hashing.Unit(h)
-	if s.family.RejectsSeed(u, weight, s.builders[sh].AdmissionThreshold()) {
-		// Certainly not among the shard's bottom-k — but its rank may still
-		// be the shard's r_{k+1}, so keep the exact minimum pruned rank.
-		// The quantile is evaluated only when the one-multiply bound says
-		// the running minimum might improve.
-		if s.family.SeedMayRankBelow(u, weight, l.prunedMin[sh]) {
-			if r := s.family.Quantile(weight, u); r < l.prunedMin[sh] {
-				l.prunedMin[sh] = r
+	shared := s.AdmissionThreshold()
+	if s.family.RejectsSeed(u, weight, shared) {
+		// Certainly above r_k — but its rank may still be r_{k+1}, so keep the
+		// exact minimum pruned rank. The quantile is evaluated only when the
+		// one-multiply bound says the running minimum might improve.
+		if s.family.SeedMayRankBelow(u, weight, l.prunedMin) {
+			if r := s.family.Quantile(weight, u); r < l.prunedMin {
+				l.prunedMin = r
 			}
 		}
 		return
 	}
-	if s.direct {
-		s.builders[sh].Offer(key, s.family.Quantile(weight, u), weight)
+	r := s.family.Quantile(weight, u)
+	if r > shared {
+		// The bound was inconclusive but the exact rank is not.
+		if r < l.prunedMin {
+			l.prunedMin = r
+		}
 		return
 	}
-	w := int(sh) % s.workers
-	b := l.pending[w]
-	//cws:allow-alloc pooled batch buffers are pre-sized to batchSize; append never grows past the pool's capacity in steady state
-	b.items = append(b.items, item{key: key, u: u, weight: weight, shard: int32(sh)})
-	if len(b.items) == batchSize {
-		//cws:allow-alloc hand-off of a full batch every batchSize offers; channel capacity is sized so steady-state sends do not block
-		s.chans[w] <- b
-		l.pending[w] = l.pool.Get().(*batch)
+	// r ≤ shared ≤ this builder's own r_k: the builder takes it (ties go to
+	// the key order), so the key is worth materialising.
+	l.admitted++
+	//cws:allow-alloc the one deliberate allocation per admitted []byte key: the builder retains sampled keys, so they cannot alias the caller's buffer (a string key converts for free)
+	l.b.Offer(string(key), r, weight)
+	if t := l.b.AdmissionThreshold(); t < shared {
+		s.lower(t)
+	}
+}
+
+// lower publishes a lane's new r_k as the shared threshold unless another
+// lane has already published a smaller one.
+//
+//cws:hotpath
+func (s *Sketcher) lower(t float64) {
+	for {
+		cur := s.shared.Load()
+		if !(t < math.Float64frombits(cur)) || s.shared.CompareAndSwap(cur, math.Float64bits(t)) {
+			return
+		}
 	}
 }
 
@@ -317,6 +237,19 @@ func (l *Lane) OfferBatch(obs []Observation) {
 	}
 }
 
+// TakeCounts returns the lane's running counts since the previous call —
+// valid offers, and those that reached the builder — and resets them,
+// together with the number of entries the lane's builder holds. The counts
+// are plain fields: call it from the goroutine driving the lane (the server
+// does, at its flush boundary, under the lane's lock).
+//
+//cws:hotpath
+func (l *Lane) TakeCounts() (offered, admitted uint64, retained int) {
+	offered, admitted = l.offered, l.admitted
+	l.offered, l.admitted = 0, 0
+	return offered, admitted, l.b.Len()
+}
+
 // Offer presents one aggregated key with its weight in this assignment on
 // the Sketcher's default lane (lane 0). See Lane.Offer.
 //
@@ -325,110 +258,52 @@ func (s *Sketcher) Offer(key string, weight float64) {
 	s.lanes[0].Offer(key, weight)
 }
 
-// offerHashed is the default lane's post-hash fast path; see
-// Lane.offerHashed.
-//
-//cws:hotpath
-func (s *Sketcher) offerHashed(key string, h uint64, weight float64) {
-	s.lanes[0].offerHashed(key, h, weight)
-}
-
-// Observation is one aggregated (key, weight) stream element, as accepted
-// by OfferBatch.
-type Observation struct {
-	Key    string
-	Weight float64
-}
-
-// OfferBatch presents a batch of aggregated observations on the default
-// lane, equivalent to calling Offer for each in order. Like Offer it must be
-// called from a single producer goroutine at a time; callers that serialize
-// producers behind a lock (the HTTP server's ingest path) use it to amortize
-// the lock acquisition and call overhead over the whole batch.
-//
-//cws:hotpath
-func (s *Sketcher) OfferBatch(obs []Observation) {
-	s.lanes[0].OfferBatch(obs)
-}
-
 // Lanes returns the Sketcher's producer lanes. Each lane must be driven by
 // at most one goroutine at a time; distinct lanes may be driven
 // concurrently.
 func (s *Sketcher) Lanes() []*Lane { return s.lanes }
 
-// Sketch flushes the pipeline, waits for the workers, reports the pruned
-// rank minima, and merges the shard sketches into the bottom-k sketch of
-// the full assignment, freezing the per-shard builders across a bounded
-// worker pool (per-shard freeze is embarrassingly parallel: the builders
-// are independent). Unlike the single-stream builder this is terminal: the
-// pipeline is shut down and further Offers panic. All producers must have
-// stopped before Sketch is called. Sketch may be called again; it returns
-// the same frozen result.
+// AdmissionThreshold returns the shared admission threshold: the smallest
+// r_k any lane has reached, +Inf while no lane has filled. Safe to call
+// concurrently with offers.
+//
+//cws:hotpath
+func (s *Sketcher) AdmissionThreshold() float64 {
+	return math.Float64frombits(s.shared.Load())
+}
+
+// Sketch freezes the lanes and merges them into the bottom-k sketch of the
+// full assignment: each lane reports its pruned-rank minimum to its builder
+// (NoteRejected takes a minimum, so order cannot matter), the builders
+// freeze, and sketch.Merge combines the disjoint parts exactly. It is
+// terminal — further Offers panic — and all producers must have stopped
+// before it is called. Sketch may be called again; it returns the same
+// frozen result.
 func (s *Sketcher) Sketch() *sketch.BottomK {
-	s.close()
-	parts := make([]*sketch.BottomK, len(s.builders))
-	ParallelDo(len(s.builders), 0, func(i int) {
-		parts[i] = s.builders[i].Sketch()
-	})
+	if s.frozen != nil {
+		return s.frozen
+	}
+	s.closed = true
+	parts := make([]*sketch.BottomK, len(s.lanes))
+	for j, l := range s.lanes {
+		l.b.NoteRejected(l.prunedMin)
+		parts[j] = l.b.Sketch()
+	}
 	merged, err := sketch.Merge(parts...)
 	if err != nil {
 		// The builders were all created with one fingerprint, so a mismatch
 		// here is a programming error, not bad input.
 		panic(fmt.Sprintf("shard: %v", err))
 	}
+	s.frozen = merged
 	return merged
 }
-
-// close flushes every lane's pending batches, closes the worker channels,
-// waits for the drain goroutines to finish, and merges the per-lane,
-// per-shard pruned-rank minima into the now-quiescent builders (the step
-// that keeps r_{k+1} exact under producer-side pruning: NoteRejected takes a
-// minimum, so the order lanes are folded in cannot matter). Idempotent.
-func (s *Sketcher) close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if !s.direct {
-		for _, l := range s.lanes {
-			for w, b := range l.pending {
-				if len(b.items) > 0 {
-					s.chans[w] <- b
-				}
-				l.pending[w] = nil
-			}
-		}
-		for _, ch := range s.chans {
-			close(ch)
-		}
-		s.wg.Wait()
-	}
-	for _, l := range s.lanes {
-		for sh, r := range l.prunedMin {
-			s.builders[sh].NoteRejected(r)
-		}
-	}
-}
-
-// NumShards returns the shard count.
-func (s *Sketcher) NumShards() int { return int(s.shards) }
-
-// NumWorkers returns the effective worker count (after clamping to the
-// shard count).
-func (s *Sketcher) NumWorkers() int { return s.workers }
-
-// NumLanes returns the producer-lane count.
-func (s *Sketcher) NumLanes() int { return len(s.lanes) }
-
-// Assignment returns the assignment index this sketcher serves.
-func (s *Sketcher) Assignment() int { return s.assignment }
 
 // MultiSketcher fronts one Sketcher per weight assignment of a single
 // sampling configuration — the server's ingest fan-in. Under SharedSeed
 // coordination all sketchers share one rank hash seed (Section 4's shared
 // seed u(i)), so a key offered with its whole weight vector is hashed
-// exactly once and the raw 64-bit word fanned to every assignment's
-// builders: the per-assignment hash×B cost collapses to ×1.
+// exactly once and the raw 64-bit word fanned to every assignment's lane.
 //
 // The MultiSketcher's own Offer variants delegate to lane 0 of every
 // sketcher and must be called from a single producer goroutine; for
@@ -440,24 +315,18 @@ type MultiSketcher struct {
 	mlanes    []*MultiLane
 }
 
-// NewMultiSketcher creates one single-producer sharded sketcher per
-// assignment index 0..assignments-1, all under the given assigner and
-// per-assignment sample size k.
-func NewMultiSketcher(assigner rank.Assigner, assignments, k, shards, workers int) *MultiSketcher {
-	return NewMultiSketcherLanes(assigner, assignments, k, shards, workers, 1)
-}
-
-// NewMultiSketcherLanes is NewMultiSketcher with an explicit producer-lane
-// count; lanes ≤ 0 selects GOMAXPROCS. Lane j of every assignment's
-// sketcher is bundled into MultiLane j, so L producer goroutines can each
-// drive all assignments concurrently.
-func NewMultiSketcherLanes(assigner rank.Assigner, assignments, k, shards, workers, lanes int) *MultiSketcher {
+// NewMultiSketcher creates one sketcher per assignment index
+// 0..assignments-1, all under the given assigner, per-assignment sample
+// size k and producer-lane count (lanes ≤ 0 selects GOMAXPROCS). Lane j of
+// every assignment's sketcher is bundled into MultiLane j, so L producer
+// goroutines can each drive all assignments concurrently.
+func NewMultiSketcher(assigner rank.Assigner, assignments, k, lanes int) *MultiSketcher {
 	if assignments < 1 {
 		panic(fmt.Sprintf("shard: need at least one assignment, got %d", assignments))
 	}
 	sketchers := make([]*Sketcher, assignments)
 	for b := range sketchers {
-		sketchers[b] = NewSketcherLanes(assigner, b, k, shards, workers, lanes)
+		sketchers[b] = NewSketcher(assigner, b, k, lanes)
 	}
 	m := &MultiSketcher{shared: assigner.Mode == rank.SharedSeed, sketchers: sketchers}
 	m.mlanes = make([]*MultiLane, len(sketchers[0].lanes))
@@ -477,14 +346,6 @@ func NewMultiSketcherLanes(assigner rank.Assigner, assignments, k, shards, worke
 //cws:hotpath
 func (m *MultiSketcher) Offer(assignment int, key string, weight float64) {
 	m.sketchers[assignment].Offer(key, weight)
-}
-
-// OfferBatch presents a batch of observations for one assignment (default
-// lane).
-//
-//cws:hotpath
-func (m *MultiSketcher) OfferBatch(assignment int, obs []Observation) {
-	m.sketchers[assignment].OfferBatch(obs)
 }
 
 // OfferVector presents one key with its weight in every assignment at once
@@ -535,19 +396,40 @@ func (ml *MultiLane) OfferVector(key string, weights []float64) {
 		}
 		return
 	}
-	hashed := false
-	var h uint64
+	// All sketchers share hashSeed under SharedSeed coordination.
+	h := hashing.Hash64(ml.m.sketchers[0].hashSeed, key)
 	for b, w := range weights {
-		if !(w > 0) || math.IsInf(w, 1) {
-			continue
-		}
-		if !hashed {
-			// All sketchers share hashSeed under SharedSeed coordination.
-			h = hashing.Hash64(ml.m.sketchers[b].hashSeed, key)
-			hashed = true
-		}
-		ml.lanes[b].offerHashed(key, h, w)
+		offer(ml.lanes[b], key, h, w)
 	}
+}
+
+// OfferStaged presents every record of a staged batch on this lane, in
+// order: the []byte face of the lane entry point. The batch must have been
+// staged under this MultiSketcher's assigner (NewStaged with the same
+// configuration); a batch hashed under other seeds is a programming error
+// and panics.
+//
+//cws:hotpath
+func (ml *MultiLane) OfferStaged(b *Staged) {
+	if len(b.seeds) != len(ml.lanes) {
+		panic("shard: staged batch built for a different assignment count")
+	}
+	for a, seed := range b.seeds {
+		if seed != ml.lanes[a].s.hashSeed {
+			panic("shard: staged batch hashed under a different rank assignment")
+		}
+	}
+	for i := range b.recs {
+		r := &b.recs[i]
+		offer(ml.lanes[r.assignment], b.arena[r.off:r.off+r.n], r.hash, r.weight)
+	}
+}
+
+// TakeCounts is Lane.TakeCounts for one assignment's lane.
+//
+//cws:hotpath
+func (ml *MultiLane) TakeCounts(assignment int) (offered, admitted uint64, retained int) {
+	return ml.lanes[assignment].TakeCounts()
 }
 
 // Lanes returns the MultiSketcher's producer lanes; MultiLane j bundles
@@ -559,7 +441,7 @@ func (m *MultiSketcher) Lanes() []*MultiLane { return m.mlanes }
 // contract violations).
 func (m *MultiSketcher) Sketchers() []*Sketcher { return m.sketchers }
 
-// Sketches terminally freezes every assignment's pipeline across a bounded
+// Sketches terminally freezes every assignment's sketcher across a bounded
 // worker pool and returns the frozen sketches in assignment order. A panic
 // raised by a freeze (the duplicate-key contract violation) surfaces on the
 // calling goroutine exactly as it does from a serial loop; when several

@@ -4,13 +4,24 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 )
+
+// laneSweep is the lane-count dimension of every exactness matrix: the
+// single-lane shape, two lanes, an odd count, and more lanes than cores.
+var laneSweep = []int{1, 2, 3, 8}
+
+// assigners is the coordination × family dimension.
+var assigners = []rank.Assigner{
+	{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1},
+	{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 42},
+	{Family: rank.IPPS, Mode: rank.Independent, Seed: 7},
+	{Family: rank.EXP, Mode: rank.Independent, Seed: 19},
+}
 
 // singleStream builds the reference sketch the way AssignmentSketcher does:
 // one builder, one pass, ranks from the same assigner.
@@ -40,15 +51,44 @@ func randomStream(rng *rand.Rand, n int, tag string) ([]string, []float64) {
 	return keys, weights
 }
 
+// ascendingByRank returns the stream reordered by ascending rank in
+// assignment 0 — the adversarial order for pruning.
+func ascendingByRank(a rank.Assigner, keys []string, weights []float64) ([]string, []float64) {
+	order := make([]int, len(keys))
+	ranks := make([]float64, len(keys))
+	for i := range order {
+		order[i] = i
+		ranks[i] = a.Rank(keys[i], 0, weights[i])
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		switch {
+		case ranks[x] < ranks[y]:
+			return -1
+		case ranks[x] > ranks[y]:
+			return 1
+		default:
+			return 0
+		}
+	})
+	sk, sw := make([]string, len(keys)), make([]float64, len(keys))
+	for i, idx := range order {
+		sk[i], sw[i] = keys[idx], weights[idx]
+	}
+	return sk, sw
+}
+
+// requireIdentical is the bit-identity oracle: entry by entry, r_k and
+// r_{k+1}, compared as float bits (== on float64 would let a NaN through
+// and cannot tell ±0 apart).
 func requireIdentical(t *testing.T, got, want *sketch.BottomK, label string) {
 	t.Helper()
 	if got.K() != want.K() {
 		t.Fatalf("%s: k = %d, want %d", label, got.K(), want.K())
 	}
-	if got.KthRank() != want.KthRank() {
+	if math.Float64bits(got.KthRank()) != math.Float64bits(want.KthRank()) {
 		t.Errorf("%s: KthRank = %v, want %v", label, got.KthRank(), want.KthRank())
 	}
-	if got.Threshold() != want.Threshold() {
+	if math.Float64bits(got.Threshold()) != math.Float64bits(want.Threshold()) {
 		t.Errorf("%s: Threshold = %v, want %v", label, got.Threshold(), want.Threshold())
 	}
 	ge, we := got.Entries(), want.Entries()
@@ -56,35 +96,46 @@ func requireIdentical(t *testing.T, got, want *sketch.BottomK, label string) {
 		t.Fatalf("%s: %d entries, want %d", label, len(ge), len(we))
 	}
 	for i := range ge {
-		if ge[i] != we[i] {
+		if ge[i].Key != we[i].Key ||
+			math.Float64bits(ge[i].Rank) != math.Float64bits(we[i].Rank) ||
+			math.Float64bits(ge[i].Weight) != math.Float64bits(we[i].Weight) {
 			t.Fatalf("%s: entry %d = %+v, want %+v", label, i, ge[i], we[i])
 		}
 	}
 }
 
-// TestShardedEquivalence is the headline guarantee: for every shard and
-// worker count, the sharded pipeline's frozen sketch is bit-identical —
-// entries, KthRank, Threshold — to the single-stream construction.
+// offerSplit offers the stream on one goroutine, record i on the lane
+// pick(i) names — a deterministic split, for the cases where the partition
+// itself is the point.
+func offerSplit(s *Sketcher, keys []string, weights []float64, pick func(i int) int) {
+	lanes := s.Lanes()
+	for i, key := range keys {
+		lanes[pick(i)].Offer(key, weights[i])
+	}
+}
+
+// TestShardedEquivalence is the headline guarantee: for every lane count,
+// coordination mode, rank family and sample size, a stream split across
+// lanes freezes bit-identical — entries, KthRank, Threshold — to the
+// single-stream construction, whichever way the split falls: round-robin,
+// everything on one lane (the others stay empty), or one lane left empty.
 func TestShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	keys, weights := randomStream(rng, 5000, "eq")
-	cfgs := []rank.Assigner{
-		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1},
-		{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 42},
-		{Family: rank.IPPS, Mode: rank.Independent, Seed: 7},
-		{Family: rank.EXP, Mode: rank.Independent, Seed: 19},
-	}
-	for _, a := range cfgs {
+	for _, a := range assigners {
 		for _, k := range []int{1, 64, 512} {
 			want := singleStream(a, 0, k, keys, weights)
-			for _, shards := range []int{1, 2, 7, 16} {
-				for _, workers := range []int{1, 3, 8} {
-					s := NewSketcher(a, 0, k, shards, workers)
-					for i, key := range keys {
-						s.Offer(key, weights[i])
-					}
-					label := fmt.Sprintf("%v k=%d shards=%d workers=%d", a, k, shards, workers)
-					requireIdentical(t, s.Sketch(), want, label)
+			for _, lanes := range laneSweep {
+				splits := map[string]func(int) int{
+					"round-robin": func(i int) int { return i % lanes },
+					"one lane":    func(int) int { return lanes - 1 },
+					"lane 0 idle": func(i int) int { return max(1, i%lanes) % lanes },
+					"blocks":      func(i int) int { return i * lanes / len(keys) },
+				}
+				for name, pick := range splits {
+					s := NewSketcher(a, 0, k, lanes)
+					offerSplit(s, keys, weights, pick)
+					requireIdentical(t, s.Sketch(), want, fmt.Sprintf("%v k=%d lanes=%d %s", a, k, lanes, name))
 				}
 			}
 		}
@@ -92,37 +143,99 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestShardedSmallSet checks the |I| < k edge where every key is retained
-// and both conditioning ranks are +Inf.
+// and both conditioning ranks are +Inf — including lane counts above the
+// key count, where most lanes see nothing at all.
 func TestShardedSmallSet(t *testing.T) {
-	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3}
 	keys := []string{"a", "b", "c"}
 	weights := []float64{1, 2, 3}
-	want := singleStream(a, 0, 10, keys, weights)
-	for _, shards := range []int{1, 2, 7, 16} {
-		s := NewSketcher(a, 0, 10, shards, 4)
-		for i, key := range keys {
-			s.Offer(key, weights[i])
+	for _, a := range assigners {
+		want := singleStream(a, 0, 10, keys, weights)
+		for _, lanes := range laneSweep {
+			s := NewSketcher(a, 0, 10, lanes)
+			offerSplit(s, keys, weights, func(i int) int { return i % lanes })
+			got := s.Sketch()
+			requireIdentical(t, got, want, fmt.Sprintf("%v small set lanes=%d", a, lanes))
+			if !math.IsInf(got.KthRank(), 1) || !math.IsInf(got.Threshold(), 1) {
+				t.Errorf("%v lanes=%d: conditioning ranks (%v, %v), want +Inf", a, lanes, got.KthRank(), got.Threshold())
+			}
 		}
-		requireIdentical(t, s.Sketch(), want, fmt.Sprintf("small set shards=%d", shards))
 	}
 }
 
-// TestShardedLargeStreamCrossesBatches exercises multiple full batches per
-// worker so flush-on-close and mid-stream sends are both covered.
+// TestRankTies pins the tie rule. An IPPS rank is u/w, so giving a key the
+// weight 2·u(key) puts its rank at exactly 0.5: half the stream ties there,
+// the other half spreads around it, and for the larger k both r_k and
+// r_{k+1} fall inside the tied group. A lane must not prune an item that
+// merely equals the shared threshold, and lanes and merge must agree with
+// the single builder on which tied keys the (rank, key) order keeps.
+func TestRankTies(t *testing.T) {
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5}
+	rng := rand.New(rand.NewSource(3))
+	const n = 400
+	keys := make([]string, n)
+	weights := make([]float64, n)
+	tied := 0
+	for i := range keys {
+		keys[i] = fmt.Sprintf("tie-%04d", (i*7919)%n) // scrambled key order
+		if i%2 == 0 {
+			weights[i] = 2 * a.Rank(keys[i], 0, 1) // the rank at weight 1 is u itself
+		} else {
+			weights[i] = math.Exp(rng.NormFloat64())
+		}
+		if a.Rank(keys[i], 0, weights[i]) == 0.5 {
+			tied++
+		}
+	}
+	if tied < n/2 {
+		t.Fatalf("%d of %d ranks tie at 0.5, want at least %d", tied, n, n/2)
+	}
+	for _, k := range []int{1, 16, 128, 200} {
+		want := singleStream(a, 0, k, keys, weights)
+		if k >= 128 && (want.KthRank() != 0.5 || want.Threshold() != 0.5) {
+			t.Fatalf("k=%d: conditioning ranks (%v, %v) are not inside the tied group", k, want.KthRank(), want.Threshold())
+		}
+		for _, lanes := range laneSweep {
+			s := NewSketcher(a, 0, k, lanes)
+			offerSplit(s, keys, weights, func(i int) int { return i % lanes })
+			requireIdentical(t, s.Sketch(), want, fmt.Sprintf("ties k=%d lanes=%d", k, lanes))
+		}
+	}
+}
+
+// TestShardedLargeStreamCrossesBatches drives a long stream through the
+// batch entry points — OfferBatch with string keys and OfferStaged with
+// []byte keys hashed at staging — in many batches per lane, so the shared
+// threshold is lowered, read stale, and pruned against across batch
+// boundaries. Both faces of the lane entry point must freeze the same
+// sketch as the single stream.
 func TestShardedLargeStreamCrossesBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	keys, weights := randomStream(rng, 40*batchSize, "big")
+	keys, weights := randomStream(rng, 40*256, "big")
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5}
-	want := singleStream(a, 2, 256, keys, weights)
-	s := NewSketcher(a, 2, 256, 4, 2)
-	for i, key := range keys {
-		s.Offer(key, weights[i])
+	const numAsg, k, batchLen = 3, 256, 100
+	want := singleStream(a, 2, k, keys, weights)
+	for _, lanes := range laneSweep {
+		byString := NewMultiSketcher(a, numAsg, k, lanes)
+		byBytes := NewMultiSketcher(a, numAsg, k, lanes)
+		staged := NewStaged(a, numAsg)
+		obs := make([]Observation, 0, batchLen)
+		for lo, batch := 0, 0; lo < len(keys); lo, batch = lo+batchLen, batch+1 {
+			obs = obs[:0]
+			staged.Reset()
+			for i := lo; i < min(lo+batchLen, len(keys)); i++ {
+				if weights[i] > 0 {
+					obs = append(obs, Observation{Key: keys[i], Weight: weights[i]})
+					Stage(staged, 2, []byte(keys[i]), weights[i])
+				}
+			}
+			byString.Lanes()[batch%lanes].OfferBatch(2, obs)
+			byBytes.Lanes()[batch%lanes].OfferStaged(staged)
+		}
+		requireIdentical(t, byString.Sketches()[2], want, fmt.Sprintf("OfferBatch lanes=%d", lanes))
+		requireIdentical(t, byBytes.Sketches()[2], want, fmt.Sprintf("OfferStaged lanes=%d", lanes))
 	}
-	requireIdentical(t, s.Sketch(), want, "large stream")
 }
 
-// TestSketchIsTerminal verifies the pipeline contract: Sketch freezes, a
-// repeated Sketch returns the same result, and Offer afterwards panics.
 // TestOfferBatchEquivalence: the batch entry point is exactly a sequence
 // of Offers — same frozen sketch as the single-stream construction.
 func TestOfferBatchEquivalence(t *testing.T) {
@@ -131,22 +244,66 @@ func TestOfferBatchEquivalence(t *testing.T) {
 	keys, weights := randomStream(rng, 5000, "batch")
 	want := singleStream(a, 0, 64, keys, weights)
 
-	s := NewSketcher(a, 0, 64, 4, 2)
+	s := NewSketcher(a, 0, 64, 1)
+	lane := s.Lanes()[0]
 	batch := make([]Observation, 0, 100)
 	for i, key := range keys {
 		batch = append(batch, Observation{Key: key, Weight: weights[i]})
 		if len(batch) == cap(batch) {
-			s.OfferBatch(batch)
+			lane.OfferBatch(batch)
 			batch = batch[:0]
 		}
 	}
-	s.OfferBatch(batch)
+	lane.OfferBatch(batch)
 	requireIdentical(t, s.Sketch(), want, "OfferBatch")
 }
 
+// TestStagedKeysAreCopied: a staged batch owns its key bytes (the decoder
+// reuses its buffer straight after Stage), and an admitted key is a fresh
+// string (the staging arena is reused straight after OfferStaged).
+func TestStagedKeysAreCopied(t *testing.T) {
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3}
+	m := NewMultiSketcher(a, 1, 4, 1)
+	staged := NewStaged(a, 1)
+	buf := []byte("first")
+	Stage(staged, 0, buf, 1)
+	copy(buf, "XXXXX")
+	m.Lanes()[0].OfferStaged(staged)
+	staged.Reset()
+	Stage(staged, 0, []byte("other"), 2) // overwrites the arena the first key lay in
+	m.Lanes()[0].OfferStaged(staged)
+	got := m.Sketches()[0]
+	if !got.Contains("first") || !got.Contains("other") || got.Size() != 2 {
+		t.Fatalf("retained keys %+v, want first and other", got.Entries())
+	}
+}
+
+// TestStagedSeedMismatchPanics: a batch hashed under another configuration
+// must be refused, not silently sampled under the wrong ranks.
+func TestStagedSeedMismatchPanics(t *testing.T) {
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3}
+	other := a
+	other.Seed = 4
+	for name, staged := range map[string]*Staged{
+		"seed":        NewStaged(other, 2),
+		"assignments": NewStaged(a, 3),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s mismatch: OfferStaged did not panic", name)
+				}
+			}()
+			NewMultiSketcher(a, 2, 4, 1).Lanes()[0].OfferStaged(staged)
+		}()
+	}
+}
+
+// TestSketchIsTerminal verifies the freeze contract: Sketch freezes, a
+// repeated Sketch returns the same result, and Offer afterwards panics.
 func TestSketchIsTerminal(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9}
-	s := NewSketcher(a, 0, 4, 3, 2)
+	s := NewSketcher(a, 0, 4, 2)
 	for i := 0; i < 100; i++ {
 		s.Offer(fmt.Sprintf("t-%03d", i), 1+float64(i))
 	}
@@ -160,69 +317,44 @@ func TestSketchIsTerminal(t *testing.T) {
 	s.Offer("late", 1)
 }
 
-// TestAscendingRankOrderThreshold is the adversarial case for producer-side
-// pruning: keys are offered in ascending rank order, so once a shard's
-// sample fills, every later item is pruned — and the very first pruned item
-// of each shard carries that shard's exact r_{k+1}. If the pruned-rank
-// minimum were not reported back to the builder, the frozen Threshold (the
-// value the RC estimators condition on) would be +Inf instead of r_{k+1}.
+// TestAscendingRankOrderThreshold is the adversarial case for pruning: keys
+// are offered in ascending rank order, so once any lane's sample fills every
+// later item is pruned — and the very first pruned item carries the exact
+// r_{k+1}. If the pruned-rank minimum were not reported back at freeze, the
+// frozen Threshold (the value the RC estimators condition on) would be too
+// large. Run with a serial split here; TestLaneAscendingRankOrder races it.
 func TestAscendingRankOrderThreshold(t *testing.T) {
-	for _, a := range []rank.Assigner{
-		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 13},
-		{Family: rank.EXP, Mode: rank.Independent, Seed: 14},
-	} {
-		n := 4000
-		keys := make([]string, n)
-		weights := make([]float64, n)
+	for _, a := range assigners {
 		rng := rand.New(rand.NewSource(77))
+		keys := make([]string, 4000)
+		weights := make([]float64, len(keys))
 		for i := range keys {
 			keys[i] = fmt.Sprintf("asc-%05d", i)
 			weights[i] = math.Exp(rng.NormFloat64())
 		}
-		// Sort (key, weight) pairs by rank ascending.
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		ranks := make([]float64, n)
-		for i := range ranks {
-			ranks[i] = a.Rank(keys[i], 0, weights[i])
-		}
-		slices.SortFunc(order, func(x, y int) int {
-			switch {
-			case ranks[x] < ranks[y]:
-				return -1
-			case ranks[x] > ranks[y]:
-				return 1
-			default:
-				return 0
-			}
-		})
+		sortedKeys, sortedWeights := ascendingByRank(a, keys, weights)
 		for _, k := range []int{1, 16, 128} {
 			want := singleStream(a, 0, k, keys, weights)
-			for _, shards := range []int{1, 2, 7, 16} {
-				s := NewSketcher(a, 0, k, shards, 2)
-				for _, i := range order {
-					s.Offer(keys[i], weights[i])
-				}
-				label := fmt.Sprintf("ascending %v k=%d shards=%d", a, k, shards)
-				requireIdentical(t, s.Sketch(), want, label)
+			for _, lanes := range laneSweep {
+				s := NewSketcher(a, 0, k, lanes)
+				offerSplit(s, sortedKeys, sortedWeights, func(i int) int { return i % lanes })
+				requireIdentical(t, s.Sketch(), want, fmt.Sprintf("ascending %v k=%d lanes=%d", a, k, lanes))
 			}
 		}
 	}
 }
 
 // TestNonFiniteWeightsRejectedAtProducer is the regression test for the
-// producer-side validity check: NaN and +Inf weights must be dropped before
-// routing (NaN used to ride the whole pipeline and die silently at the
-// builder; +Inf would have produced a rank-0 entry with infinite weight).
+// lane-side validity check: NaN and +Inf weights must be dropped before
+// they reach a builder (+Inf would have produced a rank-0 entry with
+// infinite weight), on every face of the entry point.
 func TestNonFiniteWeightsRejectedAtProducer(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 21}
 	rng := rand.New(rand.NewSource(33))
 	keys, weights := randomStream(rng, 2000, "fin")
 	want := singleStream(a, 0, 64, keys, weights)
 
-	s := NewSketcher(a, 0, 64, 4, 2)
+	s := NewSketcher(a, 0, 64, 2)
 	for i, key := range keys {
 		s.Offer(key, weights[i])
 	}
@@ -231,20 +363,24 @@ func TestNonFiniteWeightsRejectedAtProducer(t *testing.T) {
 	s.Offer("poison-neginf", math.Inf(-1))
 	requireIdentical(t, s.Sketch(), want, "non-finite weights")
 
-	m := NewMultiSketcher(a, 2, 64, 4, 2)
+	m := NewMultiSketcher(a, 2, 64, 2)
 	for i, key := range keys {
 		m.OfferVector(key, []float64{weights[i], weights[i]})
 	}
 	m.OfferVector("poison-vec", []float64{math.NaN(), math.Inf(1)})
+	staged := NewStaged(a, 2)
+	Stage(staged, 0, "poison-staged", math.NaN())
+	Stage(staged, 1, "poison-staged", math.Inf(1))
+	m.Lanes()[1].OfferStaged(staged)
 	for b, got := range m.Sketches() {
 		requireIdentical(t, got, want, fmt.Sprintf("non-finite vector, assignment %d", b))
 	}
 }
 
 // TestMultiSketcherEquivalence: every ingest form of the multi-assignment
-// front-end — per-assignment Offer, OfferBatch, and the hash-once
-// OfferVector — freezes bit-identical to the single-stream construction,
-// under both dispersed coordination modes.
+// front-end — per-assignment Offer and the hash-once OfferVector — freezes
+// bit-identical to the single-stream construction, under both dispersed
+// coordination modes.
 func TestMultiSketcherEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	const n, numAsg = 3000, 3
@@ -273,7 +409,7 @@ func TestMultiSketcherEquivalence(t *testing.T) {
 		}
 
 		vec := make([]float64, numAsg)
-		m := NewMultiSketcher(a, numAsg, k, 7, 2)
+		m := NewMultiSketcher(a, numAsg, k, 1)
 		for i, key := range keys {
 			for b := range cols {
 				vec[b] = cols[b][i]
@@ -284,7 +420,7 @@ func TestMultiSketcherEquivalence(t *testing.T) {
 			requireIdentical(t, got, want[b], fmt.Sprintf("%v OfferVector assignment %d", a, b))
 		}
 
-		m = NewMultiSketcher(a, numAsg, k, 7, 2)
+		m = NewMultiSketcher(a, numAsg, k, 1)
 		for b := range cols {
 			for i, key := range keys {
 				m.Offer(b, key, cols[b][i])
@@ -296,35 +432,75 @@ func TestMultiSketcherEquivalence(t *testing.T) {
 	}
 }
 
-// TestProducerFastPathZeroAllocs is the allocation budget of the tentpole:
-// once a shard's sample has filled and its threshold is visible to the
-// producer, a pruned Offer — the steady-state overwhelming majority — must
-// not allocate at all.
+// TestProducerFastPathZeroAllocs is the allocation budget of the lane
+// entry point: a pruned offer — the steady-state overwhelming majority —
+// must not allocate at all, for a string key or a staged []byte key, and an
+// admitted staged key costs exactly its one string.
 func TestProducerFastPathZeroAllocs(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 71}
-	s := NewSketcher(a, 0, 8, 1, 1)
+	m := NewMultiSketcher(a, 1, 8, 1)
+	ml := m.Lanes()[0]
 	for i := 0; i < 4096; i++ {
-		s.Offer(fmt.Sprintf("warm-%05d", i), 1)
+		ml.Offer(0, fmt.Sprintf("warm-%05d", i), 1)
 	}
-	// The threshold becomes visible once the worker has drained a batch
-	// containing the sample-filling admissions.
-	for i := 0; math.IsInf(s.builders[0].AdmissionThreshold(), 1); i++ {
-		if i > 1_000_000 {
-			t.Fatal("admission threshold never published")
-		}
-		runtime.Gosched()
+	if math.IsInf(m.Sketchers()[0].AdmissionThreshold(), 1) {
+		t.Fatal("shared threshold not lowered after the sample filled")
 	}
 	// A vanishing weight makes w·T smaller than any unit seed, so the offer
 	// is pruned deterministically (and the first such prune exercises the
 	// pruned-minimum bookkeeping too).
-	allocs := testing.AllocsPerRun(500, func() {
-		s.Offer("pruned-key", 1e-300)
-	})
-	if allocs != 0 {
-		t.Fatalf("pruned fast-path Offer allocates %v per op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(500, func() { ml.Offer(0, "pruned-key", 1e-300) }); allocs != 0 {
+		t.Errorf("pruned Offer allocates %v per op, want 0", allocs)
 	}
-	s.Sketch()
+	staged := NewStaged(a, 1)
+	for i := 0; i < 256; i++ {
+		Stage(staged, 0, []byte(fmt.Sprintf("pruned-%03d", i)), 1e-300)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ml.OfferStaged(staged) }); allocs != 0 {
+		t.Errorf("OfferStaged of %d pruned records allocates %v, want 0", staged.Len(), allocs)
+	}
+	key := []byte("restage-me")
+	if allocs := testing.AllocsPerRun(100, func() {
+		staged.Reset()
+		Stage(staged, 0, key, 1e-300)
+	}); allocs != 0 {
+		t.Errorf("Stage into a warm batch allocates %v, want 0", allocs)
+	}
+	// A huge weight ranks below everything retained: admitted, one string.
+	// (Offering the same key repeatedly breaks the pre-aggregation contract,
+	// which only matters at freeze; this sketcher is never frozen.)
+	staged.Reset()
+	Stage(staged, 0, []byte("a-key-long-enough-to-need-the-heap-0123456789"), 1e300)
+	if allocs := testing.AllocsPerRun(100, func() { ml.OfferStaged(staged) }); allocs != 1 {
+		t.Errorf("OfferStaged of one admitted record allocates %v, want exactly its key string", allocs)
+	}
 }
+
+// TestTakeCounts: the lane's plain counters see every valid offer once,
+// count as admitted exactly the offers its builder was handed, and reset on
+// read.
+func TestTakeCounts(t *testing.T) {
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9}
+	const k = 16
+	s := NewSketcher(a, 0, k, 1)
+	lane := s.Lanes()[0]
+	for i := 0; i < 1000; i++ {
+		lane.Offer(fmt.Sprintf("c-%04d", i), 1)
+	}
+	lane.Offer("zero", 0)
+	lane.Offer("nan", math.NaN())
+	offered, admitted, retained := lane.TakeCounts()
+	if offered != 1000 || retained != k {
+		t.Errorf("offered, retained = %d, %d, want 1000, %d", offered, retained, k)
+	}
+	if admitted < k || admitted > 200 {
+		t.Errorf("admitted = %d of 1000 at k=%d, want about k·(1+ln(n/k)) ≈ 82", admitted, k)
+	}
+	if o, a, _ := lane.TakeCounts(); o != 0 || a != 0 {
+		t.Errorf("counts after a take = %d, %d, want 0, 0", o, a)
+	}
+}
+
 func TestShardOfPartitions(t *testing.T) {
 	const shards = 8
 	hit := make([]int, shards)
@@ -342,57 +518,6 @@ func TestShardOfPartitions(t *testing.T) {
 	for s, n := range hit {
 		if n == 0 {
 			t.Errorf("shard %d never hit over 4096 keys", s)
-		}
-	}
-}
-
-// TestInvalidShardCount checks constructor validation.
-func TestInvalidShardCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shards=0 did not panic")
-		}
-	}()
-	NewSketcher(rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1}, 0, 4, 0, 1)
-}
-
-// TestWorkerClamp verifies workers are capped at the shard count and that
-// workers ≤ 0 selects a positive default.
-func TestWorkerClamp(t *testing.T) {
-	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1}
-	s := NewSketcher(a, 0, 4, 3, 64)
-	if s.NumWorkers() != 3 {
-		t.Errorf("workers = %d, want clamp to 3", s.NumWorkers())
-	}
-	s.Sketch()
-	s = NewSketcher(a, 0, 4, 2, -1)
-	if s.NumWorkers() < 1 || s.NumWorkers() > 2 {
-		t.Errorf("defaulted workers = %d, want in [1,2]", s.NumWorkers())
-	}
-	s.Sketch()
-}
-
-// TestDirectModeEquivalence pins down the synchronous single-core mode
-// (workers==1 with GOMAXPROCS==1 skips the channel pipeline entirely):
-// bit-identity must hold there too, on every shard count. GOMAXPROCS is
-// forced to 1 so the test is meaningful on multi-core CI machines as well.
-func TestDirectModeEquivalence(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 47}
-	rng := rand.New(rand.NewSource(61))
-	keys, weights := randomStream(rng, 5000, "direct")
-	for _, k := range []int{1, 64, 512} {
-		want := singleStream(a, 0, k, keys, weights)
-		for _, shards := range []int{1, 2, 7, 16} {
-			s := NewSketcher(a, 0, k, shards, 1)
-			if !s.direct {
-				t.Fatalf("workers=1 under GOMAXPROCS=1 did not select direct mode (shards=%d)", shards)
-			}
-			for i, key := range keys {
-				s.Offer(key, weights[i])
-			}
-			requireIdentical(t, s.Sketch(), want, fmt.Sprintf("direct k=%d shards=%d", k, shards))
 		}
 	}
 }

@@ -186,6 +186,11 @@ func (b *BottomKBuilder) AdmissionThreshold() float64 {
 	return math.Float64frombits(b.admission.Load())
 }
 
+// Len returns the number of entries the builder currently retains (≤ k).
+//
+//cws:hotpath
+func (b *BottomKBuilder) Len() int { return len(b.heap) }
+
 // NoteRejected merges the rank of an item that was pruned before reaching
 // Offer into the builder's r_{k+1} tracking. The caller asserts the item
 // would certainly have been rejected — its rank strictly exceeds a value
@@ -254,15 +259,19 @@ func (b *BottomKBuilder) Sketch() *BottomK {
 func (b *BottomKBuilder) push(e Entry) {
 	//cws:allow-alloc the heap is capped at k entries and NewBottomKBuilderConfig pre-sizes it; growth happens at most once for legacy constructors
 	b.heap = append(b.heap, e)
+	// Sift up with a hole: parents move down into it and e is written once,
+	// at its final position — half the pointer writes (and write barriers,
+	// when the collector is marking) of swapping at every level.
 	i := len(b.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(b.heap[parent], b.heap[i]) {
+		if !entryLess(b.heap[parent], e) {
 			break
 		}
-		b.heap[parent], b.heap[i] = b.heap[i], b.heap[parent]
+		b.heap[i] = b.heap[parent]
 		i = parent
 	}
+	b.heap[i] = e
 	if len(b.heap) == b.k {
 		// The heap just filled: the admission threshold drops from +Inf to
 		// the current k-th smallest rank.
@@ -270,28 +279,29 @@ func (b *BottomKBuilder) push(e Entry) {
 	}
 }
 
+// replaceTop replaces the root (the largest retained entry) with e and
+// restores the heap, sifting down with a hole as push sifts up.
 func (b *BottomKBuilder) replaceTop(e Entry) {
-	b.heap[0] = e
+	h := b.heap
 	i := 0
-	n := len(b.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && entryLess(b.heap[largest], b.heap[l]) {
-			largest = l
-		}
-		if r < n && entryLess(b.heap[largest], b.heap[r]) {
-			largest = r
-		}
-		if largest == i {
+		c := 2*i + 1 // the larger child
+		if c >= len(h) {
 			break
 		}
-		b.heap[i], b.heap[largest] = b.heap[largest], b.heap[i]
-		i = largest
+		if r := c + 1; r < len(h) && entryLess(h[c], h[r]) {
+			c = r
+		}
+		if !entryLess(e, h[c]) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = e
 	// Every replacement lowers (or keeps) the root rank, so the published
 	// admission threshold is monotone non-increasing.
-	b.admission.Store(math.Float64bits(b.heap[0].Rank))
+	b.admission.Store(math.Float64bits(h[0].Rank))
 }
 
 // Prefix returns the bottom-l sketch embedded in s (l ≤ s.K()): the l

@@ -89,13 +89,14 @@ if [ -f internal/estimate/estimator.go ]; then
 fi
 
 # --- 4b. scaling-layer docs exist ---
-# The core-affine lane/parallel-freeze machinery is easy to regress
-# silently in docs: as long as the lane code exists, DESIGN.md must keep
-# the core-affine section, EXPERIMENTS.md must document the scale and
-# loadtest experiments, and README.md must show the -lanes quickstart.
+# The lane/parallel-freeze machinery is easy to regress silently in docs:
+# as long as the lane code exists, DESIGN.md must keep the lane-private
+# builders section with its exactness argument, EXPERIMENTS.md must
+# document the scale and loadtest experiments, and README.md must show
+# the -lanes quickstart.
 if [ -f internal/shard/parallel.go ]; then
-    if ! grep -qi "core-affine" DESIGN.md; then
-        echo "DESIGN.md: missing the core-affine lanes / parallel freeze section for internal/shard's Lane seam"
+    if ! grep -qi "lane-private" DESIGN.md || ! grep -q "shared admission threshold" DESIGN.md; then
+        echo "DESIGN.md: missing the lane-private builders / shared admission threshold section for internal/shard"
         fail=1
     fi
     if ! grep -q '`scale`' EXPERIMENTS.md; then
