@@ -130,6 +130,8 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		fmt.Sprintf(`cws_peer_rpc_attempts_total{peer=%q} 1`, addrs[0]),
 		fmt.Sprintf(`cws_peer_rpc_seconds_count{peer=%q} 1`, addrs[1]),
 		fmt.Sprintf(`cws_peer_state{peer=%q} 0`, addrs[2]),
+		`cws_query_stage_seconds_count{stage="cluster-merge"} 1`,
+		`cws_query_stage_seconds_count{stage="cluster-summarize"} 1`,
 		"cws_offers_total",
 	} {
 		if !strings.Contains(body, want) {

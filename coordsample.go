@@ -272,11 +272,10 @@ func KMinsJaccard(cfg Config, ds *Dataset, b1, b2 int) float64 {
 // fingerprint-less constructors are rejected too; use
 // MergeSketchesUnchecked when their provenance is known out of band.
 // Disjointness remains the caller's responsibility, but its most common
-// violation is detected: if the same key is retained by two input sketches
-// and both copies survive the merge, the freeze step panics with
-// "offered more than once" rather than silently double-counting the key in
-// every downstream estimate. An overlapping key that does not survive the
-// merge is indistinguishable from duplicate data and goes undetected.
+// violation is detected: if both copies of a key survive into the merged
+// sample, the merge panics with "offered more than once" rather than
+// double-counting the key in every downstream estimate. An overlapping key
+// that does not survive is indistinguishable from duplicate data.
 func MergeSketches(sketches ...*BottomK) (*BottomK, error) {
 	return sketch.Merge(sketches...)
 }

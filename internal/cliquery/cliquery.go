@@ -178,17 +178,7 @@ func AnswerVia(d *estimate.Dispersed, query string, b int, R []int, l int, pred 
 		} else {
 			mx = summarize("max", 0, estimate.MaxOf(R...)).Estimate(pred)
 		}
-		if mx <= 0 {
-			// 0/0 convention: an empty subpopulation is identical to itself.
-			return "weighted Jaccard", 1, math.NaN(), nil
-		}
-		j := mn / mx
-		if j < 0 {
-			j = 0
-		} else if j > 1 {
-			j = 1
-		}
-		return "weighted Jaccard", j, math.NaN(), nil
+		return "weighted Jaccard", estimate.JaccardRatio(mn, mx), math.NaN(), nil
 	default:
 		return "", 0, 0, fmt.Errorf("unknown query %q (want one of %s)", query, Queries)
 	}

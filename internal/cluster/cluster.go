@@ -277,6 +277,9 @@ type Router struct {
 	mux    *http.ServeMux
 	log    *slog.Logger
 	traces *obs.TraceRing
+	// queryStages feeds the merge and summarize spans of handleQuery into
+	// the registry's stage histograms; nil without a registry.
+	queryStages map[string]*obs.Histogram
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -327,6 +330,12 @@ func New(cfg Config) (*Router, error) {
 	}
 	if r.traces == nil {
 		r.traces = obs.NewTraceRing(64)
+	}
+	if reg := cfg.Metrics; reg != nil {
+		r.queryStages = make(map[string]*obs.Histogram)
+		for _, span := range []string{"merge", "summarize"} {
+			r.queryStages[span] = reg.NewHistogramL(obs.QueryStageMetric, obs.QueryStageHelp, obs.Label("stage", "cluster-"+span))
+		}
 	}
 	for _, addr := range cfg.Peers {
 		p := &peer{addr: addr, rpc: &obs.Histogram{}}
@@ -668,29 +677,6 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, epochs string) ([]*
 	return results, reports
 }
 
-// merge combines the reached peers' sketch sets into the exact merged
-// per-assignment sketches (disjoint key sets by the ownership guard).
-func (r *Router) merge(results []*fetchResult) ([]*sketch.BottomK, error) {
-	parts := make([][]*sketch.BottomK, r.cfg.Assignments)
-	for _, fr := range results {
-		if fr == nil {
-			continue
-		}
-		for b, sk := range fr.sketches {
-			parts[b] = append(parts[b], sk)
-		}
-	}
-	merged := make([]*sketch.BottomK, r.cfg.Assignments)
-	for b, ps := range parts {
-		m, err := sketch.Merge(ps...)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: merging assignment %d: %w", b, err)
-		}
-		merged[b] = m
-	}
-	return merged, nil
-}
-
 // handleQuery is GET /cluster/query: the scatter-gather answer to the
 // same parameter grammar as a single node's GET /query, plus the
 // degradation fields (degraded, coverage, peers).
@@ -711,12 +697,13 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	sp = tr.Start("scatter")
 	results, reports := r.scatter(req.Context(), tr, p.Epochs)
 	sp.End()
-	reached := 0
+	var sets [][]*sketch.BottomK // the reached peers' sketch sets
 	for _, fr := range results {
 		if fr != nil {
-			reached++
+			sets = append(sets, fr.sketches)
 		}
 	}
+	reached := len(sets)
 	if reached == 0 {
 		r.traces.Add(tr.Report())
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
@@ -724,11 +711,13 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		})
 		return
 	}
+	// Peers own disjoint key sets (the ownership guard), so their sketches
+	// merge into the exact per-assignment sketches of the whole cluster.
 	sp = tr.Start("merge")
-	merged, err := r.merge(results)
+	merged, err := sketch.MergeSets(sets...)
 	sp.End()
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		writeError(w, http.StatusBadGateway, "cluster: %v", err)
 		return
 	}
 	sp = tr.Start("summarize")
@@ -767,6 +756,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		resp["stderr"] = stderr
 	}
 	rep := tr.Report()
+	rep.RecordStages(r.queryStages)
 	r.traces.Add(rep)
 	if req.URL.Query().Get("trace") == "1" {
 		resp["trace"] = rep

@@ -173,12 +173,13 @@ func TestFitDistinctBudgetUnionProperty(t *testing.T) {
 	ell, trimmed := FitDistinctBudget(sketches, cfg.K)
 	budget := cfg.K * len(sketches)
 
-	if got := len(sketch.UnionDistinctKeys(trimmed)); got > budget {
+	union := func(s []*sketch.BottomK) int { return estimate.NewDispersed(cfg.Assigner(), s).DistinctKeys(nil) }
+	if got := union(trimmed); got > budget {
 		t.Fatalf("union at ℓ=%d has %d keys > budget %d", ell, got, budget)
 	}
 	if ell < m {
 		next := []*sketch.BottomK{sketches[0].Prefix(ell + 1), sketches[1].Prefix(ell + 1)}
-		if got := len(sketch.UnionDistinctKeys(next)); got <= budget {
+		if got := union(next); got <= budget {
 			t.Fatalf("ℓ=%d not maximal: ℓ+1 union %d still ≤ %d", ell, got, budget)
 		}
 	}

@@ -4,50 +4,69 @@
 // l-set estimators for dispersed summaries (Section 7), for all coordination
 // modes and both rank families.
 //
-// Every estimator produces an adjusted-weights summary (AW-summary): a map
-// from sampled keys to nonnegative adjusted f-weights a^(f)(i) with
-// E[a^(f)(i)] = f(i) (keys outside the summary implicitly have a = 0). A
-// subpopulation aggregate Σ_{i: d(i)} f(i) is then estimated by summing the
-// adjusted weights of sampled keys that satisfy the predicate d — which may
-// be chosen after the summary was built.
+// Every estimator produces an adjusted-weights summary (AW-summary): the
+// sampled keys, in ascending key order, with nonnegative adjusted f-weights
+// a^(f)(i) such that E[a^(f)(i)] = f(i) (keys outside the summary
+// implicitly have a = 0). A subpopulation aggregate Σ_{i: d(i)} f(i) is
+// then estimated by summing the adjusted weights of sampled keys that
+// satisfy the predicate d — which may be chosen after the summary was
+// built.
 package estimate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"coordsample/internal/dataset"
 )
 
 // AWSummary holds adjusted f-weights for the sampled keys, together with
 // per-key variance estimates when the producing estimator supplied inclusion
-// probabilities. The zero value is an empty summary.
+// probabilities: three parallel columns in ascending key order — the
+// deterministic summation order — which the estimators fill by appending,
+// since they walk their samples in key order. The zero value is an empty
+// summary. Copies share the columns; do not modify a shared summary.
 type AWSummary struct {
-	weights map[string]float64
-	vars    map[string]float64
-	// sorted is the deterministic-summation key order, built once by the
-	// producing estimator (finalized). Keys are never deleted, so the cache
-	// is current exactly when its length matches the map's; a key added
-	// after finalization simply falls back to sorting per estimate.
-	sorted []string
+	keys    []string
+	weights []float64
+	vars    []float64 // 0 where no variance estimate was recorded
 }
 
 // NewAWSummary creates an empty summary with capacity hint n.
 func NewAWSummary(n int) AWSummary {
 	return AWSummary{
-		weights: make(map[string]float64, n),
-		vars:    make(map[string]float64, n),
+		keys:    make([]string, 0, n),
+		weights: make([]float64, 0, n),
+		vars:    make([]float64, 0, n),
 	}
+}
+
+// put records adjusted weight a and variance estimate v for key. Estimators
+// emit keys in ascending order, the append path; an out-of-order or repeated
+// key is inserted or overwritten in place.
+func (s *AWSummary) put(key string, a, v float64) {
+	if n := len(s.keys); n == 0 || s.keys[n-1] < key {
+		s.keys = append(s.keys, key)
+		s.weights = append(s.weights, a)
+		s.vars = append(s.vars, v)
+		return
+	}
+	i, found := slices.BinarySearch(s.keys, key)
+	if found {
+		s.weights[i], s.vars[i] = a, v
+		return
+	}
+	s.keys = slices.Insert(s.keys, i, key)
+	s.weights = slices.Insert(s.weights, i, a)
+	s.vars = slices.Insert(s.vars, i, v)
 }
 
 // Set assigns adjusted weight a to key. Nonpositive values are dropped (they
 // are equivalent to the implicit zero).
-func (s AWSummary) Set(key string, a float64) {
-	if a > 0 {
-		s.weights[key] = a
-	}
-}
+func (s *AWSummary) Set(key string, a float64) { s.SetWithProb(key, a, 1) }
 
 // SetWithProb assigns adjusted weight a to key along with the inclusion
 // probability p that produced it (a = f/p). It records the per-key variance
@@ -55,14 +74,15 @@ func (s AWSummary) Set(key string, a float64) {
 // VAR[a(i) | r^(−i)] = f(i)²(1/p − 1): summed over a subpopulation it
 // estimates the query variance under the zero-covariance property
 // (Conjecture 8.1, proved for the single-assignment RC estimators).
-func (s AWSummary) SetWithProb(key string, a, p float64) {
+func (s *AWSummary) SetWithProb(key string, a, p float64) {
 	if a <= 0 {
 		return
 	}
-	s.weights[key] = a
+	v := 0.0
 	if p > 0 && p < 1 {
-		s.vars[key] = a * a * (1 - p)
+		v = a * a * (1 - p)
 	}
+	s.put(key, a, v)
 }
 
 // setWithVar records a positive adjusted weight together with an explicitly
@@ -71,52 +91,51 @@ func (s AWSummary) SetWithProb(key string, a, p float64) {
 // correlated inclusion events (the discarded-samples total, whose parts are
 // conditioned on different thresholds) compute the unbiased variance
 // estimate themselves and record it here.
-func (s AWSummary) setWithVar(key string, a, v float64) {
-	if a <= 0 {
-		return
+func (s *AWSummary) setWithVar(key string, a, v float64) {
+	if a > 0 {
+		s.put(key, a, max(v, 0))
 	}
-	s.weights[key] = a
-	if v > 0 {
-		s.vars[key] = v
+}
+
+// trimmed reallocates the columns at their exact length when less than half
+// their capacity is in use: the estimators size them by the rows of their
+// view (one allocation each), a selective aggregate keeps few of those, and
+// a memoized summary should not pin the difference.
+func (s AWSummary) trimmed() AWSummary {
+	if 2*len(s.keys) >= cap(s.keys) {
+		return s
 	}
+	return AWSummary{keys: slices.Clone(s.keys), weights: slices.Clone(s.weights), vars: slices.Clone(s.vars)}
 }
 
 // VarianceOf returns the per-key variance estimate recorded for key (zero
 // when the key is absent, was included with certainty, or the producing
 // estimator did not track probabilities).
-func (s AWSummary) VarianceOf(key string) float64 { return s.vars[key] }
+func (s AWSummary) VarianceOf(key string) float64 {
+	if i, ok := slices.BinarySearch(s.keys, key); ok {
+		return s.vars[i]
+	}
+	return 0
+}
 
 // AdjustedWeight returns a^(f)(key), zero when the key is not in the summary.
-func (s AWSummary) AdjustedWeight(key string) float64 { return s.weights[key] }
+func (s AWSummary) AdjustedWeight(key string) float64 {
+	if i, ok := slices.BinarySearch(s.keys, key); ok {
+		return s.weights[i]
+	}
+	return 0
+}
 
 // Len returns the number of keys with positive adjusted weight.
-func (s AWSummary) Len() int { return len(s.weights) }
+func (s AWSummary) Len() int { return len(s.keys) }
 
-// Keys returns the summarized keys in sorted order.
-func (s AWSummary) Keys() []string {
-	keys := make([]string, 0, len(s.weights))
-	for k := range s.weights {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
+// Keys returns the summarized keys in sorted order. The slice is shared;
+// callers must not modify it.
+func (s AWSummary) Keys() []string { return s.keys }
 
-// finalized returns the summary with its sorted key order precomputed, so
-// the estimate methods sort once per summary instead of once per call.
-// Every estimator calls it on the fully populated summary it returns.
-func (s AWSummary) finalized() AWSummary {
-	s.sorted = s.Keys()
-	return s
-}
-
-// sortedKeys returns the deterministic summation order, reusing the
-// finalized cache when it is still current.
-func (s AWSummary) sortedKeys() []string {
-	if s.sorted != nil && len(s.sorted) == len(s.weights) {
-		return s.sorted
-	}
-	return s.Keys()
+// Equal reports whether o holds the same keys, weights and variances.
+func (s AWSummary) Equal(o AWSummary) bool {
+	return slices.Equal(s.keys, o.keys) && slices.Equal(s.weights, o.weights) && slices.Equal(s.vars, o.vars)
 }
 
 // neumaierSum accumulates float64 values with Neumaier's improved
@@ -147,9 +166,9 @@ func (n *neumaierSum) value() float64 { return n.sum + n.comp }
 // process reproduce an in-process estimate exactly (see cmd/cws-merge).
 func (s AWSummary) Estimate(pred dataset.Pred) float64 {
 	var total neumaierSum
-	for _, key := range s.sortedKeys() {
+	for i, key := range s.keys {
 		if pred == nil || pred(key) {
-			total.add(s.weights[key])
+			total.add(s.weights[i])
 		}
 	}
 	return total.value()
@@ -166,10 +185,10 @@ func (s AWSummary) Estimate(pred dataset.Pred) float64 {
 // compensation).
 func (s AWSummary) EstimateWithStdErr(pred dataset.Pred) (estimate, stderr float64) {
 	var total, variance neumaierSum
-	for _, key := range s.sortedKeys() {
+	for i, key := range s.keys {
 		if pred == nil || pred(key) {
-			total.add(s.weights[key])
-			variance.add(s.vars[key])
+			total.add(s.weights[i])
+			variance.add(s.vars[i])
 		}
 	}
 	return total.value(), math.Sqrt(variance.value())
@@ -182,9 +201,9 @@ func (s AWSummary) EstimateWithStdErr(pred dataset.Pred) (estimate, stderr float
 // Deterministic like Estimate (sorted order, Neumaier compensation).
 func (s AWSummary) EstimateScaled(pred dataset.Pred, scale func(key string) float64) float64 {
 	var total neumaierSum
-	for _, key := range s.sortedKeys() {
+	for i, key := range s.keys {
 		if pred == nil || pred(key) {
-			total.add(s.weights[key] * scale(key))
+			total.add(s.weights[i] * scale(key))
 		}
 	}
 	return total.value()
@@ -210,25 +229,31 @@ func Sub(a, b AWSummary) AWSummary {
 // a^(sumR) − 2·a^(minR) (scale 2). Negative entries are kept, exactly as in
 // Sub; per-key variances combine conservatively as var(a) + scale²·var(b).
 func subScaled(a, b AWSummary, scale float64) AWSummary {
-	out := NewAWSummary(a.Len())
-	for key, av := range a.weights {
-		if d := av - scale*b.weights[key]; d != 0 {
-			out.weights[key] = d
-			if v := a.vars[key] + scale*scale*b.vars[key]; v > 0 {
-				out.vars[key] = v
-			}
+	out := NewAWSummary(max(a.Len(), b.Len()))
+	// One two-pointer pass over the key-ordered operands; a key missing from
+	// an operand has weight and variance zero there.
+	for i, j := 0, 0; i < len(a.keys) || j < len(b.keys); {
+		var key string
+		var av, avar, bv, bvar float64
+		c := -1 // a's key first, b's key first (1), or the same key (0)
+		if i == len(a.keys) {
+			c = 1
+		} else if j < len(b.keys) {
+			c = strings.Compare(a.keys[i], b.keys[j])
+		}
+		if c <= 0 {
+			key, av, avar = a.keys[i], a.weights[i], a.vars[i]
+			i++
+		}
+		if c >= 0 {
+			key, bv, bvar = b.keys[j], b.weights[j], b.vars[j]
+			j++
+		}
+		if d := av - scale*bv; d != 0 {
+			out.put(key, d, avar+scale*scale*bvar)
 		}
 	}
-	for key, bv := range b.weights {
-		if _, ok := a.weights[key]; ok {
-			continue // handled above
-		}
-		out.weights[key] = -scale * bv
-		if v := scale * scale * b.vars[key]; v > 0 {
-			out.vars[key] = v
-		}
-	}
-	return out.finalized()
+	return out
 }
 
 // TopKeys returns up to n sampled keys in decreasing order of adjusted
@@ -236,27 +261,23 @@ func subScaled(a, b AWSummary, scale float64) AWSummary {
 // non-sample sketches (Section 2): heavy contributors to the aggregate,
 // with their unbiased weight estimates.
 func (s AWSummary) TopKeys(n int) []string {
-	keys := make([]string, 0, len(s.weights))
-	for k := range s.weights {
-		keys = append(keys, k)
+	order := make([]int, len(s.keys))
+	for i := range order {
+		order[i] = i
 	}
-	slices.SortFunc(keys, func(a, b string) int {
-		wa, wb := s.weights[a], s.weights[b]
-		switch {
-		case wa > wb:
-			return -1
-		case wa < wb:
-			return 1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
+	// Positions ascend with the keys, so they break weight ties by key.
+	slices.SortFunc(order, func(x, y int) int {
+		if c := cmp.Compare(s.weights[y], s.weights[x]); c != 0 {
+			return c
 		}
+		return x - y
 	})
-	if len(keys) > n {
-		keys = keys[:n]
+	if len(order) > n {
+		order = order[:n]
+	}
+	keys := make([]string, len(order))
+	for i, at := range order {
+		keys[i] = s.keys[at]
 	}
 	return keys
 }
@@ -284,24 +305,14 @@ const (
 	Total
 )
 
+var kindNames = [...]string{Single: "single", Max: "max", Min: "min", Range: "L1", LthLargest: "lth-largest", Total: "total"}
+
 // String names the aggregate kind.
 func (k Kind) String() string {
-	switch k {
-	case Single:
-		return "single"
-	case Max:
-		return "max"
-	case Min:
-		return "min"
-	case Range:
-		return "L1"
-	case LthLargest:
-		return "lth-largest"
-	case Total:
-		return "total"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // AggFunc identifies an aggregate f over weight vectors. R lists the relevant
@@ -361,7 +372,12 @@ func (f AggFunc) Relevant(numAssignments int) []int {
 	if f.R != nil {
 		return f.R
 	}
-	R := make([]int, numAssignments)
+	return allR(numAssignments)
+}
+
+// allR lists the assignments 0..n−1.
+func allR(n int) []int {
+	R := make([]int, n)
 	for b := range R {
 		R[b] = b
 	}

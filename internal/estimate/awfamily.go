@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"coordsample/internal/rank"
@@ -40,15 +41,48 @@ func sortTopL(prime []topLCandidate) {
 	})
 }
 
-// takeTopL copies the identified top-ℓ out of the sorted candidate list.
-func takeTopL(prime []topLCandidate, l int) (topW []float64, topB []int) {
-	topW = make([]float64, l)
-	topB = make([]int, l)
-	for t := 0; t < l; t++ {
-		topW[t] = prime[t].w
-		topB[t] = prime[t].b
+// topLScratch is the working memory of the s-set and l-set templates,
+// allocated once per call and reused for every row: the candidates, the
+// identified top-ℓ (weights, assignments, view positions), and its mask.
+type topLScratch struct {
+	prime []topLCandidate
+	topW  []float64
+	topB  []int
+	topJ  []int
+	inTop []bool
+}
+
+func newTopLScratch(v *SampleView, l int) *topLScratch {
+	return &topLScratch{
+		prime: make([]topLCandidate, 0, v.NumAssignments()),
+		topW:  make([]float64, l),
+		topB:  make([]int, l),
+		topJ:  make([]int, l),
+		inTop: make([]bool, v.NumAssignments()),
 	}
-	return topW, topB
+}
+
+// identify gathers the row's known (weight, assignment) observations with
+// rank below limit, sorts them and fills the top-ℓ views from the ℓ largest;
+// it reports false when fewer than ℓ candidates exist.
+func (sc *topLScratch) identify(v *SampleView, row KeyRow, limit float64) bool {
+	sc.prime = sc.prime[:0]
+	for j, o := range row.Obs {
+		if o.In && o.Rank < limit {
+			sc.prime = append(sc.prime, topLCandidate{o.Weight, v.r[j], j})
+		}
+	}
+	l := len(sc.topW)
+	if len(sc.prime) < l {
+		return false
+	}
+	sortTopL(sc.prime)
+	clear(sc.inTop)
+	for t, c := range sc.prime[:l] {
+		sc.topW[t], sc.topB[t], sc.topJ[t] = c.w, c.b, c.j
+		sc.inTop[c.j] = true
+	}
+	return true
 }
 
 // emitTopL is the shared summary-assembly epilogue of the s-set and l-set
@@ -56,11 +90,11 @@ func takeTopL(prime []topLCandidate, l int) (topW []float64, topB []int) {
 // weight f/p when the inclusion probability is valid and the aggregate is
 // positive (zero-valued aggregates carry no information — a(i) = 0 either
 // way — so they are simply not stored).
-func emitTopL(out AWSummary, key string, topW []float64, topB []int, p float64, f TopLFunc) {
+func emitTopL(out *AWSummary, key string, sc *topLScratch, p float64, f TopLFunc) {
 	if p <= 0 {
 		return
 	}
-	if v := f(topW, topB); v > 0 {
+	if v := f(sc.topW, sc.topB); v > 0 {
 		out.SetWithProb(key, v/clampP(p), clampP(p))
 	}
 }
@@ -70,27 +104,6 @@ func checkTopL(v *SampleView, l int) {
 	if l < 1 || l > v.NumAssignments() {
 		panic(fmt.Sprintf("estimate: ℓ=%d out of range for |R|=%d", l, v.NumAssignments()))
 	}
-}
-
-// awSingle is the single-assignment RC/HT estimator over a one-assignment
-// view: p = F_w(threshold) on the conditioning subspace.
-func awSingle(v *SampleView) AWSummary {
-	if v.NumAssignments() != 1 {
-		panic("estimate: awSingle needs a single-assignment view")
-	}
-	family := v.assigner.Family
-	out := NewAWSummary(len(v.rows))
-	for _, row := range v.rows {
-		o := row.Obs[0]
-		if !o.In {
-			continue
-		}
-		p := family.CDF(o.Weight, o.Threshold)
-		if p > 0 {
-			out.SetWithProb(row.Key, o.Weight/p, p)
-		}
-	}
-	return out.finalized()
 }
 
 // awSSetTopL applies the s-set template estimator (Section 7.1) for a top-ℓ
@@ -106,7 +119,8 @@ func awSSetTopL(v *SampleView, l int, f TopLFunc) AWSummary {
 		panic("estimate: s-set top-ℓ estimation with independent ranks requires ℓ=|R| (min-dependence)")
 	}
 	family := v.assigner.Family
-	out := NewAWSummary(0)
+	out := NewAWSummary(len(v.rows))
+	sc := newTopLScratch(v, l)
 	for _, row := range v.rows {
 		// r^(minR)_k(I∖{i}): constant on the conditioning subspace.
 		rMinK := row.MinThreshold()
@@ -114,32 +128,24 @@ func awSSetTopL(v *SampleView, l int, f TopLFunc) AWSummary {
 		// implies membership in the sketch (rMinK is at most every
 		// per-assignment threshold by definition of the min), so weights of
 		// R' are always known.
-		var prime []topLCandidate
-		for j, o := range row.Obs {
-			if o.In && o.Rank < rMinK {
-				prime = append(prime, topLCandidate{o.Weight, v.r[j], j})
-			}
-		}
-		if len(prime) < l {
+		if !sc.identify(v, row, rMinK) {
 			continue
 		}
-		sortTopL(prime)
-		topW, topB := takeTopL(prime, l)
 		var p float64
 		if mode.Consistent() {
 			// p = F_{w^(ℓth-largest R)(i)}(r^(minR)_k(I∖{i})).
-			p = family.CDF(topW[l-1], rMinK)
+			p = family.CDF(sc.topW[l-1], rMinK)
 		} else {
 			// Min-dependence, independent ranks: the per-assignment events
 			// r^(b)(i) < rMinK are independent.
 			p = 1.0
-			for _, c := range prime {
+			for _, c := range sc.prime {
 				p *= family.CDF(c.w, rMinK)
 			}
 		}
-		emitTopL(out, row.Key, topW, topB, p, f)
+		emitTopL(&out, row.Key, sc, p, f)
 	}
-	return out.finalized()
+	return out.trimmed()
 }
 
 // awLSetTopL applies the l-set template estimator (Section 7.2) for a top-ℓ
@@ -155,33 +161,29 @@ func awLSetTopL(v *SampleView, l int, f TopLFunc) AWSummary {
 		panic("estimate: l-set estimation requires shared-seed or independent ranks")
 	}
 	family := v.assigner.Family
-	out := NewAWSummary(0)
-	for _, row := range v.rows {
-		var prime []topLCandidate
-		for j, o := range row.Obs {
-			if o.In {
-				prime = append(prime, topLCandidate{o.Weight, v.r[j], j})
+	combine := func(p, q float64) float64 { return p * q }
+	if mode == rank.SharedSeed {
+		combine = func(p, q float64) float64 {
+			if q < p {
+				return q
 			}
+			return p
 		}
-		if len(prime) < l {
+	}
+	out := NewAWSummary(len(v.rows))
+	sc := newTopLScratch(v, l)
+	for _, row := range v.rows {
+		if !sc.identify(v, row, math.Inf(1)) { // every sampled observation
 			continue
 		}
-		sortTopL(prime)
-		topW, topB := takeTopL(prime, l)
-		topJ := make([]int, l)
-		inTop := make(map[int]bool, l)
-		for t := 0; t < l; t++ {
-			topJ[t] = prime[t].j
-			inTop[prime[t].b] = true
-		}
-		wl := topW[l-1]
+		inTop, wl := sc.inTop, sc.topW[l-1]
 
 		// Seed upper-bound checks for assignments outside the top-ℓ (only
 		// needed when ℓ < |R|): u^(b)(i) < F_{wℓ}(r^(b)_k(I∖{i})) certifies
 		// w^(b)(i) < wℓ for unsketched assignments.
 		selected := true
 		for j, o := range row.Obs {
-			if inTop[v.r[j]] {
+			if inTop[j] {
 				continue
 			}
 			if !(v.Seed01(row.Key, j) < family.CDF(wl, o.Threshold)) {
@@ -193,35 +195,18 @@ func awLSetTopL(v *SampleView, l int, f TopLFunc) AWSummary {
 			continue
 		}
 
-		var p float64
-		if mode == rank.SharedSeed {
-			p = 1.0
-			for t := 0; t < l; t++ {
-				if q := family.CDF(topW[t], row.Obs[topJ[t]].Threshold); q < p {
-					p = q
-				}
-			}
-			for j, o := range row.Obs {
-				if inTop[v.r[j]] {
-					continue
-				}
-				if q := family.CDF(wl, o.Threshold); q < p {
-					p = q
-				}
-			}
-		} else {
-			p = 1.0
-			for t := 0; t < l; t++ {
-				p *= family.CDF(topW[t], row.Obs[topJ[t]].Threshold)
-			}
-			for j, o := range row.Obs {
-				if inTop[v.r[j]] {
-					continue
-				}
-				p *= family.CDF(wl, o.Threshold)
+		// Eq. 13 (shared seed: the minimum) or Eq. 14 (independent ranks:
+		// the product) over the per-assignment inclusion probabilities.
+		p := 1.0
+		for t := 0; t < l; t++ {
+			p = combine(p, family.CDF(sc.topW[t], row.Obs[sc.topJ[t]].Threshold))
+		}
+		for j, o := range row.Obs {
+			if !inTop[j] {
+				p = combine(p, family.CDF(wl, o.Threshold))
 			}
 		}
-		emitTopL(out, row.Key, topW, topB, p, f)
+		emitTopL(&out, row.Key, sc, p, f)
 	}
-	return out.finalized()
+	return out.trimmed()
 }

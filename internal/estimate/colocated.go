@@ -17,9 +17,8 @@ import (
 type Colocated struct {
 	assigner rank.Assigner
 	sketches []AssignmentSketch
-	keys     []string
+	keys     []string // ascending
 	vectors  [][]float64
-	index    map[string]int
 }
 
 // VecPred selects a subpopulation using the key and its full weight vector —
@@ -31,22 +30,14 @@ type VecPred func(key string, vec []float64) bool
 // is called once per distinct sampled key and must return the key's complete
 // weight vector (one entry per assignment).
 func NewColocated(assigner rank.Assigner, sketches []*sketch.BottomK, vectors func(key string) []float64) *Colocated {
-	views := make([]AssignmentSketch, len(sketches))
-	for b, s := range sketches {
-		views[b] = s
-	}
-	return NewColocatedFromSketches(assigner, views, vectors)
+	return NewColocatedFromSketches(assigner, asSketches(sketches), vectors)
 }
 
 // NewColocatedPoisson builds a colocated summary whose embedded samples are
 // Poisson-τ^(b) sketches; the inclusive-estimator expressions are obtained
 // by substituting τ^(b) for r^(b)_k(I∖{i}) (Section 6).
 func NewColocatedPoisson(assigner rank.Assigner, sketches []*sketch.Poisson, vectors func(key string) []float64) *Colocated {
-	views := make([]AssignmentSketch, len(sketches))
-	for b, s := range sketches {
-		views[b] = s
-	}
-	return NewColocatedFromSketches(assigner, views, vectors)
+	return NewColocatedFromSketches(assigner, asSketches(sketches), vectors)
 }
 
 // NewColocatedFromSketches builds a colocated summary from arbitrary
@@ -55,31 +46,21 @@ func NewColocatedFromSketches(assigner rank.Assigner, sketches []AssignmentSketc
 	if len(sketches) == 0 {
 		panic("estimate: colocated summary needs at least one sketch")
 	}
-	set := make(map[string]bool)
-	for _, s := range sketches {
-		for _, e := range s.Entries() {
-			set[e.Key] = true
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	// The summarized keys are the union of the embedded samples: the rows
+	// of the all-assignments sample view, already in key order.
+	rows := NewDispersedFromSketches(assigner, sketches).View(nil).rows
 	c := &Colocated{
 		assigner: assigner,
 		sketches: sketches,
-		keys:     keys,
-		vectors:  make([][]float64, len(keys)),
-		index:    make(map[string]int, len(keys)),
+		keys:     make([]string, len(rows)),
+		vectors:  make([][]float64, len(rows)),
 	}
-	for i, key := range keys {
-		vec := vectors(key)
+	for i, row := range rows {
+		vec := vectors(row.Key)
 		if len(vec) != len(sketches) {
-			panic(fmt.Sprintf("estimate: weight vector for %q has %d entries, want %d", key, len(vec), len(sketches)))
+			panic(fmt.Sprintf("estimate: weight vector for %q has %d entries, want %d", row.Key, len(vec), len(sketches)))
 		}
-		c.vectors[i] = vec
-		c.index[key] = i
+		c.keys[i], c.vectors[i] = row.Key, vec
 	}
 	return c
 }
@@ -98,7 +79,7 @@ func (c *Colocated) Keys() []string { return c.keys }
 
 // Vector returns the stored weight vector of a summarized key.
 func (c *Colocated) Vector(key string) ([]float64, bool) {
-	if i, ok := c.index[key]; ok {
+	if i, ok := slices.BinarySearch(c.keys, key); ok {
 		return c.vectors[i], true
 	}
 	return nil, false
@@ -113,7 +94,7 @@ func (c *Colocated) Sketch(b int) AssignmentSketch { return c.sketches[b] }
 // independent ranks, Eq. (6) for shared-seed, and the A_ℓ decomposition for
 // independent-differences (Section 6).
 func (c *Colocated) InclusionProbability(key string) float64 {
-	i, ok := c.index[key]
+	i, ok := slices.BinarySearch(c.keys, key)
 	if !ok {
 		panic(fmt.Sprintf("estimate: key %q not in summary", key))
 	}
@@ -215,7 +196,7 @@ func (c *Colocated) Inclusive(f AggFunc) AWSummary {
 			out.SetWithProb(key, v/p, p)
 		}
 	}
-	return out.finalized()
+	return out
 }
 
 // EstimateWhere returns the inclusive estimate of Σ_{i: d(i)} f(i) for a
@@ -283,7 +264,7 @@ func (c *Colocated) GenericConsistent(f AggFunc) AWSummary {
 			out.SetWithProb(key, v/clampP(p), clampP(p))
 		}
 	}
-	return out.finalized()
+	return out.trimmed()
 }
 
 // Plain returns the plain single-sketch estimator for assignment b (RC for
@@ -291,13 +272,5 @@ func (c *Colocated) GenericConsistent(f AggFunc) AWSummary {
 // embedded sample of b — the baseline the inclusive estimator is compared
 // against in Section 9.3.
 func (c *Colocated) Plain(b int) AWSummary {
-	s := c.sketches[b]
-	out := NewAWSummary(len(s.Entries()))
-	for _, e := range s.Entries() {
-		p := c.assigner.Family.CDF(e.Weight, s.RankExcluding(e.Key))
-		if p > 0 {
-			out.SetWithProb(e.Key, e.Weight/p, p)
-		}
-	}
-	return out.finalized()
+	return awSingle(c.sketches[b], c.assigner.Family)
 }

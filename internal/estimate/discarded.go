@@ -54,18 +54,10 @@ import (
 // for keys the other assignment never saw). Per-key entries may be
 // negative, exactly as documented for Sub; the estimate stays unbiased.
 
-// totalThresholds selects how the per-assignment parts of a total are
-// conditioned: the classic union threshold, or each sketch's own.
-type totalThresholds int
-
-const (
-	unionThreshold totalThresholds = iota
-	perSketchThresholds
-)
-
 // totalParts is the shared core of TotalUnion and TotalDiscarded: the
-// per-assignment-part sum estimator for f(i) = Σ_{b∈R} w^(b)(i), with the
-// part conditioning chosen by th.
+// per-assignment-part sum estimator for f(i) = Σ_{b∈R} w^(b)(i), each part
+// conditioned on its own sketch's threshold (perSketch) or on the classic
+// union threshold.
 //
 // The per-key variance estimate is the unbiased
 //
@@ -80,7 +72,7 @@ const (
 // a(i)². Under independent ranks the off-diagonal terms cancel exactly and
 // v̂ reduces to the familiar Σ_b a_b²(1−p_b). A tiny negative from float
 // rounding is clamped to zero.
-func totalParts(v *SampleView, th totalThresholds) AWSummary {
+func totalParts(v *SampleView, perSketch bool) AWSummary {
 	mode := v.assigner.Mode
 	if mode != rank.SharedSeed && mode != rank.Independent {
 		panic("estimate: total estimation requires shared-seed or independent ranks")
@@ -88,7 +80,7 @@ func totalParts(v *SampleView, th totalThresholds) AWSummary {
 	shared := mode == rank.SharedSeed
 	family := v.assigner.Family
 	type part struct{ w, p float64 }
-	out := NewAWSummary(0)
+	out := NewAWSummary(len(v.rows))
 	parts := make([]part, 0, v.NumAssignments())
 	for _, row := range v.rows {
 		rMinK := row.MinThreshold()
@@ -96,7 +88,7 @@ func totalParts(v *SampleView, th totalThresholds) AWSummary {
 		a := 0.0
 		for _, o := range row.Obs {
 			tau := o.Threshold
-			if th == unionThreshold {
+			if !perSketch {
 				tau = rMinK
 			}
 			if !o.In || !(o.Rank < tau) {
@@ -133,7 +125,7 @@ func totalParts(v *SampleView, th totalThresholds) AWSummary {
 		}
 		out.setWithVar(row.Key, a, vhat)
 	}
-	return out.finalized()
+	return out.trimmed()
 }
 
 // TotalUnion returns the classic adjusted weights for the total
@@ -142,7 +134,7 @@ func totalParts(v *SampleView, th totalThresholds) AWSummary {
 // the estimator implied by the VLDB paper's union-sketch derivations.
 // Unbiased for both shared-seed and independent ranks.
 func (d *Dispersed) TotalUnion(R []int) AWSummary {
-	return totalParts(d.View(R), unionThreshold)
+	return totalParts(d.View(R), false)
 }
 
 // TotalDiscarded returns the discarded-samples adjusted weights for the
@@ -151,7 +143,7 @@ func (d *Dispersed) TotalUnion(R []int) AWSummary {
 // Unbiased, and under shared-seed coordination it dominates TotalUnion on
 // every dataset (see the file comment for the E[a²] monotonicity argument).
 func (d *Dispersed) TotalDiscarded(R []int) AWSummary {
-	return totalParts(d.View(R), perSketchThresholds)
+	return totalParts(d.View(R), true)
 }
 
 // RangeDiscarded returns the discarded-samples adjusted weights for the L1
@@ -167,7 +159,8 @@ func (d *Dispersed) RangeDiscarded(R []int) AWSummary {
 	if len(R) != 2 {
 		return d.RangeLSet(R)
 	}
-	return subScaled(d.TotalDiscarded(R), d.MinLSet(R), 2)
+	v := d.View(R)
+	return subScaled(totalParts(v, true), awMinLSet(v), 2)
 }
 
 // JaccardDiscarded estimates the weighted Jaccard similarity
@@ -179,21 +172,8 @@ func (d *Dispersed) RangeDiscarded(R []int) AWSummary {
 func (d *Dispersed) JaccardDiscarded(R []int, pred func(string) bool) float64 {
 	R = d.checkR(R)
 	mn := d.MinLSet(R).Estimate(pred)
-	var mx float64
 	if len(R) == 2 {
-		mx = d.TotalDiscarded(R).Estimate(pred) - mn
-	} else {
-		mx = d.Max(R).Estimate(pred)
+		return JaccardRatio(mn, d.TotalDiscarded(R).Estimate(pred)-mn)
 	}
-	if mx <= 0 {
-		return 1
-	}
-	j := mn / mx
-	if j < 0 {
-		return 0
-	}
-	if j > 1 {
-		return 1
-	}
-	return j
+	return JaccardRatio(mn, d.Max(R).Estimate(pred))
 }

@@ -10,20 +10,26 @@ import (
 )
 
 // AssignmentSketch is the per-assignment view the multiple-assignment
-// estimators need: key membership with rank and weight, the list of sampled
-// entries, and the rank-conditioning threshold. Both bottom-k sketches
-// (threshold r_k(I∖{i}), Section 7) and Poisson sketches (threshold τ,
-// independent of the key) satisfy it, so one estimator implementation
-// covers both sample formats.
+// estimators need: the list of sampled entries with its key-ordered column,
+// key membership with rank and weight, and the rank-conditioning threshold.
+// Both bottom-k sketches (threshold r_k(I∖{i}), Section 7) and Poisson
+// sketches (threshold τ, independent of the key) satisfy it, so one
+// estimator implementation covers both sample formats.
 type AssignmentSketch interface {
 	// Lookup returns the sampled entry for key, if present.
 	Lookup(key string) (sketch.Entry, bool)
 	// Entries returns the sampled entries in ascending rank order.
 	Entries() []sketch.Entry
+	// KeyOrder returns the indexes of Entries() in ascending key order:
+	// the column View merge-joins across assignments.
+	KeyOrder() []int32
 	// RankExcluding returns the conditioning threshold for key: the value
 	// that key's rank is compared against for inclusion, constant on the
 	// rank-conditioning subspace Ω(key, r^(−key)).
 	RankExcluding(key string) float64
+	// ConditioningRanks returns the two values RankExcluding takes: for a
+	// sampled key and for every other key.
+	ConditioningRanks() (sampled, unsampled float64)
 }
 
 // Dispersed is a summary of dispersed-weights data (Section 7): one sketch
@@ -35,26 +41,27 @@ type Dispersed struct {
 	sketches []AssignmentSketch
 }
 
+// asSketches widens concrete sketches to the interface the summaries hold.
+func asSketches[S AssignmentSketch](sketches []S) []AssignmentSketch {
+	views := make([]AssignmentSketch, len(sketches))
+	for b, s := range sketches {
+		views[b] = s
+	}
+	return views
+}
+
 // NewDispersed combines per-assignment bottom-k sketches built with assigner
 // into a dispersed summary. sketches[b] must have been built from the ranks
 // assigner.Rank(key, b, w^(b)(key)). The sketches may have different sizes
 // k^(b) (the paper notes the derivations extend to bottom-k^(b) sketches).
 func NewDispersed(assigner rank.Assigner, sketches []*sketch.BottomK) *Dispersed {
-	views := make([]AssignmentSketch, len(sketches))
-	for b, s := range sketches {
-		views[b] = s
-	}
-	return NewDispersedFromSketches(assigner, views)
+	return NewDispersedFromSketches(assigner, asSketches(sketches))
 }
 
 // NewDispersedPoisson combines per-assignment Poisson sketches into a
 // dispersed summary; thresholds τ^(b) may differ per assignment.
 func NewDispersedPoisson(assigner rank.Assigner, sketches []*sketch.Poisson) *Dispersed {
-	views := make([]AssignmentSketch, len(sketches))
-	for b, s := range sketches {
-		views[b] = s
-	}
-	return NewDispersedFromSketches(assigner, views)
+	return NewDispersedFromSketches(assigner, asSketches(sketches))
 }
 
 // NewDispersedFromSketches combines arbitrary per-assignment sketch views.
@@ -76,50 +83,22 @@ func (d *Dispersed) Sketch(b int) AssignmentSketch { return d.sketches[b] }
 
 // DistinctKeys returns the number of distinct keys across the sketches of
 // the assignments in R (nil means all) — the summary's storage footprint.
-func (d *Dispersed) DistinctKeys(R []int) int {
-	return len(d.unionKeys(R))
-}
-
-// unionKeys returns the sorted distinct keys in the sketches of R.
-func (d *Dispersed) unionKeys(R []int) []string {
-	if R == nil {
-		R = d.allR()
-	}
-	set := make(map[string]bool)
-	for _, b := range R {
-		for _, e := range d.sketches[b].Entries() {
-			set[e.Key] = true
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-func (d *Dispersed) allR() []int {
-	R := make([]int, len(d.sketches))
-	for b := range R {
-		R[b] = b
-	}
-	return R
-}
+func (d *Dispersed) DistinctKeys(R []int) int { return len(d.View(R).rows) }
 
 // Single returns the plain single-assignment adjusted weights for
 // assignment b, using only the embedded sketch of b: the RC estimator for
 // bottom-k sketches, the HT estimator for Poisson sketches (the threshold is
 // r_{k+1}(I) resp. τ in both cases).
 func (d *Dispersed) Single(b int) AWSummary {
-	return awSingle(d.View([]int{b}))
+	return awSingle(d.sketches[d.checkR([]int{b})[0]], d.assigner.Family)
 }
 
 // TopLFunc evaluates a top-ℓ dependent aggregate f(w^(top-ℓ R), b^(top-ℓ R))
 // (Definition 7.1): weights holds the identified ℓ largest weights of the key
 // in descending order, assignments the corresponding assignment indexes. The
 // returned value must be nonnegative and must be zero whenever the ℓ-th
-// largest weight is zero.
+// largest weight is zero. The slices are reused from one key to the next;
+// the function must not retain them.
 type TopLFunc func(weights []float64, assignments []int) float64
 
 // topLMax, topLMin pick the extreme of the identified top-ℓ weights. With
@@ -133,43 +112,42 @@ func topLMin(w []float64, _ []int) float64 { return w[len(w)-1] }
 // assignments). For consistent ranks this is the s-set = l-set estimator of
 // Eq. (11); for independent ranks it is the known-seeds l-set estimator with
 // ℓ = 1 — an extension enabled by hash-derived (hence always known) seeds.
-func (d *Dispersed) Max(R []int) AWSummary {
-	if d.assigner.Mode.Consistent() {
-		return d.SSetTopL(R, 1, topLMax)
+func (d *Dispersed) Max(R []int) AWSummary { return awMax(d.View(R)) }
+
+func awMax(v *SampleView) AWSummary {
+	if v.assigner.Mode.Consistent() {
+		return awSSetTopL(v, 1, topLMax)
 	}
-	return d.LSetTopL(R, 1, topLMax)
+	return awLSetTopL(v, 1, topLMax)
 }
+
+// awMinSSet and awMinLSet are the two min estimators over a view: ℓ = |R|.
+func awMinSSet(v *SampleView) AWSummary { return awSSetTopL(v, v.NumAssignments(), topLMin) }
+func awMinLSet(v *SampleView) AWSummary { return awLSetTopL(v, v.NumAssignments(), topLMin) }
 
 // MinSSet returns the s-set estimator for f = w^(minR) (Eq. 12). Defined for
 // both consistent and independent ranks (min-dependence needs no top-ℓ
 // identification).
-func (d *Dispersed) MinSSet(R []int) AWSummary {
-	if R == nil {
-		R = d.allR()
-	}
-	return d.SSetTopL(R, len(R), topLMin)
-}
+func (d *Dispersed) MinSSet(R []int) AWSummary { return awMinSSet(d.View(R)) }
 
 // MinLSet returns the l-set estimator for f = w^(minR) (Eq. 15 for
 // shared-seed, Eq. 16 for independent ranks). It dominates MinSSet
 // (Lemma 5.1): its selection is strictly more inclusive.
-func (d *Dispersed) MinLSet(R []int) AWSummary {
-	if R == nil {
-		R = d.allR()
-	}
-	return d.LSetTopL(R, len(R), topLMin)
-}
+func (d *Dispersed) MinLSet(R []int) AWSummary { return awMinLSet(d.View(R)) }
 
 // RangeSSet returns a^(L1 R) = a^(maxR) − a^(minR) (Eq. 17) with the s-set
-// min estimator. Nonnegative for consistent ranks (Lemma 7.5).
+// min estimator. Nonnegative for consistent ranks (Lemma 7.5). Both parts
+// read one view of R.
 func (d *Dispersed) RangeSSet(R []int) AWSummary {
-	return Sub(d.Max(R), d.MinSSet(R))
+	v := d.View(R)
+	return Sub(awMax(v), awMinSSet(v))
 }
 
 // RangeLSet returns a^(L1 R) = a^(maxR) − a^(minR) (Eq. 17) with the l-set
 // min estimator.
 func (d *Dispersed) RangeLSet(R []int) AWSummary {
-	return Sub(d.Max(R), d.MinLSet(R))
+	v := d.View(R)
+	return Sub(awMax(v), awMinLSet(v))
 }
 
 // LthLargest returns the estimator for f = w^(ℓth-largest R) using the l-set
@@ -204,36 +182,39 @@ func (d *Dispersed) LSetTopL(R []int, l int, f TopLFunc) AWSummary {
 // the summary can tell, and the 0/0 case is defined — by convention, not
 // by arithmetic — as 1: an empty subpopulation is identical to itself.
 func (d *Dispersed) JaccardSSet(R []int, pred func(string) bool) float64 {
-	mx := d.Max(R).Estimate(pred)
-	if mx <= 0 {
+	return JaccardRatio(d.MinSSet(R).Estimate(pred), d.Max(R).Estimate(pred))
+}
+
+// JaccardRatio turns estimates of Σ w^(minR) and Σ w^(maxR) into the
+// similarity estimate: 1 for a nonpositive max (the 0/0 convention above),
+// otherwise the ratio clamped to [0, 1].
+func JaccardRatio(mn, mx float64) float64 {
+	switch j := mn / mx; {
+	case mx <= 0:
 		return 1
-	}
-	j := d.MinSSet(R).Estimate(pred) / mx
-	if j < 0 {
+	case j < 0:
 		return 0
-	}
-	if j > 1 {
+	case j > 1:
 		return 1
+	default:
+		return j
 	}
-	return j
 }
 
 func (d *Dispersed) checkR(R []int) []int {
 	if R == nil {
-		return d.allR()
+		return allR(len(d.sketches))
 	}
 	if len(R) == 0 {
 		panic("estimate: empty assignment subset R")
 	}
-	seen := make(map[int]bool, len(R))
-	for _, b := range R {
+	for i, b := range R {
 		if b < 0 || b >= len(d.sketches) {
 			panic(fmt.Sprintf("estimate: assignment %d out of range", b))
 		}
-		if seen[b] {
+		if slices.Contains(R[:i], b) {
 			panic(fmt.Sprintf("estimate: duplicate assignment %d in R", b))
 		}
-		seen[b] = true
 	}
 	return R
 }
@@ -248,36 +229,19 @@ func (d *Dispersed) checkR(R []int) []int {
 // general weights, which is precisely the gap the paper's weighted
 // coordination closes.
 func UniformMin(family rank.Family, sketches []*sketch.BottomK, R []int) AWSummary {
-	if R == nil {
-		R = make([]int, len(sketches))
-		for b := range R {
-			R[b] = b
-		}
-	}
-	set := make(map[string]bool)
-	for _, b := range R {
-		for _, e := range sketches[b].Entries() {
-			set[e.Key] = true
-		}
-	}
-	out := NewAWSummary(0)
-	for key := range set {
-		rMinK := math.Inf(1)
-		for _, b := range R {
-			if t := sketches[b].RankExcluding(key); t < rMinK {
-				rMinK = t
-			}
-		}
+	v := NewDispersed(rank.Assigner{Family: family}, sketches).View(R)
+	out := NewAWSummary(len(v.rows))
+	for _, row := range v.rows {
+		rMinK := row.MinThreshold()
 		minW := math.Inf(1)
 		ok := true
-		for _, b := range R {
-			e, in := sketches[b].Lookup(key)
-			if !in || !(e.Rank < rMinK) {
+		for _, o := range row.Obs {
+			if !o.In || !(o.Rank < rMinK) {
 				ok = false
 				break
 			}
-			if e.Weight < minW {
-				minW = e.Weight
+			if o.Weight < minW {
+				minW = o.Weight
 			}
 		}
 		if !ok {
@@ -285,8 +249,8 @@ func UniformMin(family rank.Family, sketches []*sketch.BottomK, R []int) AWSumma
 		}
 		p := family.CDF(1, rMinK)
 		if p > 0 && minW > 0 {
-			out.SetWithProb(key, minW/clampP(p), clampP(p))
+			out.SetWithProb(row.Key, minW/clampP(p), clampP(p))
 		}
 	}
-	return out.finalized()
+	return out.trimmed()
 }

@@ -444,6 +444,12 @@ func TestDispersedValidation(t *testing.T) {
 	if got := d.DistinctKeys(nil); got != 2 {
 		t.Fatalf("DistinctKeys = %d", got)
 	}
+	// Overlapping samples {a, b} and {b, c}: the union counts b once.
+	s1 := sketch.BottomKFromRanks(2, []string{"a", "b", "c"}, []float64{0.1, 0.2, 0.3}, []float64{1, 1, 1})
+	s2 := sketch.BottomKFromRanks(2, []string{"b", "c", "d"}, []float64{0.1, 0.2, 0.3}, []float64{1, 1, 1})
+	if got := NewDispersed(a, []*sketch.BottomK{s1, s2}).DistinctKeys(nil); got != 3 {
+		t.Fatalf("DistinctKeys of overlapping samples = %d, want 3", got)
+	}
 }
 
 func assertPanics(t *testing.T, f func()) {

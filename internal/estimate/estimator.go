@@ -59,20 +59,12 @@ func (discardedFamily) Name() string { return "discarded" }
 
 func (discardedFamily) Summary(d *Dispersed, f AggFunc) AWSummary {
 	switch f.Kind {
-	case Single:
-		return d.Single(f.B)
-	case Max:
-		return d.Max(f.R)
-	case Min:
-		return d.MinLSet(f.R)
 	case Range:
 		return d.RangeDiscarded(f.R)
-	case LthLargest:
-		return d.LthLargest(f.R, f.L)
 	case Total:
 		return d.TotalDiscarded(f.R)
 	}
-	panic("estimate: unknown aggregate kind " + f.Kind.String())
+	return awFamily{}.Summary(d, f)
 }
 
 // AWEstimator and DiscardedEstimator are the two built-in estimator

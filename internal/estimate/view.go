@@ -2,8 +2,10 @@ package estimate
 
 import (
 	"math"
+	"strings"
 
 	"coordsample/internal/rank"
+	"coordsample/internal/sketch"
 )
 
 // Obs is what one assignment's sketch reveals about one union key: the
@@ -47,22 +49,80 @@ type SampleView struct {
 // View assembles the cross-assignment sample view over the assignment
 // subset R (nil means all assignments). The view is immutable; estimators
 // only read it.
+//
+// The sample of a multi-assignment query is the union of the per-assignment
+// samples, assembled by an |R|-way merge join over the sketches' key-ordered
+// columns: rows come out in ascending key order with no hashing and no sort.
+// The join records for each row which sketches hold its key; the rows are
+// then allocated at their exact number and filled from that record.
 func (d *Dispersed) View(R []int) *SampleView {
 	R = d.checkR(R)
-	keys := d.unionKeys(R)
-	rows := make([]KeyRow, len(keys))
-	obs := make([]Obs, len(keys)*len(R)) // one backing array for all rows
-	for i, key := range keys {
-		row := obs[i*len(R) : (i+1)*len(R) : (i+1)*len(R)]
-		for j, b := range R {
-			s := d.sketches[b]
-			o := Obs{Threshold: s.RankExcluding(key), Rank: math.Inf(1)}
-			if e, ok := s.Lookup(key); ok {
-				o.Weight, o.Rank, o.In = e.Weight, e.Rank, true
+	type column struct {
+		entries []sketch.Entry
+		order   []int32 // entries' indexes in ascending key order
+		next    int     // position in order of the first unjoined entry
+		in, out float64 // conditioning threshold of a sampled / unsampled key
+	}
+	cols := make([]column, len(R))
+	total := 0
+	for j, b := range R {
+		s := d.sketches[b]
+		c := column{entries: s.Entries(), order: s.KeyOrder()}
+		c.in, c.out = s.ConditioningRanks()
+		cols[j] = c
+		total += len(c.entries)
+	}
+	// joined lists, row after row, the columns holding the row's key, each
+	// row closed by -1: every entry is listed once, so 2·total bounds it.
+	joined := make([]int32, 0, 2*total)
+	numRows := 0
+	for {
+		rowStart := len(joined)
+		var lo string
+		for j := range cols {
+			c := &cols[j]
+			if c.next == len(c.order) {
+				continue
 			}
-			row[j] = o
+			key := c.entries[c.order[c.next]].Key
+			switch cmp := strings.Compare(key, lo); {
+			case len(joined) == rowStart || cmp < 0:
+				lo = key
+				joined = append(joined[:rowStart], int32(j))
+			case cmp == 0:
+				joined = append(joined, int32(j))
+			}
 		}
-		rows[i] = KeyRow{Key: key, Obs: row}
+		if len(joined) == rowStart {
+			break // every column is exhausted
+		}
+		for _, j := range joined[rowStart:] {
+			cols[j].next++
+		}
+		joined = append(joined, -1)
+		numRows++
+	}
+
+	rows := make([]KeyRow, numRows)
+	obs := make([]Obs, numRows*len(R)) // one backing array for all rows
+	for j := range cols {
+		cols[j].next = 0
+	}
+	at := 0
+	for i := range rows {
+		row := obs[i*len(R) : (i+1)*len(R) : (i+1)*len(R)]
+		for j := range row {
+			row[j] = Obs{Threshold: cols[j].out, Rank: math.Inf(1)}
+		}
+		for ; joined[at] >= 0; at++ {
+			c := &cols[joined[at]]
+			e := c.entries[c.order[c.next]]
+			c.next++
+			rows[i].Key = e.Key
+			row[joined[at]] = Obs{Weight: e.Weight, Rank: e.Rank, Threshold: c.in, In: true}
+		}
+		at++
+		rows[i].Obs = row
 	}
 	return &SampleView{assigner: d.assigner, r: R, rows: rows}
 }

@@ -47,26 +47,6 @@ func estimatorDataset(numKeys, numAsg int, sigma float64, seed int64) *dataset.D
 	return bld.Build()
 }
 
-// estimatorSummariesIdentical reports whether the AW family's answer through
-// the Estimator seam is byte-identical (keys, adjusted weights, variances)
-// to the legacy Dispersed method it re-expresses.
-func estimatorSummariesIdentical(got, want estimate.AWSummary) bool {
-	gk, wk := got.Keys(), want.Keys()
-	if len(gk) != len(wk) {
-		return false
-	}
-	for i, key := range gk {
-		if key != wk[i] {
-			return false
-		}
-		if math.Float64bits(got.AdjustedWeight(key)) != math.Float64bits(want.AdjustedWeight(key)) ||
-			math.Float64bits(got.VarianceOf(key)) != math.Float64bits(want.VarianceOf(key)) {
-			return false
-		}
-	}
-	return true
-}
-
 // runEstimators measures the two estimator families on the same sketches:
 // per run, one shared-seed dispersed summary is built and both families
 // answer the cross-assignment total and the pair L1 from it, so every MSE
@@ -117,7 +97,7 @@ func runEstimators(opts Options) Result {
 					{estimate.AWEstimator.Summary(d, estimate.MaxOf()), d.Max(nil)},
 					{estimate.AWEstimator.Summary(d, estimate.SingleOf(0)), d.Single(0)},
 				} {
-					if !estimatorSummariesIdentical(c.seam, c.legacy) {
+					if !c.seam.Equal(c.legacy) {
 						identical = 0
 					}
 				}

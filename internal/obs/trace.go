@@ -100,6 +100,25 @@ func (t *Trace) Report() Report {
 	}
 }
 
+// QueryStageMetric is the histogram family of the cold query path's stages:
+// a node's range-merge and summarize, the router's cluster-merge and
+// cluster-summarize.
+const (
+	QueryStageMetric = "cws_query_stage_seconds"
+	QueryStageHelp   = "Cold query path stage latency: window merge and AW-summary build, on a node and on the cluster router."
+)
+
+// RecordStages feeds the duration of every span whose name has a histogram
+// in stages into it, so stage costs show on /metrics without ?trace=1. A
+// nil map records nothing.
+func (rep Report) RecordStages(stages map[string]*Histogram) {
+	for _, sp := range rep.Spans {
+		if h := stages[sp.Name]; h != nil {
+			h.Record(time.Duration(sp.DurUs * 1e3))
+		}
+	}
+}
+
 // TraceRing keeps the last capacity trace reports in memory. All methods
 // are nil-safe so components can thread an optional ring without checks.
 type TraceRing struct {

@@ -19,6 +19,8 @@ type serverMetrics struct {
 	freezeDetach   *obs.Histogram // freeze: epoch detach under the ingest write lock
 	freezeMerge    *obs.Histogram // freeze: terminal freeze + cumulative merge
 	freezePersist  *obs.Histogram // freeze: durable persist (the ack point)
+
+	queryStages map[string]*obs.Histogram // GET /query cold-path spans, by span name
 }
 
 // initObs wires the server's observability: the metrics registry (shared
@@ -51,6 +53,10 @@ func (s *Server) initObs(cfg Config) {
 	const queryHelp = "GET /query latency by estimator family."
 	m.queryAW = r.NewHistogramL("cws_query_latency_seconds", queryHelp, obs.Label("est", "aw"))
 	m.queryDiscarded = r.NewHistogramL("cws_query_latency_seconds", queryHelp, obs.Label("est", "discarded"))
+	m.queryStages = make(map[string]*obs.Histogram)
+	for _, stage := range []string{"range-merge", "summarize"} {
+		m.queryStages[stage] = r.NewHistogramL(obs.QueryStageMetric, obs.QueryStageHelp, obs.Label("stage", stage))
+	}
 	const freezeHelp = "Freeze phase latency: detach (ingest write lock held), merge (terminal freeze + cumulative merge), persist (durable ack)."
 	m.freezeDetach = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "detach"))
 	m.freezeMerge = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "merge"))

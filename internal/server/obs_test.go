@@ -80,6 +80,8 @@ func TestMetricsExposition(t *testing.T) {
 		`cws_query_latency_seconds_count{est="aw"} 1`,
 		`cws_freeze_phase_seconds_count{phase="detach"} 1`,
 		`cws_freeze_phase_seconds_count{phase="merge"} 1`,
+		`cws_query_stage_seconds_count{stage="summarize"} 1`, // the cold query's summary build
+		`cws_query_stage_seconds_count{stage="range-merge"} 0`,
 		`le="+Inf"`,
 		"# HELP cws_uptime_seconds",
 	} {

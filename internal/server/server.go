@@ -338,22 +338,15 @@ func (s *snapshot) rangeFor(sample core.Config, lo, hi int) (*rangeState, error)
 	if ok {
 		return rs, nil
 	}
-	parts := make([][]*sketch.BottomK, len(s.sketches))
+	var window [][]*sketch.BottomK
 	for _, set := range s.retained {
-		if set.epoch < lo || set.epoch > hi {
-			continue
-		}
-		for b, sk := range set.sketches {
-			parts[b] = append(parts[b], sk)
+		if set.epoch >= lo && set.epoch <= hi {
+			window = append(window, set.sketches)
 		}
 	}
-	merged := make([]*sketch.BottomK, len(parts))
-	for b, ps := range parts {
-		m, err := sketch.Merge(ps...)
-		if err != nil {
-			return nil, err // impossible: all epochs carry this server's fingerprint
-		}
-		merged[b] = m
+	merged, err := sketch.MergeSets(window...)
+	if err != nil {
+		return nil, err // impossible: all epochs carry this server's fingerprint
 	}
 	summary, err := core.CombineDispersed(sample, merged)
 	if err != nil {
@@ -1254,7 +1247,7 @@ func freezeAndMerge(ingest *shard.MultiSketcher, cum []*sketch.BottomK) ([]*sket
 // it into that assignment's cumulative sketch, recovering the panic the
 // sketch layer raises when a key was offered more than once (within the
 // epoch — on one lane or split across two — in sk.Sketch(); across epochs,
-// in the Merge freeze).
+// in the cumulative Merge).
 func freezeOne(sk *shard.Sketcher, cum *sketch.BottomK) (epochSketch, out *sketch.BottomK, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1346,6 +1339,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.om.queryAW.Record(time.Since(started))
 	}
 	rep := tr.Report()
+	rep.RecordStages(s.om.queryStages)
 	s.traces.Add(rep)
 	if r.URL.Query().Get("trace") == "1" {
 		resp["trace"] = rep

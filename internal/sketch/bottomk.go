@@ -13,8 +13,13 @@ package sketch
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -36,9 +41,9 @@ func entryLess(a, b Entry) bool {
 	return a.Key < b.Key
 }
 
-// entryCompare is entryLess as a three-way comparison for slices.SortFunc.
-// Ranks are never NaN inside a sketch (Offer rejects them), so float
-// comparison is a total order here.
+// entryCompare is entryLess as a three-way comparison for slices.SortFunc,
+// the freeze-path sort of every sketch constructor. Ranks are never NaN
+// inside a sketch (Offer rejects them), so float comparison is a total order.
 func entryCompare(a, b Entry) int {
 	switch {
 	case a.Rank < b.Rank:
@@ -54,10 +59,110 @@ func entryCompare(a, b Entry) int {
 	}
 }
 
-// sortEntries sorts entries into ascending (rank, key) order — the
-// non-reflective freeze-path sort shared by every sketch constructor.
-func sortEntries(entries []Entry) {
-	slices.SortFunc(entries, entryCompare)
+// distinctSeed keys checkDistinct's hash table; it is never written again.
+var distinctSeed = maphash.MakeSeed()
+
+// checkDistinct reports the first entry (in slice order) whose key repeats
+// an earlier entry's. Every construction site — builder freeze, Merge,
+// Prefix, decode — runs it, so no path yields a sketch with a repeated key.
+// The open-addressed table holds entry indexes only and dies on return.
+func checkDistinct(entries []Entry) (dup string, ok bool) {
+	if len(entries) < 2 {
+		return "", true
+	}
+	slots := make([]int32, 1<<bits.Len(uint(2*len(entries)-1))) // 0 = free, else index+1; load ≤ 1/2
+	mask := uint64(len(slots) - 1)
+	for i, e := range entries {
+		h := maphash.String(distinctSeed, e.Key) & mask
+		for ; slots[h] != 0; h = (h + 1) & mask {
+			if entries[slots[h]-1].Key == e.Key {
+				return e.Key, false
+			}
+		}
+		slots[h] = int32(i + 1)
+	}
+	return "", true
+}
+
+// mustDistinct is checkDistinct for the in-process construction sites: a
+// repeated key violates the pre-aggregation contract (each key offered once
+// per assignment) and panics rather than corrupt every downstream estimate.
+func mustDistinct(entries []Entry) {
+	if dup, ok := checkDistinct(entries); !ok {
+		panic(fmt.Sprintf("sketch: key %q offered more than once; aggregate keys before sketching", dup))
+	}
+}
+
+// sample is what BottomK and Poisson share: the sampled entries and their
+// key order, built on first use and at most once (sync.Once), so decode and
+// recovery never sort a sketch nobody queries. The embedding sketches are
+// otherwise write-once (//cws:frozen); the memoized order is their one
+// internally synchronized part, and every reader sees the same value.
+type sample struct {
+	entries []Entry // ascending (rank, key), distinct keys
+	once    sync.Once
+	byKey   []int32
+}
+
+// Size returns the number of sampled keys (for a bottom-k sketch, min(k, |I|)).
+func (s *sample) Size() int { return len(s.entries) }
+
+// Entries returns the sampled entries in ascending rank order. The slice is
+// shared; callers must not modify it.
+func (s *sample) Entries() []Entry { return s.entries }
+
+// KeyOrder returns the indexes of Entries() in ascending key order: the
+// column the estimators' merge join walks. Shared; do not modify.
+func (s *sample) KeyOrder() []int32 {
+	s.once.Do(func() { s.byKey = sortedByKey(s.entries) })
+	return s.byKey
+}
+
+// Lookup returns the entry for key, if sampled (a binary search of KeyOrder).
+func (s *sample) Lookup(key string) (Entry, bool) {
+	order := s.KeyOrder()
+	i, ok := sort.Find(len(order), func(i int) int { return strings.Compare(key, s.entries[order[i]].Key) })
+	if !ok {
+		return Entry{}, false
+	}
+	return s.entries[order[i]], true
+}
+
+// Contains reports whether key was sampled.
+func (s *sample) Contains(key string) bool {
+	_, ok := s.Lookup(key)
+	return ok
+}
+
+// sortedByKey returns the indexes of entries in ascending key order. Each
+// entry becomes one word — the key's first eight bytes, big-endian, the low
+// bits given up to the entry's index — so the sort is an integer sort; only
+// runs of keys agreeing on the kept prefix bits are ordered by whole key.
+func sortedByKey(entries []Entry) []int32 {
+	shift := bits.Len(uint(len(entries))) // bits an index needs
+	low := uint64(1)<<shift - 1
+	words := make([]uint64, len(entries))
+	for i, e := range entries {
+		var prefix uint64
+		for j := 0; j < 8 && j < len(e.Key); j++ {
+			prefix |= uint64(e.Key[j]) << (56 - 8*j)
+		}
+		words[i] = prefix&^low | uint64(i)
+	}
+	slices.Sort(words)
+	perm := make([]int32, len(words))
+	for i, w := range words {
+		perm[i] = int32(w & low)
+	}
+	for lo, hi := 0, 1; lo < len(words); lo, hi = hi, hi+1 {
+		for hi < len(words) && words[hi]&^low == words[lo]&^low {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(perm[lo:hi], func(a, b int32) int { return strings.Compare(entries[a].Key, entries[b].Key) })
+		}
+	}
+	return perm
 }
 
 // BottomK is an immutable bottom-k sketch: the (at most) k keys of smallest
@@ -66,13 +171,26 @@ func sortEntries(entries []Entry) {
 // through the core pipelines additionally carries a configuration
 // fingerprint (see Fingerprint), which makes it self-describing enough for
 // Merge to detect cross-configuration combinations.
+//
+//cws:frozen
 type BottomK struct {
+	sample
 	k           int
 	fingerprint uint64  // rank.Assigner.Fingerprint digest; 0 = unfingerprinted
-	entries     []Entry // ascending (rank, key)
 	kth         float64 // r_k(I)
 	threshold   float64 // r_{k+1}(I)
-	index       map[string]int
+}
+
+// newBottomK assembles a sketch from its entries, already in ascending
+// (rank, key) order, and r_{k+1}; r_k is the last rank when all k exist.
+// It panics when a key repeats (mustDistinct).
+func newBottomK(k int, fingerprint uint64, entries []Entry, threshold float64) *BottomK {
+	mustDistinct(entries)
+	kth := math.Inf(1)
+	if len(entries) == k {
+		kth = entries[k-1].Rank
+	}
+	return &BottomK{sample: sample{entries: entries}, k: k, fingerprint: fingerprint, kth: kth, threshold: threshold}
 }
 
 // K returns the sketch size parameter.
@@ -86,33 +204,12 @@ func (s *BottomK) K() int { return s.k }
 // the derivation.
 func (s *BottomK) Fingerprint() uint64 { return s.fingerprint }
 
-// Size returns the number of sampled keys (≤ k; smaller when |I| < k).
-func (s *BottomK) Size() int { return len(s.entries) }
-
-// Entries returns the sampled entries in ascending rank order. The slice is
-// shared; callers must not modify it.
-func (s *BottomK) Entries() []Entry { return s.entries }
-
 // Threshold returns r_{k+1}(I), the rank-conditioning value of the RC
 // estimator. It is +Inf when the sketch holds the whole set.
 func (s *BottomK) Threshold() float64 { return s.threshold }
 
 // KthRank returns r_k(I), +Inf when fewer than k keys exist.
 func (s *BottomK) KthRank() float64 { return s.kth }
-
-// Contains reports whether key was sampled.
-func (s *BottomK) Contains(key string) bool {
-	_, ok := s.index[key]
-	return ok
-}
-
-// Lookup returns the entry for key, if sampled.
-func (s *BottomK) Lookup(key string) (Entry, bool) {
-	if i, ok := s.index[key]; ok {
-		return s.entries[i], true
-	}
-	return Entry{}, false
-}
 
 // RankExcluding returns r_k(I ∖ {key}), the value that is fixed on the
 // rank-conditioning subspace Ω(key, r^{−key}) and therefore usable as an HTP
@@ -124,6 +221,10 @@ func (s *BottomK) RankExcluding(key string) float64 {
 	}
 	return s.kth
 }
+
+// ConditioningRanks returns the two values RankExcluding takes: r_{k+1}(I)
+// for a sampled key and r_k(I) for every other key.
+func (s *BottomK) ConditioningRanks() (sampled, unsampled float64) { return s.threshold, s.kth }
 
 // BottomKBuilder consumes an aggregated (key, rank, weight) stream and
 // maintains the k smallest-ranked keys with O(k) state and O(log k) work per
@@ -239,21 +340,9 @@ func (b *BottomKBuilder) Offer(key string, rankValue, weight float64) {
 // sample is detected here and reported by panic rather than silently
 // corrupting every downstream estimate.
 func (b *BottomKBuilder) Sketch() *BottomK {
-	entries := make([]Entry, len(b.heap))
-	copy(entries, b.heap)
-	sortEntries(entries)
-	kth := math.Inf(1)
-	if len(entries) == b.k {
-		kth = entries[len(entries)-1].Rank
-	}
-	index := make(map[string]int, len(entries))
-	for i, e := range entries {
-		if _, dup := index[e.Key]; dup {
-			panic(fmt.Sprintf("sketch: key %q offered more than once; aggregate keys before sketching", e.Key))
-		}
-		index[e.Key] = i
-	}
-	return &BottomK{k: b.k, fingerprint: b.fingerprint, entries: entries, kth: kth, threshold: b.next, index: index}
+	entries := slices.Clone(b.heap)
+	slices.SortFunc(entries, entryCompare)
+	return newBottomK(b.k, b.fingerprint, entries, b.next)
 }
 
 func (b *BottomKBuilder) push(e Entry) {
@@ -315,15 +404,7 @@ func (s *BottomK) Prefix(l int) *BottomK {
 	// n = min(s.k, |I|), so comparisons of n against l (≤ s.k) decide
 	// whether the l-th and (l+1)-st smallest ranks of I exist.
 	n := len(s.entries)
-	cut := l
-	if cut > n {
-		cut = n
-	}
-	entries := s.entries[:cut]
-	kth, threshold := math.Inf(1), math.Inf(1)
-	if n >= l {
-		kth = s.entries[l-1].Rank
-	}
+	threshold := math.Inf(1)
 	switch {
 	case n >= l+1:
 		threshold = s.entries[l].Rank
@@ -332,15 +413,11 @@ func (s *BottomK) Prefix(l int) *BottomK {
 		// stored threshold is correct in both cases.
 		threshold = s.threshold
 	}
-	index := make(map[string]int, cut)
-	for i, e := range entries {
-		index[e.Key] = i
-	}
 	// The parent's fingerprint digests its k, which the prefix no longer
 	// has; carrying it over would falsely certify mergeability. Prefixes are
 	// consumed in-process by the fixed-budget colocated summaries, so they
 	// stay unfingerprinted.
-	return &BottomK{k: l, entries: entries, kth: kth, threshold: threshold, index: index}
+	return newBottomK(l, 0, s.entries[:min(l, n)], threshold)
 }
 
 // BottomKFromRanks constructs a bottom-k sketch offline from parallel slices
@@ -384,23 +461,24 @@ func (e *FingerprintMismatchError) Error() string {
 }
 
 // Merge combines bottom-k sketches of *disjoint* key sets into the bottom-k
-// sketch of their union — the distributed substrate for sketching one
-// assignment across shards (each site sketches its shard; a combiner merges).
-// Correctness: every key of shard j absent from its sketch has rank at least
-// that sketch's threshold, so the merged k smallest and the merged
-// (k+1)-smallest rank are determined by the retained entries plus the shard
-// thresholds.
+// sketch of their union — the substrate for sketching one assignment across
+// shards, lanes, peers and epochs. Every key of input j absent from its
+// sketch has rank at least that sketch's threshold, so the merged k smallest
+// entries and the merged (k+1)-smallest rank are determined by the retained
+// entries plus the input thresholds. Inputs are in ascending (rank, key)
+// order, so the merge is one k-way pass that stops after k entries;
+// r_{k+1} of the union is the minimum of the input thresholds and the first
+// entry each input has left. A single input is returned as is.
 //
 // Contract: all sketches must carry the same nonzero configuration
 // fingerprint, which certifies identical family, mode, seed, assignment,
 // and k; a violation returns a *FingerprintMismatchError instead of
 // silently producing a sample that is not a bottom-k sample of anything.
 // Use MergeUnchecked for fingerprint-less legacy construction paths.
-// Disjointness (shards partition the key space) remains the caller's
-// responsibility; overlapping keys would be double-counted, exactly as
-// duplicate records would in the underlying data. The most common
-// disjointness violation is caught downstream: when two copies of a key
-// both survive the merge, the Sketch() freeze panics ("offered more than
+// Disjointness remains the caller's responsibility; overlapping keys would
+// be double-counted, exactly as duplicate records would in the underlying
+// data. Its most common violation is caught here: when two copies of a key
+// both survive into the merged sample, Merge panics ("offered more than
 // once") instead of corrupting every estimate.
 func Merge(sketches ...*BottomK) (*BottomK, error) {
 	if len(sketches) == 0 {
@@ -428,43 +506,65 @@ func MergeUnchecked(sketches ...*BottomK) *BottomK {
 	if len(sketches) == 0 {
 		panic("sketch: nothing to merge")
 	}
+	if len(sketches) == 1 {
+		return sketches[0]
+	}
 	k := sketches[0].k
 	fp := sketches[0].fingerprint
-	for _, s := range sketches {
+	total := 0
+	threshold := math.Inf(1)
+	heads := make([][]Entry, len(sketches)) // each input's unconsumed suffix
+	for j, s := range sketches {
 		if s.k != k {
 			panic("sketch: merged sketches must share k")
 		}
 		if s.fingerprint != fp {
 			fp = 0
 		}
+		heads[j] = s.entries
+		total += len(s.entries)
+		// The input's threshold is the smallest rank among its unretained
+		// keys, all of which stay unretained in the union.
+		threshold = min(threshold, s.threshold)
 	}
-	b := NewBottomKBuilderWithFingerprint(k, fp)
-	for _, s := range sketches {
-		for _, e := range s.entries {
-			b.Offer(e.Key, e.Rank, e.Weight)
-		}
-		// The shard's threshold is the smallest rank among its unretained
-		// keys; feeding it as a candidate makes the merged threshold exact.
-		if !math.IsInf(s.threshold, 1) {
-			if s.threshold < b.next {
-				b.next = s.threshold
+	entries := make([]Entry, min(k, total))
+	for i := range entries {
+		best := -1
+		for j, h := range heads {
+			if len(h) > 0 && (best < 0 || entryLess(h[0], heads[best][0])) {
+				best = j
 			}
 		}
+		entries[i] = heads[best][0]
+		heads[best] = heads[best][1:]
 	}
-	return b.Sketch()
-}
-
-// UnionDistinctKeys returns the set of distinct keys appearing in any of the
-// sketches — the "combined sample" whose size the sharing index of Section 9
-// measures.
-func UnionDistinctKeys(sketches []*BottomK) map[string]bool {
-	u := make(map[string]bool)
-	for _, s := range sketches {
-		for _, e := range s.entries {
-			u[e.Key] = true
+	for _, h := range heads {
+		if len(h) > 0 {
+			threshold = min(threshold, h[0].Rank)
 		}
 	}
-	return u
+	return newBottomK(k, fp, entries, threshold)
+}
+
+// MergeSets merges sets[i][b] over i for every assignment b: the given sets
+// (one per epoch, shard or peer) each hold one sketch per assignment.
+func MergeSets(sets ...[]*BottomK) ([]*BottomK, error) {
+	if len(sets) == 0 {
+		panic("sketch: nothing to merge")
+	}
+	merged := make([]*BottomK, len(sets[0]))
+	column := make([]*BottomK, len(sets))
+	for b := range merged {
+		for i, set := range sets {
+			column[i] = set[b]
+		}
+		m, err := Merge(column...)
+		if err != nil {
+			return nil, fmt.Errorf("sketch: merging assignment %d: %w", b, err)
+		}
+		merged[b] = m
+	}
+	return merged, nil
 }
 
 // UnionBottomK implements the constructive half of Lemma 4.2: from
@@ -484,7 +584,7 @@ func UnionBottomK(k int, sketches []*BottomK) []Entry {
 	for key, r := range minRank {
 		entries = append(entries, Entry{Key: key, Rank: r})
 	}
-	sortEntries(entries)
+	slices.SortFunc(entries, entryCompare)
 	if len(entries) > k {
 		entries = entries[:k]
 	}

@@ -219,11 +219,7 @@ func offlineBottomK(k int, keys []string, ranks, weights []float64) *BottomK {
 	if len(all) >= k+1 {
 		thr = all[k].e.Rank
 	}
-	index := make(map[string]int)
-	for i, e := range entries {
-		index[e.Key] = i
-	}
-	return &BottomK{k: k, entries: entries, kth: kth, threshold: thr, index: index}
+	return &BottomK{sample: sample{entries: entries}, k: k, kth: kth, threshold: thr}
 }
 
 func compareSketches(t *testing.T, got, want *BottomK) {
@@ -401,15 +397,6 @@ func TestUnionBottomKLemma42(t *testing.T) {
 				t.Fatalf("trial %d: union[%d] = %s, want %s", trial, j, e.Key, want.Entries()[j].Key)
 			}
 		}
-	}
-}
-
-func TestUnionDistinctKeys(t *testing.T) {
-	s1 := BottomKFromRanks(2, []string{"a", "b", "c"}, []float64{0.1, 0.2, 0.3}, []float64{1, 1, 1})
-	s2 := BottomKFromRanks(2, []string{"b", "c", "d"}, []float64{0.1, 0.2, 0.3}, []float64{1, 1, 1})
-	u := UnionDistinctKeys([]*BottomK{s1, s2})
-	if len(u) != 3 || !u["a"] || !u["b"] || !u["c"] {
-		t.Fatalf("union = %v", u)
 	}
 }
 

@@ -461,12 +461,8 @@ func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB fl
 			return nil, fmt.Errorf("sketch: entries out of (rank, key) order at %d", i)
 		}
 	}
-	index := make(map[string]int, len(entries))
-	for i, e := range entries {
-		if _, dup := index[e.Key]; dup {
-			return nil, fmt.Errorf("sketch: duplicate key %q", e.Key)
-		}
-		index[e.Key] = i
+	if dup, ok := checkDistinct(entries); !ok {
+		return nil, fmt.Errorf("sketch: duplicate key %q", dup)
 	}
 
 	switch kind {
@@ -495,7 +491,7 @@ func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB fl
 		if want := meta.Assigner().Fingerprint(meta.Assignment, k); fp != want {
 			return nil, &FingerprintMismatchError{Index: -1, Want: want, Got: fp}
 		}
-		s := &BottomK{k: k, fingerprint: fp, entries: entries, kth: kth, threshold: threshold, index: index}
+		s := &BottomK{sample: sample{entries: entries}, k: k, fingerprint: fp, kth: kth, threshold: threshold}
 		return &Decoded{Meta: meta, BottomK: s}, nil
 
 	case kindPoisson:
@@ -517,7 +513,7 @@ func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB fl
 		if want := meta.Assigner().Fingerprint(meta.Assignment, 0); fp != want {
 			return nil, &FingerprintMismatchError{Index: -1, Want: want, Got: fp}
 		}
-		s := &Poisson{tau: tau, fingerprint: fp, entries: entries, index: index}
+		s := &Poisson{sample: sample{entries: entries}, tau: tau, fingerprint: fp}
 		return &Decoded{Meta: meta, Poisson: s}, nil
 
 	default:

@@ -1,0 +1,286 @@
+package sketch
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// mergeOracle is the merge the k-way MergeUnchecked replaced, kept as the
+// reference it must stay indistinguishable from: re-offer every entry of
+// every input into a max-heap builder, feed the input thresholds as
+// rejected ranks, and freeze with the map-based duplicate check the builder
+// used to run.
+func mergeOracle(sketches ...*BottomK) *BottomK {
+	if len(sketches) == 0 {
+		panic("sketch: nothing to merge")
+	}
+	k := sketches[0].k
+	fp := sketches[0].fingerprint
+	for _, s := range sketches {
+		if s.k != k {
+			panic("sketch: merged sketches must share k")
+		}
+		if s.fingerprint != fp {
+			fp = 0
+		}
+	}
+	b := NewBottomKBuilderWithFingerprint(k, fp)
+	for _, s := range sketches {
+		for _, e := range s.entries {
+			b.Offer(e.Key, e.Rank, e.Weight)
+		}
+		if !math.IsInf(s.threshold, 1) && s.threshold < b.next {
+			b.next = s.threshold
+		}
+	}
+	entries := make([]Entry, len(b.heap))
+	copy(entries, b.heap)
+	slices.SortFunc(entries, entryCompare)
+	kth := math.Inf(1)
+	if len(entries) == k {
+		kth = entries[len(entries)-1].Rank
+	}
+	index := make(map[string]int, len(entries))
+	for i, e := range entries {
+		if _, dup := index[e.Key]; dup {
+			panic(fmt.Sprintf("sketch: key %q offered more than once; aggregate keys before sketching", e.Key))
+		}
+		index[e.Key] = i
+	}
+	return &BottomK{sample: sample{entries: entries}, k: k, fingerprint: fp, kth: kth, threshold: b.next}
+}
+
+// mergeOutcome runs one merge implementation, capturing a panic's text.
+func mergeOutcome(merge func(...*BottomK) *BottomK, parts []*BottomK) (s *BottomK, panicked string) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked = fmt.Sprint(r)
+		}
+	}()
+	return merge(parts...), ""
+}
+
+// assertMergeMatchesOracle checks MergeUnchecked against the oracle on one
+// input set: identical entries, r_k, r_{k+1} and fingerprint, or the same
+// panic text.
+func assertMergeMatchesOracle(t *testing.T, parts []*BottomK) {
+	t.Helper()
+	got, gotPanic := mergeOutcome(MergeUnchecked, parts)
+	want, wantPanic := mergeOutcome(mergeOracle, parts)
+	if gotPanic != wantPanic {
+		t.Fatalf("panic %q, oracle %q", gotPanic, wantPanic)
+	}
+	if wantPanic != "" {
+		return
+	}
+	compareSketches(t, got, want)
+	if got.k != want.k || got.fingerprint != want.fingerprint {
+		t.Fatalf("k=%d fingerprint=%#x, oracle k=%d fingerprint=%#x", got.k, got.fingerprint, want.k, want.fingerprint)
+	}
+}
+
+// TestMergeMatchesOracle is the differential test of the k-way merge on
+// seeded random inputs: 1–16 inputs, rank ties broken by key, inputs that
+// together hold fewer than k entries (+Inf thresholds), mixed fingerprints,
+// and a key duplicated across two inputs — at a small rank, where both
+// copies survive and both implementations must panic with the same text,
+// and at a large rank, where the second copy falls outside the merged
+// sample and the duplicate stays undetected by both alike.
+func TestMergeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 4000; trial++ {
+		k := []int{1, 2, 3, 8, 32}[rng.Intn(5)]
+		m := 1 + rng.Intn(16)
+		tied := rng.Intn(2) == 0
+		maxPer := []int{1, k, 3 * k}[rng.Intn(3)] // 1: fewer than k in total is likely
+		dup := rng.Intn(4) == 0 && m > 1
+		mixedFP := rng.Intn(8) == 0
+		next := 0
+		parts := make([]*BottomK, m)
+		for j := range parts {
+			fp := uint64(7)
+			if mixedFP && j == m-1 {
+				fp = 9
+			}
+			b := NewBottomKBuilderWithFingerprint(k, fp)
+			for n := rng.Intn(maxPer + 1); n > 0; n-- {
+				r := rng.Float64()
+				if tied {
+					r = float64(1+rng.Intn(6)) / 8
+				}
+				b.Offer(fmt.Sprintf("k%04d", next), r, 1+rng.Float64())
+				next++
+			}
+			if dup && j < 2 {
+				r := 1e-9 // inside every merged sample
+				if rng.Intn(2) == 0 {
+					r = 0.999 // usually outside it
+				}
+				b.Offer("dup", r*float64(1+j*rng.Intn(2)), 1) // equal or distinct ranks
+			}
+			parts[j] = b.Sketch()
+		}
+		assertMergeMatchesOracle(t, parts)
+	}
+}
+
+// FuzzMerge drives the same differential check from fuzzer-chosen bytes:
+// byte 0 picks k, byte 1 the number of inputs, and every following pair one
+// entry (input and key from the first byte, a coarse rank from the second,
+// so ties and cross-input duplicates are common). The weight is a function
+// of the rank, as it is under one fingerprint (a rank is drawn from key,
+// seed and weight): two copies of a key with equal ranks are then equal
+// entries, and which of them survives at the k boundary — the one thing the
+// two merges may choose differently — cannot be observed.
+func FuzzMerge(f *testing.F) {
+	f.Add([]byte{3, 2, 0x00, 5, 0x11, 5, 0x20, 9, 0x31, 1})
+	f.Add([]byte{0, 0, 0x07, 3})
+	f.Add([]byte{7, 15})
+	f.Add([]byte{1, 1, 0x10, 4, 0x11, 4, 0x20, 4, 0x21, 200}) // key duplicated across inputs
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k, m := 1+int(data[0]%8), 1+int(data[1]%16)
+		builders := make([]*BottomKBuilder, m)
+		seen := make([]map[string]bool, m)
+		for j := range builders {
+			builders[j] = NewBottomKBuilderWithFingerprint(k, 7)
+			seen[j] = make(map[string]bool)
+		}
+		for i := 2; i+1 < len(data); i += 2 {
+			j := int(data[i]) % m
+			key := fmt.Sprintf("k%d", data[i]>>4)
+			if seen[j][key] {
+				continue // one input never repeats a key; only inputs overlap
+			}
+			seen[j][key] = true
+			r := float64(1+data[i+1]%16) / 16
+			builders[j].Offer(key, r, 1/r)
+		}
+		parts := make([]*BottomK, m)
+		for j, b := range builders {
+			parts[j] = b.Sketch()
+		}
+		assertMergeMatchesOracle(t, parts)
+	})
+}
+
+// mergeInputs builds m disjoint full sketches of size k, as the window and
+// shard merges see them.
+func mergeInputs(m, k int) []*BottomK {
+	rng := rand.New(rand.NewSource(int64(m*k + 1)))
+	parts := make([]*BottomK, m)
+	for j := range parts {
+		b := NewBottomKBuilderWithFingerprint(k, 7)
+		for i := 0; i < 2*k; i++ {
+			b.Offer(fmt.Sprintf("k%x%011x", j, rng.Int63n(1<<44)), rng.Float64(), 1+rng.Float64())
+		}
+		parts[j] = b.Sketch()
+	}
+	return parts
+}
+
+// TestMergeAllocations pins the merge to a constant number of allocations —
+// the head table, the merged entries, the transient duplicate-check table
+// and the sketch — whatever the number of entries.
+func TestMergeAllocations(t *testing.T) {
+	var counts []float64
+	for _, k := range []int{64, 1024} {
+		parts := mergeInputs(4, k)
+		counts = append(counts, testing.AllocsPerRun(20, func() {
+			if _, err := Merge(parts...); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] > 5 {
+		t.Fatalf("Merge of 4×64 / 4×1024 entries allocates %v times, want the same small constant", counts)
+	}
+}
+
+var mergeSink *BottomK
+
+func BenchmarkMerge4x1024(b *testing.B) {
+	parts := mergeInputs(4, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mergeSink, _ = Merge(parts...)
+	}
+}
+
+// TestKeyOrderMatchesPlainSort checks the packed-word key sort against a
+// plain comparison sort on keys chosen to defeat the packing: shared long
+// prefixes, keys shorter than the packed prefix, the empty key, and NUL
+// bytes where a short key would be zero-padded.
+func TestKeyOrderMatchesPlainSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	alphabets := []string{"ab", "\x00a", "0123456789abcdef", "\x00\xff"}
+	for trial := 0; trial < 300; trial++ {
+		alphabet := alphabets[trial%len(alphabets)]
+		seen := map[string]bool{}
+		var entries []Entry
+		for n := rng.Intn(200); n > 0; n-- {
+			key := make([]byte, rng.Intn(12))
+			for i := range key {
+				key[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+			if trial%2 == 0 {
+				key = append([]byte("shared-prefix/"), key...)
+			}
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				entries = append(entries, Entry{Key: string(key), Rank: rng.Float64(), Weight: 1})
+			}
+		}
+		want := make([]int32, len(entries))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortFunc(want, func(a, b int32) int { return strings.Compare(entries[a].Key, entries[b].Key) })
+		if got := sortedByKey(entries); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: key order %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestKeyOrderConcurrentFirstUse: a frozen sketch is shared by every query
+// of its snapshot, so the first uses of its lazily built key order race;
+// all of them must see the one complete order (run under -race).
+func TestKeyOrderConcurrentFirstUse(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		s := mergeInputs(1, 256)[0]
+		want := sortedByKey(s.entries)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if e := s.entries[g]; !s.Contains(e.Key) || s.Contains(e.Key+"?") {
+					t.Errorf("goroutine %d: lookup of %q through a racing first use failed", g, e.Key)
+				}
+				if !slices.Equal(s.KeyOrder(), want) {
+					t.Errorf("goroutine %d: key order differs", g)
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// BenchmarkKeyOrder1024 times the lazily built key order a sketch pays once,
+// on its first query.
+func BenchmarkKeyOrder1024(b *testing.B) {
+	entries := mergeInputs(1, 1024)[0].entries
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sortedByKey(entries)
+	}
+}

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"coordsample/internal/rank"
 )
@@ -10,11 +11,12 @@ import (
 // Poisson is an immutable Poisson-τ sketch: the keys whose rank is below τ.
 // Inclusions of different keys are independent; the expected size is
 // Σ_i F_{w(i)}(τ).
+//
+//cws:frozen
 type Poisson struct {
+	sample
 	tau         float64
 	fingerprint uint64 // rank.Assigner.Fingerprint digest (k = 0); 0 = unfingerprinted
-	entries     []Entry
-	index       map[string]int
 }
 
 // Tau returns the sampling threshold τ.
@@ -25,27 +27,6 @@ func (s *Poisson) Tau() float64 { return s.tau }
 // the sketch itself), or 0 for legacy construction paths.
 func (s *Poisson) Fingerprint() uint64 { return s.fingerprint }
 
-// Size returns the number of sampled keys.
-func (s *Poisson) Size() int { return len(s.entries) }
-
-// Entries returns the sampled entries in ascending rank order. The slice is
-// shared; callers must not modify it.
-func (s *Poisson) Entries() []Entry { return s.entries }
-
-// Contains reports whether key was sampled.
-func (s *Poisson) Contains(key string) bool {
-	_, ok := s.index[key]
-	return ok
-}
-
-// Lookup returns the entry for key, if sampled.
-func (s *Poisson) Lookup(key string) (Entry, bool) {
-	if i, ok := s.index[key]; ok {
-		return s.entries[i], true
-	}
-	return Entry{}, false
-}
-
 // RankExcluding returns the rank-conditioning threshold for key. For a
 // Poisson sketch the threshold is τ for every key: inclusions are
 // independent, so conditioning on the other keys' ranks changes nothing.
@@ -53,6 +34,10 @@ func (s *Poisson) Lookup(key string) (Entry, bool) {
 // treat both sketch types uniformly ("the treatment of Poisson sketches is
 // similar and simpler", Section 4).
 func (s *Poisson) RankExcluding(string) float64 { return s.tau }
+
+// ConditioningRanks returns the two values RankExcluding takes; for a
+// Poisson sketch both are τ.
+func (s *Poisson) ConditioningRanks() (sampled, unsampled float64) { return s.tau, s.tau }
 
 // PoissonBuilder consumes an aggregated (key, rank, weight) stream and keeps
 // keys with rank below τ. State is proportional to the sample, not the data.
@@ -96,15 +81,9 @@ func (b *PoissonBuilder) Offer(key string, rankValue, weight float64) {
 func (b *PoissonBuilder) Sketch() *Poisson {
 	entries := make([]Entry, len(b.entries))
 	copy(entries, b.entries)
-	sortEntries(entries)
-	index := make(map[string]int, len(entries))
-	for i, e := range entries {
-		if _, dup := index[e.Key]; dup {
-			panic(fmt.Sprintf("sketch: key %q offered more than once; aggregate keys before sketching", e.Key))
-		}
-		index[e.Key] = i
-	}
-	return &Poisson{tau: b.tau, fingerprint: b.fingerprint, entries: entries, index: index}
+	slices.SortFunc(entries, entryCompare)
+	mustDistinct(entries)
+	return &Poisson{sample: sample{entries: entries}, tau: b.tau, fingerprint: b.fingerprint}
 }
 
 // SolveTau returns the threshold τ for which a Poisson sketch of the given

@@ -397,7 +397,7 @@ func (s *Store) Cumulative() []*sketch.BottomK {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.epoch > 0 && s.cum == nil {
-		cum, err := mergeColumns(s.allColumns())
+		cum, err := mergeEpochs(s.base, s.retained)
 		if err != nil {
 			// Impossible: every part carries this store's fingerprint.
 			panic(err.Error())
@@ -407,19 +407,21 @@ func (s *Store) Cumulative() []*sketch.BottomK {
 	return s.cum
 }
 
-// allColumns lists, per assignment, the cumulative base (if any) followed
-// by every retained epoch's sketch — the inputs of the full merge.
-func (s *Store) allColumns() [][]*sketch.BottomK {
-	parts := make([][]*sketch.BottomK, s.assignments)
-	for b := range parts {
-		if s.base != nil {
-			parts[b] = append(parts[b], s.base[b])
-		}
-		for _, rec := range s.retained {
-			parts[b] = append(parts[b], rec.Sketches[b])
-		}
+// mergeEpochs merges the cumulative base (nil for none) with the given
+// epochs, per assignment, by the exact, fingerprint-verified merge.
+func mergeEpochs(base []*sketch.BottomK, epochs []storedEpoch) ([]*sketch.BottomK, error) {
+	var sets [][]*sketch.BottomK
+	if base != nil {
+		sets = append(sets, base)
 	}
-	return parts
+	for _, rec := range epochs {
+		sets = append(sets, rec.Sketches)
+	}
+	merged, err := sketch.MergeSets(sets...)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return merged, nil
 }
 
 // SampleConfig reconstructs the sampling configuration of the stored
@@ -447,16 +449,13 @@ func (s *Store) Range(lo, hi int) ([]*sketch.BottomK, error) {
 	if err := checkRange(lo, hi, s.through, s.epoch); err != nil {
 		return nil, err
 	}
-	parts := make([][]*sketch.BottomK, s.assignments)
+	var window []storedEpoch
 	for _, rec := range s.retained {
-		if rec.Epoch < lo || rec.Epoch > hi {
-			continue
-		}
-		for b, sk := range rec.Sketches {
-			parts[b] = append(parts[b], sk)
+		if rec.Epoch >= lo && rec.Epoch <= hi {
+			window = append(window, rec)
 		}
 	}
-	return mergeColumns(parts)
+	return mergeEpochs(nil, window)
 }
 
 // checkRange validates an epoch range against the retained window.
@@ -471,20 +470,6 @@ func checkRange(lo, hi, through, epoch int) error {
 		return fmt.Errorf("store: epochs %d..%d are compacted (retained window is %d..%d); raise -retain to keep more history", lo, min(hi, through), through+1, epoch)
 	}
 	return nil
-}
-
-// mergeColumns merges each assignment's sketch list with the exact,
-// fingerprint-verified merge.
-func mergeColumns(parts [][]*sketch.BottomK) ([]*sketch.BottomK, error) {
-	out := make([]*sketch.BottomK, len(parts))
-	for b, ps := range parts {
-		merged, err := sketch.Merge(ps...)
-		if err != nil {
-			return nil, fmt.Errorf("store: merging assignment %d: %w", b, err)
-		}
-		out[b] = merged
-	}
-	return out, nil
 }
 
 // AppendEpoch durably persists one frozen epoch's sketch set (one sketch
@@ -587,16 +572,7 @@ func (s *Store) compact() error {
 	expired, kept := s.retained[:drop], s.retained[drop:]
 	through := expired[drop-1].Epoch
 
-	parts := make([][]*sketch.BottomK, s.assignments)
-	for b := range parts {
-		if s.base != nil {
-			parts[b] = append(parts[b], s.base[b])
-		}
-		for _, rec := range expired {
-			parts[b] = append(parts[b], rec.Sketches[b])
-		}
-	}
-	base, err := mergeColumns(parts)
+	base, err := mergeEpochs(s.base, expired)
 	if err != nil {
 		return err
 	}
@@ -914,7 +890,7 @@ func (s *Store) recover() error {
 
 	// Cumulative = base + retained, exactly as the epochs were merged live.
 	if s.epoch > 0 {
-		if s.cum, err = mergeColumns(s.allColumns()); err != nil {
+		if s.cum, err = mergeEpochs(s.base, s.retained); err != nil {
 			return err
 		}
 	}

@@ -98,13 +98,7 @@ func sameSketchSet(t *testing.T, label string, got, want []*sketch.BottomK) {
 // mergeAll is the offline reference: the exact merge of a run of epochs.
 func mergeAll(t *testing.T, epochs [][]*sketch.BottomK) []*sketch.BottomK {
 	t.Helper()
-	parts := make([][]*sketch.BottomK, 2)
-	for _, set := range epochs {
-		for b, sk := range set {
-			parts[b] = append(parts[b], sk)
-		}
-	}
-	out, err := mergeColumns(parts)
+	out, err := sketch.MergeSets(epochs...)
 	if err != nil {
 		t.Fatal(err)
 	}
