@@ -132,10 +132,47 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		fmt.Sprintf(`cws_peer_state{peer=%q} 0`, addrs[2]),
 		`cws_query_stage_seconds_count{stage="cluster-merge"} 1`,
 		`cws_query_stage_seconds_count{stage="cluster-summarize"} 1`,
+		fmt.Sprintf(`cws_peer_fetch_total{peer=%q,result="full"} 1`, addrs[1]),
+		fmt.Sprintf(`cws_peer_fetch_total{peer=%q,result="not_modified"} 0`, addrs[1]),
+		`cws_cluster_state_total{result="hit"} 0`,
+		`cws_cluster_state_total{result="miss"} 1`,
 		"cws_offers_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	// The same query again is the warm path, and the trace says why it was
+	// fast: every peer fetch is marked not-modified, nothing is merged or
+	// summarized, and the stage histograms gain no sample.
+	code, q = getStatusJSON(t, procs[0].base+"/cluster/query?agg=L1&trace=1")
+	if code != http.StatusOK || q["degraded"] != false {
+		t.Fatalf("second traced cluster query: status %d, body %v", code, q)
+	}
+	notModified := 0
+	for _, s := range q["trace"].(map[string]any)["spans"].([]any) {
+		sp := s.(map[string]any)
+		switch name := sp["name"].(string); {
+		case name == "merge" || name == "summarize":
+			t.Errorf("warm query ran stage %q", name)
+		case strings.HasSuffix(name, " fetch") && sp["note"] == "not-modified":
+			notModified++
+		}
+	}
+	if notModified != 3 {
+		t.Errorf("warm query trace marks %d peer fetches not-modified, want 3: %v", notModified, q["trace"])
+	}
+	body = scrapeMetrics(t, procs[0].base)
+	for _, want := range []string{
+		fmt.Sprintf(`cws_peer_fetch_total{peer=%q,result="full"} 1`, addrs[2]),
+		fmt.Sprintf(`cws_peer_fetch_total{peer=%q,result="not_modified"} 1`, addrs[2]),
+		`cws_cluster_state_total{result="hit"} 1`,
+		`cws_cluster_state_total{result="miss"} 1`,
+		`cws_query_stage_seconds_count{stage="cluster-merge"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics after the warm query missing %q", want)
 		}
 	}
 

@@ -19,6 +19,25 @@
 // misrouted offer is rejected with 400 rather than silently breaking the
 // disjointness the exactness argument rests on.
 //
+// # Validate, don't refetch
+//
+// A coordinated summary is built once and queried many times; the router
+// keeps that true across the network. Every peer's /sketches response
+// carries a strong ETag naming its snapshot ("<boot nonce>-<epoch>", or
+// "<boot nonce>-<lo>..<hi>" for an epoch window), the router keeps the set
+// it last decoded and fingerprint-checked from each peer, and offers the
+// tag back as If-None-Match: an unchanged peer answers 304 and costs one
+// small round trip instead of a segment. Above the kept sets the router
+// memoizes the merged cluster state — merged sketches, dispersed summary,
+// AW-summary memo (core.Merged, the type a node's window state is) — under
+// every peer's validator in peer order. The first query of a cluster state
+// merges; later ones scan a memoized summary, and answer float-bit
+// identically because equal validators are equal inputs to a deterministic
+// merge. An unreached peer's slot in the key is empty, so a degraded state
+// can never be taken for the full one; and a kept set is used only by the
+// request that just earned a 304 for it, so nothing is ever served on
+// behalf of a peer that did not answer now.
+//
 // # Failure handling
 //
 // Every peer fetch runs under a per-peer deadline with bounded retries,
@@ -54,6 +73,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -63,6 +83,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,7 +226,14 @@ type peer struct {
 	oks   int // consecutive successes since the last failure
 	epoch int // last epoch observed from this peer
 
+	// sets keeps, per ?epochs= string, the sketch set this peer last sent in
+	// full and the ETag it came under — offered back as If-None-Match, and
+	// used only when the peer answers 304 to that very request.
+	sets keep[*peerSet]
+
 	rpc         *obs.Histogram // per-RPC latency (fetch + hedge attempts)
+	fetchedFull atomic.Int64   // fetches answered 200: a segment decoded and verified
+	fetched304  atomic.Int64   // fetches answered 304: the kept set validated
 	attempts    atomic.Int64   // fetch attempts (retry loop iterations)
 	retries     atomic.Int64   // attempts beyond each fetch's first
 	hedges      atomic.Int64   // hedged second requests launched
@@ -213,6 +241,70 @@ type peer struct {
 	transitions atomic.Int64   // health state changes
 	probesOK    atomic.Int64   // readiness probes that passed
 	probesFail  atomic.Int64   // readiness probes that failed
+}
+
+// peerSet is one validated /sketches response: the decoded,
+// fingerprint-checked sketches and the validator the peer sent with them.
+type peerSet struct {
+	etag     string
+	sketches []*sketch.BottomK
+}
+
+// kept bounds both of the router's memos: the sets kept per peer (one per
+// ?epochs= string) and the merged cluster states. The cumulative set plus
+// the few windows a dashboard repeats fit; anything older is simply fetched
+// and merged again.
+const kept = 4
+
+// keep is a tiny mutex-guarded most-recently-used list of at most kept
+// values by string key. Values are immutable once put (or internally
+// synchronized), so a get may be used after the lock is released.
+type keep[V any] struct {
+	mu      sync.Mutex
+	entries []keepEntry[V] // most recently used first
+}
+
+type keepEntry[V any] struct {
+	key string
+	v   V
+}
+
+// get returns the value under key, marking it most recently used.
+func (k *keep[V]) get(key string) (v V, ok bool) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i, e := range k.entries {
+		if e.key == key {
+			k.toFront(i, e)
+			return e.v, true
+		}
+	}
+	return v, false
+}
+
+// put stores v under key as the most recently used entry, replacing the
+// key's previous value or, when full, the least recently used entry.
+func (k *keep[V]) put(key string, v V) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	i := 0
+	for i < len(k.entries) && k.entries[i].key != key {
+		i++
+	}
+	switch {
+	case i < len(k.entries): // replace in place
+	case i < kept:
+		k.entries = append(k.entries, keepEntry[V]{})
+	default:
+		i-- // overwrite the last: least recently used
+	}
+	k.toFront(i, keepEntry[V]{key, v})
+}
+
+// toFront shifts entries[:i] down one slot and puts e first.
+func (k *keep[V]) toFront(i int, e keepEntry[V]) {
+	copy(k.entries[1:i+1], k.entries[:i])
+	k.entries[0] = e
 }
 
 // fail records one failed interaction; downAfter consecutive failures mark
@@ -281,6 +373,12 @@ type Router struct {
 	// the registry's stage histograms; nil without a registry.
 	queryStages map[string]*obs.Histogram
 
+	// states memoizes the merged cluster state — merged sketches, dispersed
+	// summary, AW-summary memo — by stateKey: the ?epochs= string and every
+	// peer's validator. See handleQuery.
+	states                 keep[*core.Merged]
+	stateHits, stateMisses atomic.Int64
+
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
 
@@ -337,6 +435,11 @@ func New(cfg Config) (*Router, error) {
 			r.queryStages[span] = reg.NewHistogramL(obs.QueryStageMetric, obs.QueryStageHelp, obs.Label("stage", "cluster-"+span))
 		}
 	}
+	if reg := cfg.Metrics; reg != nil {
+		const help = "Cluster queries answered from a memoized merged state (hit) or by merging the gathered sets (miss)."
+		reg.CounterL("cws_cluster_state_total", help, obs.Label("result", "hit"), r.stateHits.Load)
+		reg.CounterL("cws_cluster_state_total", help, obs.Label("result", "miss"), r.stateMisses.Load)
+	}
 	for _, addr := range cfg.Peers {
 		p := &peer{addr: addr, rpc: &obs.Histogram{}}
 		r.peers = append(r.peers, p)
@@ -345,6 +448,9 @@ func New(cfg Config) (*Router, error) {
 			l := obs.Label("peer", p.addr)
 			reg.RegisterHistogram("cws_peer_rpc_seconds",
 				"Peer sketch-fetch RPC latency, per attempt (hedges included).", l, p.rpc)
+			const fetchHelp = "Successful peer sketch fetches: full (segment transferred, decoded, verified) or not_modified (304 validated the kept set)."
+			reg.CounterL("cws_peer_fetch_total", fetchHelp, l+","+obs.Label("result", "full"), p.fetchedFull.Load)
+			reg.CounterL("cws_peer_fetch_total", fetchHelp, l+","+obs.Label("result", "not_modified"), p.fetched304.Load)
 			reg.CounterL("cws_peer_rpc_attempts_total", "Peer fetch attempts (retry-loop iterations).", l, p.attempts.Load)
 			reg.CounterL("cws_peer_rpc_retries_total", "Peer fetch attempts beyond each fetch's first.", l, p.retries.Load)
 			reg.CounterL("cws_peer_rpc_hedges_total", "Hedged second requests launched against the peer.", l, p.hedges.Load)
@@ -466,15 +572,21 @@ func (r *Router) backoff(i int) time.Duration {
 
 // fetchResult is one peer's gathered sketch set.
 type fetchResult struct {
-	sketches []*sketch.BottomK
-	epoch    int
+	*peerSet
+	epoch       int
+	notModified bool // the peer answered 304: peerSet is the kept one
 }
 
-// fetchOnce performs one /sketches fetch attempt against a peer, fully
-// validating the returned segment (CRC, wire-codec revalidation, assignment
-// order, fingerprints) before trusting it — a torn or corrupted response is
-// a typed error here, never a short sketch set.
-func (r *Router) fetchOnce(ctx context.Context, addr, epochs string) (*fetchResult, error) {
+// fetchOnce performs one /sketches fetch attempt against a peer. It offers
+// the validator of the set kept for this epochs string, if any; a 304 then
+// returns that kept set — only ever to the request that earned it, so a
+// peer that cannot be reached is never answered for from memory. A 200 is
+// fully validated (CRC, wire-codec revalidation, assignment order,
+// fingerprints) before it is trusted or kept — a torn or corrupted response
+// is a typed error here, never a short sketch set, and leaves the kept set
+// as it was.
+func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchResult, error) {
+	addr := p.addr
 	if out := r.cfg.Faults.Act(FaultFetch); out.Err != nil || out.Drop {
 		if out.Err != nil {
 			return nil, fmt.Errorf("cluster: fetching %s: %w", addr, out.Err)
@@ -489,21 +601,39 @@ func (r *Router) fetchOnce(ctx context.Context, addr, epochs string) (*fetchResu
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	held, _ := p.sets.get(epochs)
+	if held != nil {
+		req.Header.Set("If-None-Match", held.etag)
+	}
 	resp, err := r.cfg.Client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fetching %s: %w", addr, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// The segment's length is announced: read it into one allocation, not
+	// io.ReadAll's doublings (an absurd announcement falls back to them).
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n < 64<<20 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, fmt.Errorf("cluster: reading %s: %w", addr, err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	body := buf.Bytes()
+	notModified := resp.StatusCode == http.StatusNotModified && held != nil
+	if resp.StatusCode != http.StatusOK && !notModified {
 		return nil, fmt.Errorf("cluster: %s returned status %d: %s", addr, resp.StatusCode, firstLine(body))
 	}
 	epoch, err := strconv.Atoi(resp.Header.Get("X-CWS-Epoch"))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s sent no X-CWS-Epoch: %w", addr, err)
+	}
+	if notModified {
+		return &fetchResult{peerSet: held, epoch: epoch, notModified: true}, nil
+	}
+	etag := resp.Header.Get("ETag")
+	if etag == "" {
+		return nil, fmt.Errorf("cluster: %s sent no ETag", addr)
 	}
 	decoded, err := sketch.DecodeSegment(body)
 	if err != nil {
@@ -526,7 +656,9 @@ func (r *Router) fetchOnce(ctx context.Context, addr, epochs string) (*fetchResu
 		}
 		sketches[b] = d.BottomK
 	}
-	return &fetchResult{sketches: sketches, epoch: epoch}, nil
+	set := &peerSet{etag: etag, sketches: sketches}
+	p.sets.put(epochs, set)
+	return &fetchResult{peerSet: set, epoch: epoch}, nil
 }
 
 // firstLine truncates a response body for error messages.
@@ -547,23 +679,26 @@ func firstLine(b []byte) string {
 func (r *Router) fetchHedged(ctx context.Context, tr *obs.Trace, p *peer, epochs string) (*fetchResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.PeerTimeout)
 	defer cancel()
-	rpcSpan := func(hedged bool) func() {
+	// call is one timed RPC: its latency sample and its span, which says
+	// "not-modified" when a 304 is why it was short.
+	call := func(hedged bool) (*fetchResult, error) {
 		name := "peer " + p.addr + " fetch"
 		if hedged {
 			name = "peer " + p.addr + " hedge-fetch"
 		}
 		start := time.Now()
-		return func() {
-			d := time.Since(start)
-			p.rpc.Record(d)
-			tr.Add(name, start, d)
+		fr, err := r.fetchOnce(ctx, p, epochs)
+		d := time.Since(start)
+		p.rpc.Record(d)
+		note := ""
+		if err == nil && fr.notModified {
+			note = "not-modified"
 		}
+		tr.AddNote(name, note, start, d)
+		return fr, err
 	}
 	if r.cfg.HedgeAfter < 0 {
-		done := rpcSpan(false)
-		fr, err := r.fetchOnce(ctx, p.addr, epochs)
-		done()
-		return fr, err
+		return call(false)
 	}
 	type res struct {
 		fr     *fetchResult
@@ -572,9 +707,7 @@ func (r *Router) fetchHedged(ctx context.Context, tr *obs.Trace, p *peer, epochs
 	}
 	ch := make(chan res, 2)
 	launch := func(hedged bool) {
-		done := rpcSpan(hedged)
-		fr, err := r.fetchOnce(ctx, p.addr, epochs)
-		done()
+		fr, err := call(hedged)
 		ch <- res{fr, err, hedged}
 	}
 	go launch(false)
@@ -628,6 +761,11 @@ func (r *Router) fetch(ctx context.Context, tr *obs.Trace, p *peer, epochs strin
 		}
 		fr, err := r.fetchHedged(ctx, tr, p, epochs)
 		if err == nil {
+			if fr.notModified {
+				p.fetched304.Add(1)
+			} else {
+				p.fetchedFull.Add(1)
+			}
 			r.peerOK(p, fr.epoch)
 			return fr, nil
 		}
@@ -677,15 +815,48 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, epochs string) ([]*
 	return results, reports
 }
 
+// stateKey names the merged cluster state a gather describes: every peer's
+// validator in peer order ("" where the peer was not reached) and the
+// ?epochs= string. Strong ETags make equal keys equal sketch sets, so equal
+// merges; the position of each "" makes a degraded gather a different key
+// from the full one and from a gather degraded elsewhere. (A validator is an
+// HTTP header value and cannot hold the NUL separator.)
+func stateKey(epochs string, results []*fetchResult) string {
+	var sb strings.Builder
+	for _, fr := range results {
+		if fr != nil {
+			sb.WriteString(fr.etag)
+		}
+		sb.WriteByte(0)
+	}
+	sb.WriteString(epochs)
+	return sb.String()
+}
+
 // handleQuery is GET /cluster/query: the scatter-gather answer to the
 // same parameter grammar as a single node's GET /query, plus the
 // degradation fields (degraded, coverage, peers).
+//
+// Every query scatters — reachability and each peer's validator are
+// established now, never remembered — but the merged state the validators
+// name is built once: the first query of a cluster state merges the
+// gathered sets and assembles the dispersed summary (the merge and
+// summarize spans), later ones find it under the same stateKey and answer
+// from its AW-summary memo, exactly as a node answers from its snapshot.
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	tr := obs.NewTrace(r.traces.NextID(), "cluster-query")
+	// Whatever the outcome, the trace reaches /debug/traces, and the stage
+	// histograms get the merge and summarize spans of the queries that ran
+	// them.
+	defer func() {
+		rep := tr.Report()
+		rep.RecordStages(r.queryStages)
+		r.traces.Add(rep)
+	}()
 	sp := tr.Start("parse")
 	p, err := cliquery.ParseHTTPParams(req.URL.Query(), r.cfg.Assignments)
 	sp.End()
@@ -705,30 +876,41 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	reached := len(sets)
 	if reached == 0 {
-		r.traces.Add(tr.Report())
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error": "no cluster peer reachable", "peers": reports,
 		})
 		return
 	}
-	// Peers own disjoint key sets (the ownership guard), so their sketches
-	// merge into the exact per-assignment sketches of the whole cluster.
-	sp = tr.Start("merge")
-	merged, err := sketch.MergeSets(sets...)
-	sp.End()
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster: %v", err)
-		return
-	}
-	sp = tr.Start("summarize")
-	summary, err := core.CombineDispersed(r.cfg.Sample, merged)
-	sp.End()
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster: %v", err)
-		return
+	key := stateKey(p.Epochs, results)
+	state, ok := r.states.get(key)
+	if ok {
+		r.stateHits.Add(1)
+	} else {
+		r.stateMisses.Add(1)
+		// Peers own disjoint key sets (the ownership guard), so their
+		// sketches merge into the exact per-assignment sketches of the
+		// whole cluster.
+		sp = tr.Start("merge")
+		merged, err := sketch.MergeSets(sets...)
+		sp.End()
+		if err != nil {
+			writeError(w, http.StatusBadGateway, "cluster: %v", err)
+			return
+		}
+		sp = tr.Start("summarize")
+		summary, err := core.CombineDispersed(r.cfg.Sample, merged)
+		sp.End()
+		if err != nil {
+			writeError(w, http.StatusBadGateway, "cluster: %v", err)
+			return
+		}
+		// Two queries racing through a miss build equal states; the later
+		// put wins and only the earlier one's memo entries are lost.
+		state = &core.Merged{Sketches: merged, Summary: summary}
+		r.states.put(key, state)
 	}
 	sp = tr.Start("estimate")
-	label, v, stderr, err := cliquery.AnswerVia(summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, cliquery.Direct)
+	label, v, stderr, err := cliquery.AnswerVia(state.Summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, state.SummaryFor)
 	sp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -755,11 +937,8 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if !isNaN(stderr) {
 		resp["stderr"] = stderr
 	}
-	rep := tr.Report()
-	rep.RecordStages(r.queryStages)
-	r.traces.Add(rep)
 	if req.URL.Query().Get("trace") == "1" {
-		resp["trace"] = rep
+		resp["trace"] = tr.Report()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

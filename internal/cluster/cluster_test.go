@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,8 +47,42 @@ type testCluster struct {
 	router   *Router
 	routerTS *httptest.Server
 	servers  []*server.Server
+	procs    []*peerProc
 	peerTS   []*httptest.Server
 	addrs    []string
+}
+
+// peerProc is what listens at one peer's address: the server process of the
+// moment, which a test may take down (every request severed, as a dead
+// host's would be) or replace by a new one.
+type peerProc struct {
+	srv  atomic.Pointer[server.Server]
+	down atomic.Bool
+}
+
+func (p *peerProc) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if p.down.Load() {
+		panic(http.ErrAbortHandler)
+	}
+	p.srv.Load().ServeHTTP(w, r)
+}
+
+// newPeer starts a fresh, memory-only server process for peer i of k.
+func newPeer(t *testing.T, i, k int, fs *faults.Set) *server.Server {
+	t.Helper()
+	s, err := server.New(server.Config{
+		Sample:      testSample,
+		Assignments: testAssignments,
+		Lanes:       1,
+		Retain:      2,
+		Faults:      fs,
+		OwnsKey:     func(key string) bool { return shard.ShardOf(key, k) == i },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
 }
 
 // newTestCluster builds a k-peer cluster. cfg tweaks the router's failure
@@ -57,21 +92,13 @@ func newTestCluster(t *testing.T, k int, cfg Config, peerFaults map[int]*faults.
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < k; i++ {
-		i := i
-		s, err := server.New(server.Config{
-			Sample:      testSample,
-			Assignments: testAssignments,
-			Lanes:       1,
-			Faults:      peerFaults[i],
-			OwnsKey:     func(key string) bool { return shard.ShardOf(key, k) == i },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		ts := httptest.NewServer(s)
+		s := newPeer(t, i, k, peerFaults[i])
+		proc := &peerProc{}
+		proc.srv.Store(s)
+		ts := httptest.NewServer(proc)
 		t.Cleanup(ts.Close)
 		tc.servers = append(tc.servers, s)
+		tc.procs = append(tc.procs, proc)
 		tc.peerTS = append(tc.peerTS, ts)
 		tc.addrs = append(tc.addrs, strings.TrimPrefix(ts.URL, "http://"))
 	}
@@ -132,7 +159,7 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
-func postJSON(t *testing.T, url string, body any) map[string]any {
+func postJSON(t testing.TB, url string, body any) map[string]any {
 	t.Helper()
 	var buf strings.Builder
 	if body != nil {

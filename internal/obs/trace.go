@@ -27,6 +27,9 @@ type Span struct {
 	Name    string  `json:"name"`
 	StartUs float64 `json:"start_us"`
 	DurUs   float64 `json:"dur_us"`
+	// Note says why the span was what it was, where the name alone does not
+	// ("not-modified" on a peer fetch answered 304); usually empty.
+	Note string `json:"note,omitempty"`
 }
 
 // NewTrace starts a trace clock. Op is a short human label for the
@@ -61,6 +64,11 @@ func (st SpanTimer) End() {
 // Add appends a span measured externally (e.g. on another goroutine).
 // Safe on a nil trace.
 func (t *Trace) Add(name string, start time.Time, d time.Duration) {
+	t.AddNote(name, "", start, d)
+}
+
+// AddNote is Add with the span's Note set.
+func (t *Trace) AddNote(name, note string, start time.Time, d time.Duration) {
 	if t == nil {
 		return
 	}
@@ -68,6 +76,7 @@ func (t *Trace) Add(name string, start time.Time, d time.Duration) {
 		Name:    name,
 		StartUs: float64(start.Sub(t.began)) / 1e3,
 		DurUs:   float64(d) / 1e3,
+		Note:    note,
 	}
 	t.mu.Lock()
 	t.spans = append(t.spans, sp)

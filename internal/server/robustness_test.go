@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -218,28 +219,45 @@ func TestSlowlorisDisconnected(t *testing.T) {
 // TestSketchesSegmentEndpoint: GET /sketches returns one decodable,
 // fingerprint-verified segment carrying every assignment's cumulative
 // sketch and the snapshot epoch header — bit-identical to the snapshot's
-// sketches.
+// sketches — under a strong ETag that a later request validates for the
+// price of a 304: no body, no merge, no encode.
 func TestSketchesSegmentEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, robustCfg())
+	cfg := robustCfg()
+	cfg.Retain = 2
+	s, ts := newTestServer(t, cfg)
 	for _, o := range testStream(300, 3) {
 		postJSON(t, ts.URL+"/offer", o)
 	}
 	postJSON(t, ts.URL+"/freeze", nil)
 
-	resp, err := http.Get(ts.URL + "/sketches")
-	if err != nil {
-		t.Fatal(err)
+	// get fetches /sketches<query>, offering ifNoneMatch when non-empty.
+	get := func(query, ifNoneMatch string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/sketches"+query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, data
 	}
-	defer resp.Body.Close()
+
+	resp, data := get("", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-CWS-Epoch"); got != "1" {
 		t.Fatalf("X-CWS-Epoch = %q, want 1", got)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
 	}
 	decoded, err := sketch.DecodeSegment(data)
 	if err != nil {
@@ -259,6 +277,62 @@ func TestSketchesSegmentEndpoint(t *testing.T) {
 				t.Fatalf("sketch %d entry %d differs", b, i)
 			}
 		}
+	}
+
+	// The validator: "<16 hex digits of boot nonce>-<epoch>", quoted.
+	etag := resp.Header.Get("ETag")
+	if !regexp.MustCompile(`^"[0-9a-f]{16}-1"$`).MatchString(etag) {
+		t.Fatalf("cumulative ETag = %q, want \"<nonce>-1\"", etag)
+	}
+	nonce := etag[1:17]
+	exports := s.segmentExports.Value()
+	resp, data = get("", etag)
+	if resp.StatusCode != http.StatusNotModified || len(data) != 0 {
+		t.Fatalf("matching If-None-Match: status %d with %d body bytes, want 304 and none", resp.StatusCode, len(data))
+	}
+	if resp.Header.Get("X-CWS-Epoch") != "1" || resp.Header.Get("ETag") != etag {
+		t.Fatalf("304 headers: X-CWS-Epoch %q ETag %q", resp.Header.Get("X-CWS-Epoch"), resp.Header.Get("ETag"))
+	}
+	if got := s.segmentExports.Value(); got != exports {
+		t.Fatalf("a 304 exported a segment (%d → %d)", exports, got)
+	}
+	if resp, _ = get("", `"`+nonce+`-0"`); resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag {
+		t.Fatalf("mismatching If-None-Match: status %d ETag %q, want 200 under %q", resp.StatusCode, resp.Header.Get("ETag"), etag)
+	}
+
+	// A window's validator names the window, not the snapshot.
+	resp, _ = get("?epochs=1..1", "")
+	window := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || window != `"`+nonce+`-1..1"` {
+		t.Fatalf("window: status %d ETag %q", resp.StatusCode, window)
+	}
+	ranges := func() int {
+		snap := s.snap.Load()
+		snap.rangeMu.Lock()
+		defer snap.rangeMu.Unlock()
+		return len(snap.ranges)
+	}
+
+	// A freeze changes the cumulative validator and leaves the retained
+	// window's alone — validated on the new snapshot without merging it.
+	postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: "epoch-2", Weight: 1})
+	postJSON(t, ts.URL+"/freeze", nil)
+	if resp, _ = get("", etag); resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != `"`+nonce+`-2"` {
+		t.Fatalf("after a freeze the old validator got status %d ETag %q", resp.StatusCode, resp.Header.Get("ETag"))
+	}
+	if resp, _ = get("?epochs=1..1", window); resp.StatusCode != http.StatusNotModified || resp.Header.Get("X-CWS-Epoch") != "2" {
+		t.Fatalf("retained window after a freeze: status %d X-CWS-Epoch %q, want 304 at 2", resp.StatusCode, resp.Header.Get("X-CWS-Epoch"))
+	}
+	if n := ranges(); n != 0 {
+		t.Fatalf("a 304 merged the window (%d range states on the new snapshot)", n)
+	}
+
+	// Out of retention (Retain 2 at epoch 3 keeps 2..3) is a 400 even to a
+	// request holding the window's validator.
+	postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: "epoch-3", Weight: 1})
+	postJSON(t, ts.URL+"/freeze", nil)
+	if resp, _ = get("?epochs=1..1", window); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("window out of retention: status %d, want 400", resp.StatusCode)
 	}
 }
 

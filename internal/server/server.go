@@ -102,7 +102,8 @@
 //	GET  /sketch         export a frozen sketch in the wire codec
 //	                     (?epochs=lo..hi exports the merged window sketch)
 //	GET  /sketches       export every assignment's sketch as one segment
-//	                     (the cluster router's peer bulk-fetch RPC)
+//	                     (the cluster router's peer bulk-fetch RPC; strong
+//	                     ETag, and 304 to a matching If-None-Match)
 //	GET  /healthz        liveness + epoch + retained window
 //	GET  /healthz/live   liveness only: the process is up
 //	GET  /healthz/ready  readiness: 503 while draining or closed
@@ -119,7 +120,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -253,56 +256,11 @@ func (c Config) check() error {
 	return nil
 }
 
-// awMemo is a synchronized, value-deterministic AW-summary memo: racing
-// builds of the same aggregate produce identical summaries (deterministic
-// estimators), so storing whichever finishes first is correct. The build
-// runs outside the lock so a slow build never blocks other aggregates.
-type awMemo struct {
-	mu    sync.Mutex
-	cache map[string]estimate.AWSummary
-}
-
-// summaryFor is the memo as a cliquery.SummaryBuilder: the first query
-// needing an aggregate builds its AW-summary (the expensive phase — an
-// estimator pass over the union of the sketches), every later query
-// reuses it.
-func (m *awMemo) summaryFor(key string, build func() estimate.AWSummary) estimate.AWSummary {
-	m.mu.Lock()
-	aw, ok := m.cache[key]
-	m.mu.Unlock()
-	if ok {
-		return aw
-	}
-	aw = build()
-	m.mu.Lock()
-	if prior, ok := m.cache[key]; ok {
-		aw = prior
-	} else {
-		m.cache[key] = aw
-	}
-	m.mu.Unlock()
-	return aw
-}
-
 // epochSet is one retained epoch: its number and its frozen per-assignment
 // sketches.
 type epochSet struct {
 	epoch    int
 	sketches []*sketch.BottomK
-}
-
-// rangeState is the lazily built, memoized serving state of one epoch
-// window lo..hi: the merged per-assignment sketches of the window's
-// epochs, their dispersed summary, and the window's own AW-summary memo.
-// It is reachable from published snapshots, so it obeys the same
-// write-once discipline (//cws:frozen is checked by the frozenwrite
-// analyzer; the embedded awMemo stays internally synchronized).
-//
-//cws:frozen
-type rangeState struct {
-	sketches []*sketch.BottomK
-	summary  *estimate.Dispersed
-	awMemo
 }
 
 // snapshot is one immutable serving state: everything a query touches.
@@ -314,10 +272,10 @@ type snapshot struct {
 	summary  *estimate.Dispersed
 	sketches []*sketch.BottomK
 	retained []epochSet // ascending epoch; the queryable time windows
-	awMemo
+	core.SummaryMemo
 
 	rangeMu sync.Mutex
-	ranges  map[string]*rangeState
+	ranges  map[string]*core.Merged // by "lo..hi": the lazily merged epoch windows
 }
 
 // rangeFor returns the (memoized) serving state of the epoch window
@@ -325,9 +283,9 @@ type snapshot struct {
 // disjoint key sets under the pre-aggregation contract — merge into the
 // exact sketch of the window, by the same merge lemma that makes sharded
 // ingestion exact. sample is the server's sampling configuration (needed
-// to assemble the dispersed summary). Like summaryFor, racing builds of
+// to assemble the dispersed summary). Like SummaryFor, racing builds of
 // the same window produce identical states, so either may be cached.
-func (s *snapshot) rangeFor(sample core.Config, lo, hi int) (*rangeState, error) {
+func (s *snapshot) rangeFor(sample core.Config, lo, hi int) (*core.Merged, error) {
 	if err := s.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
@@ -352,8 +310,7 @@ func (s *snapshot) rangeFor(sample core.Config, lo, hi int) (*rangeState, error)
 	if err != nil {
 		return nil, err
 	}
-	rs = &rangeState{sketches: merged, summary: summary}
-	rs.cache = make(map[string]estimate.AWSummary)
+	rs = &core.Merged{Sketches: merged, Summary: summary}
 	s.rangeMu.Lock()
 	if prior, ok := s.ranges[key]; ok {
 		rs = prior
@@ -384,6 +341,11 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	start time.Time
+	// nonce is 64 random bits drawn in New, the first half of every
+	// /sketches ETag: a process that restarts without a store and reaches an
+	// old epoch number again holds different data under it, and must never
+	// validate what a router kept from its predecessor.
+	nonce string
 
 	mu       sync.Mutex        // serializes freeze/Close; guards cum, epoch, retained
 	cum      []*sketch.BottomK // exact merged sketches of all frozen epochs
@@ -459,7 +421,11 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, start: time.Now(), store: cfg.Store, retain: cfg.Retain}
+	var nonce [8]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("server: drawing the boot nonce: %w", err)
+	}
+	s := &Server{cfg: cfg, start: time.Now(), nonce: hex.EncodeToString(nonce[:]), store: cfg.Store, retain: cfg.Retain}
 	if s.store != nil {
 		s.retain = s.store.Retain()
 		s.epoch = s.store.Epoch()
@@ -615,15 +581,13 @@ func (s *Server) newSnapshot(epoch int, cum []*sketch.BottomK, retained []epochS
 	if err != nil {
 		panic(fmt.Sprintf("server: %v", err))
 	}
-	snap := &snapshot{
+	return &snapshot{
 		epoch:    epoch,
 		summary:  summary,
 		sketches: cum,
 		retained: retained,
-		ranges:   make(map[string]*rangeState),
+		ranges:   make(map[string]*core.Merged),
 	}
-	snap.cache = make(map[string]estimate.AWSummary)
-	return snap
 }
 
 // ServeHTTP dispatches to the server's endpoints.
@@ -1293,7 +1257,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 	// Default: the cumulative snapshot (all epochs). ?epochs=lo..hi
 	// answers over exactly that retained time window instead.
-	summary, via := snap.summary, cliquery.SummaryBuilder(snap.summaryFor)
+	summary, via := snap.summary, cliquery.SummaryBuilder(snap.SummaryFor)
 	resp := map[string]any{"agg": p.Agg, "epoch": snap.epoch}
 	if p.Epochs != "" {
 		lo, hi, err := cliquery.ParseEpochRange(p.Epochs)
@@ -1308,7 +1272,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		summary, via = rs.summary, rs.summaryFor
+		summary, via = rs.Summary, rs.SummaryFor
 		resp["epochs"] = fmt.Sprintf("%d..%d", lo, hi)
 		s.rangeQueries.Add(1)
 	}
@@ -1397,7 +1361,7 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		exported = rs.sketches[b]
+		exported = rs.Sketches[b]
 		name = fmt.Sprintf("epochs-%d-%d.%d.cws", lo, hi, b)
 	}
 	meta := sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}
@@ -1428,6 +1392,15 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 // scatter-gather router decodes, checksums, and fingerprint-verifies the
 // segment before merging, so a torn or corrupted response surfaces as a
 // typed decode error, never as a silently wrong estimate.
+//
+// Every response carries a strong ETag naming exactly the bytes a full
+// response would hold: "<boot nonce>-<epoch>" for the cumulative set (the
+// snapshot is swapped only by New and freeze), "<boot nonce>-<lo>..<hi>"
+// for a window (a retained epoch never changes, so the tag survives later
+// freezes until the window leaves retention — which is a 400, checked
+// first). A request whose If-None-Match equals the tag is answered 304
+// before anything is merged or encoded: the router keeps the set it
+// validated last and pays one header round trip for an unchanged peer.
 func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -1444,19 +1417,35 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.snap.Load()
-	exported, epoch := snap.sketches, snap.epoch
-	if eq := r.URL.Query().Get("epochs"); eq != "" {
-		lo, hi, err := cliquery.ParseEpochRange(eq)
-		if err != nil {
+	etag := fmt.Sprintf(`"%s-%d"`, s.nonce, snap.epoch)
+	eq := r.URL.Query().Get("epochs")
+	var lo, hi int
+	if eq != "" {
+		var err error
+		if lo, hi, err = cliquery.ParseEpochRange(eq); err != nil {
 			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
 			return
 		}
+		if err := snap.checkRange(lo, hi); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		etag = fmt.Sprintf(`"%s-%d..%d"`, s.nonce, lo, hi)
+	}
+	if r.Header.Get("If-None-Match") == etag {
+		w.Header().Set("ETag", etag)
+		w.Header().Set("X-CWS-Epoch", strconv.Itoa(snap.epoch))
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	exported := snap.sketches
+	if eq != "" {
 		rs, err := snap.rangeFor(s.cfg.Sample, lo, hi)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		exported = rs.sketches
+		exported = rs.Sketches
 	}
 	metas := make([]sketch.WireMeta, len(exported))
 	for b := range metas {
@@ -1476,7 +1465,8 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Header().Set("X-CWS-Epoch", strconv.Itoa(epoch))
+	w.Header().Set("ETag", etag)
+	w.Header().Set("X-CWS-Epoch", strconv.Itoa(snap.epoch))
 	_, _ = w.Write(data)
 	s.segmentExports.Add(1)
 }

@@ -91,6 +91,11 @@ func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, 
 		if one.Len() > math.MaxInt32 {
 			return 0, fmt.Errorf("sketch: segment sketch %d of %d bytes not encodable", b, one.Len())
 		}
+		if b == 0 {
+			// One set's sketches share k and a key population, so the first
+			// one's size predicts the segment's: grow once, not by doubling.
+			buf.Grow(len(sketches)*(4+one.Len()) + segmentTrailerSize)
+		}
 		binary.LittleEndian.PutUint32(scratch[:], uint32(one.Len()))
 		buf.Write(scratch[:])
 		buf.Write(one.Bytes())
