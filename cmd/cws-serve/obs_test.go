@@ -96,6 +96,11 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		sp := s.(map[string]any)
 		name := sp["name"].(string)
 		stages[name] = true
+		// L1 reads both assignments, and the state is fresh: the merge span
+		// says both were merged by this query.
+		if name == "merge" && sp["note"] != "assignments=2/2" {
+			t.Errorf("merge span note = %v, want assignments=2/2", sp["note"])
+		}
 		if strings.HasSuffix(name, " fetch") {
 			fetchSpans++
 			if d := sp["dur_us"].(float64); d > maxFetchUs {
@@ -136,6 +141,9 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		fmt.Sprintf(`cws_peer_fetch_total{peer=%q,result="not_modified"} 0`, addrs[1]),
 		`cws_cluster_state_total{result="hit"} 0`,
 		`cws_cluster_state_total{result="miss"} 1`,
+		`cws_merged_assignments_total{site="cluster"} 2`,
+		`cws_merged_assignments_total{site="window"} 0`,
+		`cws_merge_conflicts_total{site="cluster"} 0`,
 		"cws_offers_total",
 	} {
 		if !strings.Contains(body, want) {
@@ -170,6 +178,7 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		`cws_cluster_state_total{result="hit"} 1`,
 		`cws_cluster_state_total{result="miss"} 1`,
 		`cws_query_stage_seconds_count{stage="cluster-merge"} 1`,
+		`cws_merged_assignments_total{site="cluster"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics after the warm query missing %q", want)

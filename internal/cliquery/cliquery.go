@@ -123,6 +123,20 @@ func Answer(d *estimate.Dispersed, query string, b int, R []int, l int, pred dat
 	return AnswerVia(d, query, b, R, l, pred, est, Direct)
 }
 
+// Reads returns the assignments AnswerVia reads to answer query: b alone for
+// "sum" (none when AnswerVia will refuse b), else R — nil meaning all n, as
+// everywhere. A serving state that merges per assignment (core.Merged)
+// ensures exactly these before the query is answered.
+func Reads(query string, b int, R []int, n int) []int {
+	switch {
+	case query != "sum":
+		return R
+	case b < 0 || b >= n:
+		return []int{}
+	}
+	return []int{b}
+}
+
 // AnswerVia is Answer with an explicit SummaryBuilder: every AW-summary the
 // query needs is obtained through via, letting the caller cache summaries
 // across calls that share a frozen snapshot. The estimate for a given

@@ -28,15 +28,16 @@
 // it last decoded and fingerprint-checked from each peer, and offers the
 // tag back as If-None-Match: an unchanged peer answers 304 and costs one
 // small round trip instead of a segment. Above the kept sets the router
-// memoizes the merged cluster state — merged sketches, dispersed summary,
-// AW-summary memo (core.Merged, the type a node's window state is) — under
-// every peer's validator in peer order. The first query of a cluster state
-// merges; later ones scan a memoized summary, and answer float-bit
-// identically because equal validators are equal inputs to a deterministic
-// merge. An unreached peer's slot in the key is empty, so a degraded state
-// can never be taken for the full one; and a kept set is used only by the
-// request that just earned a 304 for it, so nothing is ever served on
-// behalf of a peer that did not answer now.
+// memoizes the cluster state — the gathered sets, merged per assignment on
+// first use, their dispersed summary, the AW-summary memo (core.Merged, the
+// type a node's window state is) — under every peer's validator in peer
+// order. The first query of a cluster state to read an assignment merges it;
+// later ones scan a memoized summary, and answer float-bit identically
+// because equal validators are equal inputs to a deterministic merge. An
+// unreached peer's slot in the key is empty, so a degraded state can never
+// be taken for the full one; and a kept set is used only by the request
+// that just earned a 304 for it, so nothing is ever served on behalf of a
+// peer that did not answer now.
 //
 // # Failure handling
 //
@@ -90,6 +91,7 @@ import (
 
 	"coordsample/internal/cliquery"
 	"coordsample/internal/core"
+	"coordsample/internal/estimate"
 	"coordsample/internal/faults"
 	"coordsample/internal/obs"
 	"coordsample/internal/shard"
@@ -373,11 +375,15 @@ type Router struct {
 	// the registry's stage histograms; nil without a registry.
 	queryStages map[string]*obs.Histogram
 
-	// states memoizes the merged cluster state — merged sketches, dispersed
-	// summary, AW-summary memo — by stateKey: the ?epochs= string and every
-	// peer's validator. See handleQuery.
+	// states memoizes the cluster state — the gathered sets merged per
+	// assignment on first use, dispersed summary, AW-summary memo — by
+	// stateKey: the ?epochs= string and every peer's validator. See
+	// handleQuery.
 	states                 keep[*core.Merged]
 	stateHits, stateMisses atomic.Int64
+	// mergedAssignments: assignments the states merged — per miss, the share
+	// of |W| a cold cluster query pays for; mergeConflicts: merges refused.
+	mergedAssignments, mergeConflicts atomic.Int64
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -436,9 +442,11 @@ func New(cfg Config) (*Router, error) {
 		}
 	}
 	if reg := cfg.Metrics; reg != nil {
-		const help = "Cluster queries answered from a memoized merged state (hit) or by merging the gathered sets (miss)."
+		const help = "Cluster queries that found their cluster state memoized (hit) or made it from the gathered sets (miss)."
 		reg.CounterL("cws_cluster_state_total", help, obs.Label("result", "hit"), r.stateHits.Load)
 		reg.CounterL("cws_cluster_state_total", help, obs.Label("result", "miss"), r.stateMisses.Load)
+		reg.CounterL("cws_merged_assignments_total", "Assignments merged on first use by a window or cluster state.", obs.Label("site", "cluster"), r.mergedAssignments.Load)
+		reg.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "cluster"), r.mergeConflicts.Load)
 	}
 	for _, addr := range cfg.Peers {
 		p := &peer{addr: addr, rpc: &obs.Histogram{}}
@@ -838,11 +846,12 @@ func stateKey(epochs string, results []*fetchResult) string {
 // degradation fields (degraded, coverage, peers).
 //
 // Every query scatters — reachability and each peer's validator are
-// established now, never remembered — but the merged state the validators
-// name is built once: the first query of a cluster state merges the
-// gathered sets and assembles the dispersed summary (the merge and
-// summarize spans), later ones find it under the same stateKey and answer
-// from its AW-summary memo, exactly as a node answers from its snapshot.
+// established now, never remembered — but the state the validators name is
+// made once and merges each assignment once: for the first query reading it
+// (the merge span), as the first query of an aggregate builds its
+// AW-summary (the summarize span); later ones find the state under the same
+// stateKey and answer from its memo, exactly as a node answers from its
+// snapshot.
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -887,30 +896,37 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		r.stateHits.Add(1)
 	} else {
 		r.stateMisses.Add(1)
-		// Peers own disjoint key sets (the ownership guard), so their
-		// sketches merge into the exact per-assignment sketches of the
-		// whole cluster.
-		sp = tr.Start("merge")
-		merged, err := sketch.MergeSets(sets...)
-		sp.End()
-		if err != nil {
-			writeError(w, http.StatusBadGateway, "cluster: %v", err)
-			return
-		}
-		sp = tr.Start("summarize")
-		summary, err := core.CombineDispersed(r.cfg.Sample, merged)
-		sp.End()
-		if err != nil {
-			writeError(w, http.StatusBadGateway, "cluster: %v", err)
-			return
-		}
-		// Two queries racing through a miss build equal states; the later
-		// put wins and only the earlier one's memo entries are lost.
-		state = &core.Merged{Sketches: merged, Summary: summary}
+		// Two queries racing through a miss make equal states; the later
+		// put wins and only the earlier one's merges and memo are lost.
+		state = core.NewMerged(r.cfg.Sample, sets)
 		r.states.put(key, state)
 	}
+	// Peers own disjoint key sets (the ownership guard), so an assignment's
+	// sketches merge into its exact sketch of the whole cluster; the state
+	// merges the ones this query reads, unless an earlier query of the state
+	// did. Two peers holding one key is a broken partition: 502, nothing kept.
+	start := time.Now()
+	n, err := state.Ensure(cliquery.Reads(p.Agg, p.B, p.R, r.cfg.Assignments))
+	r.mergedAssignments.Add(int64(n))
+	if n > 0 || err != nil {
+		tr.AddNote("merge", fmt.Sprintf("assignments=%d/%d", n, r.cfg.Assignments), start, time.Since(start))
+	}
+	if err != nil {
+		r.mergeConflicts.Add(1)
+		r.log.Warn("cluster merge refused", "err", err)
+		writeError(w, http.StatusBadGateway, "cluster: %v", err)
+		return
+	}
+	// The cold phase — building an aggregate's AW-summary — is its own span,
+	// as on a node; a memoized summary runs no build and shows none.
+	via := func(key string, build func() estimate.AWSummary) estimate.AWSummary {
+		return state.SummaryFor(key, func() estimate.AWSummary {
+			defer tr.Start("summarize").End()
+			return build()
+		})
+	}
 	sp = tr.Start("estimate")
-	label, v, stderr, err := cliquery.AnswerVia(state.Summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, state.SummaryFor)
+	label, v, stderr, err := cliquery.AnswerVia(state.Summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, via)
 	sp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

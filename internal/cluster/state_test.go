@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -168,8 +169,15 @@ func TestStateDifferential(t *testing.T) {
 	tc.ingest(t, testOffers(400, 21))
 	tc.clusterFreeze(t)
 
+	// Each phase asks in its own order, so the two assignments of a state
+	// are merged by different first queries and in both sequences.
+	phases := int64(0)
 	check := func(phase, suffix string) {
 		t.Helper()
+		phases++
+		rand.New(rand.NewSource(phases)).Shuffle(len(vocabulary), func(i, j int) {
+			vocabulary[i], vocabulary[j] = vocabulary[j], vocabulary[i]
+		})
 		for _, params := range vocabulary {
 			params += suffix
 			want, wantErr := tc.oracle(t, params)
@@ -203,6 +211,165 @@ func TestStateDifferential(t *testing.T) {
 	}
 	if got, want := tc.router.stateMisses.Load(), misses+4; got != want {
 		t.Errorf("%d merges after a freeze and three windows, want %d", got, want)
+	}
+	if got, want := tc.router.mergedAssignments.Load(), int64(5*testAssignments); got != want {
+		t.Errorf("%d assignments merged by five cluster states, want each of their %d once: %d", got, testAssignments, want)
+	}
+}
+
+// traceNote returns the note of the named span of a ?trace=1 response, and
+// whether the span is there.
+func traceNote(body map[string]any, name string) (string, bool) {
+	tr, _ := body["trace"].(map[string]any)
+	spans, _ := tr["spans"].([]any)
+	for _, s := range spans {
+		if sp := s.(map[string]any); sp["name"] == name {
+			note, _ := sp["note"].(string)
+			return note, true
+		}
+	}
+	return "", false
+}
+
+// TestStateMergesOnlyWhatQueriesRead: on one cluster state a sum b=0 query
+// merges one assignment, a following R=0,1 query the other, a repeat and a
+// different aggregate over the same assignments none — by the counter and
+// by the merge span, which is only there when the query merged.
+func TestStateMergesOnlyWhatQueriesRead(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{}, nil)
+	tc.ingest(t, testOffers(300, 30))
+	tc.clusterFreeze(t)
+	for step, c := range []struct {
+		params     string
+		wantMerged int64
+		wantNote   string // "" = no merge span
+	}{
+		{"agg=sum&b=0", 1, "assignments=1/2"},
+		{"agg=max&R=0,1", 2, "assignments=1/2"},
+		{"agg=max&R=0,1", 2, ""},
+		{"agg=L1&est=discarded", 2, ""},
+		{"agg=L1&epochs=1..1", 4, "assignments=2/2"}, // another state
+	} {
+		want, err := tc.oracle(t, c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := tc.query(t, c.params+"&trace=1")
+		if code != http.StatusOK {
+			t.Fatalf("step %d %q: status %d: %v", step, c.params, code, body)
+		}
+		if got := bodyAnswer(body); !got.equal(want) {
+			t.Errorf("step %d %q: router %v != oracle %v", step, c.params, got, want)
+		}
+		if note, ok := traceNote(body, "merge"); ok != (c.wantNote != "") || note != c.wantNote {
+			t.Errorf("step %d %q: merge span present=%t note=%q, want note %q", step, c.params, ok, note, c.wantNote)
+		}
+		if got := tc.router.mergedAssignments.Load(); got != c.wantMerged {
+			t.Errorf("step %d after %q: %d assignments merged so far, want %d", step, c.params, got, c.wantMerged)
+		}
+	}
+}
+
+// TestConcurrentQueriesMergeEachAssignmentOnce: 32 concurrent queries with
+// overlapping assignment sets against one warmed-up gather (every peer
+// answers 304, one state) merge each assignment once.
+func TestConcurrentQueriesMergeEachAssignmentOnce(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{}, nil)
+	tc.ingest(t, testOffers(300, 31))
+	tc.clusterFreeze(t)
+	tc.mustAnswer(t, "agg=sum&b=0&epochs=1..1") // the window's sets are kept; its state is not the one below
+	tc.router.states = keep[*core.Merged]{}
+	before := tc.router.mergedAssignments.Load()
+	shapes := []string{"agg=sum&b=0", "agg=sum&b=1", "agg=max&R=0,1", "agg=L1", "agg=min&R=1,0"}
+	wants := make([]answer, len(shapes))
+	for i, params := range shapes {
+		var err error
+		if wants[i], err = tc.oracle(t, params+"&epochs=1..1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Get(tc.routerTS.URL + "/cluster/query?" + shapes[i] + "&epochs=1..1")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var body map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%q: status %d, err %v, body %v", shapes[i], resp.StatusCode, err, body)
+				return
+			}
+			if got := bodyAnswer(body); !got.equal(wants[i]) {
+				t.Errorf("%q: router %v != oracle %v", shapes[i], got, wants[i])
+			}
+		}(g % len(shapes))
+	}
+	close(start)
+	wg.Wait()
+	// Queries racing through the state miss may each make a state (the later
+	// put wins); every state merges an assignment at most once.
+	merged, misses := tc.router.mergedAssignments.Load()-before, tc.router.stateMisses.Load()-1
+	if merged < testAssignments || merged > misses*testAssignments {
+		t.Errorf("32 concurrent queries merged %d assignments over %d state(s), want each of %d once per state", merged, misses, testAssignments)
+	}
+}
+
+// TestDuplicateKeyAcrossPeersIsRefused: a peer that ignores the partition
+// and holds a key another peer owns breaks the disjointness the gather's
+// merge rests on. Both copies survive into that assignment's merge, which
+// the router refuses with 502 naming the key — every time, counted, traced
+// — while the other assignment keeps answering exactly.
+func TestDuplicateKeyAcrossPeersIsRefused(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{}, nil)
+	const key = "held-twice"
+	owner := shard.ShardOf(key, 3)
+	other := (owner + 1) % 3
+	rogue, err := server.New(server.Config{Sample: testSample, Assignments: testAssignments, Lanes: 1, Retain: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rogue.Close)
+	tc.procs[other].srv.Store(rogue) // no ownership guard
+	tc.ingest(t, testOffers(20, 32)) // fewer keys than k: every one survives the merge
+	tc.clusterFreeze(t)
+	want, err := tc.oracle(t, "agg=sum&b=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{owner, other} {
+		postJSON(t, tc.peerTS[i].URL+"/offer", map[string]any{"offers": []server.Offer{{Assignment: 0, Key: key, Weight: 3}}})
+	}
+	tc.clusterFreeze(t)
+
+	for attempt := 0; attempt < 2; attempt++ {
+		code, body := tc.query(t, "agg=sum&b=0")
+		if msg, _ := body["error"].(string); code != http.StatusBadGateway || !strings.Contains(msg, `"`+key+`"`) {
+			t.Fatalf("attempt %d: status %d, body %v; want 502 naming the key", attempt, code, body)
+		}
+	}
+	if code, body := tc.query(t, "agg=L1"); code != http.StatusBadGateway {
+		t.Errorf("a query reading both assignments: status %d, body %v; want 502", code, body)
+	}
+	if got := tc.mustAnswer(t, "agg=sum&b=1"); !got.equal(want) {
+		t.Errorf("the sound assignment: router %v != oracle before the duplicate %v", got, want)
+	}
+	if got := tc.router.mergeConflicts.Load(); got != 3 {
+		t.Errorf("%d merge conflicts counted, want 3", got)
+	}
+	refused := tc.router.traces.Reports()[2] // newest first: sum b=1, L1, then the second refused sum b=0
+	noted := false
+	for _, sp := range refused.Spans {
+		noted = noted || sp.Name == "merge" && sp.Note == "assignments=0/2"
+	}
+	if !strings.Contains(refused.Op, "agg=sum") || !noted {
+		t.Errorf("the refused query's trace is %+v, want a merge span noted assignments=0/2", refused)
 	}
 }
 
@@ -524,8 +691,9 @@ func TestEveryQueryOutcomeIsTraced(t *testing.T) {
 // BenchmarkRouterQuery is the router layer's checked-in number: one
 // /cluster/query over three in-process peers at the end-to-end benchmark's
 // sketch size (k = 1 024, |W| = 4). miss forgets everything first, so it is
-// the first query after a freeze — three segments fetched, decoded, merged
-// and summarized; hit is every query after it — three 304s, a memo hit, a
+// the first query after a freeze — three segments fetched and decoded, the
+// assignments the query reads merged (all four; two for miss-pair) and
+// summarized; hit is every query after it — three 304s, a memo hit, a
 // predicate scan.
 func BenchmarkRouterQuery(b *testing.B) {
 	const assignments, peers = 4, 3
@@ -556,25 +724,27 @@ func BenchmarkRouterQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer r.Close()
-	query := func(b *testing.B) {
+	query := func(b *testing.B, R string) {
 		rec := httptest.NewRecorder()
-		r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster/query?agg=L1&prefix=host-00", nil))
+		r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster/query?agg=L1&prefix=host-00"+R, nil))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	b.Run("miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.states = keep[*core.Merged]{}
-			for _, p := range r.peers {
-				p.sets = keep[*peerSet]{}
+	for name, R := range map[string]string{"miss": "", "miss-pair": "&R=0,3"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.states = keep[*core.Merged]{}
+				for _, p := range r.peers {
+					p.sets = keep[*peerSet]{}
+				}
+				query(b, R)
 			}
-			query(b)
-		}
-	})
+		})
+	}
 	b.Run("hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			query(b)
+			query(b, "")
 		}
 	})
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"coordsample/internal/estimate"
+	"coordsample/internal/rank"
+	"coordsample/internal/shard"
 	"coordsample/internal/sketch"
 )
 
@@ -43,17 +47,125 @@ func (m *SummaryMemo) SummaryFor(key string, build func() estimate.AWSummary) es
 }
 
 // Merged is the memoized serving state of one exact merge of disjoint
-// sketch sets — a node's epoch window, or the router's gather of its peers:
-// the merged per-assignment sketches (sketch.MergeSets), their dispersed
-// summary (CombineDispersed), and the AW-summary memo of the queries
-// answered over it. It is reachable from published snapshots and shared
-// between concurrent queries, so it is written once, where it is built
-// (//cws:frozen is checked by the frozenwrite analyzer; the embedded memo
-// stays internally synchronized).
+// sketch sets — a node's epoch window, or the router's gather of its peers —
+// merged per assignment, on first use (Section 7: an assignment's sketch is
+// built, merged and read independently of the others). A query calls Ensure
+// for the assignments it reads (cliquery.Reads) and then reads them through
+// Summary, whose sketches are the state's slots; an assignment is merged at
+// most once per state, and one nobody reads costs nothing. The state is
+// shared between concurrent queries, so it is written once, in NewMerged
+// (//cws:frozen is checked by the frozenwrite analyzer; the slots and the
+// embedded memo are internally synchronized).
 //
 //cws:frozen
 type Merged struct {
-	Sketches []*sketch.BottomK
-	Summary  *estimate.Dispersed
+	Summary *estimate.Dispersed
 	SummaryMemo
+	assigner rank.Assigner
+	slots    []slot
 }
+
+// slot is one assignment of a Merged: the column of disjoint input sketches
+// until the first query reading the assignment merges it, their exact merge
+// afterwards. Like a sketch's memoized key order it is the frozen state's
+// internally synchronized part: mu admits one merge, sk publishes it.
+type slot struct {
+	mu     sync.Mutex
+	inputs []*sketch.BottomK // cleared once merged: the state stops pinning them
+	sk     atomic.Pointer[sketch.BottomK]
+}
+
+// NewMerged returns the unmerged state of sets (one per epoch or peer, each
+// holding one sketch per assignment, key sets disjoint across sets) under
+// the sampling configuration the sketches were built with.
+func NewMerged(cfg Config, sets [][]*sketch.BottomK) *Merged {
+	m := &Merged{assigner: cfg.Assigner(), slots: make([]slot, len(sets[0]))}
+	columns := make([]*sketch.BottomK, len(m.slots)*len(sets)) // one array, a window per slot
+	views := make([]estimate.AssignmentSketch, len(m.slots))
+	for b := range m.slots {
+		m.slots[b].inputs = columns[b*len(sets) : (b+1)*len(sets)]
+		for i, set := range sets {
+			m.slots[b].inputs[i] = set[b]
+		}
+		views[b] = &m.slots[b]
+	}
+	m.Summary = estimate.NewDispersedFromSketches(m.assigner, views)
+	return m
+}
+
+// Ensure merges those assignments of bs (nil: all) that no query of this
+// state has merged yet — across shard.ParallelDo's bounded pool, serially on
+// one schedulable core — and reports how many this call merged. On error
+// (that of the lowest failing assignment) the failed ones stay unmerged,
+// are tried again by the next query that reads them, and must not be read.
+func (m *Merged) Ensure(bs []int) (merged int, err error) {
+	n := len(bs)
+	if bs == nil {
+		n = len(m.slots)
+	}
+	var missing []int
+	for i := 0; i < n; i++ {
+		b := i
+		if bs != nil {
+			b = bs[i]
+		}
+		if m.slots[b].sk.Load() == nil {
+			missing = append(missing, b)
+		}
+	}
+	did, errs := make([]bool, len(missing)), make([]error, len(missing))
+	shard.ParallelDo(len(missing), 0, func(i int) {
+		did[i], errs[i] = m.slots[missing[i]].merge(m.assigner, missing[i])
+	})
+	for i := len(missing) - 1; i >= 0; i-- {
+		if did[i] {
+			merged++
+		}
+		if errs[i] != nil {
+			err = errs[i]
+		}
+	}
+	return merged, err
+}
+
+// Sketch returns the merged sketch of an ensured assignment: the value
+// sketch.Merge returns for its column.
+func (m *Merged) Sketch(b int) *sketch.BottomK { return m.slots[b].sk.Load() }
+
+// merge is the state's one merge site; did is false when a concurrent query
+// got there first. The result passes what MergeSets → CombineDispersed
+// checked before anything reads it: sketch.Merge's input-fingerprint
+// equality and distinct keys — two copies of a key surviving into the merge
+// mean the sets were not disjoint, and the sketch layer's panic naming the
+// key becomes the error — and the configuration's fingerprint for b.
+func (s *slot) merge(a rank.Assigner, b int) (did bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sk.Load() != nil {
+		return false, nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("merging assignment %d: %v", b, r)
+		}
+	}()
+	sk, err := sketch.Merge(s.inputs...)
+	if err != nil {
+		return false, fmt.Errorf("merging assignment %d: %w", b, err)
+	}
+	if want := a.Fingerprint(b, sk.K()); sk.Fingerprint() != want {
+		return false, &sketch.FingerprintMismatchError{Index: b, Want: want, Got: sk.Fingerprint()}
+	}
+	s.sk.Store(sk)
+	clear(s.inputs)
+	s.inputs = nil
+	return true, nil
+}
+
+// The slot is its assignment's estimate.AssignmentSketch; reading one that
+// no Ensure covered dereferences nil.
+func (s *slot) Lookup(key string) (sketch.Entry, bool) { return s.sk.Load().Lookup(key) }
+func (s *slot) Entries() []sketch.Entry                { return s.sk.Load().Entries() }
+func (s *slot) KeyOrder() []int32                      { return s.sk.Load().KeyOrder() }
+func (s *slot) RankExcluding(key string) float64       { return s.sk.Load().RankExcluding(key) }
+func (s *slot) ConditioningRanks() (float64, float64)  { return s.sk.Load().ConditioningRanks() }

@@ -16,16 +16,17 @@ import (
 // does: a type is *frozen* when it appears as the type argument of an
 // atomic.Pointer[T] anywhere in its package, or when its declaration
 // carries a //cws:frozen annotation (used for the satellite state a
-// snapshot links to, like the memoized per-window rangeState). Field writes
+// snapshot links to, like the per-window core.Merged). Field writes
 // to a frozen type (x.f = v, x.f += v, x.f++) are permitted only inside
 // functions that return the type — its constructors and freeze builders —
 // or at lines annotated
 //
 //	//cws:allow-mutation <reason>
 //
-// Internally synchronized mutable state hanging off a snapshot (mutex-
-// guarded memo maps) stays expressible: map inserts are not field writes,
-// and the mutex fields themselves are never reassigned.
+// Internally synchronized mutable state hanging off a snapshot stays
+// expressible: map inserts into mutex-guarded memos are not field writes,
+// a lazily filled part (core.Merged's per-assignment slot, a sketch's key
+// order) is a type of its own, and mutex fields are never reassigned.
 var FrozenWrite = &Analyzer{
 	Name: "frozenwrite",
 	Doc:  "flag field writes to atomic.Pointer-published (or //cws:frozen) types outside their constructors",

@@ -3,7 +3,10 @@
 // accept field writes only in functions that return them.
 package frozenwrite
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type snapshot struct {
 	total  int
@@ -47,4 +50,29 @@ func allowedMutation(s *snapshot) {
 
 func readOK(sv *server) int {
 	return sv.snap.Load().total
+}
+
+// lazyState is a frozen state filled in on first use, one slot at a time
+// (core.Merged): the fill writes a field of slot — the state's internally
+// synchronized part, a type of its own — never a field of the frozen type.
+//
+//cws:frozen
+type lazyState struct {
+	slots []slot
+}
+
+type slot struct {
+	mu     sync.Mutex
+	merged *int
+}
+
+func (m *lazyState) ensure(b int, v *int) {
+	s := &m.slots[b]
+	s.mu.Lock()
+	s.merged = v
+	s.mu.Unlock()
+}
+
+func (m *lazyState) forget() {
+	m.slots = nil // want `write to field slots of lazyState`
 }

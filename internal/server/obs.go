@@ -68,6 +68,8 @@ func (s *Server) initObs(cfg Config) {
 	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "aw"), s.queriesAW.Value)
 	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "discarded"), s.queriesDiscarded.Value)
 	r.Counter("cws_range_queries_total", "Queries answered over a retained epoch window (?epochs=lo..hi).", s.rangeQueries.Value)
+	r.CounterL("cws_merged_assignments_total", "Assignments merged on first use by a window or cluster state.", obs.Label("site", "window"), s.mergedAssignments.Value)
+	r.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "window"), s.mergeConflicts.Value)
 	r.Counter("cws_freezes_total", "Successful epoch freezes.", s.freezes.Value)
 	r.Counter("cws_freeze_errors_total", "Failed freezes (contract violations and persist failures).", s.freezeErrors.Value)
 	r.Counter("cws_sketch_exports_total", "GET /sketch exports.", s.sketchExports.Value)

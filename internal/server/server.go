@@ -61,12 +61,14 @@
 // over exactly that time window: the retained epoch sketches — disjoint
 // key sets by the pre-aggregation contract — merge on demand into the
 // exact sketch of the window (the same merge lemma that makes sharding
-// exact, applied to time), and per-range summaries and AW-summaries are
-// memoized on the snapshot. This is the paper's "snapshots of an evolving
-// database at multiple points in time" made queryable: each epoch is a
-// point-in-time snapshot, and any window of them is summarized without
-// touching the data again. GET /sketch?epochs=... exports the merged
-// window sketch as a wire-codec file cws-merge accepts.
+// exact, applied to time), one assignment at a time: a query merges only
+// the assignments it reads, each once per window, and the window's merged
+// sketches and AW-summaries are memoized on the snapshot. This is the
+// paper's "snapshots of an evolving database at multiple points in time"
+// made queryable: each epoch is a point-in-time snapshot, and any window of
+// them is summarized without touching the data again. GET
+// /sketch?epochs=... exports the merged window sketch as a wire-codec file
+// cws-merge accepts.
 //
 // # Ingest fast path
 //
@@ -275,50 +277,54 @@ type snapshot struct {
 	core.SummaryMemo
 
 	rangeMu sync.Mutex
-	ranges  map[string]*core.Merged // by "lo..hi": the lazily merged epoch windows
+	ranges  map[string]*core.Merged // by "lo..hi": the epoch windows' states, see Server.window
 }
 
-// rangeFor returns the (memoized) serving state of the epoch window
-// lo..hi, building it on first use: the window's epoch sketches —
-// disjoint key sets under the pre-aggregation contract — merge into the
-// exact sketch of the window, by the same merge lemma that makes sharded
-// ingestion exact. sample is the server's sampling configuration (needed
-// to assemble the dispersed summary). Like SummaryFor, racing builds of
-// the same window produce identical states, so either may be cached.
-func (s *snapshot) rangeFor(sample core.Config, lo, hi int) (*core.Merged, error) {
-	if err := s.checkRange(lo, hi); err != nil {
-		return nil, err
+// window serves one request's ?epochs=lo..hi: the (memoized) serving state
+// of the window with the assignments bs — the ones the request reads —
+// merged. The window's epochs hold disjoint key sets under the
+// pre-aggregation contract, so an assignment's epoch sketches merge into its
+// exact sketch of the window (the merge lemma that makes sharded ingestion
+// exact, applied to time); a state is made unmerged, under the lock, and
+// merges an assignment for the first request reading it — the range-merge
+// span, there when this request merged any. A refusal is written to w and
+// nil returned: 400 for a window the snapshot cannot serve; 409 when two of
+// its epochs hold one key, which the freezes' cumulative merges cannot see
+// once the tighter cumulative threshold has pruned a copy. Nothing is kept
+// of the refused assignment; the others, and every other window, keep
+// answering.
+func (s *Server) window(w http.ResponseWriter, snap *snapshot, tr *obs.Trace, lo, hi int, bs []int) *core.Merged {
+	if err := snap.checkRange(lo, hi); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil
 	}
 	key := fmt.Sprintf("%d..%d", lo, hi)
-	s.rangeMu.Lock()
-	rs, ok := s.ranges[key]
-	s.rangeMu.Unlock()
-	if ok {
-		return rs, nil
-	}
-	var window [][]*sketch.BottomK
-	for _, set := range s.retained {
-		if set.epoch >= lo && set.epoch <= hi {
-			window = append(window, set.sketches)
+	snap.rangeMu.Lock()
+	rs, ok := snap.ranges[key]
+	if !ok {
+		var window [][]*sketch.BottomK
+		for _, set := range snap.retained {
+			if set.epoch >= lo && set.epoch <= hi {
+				window = append(window, set.sketches)
+			}
 		}
+		rs = core.NewMerged(s.cfg.Sample, window)
+		snap.ranges[key] = rs
 	}
-	merged, err := sketch.MergeSets(window...)
+	snap.rangeMu.Unlock()
+	start := time.Now()
+	n, err := rs.Ensure(bs)
+	s.mergedAssignments.Add(int64(n))
+	if n > 0 || err != nil {
+		tr.AddNote("range-merge", fmt.Sprintf("assignments=%d/%d", n, s.cfg.Assignments), start, time.Since(start))
+	}
 	if err != nil {
-		return nil, err // impossible: all epochs carry this server's fingerprint
+		s.mergeConflicts.Add(1)
+		s.log.Warn("window merge refused: contract violation", "lo", lo, "hi", hi, "err", err)
+		writeError(w, http.StatusConflict, "epochs %d..%d: %v (each key may be offered at most once per assignment across the server's lifetime)", lo, hi, err)
+		return nil
 	}
-	summary, err := core.CombineDispersed(sample, merged)
-	if err != nil {
-		return nil, err
-	}
-	rs = &core.Merged{Sketches: merged, Summary: summary}
-	s.rangeMu.Lock()
-	if prior, ok := s.ranges[key]; ok {
-		rs = prior
-	} else {
-		s.ranges[key] = rs
-	}
-	s.rangeMu.Unlock()
-	return rs, nil
+	return rs
 }
 
 // checkRange validates an epoch window against what this snapshot retains.
@@ -409,6 +415,9 @@ type Server struct {
 	persistErrors    expvar.Int
 	compactionErrors expvar.Int
 	recoveredEpochs  expvar.Int
+	// Window states: assignments merged on first use (per rangeQueries, the
+	// share of |W| a cold window query pays for) and merges refused.
+	mergedAssignments, mergeConflicts expvar.Int
 }
 
 // New creates a Server. Without a store (or with an empty one) it starts
@@ -1236,10 +1245,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Every query is traced into the bounded ring behind /debug/traces;
 	// ?trace=1 additionally returns the per-stage breakdown in the
 	// response. The span set is the query pipeline: parse → snapshot pin
-	// [→ range-merge] [→ summarize, only when this query builds a cold
-	// AW-summary] → estimate.
+	// [→ range-merge, only when this query merges an assignment of its
+	// window] [→ summarize, only when it builds a cold AW-summary] →
+	// estimate.
 	started := time.Now()
 	tr := obs.NewTrace(s.traces.NextID(), "query")
+	// Whatever the outcome, the trace reaches /debug/traces.
+	defer func() {
+		rep := tr.Report()
+		rep.RecordStages(s.om.queryStages)
+		s.traces.Add(rep)
+	}()
 	// The parameter grammar is shared with the cluster router (the ?est=
 	// estimator family name is folded into the memo keys by
 	// cliquery.AnswerVia, so the snapshot caches never alias across
@@ -1265,11 +1281,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
 			return
 		}
-		sp = tr.Start("range-merge")
-		rs, err := snap.rangeFor(s.cfg.Sample, lo, hi)
-		sp.End()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		rs := s.window(w, snap, tr, lo, hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments))
+		if rs == nil {
 			return
 		}
 		summary, via = rs.Summary, rs.SummaryFor
@@ -1302,11 +1315,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queriesAW.Add(1)
 		s.om.queryAW.Record(time.Since(started))
 	}
-	rep := tr.Report()
-	rep.RecordStages(s.om.queryStages)
-	s.traces.Add(rep)
 	if r.URL.Query().Get("trace") == "1" {
-		resp["trace"] = rep
+		resp["trace"] = tr.Report()
 	}
 	// The estimate travels as a JSON number; encoding/json emits the
 	// shortest representation that parses back to the identical float64,
@@ -1356,12 +1366,11 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
 			return
 		}
-		rs, err := snap.rangeFor(s.cfg.Sample, lo, hi)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		rs := s.window(w, snap, nil, lo, hi, []int{b})
+		if rs == nil {
 			return
 		}
-		exported = rs.Sketches[b]
+		exported = rs.Sketch(b)
 		name = fmt.Sprintf("epochs-%d-%d.%d.cws", lo, hi, b)
 	}
 	meta := sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}
@@ -1440,12 +1449,14 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	}
 	exported := snap.sketches
 	if eq != "" {
-		rs, err := snap.rangeFor(s.cfg.Sample, lo, hi)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		rs := s.window(w, snap, nil, lo, hi, nil)
+		if rs == nil {
 			return
 		}
-		exported = rs.Sketches
+		exported = make([]*sketch.BottomK, s.cfg.Assignments)
+		for b := range exported {
+			exported[b] = rs.Sketch(b)
+		}
 	}
 	metas := make([]sketch.WireMeta, len(exported))
 	for b := range metas {

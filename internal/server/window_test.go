@@ -1,0 +1,450 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"coordsample/internal/cliquery"
+	"coordsample/internal/core"
+	"coordsample/internal/rank"
+	"coordsample/internal/sketch"
+)
+
+// These tests pin the assignment-lazy window state: a window query merges
+// only the assignments it reads, each once per window state whatever the
+// order or concurrency of the queries, and nothing about that can be told
+// from an answer or an exported sketch — the oracle is the eager path this
+// replaced, a fresh MergeSets → CombineDispersed → AnswerVia(Direct) over
+// offline sketches of the same epochs.
+
+func windowCfg() Config {
+	return Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 17, K: 48},
+		Assignments: 4,
+		Retain:      6,
+	}
+}
+
+// windowStream is a heavy-tailed stream over the four assignments, keys
+// distinct across the whole stream.
+func windowStream(n int, seed int64) []Offer {
+	rng := rand.New(rand.NewSource(seed))
+	var offers []Offer
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("host-%05d", i)
+		base := math.Exp(rng.NormFloat64() * 2)
+		for b := 0; b < 4; b++ {
+			if rng.Float64() < 0.8 {
+				offers = append(offers, Offer{Assignment: b, Key: key, Weight: base * (0.5 + rng.Float64())})
+			}
+		}
+	}
+	return offers
+}
+
+// windowServer ingests chunks as one epoch each.
+func windowServer(t *testing.T, cfg Config, chunks [][]Offer) (*Server, string) {
+	t.Helper()
+	s, ts := newTestServer(t, cfg)
+	for _, chunk := range chunks {
+		postJSON(t, ts.URL+"/offer", map[string]any{"offers": chunk})
+		postJSON(t, ts.URL+"/freeze", nil)
+	}
+	return s, ts.URL
+}
+
+// epochSketches sketches one epoch's offers offline.
+func epochSketches(cfg Config, offers []Offer) []*sketch.BottomK {
+	set := make([]*sketch.BottomK, cfg.Assignments)
+	for b := range set {
+		sk := core.NewAssignmentSketcher(cfg.Sample, b)
+		for _, o := range offers {
+			if o.Assignment == b {
+				sk.Offer(o.Key, o.Weight)
+			}
+		}
+		set[b] = sk.Sketch()
+	}
+	return set
+}
+
+// eagerWindow is the parent's window state: every assignment merged.
+func eagerWindow(t *testing.T, cfg Config, chunks [][]Offer) []*sketch.BottomK {
+	t.Helper()
+	var sets [][]*sketch.BottomK
+	for _, chunk := range chunks {
+		sets = append(sets, epochSketches(cfg, chunk))
+	}
+	merged, err := sketch.MergeSets(sets...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// windowVocabulary is every cliquery aggregate × {all assignments, a pair, a
+// single one} × both estimator families as /query parameter strings.
+func windowVocabulary() []string {
+	var qs []string
+	for _, est := range []string{"aw", "discarded"} {
+		for _, agg := range []string{"sum&b=0", "sum&b=2", "sum&b=3&prefix=host-000"} {
+			qs = append(qs, "agg="+agg+"&est="+est)
+		}
+		for _, R := range []string{"", "&R=1,3", "&R=2"} {
+			for _, agg := range []string{"total", "min", "max", "L1", "lth&l=1", "jaccard"} {
+				qs = append(qs, "agg="+agg+R+"&est="+est)
+			}
+			if R != "&R=2" {
+				qs = append(qs, "agg=lth&l=2"+R+"&est="+est, "agg=max&prefix=host-000"+R+"&est="+est)
+			}
+		}
+	}
+	return qs
+}
+
+// TestWindowDifferential: on windows of one epoch, four epochs and the whole
+// ring, every query of the vocabulary, asked in shuffled orders against
+// fresh window states, answers float-bit identically (estimate and stderr)
+// to the eager oracle; and the windows' exported /sketch and /sketches
+// bytes are the encodings of the eagerly merged sketches.
+func TestWindowDifferential(t *testing.T) {
+	cfg := windowCfg()
+	const epochs = 6
+	chunks := chunkEpochs(windowStream(1500, 31), epochs)
+	windows := [][2]int{{1, 1}, {2, 5}, {1, epochs}}
+	vocabulary := windowVocabulary()
+	for order := int64(0); order < 3; order++ {
+		_, base := windowServer(t, cfg, chunks)
+		for _, win := range windows {
+			eager := eagerWindow(t, cfg, chunks[win[0]-1:win[1]])
+			oracle, err := core.CombineDispersed(cfg.Sample, eager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epochsParam := fmt.Sprintf("&epochs=%d..%d", win[0], win[1])
+			if order == 0 {
+				checkWindowExports(t, cfg, base, epochsParam, eager)
+			}
+			qs := slices.Clone(vocabulary)
+			rand.New(rand.NewSource(order)).Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+			for _, params := range qs {
+				values, _ := url.ParseQuery(params)
+				p, err := cliquery.ParseHTTPParams(values, cfg.Assignments)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, want, wantSE, err := cliquery.AnswerVia(oracle, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, cliquery.Direct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				code, body := queryHTTPStatus(t, base, params+epochsParam)
+				if code != http.StatusOK {
+					t.Fatalf("order %d /query?%s%s: status %d: %v", order, params, epochsParam, code, body)
+				}
+				got, gotSE := body["estimate"].(float64), math.NaN()
+				if se, ok := body["stderr"].(float64); ok {
+					gotSE = se
+				}
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotSE) != math.Float64bits(wantSE) {
+					t.Errorf("order %d /query?%s%s = %v ± %v, eager oracle %v ± %v", order, params, epochsParam, got, gotSE, want, wantSE)
+				}
+			}
+		}
+	}
+}
+
+// checkWindowExports compares a fresh window's /sketch (which merges one
+// assignment) and /sketches (which merges the rest) with the encodings of
+// the eager merge — the bytes the parent served.
+func checkWindowExports(t *testing.T, cfg Config, base, epochsParam string, eager []*sketch.BottomK) {
+	t.Helper()
+	get := func(path string) []byte {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, err %v: %s", path, resp.StatusCode, err, data)
+		}
+		return data
+	}
+	metas := make([]sketch.WireMeta, len(eager))
+	for b := range metas {
+		metas[b] = sketch.WireMeta{Family: cfg.Sample.Family, Mode: cfg.Sample.Mode, Seed: cfg.Sample.Seed, Assignment: b}
+	}
+	for _, b := range []int{2, 0} {
+		var want bytes.Buffer
+		if err := sketch.EncodeBottomK(&want, sketch.CodecBinary, metas[b], eager[b]); err != nil {
+			t.Fatal(err)
+		}
+		if got := get(fmt.Sprintf("/sketch?b=%d%s", b, epochsParam)); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("/sketch?b=%d%s: exported bytes differ from the eager merge's encoding", b, epochsParam)
+		}
+	}
+	var want bytes.Buffer
+	if _, err := sketch.EncodeSegment(&want, metas, eager); err != nil {
+		t.Fatal(err)
+	}
+	if got := get("/sketches?" + epochsParam[1:]); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("/sketches?%s: exported segment differs from the eager merge's encoding", epochsParam[1:])
+	}
+}
+
+// spanNote returns the note of the named span of a ?trace=1 response, and
+// whether the span is there.
+func spanNote(body map[string]any, name string) (string, bool) {
+	tr, _ := body["trace"].(map[string]any)
+	spans, _ := tr["spans"].([]any)
+	for _, s := range spans {
+		if sp := s.(map[string]any); sp["name"] == name {
+			note, _ := sp["note"].(string)
+			return note, true
+		}
+	}
+	return "", false
+}
+
+// TestWindowMergesOnlyWhatQueriesRead: a sum b=0 window query merges exactly
+// one assignment, a following R=0,1 query exactly one more, a repeat none,
+// an export of one assignment that one, /sketches the rest — read from the
+// counter, /metrics and the range-merge span's note.
+func TestWindowMergesOnlyWhatQueriesRead(t *testing.T) {
+	cfg := windowCfg()
+	s, base := windowServer(t, cfg, chunkEpochs(windowStream(800, 32), 4))
+	for step, c := range []struct {
+		path       string
+		wantMerged int64
+		wantNote   string // "" = no range-merge span at all
+	}{
+		{"/query?agg=sum&b=0&epochs=2..4&trace=1", 1, "assignments=1/4"},
+		{"/query?agg=max&R=0,1&epochs=2..4&trace=1", 2, "assignments=1/4"},
+		{"/query?agg=max&R=0,1&epochs=2..4&trace=1", 2, ""},
+		{"/query?agg=L1&R=1,0&est=discarded&epochs=2..4&trace=1", 2, ""},
+		{"/sketch?b=3&epochs=2..4", 3, ""},
+		{"/query?agg=total&epochs=2..4&trace=1", 4, "assignments=1/4"},
+		{"/sketches?epochs=2..4", 4, ""},
+		{"/query?agg=total&epochs=1..4&trace=1", 8, "assignments=4/4"}, // another window, its own state
+	} {
+		resp, err := http.Get(base + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d GET %s: status %d", step, c.path, resp.StatusCode)
+		}
+		if strings.HasPrefix(c.path, "/query") {
+			note, ok := spanNote(decodeJSONBody(t, resp.Body), "range-merge")
+			if ok != (c.wantNote != "") || note != c.wantNote {
+				t.Errorf("step %d GET %s: range-merge span present=%t note=%q, want note %q", step, c.path, ok, note, c.wantNote)
+			}
+		}
+		resp.Body.Close()
+		if got := s.mergedAssignments.Value(); got != c.wantMerged {
+			t.Errorf("step %d after GET %s: %d assignments merged so far, want %d", step, c.path, got, c.wantMerged)
+		}
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		`cws_merged_assignments_total{site="window"} 8`,
+		`cws_merge_conflicts_total{site="window"} 0`,
+		`cws_range_queries_total 6`,
+		`cws_query_stage_seconds_count{stage="range-merge"} 4`,
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestWindowConcurrentQueriesMergeOnce: 32 concurrent queries with
+// overlapping assignment sets on one fresh window merge each assignment
+// once, and all answer as the serial oracle does.
+func TestWindowConcurrentQueriesMergeOnce(t *testing.T) {
+	cfg := windowCfg()
+	chunks := chunkEpochs(windowStream(1200, 33), 4)
+	s, base := windowServer(t, cfg, chunks)
+	oracle, err := core.CombineDispersed(cfg.Sample, eagerWindow(t, cfg, chunks[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []string{"agg=sum&b=0", "agg=max&R=0,1", "agg=L1&R=1,2", "agg=total", "agg=sum&b=3", "agg=min&R=2,3", "agg=jaccard&R=0,3", "agg=sum&b=1"}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(params string) {
+			defer wg.Done()
+			values, _ := url.ParseQuery(params)
+			p, err := cliquery.ParseHTTPParams(values, cfg.Assignments)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, want, _, err := cliquery.AnswerVia(oracle, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, cliquery.Direct)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			<-start
+			resp, err := http.Get(base + "/query?" + params + "&epochs=2..4")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var body map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("/query?%s: status %d, err %v, body %v", params, resp.StatusCode, err, body)
+				return
+			}
+			if got := body["estimate"].(float64); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("/query?%s = %v, oracle %v", params, got, want)
+			}
+		}(shapes[g%len(shapes)])
+	}
+	close(start)
+	wg.Wait()
+	if got := s.mergedAssignments.Value(); got != int64(cfg.Assignments) {
+		t.Errorf("32 concurrent window queries merged %d assignments, want each of %d once", got, cfg.Assignments)
+	}
+}
+
+// TestWindowDuplicateKeyIsRefused: a key offered in two epochs whose copies
+// the freezes' cumulative merges never saw together — earlier heavy keys
+// keep both out of the cumulative sample — survives twice into the merge of
+// the window holding both epochs. That merge is refused with 409 naming the
+// key and the window, on every endpoint and every time (nothing is kept of
+// it), counted and traced; the window's other assignment, every other
+// window and the cumulative snapshot keep answering.
+func TestWindowDuplicateKeyIsRefused(t *testing.T) {
+	cfg := Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, K: 8},
+		Assignments: 2,
+		Retain:      4,
+	}
+	var heavy []Offer
+	for i := 0; i < 200; i++ {
+		heavy = append(heavy, Offer{Assignment: 0, Key: fmt.Sprintf("heavy-%03d", i), Weight: 1e6})
+	}
+	s, base := windowServer(t, cfg, [][]Offer{
+		heavy,
+		{{Assignment: 0, Key: "twice", Weight: 1}, {Assignment: 1, Key: "twice", Weight: 1}},
+		{{Assignment: 0, Key: "twice", Weight: 1}, {Assignment: 1, Key: "later", Weight: 2}},
+	})
+	if got := s.Epoch(); got != 3 {
+		t.Fatalf("the freezes caught the duplicate (epoch %d): the stream no longer hides it from the cumulative merge", got)
+	}
+	status := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v (the handler must answer, not die)", path, err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	for _, path := range []string{
+		"/query?agg=sum&b=0&epochs=2..3", "/query?agg=sum&b=0&epochs=2..3", "/query?agg=L1&epochs=2..3",
+		"/sketch?b=0&epochs=2..3", "/sketches?epochs=2..3",
+	} {
+		code, body := status(path)
+		if code != http.StatusConflict || !strings.Contains(body, `\"twice\"`) || !strings.Contains(body, "epochs 2..3") {
+			t.Errorf("GET %s: status %d, body %s; want 409 naming the key and the window", path, code, body)
+		}
+	}
+	for _, path := range []string{
+		"/query?agg=sum&b=1&epochs=2..3", "/sketch?b=1&epochs=2..3",
+		"/query?agg=sum&b=0&epochs=3..3", "/query?agg=L1&epochs=1..2", "/query?agg=L1", "/healthz",
+	} {
+		if code, body := status(path); code != http.StatusOK {
+			t.Errorf("GET %s after the refusals: status %d, body %s", path, code, body)
+		}
+	}
+	if got := s.mergeConflicts.Value(); got != 5 {
+		t.Errorf("%d merge conflicts counted, want 5", got)
+	}
+	_, traces := status("/debug/traces")
+	if !strings.Contains(traces, `"name":"range-merge"`) || !strings.Contains(traces, `"note":"assignments=0/2"`) {
+		t.Errorf("/debug/traces holds no refused range-merge span: %s", traces)
+	}
+	_, metrics := status("/metrics")
+	if want := `cws_merge_conflicts_total{site="window"} 5`; !strings.Contains(metrics, want) {
+		t.Errorf("/metrics missing %q", want)
+	}
+}
+
+// BenchmarkWindowQueryCold is the node read path's checked-in number: one
+// cold /query over a 4-epoch window at the end-to-end benchmark's sketch
+// size (k = 1 024, |W| = 8), against a fresh window state every iteration —
+// the assignments the query reads merged (one, two, all eight), its
+// AW-summary built, the predicate scanned.
+func BenchmarkWindowQueryCold(b *testing.B) {
+	cfg := Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 11, K: 1024},
+		Assignments: 8,
+		Retain:      4,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	post := func(path string, body []byte) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	for epoch := 0; epoch < 4; epoch++ {
+		var offers []Offer
+		for i := 0; i < 4*cfg.Sample.K; i++ {
+			key := fmt.Sprintf("%06d.e%d", i, epoch) // distinct leading bytes: the key-order sort's fast path
+			for a := 0; a < cfg.Assignments; a++ {
+				offers = append(offers, Offer{Assignment: a, Key: key, Weight: 1 + float64((i*(a+3))%97)})
+			}
+		}
+		body, err := json.Marshal(map[string]any{"offers": offers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		post("/offer", body)
+		post("/freeze", nil)
+	}
+	snap := s.snap.Load()
+	for _, shape := range []struct{ name, params string }{
+		{"single", "agg=sum&b=1"}, {"pair", "agg=L1&R=0,7"}, {"all", "agg=L1"},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				snap.rangeMu.Lock()
+				clear(snap.ranges)
+				snap.rangeMu.Unlock()
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?"+shape.params+"&prefix=0001&epochs=1..4", nil))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
