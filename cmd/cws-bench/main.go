@@ -6,16 +6,15 @@
 //	cws-bench -list
 //	cws-bench -run fig3 [-scale 1.0] [-runs 25] [-ks 10,100,1000] [-seed 1]
 //	cws-bench -run all
-//	cws-bench -run serve -json BENCH_serve.json
-//	cws-bench -run ingest -json BENCH_ingest.json
-//	cws-bench -run ingest -cpuprofile cpu.out -memprofile mem.out
+//	cws-bench -run estimators -json BENCH_estimators.json
+//	cws-bench -run fig3 -cpuprofile cpu.out -memprofile mem.out
 //
 // Each experiment prints plain-text tables with the same rows/series the
 // paper plots; see DESIGN.md for the experiment index and EXPERIMENTS.md for
 // recorded paper-vs-measured comparisons. With -json, the machine-readable
 // results (tables plus the options that produced them) are additionally
-// written to a file, which is how the checked-in BENCH_*.json perf records
-// are produced.
+// written to a file, which is how the checked-in BENCH_estimators.json is
+// produced. The serving system is measured by bench/run.sh, not here.
 package main
 
 import (
@@ -57,11 +56,7 @@ func main() {
 	runs := flag.Int("runs", 25, "sampling repetitions per measured point")
 	ks := flag.String("ks", "", "comma-separated k sweep (default per experiment)")
 	seed := flag.Uint64("seed", 0xC0FFEE, "hash seed")
-	conns := flag.Int("conns", 0, "client connections for the loadtest experiment (0 = sweep defaults)")
-	addr := flag.String("addr", "", "target an already-running cws-serve at host:port for the loadtest experiment (default: in-process server)")
-	peers := flag.Int("peers", 0, "member count for the cluster experiment (0 = 3)")
-	overload := flag.Bool("overload", false, "loadtest overload mode: tiny ingest-admission bound, clients honor 429 Retry-After")
-	jsonOut := flag.String("json", "", "also write results as JSON to this file (the BENCH_*.json perf records)")
+	jsonOut := flag.String("json", "", "also write results as JSON to this file (BENCH_estimators.json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	flag.Parse()
@@ -76,7 +71,7 @@ func main() {
 
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 
-	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed, Conns: *conns, Addr: *addr, Peers: *peers, Overload: *overload}
+	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed}
 	if *ks != "" {
 		for _, part := range strings.Split(*ks, ",") {
 			k, err := strconv.Atoi(strings.TrimSpace(part))

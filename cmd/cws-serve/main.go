@@ -57,8 +57,7 @@
 //	curl 'localhost:7070/query?agg=sum&b=0&prefix=192.168.'
 //	curl 'localhost:7070/sketch?b=0' > site.0.cws      # feed to cws-merge
 //	curl localhost:7070/healthz/ready
-//	curl localhost:7070/debug/vars
-//	curl localhost:7070/metrics                        # Prometheus text format
+//	curl localhost:7070/metrics                        # every counter, gauge and histogram (Prometheus text)
 //	curl 'localhost:7070/query?agg=L1&trace=1'         # per-stage timing in the response
 //	curl localhost:7070/debug/traces                   # recent request traces
 //

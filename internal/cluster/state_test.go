@@ -18,6 +18,7 @@ import (
 	"coordsample/internal/cliquery"
 	"coordsample/internal/core"
 	"coordsample/internal/faults"
+	"coordsample/internal/obs/obstest"
 	"coordsample/internal/server"
 	"coordsample/internal/shard"
 	"coordsample/internal/sketch"
@@ -139,8 +140,7 @@ func (tc *testCluster) mustAnswer(t *testing.T, params string) answer {
 // exports reads peer i's count of full segment exports.
 func (tc *testCluster) exports(t *testing.T, i int) int {
 	t.Helper()
-	_, vars := getJSON(t, tc.peerTS[i].URL+"/debug/vars")
-	return int(vars["cws.segment_exports"].(float64))
+	return int(obstest.Scrape(t, tc.peerTS[i].URL)["cws_segment_exports_total"])
 }
 
 // moreOffers is a second stream over keys disjoint from testOffers'.

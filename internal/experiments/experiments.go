@@ -27,21 +27,6 @@ type Options struct {
 	Ks []int
 	// Seed drives all sampling randomness.
 	Seed uint64
-	// Conns fixes the client-connection count of the loadtest experiment;
-	// 0 sweeps a default set.
-	Conns int
-	// Addr points the loadtest experiment at an already-running cws-serve
-	// (host:port) instead of an in-process server. Answers are verified
-	// against the offline pipeline only when the target starts at epoch 0.
-	Addr string
-	// Peers is the member count of the cluster experiment (0 = 3).
-	Peers int
-	// Overload runs the loadtest experiment against a server with a
-	// deliberately tiny ingest-admission bound, so most requests are shed
-	// with 429 + Retry-After; clients honor the backoff and the sheds
-	// column records how much work was pushed back. The identical column
-	// still verifies no acknowledged offer was lost.
-	Overload bool
 }
 
 // WithDefaults fills unset fields.

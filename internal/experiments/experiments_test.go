@@ -19,8 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table2", "table_ip2", "table3", "table4",
 		"unweighted", "jaccard",
 		"ablation_family", "ablation_sketch", "ablation_fixedk", "ablation_generic",
-		"serve", "ingest", "store", "estimators",
-		"scale", "loadtest", "cluster",
+		"estimators",
 	}
 	for _, id := range wantIDs {
 		if _, ok := Find(id); !ok {

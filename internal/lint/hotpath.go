@@ -77,7 +77,6 @@ var hotSafePkgs = map[string]bool{
 	"encoding/binary": true,
 	"io":              true,
 	"bufio":           true,
-	"expvar":          true,
 	"unicode/utf8":    true,
 }
 

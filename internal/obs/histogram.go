@@ -3,9 +3,8 @@
 // trace span recording with a bounded ring of recent traces, and slog
 // helpers for component-tagged structured logging.
 //
-// Everything here is stdlib-only and instance-scoped: like the server's
-// expvar counters, nothing registers into process globals, so two servers
-// in one test process never collide.
+// Everything here is stdlib-only and instance-scoped: nothing registers
+// into process globals, so two servers in one test process never collide.
 package obs
 
 import (
@@ -138,15 +137,6 @@ func (s *Snapshot) Quantile(q float64) time.Duration {
 	}
 	return s.Max
 }
-
-// P50 is the median upper bound.
-func (s *Snapshot) P50() time.Duration { return s.Quantile(0.50) }
-
-// P95 is the 95th-percentile upper bound.
-func (s *Snapshot) P95() time.Duration { return s.Quantile(0.95) }
-
-// P99 is the 99th-percentile upper bound.
-func (s *Snapshot) P99() time.Duration { return s.Quantile(0.99) }
 
 // Mean returns the arithmetic mean of recorded values, 0 when empty.
 func (s *Snapshot) Mean() time.Duration {

@@ -93,7 +93,7 @@ func TestHistogramCountsSumMax(t *testing.T) {
 func TestQuantileBounds(t *testing.T) {
 	h := &Histogram{}
 	var empty Snapshot
-	if empty.P99() != 0 {
+	if empty.Quantile(0.99) != 0 {
 		t.Fatal("empty quantile should be 0")
 	}
 	// 90 fast observations, 10 slow: p50 must bound 1ms, p99 must bound 1s.
@@ -104,11 +104,11 @@ func TestQuantileBounds(t *testing.T) {
 		h.Record(time.Second)
 	}
 	s := h.Snapshot()
-	if p := s.P50(); p < time.Millisecond || p > 2*time.Millisecond {
+	if p := s.Quantile(0.50); p < time.Millisecond || p > 2*time.Millisecond {
 		t.Fatalf("p50 = %v, want within [1ms, 2ms]", p)
 	}
 	// The p99 observation is in the 1s bucket; upper bound clamps to Max.
-	if p := s.P99(); p != time.Second {
+	if p := s.Quantile(0.99); p != time.Second {
 		t.Fatalf("p99 = %v, want exactly max (1s)", p)
 	}
 	if s.Quantile(1.0) != time.Second {

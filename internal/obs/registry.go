@@ -14,8 +14,8 @@ import (
 // is registered into process globals — and safe for concurrent use.
 //
 // Counters and gauges are function-backed: the registry stores a closure
-// and samples it at scrape time, so existing expvar.Int counters and
-// struct fields can be exposed without double bookkeeping.
+// and samples it at scrape time, so existing atomic counters and struct
+// fields can be exposed without double bookkeeping.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family

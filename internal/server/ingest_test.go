@@ -11,12 +11,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"coordsample/internal/core"
+	"coordsample/internal/obs/obstest"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 )
@@ -300,20 +299,9 @@ func TestIngestSamplerMetrics(t *testing.T) {
 	s, ts := newTestServer(t, cfg)
 	series := func(name string, b int) float64 {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		re := regexp.MustCompile(`(?m)^` + name + `\{assignment="` + strconv.Itoa(b) + `"\} (\S+)$`)
-		m := re.FindSubmatch(raw)
-		if m == nil {
-			t.Fatalf("/metrics has no %s{assignment=%q} series", name, strconv.Itoa(b))
-		}
-		v, err := strconv.ParseFloat(string(m[1]), 64)
-		if err != nil {
-			t.Fatalf("%s = %q: %v", name, m[1], err)
+		v, ok := obstest.Scrape(t, ts.URL)[fmt.Sprintf(`%s{assignment="%d"}`, name, b)]
+		if !ok {
+			t.Fatalf(`/metrics has no %s{assignment="%d"} series`, name, b)
 		}
 		return v
 	}

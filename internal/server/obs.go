@@ -29,9 +29,9 @@ type serverMetrics struct {
 // config fields get private defaults, so embedders pay nothing for the
 // layer they did not ask for.
 //
-// The registry exposes the expvar counters the server already keeps (as
-// function-backed series — no double bookkeeping), the request/freeze
-// histograms, the store's durability histograms when a store is attached,
+// The registry exposes the counters the server keeps (as function-backed
+// series — no double bookkeeping), the request/freeze histograms, the
+// store's durability histograms when a store is attached,
 // and one hits/fires counter pair per configured fault point — the whole
 // shared fault Set, so injected cluster and store faults are scrapable
 // from the serving process's /metrics.
@@ -62,22 +62,22 @@ func (s *Server) initObs(cfg Config) {
 	m.freezeMerge = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "merge"))
 	m.freezePersist = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "persist"))
 
-	r.Counter("cws_offers_total", "Offers accepted into the current or a frozen epoch.", s.offers.Value)
-	r.Counter("cws_offer_batches_total", "POST /offer requests accepted.", s.offerBatches.Value)
-	r.Counter("cws_ingest_streams_total", "POST /ingest streams completed.", s.ingestStreams.Value)
-	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "aw"), s.queriesAW.Value)
-	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "discarded"), s.queriesDiscarded.Value)
-	r.Counter("cws_range_queries_total", "Queries answered over a retained epoch window (?epochs=lo..hi).", s.rangeQueries.Value)
-	r.CounterL("cws_merged_assignments_total", "Assignments merged on first use by a window or cluster state.", obs.Label("site", "window"), s.mergedAssignments.Value)
-	r.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "window"), s.mergeConflicts.Value)
-	r.Counter("cws_freezes_total", "Successful epoch freezes.", s.freezes.Value)
-	r.Counter("cws_freeze_errors_total", "Failed freezes (contract violations and persist failures).", s.freezeErrors.Value)
-	r.Counter("cws_sketch_exports_total", "GET /sketch exports.", s.sketchExports.Value)
-	r.Counter("cws_segment_exports_total", "GET /sketches peer bulk-fetch exports.", s.segmentExports.Value)
-	r.Counter("cws_sheds_total", "Ingest requests shed with 429 under the inflight bound.", s.sheds.Value)
-	r.Counter("cws_store_persists_total", "Epochs durably persisted.", s.persists.Value)
-	r.Counter("cws_store_persist_errors_total", "Persist failures (the freeze was not acknowledged).", s.persistErrors.Value)
-	r.Counter("cws_store_compaction_errors_total", "Compaction failures after an acknowledged persist.", s.compactionErrors.Value)
+	r.Counter("cws_offers_total", "Offers accepted into the current or a frozen epoch.", s.offers.Load)
+	r.Counter("cws_offer_batches_total", "POST /offer requests accepted.", s.offerBatches.Load)
+	r.Counter("cws_ingest_streams_total", "POST /ingest streams completed.", s.ingestStreams.Load)
+	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "aw"), s.queriesAW.Load)
+	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "discarded"), s.queriesDiscarded.Load)
+	r.Counter("cws_range_queries_total", "Queries answered over a retained epoch window (?epochs=lo..hi).", s.rangeQueries.Load)
+	r.CounterL("cws_merged_assignments_total", "Assignments merged on first use by a window or cluster state.", obs.Label("site", "window"), s.mergedAssignments.Load)
+	r.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "window"), s.mergeConflicts.Load)
+	r.Counter("cws_freezes_total", "Successful epoch freezes.", s.freezes.Load)
+	r.Counter("cws_freeze_errors_total", "Failed freezes (contract violations and persist failures).", s.freezeErrors.Load)
+	r.Counter("cws_sketch_exports_total", "GET /sketch exports.", s.sketchExports.Load)
+	r.Counter("cws_segment_exports_total", "GET /sketches peer bulk-fetch exports.", s.segmentExports.Load)
+	r.Counter("cws_sheds_total", "Ingest requests shed with 429 under the inflight bound.", s.sheds.Load)
+	r.Counter("cws_store_persists_total", "Epochs durably persisted.", s.persists.Load)
+	r.Counter("cws_store_persist_errors_total", "Persist failures (the freeze was not acknowledged).", s.persistErrors.Load)
+	r.Counter("cws_store_compaction_errors_total", "Compaction failures after an acknowledged persist.", s.compactionErrors.Load)
 
 	// Sampler signals, per assignment: how much of the stream the shared
 	// admission threshold prunes, where that threshold stands, and how full
@@ -121,7 +121,7 @@ func (s *Server) initObs(cfg Config) {
 		return float64(s.inflight.Load())
 	})
 	r.Gauge("cws_recovered_epochs", "Epochs recovered from the store at startup.", func() float64 {
-		return float64(s.recoveredEpochs.Value())
+		return float64(s.recoveredEpochs.Load())
 	})
 	r.Gauge("cws_uptime_seconds", "Process uptime.", func() float64 {
 		return time.Since(s.start).Seconds()

@@ -27,7 +27,6 @@ func obsTestConfig() Config {
 func TestEndpointContentTypes(t *testing.T) {
 	_, ts := newTestServer(t, obsTestConfig())
 	wants := map[string]string{
-		"/debug/vars":    "application/json; charset=utf-8",
 		"/debug/traces":  "application/json; charset=utf-8",
 		"/healthz":       "application/json; charset=utf-8",
 		"/healthz/live":  "application/json; charset=utf-8",

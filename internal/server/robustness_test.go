@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,11 +73,28 @@ func TestHealthSplitLiveVsReady(t *testing.T) {
 
 // TestOverloadSheddingReturns429: with MaxInflight=1, concurrent ingest
 // requests beyond the bound are shed with 429 + Retry-After while the
-// admitted request proceeds, and the cws.sheds counter records them.
+// admitted request proceeds, and cws_sheds_total records them. A shed
+// request leaves nothing in the sample and its retry loses nothing: the
+// frozen epoch is bit-identical to the offline pipeline over exactly the
+// acknowledged offers.
 func TestOverloadSheddingReturns429(t *testing.T) {
 	cfg := robustCfg()
 	cfg.MaxInflight = 1
 	s, ts := newTestServer(t, cfg)
+
+	// The held stream overfills both samples (k = 32), so r_k and r_{k+1}
+	// are finite; the shed offers weigh enough to be sampled for certain.
+	held := testStream(100, 5)
+	shed := []Offer{{Assignment: 0, Key: "shed-me", Weight: 1e9}, {Assignment: 1, Key: "x", Weight: 1e9}}
+	after := Offer{Assignment: 0, Key: "after", Weight: 1}
+	var heldBody bytes.Buffer
+	enc := json.NewEncoder(&heldBody) // one NDJSON line per offer
+	for _, o := range held {
+		if err := enc.Encode(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	firstLine := bytes.IndexByte(heldBody.Bytes(), '\n') + 1
 
 	// Hold the single ingest slot with a streaming request whose body we
 	// keep open until the shed assertions are done.
@@ -94,7 +113,7 @@ func TestOverloadSheddingReturns429(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		holderErr <- nil
 	}()
-	if _, err := pw.Write([]byte(`{"assignment":0,"key":"held","weight":1}` + "\n")); err != nil {
+	if _, err := pw.Write(heldBody.Next(firstLine)); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the holder's request is inside the handler.
@@ -105,7 +124,7 @@ func TestOverloadSheddingReturns429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, err := tryPostJSON(ts.URL+"/offer", Offer{Assignment: 0, Key: "shed-me", Weight: 1})
+	resp, err := tryPostJSON(ts.URL+"/offer", shed[0])
 	if err == nil {
 		t.Fatalf("offer admitted past MaxInflight: %v", resp)
 	}
@@ -113,7 +132,8 @@ func TestOverloadSheddingReturns429(t *testing.T) {
 		t.Fatalf("shed response: %v / %v", err, resp)
 	}
 	// Direct check for the status code and Retry-After header.
-	httpResp, err := http.Post(ts.URL+"/offer", "application/json", strings.NewReader(`{"assignment":0,"key":"x","weight":1}`))
+	shedBody, _ := json.Marshal(shed[1])
+	httpResp, err := http.Post(ts.URL+"/offer", "application/json", bytes.NewReader(shedBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +146,31 @@ func TestOverloadSheddingReturns429(t *testing.T) {
 		t.Fatal("shed response missing Retry-After")
 	}
 
+	if _, err := pw.Write(heldBody.Bytes()); err != nil {
+		t.Fatal(err)
+	}
 	pw.Close()
 	wg.Wait()
 	if err := <-holderErr; err != nil {
 		t.Fatalf("held ingest stream failed: %v", err)
 	}
-	if s.sheds.Value() < 2 {
-		t.Fatalf("cws.sheds = %d, want >= 2", s.sheds.Value())
+	if s.sheds.Load() < 2 {
+		t.Fatalf("cws_sheds_total = %d, want >= 2", s.sheds.Load())
 	}
-	// The slot is free again: the next request is admitted.
-	if _, err := tryPostJSON(ts.URL+"/offer", Offer{Assignment: 0, Key: "after", Weight: 1}); err != nil {
-		t.Fatalf("offer after release: %v", err)
+	// The slot is free again: the next request and both retries are admitted.
+	for _, o := range append([]Offer{after}, shed...) {
+		if _, err := tryPostJSON(ts.URL+"/offer", o); err != nil {
+			t.Fatalf("offer %q after release: %v", o.Key, err)
+		}
+	}
+	postJSON(t, ts.URL+"/freeze", nil)
+	acked := append(append(held, after), shed...)
+	for b, want := range epochSketches(cfg, acked) {
+		got := s.snap.Load().sketches[b]
+		if got.KthRank() != want.KthRank() || got.Threshold() != want.Threshold() || !slices.Equal(got.Entries(), want.Entries()) {
+			t.Fatalf("assignment %d: frozen (%d entries, r_k %v, r_k+1 %v), offline (%d, %v, %v)", b,
+				got.Size(), got.KthRank(), got.Threshold(), want.Size(), want.KthRank(), want.Threshold())
+		}
 	}
 }
 
@@ -285,7 +319,7 @@ func TestSketchesSegmentEndpoint(t *testing.T) {
 		t.Fatalf("cumulative ETag = %q, want \"<nonce>-1\"", etag)
 	}
 	nonce := etag[1:17]
-	exports := s.segmentExports.Value()
+	exports := s.segmentExports.Load()
 	resp, data = get("", etag)
 	if resp.StatusCode != http.StatusNotModified || len(data) != 0 {
 		t.Fatalf("matching If-None-Match: status %d with %d body bytes, want 304 and none", resp.StatusCode, len(data))
@@ -293,7 +327,7 @@ func TestSketchesSegmentEndpoint(t *testing.T) {
 	if resp.Header.Get("X-CWS-Epoch") != "1" || resp.Header.Get("ETag") != etag {
 		t.Fatalf("304 headers: X-CWS-Epoch %q ETag %q", resp.Header.Get("X-CWS-Epoch"), resp.Header.Get("ETag"))
 	}
-	if got := s.segmentExports.Value(); got != exports {
+	if got := s.segmentExports.Load(); got != exports {
 		t.Fatalf("a 304 exported a segment (%d → %d)", exports, got)
 	}
 	if resp, _ = get("", `"`+nonce+`-0"`); resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag {

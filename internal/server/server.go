@@ -109,7 +109,7 @@
 //	GET  /healthz        liveness + epoch + retained window
 //	GET  /healthz/live   liveness only: the process is up
 //	GET  /healthz/ready  readiness: 503 while draining or closed
-//	GET  /debug/vars     expvar-style counters (offers, queries, epoch, ...)
+//	GET  /metrics        counters, gauges and latency histograms (Prometheus text)
 //
 // Query dispatch goes through internal/cliquery, the same path cws-sketch
 // and cws-merge use, so a query answered by the server is bit-identical to
@@ -127,7 +127,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -394,30 +393,25 @@ type Server struct {
 	// from the lanes' plain counters at every flush (see laneSlot.publish).
 	ingestStats []ingestStat
 
-	// Counters use expvar types for their lock-free increments and expvar
-	// JSON rendering, but are deliberately not registered in the
-	// process-global expvar registry (which panics on duplicate names and
-	// would forbid two servers in one process — tests, embedded use). The
-	// /debug/vars handler serves them in the standard expvar format.
-	offers           expvar.Int
-	offerBatches     expvar.Int
-	ingestStreams    expvar.Int
-	queries          expvar.Int
-	queriesAW        expvar.Int
-	queriesDiscarded expvar.Int
-	rangeQueries     expvar.Int
-	freezes          expvar.Int
-	freezeErrors     expvar.Int
-	sketchExports    expvar.Int
-	segmentExports   expvar.Int
-	sheds            expvar.Int
-	persists         expvar.Int
-	persistErrors    expvar.Int
-	compactionErrors expvar.Int
-	recoveredEpochs  expvar.Int
+	// Counters behind the /metrics registry (see initObs).
+	offers           atomic.Int64
+	offerBatches     atomic.Int64
+	ingestStreams    atomic.Int64
+	queriesAW        atomic.Int64
+	queriesDiscarded atomic.Int64
+	rangeQueries     atomic.Int64
+	freezes          atomic.Int64
+	freezeErrors     atomic.Int64
+	sketchExports    atomic.Int64
+	segmentExports   atomic.Int64
+	sheds            atomic.Int64
+	persists         atomic.Int64
+	persistErrors    atomic.Int64
+	compactionErrors atomic.Int64
+	recoveredEpochs  atomic.Int64
 	// Window states: assignments merged on first use (per rangeQueries, the
 	// share of |W| a cold window query pays for) and merges refused.
-	mergedAssignments, mergeConflicts expvar.Int
+	mergedAssignments, mergeConflicts atomic.Int64
 }
 
 // New creates a Server. Without a store (or with an empty one) it starts
@@ -442,7 +436,7 @@ func New(cfg Config) (*Server, error) {
 		for _, rec := range s.store.Retained() {
 			s.retained = append(s.retained, epochSet{epoch: rec.Epoch, sketches: rec.Sketches})
 		}
-		s.recoveredEpochs.Set(int64(s.epoch))
+		s.recoveredEpochs.Store(int64(s.epoch))
 	}
 	if s.cum == nil {
 		s.cum = make([]*sketch.BottomK, cfg.Assignments)
@@ -482,7 +476,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/healthz/live", s.handleLive)
 	s.mux.HandleFunc("/healthz/ready", s.handleReady)
-	s.mux.HandleFunc("/debug/vars", s.handleVars)
 	s.mux.Handle("/metrics", s.reg.Handler())
 	s.mux.HandleFunc("/debug/traces", s.handleTraces)
 	return s, nil
@@ -1307,7 +1300,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.queries.Add(1)
 	if p.Est.Name() == estimate.DiscardedEstimator.Name() {
 		s.queriesDiscarded.Add(1)
 		s.om.queryDiscarded.Record(time.Since(started))
@@ -1518,49 +1510,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "epoch": snap.epoch})
-}
-
-// handleVars serves the counters in the standard expvar JSON shape. The
-// offers/sec rate is computed over the process uptime; scrapers wanting
-// windowed rates difference cws.offers themselves.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	snap := s.snap.Load()
-	servingEntries := 0
-	for _, sk := range snap.sketches {
-		servingEntries += sk.Size()
-	}
-	uptime := time.Since(s.start).Seconds()
-	offersPerSec := 0.0
-	if uptime > 0 {
-		offersPerSec = float64(s.offers.Value()) / uptime
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	fmt.Fprintf(w, "%q: %s,\n", "cws.offers", s.offers.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.offer_batches", s.offerBatches.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.ingest_streams", s.ingestStreams.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.queries", s.queries.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.queries_est_aw", s.queriesAW.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.queries_est_discarded", s.queriesDiscarded.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.range_queries", s.rangeQueries.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.freezes", s.freezes.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.freeze_errors", s.freezeErrors.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.sketch_exports", s.sketchExports.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.segment_exports", s.segmentExports.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.sheds", s.sheds.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.store_persists", s.persists.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.store_persist_errors", s.persistErrors.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.store_compaction_errors", s.compactionErrors.String())
-	fmt.Fprintf(w, "%q: %s,\n", "cws.store_recovered_epochs", s.recoveredEpochs.String())
-	if s.store != nil {
-		fmt.Fprintf(w, "%q: %d,\n", "cws.store_bytes", s.store.DiskBytes())
-	}
-	fmt.Fprintf(w, "%q: %d,\n", "cws.retained_epochs", len(snap.retained))
-	fmt.Fprintf(w, "%q: %d,\n", "cws.epoch", snap.epoch)
-	fmt.Fprintf(w, "%q: %d,\n", "cws.serving_entries", servingEntries)
-	fmt.Fprintf(w, "%q: %g,\n", "cws.offers_per_sec", offersPerSec)
-	fmt.Fprintf(w, "%q: %g\n", "cws.uptime_sec", uptime)
-	fmt.Fprintf(w, "}\n")
 }
 
 // --- helpers ---

@@ -19,6 +19,7 @@ import (
 	"coordsample/internal/cliquery"
 	"coordsample/internal/core"
 	"coordsample/internal/estimate"
+	"coordsample/internal/obs/obstest"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 	"coordsample/internal/store"
@@ -498,7 +499,7 @@ func TestBadRequests(t *testing.T) {
 		"sketch bad format":       {get("/sketch?b=0&format=xml"), 400},
 		"sketch wrong method":     {post("/sketch?b=0", ""), 405},
 		"healthz ok":              {get("/healthz"), 200},
-		"vars ok":                 {get("/debug/vars"), 200},
+		"metrics ok":              {get("/metrics"), 200},
 		"query ok without freeze": {get("/query?agg=L1"), 200},
 	} {
 		if tc.got != tc.want {
@@ -517,8 +518,7 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestCountersAndHealth: the expvar-style endpoint reports the ingest and
-// query activity.
+// TestCountersAndHealth: /metrics reports the ingest and query activity.
 func TestCountersAndHealth(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 8},
@@ -533,26 +533,22 @@ func TestCountersAndHealth(t *testing.T) {
 	postJSON(t, ts.URL+"/freeze", nil)
 	queryHTTP(t, ts.URL, "agg=sum&b=0")
 
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars := decodeJSONBody(t, resp.Body)
-	resp.Body.Close()
+	m := obstest.Scrape(t, ts.URL)
+	m["cws_queries_total"] = m[`cws_queries_total{est="aw"}`] + m[`cws_queries_total{est="discarded"}`]
 	for name, want := range map[string]float64{
-		"cws.offers":          2,
-		"cws.offer_batches":   1,
-		"cws.freezes":         1,
-		"cws.queries":         1,
-		"cws.epoch":           1,
-		"cws.serving_entries": 2,
+		"cws_offers_total":        2,
+		"cws_offer_batches_total": 1,
+		"cws_freezes_total":       1,
+		"cws_queries_total":       1,
+		"cws_epoch":               1,
+		"cws_serving_entries":     2,
 	} {
-		if got, _ := vars[name].(float64); got != want {
-			t.Errorf("%s = %v, want %v", name, vars[name], want)
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1106,7 +1102,7 @@ func TestFailedFreezeDoesNotMintPhantomEpoch(t *testing.T) {
 // discarded-family pipeline over the same stream, the default (and an
 // explicit est=aw) must answer the AW family, unknown names are a 400,
 // the estimated standard error rides along in the JSON (absent for ratio
-// queries), and the per-family expvar counters advance.
+// queries), and the per-family query counters advance.
 func TestEstimatorSelectionEndToEnd(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 21, K: 64},
@@ -1191,16 +1187,11 @@ func TestEstimatorSelectionEndToEnd(t *testing.T) {
 	// Per-family counters: the loop above issued len(aggs) queries twice
 	// (memo check) per family = 10 discarded and 2×10 AW, plus 1 of each
 	// from the aliasing probe; the bogus query counts nowhere.
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	m := obstest.Scrape(t, ts.URL)
+	if got := m[`cws_queries_total{est="aw"}`]; got != 21 {
+		t.Errorf(`cws_queries_total{est="aw"} = %v, want 21`, got)
 	}
-	vars := decodeJSONBody(t, resp.Body)
-	resp.Body.Close()
-	if got, _ := vars["cws.queries_est_aw"].(float64); got != 21 {
-		t.Errorf("cws.queries_est_aw = %v, want 21", got)
-	}
-	if got, _ := vars["cws.queries_est_discarded"].(float64); got != 11 {
-		t.Errorf("cws.queries_est_discarded = %v, want 11", got)
+	if got := m[`cws_queries_total{est="discarded"}`]; got != 11 {
+		t.Errorf(`cws_queries_total{est="discarded"} = %v, want 11`, got)
 	}
 }

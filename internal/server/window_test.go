@@ -252,7 +252,7 @@ func TestWindowMergesOnlyWhatQueriesRead(t *testing.T) {
 			}
 		}
 		resp.Body.Close()
-		if got := s.mergedAssignments.Value(); got != c.wantMerged {
+		if got := s.mergedAssignments.Load(); got != c.wantMerged {
 			t.Errorf("step %d after GET %s: %d assignments merged so far, want %d", step, c.path, got, c.wantMerged)
 		}
 	}
@@ -322,7 +322,7 @@ func TestWindowConcurrentQueriesMergeOnce(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if got := s.mergedAssignments.Value(); got != int64(cfg.Assignments) {
+	if got := s.mergedAssignments.Load(); got != int64(cfg.Assignments) {
 		t.Errorf("32 concurrent window queries merged %d assignments, want each of %d once", got, cfg.Assignments)
 	}
 }
@@ -379,7 +379,7 @@ func TestWindowDuplicateKeyIsRefused(t *testing.T) {
 			t.Errorf("GET %s after the refusals: status %d, body %s", path, code, body)
 		}
 	}
-	if got := s.mergeConflicts.Value(); got != 5 {
+	if got := s.mergeConflicts.Load(); got != 5 {
 		t.Errorf("%d merge conflicts counted, want 5", got)
 	}
 	_, traces := status("/debug/traces")

@@ -59,8 +59,8 @@
 // such parts are ordinary inputs.
 //
 // Both the bottom-k and r_{k+1} are minima under total orders, so neither
-// depends on arrival order; the lane tests and the ingest/scale experiments
-// enforce the bit-identity.
+// depends on arrival order; the lane tests and the end-to-end benchmark's
+// answer check (bench/verify.go) enforce the bit-identity.
 package shard
 
 import (

@@ -91,20 +91,16 @@ fi
 # --- 4b. scaling-layer docs exist ---
 # The lane/parallel-freeze machinery is easy to regress silently in docs:
 # as long as the lane code exists, DESIGN.md must keep the lane-private
-# builders section with its exactness argument, EXPERIMENTS.md must
-# document the scale and loadtest experiments, and README.md must show
-# the -lanes quickstart.
+# builders section with its exactness argument, EXPERIMENTS.md must name
+# the benchmark workload that measures it (ingest-steady), and README.md
+# must show the -lanes quickstart.
 if [ -f internal/shard/parallel.go ]; then
     if ! grep -qi "lane-private" DESIGN.md || ! grep -q "shared admission threshold" DESIGN.md; then
         echo "DESIGN.md: missing the lane-private builders / shared admission threshold section for internal/shard"
         fail=1
     fi
-    if ! grep -q '`scale`' EXPERIMENTS.md; then
-        echo "EXPERIMENTS.md: missing the scale experiment section"
-        fail=1
-    fi
-    if ! grep -q '`loadtest`' EXPERIMENTS.md; then
-        echo "EXPERIMENTS.md: missing the loadtest experiment section"
+    if ! grep -q '`ingest-steady`' EXPERIMENTS.md; then
+        echo "EXPERIMENTS.md: missing the ingest-steady benchmark workload"
         fail=1
     fi
     if ! grep -q '\-lanes' README.md; then
@@ -117,9 +113,9 @@ fi
 # The scatter-gather cluster and the fault-injection substrate carry
 # user-facing semantics (degraded/coverage, -faults) that must not drift
 # from the docs: as long as the code exists, DESIGN.md must keep the
-# cluster and fault-injection sections, EXPERIMENTS.md must document the
-# cluster experiment, and README.md must show the -peers scale-out
-# quickstart.
+# cluster and fault-injection sections, EXPERIMENTS.md must name the
+# benchmark workload that measures it (cluster-scatter), and README.md
+# must show the -peers scale-out quickstart.
 if [ -f internal/cluster/cluster.go ]; then
     if ! grep -qi "scatter-gather cluster" DESIGN.md; then
         echo "DESIGN.md: missing the scatter-gather cluster section for internal/cluster"
@@ -129,8 +125,8 @@ if [ -f internal/cluster/cluster.go ]; then
         echo "DESIGN.md: cluster section must document the degraded/coverage response semantics"
         fail=1
     fi
-    if ! grep -q '`cluster`' EXPERIMENTS.md; then
-        echo "EXPERIMENTS.md: missing the cluster experiment section"
+    if ! grep -q '`cluster-scatter`' EXPERIMENTS.md; then
+        echo "EXPERIMENTS.md: missing the cluster-scatter benchmark workload"
         fail=1
     fi
     if ! grep -q '\-peers' README.md; then
