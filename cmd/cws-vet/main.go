@@ -1,23 +1,16 @@
 // Command cws-vet runs the coordsample analysis suite (internal/lint): the
-// five analyzers that turn this repository's runtime invariants — verified
-// merges, the zero-allocation hot path, atomic field discipline, frozen
-// snapshots, typed boundary errors — into compile-time checks.
+// two analyzers that turn frozen snapshots and typed boundary errors into
+// compile-time checks.
 //
-// It speaks two protocols:
+// It is a vet tool, driven by the go command:
 //
 //	go vet -vettool=$(which cws-vet) ./...
 //
-// drives it as a unitchecker: the go command type-checks nothing itself but
-// hands cws-vet one *.cfg JSON file per package, naming the source files and
-// the compiler's export data for every import. This is the CI mode — it
-// shares the go command's build cache and per-package parallelism.
-//
-//	cws-vet [packages]
-//
-// is the standalone mode for local use without the vet harness: it resolves
-// the package patterns with go list and type-checks everything, dependencies
-// included, from source. Diagnostics print as file:line:col: message
-// (analyzer); the exit status is 2 when any diagnostic fired.
+// The go command hands cws-vet one *.cfg JSON file per package, naming the
+// source files and the compiler's export data for every import, so the tool
+// shares the build cache and per-package parallelism. Diagnostics print as
+// file:line:col: message (analyzer); the exit status is 2 when any
+// diagnostic fired.
 package main
 
 import (
@@ -31,7 +24,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"sort"
 	"strings"
 
@@ -49,15 +41,15 @@ func main() {
 	case len(args) == 1 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help"):
 		usage()
 	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		os.Exit(unitMode(args[0]))
+		os.Exit(checkUnit(args[0]))
 	default:
-		os.Exit(standaloneMode(args))
+		usage()
+		os.Exit(1)
 	}
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which cws-vet) ./...   (unit mode)\n")
-	fmt.Fprintf(os.Stderr, "       cws-vet [packages]                       (standalone mode)\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which cws-vet) ./...\n\nanalyzers:\n")
 	for _, a := range lint.Analyzers {
 		fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 	}
@@ -98,7 +90,8 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-func unitMode(cfgPath string) int {
+// checkUnit analyzes the one package a vet config file describes.
+func checkUnit(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		return fatal(err)
@@ -171,84 +164,6 @@ func unitMode(cfgPath string) int {
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// listedPackage is the subset of `go list -json` output the standalone mode
-// needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Incomplete bool
-}
-
-func standaloneMode(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	// One `go list` resolves the target patterns, a second maps the whole
-	// dependency graph (standard library included) to source directories so
-	// the loader never guesses at GOPATH layout. cgo stays off so packages
-	// like net select their pure-Go files, which type-check from source.
-	targets, err := goList(append([]string{"-json", "--"}, patterns...))
-	if err != nil {
-		return fatal(err)
-	}
-	deps, err := goList(append([]string{"-deps", "-json", "--"}, patterns...))
-	if err != nil {
-		return fatal(err)
-	}
-	dirs := make(map[string]string, len(deps))
-	for _, p := range deps {
-		if p.Dir != "" {
-			dirs[p.ImportPath] = p.Dir
-		}
-	}
-	loader := lint.NewLoader(func(path string) (string, bool) {
-		if dir, ok := dirs[path]; ok {
-			return dir, true
-		}
-		// Standard-library source spells its vendored dependencies
-		// (golang.org/x/...) without the vendor/ prefix go list reports.
-		dir, ok := dirs["vendor/"+path]
-		return dir, ok
-	})
-	exit := 0
-	total := 0
-	for _, target := range targets {
-		p, err := loader.Load(target.ImportPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit = 1
-			continue
-		}
-		total += report(loader.Fset, p.Files, p.Pkg, p.Info)
-	}
-	if total > 0 && exit == 0 {
-		exit = 2
-	}
-	return exit
-}
-
-func goList(args []string) ([]listedPackage, error) {
-	cmd := exec.Command("go", append([]string{"list"}, args...)...)
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %w", err)
-	}
-	var pkgs []listedPackage
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("parsing go list output: %w", err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
 
 // report runs the suite over one package and prints its diagnostics sorted
 // by position, returning the count.

@@ -268,9 +268,8 @@ func KMinsJaccard(cfg Config, ds *Dataset, b1, b2 int) float64 {
 // carries a fingerprint digesting exactly those parameters, and a mismatch
 // (incomparable ranks from different hash functions, or different k)
 // returns a *FingerprintMismatchError instead of silently producing a
-// sample that is NOT a bottom-k sample of the union. Sketches from legacy
-// fingerprint-less constructors are rejected too; use
-// MergeSketchesUnchecked when their provenance is known out of band.
+// sample that is NOT a bottom-k sample of the union. Standalone,
+// unfingerprinted sketches (BottomKFromRanks, Prefix) are refused too.
 // Disjointness remains the caller's responsibility, but its most common
 // violation is detected: if both copies of a key survive into the merged
 // sample, the merge panics with "offered more than once" rather than
@@ -278,15 +277,6 @@ func KMinsJaccard(cfg Config, ds *Dataset, b1, b2 int) float64 {
 // that does not survive is indistinguishable from duplicate data.
 func MergeSketches(sketches ...*BottomK) (*BottomK, error) {
 	return sketch.Merge(sketches...)
-}
-
-// MergeSketchesUnchecked is MergeSketches without the fingerprint
-// verification — for sketches built by fingerprint-less legacy paths whose
-// common configuration the caller vouches for. Getting that wrong silently
-// corrupts every downstream estimate; prefer MergeSketches.
-func MergeSketchesUnchecked(sketches ...*BottomK) *BottomK {
-	//cws:allow-unchecked deliberate re-export of the escape hatch: the facade's documented contract passes the provenance obligation to the caller
-	return sketch.MergeUnchecked(sketches...)
 }
 
 // NewPoissonSketcher creates a dispersed-model Poisson sketcher for

@@ -117,9 +117,9 @@ func (s *AssignmentSketcher) Sketch() *sketch.BottomK { return s.builder.Sketch(
 // yields a *sketch.FingerprintMismatchError (with Index naming the
 // offending position) instead of a summary whose estimates would be
 // silently corrupt. Per-assignment sample sizes may differ from cfg.K (the
-// estimators support bottom-k^(b) sketches); sketches without a
-// fingerprint — legacy construction paths such as BottomKFromRanks — are
-// accepted unverified.
+// estimators support bottom-k^(b) sketches); standalone sketches without
+// a fingerprint (BottomKFromRanks, Prefix), which sketch.Merge refuses, are
+// accepted here unverified.
 func CombineDispersed(cfg Config, sketches []*sketch.BottomK) (*estimate.Dispersed, error) {
 	cfg.validate()
 	a := cfg.Assigner()

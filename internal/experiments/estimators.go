@@ -17,7 +17,7 @@ func init() {
 	register(Experiment{
 		ID:    "estimators",
 		Paper: "arXiv:0903.0625 (discarded samples; companion to the paper's RC estimators)",
-		Desc:  "AW vs discarded-sample estimator families: empirical nMSE of total and pair L1 across k × assignments × skew, with the AW column re-verified byte-identical to the legacy estimator paths",
+		Desc:  "AW vs discarded-sample estimator families: empirical nMSE of total and pair L1 across k × assignments × skew",
 		Run:   runEstimators,
 	})
 }
@@ -51,9 +51,7 @@ func estimatorDataset(numKeys, numAsg int, sigma float64, seed int64) *dataset.D
 // per run, one shared-seed dispersed summary is built and both families
 // answer the cross-assignment total and the pair L1 from it, so every MSE
 // gap is attributable to the estimator alone. Errors are normalized by the
-// exact answer squared (nMSE = MSE / truth²). The "aw=legacy" column gates
-// the refactor: the AW family routed through the Estimator interface must
-// reproduce the pre-refactor estimator paths byte for byte in every run.
+// exact answer squared (nMSE = MSE / truth²).
 func runEstimators(opts Options) Result {
 	opts = opts.WithDefaults()
 	numKeys := int(5000 * opts.Scale)
@@ -78,7 +76,7 @@ func runEstimators(opts Options) Result {
 		tbl := Table{
 			Title: fmt.Sprintf("estimators: %s, |W|=%d, %d keys (total over all, L1 over {0,1})",
 				combo.name, combo.asg, ds.NumKeys()),
-			Columns: []string{"k", "total nMSE aw", "total nMSE disc", "disc/aw", "L1 nMSE aw", "L1 nMSE disc", "disc/aw", "aw=legacy"},
+			Columns: []string{"k", "total nMSE aw", "total nMSE disc", "disc/aw", "L1 nMSE aw", "L1 nMSE disc", "disc/aw"},
 		}
 		for ki, k := range capKs(opts.Ks, ds.NumKeys()) {
 			results := parallelRuns(opts.Runs, func(run int) []float64 {
@@ -89,23 +87,10 @@ func runEstimators(opts Options) Result {
 				totD := estimate.DiscardedEstimator.Summary(d, estimate.TotalOf()).Estimate(nil)
 				l1AW := estimate.AWEstimator.Summary(d, estimate.RangeOf(0, 1)).Estimate(nil)
 				l1D := estimate.DiscardedEstimator.Summary(d, estimate.RangeOf(0, 1)).Estimate(nil)
-				identical := 1.0
-				for _, c := range []struct{ seam, legacy estimate.AWSummary }{
-					{estimate.AWEstimator.Summary(d, estimate.TotalOf()), d.TotalUnion(nil)},
-					{estimate.AWEstimator.Summary(d, estimate.RangeOf(0, 1)), d.RangeLSet(pair)},
-					{estimate.AWEstimator.Summary(d, estimate.MinOf()), d.MinLSet(nil)},
-					{estimate.AWEstimator.Summary(d, estimate.MaxOf()), d.Max(nil)},
-					{estimate.AWEstimator.Summary(d, estimate.SingleOf(0)), d.Single(0)},
-				} {
-					if !c.seam.Equal(c.legacy) {
-						identical = 0
-					}
-				}
 				sq := func(x float64) float64 { return x * x }
 				return []float64{
 					sq(totAW - truthTotal.SumF), sq(totD - truthTotal.SumF),
 					sq(l1AW - truthL1.SumF), sq(l1D - truthL1.SumF),
-					identical,
 				}
 			})
 			totals := sumRuns(results)
@@ -128,8 +113,7 @@ func runEstimators(opts Options) Result {
 			}
 			tbl.AddRow(fmt.Sprintf("%d", k),
 				fsci(nTotAW), fsci(nTotD), ratio(nTotD, nTotAW),
-				fsci(nL1AW), fsci(nL1D), ratio(nL1D, nL1AW),
-				fmt.Sprintf("%v", totals[4] == n))
+				fsci(nL1AW), fsci(nL1D), ratio(nL1D, nL1AW))
 		}
 		res.Tables = append(res.Tables, tbl)
 	}

@@ -36,16 +36,12 @@ func fnv1a[K string | []byte](basis uint64, key K) uint64 {
 // and across key representations: a string and the []byte holding the same
 // bytes hash alike, so a decoder can hash a key in its read buffer and
 // materialise the string only if the key is sampled.
-//
-//cws:hotpath
 func Hash64[K string | []byte](seed uint64, key K) uint64 {
 	return Mix64(fnv1a(fnvOffset^Mix64(seed), key))
 }
 
 // Mix64 is the splitmix64 finalizer: a bijective avalanche mix of a 64-bit
 // word. Every input bit affects every output bit with probability ~1/2.
-//
-//cws:hotpath
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -60,8 +56,6 @@ func Mix64(x uint64) uint64 {
 // 1 − 2^-53, both exactly representable: 0 and 1 are unreachable even after
 // rounding. Open-interval values keep rank quantile functions finite and
 // positive for positive weights.
-//
-//cws:hotpath
 func Unit(x uint64) float64 {
 	return (float64(x>>12) + 0.5) * (1.0 / (1 << 52))
 }
@@ -99,8 +93,6 @@ const shardSalt uint64 = 0x9e3779b97f4a7c15
 // shards. It deliberately takes no user seed: shard routing must not depend
 // on the rank hash, so that how a stream is partitioned can never correlate
 // with which keys the coordinated samples retain.
-//
-//cws:hotpath
 func ShardHash(key string) uint64 {
 	return Mix64(fnv1a(fnvOffset^shardSalt, key))
 }

@@ -14,26 +14,21 @@ import (
 // with no space between // and cws: (the Go directive convention, so gofmt
 // never reflows them and godoc never renders them).
 //
-// Two directives mark declarations and are read from doc comments:
+// One directive marks a declaration and is read from its doc comment:
 //
-//	//cws:hotpath   on a function: the zero-alloc ingest contract applies
 //	//cws:frozen    on a type: published-snapshot immutability applies
 //
-// Five directives silence one analyzer at one line — the line of the
-// flagged construct or the line immediately above it — and every one of
-// them REQUIRES a reason, which is what turns an escape hatch into an
-// audited allowlist:
+// Two directives silence one analyzer at one line — the line of the
+// flagged construct or the line immediately above it — and both REQUIRE a
+// reason, which is what turns an escape hatch into an audited allowlist:
 //
-//	//cws:allow-unchecked reason   (uncheckedmerge)
-//	//cws:allow-alloc reason       (hotpath)
-//	//cws:allow-nonatomic reason   (atomicfield)
 //	//cws:allow-mutation reason    (frozenwrite)
 //	//cws:allow-untyped reason     (typederr)
 const directivePrefix = "//cws:"
 
 // directive is one parsed //cws: comment.
 type directive struct {
-	name   string // e.g. "hotpath", "allow-unchecked"
+	name   string // e.g. "frozen", "allow-mutation"
 	reason string // text after the name; may be empty
 	pos    token.Pos
 	line   int
@@ -132,13 +127,6 @@ func (p *Pass) Allowed(pos token.Pos, name string) bool {
 	}
 	d.used = true
 	return d.reason != ""
-}
-
-// FuncAnnotated reports whether fn's declaration carries the named
-// declaration directive (in its doc comment or on the line above the
-// declaration), marking it used.
-func (p *Pass) FuncAnnotated(fd *ast.FuncDecl, name string) bool {
-	return p.declAnnotated(fd.Doc, fd.Pos(), name)
 }
 
 // TypeAnnotated reports whether a type declaration carries the named

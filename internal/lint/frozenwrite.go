@@ -180,8 +180,19 @@ func frozenReceiver(p *Pass, sel *ast.SelectorExpr, frozen map[*types.Named]bool
 	return named
 }
 
-// funcDisplayName renders a function or method the way the hot-path
-// manifest and diagnostics name it: Name, T.Name, or (*T).Name.
+// fieldOf resolves a selector expression to the struct field it selects, or
+// nil when it selects something else (a method, a package member).
+func (p *Pass) fieldOf(sel *ast.SelectorExpr) *types.Var {
+	selection, ok := p.Info.Selections[sel]
+	if !ok || selection.Kind() != types.FieldVal {
+		return nil
+	}
+	field, _ := selection.Obj().(*types.Var)
+	return field
+}
+
+// funcDisplayName renders a function or method the way diagnostics name
+// it: Name, T.Name, or (*T).Name.
 func funcDisplayName(p *Pass, fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name

@@ -1,27 +1,16 @@
-// Package lint is cws-vet's analysis suite: five static analyzers that
-// encode this repository's runtime correctness invariants as machine-checked
-// compile-time properties. Each analyzer guards an invariant that the type
-// system cannot see and that is otherwise enforced only dynamically (by
-// AllocsPerRun tests, the race detector, or end-to-end bit-identity runs):
+// Package lint is cws-vet's analysis suite: two static analyzers for
+// invariants of this repository that the type system cannot see and that no
+// test enumerates — a test exercises the schedules and call sites it drives,
+// an analyzer covers every one the source contains:
 //
-//   - uncheckedmerge: every fingerprint-bypassing sketch combine
-//     (sketch.MergeUnchecked, the coordsample facade's
-//     MergeSketchesUnchecked) is an audited escape hatch — call sites must
-//     carry a //cws:allow-unchecked annotation with a reason, so the set of
-//     places that can silently corrupt estimates is an explicit allowlist.
-//   - hotpath: functions annotated //cws:hotpath (the PR-4 zero-allocation
-//     ingest fast path) are transitively checked for allocation-prone
-//     constructs, mutex operations, and channel sends; a manifest of
-//     must-be-hot functions makes deleting an annotation itself a violation.
-//   - atomicfield: a struct field accessed through sync/atomic anywhere must
-//     be accessed atomically everywhere — the mixed-access races the race
-//     detector only finds when the schedule cooperates.
 //   - frozenwrite: types published through atomic.Pointer snapshots (and
 //     types annotated //cws:frozen) must not have their fields written
-//     outside construction — published snapshots are immutable.
+//     outside construction — published snapshots are immutable, and a write
+//     after publication is a race only a cooperating schedule reveals.
 //   - typederr: errors built in the sketch/store packages keep the typed
 //     error contract (package-prefixed messages, %w when wrapping), and no
-//     package flattens an error chain with fmt.Errorf("...%v", err).
+//     package flattens an error chain with fmt.Errorf("...%v", err), at any
+//     site, covered by a test or not.
 //
 // The package is deliberately self-contained over the standard library's
 // go/ast and go/types (no golang.org/x/tools dependency): Analyzer, Pass,
@@ -34,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -52,22 +40,8 @@ type Analyzer struct {
 
 // Analyzers is the full cws-vet suite, in reporting order.
 var Analyzers = []*Analyzer{
-	UncheckedMerge,
-	HotPath,
-	AtomicField,
 	FrozenWrite,
 	TypedErr,
-}
-
-// AnalyzerNames returns the names of the suite's analyzers, sorted — the
-// vocabulary the DESIGN.md "Invariants as code" section is checked against.
-func AnalyzerNames() []string {
-	names := make([]string, len(Analyzers))
-	for i, a := range Analyzers {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Diagnostic is one reported violation.
@@ -93,8 +67,7 @@ type Pass struct {
 	// install their own sinks.
 	Report func(Diagnostic)
 
-	annotations *annotations                  // lazily built //cws: directive index
-	funcDecls   map[*types.Func]*ast.FuncDecl // lazily built decl index
+	annotations *annotations // lazily built //cws: directive index
 }
 
 // NewPass assembles a Pass for one analyzer over one type-checked package.
@@ -104,33 +77,14 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 
 // Reportf reports a diagnostic at pos. Diagnostics positioned in _test.go
 // files are suppressed package-wide: the invariants are production-code
-// invariants, and tests deliberately violate them (building legacy
-// fingerprint-less sketches, mutating snapshots) to prove the dynamic
-// detection works.
+// invariants, and tests deliberately violate them (mutating snapshots) to
+// prove the dynamic detection works.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if strings.HasSuffix(position.Filename, "_test.go") {
 		return
 	}
 	p.Report(Diagnostic{Analyzer: p.Analyzer, Pos: position, Message: fmt.Sprintf(format, args...)})
-}
-
-// decl returns the declaration of a function defined in this package, or nil
-// (cross-package functions, interface methods, builtins).
-func (p *Pass) decl(fn *types.Func) *ast.FuncDecl {
-	if p.funcDecls == nil {
-		p.funcDecls = make(map[*types.Func]*ast.FuncDecl)
-		for _, file := range p.Files {
-			for _, d := range file.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-						p.funcDecls[obj] = fd
-					}
-				}
-			}
-		}
-	}
-	return p.funcDecls[fn]
 }
 
 // callee resolves the *types.Func a call expression statically invokes, or

@@ -8,21 +8,19 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
 )
 
 // Loader parses and type-checks packages from source, resolving imports
-// without any network or pre-built export data: module and fixture packages
-// through the caller's Resolve hook, everything else from GOROOT source via
-// go/build (with cgo disabled, so packages like net select their pure-Go
-// variants). It backs both cws-vet's standalone mode and the linttest
-// fixture harness; the go vet -vettool unit mode reads compiler export data
-// instead and does not use it.
+// without any network or pre-built export data: fixture packages through
+// the caller's Resolve hook, everything else from GOROOT source via go/build
+// (with cgo disabled, so packages like net select their pure-Go variants).
+// It backs the linttest fixture harness; cws-vet reads the compiler export
+// data go vet hands it instead and does not use it.
 type Loader struct {
 	Fset *token.FileSet
 	// Resolve maps an import path to the directory holding its source, for
-	// packages go/build cannot find (module-internal packages, testdata
-	// fixtures). Returning ok=false falls back to go/build.
+	// packages go/build cannot find (testdata fixtures). Returning ok=false
+	// falls back to go/build.
 	Resolve func(path string) (dir string, ok bool)
 
 	ctxt build.Context
@@ -139,19 +137,5 @@ func NewInfo() *types.Info {
 		Implicits:  make(map[ast.Node]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-}
-
-// ModuleResolver returns a Resolve hook mapping import paths under the
-// given module path to directories under root.
-func ModuleResolver(modulePath, root string) func(string) (string, bool) {
-	return func(path string) (string, bool) {
-		if path == modulePath {
-			return root, true
-		}
-		if rest, ok := strings.CutPrefix(path, modulePath+"/"); ok {
-			return filepath.Join(root, filepath.FromSlash(rest)), true
-		}
-		return "", false
 	}
 }

@@ -38,8 +38,6 @@ type Histogram struct {
 }
 
 // bucketIndex maps a non-negative nanosecond count onto a bucket.
-//
-//cws:hotpath
 func bucketIndex(v uint64) int {
 	if v < subCount {
 		return int(v)
@@ -69,8 +67,6 @@ func BucketUpper(i int) uint64 {
 }
 
 // Record adds one observation. Negative durations clamp to zero.
-//
-//cws:hotpath
 func (h *Histogram) Record(d time.Duration) {
 	v := uint64(0)
 	if d > 0 {

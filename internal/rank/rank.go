@@ -77,8 +77,6 @@ func (f Family) CDF(w, x float64) float64 {
 
 // Quantile evaluates F_w^{-1}(u) for u in (0,1): the rank value whose CDF is
 // u. Zero weight maps every seed to +Inf (the key can never be sampled).
-//
-//cws:hotpath
 func (f Family) Quantile(w, u float64) float64 {
 	if w <= 0 {
 		return math.Inf(1)
@@ -118,8 +116,6 @@ func (f Family) Quantile(w, u float64) float64 {
 // admission threshold was at most threshold at any point after the item was
 // drawn is guaranteed to reject it. threshold = +Inf (sample not yet full)
 // never rejects.
-//
-//cws:hotpath
 func (f Family) RejectsSeed(u, w, threshold float64) bool {
 	return u > w*threshold
 }
@@ -131,8 +127,6 @@ func (f Family) RejectsSeed(u, w, threshold float64) bool {
 // NoteRejected) use it to skip the quantile evaluation for pruned items
 // that cannot improve the running minimum — the running minimum of a
 // sequence of random ranks improves only O(log n) times.
-//
-//cws:hotpath
 func (f Family) SeedMayRankBelow(u, w, bound float64) bool {
 	return u < w*bound
 }
@@ -211,8 +205,8 @@ const FingerprintVersion = 1
 // no floating point), so it is reproducible across processes, platforms,
 // and runs — which is what lets physically dispersed sites verify, with
 // zero coordination, that their shipped sketches are combinable. It is
-// never 0; zero is reserved to mean "no fingerprint" (legacy construction
-// paths).
+// never 0; zero is reserved to mean "no fingerprint": a standalone sample
+// that sketch.Merge refuses.
 func (a Assigner) Fingerprint(assignment, k int) uint64 {
 	h := hashing.Mix64(uint64(FingerprintVersion))
 	h = hashing.Mix64(h ^ (uint64(a.Family) + 0x9e3779b97f4a7c15))

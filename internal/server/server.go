@@ -521,8 +521,6 @@ type ingestStat struct {
 // publish moves the slot's per-lane plain counters into the server's
 // metrics — the flush boundary's bookkeeping, a few atomics per assignment
 // per batch instead of any per record. The caller holds slot.mu.
-//
-//cws:hotpath
 func (slot *laneSlot) publish(stats []ingestStat) {
 	for b := range stats {
 		offered, admitted, retained := slot.ml.TakeCounts(b)
@@ -547,17 +545,13 @@ type epochIngest struct {
 // up it sees everything and admits what a single builder would (two lanes
 // fed alternately admit about half as much again), and the higher lanes
 // take only what actually overlaps.
-//
-//cws:hotpath
 func (e *epochIngest) acquire(ticket uint32) *laneSlot {
 	for _, slot := range e.lanes {
-		//cws:allow-alloc one lane lock per flush, paired with the epoch pin; TryLock never blocks
 		if slot.mu.TryLock() {
 			return slot
 		}
 	}
 	slot := e.lanes[int(ticket)%len(e.lanes)]
-	//cws:allow-alloc one lane lock per flush, paired with the epoch pin
 	slot.mu.Lock()
 	return slot
 }
@@ -815,8 +809,6 @@ func (s *Server) newIngestState() *ingestState {
 // stage hashes and buffers one validated record — key as the decoder holds
 // it, a string or a slice it is about to reuse — and flushes when the batch
 // is full.
-//
-//cws:hotpath
 func stage[K string | []byte](st *ingestState, assignment int, key K, weight float64) error {
 	shard.Stage(st.buf, assignment, key, weight)
 	if st.buf.Len() >= ingestFlushEvery || st.buf.ArenaLen() >= ingestFlushBytes {
@@ -829,15 +821,12 @@ func stage[K string | []byte](st *ingestState, assignment int, key K, weight flo
 // epoch read lock plus one lane lock, publishes the lane's sampler counts,
 // and resets the batch for reuse. Streams pinned to distinct lanes flush
 // concurrently.
-//
-//cws:hotpath
 func (st *ingestState) flush() error {
 	n := st.buf.Len()
 	if n == 0 {
 		return nil
 	}
 	s := st.srv
-	//cws:allow-alloc one epoch pin per ingestFlushEvery records is the designed flush boundary, amortized to ~0 per record
 	s.ingestMu.RLock()
 	if s.closed.Load() {
 		s.ingestMu.RUnlock()
@@ -846,11 +835,9 @@ func (st *ingestState) flush() error {
 	slot := s.ingest.acquire(st.ticket)
 	slot.ml.OfferStaged(st.buf)
 	slot.publish(s.ingestStats)
-	//cws:allow-alloc flush-boundary unlock
 	slot.mu.Unlock()
 	s.dirty.Store(true)
 	st.epoch = int(s.epochNow.Load())
-	//cws:allow-alloc flush-boundary unlock
 	s.ingestMu.RUnlock()
 	s.offers.Add(int64(n))
 	st.accepted += n
@@ -973,11 +960,9 @@ func (s *Server) ingestNDJSON(st *ingestState, r *http.Request, w http.ResponseW
 // buffer, and no string is made for it here. Anything else (a record cut by
 // the buffer's end, a malformed varint, an oversized key, EOF) takes the
 // byte-at-a-time reader path, which also reports every framing error.
-//
-//cws:hotpath
 func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
 	if st.br == nil {
-		st.br = bufio.NewReaderSize(nil, 64<<10) //cws:allow-alloc once per pooled state
+		st.br = bufio.NewReaderSize(nil, 64<<10)
 	}
 	br := st.br
 	br.Reset(r.Body)
@@ -1016,7 +1001,8 @@ func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
 				return fmt.Errorf("record %d: key length %d exceeds %d", n, keyLen, maxIngestKeyLen)
 			}
 			if cap(st.scratch) < int(keyLen)+8 {
-				//cws:allow-alloc growth saturates at the longest record that straddled a refill, then never reallocates
+				// Growth saturates at the longest record that straddled a
+				// refill, then never reallocates.
 				st.scratch = make([]byte, keyLen+8)
 			}
 			key = st.scratch[:keyLen]
@@ -1036,7 +1022,7 @@ func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
 			return err
 		}
 		if weight != 0 {
-			//cws:allow-alloc cluster members only: the partition guard takes a string
+			// Cluster members only: the partition guard takes a string.
 			if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(string(key)) {
 				return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, key)
 			}

@@ -160,8 +160,6 @@ type Lane struct {
 // Offer presents one aggregated key with its weight in this assignment on
 // this lane. Keys must be pre-aggregated (each key offered at most once
 // across all lanes), exactly as for the single-stream sketcher.
-//
-//cws:hotpath
 func (l *Lane) Offer(key string, weight float64) {
 	offer(l, key, hashing.Hash64(l.s.hashSeed, key), weight)
 }
@@ -171,8 +169,6 @@ func (l *Lane) Offer(key string, weight float64) {
 // materialise the key only for the builder. h must be Hash64(s.hashSeed,
 // key) — callers that hold the hash already (OfferVector under SharedSeed,
 // a Staged batch hashed by the decoder) pass it in instead of rehashing.
-//
-//cws:hotpath
 func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
 	s := l.s
 	if s.closed {
@@ -207,7 +203,9 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
 	// r ≤ shared ≤ this builder's own r_k: the builder takes it (ties go to
 	// the key order), so the key is worth materialising.
 	l.admitted++
-	//cws:allow-alloc the one deliberate allocation per admitted []byte key: the builder retains sampled keys, so they cannot alias the caller's buffer (a string key converts for free)
+	// The one deliberate allocation per admitted []byte key: the builder
+	// retains sampled keys, so they cannot alias the caller's buffer (a
+	// string key converts for free).
 	l.b.Offer(string(key), r, weight)
 	if t := l.b.AdmissionThreshold(); t < shared {
 		s.lower(t)
@@ -216,8 +214,6 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
 
 // lower publishes a lane's new r_k as the shared threshold unless another
 // lane has already published a smaller one.
-//
-//cws:hotpath
 func (s *Sketcher) lower(t float64) {
 	for {
 		cur := s.shared.Load()
@@ -229,8 +225,6 @@ func (s *Sketcher) lower(t float64) {
 
 // OfferBatch presents a batch of aggregated observations on this lane,
 // equivalent to calling Offer for each in order.
-//
-//cws:hotpath
 func (l *Lane) OfferBatch(obs []Observation) {
 	for _, o := range obs {
 		l.Offer(o.Key, o.Weight)
@@ -242,8 +236,6 @@ func (l *Lane) OfferBatch(obs []Observation) {
 // together with the number of entries the lane's builder holds. The counts
 // are plain fields: call it from the goroutine driving the lane (the server
 // does, at its flush boundary, under the lane's lock).
-//
-//cws:hotpath
 func (l *Lane) TakeCounts() (offered, admitted uint64, retained int) {
 	offered, admitted = l.offered, l.admitted
 	l.offered, l.admitted = 0, 0
@@ -252,8 +244,6 @@ func (l *Lane) TakeCounts() (offered, admitted uint64, retained int) {
 
 // Offer presents one aggregated key with its weight in this assignment on
 // the Sketcher's default lane (lane 0). See Lane.Offer.
-//
-//cws:hotpath
 func (s *Sketcher) Offer(key string, weight float64) {
 	s.lanes[0].Offer(key, weight)
 }
@@ -266,8 +256,6 @@ func (s *Sketcher) Lanes() []*Lane { return s.lanes }
 // AdmissionThreshold returns the shared admission threshold: the smallest
 // r_k any lane has reached, +Inf while no lane has filled. Safe to call
 // concurrently with offers.
-//
-//cws:hotpath
 func (s *Sketcher) AdmissionThreshold() float64 {
 	return math.Float64frombits(s.shared.Load())
 }
@@ -342,16 +330,12 @@ func NewMultiSketcher(assigner rank.Assigner, assignments, k, lanes int) *MultiS
 
 // Offer presents one aggregated key with its weight in one assignment —
 // the dispersed-stream entry point (default lane).
-//
-//cws:hotpath
 func (m *MultiSketcher) Offer(assignment int, key string, weight float64) {
 	m.sketchers[assignment].Offer(key, weight)
 }
 
 // OfferVector presents one key with its weight in every assignment at once
 // (default lane); see MultiLane.OfferVector.
-//
-//cws:hotpath
 func (m *MultiSketcher) OfferVector(key string, weights []float64) {
 	m.mlanes[0].OfferVector(key, weights)
 }
@@ -366,16 +350,12 @@ type MultiLane struct {
 
 // Offer presents one aggregated key with its weight in one assignment on
 // this lane.
-//
-//cws:hotpath
 func (ml *MultiLane) Offer(assignment int, key string, weight float64) {
 	ml.lanes[assignment].Offer(key, weight)
 }
 
 // OfferBatch presents a batch of observations for one assignment on this
 // lane.
-//
-//cws:hotpath
 func (ml *MultiLane) OfferBatch(assignment int, obs []Observation) {
 	ml.lanes[assignment].OfferBatch(obs)
 }
@@ -384,8 +364,6 @@ func (ml *MultiLane) OfferBatch(assignment int, obs []Observation) {
 // (colocated-style input) on this lane. Under SharedSeed the key is hashed
 // exactly once; under Independent each assignment needs its own hash by
 // definition.
-//
-//cws:hotpath
 func (ml *MultiLane) OfferVector(key string, weights []float64) {
 	if len(weights) != len(ml.lanes) {
 		panic("shard: weight vector length mismatch")
@@ -408,8 +386,6 @@ func (ml *MultiLane) OfferVector(key string, weights []float64) {
 // staged under this MultiSketcher's assigner (NewStaged with the same
 // configuration); a batch hashed under other seeds is a programming error
 // and panics.
-//
-//cws:hotpath
 func (ml *MultiLane) OfferStaged(b *Staged) {
 	if len(b.seeds) != len(ml.lanes) {
 		panic("shard: staged batch built for a different assignment count")
@@ -426,8 +402,6 @@ func (ml *MultiLane) OfferStaged(b *Staged) {
 }
 
 // TakeCounts is Lane.TakeCounts for one assignment's lane.
-//
-//cws:hotpath
 func (ml *MultiLane) TakeCounts(assignment int) (offered, admitted uint64, retained int) {
 	return ml.lanes[assignment].TakeCounts()
 }

@@ -434,8 +434,9 @@ func TestMultiSketcherEquivalence(t *testing.T) {
 
 // TestProducerFastPathZeroAllocs is the allocation budget of the lane
 // entry point: a pruned offer — the steady-state overwhelming majority —
-// must not allocate at all, for a string key or a staged []byte key, and an
-// admitted staged key costs exactly its one string.
+// must not allocate at all, for a string key or a staged []byte key, an
+// admitted staged key costs exactly its one string, and a string key costs
+// nothing through any entry point.
 func TestProducerFastPathZeroAllocs(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 71}
 	m := NewMultiSketcher(a, 1, 8, 1)
@@ -473,6 +474,44 @@ func TestProducerFastPathZeroAllocs(t *testing.T) {
 	Stage(staged, 0, []byte("a-key-long-enough-to-need-the-heap-0123456789"), 1e300)
 	if allocs := testing.AllocsPerRun(100, func() { ml.OfferStaged(staged) }); allocs != 1 {
 		t.Errorf("OfferStaged of one admitted record allocates %v, want exactly its key string", allocs)
+	}
+
+	// Every other face of the lane entry point takes a string key and must
+	// not allocate, pruned (1e-300) or admitted (1e300), under both families
+	// (Quantile's two branches) and both dispersed modes (OfferVector's two).
+	for _, a := range []rank.Assigner{
+		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 71},
+		{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 71},
+		{Family: rank.IPPS, Mode: rank.Independent, Seed: 71},
+		{Family: rank.EXP, Mode: rank.Independent, Seed: 71},
+	} {
+		m := NewMultiSketcher(a, 2, 8, 1)
+		ml, lane := m.Lanes()[0], m.Sketchers()[0].Lanes()[0]
+		for i := 0; i < 4096; i++ {
+			ml.OfferVector(fmt.Sprintf("warm-%05d", i), []float64{1, 1})
+		}
+		for _, weight := range []float64{1e-300, 1e300} {
+			vec := []float64{weight, weight}
+			batch := []Observation{{Key: "batch-key", Weight: weight}}
+			for _, entry := range []struct {
+				name string
+				call func()
+			}{
+				{"Sketcher.Offer", func() { m.Sketchers()[0].Offer("key", weight) }},
+				{"Lane.OfferBatch", func() { lane.OfferBatch(batch) }},
+				{"Lane.TakeCounts", func() { lane.TakeCounts() }},
+				{"MultiSketcher.Offer", func() { m.Offer(1, "key", weight) }},
+				{"MultiSketcher.OfferVector", func() { m.OfferVector("key", vec) }},
+				{"MultiLane.OfferBatch", func() { ml.OfferBatch(1, batch) }},
+				{"MultiLane.OfferVector", func() { ml.OfferVector("key", vec) }},
+				{"MultiLane.TakeCounts", func() { ml.TakeCounts(1) }},
+				{"ShardOf", func() { ShardOf("key", 3) }},
+			} {
+				if allocs := testing.AllocsPerRun(100, entry.call); allocs != 0 {
+					t.Errorf("%v %v, weight %g: %s allocates %v per op, want 0", a.Family, a.Mode, weight, entry.name, allocs)
+				}
+			}
+		}
 	}
 }
 

@@ -43,13 +43,11 @@ func NewStaged(assigner rank.Assigner, assignments int) *Staged {
 // caller is about to reuse. assignment must be in range and weight valid;
 // the arena must stay below 4 GiB between Resets (ArenaLen lets the caller
 // flush on bytes as well as on records).
-//
-//cws:hotpath
 func Stage[K string | []byte](b *Staged, assignment int, key K, weight float64) {
 	off := len(b.arena)
-	//cws:allow-alloc amortized growth of a reused arena; steady-state capacity is reached after the first flush cycle
+	// Both appends grow reused buffers: steady-state capacity is reached
+	// after the first flush cycle.
 	b.arena = append(b.arena, key...)
-	//cws:allow-alloc amortized growth of a reused record buffer, as above
 	b.recs = append(b.recs, stagedRec{
 		hash:       hashing.Hash64(b.seeds[assignment], key),
 		weight:     weight,
@@ -60,18 +58,12 @@ func Stage[K string | []byte](b *Staged, assignment int, key K, weight float64) 
 }
 
 // Len returns the number of staged records.
-//
-//cws:hotpath
 func (b *Staged) Len() int { return len(b.recs) }
 
 // ArenaLen returns the number of key bytes staged.
-//
-//cws:hotpath
 func (b *Staged) ArenaLen() int { return len(b.arena) }
 
 // Reset empties the batch, keeping its buffers.
-//
-//cws:hotpath
 func (b *Staged) Reset() {
 	b.recs = b.recs[:0]
 	b.arena = b.arena[:0]

@@ -198,10 +198,10 @@ func (s *BottomK) K() int { return s.k }
 
 // Fingerprint returns the 64-bit digest of the configuration (rank family,
 // coordination mode, seed, assignment index, k, format version) the sketch
-// was built under, or 0 when the sketch was built by a legacy constructor
-// that did not supply one. Merge refuses to combine sketches whose
-// fingerprints are absent or disagree; see rank.Assigner.Fingerprint for
-// the derivation.
+// was built under, or 0 for a standalone, unfingerprinted sample (a Prefix,
+// hand-supplied ranks, NewBottomKBuilder), which Merge refuses. Merge also
+// refuses sketches whose fingerprints disagree; see
+// rank.Assigner.Fingerprint for the derivation.
 func (s *BottomK) Fingerprint() uint64 { return s.fingerprint }
 
 // Threshold returns r_{k+1}(I), the rank-conditioning value of the RC
@@ -247,8 +247,9 @@ type BottomKBuilder struct {
 }
 
 // NewBottomKBuilder returns a builder for bottom-k sketches. k must be ≥ 1.
-// Sketches frozen from it carry no fingerprint and can only be combined
-// with MergeUnchecked; pipeline code should use
+// Sketches frozen from it are standalone: they carry no fingerprint, Merge
+// and the wire codec refuse them, and they suit ranks no rank.Assigner
+// describes (hand-supplied, uniform). Pipeline code uses
 // NewBottomKBuilderWithFingerprint.
 func NewBottomKBuilder(k int) *BottomKBuilder {
 	return NewBottomKBuilderWithFingerprint(k, 0)
@@ -281,15 +282,11 @@ func NewBottomKBuilderWithFingerprint(k int, fingerprint uint64) *BottomKBuilder
 // bit-exact.)
 //
 // Safe to call concurrently with Offer from any goroutine.
-//
-//cws:hotpath
 func (b *BottomKBuilder) AdmissionThreshold() float64 {
 	return math.Float64frombits(b.admission.Load())
 }
 
 // Len returns the number of entries the builder currently retains (≤ k).
-//
-//cws:hotpath
 func (b *BottomKBuilder) Len() int { return len(b.heap) }
 
 // NoteRejected merges the rank of an item that was pruned before reaching
@@ -298,8 +295,6 @@ func (b *BottomKBuilder) Len() int { return len(b.heap) }
 // AdmissionThreshold returned at or after the item was drawn. Feeding only
 // the minimum rank over all pruned items is equivalent to offering each of
 // them. +Inf (no items pruned) is a no-op. Not safe concurrently with Offer.
-//
-//cws:hotpath
 func (b *BottomKBuilder) NoteRejected(rank float64) {
 	if rank < b.next {
 		b.next = rank
@@ -308,8 +303,6 @@ func (b *BottomKBuilder) NoteRejected(rank float64) {
 
 // Offer presents one aggregated key with its rank and weight. Keys with
 // nonpositive weight or infinite rank are never sampled and are skipped.
-//
-//cws:hotpath
 func (b *BottomKBuilder) Offer(key string, rankValue, weight float64) {
 	if weight <= 0 || math.IsInf(rankValue, 1) || math.IsNaN(rankValue) {
 		return
@@ -346,8 +339,7 @@ func (b *BottomKBuilder) Sketch() *BottomK {
 }
 
 func (b *BottomKBuilder) push(e Entry) {
-	//cws:allow-alloc the heap is capped at k entries and NewBottomKBuilderConfig pre-sizes it; growth happens at most once for legacy constructors
-	b.heap = append(b.heap, e)
+	b.heap = append(b.heap, e) // within the capacity k the constructor reserved
 	// Sift up with a hole: parents move down into it and e is written once,
 	// at its final position — half the pointer writes (and write barriers,
 	// when the collector is marking) of swapping at every level.
@@ -437,8 +429,8 @@ func BottomKFromRanks(k int, keys []string, ranks, weights []float64) *BottomK {
 // not built under interchangeable configurations: either their fingerprints
 // disagree (different Family, Mode, Seed, K, or assignment — their ranks are
 // incomparable, so any combination would silently corrupt every downstream
-// estimate), or a sketch carries no fingerprint at all and therefore cannot
-// be verified.
+// estimate), or a sketch is a standalone sample that carries no fingerprint
+// at all and therefore cannot be verified.
 type FingerprintMismatchError struct {
 	// Index is the position of the offending sketch among the inputs
 	// (0-based), or -1 when the error concerns a single sketch checked
@@ -455,7 +447,7 @@ func (e *FingerprintMismatchError) Error() string {
 		where = fmt.Sprintf("sketch %d", e.Index)
 	}
 	if e.Got == 0 {
-		return fmt.Sprintf("sketch: %s carries no configuration fingerprint and cannot be verified; rebuild it through a fingerprinted constructor, or use MergeUnchecked if the configurations are known to match", where)
+		return fmt.Sprintf("sketch: %s carries no configuration fingerprint and cannot be verified; rebuild it through a fingerprinted constructor", where)
 	}
 	return fmt.Sprintf("sketch: %s has fingerprint %#016x, want %#016x: the sketches were built under different configurations (Family/Mode/Seed/K/assignment) and their ranks are incomparable", where, e.Got, e.Want)
 }
@@ -474,7 +466,6 @@ func (e *FingerprintMismatchError) Error() string {
 // fingerprint, which certifies identical family, mode, seed, assignment,
 // and k; a violation returns a *FingerprintMismatchError instead of
 // silently producing a sample that is not a bottom-k sample of anything.
-// Use MergeUnchecked for fingerprint-less legacy construction paths.
 // Disjointness remains the caller's responsibility; overlapping keys would
 // be double-counted, exactly as duplicate records would in the underlying
 // data. Its most common violation is caught here: when two copies of a key
@@ -490,22 +481,13 @@ func Merge(sketches ...*BottomK) (*BottomK, error) {
 			return nil, &FingerprintMismatchError{Index: i, Want: want, Got: s.fingerprint}
 		}
 	}
-	//cws:allow-unchecked every input's fingerprint was just verified equal above; this is the one sanctioned delegation
-	return MergeUnchecked(sketches...), nil
+	return kWayMerge(sketches...), nil
 }
 
-// MergeUnchecked is Merge without the fingerprint verification — the escape
-// hatch for sketches from legacy constructors (NewBottomKBuilder,
-// BottomKFromRanks) and for tests that build sketches by hand. The caller
-// asserts that all inputs were built under the same rank assignment;
-// getting that wrong silently yields a merged sample that is not a bottom-k
-// sample of anything. Mismatched k still panics (it is detectable without a
-// fingerprint). The merged sketch keeps the common fingerprint when all
-// inputs agree on one, and is unfingerprinted otherwise.
-func MergeUnchecked(sketches ...*BottomK) *BottomK {
-	if len(sketches) == 0 {
-		panic("sketch: nothing to merge")
-	}
+// kWayMerge is the merge kernel behind Merge, which has verified that there
+// are inputs and that they share one fingerprint; the result carries it.
+// Mismatched k panics.
+func kWayMerge(sketches ...*BottomK) *BottomK {
 	if len(sketches) == 1 {
 		return sketches[0]
 	}
@@ -517,9 +499,6 @@ func MergeUnchecked(sketches ...*BottomK) *BottomK {
 	for j, s := range sketches {
 		if s.k != k {
 			panic("sketch: merged sketches must share k")
-		}
-		if s.fingerprint != fp {
-			fp = 0
 		}
 		heads[j] = s.entries
 		total += len(s.entries)

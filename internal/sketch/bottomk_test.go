@@ -479,34 +479,33 @@ func TestMergeMatchesDirectSketch(t *testing.T) {
 		for j := range builders {
 			parts[j] = builders[j].Sketch()
 		}
-		compareSketches(t, MergeUnchecked(parts...), direct.Sketch())
+		compareSketches(t, kWayMerge(parts...), direct.Sketch())
 	}
 }
 
 func TestMergeValidation(t *testing.T) {
 	assertPanics(t, func() { Merge() })
-	assertPanics(t, func() { MergeUnchecked() })
 	s1 := BottomKFromRanks(2, []string{"a"}, []float64{0.1}, []float64{1})
 	s2 := BottomKFromRanks(3, []string{"b"}, []float64{0.2}, []float64{1})
-	assertPanics(t, func() { MergeUnchecked(s1, s2) })
+	assertPanics(t, func() { kWayMerge(s1, s2) })
 }
 
 func TestMergeMismatchedKPanicMessage(t *testing.T) {
-	// The MergeUnchecked contract: sketches built with different k are
-	// rejected by panic even without fingerprints (silently merging them
-	// would misplace both conditioning ranks).
+	// The merge kernel's own contract: sketches built with different k are
+	// rejected by panic (silently merging them would misplace both
+	// conditioning ranks).
 	s1 := BottomKFromRanks(2, []string{"a", "b"}, []float64{0.1, 0.2}, []float64{1, 1})
 	s2 := BottomKFromRanks(3, []string{"c", "d"}, []float64{0.3, 0.4}, []float64{1, 1})
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("MergeUnchecked with mismatched k did not panic")
+			t.Fatal("kWayMerge with mismatched k did not panic")
 		}
 		if msg, ok := r.(string); !ok || !strings.Contains(msg, "share k") {
 			t.Fatalf("panic %v does not state the shared-k contract", r)
 		}
 	}()
-	MergeUnchecked(s1, s2)
+	kWayMerge(s1, s2)
 }
 
 func TestMergeOverlappingShardsDetected(t *testing.T) {
@@ -524,7 +523,7 @@ func TestMergeOverlappingShardsDetected(t *testing.T) {
 			t.Fatalf("panic %v is not the duplicate-key detection", r)
 		}
 	}()
-	MergeUnchecked(s1, s2)
+	kWayMerge(s1, s2)
 }
 
 func TestMergeSingleSketchIdentity(t *testing.T) {
@@ -534,7 +533,7 @@ func TestMergeSingleSketchIdentity(t *testing.T) {
 		b.Offer("x"+itoa(i), rng.Float64(), 1)
 	}
 	s := b.Sketch()
-	compareSketches(t, MergeUnchecked(s), s)
+	compareSketches(t, kWayMerge(s), s)
 }
 
 // TestAdmissionThresholdTracksKth: the published admission threshold is

@@ -128,7 +128,7 @@ var wireMagic = [4]byte{'C', 'W', 'S', 'K'}
 // EncodeBottomK writes s as a sketch file in the given format. meta must
 // describe the configuration the sketch was actually built under: the
 // sketch's fingerprint is checked against meta's digest and a mismatch (or
-// a fingerprint-less legacy sketch) is rejected with a
+// a standalone, unfingerprinted sketch) is rejected with a
 // *FingerprintMismatchError, so a file can never ship a sketch whose
 // provenance its header misstates.
 func EncodeBottomK(w io.Writer, c Codec, meta WireMeta, s *BottomK) error {

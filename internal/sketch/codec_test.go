@@ -170,9 +170,9 @@ func TestEncodeRejectsWrongProvenance(t *testing.T) {
 	}
 
 	// Legacy (fingerprint-less) sketches cannot be shipped at all.
-	legacy := NewBottomKBuilder(8)
-	legacy.Offer("a", 0.5, 1)
-	err := EncodeBottomK(&bytes.Buffer{}, CodecBinary, meta, legacy.Sketch())
+	standalone := NewBottomKBuilder(8)
+	standalone.Offer("a", 0.5, 1)
+	err := EncodeBottomK(&bytes.Buffer{}, CodecBinary, meta, standalone.Sketch())
 	if !errors.As(err, &fpErr) || fpErr.Got != 0 {
 		t.Fatalf("unfingerprinted sketch: got %v", err)
 	}
@@ -272,10 +272,14 @@ func TestMergeVerifiesFingerprints(t *testing.T) {
 		}
 	}
 
-	legacy := NewBottomKBuilder(8)
-	legacy.Offer("x", 0.5, 1)
-	if _, err := Merge(a, legacy.Sketch()); !errors.As(err, &fpErr) || fpErr.Got != 0 {
-		t.Fatalf("legacy sketch: got %v, want unfingerprinted *FingerprintMismatchError", err)
+	standalone := NewBottomKBuilder(8)
+	standalone.Offer("x", 0.5, 1)
+	_, err = Merge(a, standalone.Sketch())
+	if !errors.As(err, &fpErr) || fpErr.Got != 0 {
+		t.Fatalf("standalone sketch: got %v, want unfingerprinted *FingerprintMismatchError", err)
+	}
+	if msg := err.Error(); !strings.HasSuffix(msg, "rebuild it through a fingerprinted constructor") {
+		t.Fatalf("standalone sketch: message %q must name the one remedy and no bypass", msg)
 	}
 }
 

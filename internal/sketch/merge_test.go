@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,7 +11,7 @@ import (
 	"testing"
 )
 
-// mergeOracle is the merge the k-way MergeUnchecked replaced, kept as the
+// mergeOracle is the merge the k-way kernel replaced, kept as the
 // reference it must stay indistinguishable from: re-offer every entry of
 // every input into a max-heap builder, feed the input thresholds as
 // rejected ranks, and freeze with the map-based duplicate check the builder
@@ -24,9 +25,6 @@ func mergeOracle(sketches ...*BottomK) *BottomK {
 	for _, s := range sketches {
 		if s.k != k {
 			panic("sketch: merged sketches must share k")
-		}
-		if s.fingerprint != fp {
-			fp = 0
 		}
 	}
 	b := NewBottomKBuilderWithFingerprint(k, fp)
@@ -65,12 +63,12 @@ func mergeOutcome(merge func(...*BottomK) *BottomK, parts []*BottomK) (s *Bottom
 	return merge(parts...), ""
 }
 
-// assertMergeMatchesOracle checks MergeUnchecked against the oracle on one
+// assertMergeMatchesOracle checks the merge kernel against the oracle on one
 // input set: identical entries, r_k, r_{k+1} and fingerprint, or the same
 // panic text.
 func assertMergeMatchesOracle(t *testing.T, parts []*BottomK) {
 	t.Helper()
-	got, gotPanic := mergeOutcome(MergeUnchecked, parts)
+	got, gotPanic := mergeOutcome(kWayMerge, parts)
 	want, wantPanic := mergeOutcome(mergeOracle, parts)
 	if gotPanic != wantPanic {
 		t.Fatalf("panic %q, oracle %q", gotPanic, wantPanic)
@@ -86,11 +84,12 @@ func assertMergeMatchesOracle(t *testing.T, parts []*BottomK) {
 
 // TestMergeMatchesOracle is the differential test of the k-way merge on
 // seeded random inputs: 1–16 inputs, rank ties broken by key, inputs that
-// together hold fewer than k entries (+Inf thresholds), mixed fingerprints,
-// and a key duplicated across two inputs — at a small rank, where both
-// copies survive and both implementations must panic with the same text,
-// and at a large rank, where the second copy falls outside the merged
-// sample and the duplicate stays undetected by both alike.
+// together hold fewer than k entries (+Inf thresholds), mixed fingerprints
+// (which Merge must refuse before the kernel runs), and a key duplicated
+// across two inputs — at a small rank, where both copies survive and both
+// implementations must panic with the same text, and at a large rank,
+// where the second copy falls outside the merged sample and the duplicate
+// stays undetected by both alike.
 func TestMergeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 4000; trial++ {
@@ -124,6 +123,13 @@ func TestMergeMatchesOracle(t *testing.T) {
 				b.Offer("dup", r*float64(1+j*rng.Intn(2)), 1) // equal or distinct ranks
 			}
 			parts[j] = b.Sketch()
+		}
+		if mixedFP && m > 1 {
+			var fpErr *FingerprintMismatchError
+			if _, err := Merge(parts...); !errors.As(err, &fpErr) || fpErr.Index != m-1 {
+				t.Fatalf("trial %d: mixed fingerprints: got %v, want *FingerprintMismatchError at input %d", trial, err, m-1)
+			}
+			continue
 		}
 		assertMergeMatchesOracle(t, parts)
 	}

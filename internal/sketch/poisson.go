@@ -24,7 +24,7 @@ func (s *Poisson) Tau() float64 { return s.tau }
 
 // Fingerprint returns the configuration digest the sketch was built under
 // (rank.Assigner.Fingerprint with k = 0 — τ is data-dependent and stored in
-// the sketch itself), or 0 for legacy construction paths.
+// the sketch itself), or 0 for a standalone, unfingerprinted sample.
 func (s *Poisson) Fingerprint() uint64 { return s.fingerprint }
 
 // RankExcluding returns the rank-conditioning threshold for key. For a
