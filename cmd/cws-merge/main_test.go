@@ -393,6 +393,74 @@ func TestStoreQueries(t *testing.T) {
 	}
 }
 
+// TestStoreUpgradedFromV1: -store reads a store the version-1 segment
+// writer left (internal/store/testdata/v1store) after a version-2 epoch
+// compacted it — both segment versions on disk — and answers
+// bit-identically to the sketches the store recovers.
+func TestStoreUpgradedFromV1(t *testing.T) {
+	dir := t.TempDir()
+	const fixture = "../../internal/store/testdata/v1store"
+	files, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fixture's configuration (internal/store's testSample).
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 77, K: 32}
+	st, err := coordsample.OpenStore(coordsample.StoreConfig{Dir: dir, Retain: 2, Sample: cfg, Assignments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketchers := []*coordsample.AssignmentSketcher{
+		coordsample.NewAssignmentSketcher(cfg, 0),
+		coordsample.NewAssignmentSketcher(cfg, 1),
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 60; i++ {
+		for _, sk := range sketchers {
+			sk.Offer(fmt.Sprintf("new-%03d", i), math.Exp(rng.NormFloat64()))
+		}
+	}
+	if _, err := st.AppendEpoch([]*coordsample.BottomK{sketchers[0].Sketch(), sketchers[1].Sketch()}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	ro, err := coordsample.OpenStore(coordsample.StoreConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	window, err := ro.Range(4, 5) // epoch 4 is a version-1 segment, epoch 5 version 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args     []string
+		sketches []*coordsample.BottomK
+	}{{nil, ro.Cumulative()}, {[]string{"-epochs", "4..5"}, window}} {
+		summary, err := coordsample.CombineDispersed(cfg, c.sketches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(append([]string{"-store", dir, "-query", "L1"}, c.args...), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("= %v ", summary.RangeLSet(nil).Estimate(nil)); !strings.Contains(buf.String(), want) {
+			t.Fatalf("-store %v output %q does not contain bit-identical %q", c.args, buf.String(), want)
+		}
+	}
+}
+
 // TestLiteralFileWithGlobCharacters: an existing file whose name contains
 // glob metacharacters must be read literally, not glob-expanded away.
 func TestLiteralFileWithGlobCharacters(t *testing.T) {

@@ -136,6 +136,7 @@ func (s *Server) initObs(cfg Config) {
 		r.Gauge("cws_store_bytes", "Bytes of referenced segment files on disk.", func() float64 {
 			return float64(s.store.DiskBytes())
 		})
+		r.Gauge("cws_store_segment_key_ratio", "Distinct dictionary keys over entries of the last segment the store wrote: the union/sum size of its samples (0 before the first).", s.store.SegmentKeyRatio)
 	}
 
 	if cfg.Faults != nil {

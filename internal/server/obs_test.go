@@ -9,6 +9,7 @@ import (
 
 	"coordsample/internal/core"
 	"coordsample/internal/faults"
+	"coordsample/internal/obs/obstest"
 	"coordsample/internal/rank"
 )
 
@@ -91,6 +92,30 @@ func TestMetricsExposition(t *testing.T) {
 	// Memory-only server: no store series may appear.
 	if strings.Contains(body, "cws_store_segment_write_seconds") {
 		t.Error("/metrics exposes store histograms without a store attached")
+	}
+}
+
+// TestStoreMetricsExposition: a store-backed server exposes the store's
+// series, among them the key ratio of the segment it last wrote — here
+// keys a, b in both assignments and c in one: 3 dictionary keys for 5
+// entries.
+func TestStoreMetricsExposition(t *testing.T) {
+	cfg := obsTestConfig()
+	cfg.Assignments = 2
+	cfg.Store = openTestStore(t, t.TempDir(), cfg, 4)
+	_, ts := newTestServer(t, cfg)
+	postJSON(t, ts.URL+"/offer", map[string]any{"offers": []Offer{
+		{Assignment: 0, Key: "a", Weight: 1}, {Assignment: 1, Key: "a", Weight: 2},
+		{Assignment: 0, Key: "b", Weight: 3}, {Assignment: 1, Key: "b", Weight: 4},
+		{Assignment: 1, Key: "c", Weight: 5},
+	}})
+	postJSON(t, ts.URL+"/freeze", nil)
+	metrics := obstest.Scrape(t, ts.URL)
+	if got := metrics["cws_store_segment_key_ratio"]; got != 0.6 {
+		t.Errorf("cws_store_segment_key_ratio = %v, want 0.6", got)
+	}
+	if metrics["cws_store_bytes"] <= 0 {
+		t.Errorf("cws_store_bytes = %v, want the segment's size", metrics["cws_store_bytes"])
 	}
 }
 

@@ -12,6 +12,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -95,9 +96,10 @@ func mustDistinct(entries []Entry) {
 
 // sample is what BottomK and Poisson share: the sampled entries and their
 // key order, built on first use and at most once (sync.Once), so decode and
-// recovery never sort a sketch nobody queries. The embedding sketches are
-// otherwise write-once (//cws:frozen); the memoized order is their one
-// internally synchronized part, and every reader sees the same value.
+// recovery never sort a sketch nobody queries (a segment decode hands it
+// over). The embedding sketches are otherwise write-once (//cws:frozen);
+// the memoized order is their one internally synchronized part, and every
+// reader sees the same value.
 type sample struct {
 	entries []Entry // ascending (rank, key), distinct keys
 	once    sync.Once
@@ -114,7 +116,11 @@ func (s *sample) Entries() []Entry { return s.entries }
 // KeyOrder returns the indexes of Entries() in ascending key order: the
 // column the estimators' merge join walks. Shared; do not modify.
 func (s *sample) KeyOrder() []int32 {
-	s.once.Do(func() { s.byKey = sortedByKey(s.entries) })
+	s.once.Do(func() {
+		if s.byKey == nil {
+			s.byKey = sortedByKey(s.entries)
+		}
+	})
 	return s.byKey
 }
 
@@ -143,11 +149,9 @@ func sortedByKey(entries []Entry) []int32 {
 	low := uint64(1)<<shift - 1
 	words := make([]uint64, len(entries))
 	for i, e := range entries {
-		var prefix uint64
-		for j := 0; j < 8 && j < len(e.Key); j++ {
-			prefix |= uint64(e.Key[j]) << (56 - 8*j)
-		}
-		words[i] = prefix&^low | uint64(i)
+		var prefix [8]byte // zero-padded
+		copy(prefix[:], e.Key)
+		words[i] = binary.BigEndian.Uint64(prefix[:])&^low | uint64(i)
 	}
 	slices.Sort(words)
 	perm := make([]int32, len(words))

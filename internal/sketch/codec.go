@@ -132,18 +132,14 @@ var wireMagic = [4]byte{'C', 'W', 'S', 'K'}
 // *FingerprintMismatchError, so a file can never ship a sketch whose
 // provenance its header misstates.
 func EncodeBottomK(w io.Writer, c Codec, meta WireMeta, s *BottomK) error {
-	want := meta.Assigner().Fingerprint(meta.Assignment, s.K())
-	if s.Fingerprint() != want {
-		return &FingerprintMismatchError{Index: -1, Want: want, Got: s.Fingerprint()}
-	}
-	if meta.Assignment < 0 || meta.Assignment > math.MaxInt32 {
-		return fmt.Errorf("sketch: assignment index %d not encodable", meta.Assignment)
+	if err := checkWireMeta(meta, s.K(), s.Fingerprint()); err != nil {
+		return err
 	}
 	switch c {
 	case CodecBinary:
-		return encodeBinary(w, kindBottomK, meta, uint32(s.K()), want, s.KthRank(), s.Threshold(), s.Entries())
+		return encodeBinary(w, kindBottomK, meta, uint32(s.K()), s.Fingerprint(), s.KthRank(), s.Threshold(), s.Entries())
 	case CodecJSON:
-		return encodeJSON(w, kindBottomK, meta, s.K(), want, s.KthRank(), s.Threshold(), s.Entries())
+		return encodeJSON(w, kindBottomK, meta, s.K(), s.Fingerprint(), s.KthRank(), s.Threshold(), s.Entries())
 	default:
 		return fmt.Errorf("sketch: unknown codec %v", c)
 	}
@@ -153,21 +149,29 @@ func EncodeBottomK(w io.Writer, c Codec, meta WireMeta, s *BottomK) error {
 // same fingerprint verification as EncodeBottomK (Poisson fingerprints use
 // k = 0; τ travels in the sketch body).
 func EncodePoisson(w io.Writer, c Codec, meta WireMeta, s *Poisson) error {
-	want := meta.Assigner().Fingerprint(meta.Assignment, 0)
-	if s.Fingerprint() != want {
-		return &FingerprintMismatchError{Index: -1, Want: want, Got: s.Fingerprint()}
+	if err := checkWireMeta(meta, 0, s.Fingerprint()); err != nil {
+		return err
+	}
+	switch c {
+	case CodecBinary:
+		return encodeBinary(w, kindPoisson, meta, 0, s.Fingerprint(), s.Tau(), 0, s.Entries())
+	case CodecJSON:
+		return encodeJSON(w, kindPoisson, meta, 0, s.Fingerprint(), s.Tau(), 0, s.Entries())
+	default:
+		return fmt.Errorf("sketch: unknown codec %v", c)
+	}
+}
+
+// checkWireMeta verifies that meta describes a sketch of size k carrying
+// fingerprint fp, and that its assignment index is encodable.
+func checkWireMeta(meta WireMeta, k int, fp uint64) error {
+	if want := meta.Assigner().Fingerprint(meta.Assignment, k); fp != want {
+		return &FingerprintMismatchError{Index: -1, Want: want, Got: fp}
 	}
 	if meta.Assignment < 0 || meta.Assignment > math.MaxInt32 {
 		return fmt.Errorf("sketch: assignment index %d not encodable", meta.Assignment)
 	}
-	switch c {
-	case CodecBinary:
-		return encodeBinary(w, kindPoisson, meta, 0, want, s.Tau(), 0, s.Entries())
-	case CodecJSON:
-		return encodeJSON(w, kindPoisson, meta, 0, want, s.Tau(), 0, s.Entries())
-	default:
-		return fmt.Errorf("sketch: unknown codec %v", c)
-	}
+	return nil
 }
 
 // Decode reads one sketch file (either format, auto-detected) and returns
@@ -284,7 +288,7 @@ func decodeBinary(data []byte) (*Decoded, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("sketch: %d trailing bytes after entries", len(rest))
 	}
-	return validateDecoded(kind, meta, int(k), fp, condA, condB, entries)
+	return validateDecoded(kind, meta, int(k), fp, condA, condB, entries, nil)
 }
 
 // --- JSON format ---
@@ -426,16 +430,17 @@ func decodeJSON(data []byte) (*Decoded, error) {
 		}
 		entries[i] = Entry{Key: je.Key, Rank: r, Weight: w}
 	}
-	return validateDecoded(kind, meta, js.K, fp, condA, condB, entries)
+	return validateDecoded(kind, meta, js.K, fp, condA, condB, entries, nil)
 }
 
 // --- shared validation ---
 
 // validateDecoded re-establishes every invariant a frozen sketch holds,
-// then reconstructs it. Both decoders funnel through here, so no input —
+// then reconstructs it. Every decoder funnels through here, so no input —
 // however malformed — can yield a sketch that the estimators would
-// mis-handle.
-func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB float64, entries []Entry) (*Decoded, error) {
+// mis-handle. A non-nil byKey is the key order from a decoder that proved
+// the keys distinct (a segment's dictionary); nil runs checkDistinct.
+func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB float64, entries []Entry, byKey []int32) (*Decoded, error) {
 	if meta.Family != rank.IPPS && meta.Family != rank.EXP {
 		return nil, fmt.Errorf("sketch: unknown rank family %d", meta.Family)
 	}
@@ -461,8 +466,10 @@ func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB fl
 			return nil, fmt.Errorf("sketch: entries out of (rank, key) order at %d", i)
 		}
 	}
-	if dup, ok := checkDistinct(entries); !ok {
-		return nil, fmt.Errorf("sketch: duplicate key %q", dup)
+	if byKey == nil {
+		if dup, ok := checkDistinct(entries); !ok {
+			return nil, fmt.Errorf("sketch: duplicate key %q", dup)
+		}
 	}
 
 	switch kind {
@@ -491,7 +498,7 @@ func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB fl
 		if want := meta.Assigner().Fingerprint(meta.Assignment, k); fp != want {
 			return nil, &FingerprintMismatchError{Index: -1, Want: want, Got: fp}
 		}
-		s := &BottomK{sample: sample{entries: entries}, k: k, fingerprint: fp, kth: kth, threshold: threshold}
+		s := &BottomK{sample: sample{entries: entries, byKey: byKey}, k: k, fingerprint: fp, kth: kth, threshold: threshold}
 		return &Decoded{Meta: meta, BottomK: s}, nil
 
 	case kindPoisson:
@@ -513,7 +520,7 @@ func validateDecoded(kind byte, meta WireMeta, k int, fp uint64, condA, condB fl
 		if want := meta.Assigner().Fingerprint(meta.Assignment, 0); fp != want {
 			return nil, &FingerprintMismatchError{Index: -1, Want: want, Got: fp}
 		}
-		s := &Poisson{sample: sample{entries: entries}, tau: tau, fingerprint: fp}
+		s := &Poisson{sample: sample{entries: entries, byKey: byKey}, tau: tau, fingerprint: fp}
 		return &Decoded{Meta: meta, Poisson: s}, nil
 
 	default:

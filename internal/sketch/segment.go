@@ -2,15 +2,23 @@
 // fingerprinted sketch set of a frozen epoch — one bottom-k sketch per
 // weight assignment, in assignment order — plus an integrity checksum.
 //
-// A segment embeds each sketch as a length-prefixed standard binary sketch
-// file (the codec of codec.go), so every structural invariant of every
-// embedded sketch is revalidated by the same strict decoder that guards
-// single-sketch files, and closes with a CRC-32C of everything before the
-// trailer. The checksum is what turns silent bit rot (a flipped byte that
-// still parses as a structurally valid sketch — e.g. in the low bits of a
-// stored weight) into a loud *CorruptSegmentError: the codec's structural
-// validation alone cannot catch value corruption, and a durable store must
-// never serve it.
+// Coordinated samples overlap, so the |W| samples' union is much smaller
+// than their sum (the multi-objective sample of arXiv:1509.07445), and a
+// version-2 segment stores each sampled key once (little-endian):
+//
+//	header      "CWSG" | version 2 | count u32
+//	dictionary  d uvarint | d × (length uvarint | key bytes), strictly ascending
+//	per sketch  family u8 | mode u8 | seed u64 | assignment u32 | k u32 |
+//	            fingerprint u64 | r_k f64 | r_{k+1} f64 | n u32 |
+//	            n × (dictionary index uvarint | rank f64 | weight f64)
+//	trailer     CRC-32C u32 of everything before it
+//
+// Version 1 (each sketch a length-prefixed codec.go file) is still read.
+// Embedded sketches pass validateDecoded, with the ascending dictionary and
+// per-sketch distinct indices standing in for its distinct-key test and
+// handing each sketch its key order. The checksum turns silent bit rot (a
+// flipped byte that still parses, e.g. in a weight's low bits) into a loud
+// *CorruptSegmentError, which structural validation alone cannot.
 package sketch
 
 import (
@@ -18,8 +26,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"math"
+	"math/bits"
+
+	"coordsample/internal/rank"
 )
 
 // segmentMagic opens every segment file ("CWSG": coordinated weighted
@@ -27,10 +39,12 @@ import (
 var segmentMagic = [4]byte{'C', 'W', 'S', 'G'}
 
 const (
-	segmentVersion = 1
+	segmentVersion = 2
 
 	// segmentHeaderSize is magic(4) + version(1) + count(4).
 	segmentHeaderSize = 4 + 1 + 4
+	// segmentSketchSize is a version-2 sketch header (see above).
+	segmentSketchSize = 1 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 4
 	// segmentTrailerSize is the CRC-32C(4) trailer.
 	segmentTrailerSize = 4
 )
@@ -39,14 +53,15 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CorruptSegmentError reports a segment file whose bytes cannot be trusted:
-// a framing violation (bad magic/version/length), a truncation, an embedded
-// sketch failing strict decode, or a checksum mismatch. A decoder returning
-// it guarantees none of the segment's sketches were handed to the caller.
+// a framing violation (bad magic/version/length/dictionary/key index), a
+// truncation, an embedded sketch failing strict validation, or a checksum
+// mismatch. A decoder returning it guarantees none of the segment's
+// sketches were handed to the caller.
 type CorruptSegmentError struct {
 	// Detail describes the first violation encountered.
 	Detail string
 	// Err is the underlying decode error, if the violation was an embedded
-	// sketch failing the strict single-sketch decoder.
+	// sketch failing strict validation.
 	Err error
 }
 
@@ -59,13 +74,17 @@ func (e *CorruptSegmentError) Error() string {
 
 func (e *CorruptSegmentError) Unwrap() error { return e.Err }
 
-// EncodeSegment writes the sketches as one segment file. metas[b] must
-// describe the configuration sketches[b] was built under (verified against
-// each sketch's fingerprint exactly as EncodeBottomK does); the two slices
-// must be parallel, one entry per assignment in assignment order. Returns
-// the CRC-32C recorded in the trailer, which callers persisting segments
-// should record out of band (a manifest) so corruption is detectable
-// without trusting the corrupted file's own trailer.
+func corruptSegment(format string, args ...any) error {
+	return &CorruptSegmentError{Detail: fmt.Sprintf(format, args...)}
+}
+
+// EncodeSegment writes the sketches as one version-2 segment file, whose
+// bytes depend on the sketches alone. metas[b] must describe the
+// configuration sketches[b] was built under (verified as EncodeBottomK
+// does), one per assignment in order; nothing is written on error. Returns
+// the trailer's CRC-32C, which callers persisting segments should record
+// out of band (a manifest), so corruption is detectable without trusting
+// the corrupted file's own trailer.
 func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, error) {
 	if len(metas) != len(sketches) {
 		return 0, fmt.Errorf("sketch: %d metas for %d sketches", len(metas), len(sketches))
@@ -76,89 +95,219 @@ func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, 
 	if len(sketches) > math.MaxInt32 {
 		return 0, fmt.Errorf("sketch: %d sketches not encodable in one segment", len(sketches))
 	}
-	var buf bytes.Buffer
-	buf.Write(segmentMagic[:])
-	buf.WriteByte(segmentVersion)
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], uint32(len(sketches)))
-	buf.Write(scratch[:])
-	var one bytes.Buffer
 	for b, s := range sketches {
-		one.Reset()
-		if err := EncodeBottomK(&one, CodecBinary, metas[b], s); err != nil {
+		if err := checkWireMeta(metas[b], s.k, s.fingerprint); err != nil {
 			return 0, fmt.Errorf("sketch: encoding segment sketch %d: %w", b, err)
 		}
-		if one.Len() > math.MaxInt32 {
-			return 0, fmt.Errorf("sketch: segment sketch %d of %d bytes not encodable", b, one.Len())
-		}
-		if b == 0 {
-			// One set's sketches share k and a key population, so the first
-			// one's size predicts the segment's: grow once, not by doubling.
-			buf.Grow(len(sketches)*(4+one.Len()) + segmentTrailerSize)
-		}
-		binary.LittleEndian.PutUint32(scratch[:], uint32(one.Len()))
-		buf.Write(scratch[:])
-		buf.Write(one.Bytes())
 	}
-	crc := crc32.Checksum(buf.Bytes(), castagnoli)
-	binary.LittleEndian.PutUint32(scratch[:], crc)
-	buf.Write(scratch[:])
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	dict, order, index := segmentKeys(sketches)
+	size := segmentHeaderSize + binary.MaxVarintLen64 + len(sketches)*segmentSketchSize + segmentTrailerSize +
+		len(index)*(len(binary.AppendUvarint(nil, uint64(len(dict))))+16)
+	for _, e := range dict {
+		size += len(e.Key) + 2 // keys past 16 KiB cost one reallocation
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, segmentMagic[:]...)
+	buf = append(buf, segmentVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sketches)))
+	buf = binary.AppendUvarint(buf, uint64(len(order)))
+	for _, f := range order {
+		buf = binary.AppendUvarint(buf, uint64(len(dict[f].Key)))
+		buf = append(buf, dict[f].Key...)
+	}
+	for b, s := range sketches {
+		m := metas[b]
+		buf = append(buf, byte(m.Family), byte(m.Mode))
+		buf = binary.LittleEndian.AppendUint64(buf, m.Seed)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Assignment))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.k))
+		buf = binary.LittleEndian.AppendUint64(buf, s.fingerprint)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.kth))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.threshold))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.entries)))
+		for _, e := range s.entries {
+			buf = binary.AppendUvarint(buf, uint64(index[0]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rank))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Weight))
+			index = index[1:]
+		}
+	}
+	crc := crc32.Checksum(buf, castagnoli)
+	buf = binary.LittleEndian.AppendUint32(buf, crc)
+	if _, err := w.Write(buf); err != nil {
 		return 0, err
 	}
 	return crc, nil
 }
 
-// DecodeSegment decodes one segment file from memory: checksum first, then
-// every embedded sketch through the strict single-sketch decoder, so a
-// returned slice is exactly as trustworthy as sketches built in-process.
-// Any violation — truncation, framing, checksum, or an embedded sketch
-// failing validation — yields a *CorruptSegmentError and no sketches.
+// segmentKeys builds a segment's key dictionary: dict holds the first entry
+// of every distinct key, order its positions in key order, and index, for
+// every entry of every sketch in turn, its key's rank in that order. The
+// dedupe table holds positions only; only the distinct keys are sorted.
+func segmentKeys(sketches []*BottomK) (dict []Entry, order, index []int32) {
+	n, most := 0, 0
+	for _, s := range sketches {
+		n += len(s.entries)
+		most = max(most, len(s.entries))
+	}
+	index = make([]int32, 0, n)
+	if n == 0 {
+		return nil, nil, index
+	}
+	dict = make([]Entry, 0, min(n, 2*most))
+	slots := make([]int32, 1<<bits.Len(uint(2*n-1))) // 0 = free, else position+1; load ≤ 1/2
+	mask := uint64(len(slots) - 1)
+	for _, s := range sketches {
+		for _, e := range s.entries {
+			h := maphash.String(distinctSeed, e.Key) & mask
+			for slots[h] != 0 && dict[slots[h]-1].Key != e.Key {
+				h = (h + 1) & mask
+			}
+			if slots[h] == 0 {
+				dict = append(dict, e)
+				slots[h] = int32(len(dict))
+			}
+			index = append(index, slots[h]-1)
+		}
+	}
+	order = sortedByKey(dict)
+	pos := slots[:len(dict)] // the table is done with: reuse it as position → sorted position
+	for r, f := range order {
+		pos[f] = int32(r)
+	}
+	for p, f := range index {
+		index[p] = pos[f]
+	}
+	return dict, order, index
+}
+
+// DecodeSegment decodes one segment file (version 2 or 1) from memory:
+// checksum first, then every embedded sketch through strict validation, so
+// a returned slice is exactly as trustworthy as sketches built in-process.
+// Any violation yields a *CorruptSegmentError and no sketches.
 func DecodeSegment(data []byte) ([]*Decoded, error) {
 	if len(data) < segmentHeaderSize+segmentTrailerSize {
-		return nil, &CorruptSegmentError{Detail: fmt.Sprintf("truncated (%d bytes)", len(data))}
+		return nil, corruptSegment("truncated (%d bytes)", len(data))
 	}
 	if !bytes.Equal(data[:4], segmentMagic[:]) {
-		return nil, &CorruptSegmentError{Detail: fmt.Sprintf("bad magic %q", data[:4])}
+		return nil, corruptSegment("bad magic %q", data[:4])
 	}
-	if data[4] != segmentVersion {
-		return nil, &CorruptSegmentError{Detail: fmt.Sprintf("unsupported segment version %d (want %d)", data[4], segmentVersion)}
+	if v := data[4]; v != 1 && v != segmentVersion {
+		return nil, corruptSegment("unsupported segment version %d (want 1 or %d)", v, segmentVersion)
 	}
 	// Verify the checksum before parsing anything else: a flipped byte must
 	// surface as corruption even when it would still parse.
 	body, trailer := data[:len(data)-segmentTrailerSize], data[len(data)-segmentTrailerSize:]
 	want := binary.LittleEndian.Uint32(trailer)
 	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, &CorruptSegmentError{Detail: fmt.Sprintf("checksum %#08x does not match trailer %#08x", got, want)}
+		return nil, corruptSegment("checksum %#08x does not match trailer %#08x", got, want)
 	}
-	count := binary.LittleEndian.Uint32(data[5:])
-	rest := body[segmentHeaderSize:]
-	// Each embedded sketch occupies at least its length prefix plus a sketch
-	// header, so an absurd count is rejected before allocating.
-	if uint64(count)*(4+headerSize) > uint64(len(rest)) {
-		return nil, &CorruptSegmentError{Detail: fmt.Sprintf("sketch count %d exceeds input size", count)}
+	count, rest := binary.LittleEndian.Uint32(data[5:]), body[segmentHeaderSize:]
+	if data[4] == segmentVersion {
+		return decodeSegmentV2(count, rest)
 	}
-	out := make([]*Decoded, 0, count)
+	// Version 1: count length-prefixed single-sketch files.
+	var out []*Decoded
 	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return nil, &CorruptSegmentError{Detail: fmt.Sprintf("truncated sketch %d", i)}
+		if len(rest) < 4 || uint64(binary.LittleEndian.Uint32(rest)) > uint64(len(rest)-4) {
+			return nil, corruptSegment("truncated sketch %d", i)
 		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint64(n) > uint64(len(rest)) {
-			return nil, &CorruptSegmentError{Detail: fmt.Sprintf("truncated sketch %d", i)}
-		}
-		d, err := DecodeBytes(rest[:n])
+		n := int(binary.LittleEndian.Uint32(rest))
+		d, err := DecodeBytes(rest[4 : 4+n])
 		if err != nil {
 			return nil, &CorruptSegmentError{Detail: fmt.Sprintf("sketch %d", i), Err: err}
 		}
-		rest = rest[n:]
+		rest = rest[4+n:]
 		out = append(out, d)
 	}
 	if len(rest) != 0 {
-		return nil, &CorruptSegmentError{Detail: fmt.Sprintf("%d trailing bytes after sketches", len(rest))}
+		return nil, corruptSegment("%d trailing bytes after sketches", len(rest))
 	}
 	return out, nil
+}
+
+// decodeSegmentV2 decodes the bytes between a version-2 header and trailer.
+func decodeSegmentV2(count uint32, rest []byte) ([]*Decoded, error) {
+	d, n := binary.Uvarint(rest)
+	if n <= 0 || d > uint64(len(rest)-n) || d > math.MaxInt32 { // a key takes at least a byte
+		return nil, corruptSegment("truncated dictionary (%d keys in %d bytes)", d, len(rest))
+	}
+	rest = rest[n:]
+	end := 0
+	for i := uint64(0); i < d; i++ {
+		l, m := binary.Uvarint(rest[end:])
+		if m <= 0 || l > uint64(len(rest)-end-m) {
+			return nil, corruptSegment("truncated dictionary at key %d of %d", i, d)
+		}
+		end += m + int(l)
+	}
+	all, keys := string(rest[:end]), make([]string, d) // the keys share one allocation
+	for i, off := 0, 0; i < len(keys); i++ {
+		l, m := binary.Uvarint(rest[off:])
+		keys[i] = all[off+m : off+m+int(l)]
+		off += m + int(l)
+		if i > 0 && keys[i-1] >= keys[i] {
+			return nil, corruptSegment("dictionary not strictly ascending at key %d", i)
+		}
+	}
+	rest = rest[end:]
+	if uint64(count)*segmentSketchSize > uint64(len(rest)) {
+		return nil, corruptSegment("sketch count %d exceeds input size", count)
+	}
+	out := make([]*Decoded, count)
+	le, f64 := binary.LittleEndian, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+	// seen[idx] is the last sketch (1-based) holding key idx, and where.
+	seen := make([]struct{ sketch, pos uint32 }, d)
+	for b := range out {
+		if len(rest) < segmentSketchSize {
+			return nil, corruptSegment("truncated sketch %d", b)
+		}
+		meta := WireMeta{Family: rank.Family(rest[0]), Mode: rank.Coordination(rest[1]), Seed: le.Uint64(rest[2:]), Assignment: int(le.Uint32(rest[10:]))}
+		k, fp, kth, threshold, n := le.Uint32(rest[14:]), le.Uint64(rest[18:]), f64(rest[26:]), f64(rest[34:]), le.Uint32(rest[42:])
+		rest = rest[segmentSketchSize:]
+		if uint64(n)*(1+16) > uint64(len(rest)) {
+			return nil, corruptSegment("sketch %d: entry count %d exceeds input size", b, n)
+		}
+		entries, stamp := make([]Entry, n), uint32(b+1)
+		for i := range entries {
+			switch idx, m := binary.Uvarint(rest); {
+			case m <= 0 || len(rest)-m < 16:
+				return nil, corruptSegment("sketch %d: truncated entry %d", b, i)
+			case idx >= d:
+				return nil, corruptSegment("sketch %d entry %d: key index %d outside the %d-key dictionary", b, i, idx, d)
+			case seen[idx].sketch == stamp:
+				return nil, corruptSegment("sketch %d entry %d: key %q repeated", b, i, keys[idx])
+			default:
+				seen[idx] = struct{ sketch, pos uint32 }{stamp, uint32(i)}
+				entries[i] = Entry{Key: keys[idx], Rank: f64(rest[m:]), Weight: f64(rest[m+8:])}
+				rest = rest[m+16:]
+			}
+		}
+		// The dictionary is in key order, so the sketch's entries in key
+		// order are its indices, ascending: O(n + d), no comparisons.
+		byKey := make([]int32, 0, n)
+		for _, s := range seen {
+			if s.sketch == stamp {
+				byKey = append(byKey, int32(s.pos))
+			}
+		}
+		dec, err := validateDecoded(kindBottomK, meta, int(k), fp, kth, threshold, entries, byKey)
+		if err != nil {
+			return nil, &CorruptSegmentError{Detail: fmt.Sprintf("sketch %d", b), Err: err}
+		}
+		out[b] = dec
+	}
+	if len(rest) != 0 {
+		return nil, corruptSegment("%d trailing bytes after sketches", len(rest))
+	}
+	return out, nil
+}
+
+// SegmentKeys returns the size of a version-2 segment's key dictionary (the
+// union of its samples), or false; it does not validate the segment.
+func SegmentKeys(data []byte) (int, bool) {
+	d, n := binary.Uvarint(data[min(len(data), segmentHeaderSize):])
+	return int(d), len(data) >= segmentHeaderSize+segmentTrailerSize && data[4] == segmentVersion && n > 0
 }
 
 // SegmentCRC returns the CRC-32C an intact segment file of the given bytes

@@ -2,10 +2,16 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"coordsample/internal/rank"
@@ -37,31 +43,181 @@ func buildSegmentFixture(t *testing.T, k, n int) ([]WireMeta, []*BottomK, []byte
 	return metas, sketches, buf.Bytes(), crc
 }
 
+// v1FixtureSketches rebuilds the sketch set testdata/segment-v1.seg was
+// written from by the version-1 writer: four EXP assignments at k = 16 —
+// overfull, overfull on half the keys, underfull, empty — whose keys
+// include the empty string.
+func v1FixtureSketches() ([]WireMeta, []*BottomK) {
+	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 31}
+	const k = 16
+	metas := make([]WireMeta, 4)
+	sketches := make([]*BottomK, 4)
+	for b := range sketches {
+		metas[b] = WireMeta{Family: a.Family, Mode: a.Mode, Seed: a.Seed, Assignment: b}
+		bld := NewBottomKBuilderWithFingerprint(k, a.Fingerprint(b, k))
+		for i := 0; i < 40; i++ {
+			if b == 1 && i%2 == 1 || b == 2 && i >= 10 || b == 3 {
+				continue
+			}
+			key := fmt.Sprintf("fx-%03d", i)
+			if i == 7 {
+				key = ""
+			}
+			w := 1 + float64((i*7919+b*104729)%1000)/100
+			bld.Offer(key, a.Rank(key, b, w), w)
+		}
+		sketches[b] = bld.Sketch()
+	}
+	return metas, sketches
+}
+
+// encodeSegmentV1 is the version-1 segment writer version 2 replaced (each
+// sketch as a length-prefixed single-sketch file), kept as the baseline of
+// the segment benchmarks; TestSegmentV1Fixture pins it to the bytes the
+// deleted writer produced.
+func encodeSegmentV1(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, error) {
+	var buf bytes.Buffer
+	buf.Write(segmentMagic[:])
+	buf.WriteByte(1)
+	var scratch [4]byte
+	binary.LittleEndian.PutUint32(scratch[:], uint32(len(sketches)))
+	buf.Write(scratch[:])
+	var one bytes.Buffer
+	for b, s := range sketches {
+		one.Reset()
+		if err := EncodeBottomK(&one, CodecBinary, metas[b], s); err != nil {
+			return 0, err
+		}
+		if b == 0 {
+			buf.Grow(len(sketches)*(4+one.Len()) + segmentTrailerSize)
+		}
+		binary.LittleEndian.PutUint32(scratch[:], uint32(one.Len()))
+		buf.Write(scratch[:])
+		buf.Write(one.Bytes())
+	}
+	crc := crc32.Checksum(buf.Bytes(), castagnoli)
+	binary.LittleEndian.PutUint32(scratch[:], crc)
+	buf.Write(scratch[:])
+	_, err := w.Write(buf.Bytes())
+	return crc, err
+}
+
+// reseal replaces a segment's trailer with the CRC-32C of its (edited)
+// body, so a test reaches the parser behind the checksum.
+func reseal(body []byte) []byte {
+	body = slices.Clone(body)
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// sameDecoded checks a decoded segment against the sketch set it encodes,
+// bit for bit, including the key order each sketch hands its readers.
+func sameDecoded(t *testing.T, decoded []*Decoded, metas []WireMeta, sketches []*BottomK) {
+	t.Helper()
+	if len(decoded) != len(sketches) {
+		t.Fatalf("decoded %d sketches, want %d", len(decoded), len(sketches))
+	}
+	for b, d := range decoded {
+		if d.Meta != metas[b] {
+			t.Fatalf("sketch %d meta %+v, want %+v", b, d.Meta, metas[b])
+		}
+		if d.BottomK == nil {
+			t.Fatalf("sketch %d is not a bottom-k sketch", b)
+		}
+		if got, want := d.BottomK.KeyOrder(), sortedByKey(sketches[b].Entries()); !slices.Equal(got, want) {
+			t.Fatalf("sketch %d key order %v, want %v", b, got, want)
+		}
+		sameBottomK(t, d.BottomK, sketches[b])
+	}
+}
+
 // TestSegmentRoundTrip: a decoded segment reproduces every sketch
-// bit-identically — entries, conditioning ranks, fingerprints, metadata.
+// bit-identically — entries, conditioning ranks, fingerprints, metadata,
+// key order — and holds each key once, however many sketches sampled it.
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 3, 500} { // empty, underfull, overfull sketches
 		metas, sketches, data, crc := buildSegmentFixture(t, 32, n)
+		if data[4] != segmentVersion {
+			t.Fatalf("n=%d: wrote segment version %d", n, data[4])
+		}
 		if got, ok := SegmentCRC(data); !ok || got != crc {
 			t.Fatalf("n=%d: SegmentCRC = %#x,%v, want %#x", n, got, ok, crc)
+		}
+		union := map[string]bool{}
+		for _, s := range sketches {
+			for _, e := range s.Entries() {
+				union[e.Key] = true
+			}
+		}
+		if got, ok := SegmentKeys(data); !ok || got != len(union) {
+			t.Fatalf("n=%d: SegmentKeys = %d,%v, want the %d distinct keys", n, got, ok, len(union))
 		}
 		decoded, err := DecodeSegment(data)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if len(decoded) != len(sketches) {
-			t.Fatalf("n=%d: decoded %d sketches, want %d", n, len(decoded), len(sketches))
-		}
-		for b, d := range decoded {
-			if d.Meta != metas[b] {
-				t.Errorf("n=%d: sketch %d meta %+v, want %+v", n, b, d.Meta, metas[b])
-			}
-			if d.BottomK == nil {
-				t.Fatalf("n=%d: sketch %d is not a bottom-k sketch", n, b)
-			}
-			sameBottomK(t, d.BottomK, sketches[b])
-		}
+		sameDecoded(t, decoded, metas, sketches)
 	}
+}
+
+// TestSegmentEncodeDeterministic: the encoding depends on the sketches
+// alone — re-encoding what was decoded reproduces the bytes — and it is
+// smaller than version 1 once the samples overlap.
+func TestSegmentEncodeDeterministic(t *testing.T) {
+	metas, _, data, _ := buildSegmentFixture(t, 64, 400)
+	decoded, err := DecodeSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := make([]*BottomK, len(decoded))
+	for b, d := range decoded {
+		again[b] = d.BottomK
+	}
+	var buf, v1 bytes.Buffer
+	if _, err := EncodeSegment(&buf, metas, again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatal("re-encoding a decoded segment changed its bytes")
+	}
+	if _, err := encodeSegmentV1(&v1, metas, again); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() >= v1.Len() {
+		t.Fatalf("version 2 takes %d bytes, version 1 %d", buf.Len(), v1.Len())
+	}
+}
+
+// TestSegmentV1Fixture: a segment the deleted version-1 writer produced
+// (testdata/segment-v1.seg) still decodes, bit for bit, to the sketches it
+// was written from, and re-encodes as version 2 to the same sketches.
+func TestSegmentV1Fixture(t *testing.T) {
+	data, err := os.ReadFile("testdata/segment-v1.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[4] != 1 {
+		t.Fatalf("fixture is version %d", data[4])
+	}
+	metas, sketches := v1FixtureSketches()
+	decoded, err := DecodeSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDecoded(t, decoded, metas, sketches)
+	var v1, v2 bytes.Buffer
+	if _, err := encodeSegmentV1(&v1, metas, sketches); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v1.Bytes(), data) {
+		t.Fatal("encodeSegmentV1 no longer writes what the version-1 writer wrote")
+	}
+	if _, err := EncodeSegment(&v2, metas, sketches); err != nil {
+		t.Fatal(err)
+	}
+	if decoded, err = DecodeSegment(v2.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	sameDecoded(t, decoded, metas, sketches)
 }
 
 // TestSegmentEncodeRejectsMismatch: encoding verifies fingerprints exactly
@@ -79,6 +235,9 @@ func TestSegmentEncodeRejectsMismatch(t *testing.T) {
 	}
 	if _, err := EncodeSegment(&buf, nil, nil); err == nil {
 		t.Error("empty segment accepted")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("failed encodes wrote %d bytes", buf.Len())
 	}
 }
 
@@ -112,5 +271,180 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	// Trailing garbage after the trailer changes the checksummed region.
 	if _, err := DecodeSegment(append(append([]byte(nil), data...), 0xFF)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+}
+
+// TestSegmentV2CorruptionBehindChecksum: a version-2 body that breaks the
+// dictionary's invariants is refused even under a valid checksum — the
+// proofs of distinct keys and key order rest on them.
+func TestSegmentV2CorruptionBehindChecksum(t *testing.T) {
+	_, sketches, data, _ := buildSegmentFixture(t, 32, 200)
+	body := data[:len(data)-segmentTrailerSize]
+	// Every varint here is one byte: d < 128, and keys are 8 bytes
+	// ("key-0042"), so key i opens at 10+9i and entry i of sketch 0 at
+	// entry0+17i.
+	d := int(body[segmentHeaderSize])
+	if d >= 128 || d < 2 || sketches[0].Size() < 2 {
+		t.Fatalf("fixture shape changed: %d keys", d)
+	}
+	entry0 := segmentHeaderSize + 1 + 9*d + segmentSketchSize
+	edit := func(f func(b []byte) []byte) []byte { return reseal(f(slices.Clone(body))) }
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"dictionary not ascending", "not strictly ascending", edit(func(b []byte) []byte {
+			k0, k1 := b[11:19], b[20:28]
+			var tmp [8]byte
+			copy(tmp[:], k0)
+			copy(k0, k1)
+			copy(k1, tmp[:])
+			return b
+		})},
+		{"index past the dictionary", "outside the", edit(func(b []byte) []byte {
+			b[entry0] = byte(d)
+			return b
+		})},
+		{"index repeated within a sketch", "repeated", edit(func(b []byte) []byte {
+			b[entry0+17] = b[entry0]
+			return b
+		})},
+		{"truncated dictionary", "truncated dictionary", reseal(body[:segmentHeaderSize+1+9*2+4])},
+		{"trailing byte", "trailing bytes", reseal(append(slices.Clone(body), 0))},
+	} {
+		_, err := DecodeSegment(c.data)
+		var ce *CorruptSegmentError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a *CorruptSegmentError saying %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzDecodeSegment: no input panics the segment decoder — as given, and
+// resealed with a valid checksum so the mutations reach the parser — and
+// anything it accepts re-encodes as version 2 and decodes to the same
+// sketches.
+func FuzzDecodeSegment(f *testing.F) {
+	v1, err := os.ReadFile("testdata/segment-v1.seg")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	metas, sketches := v1FixtureSketches()
+	var v2 bytes.Buffer
+	if _, err := EncodeSegment(&v2, metas, sketches); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= segmentTrailerSize {
+			inputs = append(inputs, reseal(data[:len(data)-segmentTrailerSize]))
+		}
+		for _, in := range inputs {
+			decoded, err := DecodeSegment(in)
+			if err != nil {
+				var ce *CorruptSegmentError
+				if !errors.As(err, &ce) {
+					t.Fatalf("untyped error %v", err)
+				}
+				continue
+			}
+			metas := make([]WireMeta, len(decoded))
+			sketches := make([]*BottomK, len(decoded))
+			for b, d := range decoded {
+				if d.BottomK == nil {
+					return // a version-1 segment may embed a Poisson sketch; version 2 cannot
+				}
+				metas[b], sketches[b] = d.Meta, d.BottomK
+			}
+			if len(decoded) == 0 {
+				continue
+			}
+			var buf bytes.Buffer
+			if _, err := EncodeSegment(&buf, metas, sketches); err != nil {
+				t.Fatalf("accepted segment does not re-encode: %v", err)
+			}
+			again, err := DecodeSegment(buf.Bytes())
+			if err != nil {
+				t.Fatalf("re-encoded segment does not decode: %v", err)
+			}
+			sameDecoded(t, again, metas, sketches)
+		}
+	})
+}
+
+// benchSegmentSketches builds one epoch-shaped set: |W| coordinated
+// bottom-k sketches over 8k keys whose weights are one heavy-tailed base
+// times a per-assignment factor, so the samples overlap as the
+// benchmark's do.
+func benchSegmentSketches(assignments, k int) ([]WireMeta, []*BottomK) {
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 7}
+	rng := rand.New(rand.NewSource(7))
+	metas := make([]WireMeta, assignments)
+	builders := make([]*BottomKBuilder, assignments)
+	for b := range builders {
+		metas[b] = WireMeta{Family: a.Family, Mode: a.Mode, Seed: a.Seed, Assignment: b}
+		builders[b] = NewBottomKBuilderWithFingerprint(k, a.Fingerprint(b, k))
+	}
+	for i := 0; i < 8*k; i++ {
+		key := fmt.Sprintf("k%012x", rng.Int63()>>15)
+		base := math.Pow(rng.Float64(), -1/1.2)
+		for b, bld := range builders {
+			w := base * (0.25 + 1.5*rng.Float64())
+			bld.Offer(key, a.Rank(key, b, w), w)
+		}
+	}
+	sketches := make([]*BottomK, assignments)
+	for b, bld := range builders {
+		sketches[b] = bld.Sketch()
+	}
+	return metas, sketches
+}
+
+var segmentCodecs = []struct {
+	name   string
+	encode func(io.Writer, []WireMeta, []*BottomK) (uint32, error)
+}{{"v1", encodeSegmentV1}, {"v2", EncodeSegment}}
+
+// BenchmarkSegmentEncode: one epoch's segment at |W| = 8, k = 1 024.
+func BenchmarkSegmentEncode(b *testing.B) {
+	metas, sketches := benchSegmentSketches(8, 1024)
+	for _, c := range segmentCodecs {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if _, err := c.encode(&buf, metas, sketches); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(buf.Len()), "bytes")
+		})
+	}
+}
+
+// BenchmarkSegmentDecode: decoding that segment and delivering every
+// sketch's key order (sorted for v1, read off the dictionary for v2).
+func BenchmarkSegmentDecode(b *testing.B) {
+	metas, sketches := benchSegmentSketches(8, 1024)
+	for _, c := range segmentCodecs {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if _, err := c.encode(&buf, metas, sketches); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decoded, err := DecodeSegment(buf.Bytes())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, d := range decoded {
+					d.BottomK.KeyOrder()
+				}
+			}
+		})
 	}
 }

@@ -24,11 +24,12 @@
 // (cws-merge -store) take no lock and work alongside a live server.
 //
 // A segment file is the multi-sketch framing of internal/sketch
-// (EncodeSegment): every assignment's bottom-k sketch as a length-prefixed
-// standard wire-codec file, closed by a CRC-32C. Segments are written
-// write-tmp → fsync → rename → fsync(dir), so a crash mid-write leaves at
-// worst an ignored *.tmp file, never a half-written segment under the
-// final name.
+// (EncodeSegment): one sorted dictionary of the keys every assignment's
+// bottom-k sketch indexes into, closed by a CRC-32C (version 2; version-1
+// segments are still read, and compaction rewrites them). Segments are
+// written write-tmp → fsync → rename → fsync(dir), so a crash mid-write
+// leaves at worst an ignored *.tmp file, never a half-written segment
+// under the final name.
 //
 // # Manifest
 //
@@ -52,7 +53,8 @@
 //
 // Open replays the manifest and reloads every referenced segment under
 // strict validation (size, checksum, full wire-codec revalidation,
-// fingerprints). The guarantees:
+// fingerprints); the segments decode in parallel, and their errors are
+// reported in manifest order. The guarantees:
 //
 //   - Every acknowledged epoch is recovered bit-identically: same entries,
 //     same conditioning ranks, same fingerprints — so a restarted server
@@ -93,6 +95,7 @@ import (
 	"coordsample/internal/core"
 	"coordsample/internal/faults"
 	"coordsample/internal/obs"
+	"coordsample/internal/shard"
 	"coordsample/internal/sketch"
 )
 
@@ -235,6 +238,7 @@ type Store struct {
 	lock     *os.File          // flock-held LOCK file on writable stores
 	broken   bool              // a manifest append failed; appends refused until reopen
 	bytes    int64             // total bytes of referenced segment files
+	keyRatio float64           // dictionary keys ÷ entries of the last segment written
 	faults   *faults.Set       // injectable durability faults (nil in production)
 	log      *slog.Logger      // component-tagged structured logger (never nil)
 
@@ -493,11 +497,7 @@ func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
 	}
 	sketches = append([]*sketch.BottomK(nil), sketches...)
 	epoch := s.epoch + 1
-	var buf bytes.Buffer
-	// The parallel encoder is byte-identical to the serial one (the sketch
-	// tests pin this), so segment bytes and manifest CRCs are independent of
-	// the core count that persisted them.
-	crc, err := sketch.EncodeSegmentParallel(&buf, s.meta, sketches)
+	buf, crc, err := s.encode(sketches)
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding epoch %d: %w", epoch, err)
 	}
@@ -555,6 +555,24 @@ func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
 	return epoch, nil
 }
 
+// encode encodes one segment and notes its key ratio. Caller holds s.mu.
+func (s *Store) encode(sketches []*sketch.BottomK) (*bytes.Buffer, uint32, error) {
+	var buf bytes.Buffer
+	crc, err := sketch.EncodeSegment(&buf, s.meta, sketches)
+	entries := 0
+	for _, sk := range sketches {
+		entries += sk.Size()
+	}
+	if keys, ok := sketch.SegmentKeys(buf.Bytes()); ok && entries > 0 {
+		s.keyRatio = float64(keys) / float64(entries)
+	}
+	return &buf, crc, err
+}
+
+// SegmentKeyRatio returns dictionary keys ÷ entries of the last segment
+// written (0 before one holding entries): 1/|W| at full overlap, 1 at none.
+func (s *Store) SegmentKeyRatio() float64 { s.mu.Lock(); defer s.mu.Unlock(); return s.keyRatio }
+
 // fingerprints lists the per-assignment configuration fingerprints.
 func fingerprints(sketches []*sketch.BottomK) []uint64 {
 	fps := make([]uint64, len(sketches))
@@ -576,8 +594,7 @@ func (s *Store) compact() error {
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	crc, err := sketch.EncodeSegmentParallel(&buf, s.meta, base)
+	buf, crc, err := s.encode(base)
 	if err != nil {
 		return fmt.Errorf("store: encoding cumulative segment: %w", err)
 	}
@@ -859,10 +876,19 @@ func (s *Store) recover() error {
 		}
 	}
 
-	for _, rec := range records {
-		sketches, err := s.loadSegment(rec)
-		if err != nil {
-			return err
+	// Decode in parallel (serially at GOMAXPROCS=1); report in manifest order.
+	loaded := make([][]*sketch.BottomK, len(records))
+	metas := make([][]sketch.WireMeta, len(records))
+	errs := make([]error, len(records))
+	shard.ParallelDo(len(records), 0, func(i int) {
+		loaded[i], metas[i], errs[i] = s.loadSegment(records[i])
+	})
+	if len(records) > 0 && s.meta == nil {
+		s.meta = metas[0]
+	}
+	for i, rec := range records {
+		if errs[i] != nil {
+			return errs[i]
 		}
 		s.bytes += int64(rec.size)
 		switch rec.kind {
@@ -870,7 +896,7 @@ func (s *Store) recover() error {
 			if rec.n < s.epoch {
 				return &CorruptError{Path: mpath, Detail: fmt.Sprintf("compaction through %d behind epoch %d", rec.n, s.epoch)}
 			}
-			s.through, s.base = rec.n, sketches
+			s.through, s.base = rec.n, loaded[i]
 			if rec.n > s.epoch {
 				s.epoch = rec.n
 			}
@@ -881,7 +907,7 @@ func (s *Store) recover() error {
 			}
 			s.epoch = rec.n
 			s.retained = append(s.retained, storedEpoch{
-				EpochRecord: EpochRecord{Epoch: rec.n, Sketches: sketches},
+				EpochRecord: EpochRecord{Epoch: rec.n, Sketches: loaded[i]},
 				size:        rec.size,
 				crc:         rec.crc,
 			})
@@ -911,57 +937,52 @@ func parseHeader(line string) (int, error) {
 	return n, nil
 }
 
-// loadSegment reads, verifies, and decodes one referenced segment file.
-// Every failure is acknowledged-state corruption: a typed error, never a
-// partial result.
-func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, error) {
+// loadSegment reads, verifies, and decodes one referenced segment file,
+// returning its sketches and their wire metadata. Every failure is
+// acknowledged-state corruption: a typed error, never a partial result. It
+// only reads the Store, so recovery runs it concurrently.
+func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.WireMeta, error) {
 	path := s.path(rec.file)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, &CorruptError{Path: path, Detail: "acknowledged segment unreadable", Err: err}
+		return nil, nil, &CorruptError{Path: path, Detail: "acknowledged segment unreadable", Err: err}
 	}
 	if len(data) != rec.size {
-		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d bytes, manifest records %d", len(data), rec.size)}
+		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d bytes, manifest records %d", len(data), rec.size)}
 	}
 	if crc, ok := sketch.SegmentCRC(data); !ok || crc != rec.crc {
-		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("segment checksum %08x, manifest records %08x", crc, rec.crc)}
+		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("segment checksum %08x, manifest records %08x", crc, rec.crc)}
 	}
 	decoded, err := sketch.DecodeSegment(data)
 	if err != nil {
-		return nil, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
+		return nil, nil, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
 	}
 	if len(decoded) != s.assignments || len(rec.fps) != s.assignments {
-		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d sketches for %d assignments", len(decoded), s.assignments)}
+		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d sketches for %d assignments", len(decoded), s.assignments)}
 	}
 	sketches := make([]*sketch.BottomK, s.assignments)
+	metas := make([]sketch.WireMeta, s.assignments)
 	for b, d := range decoded {
 		if d.BottomK == nil {
-			return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d is not a bottom-k sketch", b)}
+			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d is not a bottom-k sketch", b)}
 		}
 		if d.Meta.Assignment != b {
-			return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
+			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
 		}
 		if d.BottomK.Fingerprint() != rec.fps[b] {
-			return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d fingerprint %016x, manifest records %016x", b, d.BottomK.Fingerprint(), rec.fps[b])}
+			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d fingerprint %016x, manifest records %016x", b, d.BottomK.Fingerprint(), rec.fps[b])}
 		}
 		if s.writable {
 			if want := s.sample.Assigner().Fingerprint(b, s.sample.K); d.BottomK.Fingerprint() != want {
-				return nil, &MismatchError{Detail: fmt.Sprintf(
+				return nil, nil, &MismatchError{Detail: fmt.Sprintf(
 					"%s sketch %d was built under %v/%v/seed=%d/k=%d (fingerprint %016x), store opened for %v/%v/seed=%d/k=%d (fingerprint %016x)",
 					rec.file, b, d.Meta.Family, d.Meta.Mode, d.Meta.Seed, d.BottomK.K(),
 					d.BottomK.Fingerprint(), s.sample.Family, s.sample.Mode, s.sample.Seed, s.sample.K, want)}
 			}
 		}
-		sketches[b] = d.BottomK
+		sketches[b], metas[b] = d.BottomK, d.Meta
 	}
-	if s.meta == nil {
-		metas := make([]sketch.WireMeta, len(decoded))
-		for b, d := range decoded {
-			metas[b] = d.Meta
-		}
-		s.meta = metas
-	}
-	return sketches, nil
+	return sketches, metas, nil
 }
 
 // collectGarbage removes *.tmp orphans and segment files no manifest

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -139,6 +140,71 @@ func TestRecoveryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSketchSet(t, "range 2..4", got, mergeAll(t, epochs[1:4]))
+}
+
+// TestV1StoreUpgrades: a directory the version-1 segment writer left
+// (testdata/v1store: buildEpochs(t, 4, 60) appended at retain 2 — a
+// cumulative segment through epoch 2 and epochs 3 and 4, all version 1)
+// recovers bit-identically, takes a version-2 epoch whose compaction
+// rewrites the cumulative segment as version 2, and then recovers
+// bit-identically from both versions at once.
+func TestV1StoreUpgrades(t *testing.T) {
+	dir := t.TempDir()
+	files, err := os.ReadDir("testdata/v1store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join("testdata/v1store", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epochs := buildEpochs(t, 5, 60)
+	check := func(s *Store, epoch, through int) {
+		t.Helper()
+		retained := s.Retained()
+		if s.Epoch() != epoch || s.CompactedThrough() != through || len(retained) != epoch-through {
+			t.Fatalf("epoch %d, compacted through %d, %d retained; want %d, %d, %d",
+				s.Epoch(), s.CompactedThrough(), len(retained), epoch, through, epoch-through)
+		}
+		sameSketchSet(t, "cumulative", s.Cumulative(), mergeAll(t, epochs[:epoch]))
+		for _, rec := range retained {
+			sameSketchSet(t, fmt.Sprintf("epoch %d", rec.Epoch), rec.Sketches, epochs[rec.Epoch-1])
+		}
+	}
+
+	s := openWritable(t, dir, 2)
+	check(s, 4, 2)
+	if _, err := s.AppendEpoch(epochs[4]); err != nil {
+		t.Fatal(err)
+	}
+	check(s, 5, 3)
+	// The last segment written is the compacted cumulative one.
+	union, entries := map[string]bool{}, 0
+	for _, sk := range mergeAll(t, epochs[:3]) {
+		entries += sk.Size()
+		for _, e := range sk.Entries() {
+			union[e.Key] = true
+		}
+	}
+	if got, want := s.SegmentKeyRatio(), float64(len(union))/float64(entries); got != want {
+		t.Errorf("SegmentKeyRatio = %v, want %d keys / %d entries", got, len(union), entries)
+	}
+	s.Close()
+	for name, want := range map[string]byte{"cum-000003.seg": 2, "epoch-000004.seg": 1, "epoch-000005.seg": 2} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[4] != want {
+			t.Errorf("%s is segment version %d, want %d", name, data[4], want)
+		}
+	}
+	check(openWritable(t, dir, 2), 5, 3)
 }
 
 // TestCrashAfterUnacknowledgedAppend simulates a SIGKILL between the
@@ -275,6 +341,24 @@ func TestCorruptionIsTyped(t *testing.T) {
 		var ce *CorruptError
 		if err := reopen(dir); !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CorruptError", err)
+		}
+	})
+
+	// Segments decode concurrently; the error reported is still the first
+	// damaged record in manifest order.
+	t.Run("first of two damaged segments", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		dir := build(t)
+		for _, e := range []int{2, 3} {
+			seg := filepath.Join(dir, segmentName("epoch", e))
+			data, _ := os.ReadFile(seg)
+			os.WriteFile(seg, data[:len(data)-7], 0o644)
+		}
+		for i := 0; i < 20; i++ {
+			var ce *CorruptError
+			if err := reopen(dir); !errors.As(err, &ce) || filepath.Base(ce.Path) != segmentName("epoch", 2) {
+				t.Fatalf("err = %v, want the *CorruptError of %s", err, segmentName("epoch", 2))
+			}
 		}
 	})
 
