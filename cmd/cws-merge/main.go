@@ -1,17 +1,18 @@
 // Command cws-merge is the paper's distributed combiner as a separate OS
-// process: it reads sketch files written by cws-sketch -out (or exported
-// by cws-serve's GET /sketch), verifies each file's configuration
-// fingerprint, merges shard sketches of the same assignment, and answers
-// multiple-assignment aggregate queries from the files alone — no access
-// to the original data or to the sketching sites.
+// process: it reads sketch files — segments, each holding one or more
+// sketches: written by cws-sketch -out, or exported by cws-serve's GET
+// /sketches — verifies every sketch's configuration fingerprint, merges
+// shard sketches of the same assignment, and answers multiple-assignment
+// aggregate queries from the files alone — no access to the original data
+// or to the sketching sites.
 //
 // Because sketch files round-trip float64 values exactly and estimates are
 // summed deterministically, a query answered here is bit-identical to the
 // same query answered in-process at the site that held all the data.
 //
-// Inputs may be named as files, directories (every *.cws / *.cws.json
-// inside), or shell-style globs. Alternatively, -store reads a cws-serve
-// durable epoch store directory directly: the cumulative sketches by
+// Inputs may be named as files, directories (every *.cws inside), or
+// shell-style globs. Alternatively, -store reads a cws-serve durable
+// epoch store directory directly: the cumulative sketches by
 // default, or any retained epoch window with -epochs (the same time-travel
 // selector as the server's GET /query?epochs=lo..hi), so the server's
 // history is queryable offline — even while the server is down.
@@ -25,6 +26,8 @@
 //	cws-sketch -in siteA.csv -k 1024 -out siteA -query none   # at site A
 //	cws-sketch -in siteB.csv -k 1024 -out siteB -query none   # at site B
 //	cws-merge -query L1 siteA.0.cws siteA.1.cws siteB.0.cws siteB.1.cws
+//	curl -s localhost:7070/sketches > live.cws                # a live server's export
+//	cws-merge -query L1 live.cws
 //	cws-merge -query L1 sketchdir/                            # a directory of sketch files
 //	cws-merge -query lth -l 2 -R 0,1 *.cws
 //	cws-merge -query sum -b 0 -prefix "192.168." *.cws
@@ -66,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 	estimator := fs.String("estimator", "aw", "estimator family: "+coordsample.EstimatorNames)
 	storeDir := fs.String("store", "", "read a cws-serve durable epoch store directory instead of sketch files")
 	epochsFlag := fs.String("epochs", "", "with -store: restrict to the retained epoch window lo..hi (default: all epochs)")
-	verbose := fs.Bool("v", false, "describe each loaded sketch file (or the opened store)")
+	verbose := fs.Bool("v", false, "describe each loaded sketch (or the opened store)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -160,38 +163,43 @@ func summarizeStore(dir, epochsSel string, verbose bool, stdout io.Writer) (*coo
 }
 
 // summarizeFiles expands the arguments (files, directories, globs) into
-// sketch files, decodes and verifies each, and combines them.
+// sketch files, decodes and verifies each, and combines their sketches.
 func summarizeFiles(args []string, verbose bool, stdout io.Writer) (*coordsample.Dispersed, string, error) {
 	files, err := expandArgs(args)
 	if err != nil {
 		return nil, "", err
 	}
 	if len(files) == 0 {
-		return nil, "", fmt.Errorf("no sketch files given (write them with cws-sketch -out, export them from cws-serve's GET /sketch, or pass -store)")
+		return nil, "", fmt.Errorf("no sketch files given (write them with cws-sketch -out, export them from cws-serve's GET /sketches, or pass -store)")
 	}
-	decoded := make([]*coordsample.DecodedSketch, len(files))
-	for i, path := range files {
-		d, err := readSketchFile(path)
+	// from[i] is the file decoded[i] came from: every error that indexes
+	// the decoded sketches must name a file.
+	var decoded []*coordsample.DecodedSketch
+	var from []string
+	for _, path := range files {
+		ds, err := readSketchFile(path)
 		if err != nil {
 			return nil, "", err
 		}
-		decoded[i] = d
-		if verbose {
-			fmt.Fprintf(stdout, "loaded %s: assignment %d, %v/%v/seed=%d, k=%d, %d entries, fingerprint %#016x\n",
-				path, d.Meta.Assignment, d.Meta.Family, d.Meta.Mode, d.Meta.Seed,
-				d.BottomK.K(), d.BottomK.Size(), d.Fingerprint())
+		for _, d := range ds {
+			decoded, from = append(decoded, d), append(from, path)
+			if verbose {
+				fmt.Fprintf(stdout, "loaded %s: assignment %d, %v/%v/seed=%d, k=%d, %d entries, fingerprint %#016x\n",
+					path, d.Meta.Assignment, d.Meta.Family, d.Meta.Mode, d.Meta.Seed,
+					d.BottomK.K(), d.BottomK.Size(), d.Fingerprint())
+			}
 		}
 	}
-	if err := checkFingerprints(files, decoded); err != nil {
+	if err := checkFingerprints(from, decoded); err != nil {
 		return nil, "", err
 	}
 	summary, err := coordsample.CombineDecoded(decoded)
 	if err != nil {
-		// The combiner's typed errors index the decoded inputs; translate
-		// the index back to the file that caused it.
+		// The combiner's typed errors index the decoded sketches; translate
+		// the index back to the file that held it.
 		var cm *coordsample.CoordinationMismatchError
-		if errors.As(err, &cm) && cm.Index >= 0 && cm.Index < len(files) {
-			return nil, "", fmt.Errorf("%s: %w", files[cm.Index], err)
+		if errors.As(err, &cm) && cm.Index >= 0 && cm.Index < len(from) {
+			return nil, "", fmt.Errorf("%s: %w", from[cm.Index], err)
 		}
 		return nil, "", err
 	}
@@ -201,8 +209,9 @@ func summarizeFiles(args []string, verbose bool, stdout io.Writer) (*coordsample
 // checkFingerprints reports same-assignment fingerprint conflicts by file
 // name before the combiner's merge reports them by position: the classic
 // failure is one rogue file among dozens, and the error must say which.
-func checkFingerprints(files []string, decoded []*coordsample.DecodedSketch) error {
-	first := make(map[int]int) // assignment → index of first file holding it
+// from[i] names the file decoded[i] came from.
+func checkFingerprints(from []string, decoded []*coordsample.DecodedSketch) error {
+	first := make(map[int]int) // assignment → index of the first sketch of it
 	for i, d := range decoded {
 		b := d.Meta.Assignment
 		j, ok := first[b]
@@ -213,14 +222,14 @@ func checkFingerprints(files []string, decoded []*coordsample.DecodedSketch) err
 		if d.Fingerprint() != decoded[j].Fingerprint() {
 			return fmt.Errorf(
 				"%s: fingerprint %#016x conflicts with %s (%#016x) for assignment %d: shard sketches of one assignment must share Family, Mode, Seed, and K",
-				files[i], d.Fingerprint(), files[j], decoded[j].Fingerprint(), b)
+				from[i], d.Fingerprint(), from[j], decoded[j].Fingerprint(), b)
 		}
 	}
 	return nil
 }
 
 // expandArgs resolves each argument to sketch files: a directory expands
-// to every *.cws / *.cws.json inside it (sorted); a path that does not
+// to every *.cws inside it (sorted); a path that does not
 // exist but contains glob metacharacters expands via filepath.Glob (an
 // existing file always wins, even when its name contains '*', '?', or
 // '['); anything else is taken as a literal file path.
@@ -237,7 +246,7 @@ func expandArgs(args []string) ([]string, error) {
 				return nil, err
 			}
 			if len(inDir) == 0 {
-				return nil, fmt.Errorf("%s: directory contains no *.cws or *.cws.json sketch files", arg)
+				return nil, fmt.Errorf("%s: directory contains no *.cws sketch files", arg)
 			}
 			files = append(files, inDir...)
 			continue
@@ -270,27 +279,23 @@ func sketchFilesInDir(dir string) ([]string, error) {
 		if e.IsDir() {
 			continue
 		}
-		name := e.Name()
-		if strings.HasSuffix(name, ".cws") || strings.HasSuffix(name, ".cws.json") {
-			files = append(files, filepath.Join(dir, name))
+		if strings.HasSuffix(e.Name(), ".cws") {
+			files = append(files, filepath.Join(dir, e.Name()))
 		}
 	}
 	sort.Strings(files)
 	return files, nil
 }
 
-func readSketchFile(path string) (*coordsample.DecodedSketch, error) {
+func readSketchFile(path string) ([]*coordsample.DecodedSketch, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	d, err := coordsample.DecodeSketch(f)
+	ds, err := coordsample.DecodeSketches(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if d.BottomK == nil {
-		return nil, fmt.Errorf("%s: Poisson sketch files are not supported by cws-merge (use the library's CombineDecoded)", path)
-	}
-	return d, nil
+	return ds, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"coordsample"
+	"coordsample/internal/sketch"
 )
 
 // writeCSV emits a 2-assignment dataset in the cws interchange format.
@@ -84,44 +85,43 @@ func TestSeparateProcessesBitIdentical(t *testing.T) {
 	writeCSV(t, csv, 21, 3000)
 	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 1, K: 256}
 
-	// Process 1: sketch and ship (one file per assignment, both formats).
-	for _, format := range []string{"binary", "json"} {
-		prefix := filepath.Join(dir, "site-"+format)
-		out, err := exec.Command(sketchBin, "-in", csv, "-k", "256", "-seed", "1",
-			"-out", prefix, "-format", format, "-query", "none").CombinedOutput()
-		if err != nil {
-			t.Fatalf("cws-sketch (%s): %v\n%s", format, err, out)
-		}
-		suffix := ".cws"
-		if format == "json" {
-			suffix = ".cws.json"
-		}
-		files := []string{prefix + ".0" + suffix, prefix + ".1" + suffix}
+	// Process 1: sketch and ship (one file per assignment).
+	prefix := filepath.Join(dir, "site")
+	out, err := exec.Command(sketchBin, "-in", csv, "-k", "256", "-seed", "1",
+		"-out", prefix, "-query", "none").CombinedOutput()
+	if err != nil {
+		t.Fatalf("cws-sketch: %v\n%s", err, out)
+	}
+	files := []string{prefix + ".0.cws", prefix + ".1.cws"}
 
-		// Process 2: merge and query the shipped files alone.
-		inProcess := summarizeCSV(t, csv, cfg)
-		for _, q := range []struct {
-			args []string
-			want float64
-		}{
-			{[]string{"-query", "L1"}, inProcess.RangeLSet(nil).Estimate(nil)},
-			{[]string{"-query", "max"}, inProcess.Max(nil).Estimate(nil)},
-			{[]string{"-query", "min"}, inProcess.MinLSet(nil).Estimate(nil)},
-			{[]string{"-query", "lth", "-l", "2"}, inProcess.LthLargest(nil, 2).Estimate(nil)},
-			{[]string{"-query", "sum", "-b", "0", "-prefix", "host-1"},
-				inProcess.Single(0).Estimate(func(k string) bool { return strings.HasPrefix(k, "host-1") })},
-		} {
-			out, err := exec.Command(mergeBin, append(q.args, files...)...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("cws-merge %v: %v\n%s", q.args, err, out)
-			}
-			// cws-merge prints the estimate with %v: shortest exact float64
-			// representation, so string equality means bit-identity.
-			if want := fmt.Sprintf("= %v ", q.want); !strings.Contains(string(out), want) {
-				t.Fatalf("cws-merge %v (%s): output %q does not contain bit-identical %q",
-					q.args, format, out, want)
-			}
+	// Process 2: merge and query the shipped files alone.
+	inProcess := summarizeCSV(t, csv, cfg)
+	for _, q := range []struct {
+		args []string
+		want float64
+	}{
+		{[]string{"-query", "L1"}, inProcess.RangeLSet(nil).Estimate(nil)},
+		{[]string{"-query", "max"}, inProcess.Max(nil).Estimate(nil)},
+		{[]string{"-query", "min"}, inProcess.MinLSet(nil).Estimate(nil)},
+		{[]string{"-query", "lth", "-l", "2"}, inProcess.LthLargest(nil, 2).Estimate(nil)},
+		{[]string{"-query", "sum", "-b", "0", "-prefix", "host-1"},
+			inProcess.Single(0).Estimate(func(k string) bool { return strings.HasPrefix(k, "host-1") })},
+	} {
+		out, err := exec.Command(mergeBin, append(q.args, files...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("cws-merge %v: %v\n%s", q.args, err, out)
 		}
+		// cws-merge prints the estimate with %v: shortest exact float64
+		// representation, so string equality means bit-identity.
+		if want := fmt.Sprintf("= %v ", q.want); !strings.Contains(string(out), want) {
+			t.Fatalf("cws-merge %v: output %q does not contain bit-identical %q", q.args, out, want)
+		}
+	}
+
+	// The retired -format flag is gone.
+	if out, err := exec.Command(sketchBin, "-in", csv, "-out", prefix, "-format", "json").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "flag provided but not defined: -format") {
+		t.Fatalf("cws-sketch -format: err = %v, want an unknown flag\n%s", err, out)
 	}
 
 	// Loud-failure direction 1: a site with a different seed.
@@ -130,8 +130,7 @@ func TestSeparateProcessesBitIdentical(t *testing.T) {
 		"-out", badPrefix, "-query", "none").CombinedOutput(); err != nil {
 		t.Fatalf("cws-sketch (rogue): %v\n%s", err, out)
 	}
-	out, err := exec.Command(mergeBin, "-query", "L1",
-		filepath.Join(dir, "site-binary.0.cws"), badPrefix+".1.cws").CombinedOutput()
+	out, err = exec.Command(mergeBin, "-query", "L1", files[0], badPrefix+".1.cws").CombinedOutput()
 	if err == nil {
 		t.Fatalf("cws-merge accepted sketches with different seeds:\n%s", out)
 	}
@@ -146,9 +145,7 @@ func TestSeparateProcessesBitIdentical(t *testing.T) {
 		"-out", smallPrefix, "-query", "none").CombinedOutput(); err != nil {
 		t.Fatalf("cws-sketch (small k): %v\n%s", err, out)
 	}
-	out, err = exec.Command(mergeBin, "-query", "L1",
-		filepath.Join(dir, "site-binary.0.cws"), smallPrefix+".0.cws",
-		filepath.Join(dir, "site-binary.1.cws")).CombinedOutput()
+	out, err = exec.Command(mergeBin, "-query", "L1", files[0], smallPrefix+".0.cws", files[1]).CombinedOutput()
 	if err == nil {
 		t.Fatalf("cws-merge accepted shard sketches with different K:\n%s", out)
 	}
@@ -168,7 +165,7 @@ func TestRunErrors(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("not a sketch"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{garbage}, &buf); err == nil || !strings.Contains(err.Error(), "not a sketch file") {
+	if err := run([]string{garbage}, &buf); err == nil || !strings.Contains(err.Error(), "corrupt segment") {
 		t.Fatalf("garbage-file error: %v", err)
 	}
 	if err := run([]string{filepath.Join(dir, "missing.cws")}, &buf); err == nil {
@@ -193,7 +190,7 @@ func TestRunQueriesDecodedFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := coordsample.EncodeSketch(f, coordsample.CodecBinary, cfg, b, sk.Sketch()); err != nil {
+		if err := coordsample.EncodeSketch(f, cfg, b, sk.Sketch()); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -209,15 +206,13 @@ func TestRunQueriesDecodedFiles(t *testing.T) {
 	}
 }
 
-// writeSketchFiles builds and encodes per-assignment sketch files for a
-// small deterministic dataset, returning the paths and the in-process
-// summary they must reproduce.
-func writeSketchFiles(t *testing.T, dir string, cfg coordsample.Config, seed int64) ([]string, *coordsample.Dispersed) {
-	t.Helper()
+// buildSketches sketches a small deterministic dataset as assignments
+// first and first+1.
+func buildSketches(cfg coordsample.Config, seed int64, first int) []*coordsample.BottomK {
 	rng := rand.New(rand.NewSource(seed))
 	sketchers := []*coordsample.AssignmentSketcher{
-		coordsample.NewAssignmentSketcher(cfg, 0),
-		coordsample.NewAssignmentSketcher(cfg, 1),
+		coordsample.NewAssignmentSketcher(cfg, first),
+		coordsample.NewAssignmentSketcher(cfg, first+1),
 	}
 	for i := 0; i < 600; i++ {
 		key := fmt.Sprintf("host-%04d", i)
@@ -225,7 +220,32 @@ func writeSketchFiles(t *testing.T, dir string, cfg coordsample.Config, seed int
 			sk.Offer(key, math.Exp(rng.NormFloat64())*float64(b+1))
 		}
 	}
-	sketches := []*coordsample.BottomK{sketchers[0].Sketch(), sketchers[1].Sketch()}
+	return []*coordsample.BottomK{sketchers[0].Sketch(), sketchers[1].Sketch()}
+}
+
+// writeBundle writes the sketches of assignments first, first+1, ... into
+// one segment file, as GET /sketches exports them.
+func writeBundle(t *testing.T, path string, cfg coordsample.Config, first int, sketches []*coordsample.BottomK) {
+	t.Helper()
+	metas := make([]sketch.WireMeta, len(sketches))
+	for b := range metas {
+		metas[b] = sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: first + b}
+	}
+	var buf bytes.Buffer
+	if _, err := sketch.EncodeSegment(&buf, metas, sketches); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeSketchFiles builds and encodes per-assignment sketch files for a
+// small deterministic dataset, returning the paths and the in-process
+// summary they must reproduce.
+func writeSketchFiles(t *testing.T, dir string, cfg coordsample.Config, seed int64) ([]string, *coordsample.Dispersed) {
+	t.Helper()
+	sketches := buildSketches(cfg, seed, 0)
 	var files []string
 	for b, sk := range sketches {
 		path := filepath.Join(dir, fmt.Sprintf("site.%d.cws", b))
@@ -233,7 +253,7 @@ func writeSketchFiles(t *testing.T, dir string, cfg coordsample.Config, seed int
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := coordsample.EncodeSketch(f, coordsample.CodecBinary, cfg, b, sk); err != nil {
+		if err := coordsample.EncodeSketch(f, cfg, b, sk); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -317,6 +337,25 @@ func TestFingerprintMismatchNamesTheFile(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), seedFiles[1]) {
 		t.Fatalf("coordination error does not name the offending file: %v", err)
+	}
+
+	// Inside a multi-sketch file the offending sketch still names its file:
+	// a shard of assignments 0 and 1 under another K, and assignments 1 and
+	// 2 under another seed.
+	for name, c := range map[string]struct {
+		cfg   coordsample.Config
+		first int
+		want  string
+	}{
+		"k":    {small, 0, "fingerprint"},
+		"seed": {rogueSeed, 1, "not coordinated"},
+	} {
+		bundle := filepath.Join(t.TempDir(), "bundle.cws")
+		writeBundle(t, bundle, c.cfg, c.first, buildSketches(c.cfg, 34, c.first))
+		err := run([]string{"-query", "L1", files[0], bundle}, &buf)
+		if err == nil || !strings.Contains(err.Error(), bundle) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s mismatch in a multi-sketch file: err = %v, want %q naming %s", name, err, c.want, bundle)
+		}
 	}
 }
 

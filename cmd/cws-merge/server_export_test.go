@@ -16,9 +16,9 @@ import (
 )
 
 // TestServerSketchExportAcceptedByMerge closes the loop between the online
-// and offline halves of the system: sketches exported by a live cws-serve
-// process (GET /sketch) are ordinary fingerprinted wire-codec files, so
-// cws-merge must verify, combine, and query them — and, because both
+// and offline halves of the system: the segment a live cws-serve process
+// exports (GET /sketches) is an ordinary fingerprinted sketch file, so
+// cws-merge must verify, combine, and query it — and, because both
 // binaries share the cliquery dispatch and deterministic summation, print
 // answers bit-identical to the ones the server gives over HTTP.
 func TestServerSketchExportAcceptedByMerge(t *testing.T) {
@@ -67,25 +67,27 @@ func TestServerSketchExportAcceptedByMerge(t *testing.T) {
 		}
 	}
 
-	// Download both assignments' sketches, one per format.
-	dir := t.TempDir()
-	var files []string
-	for b := 0; b < 2; b++ {
-		format := []string{"binary", "json"}[b]
-		resp, err := http.Get(fmt.Sprintf("%s/sketch?b=%d&format=%s", ts.URL, b, format))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := new(bytes.Buffer)
-		if _, err := data.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		path := filepath.Join(dir, fmt.Sprintf("server.%d.cws", b))
-		if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, path)
+	// Download every assignment's sketch as one file:
+	// curl …/sketches > live.cws.
+	resp, err := http.Get(ts.URL + "/sketches")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := new(bytes.Buffer)
+	if _, err := data.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	files := []string{filepath.Join(t.TempDir(), "live.cws")}
+	if err := os.WriteFile(files[0], data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The one-assignment route is gone.
+	if resp, err := http.Get(ts.URL + "/sketch?b=0"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /sketch: status %d, want 404", resp.StatusCode)
 	}
 
 	// The server's own HTTP answer for each query...

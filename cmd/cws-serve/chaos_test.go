@@ -220,8 +220,8 @@ func TestChaosClusterSIGKILLMidFreeze(t *testing.T) {
 	procs[2] = startServe(t, serveBin,
 		"-assignments", "2", "-k", "128", "-seed", "5", "-retain", "8",
 		"-data-dir", dirs[2], "-addr", addrs[2], "-peers", peerList, "-self", "2")
-	if !strings.Contains(procs[2].logs.String(), "recovered 1 epoch(s)") {
-		t.Fatalf("restarted peer did not recover its acknowledged epoch; logs:\n%s", procs[2].logs)
+	if !strings.Contains(procs[2].logs(), "recovered 1 epoch(s)") {
+		t.Fatalf("restarted peer did not recover its acknowledged epoch; logs:\n%s", procs[2].logs())
 	}
 	offP2 := offline(t, cfg, ownedBy(chunks[:1], 2))
 	_, wantP2, _, err := cliquery.Answer(offP2, "sum", 0, nil, 1, nil, nil)
@@ -287,8 +287,8 @@ func TestServeFaultFlagInjectsStoreFaults(t *testing.T) {
 	p := startServe(t, serveBin,
 		"-assignments", "1", "-k", "64", "-seed", "3", "-data-dir", t.TempDir(),
 		"-faults", "store.segment-write:err,on=1")
-	if !strings.Contains(p.logs.String(), "FAULT INJECTION ACTIVE") {
-		t.Fatalf("fault injection not announced; logs:\n%s", p.logs)
+	if !strings.Contains(p.logs(), "FAULT INJECTION ACTIVE") {
+		t.Fatalf("fault injection not announced; logs:\n%s", p.logs())
 	}
 	p.post(t, "/offer", map[string]any{"offers": []coordsample.ServerOffer{{Assignment: 0, Key: "a", Weight: 1}}})
 	code, body := getPost(t, p.base+"/freeze")

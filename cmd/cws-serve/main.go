@@ -12,8 +12,8 @@
 // (exact, by the merge lemma), and atomically swaps the serving snapshot,
 // so queries never block ingestion and never see a half-built sketch.
 // Query answers are bit-identical to running the offline pipeline over the
-// same offers, and GET /sketch exports fingerprinted wire-codec files that
-// cws-merge accepts like any other site's.
+// same offers, and GET /sketches exports every assignment's fingerprinted
+// sketch as one segment file that cws-merge accepts like any other site's.
 //
 // With -data-dir the server is durable: every freeze persists the epoch
 // through the epoch store before it is acknowledged, and a restart — clean
@@ -55,7 +55,8 @@
 //	curl 'localhost:7070/query?agg=L1'
 //	curl 'localhost:7070/query?agg=L1&epochs=3..7'     # time window
 //	curl 'localhost:7070/query?agg=sum&b=0&prefix=192.168.'
-//	curl 'localhost:7070/sketch?b=0' > site.0.cws      # feed to cws-merge
+//	curl localhost:7070/sketches > live.cws            # feed to cws-merge
+//	curl 'localhost:7070/sketches?epochs=3..7' > window.cws
 //	curl localhost:7070/healthz/ready
 //	curl localhost:7070/metrics                        # every counter, gauge and histogram (Prometheus text)
 //	curl 'localhost:7070/query?agg=L1&trace=1'         # per-stage timing in the response

@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -43,7 +44,17 @@ func buildBinaries(t *testing.T) (serveBin, mergeBin string) {
 type serveProc struct {
 	cmd  *exec.Cmd
 	base string // http://host:port
-	logs *bytes.Buffer
+
+	mu   sync.Mutex
+	log  bytes.Buffer  // stderr so far, guarded by mu
+	done chan struct{} // closed once stderr is drained to EOF
+}
+
+// logs returns the process's stderr so far.
+func (p *serveProc) logs() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.log.String()
 }
 
 // startServe launches cws-serve on an ephemeral port and waits until it
@@ -58,19 +69,23 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &serveProc{cmd: cmd, logs: &bytes.Buffer{}}
+	p := &serveProc{cmd: cmd, done: make(chan struct{})}
 	t.Cleanup(func() {
 		if cmd.ProcessState == nil {
 			cmd.Process.Kill()
+			<-p.done
 			cmd.Wait()
 		}
 	})
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.done)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
-			p.logs.WriteString(line + "\n")
+			p.mu.Lock()
+			p.log.WriteString(line + "\n")
+			p.mu.Unlock()
 			if i := strings.Index(line, "listening on "); i >= 0 {
 				addr := strings.Fields(line[i+len("listening on "):])[0]
 				select {
@@ -84,7 +99,7 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 	case addr := <-addrCh:
 		p.base = "http://" + addr
 	case <-time.After(20 * time.Second):
-		t.Fatalf("cws-serve did not report a listen address; logs:\n%s", p.logs)
+		t.Fatalf("cws-serve did not report a listen address; logs:\n%s", p.logs())
 	}
 	return p
 }
@@ -93,13 +108,16 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 // cleanly (status 0).
 func (p *serveProc) wait(t *testing.T) bool {
 	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
+	exited := make(chan error, 1)
+	go func() {
+		<-p.done // os/exec: every read from a StderrPipe must end before Wait
+		exited <- p.cmd.Wait()
+	}()
 	select {
-	case err := <-done:
+	case err := <-exited:
 		return err == nil
 	case <-time.After(20 * time.Second):
-		t.Fatalf("cws-serve did not exit; logs:\n%s", p.logs)
+		t.Fatalf("cws-serve did not exit; logs:\n%s", p.logs())
 		return false
 	}
 }
@@ -144,17 +162,17 @@ func (p *serveProc) query(t *testing.T, params string) float64 {
 	return out["estimate"].(float64)
 }
 
-// saveSketch downloads one exported sketch file.
-func (p *serveProc) saveSketch(t *testing.T, params, path string) {
+// saveSketches downloads the GET /sketches?<params> export as one file.
+func (p *serveProc) saveSketches(t *testing.T, params, path string) {
 	t.Helper()
-	resp, err := http.Get(p.base + "/sketch?" + params)
+	resp, err := http.Get(p.base + "/sketches?" + params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET /sketch?%s: status %d: %s", params, resp.StatusCode, body)
+		t.Fatalf("GET /sketches?%s: status %d: %s", params, resp.StatusCode, body)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -238,11 +256,9 @@ func TestSIGKILLRecoveryBitIdentical(t *testing.T) {
 	exportDir := t.TempDir()
 	var windowFiles []string
 	for e := 2; e <= 3; e++ {
-		for b := 0; b < 2; b++ {
-			path := filepath.Join(exportDir, fmt.Sprintf("epoch%d.%d.cws", e, b))
-			p1.saveSketch(t, fmt.Sprintf("b=%d&epochs=%d", b, e), path)
-			windowFiles = append(windowFiles, path)
-		}
+		path := filepath.Join(exportDir, fmt.Sprintf("epoch%d.cws", e))
+		p1.saveSketches(t, fmt.Sprintf("epochs=%d", e), path)
+		windowFiles = append(windowFiles, path)
 	}
 
 	if err := p1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
@@ -253,8 +269,8 @@ func TestSIGKILLRecoveryBitIdentical(t *testing.T) {
 	}
 
 	p2 := startServe(t, serveBin, args...)
-	if !strings.Contains(p2.logs.String(), "recovered 4 epoch(s)") {
-		t.Fatalf("restart did not report recovery; logs:\n%s", p2.logs)
+	if !strings.Contains(p2.logs(), "recovered 4 epoch(s)") {
+		t.Fatalf("restart did not report recovery; logs:\n%s", p2.logs())
 	}
 	for _, q := range queries {
 		if got := p2.query(t, q); got != preKill[q] {
@@ -362,7 +378,7 @@ func TestSIGKILLDuringParallelDurableFreeze(t *testing.T) {
 	recovered := p2.healthEpoch(t)
 	if recovered != settled && recovered != settled+1 {
 		t.Fatalf("recovered %d epochs after mid-freeze SIGKILL, want %d or %d; logs:\n%s",
-			recovered, settled, settled+1, p2.logs)
+			recovered, settled, settled+1, p2.logs())
 	}
 	off := offline(t, cfg, chunks[:recovered])
 	for _, q := range []struct {
@@ -410,10 +426,10 @@ func TestGracefulShutdownAutoFreezes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if clean := p1.wait(t); !clean {
-		t.Fatalf("SIGTERM exit was not clean; logs:\n%s", p1.logs)
+		t.Fatalf("SIGTERM exit was not clean; logs:\n%s", p1.logs())
 	}
-	if !strings.Contains(p1.logs.String(), "shut down cleanly at epoch 1") {
-		t.Fatalf("shutdown did not freeze the open epoch; logs:\n%s", p1.logs)
+	if !strings.Contains(p1.logs(), "shut down cleanly at epoch 1") {
+		t.Fatalf("shutdown did not freeze the open epoch; logs:\n%s", p1.logs())
 	}
 
 	p2 := startServe(t, serveBin, args...)

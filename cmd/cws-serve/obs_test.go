@@ -255,7 +255,7 @@ func TestLogFormatJSON(t *testing.T) {
 	serveBin, _ := buildBinaries(t)
 	p := startServe(t, serveBin, "-assignments", "1", "-k", "64", "-seed", "3", "-log-format", "json")
 	line := ""
-	for _, l := range strings.Split(p.logs.String(), "\n") {
+	for _, l := range strings.Split(p.logs(), "\n") {
 		if strings.Contains(l, "listening on") {
 			line = l
 		}

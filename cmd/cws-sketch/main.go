@@ -1,7 +1,8 @@
 // Command cws-sketch builds coordinated bottom-k sketches from CSV data,
 // answers multiple-assignment aggregate queries, and — with -out — writes
-// each assignment's sketch as a self-describing, fingerprinted sketch file
-// that cws-merge in another process can verify, merge, and query.
+// each assignment's sketch as a self-describing, fingerprinted one-sketch
+// segment file that cws-merge in another process can verify, merge, and
+// query.
 //
 // Input: a CSV with header "key,<a1>,<a2>,..." (as produced by cws-datagen),
 // one weight column per assignment. Each column is sketched independently
@@ -42,13 +43,8 @@ func main() {
 	rFlag := flag.String("R", "", "comma-separated assignment subset (default all)")
 	prefix := flag.String("prefix", "", "restrict to keys with this prefix (subpopulation)")
 	estimator := flag.String("estimator", "aw", "estimator family: "+coordsample.EstimatorNames)
-	out := flag.String("out", "", "write one sketch file per assignment: <out>.<b>.cws[.json]")
-	format := flag.String("format", "binary", "sketch file format for -out: binary or json")
+	out := flag.String("out", "", "write one sketch file per assignment: <out>.<b>.cws")
 	flag.Parse()
-	codec, err := coordsample.ParseSketchCodec(*format)
-	if err != nil {
-		fatal(err)
-	}
 
 	var r io.Reader = os.Stdin
 	if *in != "" {
@@ -68,8 +64,8 @@ func main() {
 
 	if *out != "" {
 		for i, s := range sketches {
-			path := sketchFileName(*out, i, codec)
-			if err := writeSketchFile(path, codec, cfg, i, s); err != nil {
+			path := fmt.Sprintf("%s.%d.cws", *out, i)
+			if err := writeSketchFile(path, cfg, i, s); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("wrote %s (%s, assignment %d, %d entries)\n", path, names[i], i, s.Size())
@@ -111,21 +107,12 @@ func main() {
 	}
 }
 
-// sketchFileName names assignment b's sketch file under the -out prefix.
-func sketchFileName(prefix string, b int, c coordsample.SketchCodec) string {
-	name := fmt.Sprintf("%s.%d.cws", prefix, b)
-	if c == coordsample.CodecJSON {
-		name += ".json"
-	}
-	return name
-}
-
-func writeSketchFile(path string, c coordsample.SketchCodec, cfg coordsample.Config, b int, s *coordsample.BottomK) error {
+func writeSketchFile(path string, cfg coordsample.Config, b int, s *coordsample.BottomK) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := coordsample.EncodeSketch(f, c, cfg, b, s); err != nil {
+	if err := coordsample.EncodeSketch(f, cfg, b, s); err != nil {
 		f.Close()
 		return fmt.Errorf("encoding %s: %w", path, err)
 	}

@@ -28,9 +28,10 @@
 //	change := sum.RangeLSet(nil).Estimate(func(key string) bool { return interesting(key) })
 //
 // Sketches are wire-portable: every sketch built through the pipelines
-// carries a configuration fingerprint, EncodeSketch/DecodeSketch ship it
-// between processes (binary or JSON), and CombineDecoded reassembles
-// shipped files into a queryable summary, rejecting any file built under a
+// carries a configuration fingerprint, EncodeSketch/DecodeSketches ship it
+// between processes as a segment (the one sample file format, which the
+// durable store and GET /sketches share), and CombineDecoded reassembles
+// shipped sketches into a queryable summary, rejecting any built under a
 // mismatched configuration (see cmd/cws-merge and examples/distributed).
 //
 // Colocated weights (full weight vector available per key): feed a
@@ -50,7 +51,7 @@
 // Beyond the batch pipelines, NewServer runs the whole stack as a resident
 // HTTP service (cmd/cws-serve): concurrent lane ingestion into epochs,
 // freeze-and-swap snapshots, online queries bit-identical to the offline
-// pipeline, and wire-codec sketch export compatible with cws-merge.
+// pipeline, and segment export (GET /sketches) that cws-merge reads.
 //
 // See DESIGN.md for the full system inventory, docs/paper-map.md for the
 // paper-section-to-symbol map, and EXPERIMENTS.md for the reproduced
@@ -140,10 +141,8 @@ type (
 	Family = rank.Family
 	// Coordination is the joint distribution of a key's rank vector.
 	Coordination = rank.Coordination
-	// SketchCodec selects the wire format of an encoded sketch.
-	SketchCodec = sketch.Codec
-	// DecodedSketch is a sketch read back from the wire: construction
-	// metadata plus the (fingerprint-verified) bottom-k or Poisson sketch.
+	// DecodedSketch is a sketch read back from a segment: construction
+	// metadata plus the fingerprint-verified bottom-k sketch.
 	DecodedSketch = sketch.Decoded
 	// FingerprintMismatchError reports an attempt to combine or ship
 	// sketches built under different configurations.
@@ -298,45 +297,35 @@ func CombineDispersedPoisson(cfg Config, sketches []*PoissonSketch) (*Dispersed,
 	return core.CombineDispersedPoisson(cfg, sketches)
 }
 
-// Wire codecs for shipping sketches between processes (binary is compact;
-// JSON is self-describing text). Both round-trip float64 values exactly,
-// including the ±Inf conditioning ranks.
-const (
-	CodecBinary = sketch.CodecBinary
-	CodecJSON   = sketch.CodecJSON
-)
-
-// ParseSketchCodec parses a codec name ("binary" or "json").
-func ParseSketchCodec(s string) (SketchCodec, error) { return sketch.ParseCodec(s) }
-
 // EncodeSketch writes the bottom-k sketch of assignment b, built under cfg,
-// as a self-describing sketch file: a versioned header with the full
-// construction configuration and its fingerprint, the conditioning ranks,
-// and the entries. The sketch's fingerprint is checked against cfg before
+// as a one-sketch segment file: the full construction configuration and
+// its fingerprint, the conditioning ranks, and the entries, closed by a
+// checksum. The sketch's fingerprint is checked against cfg before
 // anything is written, so a file can never misstate its provenance.
-func EncodeSketch(w io.Writer, c SketchCodec, cfg Config, b int, s *BottomK) error {
-	return sketch.EncodeBottomK(w, c, sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: b}, s)
+func EncodeSketch(w io.Writer, cfg Config, b int, s *BottomK) error {
+	meta := sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: b}
+	_, err := sketch.EncodeSegment(w, []sketch.WireMeta{meta}, []*BottomK{s})
+	return err
 }
 
-// EncodePoissonSketch writes the Poisson sketch of assignment b, built
-// under cfg, as a sketch file (τ travels in the sketch body).
-func EncodePoissonSketch(w io.Writer, c SketchCodec, cfg Config, b int, s *PoissonSketch) error {
-	return sketch.EncodePoisson(w, c, sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: b}, s)
+// DecodeSketches reads one segment file — written by EncodeSketch, served
+// by GET /sketches, or persisted by an EpochStore — verifies its checksum,
+// revalidates every structural invariant, and verifies each stored
+// fingerprint against the stored configuration. The decoded sketches are
+// exactly as trustworthy as ones built in-process.
+func DecodeSketches(r io.Reader) ([]*DecodedSketch, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return sketch.DecodeSegment(data)
 }
 
-// DecodeSketch reads one sketch file (either codec, auto-detected),
-// revalidates every structural invariant, and verifies the stored
-// fingerprint against the stored configuration. The decoded sketch is
-// exactly as trustworthy as one built in-process.
-func DecodeSketch(r io.Reader) (*DecodedSketch, error) {
-	return sketch.Decode(r)
-}
-
-// CombineDecoded assembles decoded sketch files into a queryable dispersed
+// CombineDecoded assembles decoded sketches into a queryable dispersed
 // summary — the distributed combiner run on shipped summaries alone.
-// Bottom-k files sharing an assignment index are shard sketches and are
-// merged (fingerprint-verified); the assignments present must cover 0..max.
-// Files whose Family, Mode, or Seed disagree are rejected with a
+// Sketches sharing an assignment index are shard sketches and are merged
+// (fingerprint-verified); the assignments present must cover 0..max.
+// Sketches whose Family, Mode, or Seed disagree are rejected with a
 // *CoordinationMismatchError; shard sketches built under a different K or
 // Seed are rejected with a *FingerprintMismatchError.
 func CombineDecoded(decoded []*DecodedSketch) (*Dispersed, error) {
@@ -391,7 +380,7 @@ type (
 
 // NewServer creates the online sketch server. After any freeze, its query
 // answers are bit-identical to running the offline dispersed pipeline over
-// every offer so far, and GET /sketch exports wire-codec files that
+// every offer so far, and GET /sketches exports segment files that
 // cws-merge combines like any other site's. With a StoreConfig-opened
 // EpochStore attached, freezes are durable and the server recovers every
 // acknowledged epoch on restart; GET /query?epochs=lo..hi answers any

@@ -68,12 +68,14 @@ func main() {
 	for _, path := range []string{fileA, fileB} {
 		f, err := os.Open(path)
 		must(err)
-		d, err := coordsample.DecodeSketch(f)
+		ds, err := coordsample.DecodeSketches(f)
 		f.Close()
 		must(err)
-		fmt.Printf("combiner: %s verified (assignment %d, %d entries, fingerprint %#016x)\n",
-			filepath.Base(path), d.Meta.Assignment, d.BottomK.Size(), d.Fingerprint())
-		decoded = append(decoded, d)
+		for _, d := range ds {
+			fmt.Printf("combiner: %s verified (assignment %d, %d entries, fingerprint %#016x)\n",
+				filepath.Base(path), d.Meta.Assignment, d.BottomK.Size(), d.Fingerprint())
+		}
+		decoded = append(decoded, ds...)
 	}
 	shipped, err := coordsample.CombineDecoded(decoded)
 	must(err)
@@ -113,10 +115,10 @@ func main() {
 			sk.Offer(key, w2[i])
 		}
 	}
-	must(coordsample.EncodeSketch(&buf, coordsample.CodecBinary, badCfg, 1, sk.Sketch()))
-	bad, err := coordsample.DecodeSketch(&buf)
+	must(coordsample.EncodeSketch(&buf, badCfg, 1, sk.Sketch()))
+	bad, err := coordsample.DecodeSketches(&buf)
 	must(err)
-	_, err = coordsample.CombineDecoded([]*coordsample.DecodedSketch{decoded[0], bad})
+	_, err = coordsample.CombineDecoded(append([]*coordsample.DecodedSketch{decoded[0]}, bad...))
 	var mismatch *coordsample.CoordinationMismatchError
 	if errors.As(err, &mismatch) {
 		fmt.Printf("\nmisconfigured site rejected as expected:\n  %v\n", err)
@@ -138,7 +140,7 @@ func sketchSite(path string, cfg coordsample.Config, assignment int, keys []stri
 	if err != nil {
 		return err
 	}
-	if err := coordsample.EncodeSketch(f, coordsample.CodecBinary, cfg, assignment, sk.Sketch()); err != nil {
+	if err := coordsample.EncodeSketch(f, cfg, assignment, sk.Sketch()); err != nil {
 		f.Close()
 		return err
 	}

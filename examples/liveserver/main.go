@@ -2,9 +2,10 @@
 // process: it starts cws-serve's handler on a loopback listener, streams
 // two assignments of network-flow traffic into it from concurrent clients,
 // freezes an epoch mid-stream, queries the frozen snapshot while ingestion
-// continues, and finally exports the served sketches through the wire
-// codec and re-answers a query from the exported files alone — proving the
-// server interoperates with the distributed combine workflow (cws-merge).
+// continues, and finally exports the served sketches as one segment (GET
+// /sketches, the file cws-merge reads) and re-answers a query from the
+// export alone — proving the server interoperates with the distributed
+// combine workflow.
 //
 // Run with: go run ./examples/liveserver
 package main
@@ -65,20 +66,18 @@ func main() {
 
 	// --- Export the served sketches and combine them offline, exactly as
 	// cws-merge would with files shipped from any other site.
-	var decoded []*coordsample.DecodedSketch
-	for b := 0; b < 2; b++ {
-		resp, err := http.Get(fmt.Sprintf("%s/sketch?b=%d", base, b))
-		if err != nil {
-			log.Fatal(err)
-		}
-		d, err := coordsample.DecodeSketch(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		decoded = append(decoded, d)
+	resp, err := http.Get(base + "/sketches")
+	if err != nil {
+		log.Fatal(err)
+	}
+	decoded, err := coordsample.DecodeSketches(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, d := range decoded {
 		fmt.Printf("\nexported sketch: assignment %d, %d entries, fingerprint %#016x",
-			b, d.BottomK.Size(), d.Fingerprint())
+			d.Meta.Assignment, d.BottomK.Size(), d.Fingerprint())
 	}
 	offline, err := coordsample.CombineDecoded(decoded)
 	if err != nil {

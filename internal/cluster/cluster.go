@@ -1,6 +1,6 @@
 // Package cluster is the multi-node serving layer: a scatter-gather
 // router over a set of cws-serve peers that partitions the keyspace,
-// gathers fingerprinted wire-codec sketches from every reachable peer, and
+// gathers fingerprinted segment sketches from every reachable peer, and
 // answers the full cliquery vocabulary over their exact merge.
 //
 // # Why scale-out is exact
@@ -589,7 +589,7 @@ type fetchResult struct {
 // the validator of the set kept for this epochs string, if any; a 304 then
 // returns that kept set — only ever to the request that earned it, so a
 // peer that cannot be reached is never answered for from memory. A 200 is
-// fully validated (CRC, wire-codec revalidation, assignment order,
+// fully validated (CRC, per-sketch revalidation, assignment order,
 // fingerprints) before it is trusted or kept — a torn or corrupted response
 // is a typed error here, never a short sketch set, and leaves the kept set
 // as it was.
@@ -653,9 +653,6 @@ func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchR
 	assigner := r.cfg.Sample.Assigner()
 	sketches := make([]*sketch.BottomK, r.cfg.Assignments)
 	for b, d := range decoded {
-		if d.BottomK == nil {
-			return nil, fmt.Errorf("cluster: %s sketch %d is not a bottom-k sketch", addr, b)
-		}
 		if d.Meta.Assignment != b {
 			return nil, fmt.Errorf("cluster: %s sketch %d describes assignment %d", addr, b, d.Meta.Assignment)
 		}

@@ -27,18 +27,16 @@ func (e *CoordinationMismatchError) Error() string {
 		e.Index, e.Got.Family, e.Got.Mode, e.Got.Seed, e.Want.Family, e.Want.Mode, e.Want.Seed)
 }
 
-// CombineDecoded assembles decoded sketch files into a queryable dispersed
+// CombineDecoded assembles decoded sketches into a queryable dispersed
 // summary — the paper's distributed combiner operating on shipped
 // summaries alone, with no access to the data or to the sketching sites.
 //
-// All files must share the coordination configuration (Family, Mode, Seed;
-// verified, *CoordinationMismatchError otherwise) and one sketch kind.
-// Bottom-k files for the same assignment index are shard sketches and are
-// merged (sketch.Merge, which verifies their fingerprints — a shard built
-// under a different K or seed fails loudly); the assignment indexes
-// present must then cover 0..max contiguously, in any file order. Poisson
-// sketches cannot be shard-merged, so at most one file per assignment is
-// accepted.
+// All sketches must share the coordination configuration (Family, Mode,
+// Seed; verified, *CoordinationMismatchError otherwise). Sketches for the
+// same assignment index are shard sketches and are merged (sketch.Merge,
+// which verifies their fingerprints — a shard built under a different K or
+// seed fails loudly); the assignment indexes present must then cover
+// 0..max contiguously, in any input order.
 func CombineDecoded(decoded []*sketch.Decoded) (*estimate.Dispersed, error) {
 	if len(decoded) == 0 {
 		return nil, fmt.Errorf("core: no sketches to combine")
@@ -47,83 +45,59 @@ func CombineDecoded(decoded []*sketch.Decoded) (*estimate.Dispersed, error) {
 	if want.Mode == rank.IndependentDifferences {
 		return nil, fmt.Errorf("core: independent-differences sketches require colocated weights and cannot be combined from shipped per-assignment files")
 	}
-	kind := decoded[0].BottomK != nil
 	maxAssignment := -1
 	for i, d := range decoded {
 		m := d.Meta
 		if m.Family != want.Family || m.Mode != want.Mode || m.Seed != want.Seed {
 			return nil, &CoordinationMismatchError{Index: i, Want: want, Got: m}
 		}
-		if (d.BottomK != nil) != kind {
-			return nil, fmt.Errorf("core: sketch %d mixes Poisson and bottom-k files", i)
-		}
 		if m.Assignment > maxAssignment {
 			maxAssignment = m.Assignment
 		}
 	}
-	// n files can cover assignments 0..max only if max < n; checking before
-	// sizing anything by maxAssignment keeps a single corrupt or crafted
-	// file's huge index from becoming a huge allocation.
+	// n sketches can cover assignments 0..max only if max < n; checking
+	// before sizing anything by maxAssignment keeps a single corrupt or
+	// crafted file's huge index from becoming a huge allocation.
 	if maxAssignment >= len(decoded) {
-		return nil, fmt.Errorf("core: no sketch for some assignment below %d (the %d files cannot cover 0..%d)", maxAssignment, len(decoded), maxAssignment)
+		return nil, fmt.Errorf("core: no sketch for some assignment below %d (the %d sketches cannot cover 0..%d)", maxAssignment, len(decoded), maxAssignment)
 	}
 
-	if kind {
-		shards := make([][]*sketch.BottomK, maxAssignment+1)
-		for _, d := range decoded {
-			shards[d.Meta.Assignment] = append(shards[d.Meta.Assignment], d.BottomK)
-		}
-		sketches := make([]*sketch.BottomK, maxAssignment+1)
-		for b, parts := range shards {
-			if len(parts) == 0 {
-				return nil, fmt.Errorf("core: no sketch for assignment %d (assignments present must cover 0..%d)", b, maxAssignment)
-			}
-			// Shard sketches must come from disjoint key sets. For shipped
-			// files that contract cannot be trusted (the classic mistake is
-			// listing the same file twice via overlapping globs), so retained
-			// overlaps are rejected here as an error — the in-process merge
-			// would catch a surviving duplicate only by panicking. The scan
-			// runs only when the fingerprints already agree, so a
-			// configuration conflict is still reported as the (more
-			// fundamental) FingerprintMismatchError from the merge below.
-			if len(parts) > 1 && sameFingerprints(parts) {
-				seen := make(map[string]bool)
-				for _, p := range parts {
-					for _, e := range p.Entries() {
-						if seen[e.Key] {
-							return nil, fmt.Errorf("core: key %q appears in two shard sketches of assignment %d: shard files must cover disjoint key sets (same file listed twice?)", e.Key, b)
-						}
-						seen[e.Key] = true
-					}
-				}
-			}
-			merged, err := sketch.Merge(parts...)
-			if err != nil {
-				return nil, fmt.Errorf("core: merging shard sketches of assignment %d: %w", b, err)
-			}
-			sketches[b] = merged
-		}
-		cfg := Config{Family: want.Family, Mode: want.Mode, Seed: want.Seed, K: sketches[0].K()}
-		return CombineDispersed(cfg, sketches)
+	shards := make([][]*sketch.BottomK, maxAssignment+1)
+	for _, d := range decoded {
+		shards[d.Meta.Assignment] = append(shards[d.Meta.Assignment], d.BottomK)
 	}
-
-	sketches := make([]*sketch.Poisson, maxAssignment+1)
-	for i, d := range decoded {
-		b := d.Meta.Assignment
-		if sketches[b] != nil {
-			return nil, fmt.Errorf("core: two Poisson sketches for assignment %d (Poisson sketches cannot be shard-merged); sketch %d is a duplicate", b, i)
-		}
-		sketches[b] = d.Poisson
-	}
-	for b, s := range sketches {
-		if s == nil {
+	sketches := make([]*sketch.BottomK, maxAssignment+1)
+	for b, parts := range shards {
+		if len(parts) == 0 {
 			return nil, fmt.Errorf("core: no sketch for assignment %d (assignments present must cover 0..%d)", b, maxAssignment)
 		}
+		// Shard sketches must come from disjoint key sets. For shipped
+		// files that contract cannot be trusted (the classic mistake is
+		// listing the same file twice via overlapping globs), so retained
+		// overlaps are rejected here as an error — the in-process merge
+		// would catch a surviving duplicate only by panicking. The scan
+		// runs only when the fingerprints already agree, so a
+		// configuration conflict is still reported as the (more
+		// fundamental) FingerprintMismatchError from the merge below.
+		if len(parts) > 1 && sameFingerprints(parts) {
+			seen := make(map[string]bool)
+			for _, p := range parts {
+				for _, e := range p.Entries() {
+					if seen[e.Key] {
+						return nil, fmt.Errorf("core: key %q appears in two shard sketches of assignment %d: shard files must cover disjoint key sets (same file listed twice?)", e.Key, b)
+					}
+					seen[e.Key] = true
+				}
+			}
+		}
+		merged, err := sketch.Merge(parts...)
+		if err != nil {
+			return nil, fmt.Errorf("core: merging shard sketches of assignment %d: %w", b, err)
+		}
+		sketches[b] = merged
 	}
-	// K is irrelevant for Poisson estimation (τ travels in each sketch);
-	// any positive value satisfies the config validation.
-	cfg := Config{Family: want.Family, Mode: want.Mode, Seed: want.Seed, K: 1}
-	return CombineDispersedPoisson(cfg, sketches)
+	cfg := Config{Family: want.Family, Mode: want.Mode, Seed: want.Seed, K: sketches[0].K()}
+	return CombineDispersed(cfg, sketches)
 }
 
 // sameFingerprints reports whether all sketches carry one fingerprint.

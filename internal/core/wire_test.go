@@ -10,24 +10,20 @@ import (
 	"coordsample/internal/sketch"
 )
 
-// shipAndDecode encodes each (assignment, sketch) pair as cws-sketch -out
-// would and decodes it back, simulating the process boundary.
-func shipAndDecode(t *testing.T, cfg Config, sketches []*sketch.BottomK) []*sketch.Decoded {
+// ship encodes assignment b's sketch as the one-sketch segment cws-sketch
+// -out writes and decodes it back, simulating the process boundary.
+func ship(t *testing.T, cfg Config, b int, s *sketch.BottomK) *sketch.Decoded {
 	t.Helper()
-	decoded := make([]*sketch.Decoded, len(sketches))
-	for b, s := range sketches {
-		var buf bytes.Buffer
-		meta := sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: b}
-		if err := sketch.EncodeBottomK(&buf, sketch.CodecBinary, meta, s); err != nil {
-			t.Fatal(err)
-		}
-		d, err := sketch.DecodeBytes(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded[b] = d
+	var buf bytes.Buffer
+	meta := sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: b}
+	if _, err := sketch.EncodeSegment(&buf, []sketch.WireMeta{meta}, []*sketch.BottomK{s}); err != nil {
+		t.Fatal(err)
 	}
-	return decoded
+	decoded, err := sketch.DecodeSegment(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decoded[0]
 }
 
 // TestCombineDecodedBitIdentical is the acceptance criterion: sketches
@@ -51,7 +47,7 @@ func TestCombineDecodedBitIdentical(t *testing.T) {
 		}
 		siteSketches[b] = sk.Sketch()
 	}
-	shipped, err := CombineDecoded(shipAndDecode(t, cfg, siteSketches))
+	shipped, err := CombineDecoded([]*sketch.Decoded{ship(t, cfg, 0, siteSketches[0]), ship(t, cfg, 1, siteSketches[1])})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +89,7 @@ func TestCombineDecodedMergesShards(t *testing.T) {
 			}
 		}
 		for _, h := range halves {
-			var buf bytes.Buffer
-			meta := sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: b}
-			if err := sketch.EncodeBottomK(&buf, sketch.CodecJSON, meta, h.Sketch()); err != nil {
-				t.Fatal(err)
-			}
-			d, err := sketch.DecodeBytes(buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded = append(decoded, d)
+			decoded = append(decoded, ship(t, cfg, b, h.Sketch()))
 		}
 	}
 	// File order must not matter.
@@ -129,16 +116,7 @@ func TestCombineDecodedRejectsMismatches(t *testing.T) {
 				sk.Offer(ds.Key(i), col[i])
 			}
 		}
-		var buf bytes.Buffer
-		meta := sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: b}
-		if err := sketch.EncodeBottomK(&buf, sketch.CodecBinary, meta, sk.Sketch()); err != nil {
-			t.Fatal(err)
-		}
-		d, err := sketch.DecodeBytes(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return ship(t, cfg, b, sk.Sketch())
 	}
 	good := build(base, 0)
 
@@ -241,16 +219,7 @@ func TestCombineDecodedRejectsHugeAssignmentGap(t *testing.T) {
 	big := 1 << 30
 	sk := NewAssignmentSketcher(cfg, big)
 	sk.Offer("a", 1)
-	var buf bytes.Buffer
-	meta := sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: big}
-	if err := sketch.EncodeBottomK(&buf, sketch.CodecBinary, meta, sk.Sketch()); err != nil {
-		t.Fatal(err)
-	}
-	d, err := sketch.DecodeBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CombineDecoded([]*sketch.Decoded{d}); err == nil {
+	if _, err := CombineDecoded([]*sketch.Decoded{ship(t, cfg, big, sk.Sketch())}); err == nil {
 		t.Fatal("uncoverable assignment index accepted")
 	}
 }
@@ -264,20 +233,7 @@ func TestCombineDecodedRejectsOverlappingShardFiles(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		sk.Offer("k"+itoa(i), 1+float64(i))
 	}
-	var buf bytes.Buffer
-	meta := sketch.WireMeta{Family: cfg.Family, Mode: cfg.Mode, Seed: cfg.Seed, Assignment: 0}
-	if err := sketch.EncodeBottomK(&buf, sketch.CodecBinary, meta, sk.Sketch()); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := sketch.DecodeBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := sketch.DecodeBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = CombineDecoded([]*sketch.Decoded{d1, d2})
+	_, err := CombineDecoded([]*sketch.Decoded{ship(t, cfg, 0, sk.Sketch()), ship(t, cfg, 0, sk.Sketch())})
 	if err == nil || !strings.Contains(err.Error(), "disjoint") {
 		t.Fatalf("overlapping shard files: got %v, want disjointness error", err)
 	}

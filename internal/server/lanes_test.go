@@ -87,31 +87,8 @@ func TestConcurrentIngestStreamsBitIdentical(t *testing.T) {
 			}
 			postJSON(t, ts.URL+"/freeze", nil) // publish everything still in flight
 
-			for b := 0; b < cfg.Assignments; b++ {
-				resp, err := http.Get(fmt.Sprintf("%s/sketch?b=%d", ts.URL, b))
-				if err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := sketch.Decode(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatalf("decoding /sketch?b=%d: %v", b, err)
-				}
-				want := offline.Sketch(b).(*sketch.BottomK)
-				got := decoded.BottomK
-				if got.KthRank() != want.KthRank() || got.Threshold() != want.Threshold() {
-					t.Fatalf("/sketch?b=%d: conditioning ranks (%v, %v) != offline (%v, %v)",
-						b, got.KthRank(), got.Threshold(), want.KthRank(), want.Threshold())
-				}
-				ge, we := got.Entries(), want.Entries()
-				if len(ge) != len(we) {
-					t.Fatalf("/sketch?b=%d: %d entries, offline has %d", b, len(ge), len(we))
-				}
-				for i := range ge {
-					if ge[i] != we[i] {
-						t.Fatalf("/sketch?b=%d: entry %d = %+v, offline %+v", b, i, ge[i], we[i])
-					}
-				}
+			for b, got := range exportedSketches(t, ts.URL, "") {
+				sameSketch(t, fmt.Sprintf("/sketches assignment %d", b), got, offline.Sketch(b).(*sketch.BottomK))
 			}
 		})
 	}

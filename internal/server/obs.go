@@ -72,8 +72,7 @@ func (s *Server) initObs(cfg Config) {
 	r.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "window"), s.mergeConflicts.Load)
 	r.Counter("cws_freezes_total", "Successful epoch freezes.", s.freezes.Load)
 	r.Counter("cws_freeze_errors_total", "Failed freezes (contract violations and persist failures).", s.freezeErrors.Load)
-	r.Counter("cws_sketch_exports_total", "GET /sketch exports.", s.sketchExports.Load)
-	r.Counter("cws_segment_exports_total", "GET /sketches peer bulk-fetch exports.", s.segmentExports.Load)
+	r.Counter("cws_segment_exports_total", "GET /sketches exports (peer bulk fetches and downloads).", s.segmentExports.Load)
 	r.Counter("cws_sheds_total", "Ingest requests shed with 429 under the inflight bound.", s.sheds.Load)
 	r.Counter("cws_store_persists_total", "Epochs durably persisted.", s.persists.Load)
 	r.Counter("cws_store_persist_errors_total", "Persist failures (the freeze was not acknowledged).", s.persistErrors.Load)

@@ -67,7 +67,7 @@
 // paper's "snapshots of an evolving database at multiple points in time"
 // made queryable: each epoch is a point-in-time snapshot, and any window of
 // them is summarized without touching the data again. GET
-// /sketch?epochs=... exports the merged window sketch as a wire-codec file
+// /sketches?epochs=... exports the merged window sketches as a segment
 // cws-merge accepts.
 //
 // # Ingest fast path
@@ -101,10 +101,9 @@
 //	POST /freeze         advance the epoch: freeze, persist, merge, swap
 //	GET  /query          answer an aggregate from the frozen snapshot
 //	                     (?epochs=lo..hi restricts to a retained time window)
-//	GET  /sketch         export a frozen sketch in the wire codec
-//	                     (?epochs=lo..hi exports the merged window sketch)
 //	GET  /sketches       export every assignment's sketch as one segment
-//	                     (the cluster router's peer bulk-fetch RPC; strong
+//	                     (?epochs=lo..hi exports the merged window; the
+//	                     cluster router's peer bulk-fetch RPC; strong
 //	                     ETag, and 304 to a matching If-None-Match)
 //	GET  /healthz        liveness + epoch + retained window
 //	GET  /healthz/live   liveness only: the process is up
@@ -113,9 +112,9 @@
 //
 // Query dispatch goes through internal/cliquery, the same path cws-sketch
 // and cws-merge use, so a query answered by the server is bit-identical to
-// the same query answered offline over the same offers — and the sketches
-// exported by GET /sketch are fingerprinted wire-codec files that
-// cws-merge accepts, so a live server can participate in the distributed
+// the same query answered offline over the same offers — and the segment
+// exported by GET /sketches is a fingerprinted sketch file that cws-merge
+// accepts, so a live server can participate in the distributed
 // combine workflow as just another site.
 package server
 
@@ -402,7 +401,6 @@ type Server struct {
 	rangeQueries     atomic.Int64
 	freezes          atomic.Int64
 	freezeErrors     atomic.Int64
-	sketchExports    atomic.Int64
 	segmentExports   atomic.Int64
 	sheds            atomic.Int64
 	persists         atomic.Int64
@@ -443,7 +441,7 @@ func New(cfg Config) (*Server, error) {
 		assigner := cfg.Sample.Assigner()
 		for b := range s.cum {
 			// The empty frozen sketch of each assignment, fingerprinted so the
-			// first epoch merge (and any epoch-0 /sketch export) verifies.
+			// first epoch merge (and any epoch-0 /sketches export) verifies.
 			s.cum[b] = sketch.NewBottomKBuilderWithFingerprint(cfg.Sample.K, assigner.Fingerprint(b, cfg.Sample.K)).Sketch()
 		}
 	}
@@ -471,7 +469,6 @@ func New(cfg Config) (*Server, error) {
 		query = http.TimeoutHandler(query, cfg.QueryTimeout, `{"error":"query deadline exceeded"}`)
 	}
 	s.mux.Handle("/query", query)
-	s.mux.HandleFunc("/sketch", s.handleSketch)
 	s.mux.HandleFunc("/sketches", s.handleSketches)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/healthz/live", s.handleLive)
@@ -1310,75 +1307,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // --- sketch export ---
 
-func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	q := r.URL.Query()
-	if q.Get("b") == "" {
-		writeError(w, http.StatusBadRequest, "missing b parameter (assignment index 0..%d)", s.cfg.Assignments-1)
-		return
-	}
-	b, err := intParam(q.Get("b"), 0)
-	if err != nil || b < 0 || b >= s.cfg.Assignments {
-		writeError(w, http.StatusBadRequest, "bad b parameter %q (assignment index 0..%d)", q.Get("b"), s.cfg.Assignments-1)
-		return
-	}
-	codec := sketch.CodecBinary
-	if f := q.Get("format"); f != "" {
-		if codec, err = sketch.ParseCodec(f); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	snap := s.snap.Load()
-	// Default: the cumulative sketch. ?epochs=lo..hi exports the merged
-	// sketch of that retained time window instead — a wire-codec file
-	// cws-merge combines like any site's.
-	exported := snap.sketches[b]
-	name := fmt.Sprintf("epoch-%d.%d.cws", snap.epoch, b)
-	if eq := q.Get("epochs"); eq != "" {
-		lo, hi, err := cliquery.ParseEpochRange(eq)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
-			return
-		}
-		rs := s.window(w, snap, nil, lo, hi, []int{b})
-		if rs == nil {
-			return
-		}
-		exported = rs.Sketch(b)
-		name = fmt.Sprintf("epochs-%d-%d.%d.cws", lo, hi, b)
-	}
-	meta := sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}
-	// Encode into memory first (sketches are bounded at k entries) so an
-	// encoding failure yields a clean 500 instead of a 200 with a
-	// truncated payload the client would save as a corrupt sketch file.
-	var buf bytes.Buffer
-	if err := sketch.EncodeBottomK(&buf, codec, meta, exported); err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding sketch: %v", err)
-		return
-	}
-	if codec == sketch.CodecJSON {
-		w.Header().Set("Content-Type", "application/json")
-		name += ".json"
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name))
-	w.Header().Set("X-CWS-Epoch", strconv.Itoa(snap.epoch))
-	_, _ = w.Write(buf.Bytes())
-	s.sketchExports.Add(1)
-}
-
-// handleSketches is the peer bulk-fetch RPC of the cluster layer: every
-// assignment's cumulative sketch (or the ?epochs=lo..hi window's) as one
-// multi-sketch segment — the same self-describing, CRC-closed framing the
-// durable store persists — with the snapshot epoch in X-CWS-Epoch. The
-// scatter-gather router decodes, checksums, and fingerprint-verifies the
-// segment before merging, so a torn or corrupted response surfaces as a
-// typed decode error, never as a silently wrong estimate.
+// handleSketches is the server's one sketch export — the cluster layer's
+// peer bulk-fetch RPC, and the file cws-merge reads: every assignment's
+// cumulative sketch (or the ?epochs=lo..hi window's) as one multi-sketch
+// segment — the same self-describing, CRC-closed framing the durable store
+// persists — with the snapshot epoch in X-CWS-Epoch. The scatter-gather
+// router decodes, checksums, and fingerprint-verifies the segment before
+// merging, so a torn or corrupted response surfaces as a typed decode
+// error, never as a silently wrong estimate.
 //
 // Every response carries a strong ETag naming exactly the bytes a full
 // response would hold: "<boot nonce>-<epoch>" for the cumulative set (the
@@ -1499,13 +1435,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- helpers ---
-
-func intParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
-	}
-	return strconv.Atoi(s)
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

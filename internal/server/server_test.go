@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -228,36 +229,44 @@ func TestBitIdenticalAcrossConcurrentFreezes(t *testing.T) {
 
 	// The served sketches themselves must be bit-identical to the offline
 	// ones: same entries, same conditioning ranks.
-	for b := 0; b < cfg.Assignments; b++ {
-		for _, format := range []string{"binary", "json"} {
-			resp, err := http.Get(fmt.Sprintf("%s/sketch?b=%d&format=%s", ts.URL, b, format))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := sketch.Decode(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatalf("decoding /sketch?b=%d&format=%s: %v", b, format, err)
-			}
-			want := offline.Sketch(b).(*sketch.BottomK)
-			got := decoded.BottomK
-			if got == nil {
-				t.Fatalf("/sketch?b=%d: not a bottom-k file", b)
-			}
-			if got.KthRank() != want.KthRank() || got.Threshold() != want.Threshold() {
-				t.Fatalf("/sketch?b=%d (%s): conditioning ranks (%v, %v) != offline (%v, %v)",
-					b, format, got.KthRank(), got.Threshold(), want.KthRank(), want.Threshold())
-			}
-			ge, we := got.Entries(), want.Entries()
-			if len(ge) != len(we) {
-				t.Fatalf("/sketch?b=%d (%s): %d entries, offline has %d", b, format, len(ge), len(we))
-			}
-			for i := range ge {
-				if ge[i] != we[i] {
-					t.Fatalf("/sketch?b=%d (%s): entry %d = %+v, offline %+v", b, format, i, ge[i], we[i])
-				}
-			}
-		}
+	for b, got := range exportedSketches(t, ts.URL, "") {
+		sameSketch(t, fmt.Sprintf("/sketches assignment %d", b), got, offline.Sketch(b).(*sketch.BottomK))
+	}
+}
+
+// exportedSketches fetches GET /sketches<query> and decodes the segment.
+func exportedSketches(t *testing.T, base, query string) []*sketch.BottomK {
+	t.Helper()
+	resp, err := http.Get(base + "/sketches" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := sketch.DecodeSegment(data)
+	if err != nil {
+		t.Fatalf("decoding /sketches%s: %v", query, err)
+	}
+	out := make([]*sketch.BottomK, len(decoded))
+	for b, d := range decoded {
+		out[b] = d.BottomK
+	}
+	return out
+}
+
+// sameSketch fails unless got holds exactly want's conditioning ranks and
+// entries.
+func sameSketch(t *testing.T, what string, got, want *sketch.BottomK) {
+	t.Helper()
+	if got.KthRank() != want.KthRank() || got.Threshold() != want.Threshold() {
+		t.Fatalf("%s: conditioning ranks (%v, %v) != offline (%v, %v)",
+			what, got.KthRank(), got.Threshold(), want.KthRank(), want.Threshold())
+	}
+	if !slices.Equal(got.Entries(), want.Entries()) {
+		t.Fatalf("%s: %d entries differ from the offline sketch's %d", what, got.Size(), want.Size())
 	}
 }
 
@@ -427,7 +436,7 @@ func TestCloseReleasesWorkersAndKeepsServing(t *testing.T) {
 	if got := queryHTTP(t, ts.URL, "agg=sum&b=0"); got != 4 {
 		t.Errorf("query after Close = %v, want 4 (last snapshot must keep serving)", got)
 	}
-	if code := status(http.MethodGet, "/sketch?b=0"); code != http.StatusOK {
+	if code := status(http.MethodGet, "/sketches"); code != http.StatusOK {
 		t.Errorf("sketch export after Close: status %d, want 200", code)
 	}
 }
@@ -494,10 +503,9 @@ func TestBadRequests(t *testing.T) {
 		"query bad R":             {get("/query?agg=L1&R=0,9"), 400},
 		"query duplicate R":       {get("/query?agg=L1&R=0,0"), 400},
 		"query bad l":             {get("/query?agg=lth&l=9"), 400},
-		"sketch missing b":        {get("/sketch"), 400},
-		"sketch bad b":            {get("/sketch?b=9"), 400},
-		"sketch bad format":       {get("/sketch?b=0&format=xml"), 400},
-		"sketch wrong method":     {post("/sketch?b=0", ""), 405},
+		"sketch route is gone":    {get("/sketch?b=0"), 404},
+		"sketches bad epochs":     {get("/sketches?epochs=x"), 400},
+		"sketches wrong method":   {post("/sketches", ""), 405},
 		"healthz ok":              {get("/healthz"), 200},
 		"metrics ok":              {get("/metrics"), 200},
 		"query ok without freeze": {get("/query?agg=L1"), 200},
@@ -795,22 +803,10 @@ func TestEpochRangeQueriesBitIdentical(t *testing.T) {
 					t.Errorf("/query?%s: memoized answer moved", params)
 				}
 			}
-			// The exported window sketch decodes to the offline epochs' merge.
-			for b := 0; b < cfg.Assignments; b++ {
-				resp, err := http.Get(fmt.Sprintf("%s/sketch?b=%d&epochs=%d..%d", ts.URL, b, lo, hi))
-				if err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := sketch.Decode(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatalf("decoding /sketch?b=%d&epochs=%d..%d: %v", b, lo, hi, err)
-				}
-				want := offline.Sketch(b).(*sketch.BottomK)
-				if decoded.BottomK == nil || decoded.BottomK.KthRank() != want.KthRank() ||
-					decoded.BottomK.Threshold() != want.Threshold() || decoded.BottomK.Size() != want.Size() {
-					t.Fatalf("/sketch?b=%d&epochs=%d..%d does not match the offline window sketch", b, lo, hi)
-				}
+			// The exported window sketches decode to the offline epochs' merge.
+			query := fmt.Sprintf("?epochs=%d..%d", lo, hi)
+			for b, got := range exportedSketches(t, ts.URL, query) {
+				sameSketch(t, fmt.Sprintf("/sketches%s assignment %d", query, b), got, offline.Sketch(b).(*sketch.BottomK))
 			}
 		}
 	}

@@ -116,8 +116,8 @@ func windowVocabulary() []string {
 // TestWindowDifferential: on windows of one epoch, four epochs and the whole
 // ring, every query of the vocabulary, asked in shuffled orders against
 // fresh window states, answers float-bit identically (estimate and stderr)
-// to the eager oracle; and the windows' exported /sketch and /sketches
-// bytes are the encodings of the eagerly merged sketches.
+// to the eager oracle; and the windows' exported /sketches bytes are the
+// encoding of the eagerly merged sketches.
 func TestWindowDifferential(t *testing.T) {
 	cfg := windowCfg()
 	const epochs = 6
@@ -164,42 +164,31 @@ func TestWindowDifferential(t *testing.T) {
 	}
 }
 
-// checkWindowExports compares a fresh window's /sketch (which merges one
-// assignment) and /sketches (which merges the rest) with the encodings of
-// the eager merge — the bytes the parent served.
+// checkWindowExports compares a fresh window's /sketches (which merges
+// every assignment) with the encoding of the eager merge — the bytes the
+// parent served.
 func checkWindowExports(t *testing.T, cfg Config, base, epochsParam string, eager []*sketch.BottomK) {
 	t.Helper()
-	get := func(path string) []byte {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d, err %v: %s", path, resp.StatusCode, err, data)
-		}
-		return data
+	path := "/sketches?" + epochsParam[1:]
+	resp, err := http.Get(base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, err %v: %s", path, resp.StatusCode, err, got)
 	}
 	metas := make([]sketch.WireMeta, len(eager))
 	for b := range metas {
 		metas[b] = sketch.WireMeta{Family: cfg.Sample.Family, Mode: cfg.Sample.Mode, Seed: cfg.Sample.Seed, Assignment: b}
 	}
-	for _, b := range []int{2, 0} {
-		var want bytes.Buffer
-		if err := sketch.EncodeBottomK(&want, sketch.CodecBinary, metas[b], eager[b]); err != nil {
-			t.Fatal(err)
-		}
-		if got := get(fmt.Sprintf("/sketch?b=%d%s", b, epochsParam)); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("/sketch?b=%d%s: exported bytes differ from the eager merge's encoding", b, epochsParam)
-		}
-	}
 	var want bytes.Buffer
 	if _, err := sketch.EncodeSegment(&want, metas, eager); err != nil {
 		t.Fatal(err)
 	}
-	if got := get("/sketches?" + epochsParam[1:]); !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("/sketches?%s: exported segment differs from the eager merge's encoding", epochsParam[1:])
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("GET %s: exported segment differs from the eager merge's encoding", path)
 	}
 }
 
@@ -219,8 +208,8 @@ func spanNote(body map[string]any, name string) (string, bool) {
 
 // TestWindowMergesOnlyWhatQueriesRead: a sum b=0 window query merges exactly
 // one assignment, a following R=0,1 query exactly one more, a repeat none,
-// an export of one assignment that one, /sketches the rest — read from the
-// counter, /metrics and the range-merge span's note.
+// /sketches the rest, a total query then none — read from the counter,
+// /metrics and the range-merge span's note.
 func TestWindowMergesOnlyWhatQueriesRead(t *testing.T) {
 	cfg := windowCfg()
 	s, base := windowServer(t, cfg, chunkEpochs(windowStream(800, 32), 4))
@@ -233,9 +222,8 @@ func TestWindowMergesOnlyWhatQueriesRead(t *testing.T) {
 		{"/query?agg=max&R=0,1&epochs=2..4&trace=1", 2, "assignments=1/4"},
 		{"/query?agg=max&R=0,1&epochs=2..4&trace=1", 2, ""},
 		{"/query?agg=L1&R=1,0&est=discarded&epochs=2..4&trace=1", 2, ""},
-		{"/sketch?b=3&epochs=2..4", 3, ""},
-		{"/query?agg=total&epochs=2..4&trace=1", 4, "assignments=1/4"},
 		{"/sketches?epochs=2..4", 4, ""},
+		{"/query?agg=total&epochs=2..4&trace=1", 4, ""},
 		{"/query?agg=total&epochs=1..4&trace=1", 8, "assignments=4/4"}, // another window, its own state
 	} {
 		resp, err := http.Get(base + c.path)
@@ -266,7 +254,7 @@ func TestWindowMergesOnlyWhatQueriesRead(t *testing.T) {
 		`cws_merged_assignments_total{site="window"} 8`,
 		`cws_merge_conflicts_total{site="window"} 0`,
 		`cws_range_queries_total 6`,
-		`cws_query_stage_seconds_count{stage="range-merge"} 4`,
+		`cws_query_stage_seconds_count{stage="range-merge"} 3`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -364,7 +352,7 @@ func TestWindowDuplicateKeyIsRefused(t *testing.T) {
 	}
 	for _, path := range []string{
 		"/query?agg=sum&b=0&epochs=2..3", "/query?agg=sum&b=0&epochs=2..3", "/query?agg=L1&epochs=2..3",
-		"/sketch?b=0&epochs=2..3", "/sketches?epochs=2..3",
+		"/sketches?epochs=2..3",
 	} {
 		code, body := status(path)
 		if code != http.StatusConflict || !strings.Contains(body, `\"twice\"`) || !strings.Contains(body, "epochs 2..3") {
@@ -372,22 +360,22 @@ func TestWindowDuplicateKeyIsRefused(t *testing.T) {
 		}
 	}
 	for _, path := range []string{
-		"/query?agg=sum&b=1&epochs=2..3", "/sketch?b=1&epochs=2..3",
+		"/query?agg=sum&b=1&epochs=2..3",
 		"/query?agg=sum&b=0&epochs=3..3", "/query?agg=L1&epochs=1..2", "/query?agg=L1", "/healthz",
 	} {
 		if code, body := status(path); code != http.StatusOK {
 			t.Errorf("GET %s after the refusals: status %d, body %s", path, code, body)
 		}
 	}
-	if got := s.mergeConflicts.Load(); got != 5 {
-		t.Errorf("%d merge conflicts counted, want 5", got)
+	if got := s.mergeConflicts.Load(); got != 4 {
+		t.Errorf("%d merge conflicts counted, want 4", got)
 	}
 	_, traces := status("/debug/traces")
 	if !strings.Contains(traces, `"name":"range-merge"`) || !strings.Contains(traces, `"note":"assignments=0/2"`) {
 		t.Errorf("/debug/traces holds no refused range-merge span: %s", traces)
 	}
 	_, metrics := status("/metrics")
-	if want := `cws_merge_conflicts_total{site="window"} 5`; !strings.Contains(metrics, want) {
+	if want := `cws_merge_conflicts_total{site="window"} 4`; !strings.Contains(metrics, want) {
 		t.Errorf("/metrics missing %q", want)
 	}
 }

@@ -252,7 +252,7 @@ type BottomKBuilder struct {
 
 // NewBottomKBuilder returns a builder for bottom-k sketches. k must be ≥ 1.
 // Sketches frozen from it are standalone: they carry no fingerprint, Merge
-// and the wire codec refuse them, and they suit ranks no rank.Assigner
+// and EncodeSegment refuse them, and they suit ranks no rank.Assigner
 // describes (hand-supplied, uniform). Pipeline code uses
 // NewBottomKBuilderWithFingerprint.
 func NewBottomKBuilder(k int) *BottomKBuilder {
@@ -438,7 +438,7 @@ func BottomKFromRanks(k int, keys []string, ranks, weights []float64) *BottomK {
 type FingerprintMismatchError struct {
 	// Index is the position of the offending sketch among the inputs
 	// (0-based), or -1 when the error concerns a single sketch checked
-	// against an expected configuration (e.g. by the wire codec).
+	// against an expected configuration (e.g. by the segment codec).
 	Index int
 	// Want is the fingerprint the sketch was required to match; Got is the
 	// fingerprint it carries. Got == 0 means the sketch is unfingerprinted.

@@ -2,9 +2,11 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -16,18 +18,6 @@ import (
 func buildFingerprinted(meta WireMeta, k, n int, rngSeed int64) *BottomK {
 	a := meta.Assigner()
 	b := NewBottomKBuilderWithFingerprint(k, a.Fingerprint(meta.Assignment, k))
-	rng := rand.New(rand.NewSource(rngSeed))
-	for i := 0; i < n; i++ {
-		key := "key-" + itoa(i)
-		w := math.Exp(rng.NormFloat64() * 2)
-		b.Offer(key, a.Rank(key, meta.Assignment, w), w)
-	}
-	return b.Sketch()
-}
-
-func buildFingerprintedPoisson(meta WireMeta, tau float64, n int, rngSeed int64) *Poisson {
-	a := meta.Assigner()
-	b := NewPoissonBuilderWithFingerprint(tau, a.Fingerprint(meta.Assignment, 0))
 	rng := rand.New(rand.NewSource(rngSeed))
 	for i := 0; i < n; i++ {
 		key := "key-" + itoa(i)
@@ -65,87 +55,77 @@ func sameBottomK(t *testing.T, got, want *BottomK) {
 	}
 }
 
-// TestCodecRoundTripBottomK is the round-trip property over both formats
-// and the structural corner cases: full sketches, size < k (both
-// conditioning ranks +Inf), and empty sketches.
+// oneSketchSegment encodes s as the one-sketch segment a single site ships.
+func oneSketchSegment(t testing.TB, meta WireMeta, s *BottomK) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := EncodeSegment(&buf, []WireMeta{meta}, []*BottomK{s}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// firstSketchHeader returns the offset of a version-2 segment's first
+// sketch header (past the key dictionary).
+func firstSketchHeader(data []byte) int {
+	d, n := binary.Uvarint(data[segmentHeaderSize:])
+	off := segmentHeaderSize + n
+	for ; d > 0; d-- {
+		l, m := binary.Uvarint(data[off:])
+		off += m + int(l)
+	}
+	return off
+}
+
+// v1Files returns the single-sketch CWSK files embedded in
+// testdata/segment-v1.seg, as the version-1 writer produced them.
+func v1Files(t testing.TB) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/segment-v1.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files [][]byte
+	rest := data[segmentHeaderSize : len(data)-segmentTrailerSize]
+	for len(rest) > 0 {
+		n := binary.LittleEndian.Uint32(rest)
+		files = append(files, rest[4:4+n])
+		rest = rest[4+n:]
+	}
+	return files
+}
+
+// TestCodecRoundTripBottomK is the round-trip property of the one sample
+// format over the structural corner cases of a single shipped sketch: full
+// sketches, size < k (both conditioning ranks +Inf), and empty sketches.
 func TestCodecRoundTripBottomK(t *testing.T) {
 	metas := []WireMeta{
 		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, Assignment: 0},
 		{Family: rank.EXP, Mode: rank.Independent, Seed: math.MaxUint64, Assignment: 7},
 	}
 	for _, meta := range metas {
-		for _, c := range []Codec{CodecBinary, CodecJSON} {
-			for _, tc := range []struct {
-				name string
-				k, n int
-			}{
-				{"full", 16, 400},
-				{"exactly-k", 16, 16},
-				{"below-k", 16, 5},
-				{"empty", 16, 0},
-				{"k1", 1, 100},
-			} {
-				s := buildFingerprinted(meta, tc.k, tc.n, 42)
-				if tc.n < tc.k && !math.IsInf(s.Threshold(), 1) {
-					t.Fatalf("%s: expected +Inf threshold", tc.name)
-				}
-				var buf bytes.Buffer
-				if err := EncodeBottomK(&buf, c, meta, s); err != nil {
-					t.Fatalf("%v/%s: encode: %v", c, tc.name, err)
-				}
-				d, err := Decode(&buf)
-				if err != nil {
-					t.Fatalf("%v/%s: decode: %v", c, tc.name, err)
-				}
-				if d.BottomK == nil || d.Poisson != nil {
-					t.Fatalf("%v/%s: wrong sketch kind", c, tc.name)
-				}
-				if d.Meta != meta {
-					t.Fatalf("%v/%s: meta %+v, want %+v", c, tc.name, d.Meta, meta)
-				}
-				sameBottomK(t, d.BottomK, s)
-			}
-		}
-	}
-}
-
-func TestCodecRoundTripPoisson(t *testing.T) {
-	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3, Assignment: 2}
-	for _, c := range []Codec{CodecBinary, CodecJSON} {
 		for _, tc := range []struct {
 			name string
-			tau  float64
-			n    int
+			k, n int
 		}{
-			{"finite", 0.02, 500},
-			{"inf-tau", math.Inf(1), 50}, // τ=+Inf samples everything
-			{"empty", 1e-12, 50},
+			{"full", 16, 400},
+			{"exactly-k", 16, 16},
+			{"below-k", 16, 5},
+			{"empty", 16, 0},
+			{"k1", 1, 100},
 		} {
-			s := buildFingerprintedPoisson(meta, tc.tau, tc.n, 9)
-			var buf bytes.Buffer
-			if err := EncodePoisson(&buf, c, meta, s); err != nil {
-				t.Fatalf("%v/%s: encode: %v", c, tc.name, err)
+			s := buildFingerprinted(meta, tc.k, tc.n, 42)
+			if tc.n < tc.k && !math.IsInf(s.Threshold(), 1) {
+				t.Fatalf("%s: expected +Inf threshold", tc.name)
 			}
-			d, err := Decode(&buf)
+			decoded, err := DecodeSegment(oneSketchSegment(t, meta, s))
 			if err != nil {
-				t.Fatalf("%v/%s: decode: %v", c, tc.name, err)
+				t.Fatalf("%s: decode: %v", tc.name, err)
 			}
-			if d.Poisson == nil {
-				t.Fatalf("%v/%s: wrong sketch kind", c, tc.name)
+			if len(decoded) != 1 || decoded[0].Meta != meta {
+				t.Fatalf("%s: decoded %d sketches, want one with meta %+v", tc.name, len(decoded), meta)
 			}
-			if d.Meta != meta {
-				t.Fatalf("%v/%s: meta mismatch", c, tc.name)
-			}
-			got := d.Poisson
-			if math.Float64bits(got.Tau()) != math.Float64bits(s.Tau()) ||
-				got.Fingerprint() != s.Fingerprint() || got.Size() != s.Size() {
-				t.Fatalf("%v/%s: τ/fingerprint/size differ", c, tc.name)
-			}
-			for i, e := range s.Entries() {
-				if got.Entries()[i] != e {
-					t.Fatalf("%v/%s: entry %d differs", c, tc.name, i)
-				}
-			}
+			sameBottomK(t, decoded[0].BottomK, s)
 		}
 	}
 }
@@ -163,7 +143,7 @@ func TestEncodeRejectsWrongProvenance(t *testing.T) {
 		"mode":       {Family: rank.IPPS, Mode: rank.Independent, Seed: 5, Assignment: 1},
 		"assignment": {Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, Assignment: 2},
 	} {
-		err := EncodeBottomK(&bytes.Buffer{}, CodecBinary, bad, s)
+		_, err := EncodeSegment(&bytes.Buffer{}, []WireMeta{bad}, []*BottomK{s})
 		if !errors.As(err, &fpErr) {
 			t.Fatalf("%s mismatch: got %v, want *FingerprintMismatchError", name, err)
 		}
@@ -172,62 +152,84 @@ func TestEncodeRejectsWrongProvenance(t *testing.T) {
 	// Legacy (fingerprint-less) sketches cannot be shipped at all.
 	standalone := NewBottomKBuilder(8)
 	standalone.Offer("a", 0.5, 1)
-	err := EncodeBottomK(&bytes.Buffer{}, CodecBinary, meta, standalone.Sketch())
+	_, err := EncodeSegment(&bytes.Buffer{}, []WireMeta{meta}, []*BottomK{standalone.Sketch()})
 	if !errors.As(err, &fpErr) || fpErr.Got != 0 {
 		t.Fatalf("unfingerprinted sketch: got %v", err)
 	}
 }
 
-// TestDecodeRejectsTampering flips each byte of a valid binary file and
-// requires the decoder to either reject the mutation or produce a sketch
-// that still satisfies every invariant — never to panic.
+// TestDecodeRejectsTampering flips each byte of a valid version-2 segment
+// and of the version-1 fixture, resealing the checksum so the flip reaches
+// the parser, and requires the decoder to either reject the mutation with
+// a typed error or produce sketches that still satisfy every invariant —
+// never to panic.
 func TestDecodeRejectsTampering(t *testing.T) {
 	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, Assignment: 1}
-	s := buildFingerprinted(meta, 8, 100, 1)
-	var buf bytes.Buffer
-	if err := EncodeBottomK(&buf, CodecBinary, meta, s); err != nil {
+	v2 := oneSketchSegment(t, meta, buildFingerprinted(meta, 8, 100, 1))
+	v1, err := os.ReadFile("testdata/segment-v1.seg")
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
-	for i := range valid {
-		for _, flip := range []byte{0x01, 0x80} {
-			mut := append([]byte(nil), valid...)
-			mut[i] ^= flip
-			d, err := DecodeBytes(mut)
-			if err != nil {
-				continue
-			}
-			// A mutation that decodes must still be internally consistent:
-			// the fingerprint check passed against the (possibly mutated)
-			// header, and the structural invariants were revalidated.
-			if d.BottomK == nil && d.Poisson == nil {
-				t.Fatalf("byte %d: decoded to nothing without error", i)
+	for _, valid := range [][]byte{v2, v1} {
+		body := valid[:len(valid)-segmentTrailerSize]
+		for i := range body {
+			for _, flip := range []byte{0x01, 0x80} {
+				mut := bytes.Clone(body)
+				mut[i] ^= flip
+				decoded, err := DecodeSegment(reseal(mut))
+				var ce *CorruptSegmentError
+				if err != nil && !errors.As(err, &ce) {
+					t.Fatalf("byte %d: untyped error %v", i, err)
+				}
+				// A mutation that decodes must still be internally
+				// consistent: the fingerprint check passed against the
+				// (possibly mutated) header, and the structural invariants
+				// were revalidated.
+				for b, d := range decoded {
+					if d.BottomK == nil {
+						t.Fatalf("byte %d: sketch %d decoded to nothing without error", i, b)
+					}
+				}
 			}
 		}
 	}
 
-	// Tampering with the stored fingerprint specifically yields the typed
-	// mismatch error.
-	mut := append([]byte(nil), valid...)
-	mut[24] ^= 0xff // fingerprint field offset in the binary header
-	var fpErr *FingerprintMismatchError
-	if _, err := DecodeBytes(mut); !errors.As(err, &fpErr) {
-		t.Fatalf("fingerprint tamper: got %v, want *FingerprintMismatchError", err)
+	// Tampering with a stored fingerprint specifically yields the typed
+	// mismatch error, in either version.
+	mutV2 := bytes.Clone(v2[:len(v2)-segmentTrailerSize])
+	mutV2[firstSketchHeader(v2)+18] ^= 0xff // fingerprint field of the sketch header
+	mutV1 := bytes.Clone(v1[:len(v1)-segmentTrailerSize])
+	mutV1[segmentHeaderSize+4+24] ^= 0xff // fingerprint field of the first CWSK header
+	for name, mut := range map[string][]byte{"v2": mutV2, "v1": mutV1} {
+		var fpErr *FingerprintMismatchError
+		if _, err := DecodeSegment(reseal(mut)); !errors.As(err, &fpErr) {
+			t.Fatalf("%s fingerprint tamper: got %v, want *FingerprintMismatchError", name, err)
+		}
 	}
 }
 
+// TestDecodeRejectsGarbage: inputs that are not segments — including the
+// retired standalone formats — are refused with a typed error.
 func TestDecodeRejectsGarbage(t *testing.T) {
+	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, Assignment: 1}
+	v2 := oneSketchSegment(t, meta, buildFingerprinted(meta, 8, 100, 1))
+	bad := bytes.Clone(v2)
+	bad[4] = 99 // unknown segment version
 	cases := [][]byte{
 		nil,
 		[]byte("not a sketch"),
 		[]byte("{}"),
 		[]byte(`{"format":"cws-sketch","version":1,"kind":"bottomk"}`),
-		wireMagic[:],
-		append(append([]byte{}, wireMagic[:]...), 99), // bad version
+		segmentMagic[:],
+		reseal(append(bytes.Clone(segmentMagic[:]), 99, 0, 0, 0, 0)),
+		bad,
+		v1Files(t)[0], // a standalone CWSK file
 	}
 	for i, data := range cases {
-		if _, err := DecodeBytes(data); err == nil {
-			t.Fatalf("case %d: garbage decoded without error", i)
+		_, err := DecodeSegment(data)
+		var ce *CorruptSegmentError
+		if !errors.As(err, &ce) {
+			t.Fatalf("case %d: err = %v, want a *CorruptSegmentError", i, err)
 		}
 	}
 }
@@ -283,75 +285,61 @@ func TestMergeVerifiesFingerprints(t *testing.T) {
 	}
 }
 
-// FuzzDecode hardens the binary/JSON decoder: arbitrary input must produce
-// an error or a fully validated sketch, never a panic, and anything that
-// decodes must re-encode and decode to the identical sketch.
+// FuzzDecode hardens the CWSK decoder behind version-1 segments, which a
+// fuzzer mutating whole segments rarely reaches past the checksum:
+// arbitrary input must produce an error or a fully validated bottom-k
+// sketch, never a panic, and anything that decodes must ship as a segment
+// and decode to the identical sketch. The seeds are the files the
+// version-1 writer embedded in testdata/segment-v1.seg, each as written
+// and in four broken variants.
 func FuzzDecode(f *testing.F) {
-	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, Assignment: 0}
-	for _, k := range []int{1, 4, 16} {
-		for _, n := range []int{0, 3, 200} {
-			var bin, js bytes.Buffer
-			s := buildFingerprinted(meta, k, n, int64(k*n+1))
-			if err := EncodeBottomK(&bin, CodecBinary, meta, s); err != nil {
-				f.Fatal(err)
-			}
-			if err := EncodeBottomK(&js, CodecJSON, meta, s); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(bin.Bytes())
-			f.Add(js.Bytes())
+	// Variants: torn tail, header only, Poisson kind, wire version 2.
+	for _, file := range v1Files(f) {
+		f.Add(file)
+		f.Add(file[:len(file)-1])
+		f.Add(file[:headerSize])
+		for _, edit := range []struct{ at, v byte }{{5, 2}, {4, 2}} {
+			mut := bytes.Clone(file)
+			mut[edit.at] = edit.v
+			f.Add(mut)
 		}
 	}
-	var pbuf bytes.Buffer
-	p := buildFingerprintedPoisson(meta, 0.05, 200, 7)
-	if err := EncodePoisson(&pbuf, CodecBinary, meta, p); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(pbuf.Bytes())
-	f.Add([]byte("{}"))
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := DecodeBytes(data)
+		d, err := decodeCWSK(data)
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if d.BottomK != nil {
-			if err := EncodeBottomK(&buf, CodecBinary, d.Meta, d.BottomK); err != nil {
-				t.Fatalf("decoded sketch does not re-encode: %v", err)
-			}
-			d2, err := DecodeBytes(buf.Bytes())
-			if err != nil {
-				t.Fatalf("re-encoded sketch does not decode: %v", err)
-			}
-			sameBottomK(t, d2.BottomK, d.BottomK)
-		} else {
-			if err := EncodePoisson(&buf, CodecBinary, d.Meta, d.Poisson); err != nil {
-				t.Fatalf("decoded sketch does not re-encode: %v", err)
-			}
-			if _, err := DecodeBytes(buf.Bytes()); err != nil {
-				t.Fatalf("re-encoded sketch does not decode: %v", err)
-			}
+		if _, err := EncodeSegment(&buf, []WireMeta{d.Meta}, []*BottomK{d.BottomK}); err != nil {
+			t.Fatalf("decoded sketch does not re-encode: %v", err)
 		}
+		again, err := DecodeSegment(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded sketch does not decode: %v", err)
+		}
+		sameBottomK(t, again[0].BottomK, d.BottomK)
 	})
 }
 
-// TestDecodeRejectsHugeAssignment: the JSON decoder must bound the
-// assignment index exactly as the binary decoder does — combiners size
-// state by it, so an unbounded claimed index is an allocation bomb.
+// TestDecodeRejectsHugeAssignment: both segment versions bound the
+// assignment index — combiners size state by it, so an unbounded claimed
+// index is an allocation bomb.
 func TestDecodeRejectsHugeAssignment(t *testing.T) {
 	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, Assignment: 0}
-	s := buildFingerprinted(meta, 4, 50, 1)
-	var buf bytes.Buffer
-	if err := EncodeBottomK(&buf, CodecJSON, meta, s); err != nil {
+	v2 := oneSketchSegment(t, meta, buildFingerprinted(meta, 4, 50, 1))
+	mutV2 := bytes.Clone(v2[:len(v2)-segmentTrailerSize])
+	binary.LittleEndian.PutUint32(mutV2[firstSketchHeader(v2)+10:], 1<<31)
+	v1, err := os.ReadFile("testdata/segment-v1.seg")
+	if err != nil {
 		t.Fatal(err)
 	}
-	doc := strings.Replace(buf.String(), `"assignment": 0`, `"assignment": 1099511627776`, 1)
-	if doc == buf.String() {
-		t.Fatal("assignment field not found in JSON document")
-	}
-	if _, err := DecodeBytes([]byte(doc)); err == nil || !strings.Contains(err.Error(), "assignment index") {
-		t.Fatalf("huge assignment index accepted: %v", err)
+	mutV1 := bytes.Clone(v1[:len(v1)-segmentTrailerSize])
+	binary.LittleEndian.PutUint32(mutV1[segmentHeaderSize+4+16:], 1<<31)
+	for name, mut := range map[string][]byte{"v2": mutV2, "v1": mutV1} {
+		if _, err := DecodeSegment(reseal(mut)); err == nil || !strings.Contains(err.Error(), "assignment index") {
+			t.Fatalf("%s: huge assignment index accepted: %v", name, err)
+		}
 	}
 }

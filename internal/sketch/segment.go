@@ -13,12 +13,15 @@
 //	            n × (dictionary index uvarint | rank f64 | weight f64)
 //	trailer     CRC-32C u32 of everything before it
 //
-// Version 1 (each sketch a length-prefixed codec.go file) is still read.
-// Embedded sketches pass validateDecoded, with the ascending dictionary and
-// per-sketch distinct indices standing in for its distinct-key test and
-// handing each sketch its key order. The checksum turns silent bit rot (a
-// flipped byte that still parses, e.g. in a weight's low bits) into a loud
-// *CorruptSegmentError, which structural validation alone cannot.
+// Segments are the one sample format: the store persists them, GET
+// /sketches serves them, and a one-sketch segment is what a single site
+// ships. Version 1 (each sketch a length-prefixed bottom-k "CWSK" file,
+// codec.go) is still read, never written. Sketches pass validateDecoded,
+// with the ascending dictionary and per-sketch distinct indices standing
+// in for its distinct-key test and handing each sketch its key order. The
+// checksum turns silent bit rot (a flipped byte that still parses, e.g. in
+// a weight's low bits) into a loud *CorruptSegmentError, which structural
+// validation alone cannot.
 package sketch
 
 import (
@@ -35,7 +38,7 @@ import (
 )
 
 // segmentMagic opens every segment file ("CWSG": coordinated weighted
-// sampling segment; single-sketch files open with "CWSK").
+// sampling segment; the single-sketch files of version 1 open with "CWSK").
 var segmentMagic = [4]byte{'C', 'W', 'S', 'G'}
 
 const (
@@ -80,11 +83,11 @@ func corruptSegment(format string, args ...any) error {
 
 // EncodeSegment writes the sketches as one version-2 segment file, whose
 // bytes depend on the sketches alone. metas[b] must describe the
-// configuration sketches[b] was built under (verified as EncodeBottomK
-// does), one per assignment in order; nothing is written on error. Returns
-// the trailer's CRC-32C, which callers persisting segments should record
-// out of band (a manifest), so corruption is detectable without trusting
-// the corrupted file's own trailer.
+// configuration sketches[b] was built under (its fingerprint is checked),
+// one per assignment in order; nothing is written on error. Returns the
+// trailer's CRC-32C, which callers persisting segments should record out
+// of band (a manifest), so corruption is detectable without trusting the
+// corrupted file's own trailer.
 func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, error) {
 	if len(metas) != len(sketches) {
 		return 0, fmt.Errorf("sketch: %d metas for %d sketches", len(metas), len(sketches))
@@ -206,14 +209,14 @@ func DecodeSegment(data []byte) ([]*Decoded, error) {
 	if data[4] == segmentVersion {
 		return decodeSegmentV2(count, rest)
 	}
-	// Version 1: count length-prefixed single-sketch files.
+	// Version 1: count length-prefixed bottom-k CWSK files.
 	var out []*Decoded
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 || uint64(binary.LittleEndian.Uint32(rest)) > uint64(len(rest)-4) {
 			return nil, corruptSegment("truncated sketch %d", i)
 		}
 		n := int(binary.LittleEndian.Uint32(rest))
-		d, err := DecodeBytes(rest[4 : 4+n])
+		d, err := decodeCWSK(rest[4 : 4+n])
 		if err != nil {
 			return nil, &CorruptSegmentError{Detail: fmt.Sprintf("sketch %d", i), Err: err}
 		}
@@ -291,7 +294,7 @@ func decodeSegmentV2(count uint32, rest []byte) ([]*Decoded, error) {
 				byKey = append(byKey, int32(s.pos))
 			}
 		}
-		dec, err := validateDecoded(kindBottomK, meta, int(k), fp, kth, threshold, entries, byKey)
+		dec, err := validateDecoded(meta, int(k), fp, kth, threshold, entries, byKey)
 		if err != nil {
 			return nil, &CorruptSegmentError{Detail: fmt.Sprintf("sketch %d", b), Err: err}
 		}

@@ -71,34 +71,53 @@ func v1FixtureSketches() ([]WireMeta, []*BottomK) {
 	return metas, sketches
 }
 
+// appendCWSK appends one single-sketch CWSK file as the version-1 segment
+// writer embedded it (kind 2 was a Poisson sketch, with τ in condA).
+func appendCWSK(buf []byte, kind byte, meta WireMeta, k int, fp uint64, condA, condB float64, entries []Entry) []byte {
+	buf = append(buf, wireMagic[:]...)
+	buf = append(buf, wireVersion, kind, byte(meta.Family), byte(meta.Mode))
+	buf = binary.LittleEndian.AppendUint64(buf, meta.Seed)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(meta.Assignment))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
+	buf = binary.LittleEndian.AppendUint64(buf, fp)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(condA))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(condB))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	for _, e := range entries {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Key)))
+		buf = append(buf, e.Key...)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rank))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Weight))
+	}
+	return buf
+}
+
+// segmentV1 frames single-sketch files as a sealed version-1 segment.
+func segmentV1(files ...[]byte) []byte {
+	buf := append(bytes.Clone(segmentMagic[:]), 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(files)))
+	for _, f := range files {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f)))
+		buf = append(buf, f...)
+	}
+	return reseal(buf)
+}
+
 // encodeSegmentV1 is the version-1 segment writer version 2 replaced (each
 // sketch as a length-prefixed single-sketch file), kept as the baseline of
 // the segment benchmarks; TestSegmentV1Fixture pins it to the bytes the
 // deleted writer produced.
 func encodeSegmentV1(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, error) {
-	var buf bytes.Buffer
-	buf.Write(segmentMagic[:])
-	buf.WriteByte(1)
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], uint32(len(sketches)))
-	buf.Write(scratch[:])
-	var one bytes.Buffer
+	files := make([][]byte, len(sketches))
 	for b, s := range sketches {
-		one.Reset()
-		if err := EncodeBottomK(&one, CodecBinary, metas[b], s); err != nil {
+		if err := checkWireMeta(metas[b], s.K(), s.Fingerprint()); err != nil {
 			return 0, err
 		}
-		if b == 0 {
-			buf.Grow(len(sketches)*(4+one.Len()) + segmentTrailerSize)
-		}
-		binary.LittleEndian.PutUint32(scratch[:], uint32(one.Len()))
-		buf.Write(scratch[:])
-		buf.Write(one.Bytes())
+		files[b] = appendCWSK(nil, kindBottomK, metas[b], s.K(), s.Fingerprint(), s.KthRank(), s.Threshold(), s.Entries())
 	}
-	crc := crc32.Checksum(buf.Bytes(), castagnoli)
-	binary.LittleEndian.PutUint32(scratch[:], crc)
-	buf.Write(scratch[:])
-	_, err := w.Write(buf.Bytes())
+	data := segmentV1(files...)
+	_, err := w.Write(data)
+	crc, _ := SegmentCRC(data)
 	return crc, err
 }
 
@@ -119,9 +138,6 @@ func sameDecoded(t *testing.T, decoded []*Decoded, metas []WireMeta, sketches []
 	for b, d := range decoded {
 		if d.Meta != metas[b] {
 			t.Fatalf("sketch %d meta %+v, want %+v", b, d.Meta, metas[b])
-		}
-		if d.BottomK == nil {
-			t.Fatalf("sketch %d is not a bottom-k sketch", b)
 		}
 		if got, want := d.BottomK.KeyOrder(), sortedByKey(sketches[b].Entries()); !slices.Equal(got, want) {
 			t.Fatalf("sketch %d key order %v, want %v", b, got, want)
@@ -320,6 +336,42 @@ func TestSegmentV2CorruptionBehindChecksum(t *testing.T) {
 	}
 }
 
+// TestSegmentV1CorruptionBehindChecksum: a version-1 segment embeds
+// bottom-k CWSK files only, so a checksum-valid one embedding anything
+// else — a Poisson file, a JSON sketch, garbage — is corrupt.
+func TestSegmentV1CorruptionBehindChecksum(t *testing.T) {
+	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, Assignment: 0}
+	a := meta.Assigner()
+	poisson := NewPoissonBuilderWithFingerprint(0.25, a.Fingerprint(0, 0))
+	for i := 0; i < 50; i++ {
+		key := "key-" + itoa(i)
+		poisson.Offer(key, a.Rank(key, 0, 1), 1)
+	}
+	p := poisson.Sketch()
+	jsonFile := fmt.Sprintf(`{"format":"cws-sketch","version":1,"kind":"bottomk","family":%q,"mode":%q,`+
+		`"seed":"1","assignment":0,"k":4,"fingerprint":"%#x","kth":"+Inf","threshold":"+Inf","entries":[]}`,
+		meta.Family, meta.Mode, a.Fingerprint(0, 4))
+	valid := v1Files(t)[0]
+	badVersion := bytes.Clone(valid)
+	badVersion[4] = 2
+	for _, c := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"embedded Poisson file", "not bottom-k", appendCWSK(nil, 2, meta, 0, p.Fingerprint(), p.Tau(), 0, p.Entries())},
+		{"embedded JSON file", "magic", []byte(jsonFile)},
+		{"embedded garbage", "truncated header", []byte("not a sketch")},
+		{"embedded bad wire version", "wire version", badVersion},
+		{"embedded trailing byte", "trailing bytes", append(bytes.Clone(valid), 0)},
+	} {
+		_, err := DecodeSegment(segmentV1(valid, c.file))
+		var ce *CorruptSegmentError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a *CorruptSegmentError saying %q", c.name, err, c.want)
+		}
+	}
+}
+
 // FuzzDecodeSegment: no input panics the segment decoder — as given, and
 // resealed with a valid checksum so the mutations reach the parser — and
 // anything it accepts re-encodes as version 2 and decodes to the same
@@ -353,9 +405,6 @@ func FuzzDecodeSegment(f *testing.F) {
 			metas := make([]WireMeta, len(decoded))
 			sketches := make([]*BottomK, len(decoded))
 			for b, d := range decoded {
-				if d.BottomK == nil {
-					return // a version-1 segment may embed a Poisson sketch; version 2 cannot
-				}
 				metas[b], sketches[b] = d.Meta, d.BottomK
 			}
 			if len(decoded) == 0 {

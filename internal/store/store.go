@@ -52,7 +52,7 @@
 // # Recovery invariants
 //
 // Open replays the manifest and reloads every referenced segment under
-// strict validation (size, checksum, full wire-codec revalidation,
+// strict validation (size, checksum, full per-sketch revalidation,
 // fingerprints); the segments decode in parallel, and their errors are
 // reported in manifest order. The guarantees:
 //
@@ -963,9 +963,6 @@ func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.Wir
 	sketches := make([]*sketch.BottomK, s.assignments)
 	metas := make([]sketch.WireMeta, s.assignments)
 	for b, d := range decoded {
-		if d.BottomK == nil {
-			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d is not a bottom-k sketch", b)}
-		}
 		if d.Meta.Assignment != b {
 			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
 		}
