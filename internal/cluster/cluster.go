@@ -923,7 +923,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		})
 	}
 	sp = tr.Start("estimate")
-	label, v, stderr, err := cliquery.AnswerVia(state.Summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, via)
+	label, v, stderr, err := cliquery.AnswerVia(state.Summary(), p.Agg, p.B, p.R, p.L, p.Pred, p.Est, via)
 	sp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

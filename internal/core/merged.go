@@ -53,16 +53,24 @@ func (m *SummaryMemo) SummaryFor(key string, build func() estimate.AWSummary) es
 // for the assignments it reads (cliquery.Reads) and then reads them through
 // Summary, whose sketches are the state's slots; an assignment is merged at
 // most once per state, and one nobody reads costs nothing. The state is
-// shared between concurrent queries, so it is written once, in NewMerged
-// (//cws:frozen is checked by the frozenwrite analyzer; the slots and the
-// embedded memo are internally synchronized).
-//
-//cws:frozen
+// shared between concurrent queries, so it is written once, in NewMerged:
+// its fields are unexported, so no other package can write one, and the
+// slots and the memo are internally synchronized (TestMergedConcurrentEnsure
+// and the server's TestWindowConcurrentQueriesMergeOnce pin this under -race).
 type Merged struct {
-	Summary *estimate.Dispersed
-	SummaryMemo
+	summary  *estimate.Dispersed
+	memo     SummaryMemo
 	assigner rank.Assigner
 	slots    []slot
+}
+
+// Summary returns the state's dispersed summary: the view the estimators
+// read, over the slots.
+func (m *Merged) Summary() *estimate.Dispersed { return m.summary }
+
+// SummaryFor is the state's AW-summary memo (SummaryMemo.SummaryFor).
+func (m *Merged) SummaryFor(key string, build func() estimate.AWSummary) estimate.AWSummary {
+	return m.memo.SummaryFor(key, build)
 }
 
 // slot is one assignment of a Merged: the column of disjoint input sketches
@@ -89,7 +97,7 @@ func NewMerged(cfg Config, sets [][]*sketch.BottomK) *Merged {
 		}
 		views[b] = &m.slots[b]
 	}
-	m.Summary = estimate.NewDispersedFromSketches(m.assigner, views)
+	m.summary = estimate.NewDispersedFromSketches(m.assigner, views)
 	return m
 }
 

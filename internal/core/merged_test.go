@@ -136,7 +136,7 @@ func TestMergedDifferential(t *testing.T) {
 					}
 				}
 				_, want, wantSE, wantErr := cliquery.AnswerVia(oracle, q.agg, q.b, q.R, q.l, q.pred, q.est, cliquery.Direct)
-				_, got, gotSE, gotErr := cliquery.AnswerVia(m.Summary, q.agg, q.b, q.R, q.l, q.pred, q.est, m.SummaryFor)
+				_, got, gotSE, gotErr := cliquery.AnswerVia(m.Summary(), q.agg, q.b, q.R, q.l, q.pred, q.est, m.SummaryFor)
 				if wantErr != nil || gotErr != nil {
 					t.Fatalf("%s order %d %v: oracle error %v, state error %v", name, order, q, wantErr, gotErr)
 				}
@@ -187,7 +187,7 @@ func TestMergedReadsNothingUnensured(t *testing.T) {
 			t.Error("reading an unensured assignment did not panic")
 		}
 	}()
-	m.Summary.Single(0)
+	m.Summary().Single(0)
 }
 
 // TestMergedConcurrentEnsure: 32 concurrent queries with overlapping
@@ -222,7 +222,7 @@ func TestMergedConcurrentEnsure(t *testing.T) {
 				if !sameSketch(m.Sketch(b), eager[b]) {
 					t.Errorf("assignment %d: concurrent reader saw a sketch that is not sketch.Merge's", b)
 				}
-				if want := eager[b].KeyOrder(); !slices.Equal(m.Summary.Sketch(b).KeyOrder(), want) {
+				if want := eager[b].KeyOrder(); !slices.Equal(m.Summary().Sketch(b).KeyOrder(), want) {
 					t.Errorf("assignment %d: key order differs", b)
 				}
 			}
@@ -259,7 +259,7 @@ func TestMergedConflictIsRefusedAndNotKept(t *testing.T) {
 			t.Errorf("attempt %d: the refused assignment was kept (or lost its inputs)", attempt)
 		}
 	}
-	if _, _, _, err := cliquery.AnswerVia(m.Summary, "max", 0, []int{0, 1, 3}, 1, nil, nil, m.SummaryFor); err != nil {
+	if _, _, _, err := cliquery.AnswerVia(m.Summary(), "max", 0, []int{0, 1, 3}, 1, nil, nil, m.SummaryFor); err != nil {
 		t.Errorf("the other assignments do not answer: %v", err)
 	}
 }

@@ -16,8 +16,10 @@ import (
 
 	"coordsample/internal/core"
 	"coordsample/internal/faults"
+	"coordsample/internal/obs/obstest"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
+	"coordsample/internal/store"
 )
 
 func robustCfg() Config {
@@ -453,6 +455,45 @@ func TestFreezeFaultInjection(t *testing.T) {
 	out := postJSON(t, ts.URL+"/freeze", nil)
 	if out["epoch"].(float64) != 1 {
 		t.Fatalf("recovery freeze: %v", out)
+	}
+}
+
+// TestFreezeCompactionFailureIsAcknowledged: a compaction that fails after
+// the epoch was persisted reaches the freeze as a *store.CompactionError, and
+// the freeze is acknowledged (200), counted as a compaction error and not as
+// a persist error; the epoch is served and survives reopen.
+func TestFreezeCompactionFailureIsAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	cfg := robustCfg()
+	// Hits 1 and 2 write the two epoch segments; hit 3 is the cumulative
+	// segment of the compaction the second freeze triggers (retain 1).
+	st, err := store.Open(store.Config{Dir: dir, Retain: 1, Sample: cfg.Sample, Assignments: cfg.Assignments,
+		Faults: faults.MustParse(store.FaultSegmentWrite + ":err,on=3")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	cfg.Store = st
+	_, ts := newTestServer(t, cfg)
+	for i, key := range []string{"k1", "k2"} {
+		postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: key, Weight: float64(i + 1)})
+		if out := postJSON(t, ts.URL+"/freeze", nil); out["epoch"].(float64) != float64(i+1) {
+			t.Fatalf("freeze %d: %v", i+1, out)
+		}
+	}
+	metrics := obstest.Scrape(t, ts.URL)
+	if c, p := metrics["cws_store_compaction_errors_total"], metrics["cws_store_persist_errors_total"]; c != 1 || p != 0 {
+		t.Fatalf("compaction errors %v, persist errors %v; want 1 and 0", c, p)
+	}
+	if got := queryHTTP(t, ts.URL, "agg=sum&b=0&epochs=2..2"); got != 2 {
+		t.Fatalf("epoch 2 sum = %v, want 2", got)
+	}
+	st.Close()
+	cfg2 := robustCfg()
+	cfg2.Store = openTestStore(t, dir, cfg2, 1)
+	_, ts2 := newTestServer(t, cfg2)
+	if got := queryHTTP(t, ts2.URL, "agg=sum&b=0"); got != 3 {
+		t.Fatalf("reopened sum = %v, want 3", got)
 	}
 }
 

@@ -266,7 +266,9 @@ type epochSet struct {
 // snapshot is one immutable serving state: everything a query touches.
 // It is swapped in whole by freeze and only ever read afterwards, except
 // for the internally synchronized memos (the cumulative AW-summary memo
-// and the per-range states), which are value-deterministic.
+// and the per-range states), which are value-deterministic. A write after
+// the publish races the concurrent queries of
+// TestWindowConcurrentQueriesMergeOnce under -race.
 type snapshot struct {
 	epoch    int
 	summary  *estimate.Dispersed
@@ -706,20 +708,12 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 	// Validate everything before ingesting anything, so a rejected request
 	// never half-applies.
 	for i, o := range batch {
-		if o.Assignment < 0 || o.Assignment >= s.cfg.Assignments {
-			writeError(w, http.StatusBadRequest, "offer %d: assignment %d out of range (have %d assignments)", i, o.Assignment, s.cfg.Assignments)
-			return
-		}
-		if o.Key == "" {
-			writeError(w, http.StatusBadRequest, "offer %d: empty key", i)
-			return
-		}
-		if math.IsNaN(o.Weight) || math.IsInf(o.Weight, 0) || o.Weight < 0 {
-			writeError(w, http.StatusBadRequest, "offer %d: invalid weight %v", i, o.Weight)
+		if err := s.checkOffer(i, o.Assignment, o.Key, o.Weight); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(o.Key) {
-			writeError(w, http.StatusBadRequest, "offer %d: key %q is not owned by this node (misrouted; check the cluster partition)", i, o.Key)
+			writeError(w, http.StatusBadRequest, "record %d: key %q is not owned by this node (misrouted; check the cluster partition)", i, o.Key)
 			return
 		}
 	}
@@ -903,7 +897,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": st.accepted, "epoch": st.epoch})
 }
 
-// checkOffer validates one streamed record against the server configuration.
+// checkOffer validates one record of /offer or /ingest against the server
+// configuration.
 func (s *Server) checkOffer(n, assignment int, key string, weight float64) error {
 	if assignment < 0 || assignment >= s.cfg.Assignments {
 		return fmt.Errorf("record %d: assignment %d out of range (have %d assignments)", n, assignment, s.cfg.Assignments)
@@ -1261,7 +1256,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if rs == nil {
 			return
 		}
-		summary, via = rs.Summary, rs.SummaryFor
+		summary, via = rs.Summary(), rs.SummaryFor
 		resp["epochs"] = fmt.Sprintf("%d..%d", lo, hi)
 		s.rangeQueries.Add(1)
 	}

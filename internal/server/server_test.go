@@ -495,6 +495,7 @@ func TestBadRequests(t *testing.T) {
 		"offer bad assignment":    {post("/offer", `{"assignment":9,"key":"a","weight":1}`), 400},
 		"offer negative weight":   {post("/offer", `{"assignment":0,"key":"a","weight":-1}`), 400},
 		"offer empty key":         {post("/offer", `{"offers":[{"assignment":0,"key":"","weight":1}]}`), 400},
+		"offer key too long":      {post("/offer", `{"assignment":0,"key":"`+strings.Repeat("k", maxIngestKeyLen+1)+`","weight":1}`), 400},
 		"offer wrong method":      {get("/offer"), 405},
 		"freeze wrong method":     {get("/freeze"), 405},
 		"query missing agg":       {get("/query"), 400},

@@ -97,9 +97,9 @@ func mustDistinct(entries []Entry) {
 // sample is what BottomK and Poisson share: the sampled entries and their
 // key order, built on first use and at most once (sync.Once), so decode and
 // recovery never sort a sketch nobody queries (a segment decode hands it
-// over). The embedding sketches are otherwise write-once (//cws:frozen);
-// the memoized order is their one internally synchronized part, and every
-// reader sees the same value.
+// over). The embedding sketches are otherwise written only by their
+// constructors; the memoized order is their one internally synchronized
+// part, and every reader sees the same value.
 type sample struct {
 	entries []Entry // ascending (rank, key), distinct keys
 	once    sync.Once
@@ -174,9 +174,9 @@ func sortedByKey(entries []Entry) []int32 {
 // r_{k+1}(I) (+Inf when fewer than k, resp. k+1, keys exist). A sketch built
 // through the core pipelines additionally carries a configuration
 // fingerprint (see Fingerprint), which makes it self-describing enough for
-// Merge to detect cross-configuration combinations.
-//
-//cws:frozen
+// Merge to detect cross-configuration combinations. Its fields are
+// unexported and no method writes them, so concurrent readers share one
+// safely (TestKeyOrderConcurrentFirstUse runs every read under -race).
 type BottomK struct {
 	sample
 	k           int

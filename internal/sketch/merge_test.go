@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"coordsample/internal/rank"
 )
 
 // mergeOracle is the merge the k-way kernel replaced, kept as the
@@ -257,26 +260,78 @@ func TestKeyOrderMatchesPlainSort(t *testing.T) {
 }
 
 // TestKeyOrderConcurrentFirstUse: a frozen sketch is shared by every query
-// of its snapshot, so the first uses of its lazily built key order race;
-// all of them must see the one complete order (run under -race).
+// of its snapshot, so its readers race from the first use of its lazily
+// built key order on. Every reader must see the one complete order, and no
+// read — of a BottomK or a Poisson sketch, nor Merge, Prefix or
+// EncodeSegment taking one as input — may write it: under -race a write in
+// any of them (say r_k reassigned in ConditioningRanks) fails this test,
+// and the sketch's segment bytes are the same after the readers as before.
 func TestKeyOrderConcurrentFirstUse(t *testing.T) {
+	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3}
+	a := meta.Assigner()
+	const k = 128
+	encode := func(s *BottomK) ([]byte, error) {
+		var buf bytes.Buffer
+		_, err := EncodeSegment(&buf, []WireMeta{meta}, []*BottomK{s})
+		return buf.Bytes(), err
+	}
 	for trial := 0; trial < 20; trial++ {
-		s := mergeInputs(1, 256)[0]
-		want := sortedByKey(s.entries)
+		bk := NewBottomKBuilderWithFingerprint(k, a.Fingerprint(0, k))
+		other := NewBottomKBuilderWithFingerprint(k, a.Fingerprint(0, k))
+		pb := NewPoissonBuilderWithFingerprint(0.2, a.Fingerprint(0, 0))
+		for i := 0; i < 4*k; i++ {
+			// Half the keys share a long prefix: the key order's fallback path.
+			key, w := fmt.Sprintf("t%d/%x", trial, i*7919), 1+float64(i%5)
+			if i%2 == 0 {
+				key = "shared-prefix/" + key
+			}
+			bk.Offer(key, a.Rank(key, 0, w), w)
+			other.Offer("other/"+key, a.Rank("other/"+key, 0, w), w)
+			pb.Offer(key, a.Rank(key, 0, w), w)
+		}
+		s, partner, p := bk.Sketch(), other.Sketch(), pb.Sketch()
+		want, wantP := sortedByKey(s.entries), sortedByKey(p.entries)
+		before, err := encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if e := s.entries[g]; !s.Contains(e.Key) || s.Contains(e.Key+"?") {
+				if e := s.Entries()[g]; !s.Contains(e.Key) || s.Contains(e.Key+"?") {
 					t.Errorf("goroutine %d: lookup of %q through a racing first use failed", g, e.Key)
 				}
-				if !slices.Equal(s.KeyOrder(), want) {
+				if !slices.Equal(s.KeyOrder(), want) || !slices.Equal(p.KeyOrder(), wantP) {
 					t.Errorf("goroutine %d: key order differs", g)
+				}
+				sampled, unsampled := s.ConditioningRanks()
+				if e, ok := s.Lookup(s.Entries()[g].Key); !ok || s.RankExcluding(e.Key) != sampled ||
+					s.RankExcluding("absent") != unsampled || unsampled != s.KthRank() || sampled != s.Threshold() {
+					t.Errorf("goroutine %d: conditioning ranks disagree", g)
+				}
+				if e := p.Entries()[g%p.Size()]; !p.Contains(e.Key) || p.RankExcluding(e.Key) != p.Tau() {
+					t.Errorf("goroutine %d: Poisson lookup failed", g)
+				}
+				if lo, hi := p.ConditioningRanks(); lo != p.Tau() || hi != p.Tau() {
+					t.Errorf("goroutine %d: Poisson conditioning ranks differ from tau", g)
+				}
+				if s.Prefix(k/2).Size() != k/2 {
+					t.Errorf("goroutine %d: prefix size", g)
+				}
+				if m, err := Merge(s, partner); err != nil || m.Size() != k {
+					t.Errorf("goroutine %d: merge: %v", g, err)
+				}
+				if got, err := encode(s); err != nil || !bytes.Equal(got, before) {
+					t.Errorf("goroutine %d: concurrent encode differs (%v)", g, err)
 				}
 			}(g)
 		}
 		wg.Wait()
+		if after, err := encode(s); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("trial %d: segment bytes changed under concurrent readers (%v)", trial, err)
+		}
 	}
 }
 

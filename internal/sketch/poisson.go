@@ -10,9 +10,8 @@ import (
 
 // Poisson is an immutable Poisson-τ sketch: the keys whose rank is below τ.
 // Inclusions of different keys are independent; the expected size is
-// Σ_i F_{w(i)}(τ).
-//
-//cws:frozen
+// Σ_i F_{w(i)}(τ). Like BottomK it is never written after construction
+// (TestKeyOrderConcurrentFirstUse runs every read under -race).
 type Poisson struct {
 	sample
 	tau         float64

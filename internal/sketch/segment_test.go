@@ -258,7 +258,8 @@ func TestSegmentEncodeRejectsMismatch(t *testing.T) {
 }
 
 // TestSegmentCorruptionDetected: every truncation and every flipped byte
-// yields a typed *CorruptSegmentError, never silently decoded sketches.
+// yields a typed *CorruptSegmentError, never silently decoded sketches, and
+// every such error names its package ("sketch: ") for the caller's logs.
 func TestSegmentCorruptionDetected(t *testing.T) {
 	_, _, data, _ := buildSegmentFixture(t, 32, 200)
 
@@ -268,8 +269,8 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 			t.Errorf("truncation to %d bytes decoded successfully", cut)
 		} else {
 			var ce *CorruptSegmentError
-			if !errors.As(err, &ce) {
-				t.Errorf("truncation to %d: err %v is not a *CorruptSegmentError", cut, err)
+			if !errors.As(err, &ce) || !strings.HasPrefix(err.Error(), "sketch: ") {
+				t.Errorf("truncation to %d: err %v is not a \"sketch: \" *CorruptSegmentError", cut, err)
 			}
 		}
 	}
@@ -281,6 +282,8 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 		mut[i] ^= 0x01
 		if _, err := DecodeSegment(mut); err == nil {
 			t.Fatalf("flipped byte %d decoded successfully", i)
+		} else if !strings.HasPrefix(err.Error(), "sketch: ") {
+			t.Fatalf("flipped byte %d: error %q lacks the \"sketch: \" prefix", i, err)
 		}
 	}
 

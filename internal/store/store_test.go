@@ -281,8 +281,8 @@ func TestTornManifestTailTolerated(t *testing.T) {
 }
 
 // TestCorruptionIsTyped: non-tail manifest damage and segment damage (flip,
-// truncation, deletion) refuse to open with typed errors — corrupt
-// acknowledged state is never silently served.
+// truncation, deletion) refuse to open with typed errors that name their
+// package ("store: ") — corrupt acknowledged state is never silently served.
 func TestCorruptionIsTyped(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -291,10 +291,12 @@ func TestCorruptionIsTyped(t *testing.T) {
 		s.Close()
 		return dir
 	}
-	reopen := func(dir string) error {
+	reopen := func(t *testing.T, dir string) error {
 		s, err := Open(Config{Dir: dir, Retain: 8, Sample: testSample, Assignments: 2})
 		if err == nil {
 			s.Close()
+		} else if !strings.HasPrefix(err.Error(), "store: ") {
+			t.Errorf("error %q lacks the \"store: \" prefix", err)
 		}
 		return err
 	}
@@ -307,7 +309,7 @@ func TestCorruptionIsTyped(t *testing.T) {
 		lines[1] = "E x" + lines[1][3:] // damage epoch 1's record
 		os.WriteFile(mpath, []byte(strings.Join(lines, "\n")), 0o644)
 		var ce *CorruptError
-		if err := reopen(dir); !errors.As(err, &ce) {
+		if err := reopen(t, dir); !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CorruptError", err)
 		}
 	})
@@ -319,7 +321,7 @@ func TestCorruptionIsTyped(t *testing.T) {
 		data[len(data)/2] ^= 0x01
 		os.WriteFile(seg, data, 0o644)
 		var ce *CorruptError
-		if err := reopen(dir); !errors.As(err, &ce) {
+		if err := reopen(t, dir); !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CorruptError", err)
 		}
 	})
@@ -330,7 +332,7 @@ func TestCorruptionIsTyped(t *testing.T) {
 		data, _ := os.ReadFile(seg)
 		os.WriteFile(seg, data[:len(data)-7], 0o644)
 		var ce *CorruptError
-		if err := reopen(dir); !errors.As(err, &ce) {
+		if err := reopen(t, dir); !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CorruptError", err)
 		}
 	})
@@ -339,7 +341,7 @@ func TestCorruptionIsTyped(t *testing.T) {
 		dir := build(t)
 		os.Remove(filepath.Join(dir, segmentName("epoch", 1)))
 		var ce *CorruptError
-		if err := reopen(dir); !errors.As(err, &ce) {
+		if err := reopen(t, dir); !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CorruptError", err)
 		}
 	})
@@ -356,7 +358,7 @@ func TestCorruptionIsTyped(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			var ce *CorruptError
-			if err := reopen(dir); !errors.As(err, &ce) || filepath.Base(ce.Path) != segmentName("epoch", 2) {
+			if err := reopen(t, dir); !errors.As(err, &ce) || filepath.Base(ce.Path) != segmentName("epoch", 2) {
 				t.Fatalf("err = %v, want the *CorruptError of %s", err, segmentName("epoch", 2))
 			}
 		}
@@ -369,7 +371,7 @@ func TestCorruptionIsTyped(t *testing.T) {
 		data[0] ^= 0x01
 		os.WriteFile(mpath, data, 0o644)
 		var ce *CorruptError
-		if err := reopen(dir); !errors.As(err, &ce) {
+		if err := reopen(t, dir); !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CorruptError", err)
 		}
 	})
