@@ -407,6 +407,75 @@ func TestSIGKILLDuringParallelDurableFreeze(t *testing.T) {
 	}
 }
 
+// getBytes fetches base+path and returns the 200 body.
+func getBytes(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, err %v", url, resp.StatusCode, err)
+	}
+	return body
+}
+
+// TestSIGKILLAfterFullRingFreeze: SIGKILL lands after a full-ring /freeze
+// is acknowledged, with no shutdown of any kind. The restarted server's
+// directory holds exactly the retained epoch segments, one cumulative
+// segment of the last epoch, MANIFEST and LOCK; it exports the same
+// /sketches bytes, without encoding them, and answers every query exactly
+// as before the kill.
+func TestSIGKILLAfterFullRingFreeze(t *testing.T) {
+	serveBin, _ := buildBinaries(t)
+	dataDir := t.TempDir()
+	chunks := e2eStream(2000, 5, 29)
+	args := []string{"-assignments", "2", "-k", "64", "-seed", "9", "-data-dir", dataDir, "-retain", "2"}
+	p1 := startServe(t, serveBin, args...)
+	for _, chunk := range chunks {
+		p1.post(t, "/offer", map[string]any{"offers": chunk})
+		p1.post(t, "/freeze", nil)
+	}
+	queries := []string{"agg=L1", "agg=max", "agg=jaccard", "agg=sum&b=1", "agg=L1&epochs=4..5", "agg=sum&b=0&epochs=5"}
+	preKill := make(map[string]float64)
+	for _, q := range queries {
+		preKill[q] = p1.query(t, q)
+	}
+	sketches := getBytes(t, p1.base+"/sketches")
+	if err := p1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	if clean := p1.wait(t); clean {
+		t.Fatal("SIGKILL produced a clean exit?")
+	}
+
+	p2 := startServe(t, serveBin, args...)
+	entries, err := os.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := "LOCK MANIFEST cum-000005.seg epoch-000004.seg epoch-000005.seg"; strings.Join(names, " ") != want {
+		t.Fatalf("data dir after restart holds %v, want %s", names, want)
+	}
+	if got := getBytes(t, p2.base+"/sketches"); !bytes.Equal(got, sketches) {
+		t.Errorf("/sketches after the restart (%d bytes) differs from before the kill (%d bytes)", len(got), len(sketches))
+	}
+	if !strings.Contains(scrapeMetrics(t, p2.base), "\ncws_segment_export_encodes_total 0\n") {
+		t.Error("the restarted server encoded its cumulative export instead of serving the recovered bytes")
+	}
+	for _, q := range queries {
+		if got := p2.query(t, q); got != preKill[q] {
+			t.Errorf("/query?%s after SIGKILL restart = %v, pre-kill %v (must be bit-identical)", q, got, preKill[q])
+		}
+	}
+}
+
 // TestGracefulShutdownAutoFreezes is the SIGTERM regression test: offers
 // ingested but never frozen must survive a graceful shutdown — the server
 // auto-freezes the open epoch, flushes it to the store, and exits 0; a

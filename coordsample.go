@@ -362,9 +362,10 @@ type (
 	// epoch's sketch set (atomic segment writes plus a checksummed
 	// manifest), recovers acknowledged epochs bit-identically after any
 	// crash, and retains a ring of recent epochs for epoch-range
-	// ("time-travel") queries, compacting older ones into a cumulative
-	// segment so disk stays bounded. See the internal/store package
-	// documentation for the layout and recovery invariants.
+	// ("time-travel") queries beside one cumulative segment — the
+	// server's own merge once the ring is full — so disk stays bounded.
+	// See the internal/store package documentation for the layout and
+	// recovery invariants.
 	EpochStore = store.Store
 	// StoreConfig configures OpenStore: directory, retention ring size,
 	// and the sampling configuration the stored sketches must match.

@@ -19,6 +19,7 @@ type serverMetrics struct {
 	freezeDetach   *obs.Histogram // freeze: epoch detach under the ingest write lock
 	freezeMerge    *obs.Histogram // freeze: terminal freeze + cumulative merge
 	freezePersist  *obs.Histogram // freeze: durable persist (the ack point)
+	freezePublish  *obs.Histogram // freeze: ring rebuild, snapshot build and swap
 
 	queryStages map[string]*obs.Histogram // GET /query cold-path spans, by span name
 }
@@ -57,10 +58,11 @@ func (s *Server) initObs(cfg Config) {
 	for _, stage := range []string{"range-merge", "summarize"} {
 		m.queryStages[stage] = r.NewHistogramL(obs.QueryStageMetric, obs.QueryStageHelp, obs.Label("stage", stage))
 	}
-	const freezeHelp = "Freeze phase latency: detach (ingest write lock held), merge (terminal freeze + cumulative merge), persist (durable ack)."
+	const freezeHelp = "Freeze phase latency: detach (ingest write lock held), merge (terminal freeze + cumulative merge), persist (durable ack), publish (ring rebuild, snapshot build and swap)."
 	m.freezeDetach = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "detach"))
 	m.freezeMerge = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "merge"))
 	m.freezePersist = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "persist"))
+	m.freezePublish = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "publish"))
 
 	r.Counter("cws_offers_total", "Offers accepted into the current or a frozen epoch.", s.offers.Load)
 	r.Counter("cws_offer_batches_total", "POST /offer requests accepted.", s.offerBatches.Load)
@@ -73,10 +75,11 @@ func (s *Server) initObs(cfg Config) {
 	r.Counter("cws_freezes_total", "Successful epoch freezes.", s.freezes.Load)
 	r.Counter("cws_freeze_errors_total", "Failed freezes (contract violations and persist failures).", s.freezeErrors.Load)
 	r.Counter("cws_segment_exports_total", "GET /sketches exports (peer bulk fetches and downloads).", s.segmentExports.Load)
+	r.Counter("cws_segment_export_encodes_total", "GET /sketches responses that encoded their segment (a window, or a cumulative no freeze or recovery had the bytes of).", s.exportEncodes.Load)
 	r.Counter("cws_sheds_total", "Ingest requests shed with 429 under the inflight bound.", s.sheds.Load)
 	r.Counter("cws_store_persists_total", "Epochs durably persisted.", s.persists.Load)
 	r.Counter("cws_store_persist_errors_total", "Persist failures (the freeze was not acknowledged).", s.persistErrors.Load)
-	r.Counter("cws_store_compaction_errors_total", "Compaction failures after an acknowledged persist.", s.compactionErrors.Load)
+	r.Counter("cws_store_compaction_errors_total", "Cumulative segment writes that failed after an acknowledged persist.", s.compactionErrors.Load)
 
 	// Sampler signals, per assignment: how much of the stream the shared
 	// admission threshold prunes, where that threshold stands, and how full

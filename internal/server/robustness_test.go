@@ -458,15 +458,17 @@ func TestFreezeFaultInjection(t *testing.T) {
 	}
 }
 
-// TestFreezeCompactionFailureIsAcknowledged: a compaction that fails after
-// the epoch was persisted reaches the freeze as a *store.CompactionError, and
-// the freeze is acknowledged (200), counted as a compaction error and not as
-// a persist error; the epoch is served and survives reopen.
+// TestFreezeCompactionFailureIsAcknowledged: a cumulative segment write
+// that fails beside the epoch's reaches the freeze as a
+// *store.CompactionError, and the freeze is acknowledged (200), counted as
+// a compaction error and not as a persist error; the epoch is served and
+// survives reopen, where the ring the store left one over is trimmed.
 func TestFreezeCompactionFailureIsAcknowledged(t *testing.T) {
 	dir := t.TempDir()
 	cfg := robustCfg()
-	// Hits 1 and 2 write the two epoch segments; hit 3 is the cumulative
-	// segment of the compaction the second freeze triggers (retain 1).
+	// Hit 1 writes epoch 1's segment; the second freeze fills the ring past
+	// retain 1 and draws hit 2 for its epoch segment, hit 3 for the
+	// cumulative one.
 	st, err := store.Open(store.Config{Dir: dir, Retain: 1, Sample: cfg.Sample, Assignments: cfg.Assignments,
 		Faults: faults.MustParse(store.FaultSegmentWrite + ":err,on=3")})
 	if err != nil {
@@ -494,6 +496,9 @@ func TestFreezeCompactionFailureIsAcknowledged(t *testing.T) {
 	_, ts2 := newTestServer(t, cfg2)
 	if got := queryHTTP(t, ts2.URL, "agg=sum&b=0"); got != 3 {
 		t.Fatalf("reopened sum = %v, want 3", got)
+	}
+	if code, _ := queryHTTPStatus(t, ts2.URL, "agg=sum&b=0&epochs=1..1"); code != http.StatusBadRequest {
+		t.Fatalf("epoch 1 outside the reopened ring: status %d, want 400", code)
 	}
 }
 

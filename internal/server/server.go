@@ -49,11 +49,13 @@
 // every freeze persists the epoch's sketch set through the durable epoch
 // store (internal/store) *before* the new snapshot is published: segment
 // write, fsync, rename, manifest append, fsync — only then is the freeze
-// acknowledged to the client. On startup the server recovers the store's
-// acknowledged epochs and serves them immediately, bit-identically to the
-// pre-crash process: same cumulative sketches, same retained epochs, same
-// query answers. A freeze whose persist fails returns 500 and leaves the
-// serving snapshot unchanged, exactly like a contract violation.
+// acknowledged to the client. Once the store's ring is full it also writes
+// the freeze's cumulative merge, and GET /sketches serves those bytes. On
+// startup the server recovers the store's acknowledged epochs and serves
+// them immediately, bit-identically to the pre-crash process: same
+// cumulative sketches, same retained epochs, same query answers. A freeze
+// whose persist fails returns 500 and leaves the serving snapshot
+// unchanged, exactly like a contract violation.
 //
 // Alongside the cumulative sketches, a ring of the most recent epochs is
 // retained individually (the store's retention ring when durable, an
@@ -276,6 +278,10 @@ type snapshot struct {
 	retained []epochSet // ascending epoch; the queryable time windows
 	core.SummaryMemo
 
+	// segment is what GET /sketches serves: the store's bytes, else the first export's.
+	segment     []byte
+	segmentOnce sync.Once
+
 	rangeMu sync.Mutex
 	ranges  map[string]*core.Merged // by "lo..hi": the epoch windows' states, see Server.window
 }
@@ -353,11 +359,8 @@ type Server struct {
 	// validate what a router kept from its predecessor.
 	nonce string
 
-	mu       sync.Mutex        // serializes freeze/Close; guards cum, epoch, retained
-	cum      []*sketch.BottomK // exact merged sketches of all frozen epochs
-	epoch    int               // number of successful freezes (includes recovered epochs)
-	retained []epochSet        // ring of the most recent frozen epochs, ascending
-	retain   int               // ring capacity (store's when durable, cfg.Retain otherwise)
+	mu     sync.Mutex // serializes freeze/Close: the snapshot a freeze builds on stays the published one
+	retain int        // ring capacity (store's when durable, cfg.Retain otherwise)
 
 	// ingestMu pins the current epoch's ingest front-end: producers hold
 	// the read lock across an offer batch (plus one lane's mutex), the
@@ -370,7 +373,7 @@ type Server struct {
 	dirty    atomic.Bool   // offers accepted since the last freeze
 	closed   atomic.Bool   // Close was called; ingestion is shut down (set under ingestMu)
 	draining atomic.Bool   // SetDraining: readiness false ahead of shutdown
-	epochNow atomic.Int64  // s.epoch mirrored for lock-free reads on the ingest path
+	epochNow atomic.Int64  // the snapshot's epoch, for lock-free reads on the ingest path
 	laneRR   atomic.Uint32 // producer tickets: which lane to wait for when all are busy
 	inflight atomic.Int64  // concurrently served ingest requests (shedding bound)
 
@@ -404,6 +407,7 @@ type Server struct {
 	freezes          atomic.Int64
 	freezeErrors     atomic.Int64
 	segmentExports   atomic.Int64
+	exportEncodes    atomic.Int64
 	sheds            atomic.Int64
 	persists         atomic.Int64
 	persistErrors    atomic.Int64
@@ -429,35 +433,37 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: drawing the boot nonce: %w", err)
 	}
 	s := &Server{cfg: cfg, start: time.Now(), nonce: hex.EncodeToString(nonce[:]), store: cfg.Store, retain: cfg.Retain}
+	epoch, cum, retained, segment := 0, []*sketch.BottomK(nil), []epochSet(nil), []byte(nil)
 	if s.store != nil {
 		s.retain = s.store.Retain()
-		s.epoch = s.store.Epoch()
-		s.cum = s.store.Cumulative()
-		for _, rec := range s.store.Retained() {
-			s.retained = append(s.retained, epochSet{epoch: rec.Epoch, sketches: rec.Sketches})
+		epoch, cum, segment = s.store.Epoch(), s.store.Cumulative(), s.store.CumulativeSegment()
+		recovered := s.store.Retained()
+		// The store's ring may be wider (older -retain, failed cumulative write).
+		for _, rec := range recovered[max(0, len(recovered)-s.retain):] {
+			retained = append(retained, epochSet{epoch: rec.Epoch, sketches: rec.Sketches})
 		}
-		s.recoveredEpochs.Store(int64(s.epoch))
+		s.recoveredEpochs.Store(int64(epoch))
 	}
-	if s.cum == nil {
-		s.cum = make([]*sketch.BottomK, cfg.Assignments)
+	if cum == nil {
+		cum = make([]*sketch.BottomK, cfg.Assignments)
 		assigner := cfg.Sample.Assigner()
-		for b := range s.cum {
+		for b := range cum {
 			// The empty frozen sketch of each assignment, fingerprinted so the
 			// first epoch merge (and any epoch-0 /sketches export) verifies.
-			s.cum[b] = sketch.NewBottomKBuilderWithFingerprint(cfg.Sample.K, assigner.Fingerprint(b, cfg.Sample.K)).Sketch()
+			cum[b] = sketch.NewBottomKBuilderWithFingerprint(cfg.Sample.K, assigner.Fingerprint(b, cfg.Sample.K)).Sketch()
 		}
 	}
 	s.ingest = newEpochIngest(cfg)
-	s.epochNow.Store(int64(s.epoch))
-	s.snap.Store(s.newSnapshot(s.epoch, s.cum, s.retained))
+	s.epochNow.Store(int64(epoch))
+	s.snap.Store(s.newSnapshot(epoch, cum, retained, segment))
 	s.ingestStates.New = func() any {
 		return &ingestState{srv: s, buf: shard.NewStaged(cfg.Sample.Assigner(), cfg.Assignments)}
 	}
 	s.ingestStats = make([]ingestStat, cfg.Assignments)
 
 	s.initObs(cfg)
-	if s.epoch > 0 {
-		s.log.Debug("recovered epochs from store", "epochs", s.epoch)
+	if epoch > 0 {
+		s.log.Debug("recovered epochs from store", "epochs", epoch)
 	}
 
 	s.mux = http.NewServeMux()
@@ -568,10 +574,10 @@ func newEpochIngest(cfg Config) *epochIngest {
 }
 
 // newSnapshot builds the immutable serving state for the given cumulative
-// sketches and retained-epoch ring. The combine is fingerprint-verified;
-// the sketches were built by this server under its own configuration, so a
-// failure is a programming error.
-func (s *Server) newSnapshot(epoch int, cum []*sketch.BottomK, retained []epochSet) *snapshot {
+// sketches (and their encoding, if known) and retained-epoch ring. The
+// combine is fingerprint-verified; the sketches were built by this server
+// under its own configuration, so a failure is a programming error.
+func (s *Server) newSnapshot(epoch int, cum []*sketch.BottomK, retained []epochSet, segment []byte) *snapshot {
 	summary, err := core.CombineDispersed(s.cfg.Sample, cum)
 	if err != nil {
 		panic(fmt.Sprintf("server: %v", err))
@@ -581,6 +587,7 @@ func (s *Server) newSnapshot(epoch int, cum []*sketch.BottomK, retained []epochS
 		summary:  summary,
 		sketches: cum,
 		retained: retained,
+		segment:  segment,
 		ranges:   make(map[string]*core.Merged),
 	}
 }
@@ -1123,19 +1130,22 @@ func (s *Server) freeze() (*snapshot, error) {
 		// detached-but-unpublished window the chaos harness kills into.)
 		return nil, &persistError{err: out.Err}
 	}
+	prev := s.snap.Load()
 	mergeStart := time.Now()
-	epochSketches, merged, err := freezeAndMerge(old.ms, s.cum)
+	epochSketches, merged, err := freezeAndMerge(old.ms, prev.sketches)
 	if err != nil {
 		return nil, err
 	}
 	s.om.freezeMerge.Record(time.Since(mergeStart))
+	var segment []byte
 	if s.store != nil {
 		persistStart := time.Now()
-		if _, perr := s.store.AppendEpoch(epochSketches); perr != nil {
+		var perr error
+		if _, segment, perr = s.store.AppendMerged(epochSketches, merged); perr != nil {
 			var ce *store.CompactionError
 			if errors.As(perr, &ce) {
-				// The epoch itself is acknowledged; only the disk-bounding
-				// compaction failed (it retries on the next append).
+				// The epoch itself is acknowledged; only its cumulative
+				// segment was not written (the next full-ring freeze is).
 				s.compactionErrors.Add(1)
 			} else {
 				s.persistErrors.Add(1)
@@ -1145,19 +1155,15 @@ func (s *Server) freeze() (*snapshot, error) {
 		s.om.freezePersist.Record(time.Since(persistStart))
 		s.persists.Add(1)
 	}
-	s.epoch++
-	s.epochNow.Store(int64(s.epoch))
-	s.cum = merged
+	publishStart := time.Now()
+	epoch := prev.epoch + 1
+	s.epochNow.Store(int64(epoch))
 	// A fresh ring slice every freeze: published snapshots hold the old one.
-	retained := make([]epochSet, 0, len(s.retained)+1)
-	retained = append(append(retained, s.retained...), epochSet{epoch: s.epoch, sketches: epochSketches})
-	if len(retained) > s.retain {
-		retained = retained[len(retained)-s.retain:]
-	}
-	s.retained = retained
-	snap := s.newSnapshot(s.epoch, merged, retained)
+	retained := append(prev.retained[:len(prev.retained):len(prev.retained)], epochSet{epoch: epoch, sketches: epochSketches})
+	snap := s.newSnapshot(epoch, merged, retained[max(0, len(retained)-s.retain):], segment)
 	s.snap.Store(snap)
-	s.log.Info("epoch frozen", "epoch", s.epoch, "retained", len(retained))
+	s.om.freezePublish.Record(time.Since(publishStart))
+	s.log.Info("epoch frozen", "epoch", epoch, "retained", len(snap.retained))
 	return snap, nil
 }
 
@@ -1318,7 +1324,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // freezes until the window leaves retention — which is a 400, checked
 // first). A request whose If-None-Match equals the tag is answered 304
 // before anything is merged or encoded: the router keeps the set it
-// validated last and pays one header round trip for an unchanged peer.
+// validated last and pays one header round trip for an unchanged peer. The
+// cumulative set's bytes are the snapshot's segment; a window's are
+// encoded on every export.
 func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -1356,27 +1364,25 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	exported := snap.sketches
-	if eq != "" {
+	var data []byte
+	if eq == "" {
+		snap.segmentOnce.Do(func() {
+			if snap.segment == nil {
+				snap.segment = s.encodeExport(snap.sketches)
+			}
+		})
+		data = snap.segment
+	} else {
 		rs := s.window(w, snap, nil, lo, hi, nil)
 		if rs == nil {
 			return
 		}
-		exported = make([]*sketch.BottomK, s.cfg.Assignments)
+		exported := make([]*sketch.BottomK, s.cfg.Assignments)
 		for b := range exported {
 			exported[b] = rs.Sketch(b)
 		}
+		data = s.encodeExport(exported)
 	}
-	metas := make([]sketch.WireMeta, len(exported))
-	for b := range metas {
-		metas[b] = sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}
-	}
-	var buf bytes.Buffer
-	if _, err := sketch.EncodeSegment(&buf, metas, exported); err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding segment: %v", err)
-		return
-	}
-	data := buf.Bytes()
 	if out.Torn {
 		// A torn response with a self-consistent Content-Length: the bytes
 		// arrive "successfully" and the corruption must be caught by the
@@ -1389,6 +1395,21 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-CWS-Epoch", strconv.Itoa(snap.epoch))
 	_, _ = w.Write(data)
 	s.segmentExports.Add(1)
+}
+
+// encodeExport encodes a /sketches segment and counts the encode; the
+// sketches are this server's own, so a failure is a programming error.
+func (s *Server) encodeExport(sketches []*sketch.BottomK) []byte {
+	s.exportEncodes.Add(1)
+	metas := make([]sketch.WireMeta, len(sketches))
+	for b := range metas {
+		metas[b] = sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}
+	}
+	var buf bytes.Buffer
+	if _, err := sketch.EncodeSegment(&buf, metas, sketches); err != nil {
+		panic(fmt.Sprintf("server: %v", err))
+	}
+	return buf.Bytes()
 }
 
 // --- health and counters ---

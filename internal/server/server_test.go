@@ -990,6 +990,133 @@ func TestStoreBackedRetentionFollowsStore(t *testing.T) {
 	}
 }
 
+// TestRecoveredRingTrimmedToRetain: a store reopened under a smaller
+// retain serves the smaller window from its first snapshot — not the
+// wider ring the store still holds until its next full-ring commit.
+func TestRecoveredRingTrimmedToRetain(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Sample: core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 8, K: 16}, Assignments: 1}
+	cfg.Store = openTestStore(t, dir, cfg, 4)
+	_, ts := newTestServer(t, cfg)
+	for i := 0; i < 4; i++ {
+		postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: fmt.Sprintf("k%d", i), Weight: float64(i + 1)})
+		postJSON(t, ts.URL+"/freeze", nil)
+	}
+	cfg.Store.Close()
+
+	cfg2 := cfg
+	cfg2.Store = openTestStore(t, dir, cfg, 2)
+	_, ts2 := newTestServer(t, cfg2)
+	if code, body := queryHTTPStatus(t, ts2.URL, "agg=sum&b=0&epochs=1..1"); code != http.StatusBadRequest {
+		t.Fatalf("epoch 1 outside the reopened ring: status %d (%v), want 400", code, body)
+	}
+	if got := queryHTTP(t, ts2.URL, "agg=sum&b=0&epochs=3..4"); got != 3+4 {
+		t.Fatalf("epochs=3..4 sum = %v, want 7", got)
+	}
+	if got := queryHTTP(t, ts2.URL, "agg=sum&b=0"); got != 1+2+3+4 {
+		t.Fatalf("cumulative sum = %v, want 10", got)
+	}
+	resp, err := http.Get(ts2.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if h := decodeJSONBody(t, resp.Body); h["retained_epochs"] != "3..4" {
+		t.Fatalf("/healthz retained_epochs = %v, want 3..4", h["retained_epochs"])
+	}
+	if got := obstest.Scrape(t, ts2.URL)["cws_retained_epochs"]; got != 2 {
+		t.Fatalf("cws_retained_epochs = %v, want 2", got)
+	}
+}
+
+// TestCumulativeExportIsTheFreezeBytes: the cumulative GET /sketches body
+// is EncodeSegment of the snapshot's sketches after a durable full-ring
+// freeze (the store's cumulative segment, served with no encode), after a
+// reopen (the recovered file, again no encode), and on a memory-only
+// server (encoded once, by the first export).
+func TestCumulativeExportIsTheFreezeBytes(t *testing.T) {
+	cfg := robustCfg()
+	metas := make([]sketch.WireMeta, cfg.Assignments)
+	for b := range metas {
+		metas[b] = sketch.WireMeta{Family: cfg.Sample.Family, Mode: cfg.Sample.Mode, Seed: cfg.Sample.Seed, Assignment: b}
+	}
+	// check fetches the cumulative export from n goroutines at once and
+	// compares each body with the snapshot's encoding; it returns the body
+	// and the encodes the fetches added.
+	check := func(t *testing.T, s *Server, base string, n int) ([]byte, float64) {
+		t.Helper()
+		var want bytes.Buffer
+		if _, err := sketch.EncodeSegment(&want, metas, s.snap.Load().sketches); err != nil {
+			t.Fatal(err)
+		}
+		before := obstest.Scrape(t, base)["cws_segment_export_encodes_total"]
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Get(base + "/sketches")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET /sketches: status %d, err %v", resp.StatusCode, err)
+				} else if !bytes.Equal(body, want.Bytes()) {
+					t.Errorf("/sketches body (%d bytes) is not EncodeSegment of the snapshot (%d bytes)", len(body), want.Len())
+				}
+			}()
+		}
+		wg.Wait()
+		return want.Bytes(), obstest.Scrape(t, base)["cws_segment_export_encodes_total"] - before
+	}
+	freeze := func(base string, offers []Offer) {
+		postJSON(t, base+"/offer", map[string]any{"offers": offers})
+		postJSON(t, base+"/freeze", nil)
+	}
+	chunks := chunkEpochs(testStream(400, 21), 3)
+
+	dir := t.TempDir()
+	cfg.Store = openTestStore(t, dir, cfg, 1)
+	s, ts := newTestServer(t, cfg)
+	for _, chunk := range chunks {
+		freeze(ts.URL, chunk)
+	}
+	durable, encodes := check(t, s, ts.URL, 4)
+	if encodes != 0 {
+		t.Fatalf("after a durable full-ring freeze, 4 exports encoded %v times, want 0", encodes)
+	}
+	if obstest.Scrape(t, ts.URL)[`cws_freeze_phase_seconds_count{phase="publish"}`] != 3 {
+		t.Fatal(`cws_freeze_phase_seconds_count{phase="publish"} does not count the 3 freezes`)
+	}
+	cfg.Store.Close()
+
+	cfg.Store = openTestStore(t, dir, cfg, 1)
+	s2, ts2 := newTestServer(t, cfg)
+	reopened, encodes := check(t, s2, ts2.URL, 4)
+	if encodes != 0 {
+		t.Fatalf("after a reopen, 4 exports encoded %v times, want 0", encodes)
+	}
+	if !bytes.Equal(reopened, durable) {
+		t.Fatal("the reopened server exports other bytes than before the restart")
+	}
+
+	mem := robustCfg()
+	s3, ts3 := newTestServer(t, mem)
+	for _, chunk := range chunks {
+		freeze(ts3.URL, chunk)
+	}
+	memory, encodes := check(t, s3, ts3.URL, 4)
+	if encodes != 1 {
+		t.Fatalf("memory-only: 4 exports encoded %v times, want 1", encodes)
+	}
+	if !bytes.Equal(memory, durable) {
+		t.Fatal("the memory-only server exports other bytes than the durable one")
+	}
+}
+
 // TestShutdownAutoFreezes: Shutdown publishes and persists the open
 // epoch's offers; a clean server shuts down without minting empty epochs.
 func TestShutdownAutoFreezes(t *testing.T) {

@@ -18,10 +18,11 @@
 // ships. Version 1 (each sketch a length-prefixed bottom-k "CWSK" file,
 // codec.go) is still read, never written. Sketches pass validateDecoded,
 // with the ascending dictionary and per-sketch distinct indices standing
-// in for its distinct-key test and handing each sketch its key order. The
-// checksum turns silent bit rot (a flipped byte that still parses, e.g. in
-// a weight's low bits) into a loud *CorruptSegmentError, which structural
-// validation alone cannot.
+// in for its distinct-key test and handing each sketch its key order; it
+// refuses overlong varints and unused keys, so re-encoding gives back the
+// decoded bytes. The checksum turns silent bit rot (a flipped byte that
+// still parses, e.g. in a weight's low bits) into a loud
+// *CorruptSegmentError, which structural validation alone cannot.
 package sketch
 
 import (
@@ -231,14 +232,14 @@ func DecodeSegment(data []byte) ([]*Decoded, error) {
 
 // decodeSegmentV2 decodes the bytes between a version-2 header and trailer.
 func decodeSegmentV2(count uint32, rest []byte) ([]*Decoded, error) {
-	d, n := binary.Uvarint(rest)
+	d, n := uvarint(rest)
 	if n <= 0 || d > uint64(len(rest)-n) || d > math.MaxInt32 { // a key takes at least a byte
 		return nil, corruptSegment("truncated dictionary (%d keys in %d bytes)", d, len(rest))
 	}
 	rest = rest[n:]
 	end := 0
 	for i := uint64(0); i < d; i++ {
-		l, m := binary.Uvarint(rest[end:])
+		l, m := uvarint(rest[end:])
 		if m <= 0 || l > uint64(len(rest)-end-m) {
 			return nil, corruptSegment("truncated dictionary at key %d of %d", i, d)
 		}
@@ -273,7 +274,7 @@ func decodeSegmentV2(count uint32, rest []byte) ([]*Decoded, error) {
 		}
 		entries, stamp := make([]Entry, n), uint32(b+1)
 		for i := range entries {
-			switch idx, m := binary.Uvarint(rest); {
+			switch idx, m := uvarint(rest); {
 			case m <= 0 || len(rest)-m < 16:
 				return nil, corruptSegment("sketch %d: truncated entry %d", b, i)
 			case idx >= d:
@@ -303,7 +304,21 @@ func decodeSegmentV2(count uint32, rest []byte) ([]*Decoded, error) {
 	if len(rest) != 0 {
 		return nil, corruptSegment("%d trailing bytes after sketches", len(rest))
 	}
+	for idx, s := range seen {
+		if s.sketch == 0 {
+			return nil, corruptSegment("dictionary key %d is in no sketch", idx)
+		}
+	}
 	return out, nil
+}
+
+// uvarint is binary.Uvarint refusing an overlong encoding (n = 0).
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // SegmentKeys returns the size of a version-2 segment's key dictionary (the

@@ -377,8 +377,8 @@ func TestSegmentV1CorruptionBehindChecksum(t *testing.T) {
 
 // FuzzDecodeSegment: no input panics the segment decoder — as given, and
 // resealed with a valid checksum so the mutations reach the parser — and
-// anything it accepts re-encodes as version 2 and decodes to the same
-// sketches.
+// anything it accepts re-encodes as version 2 (a version-2 input to its
+// own bytes) and decodes to the same sketches.
 func FuzzDecodeSegment(f *testing.F) {
 	v1, err := os.ReadFile("testdata/segment-v1.seg")
 	if err != nil {
@@ -416,6 +416,9 @@ func FuzzDecodeSegment(f *testing.F) {
 			var buf bytes.Buffer
 			if _, err := EncodeSegment(&buf, metas, sketches); err != nil {
 				t.Fatalf("accepted segment does not re-encode: %v", err)
+			}
+			if in[4] == segmentVersion && !bytes.Equal(buf.Bytes(), in) {
+				t.Fatalf("accepted version-2 segment re-encodes to other bytes:\n in %x\nout %x", in, buf.Bytes())
 			}
 			again, err := DecodeSegment(buf.Bytes())
 			if err != nil {

@@ -26,10 +26,9 @@
 // A segment file is the multi-sketch framing of internal/sketch
 // (EncodeSegment): one sorted dictionary of the keys every assignment's
 // bottom-k sketch indexes into, closed by a CRC-32C (version 2; version-1
-// segments are still read, and compaction rewrites them). Segments are
-// written write-tmp → fsync → rename → fsync(dir), so a crash mid-write
-// leaves at worst an ignored *.tmp file, never a half-written segment
-// under the final name.
+// segments are still read). Segments are written write-tmp → fsync →
+// rename → fsync(dir), so a crash mid-write leaves at worst an ignored
+// *.tmp file, never a half-written segment under the final name.
 //
 // # Manifest
 //
@@ -39,22 +38,29 @@
 // its own CRC-32C:
 //
 //	cws-store v1 assignments=2
-//	E 1 epoch-000001.seg 4242 1a2b3c4d fps=00c0ffee...,00abcdef... 9f8e7d6c
-//	C 3 cum-000003.seg 8080 5e6f7a8b fps=... 1c2d3e4f
+//	C 9 cum-000009.seg 8080 5e6f7a8b fps=... 1c2d3e4f
+//	E 8 epoch-000008.seg 4242 1a2b3c4d fps=00c0ffee...,00abcdef... 9f8e7d6c
+//	E 9 epoch-000009.seg 4240 2b3c4d5e fps=00c0ffee...,00abcdef... 8e7d6c5b
 //
-// "E n" acknowledges epoch n (strictly sequential), naming its segment
-// file, byte size, segment checksum, and per-assignment fingerprints.
-// "C t" acknowledges a compaction: the named cumulative segment holds the
-// exact merge of epochs 1..t, and epochs ≤ t are no longer individually
-// retained. AppendEpoch returns only after the segment rename and the
-// manifest line are both fsynced — that is the acknowledgement point.
+// "E n" records epoch n: its segment file, byte size, segment checksum,
+// and per-assignment fingerprints. "C t" records the cumulative segment,
+// the exact merge of epochs 1..t. The E lines are the retained ring, which
+// may lie at or below t. While the ring fills, a commit writes the epoch
+// segment, then appends and fsyncs its E line. Once it is full, a commit
+// writes the epoch segment and the cumulative segment of epochs 1..n (the
+// caller's merge, encoded once) at the same time, fsyncs the directory
+// once, and atomically rewrites the manifest as the header, "C n" and the
+// last retain E lines. The append or the rename is the acknowledgement
+// point; only then are the expired epoch and the old cumulative unlinked.
 //
 // # Recovery invariants
 //
 // Open replays the manifest and reloads every referenced segment under
 // strict validation (size, checksum, full per-sketch revalidation,
 // fingerprints); the segments decode in parallel, and their errors are
-// reported in manifest order. The guarantees:
+// reported in manifest order. A C record covering the last epoch is the
+// cumulative, with no merge; otherwise it merges with the E records above
+// it. The guarantees:
 //
 //   - Every acknowledged epoch is recovered bit-identically: same entries,
 //     same conditioning ranks, same fingerprints — so a restarted server
@@ -68,18 +74,18 @@
 //     cannot be served; Open fails with a typed *CorruptError rather than
 //     ever serving corrupt sketches.
 //
-// # Compaction
+// # Retention
 //
-// A configurable ring of the most recent epochs is retained for
-// epoch-range queries; older epochs are merged into the cumulative
-// segment (the merge is exact, so nothing about full-history queries
-// changes) and their segment files deleted, keeping disk proportional to
-// retain+1 segments. Compaction rewrites the manifest atomically
-// (write-tmp → rename), so it also stays bounded.
+// A ring of the most recent epochs is retained for epoch-range queries,
+// and the cumulative segment is the serving cumulative: disk holds retain
+// epoch segments plus that one, and nothing is merged to bound it. If only
+// the cumulative write fails, the epoch is committed in the append form (a
+// *CompactionError), and the next full-ring commit catches up.
 package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -114,8 +120,8 @@ type Config struct {
 	// Dir is the store directory; created if absent on a writable open.
 	Dir string
 	// Retain is the ring of most recent epochs kept individually for
-	// epoch-range queries; older epochs are compacted into the cumulative
-	// segment. 0 compacts every epoch immediately (no time travel).
+	// epoch-range queries; older epochs live on only in the cumulative
+	// segment. 0 keeps none (no time travel).
 	Retain int
 	// Sample and Assignments describe the sketches the store will hold.
 	// Both set (K ≥ 1, Assignments ≥ 1) opens the store writable and
@@ -129,14 +135,14 @@ type Config struct {
 	// nothing.
 	Faults *faults.Set
 	// Log, when non-nil, receives the store's structured log events
-	// (recovery summary, compactions) tagged component=store. Nil
+	// (cumulative segments written) tagged component=store. Nil
 	// discards them.
 	Log *slog.Logger
 }
 
-// The store's injectable fault points. Each fires once per AppendEpoch
-// (or per compaction, for the segment points — compaction writes a
-// cumulative segment through the same path).
+// The store's injectable fault points. The manifest points fire once per
+// commit, in either form; the segment points once per segment file, drawn
+// epoch first, before the files are written concurrently.
 const (
 	// FaultSegmentWrite covers writing a segment's bytes to its temp
 	// file: "err" simulates ENOSPC (the append fails, the epoch is never
@@ -151,11 +157,13 @@ const (
 	// "err" fails the append (setting the store's broken flag — further
 	// appends are refused until reopen); "err,torn" additionally leaves
 	// half the line in the file first, the partial bytes a real short
-	// write strands, which reopen must heal as a torn tail.
+	// write strands, which reopen must heal as a torn tail. A rewrite it
+	// fails before the rename, leaving the old manifest in force.
 	FaultManifestAppend = "store.manifest-append"
 	// FaultManifestFsync covers fsyncing the manifest after a successful
 	// append ("err" only; also sets broken — the line may or may not be
-	// durable, so the epoch must not be treated as acknowledged).
+	// durable, so the epoch must not be treated as acknowledged); for a
+	// rewrite, the new manifest's fsync.
 	FaultManifestFsync = "store.manifest-fsync"
 )
 
@@ -188,10 +196,10 @@ type MismatchError struct {
 
 func (e *MismatchError) Error() string { return "store: " + e.Detail }
 
-// CompactionError reports that an epoch was durably acknowledged but the
-// follow-up compaction failed (disk full, I/O error). The epoch is safe —
-// callers should treat the append as successful — and the compaction
-// retries on the next append.
+// CompactionError reports an epoch acknowledged in the append form because
+// its cumulative segment could not be written (disk full, I/O error): the
+// epoch is safe — treat the append as successful — and the next full-ring
+// commit writes the cumulative again.
 type CompactionError struct {
 	Err error
 }
@@ -207,9 +215,9 @@ type EpochRecord struct {
 }
 
 // storedEpoch is one retained epoch plus the segment accounting (byte
-// size and segment CRC, as recorded in the manifest) that a compaction's
-// manifest rewrite needs — carried in memory so compaction never re-reads
-// kept segment files, and never has to trust a possibly rotten file's own
+// size and segment CRC, as recorded in the manifest) that a manifest
+// rewrite needs — carried in memory so a commit never re-reads kept
+// segment files, and never has to trust a possibly rotten file's own
 // trailer for the rewritten manifest line.
 type storedEpoch struct {
 	EpochRecord
@@ -230,9 +238,9 @@ type Store struct {
 
 	epoch    int               // last acknowledged epoch
 	through  int               // cumulative segment covers epochs 1..through (0 = none)
-	base     []*sketch.BottomK // sketches of the cumulative segment (nil when through == 0)
-	retained []storedEpoch     // epochs through+1..epoch, ascending
-	cum      []*sketch.BottomK // exact merge of base + retained (nil when epoch == 0)
+	retained []storedEpoch     // the ring: consecutive epochs ending at epoch, ascending
+	cum      []*sketch.BottomK // exact merge of epochs 1..epoch (nil when epoch == 0)
+	cumSeg   []byte            // the cumulative segment's bytes when it covers epoch and is version 2
 	meta     []sketch.WireMeta // construction metadata of the stored sketches
 	manifest *os.File          // open for append on writable stores
 	lock     *os.File          // flock-held LOCK file on writable stores
@@ -372,9 +380,13 @@ func (s *Store) Assignments() int { s.mu.Lock(); defer s.mu.Unlock(); return s.a
 // Retain returns the configured retention ring size.
 func (s *Store) Retain() int { return s.retain }
 
-// CompactedThrough returns the highest epoch merged into the cumulative
-// segment; epochs at or below it are no longer individually queryable.
-func (s *Store) CompactedThrough() int { s.mu.Lock(); defer s.mu.Unlock(); return s.through }
+// CompactedThrough returns the highest epoch no longer individually
+// retained: epochs at or below it live on only in the cumulative segment.
+func (s *Store) CompactedThrough() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epoch - len(s.retained)
+}
 
 // DiskBytes returns the total size of the referenced segment files.
 func (s *Store) DiskBytes() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.bytes }
@@ -393,23 +405,13 @@ func (s *Store) Retained() []EpochRecord {
 
 // Cumulative returns the exact merged sketches of all acknowledged epochs
 // (nil for an empty store) — bit-identical to a single pass over every
-// offer ever acknowledged, by the merge lemma. The merge is memoized; it
-// is computed eagerly at Open and recomputed on demand after appends (the
-// serving layer maintains its own cumulative merge, so the append fast
-// path never pays for this one).
-func (s *Store) Cumulative() []*sketch.BottomK {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.epoch > 0 && s.cum == nil {
-		cum, err := mergeEpochs(s.base, s.retained)
-		if err != nil {
-			// Impossible: every part carries this store's fingerprint.
-			panic(err.Error())
-		}
-		s.cum = cum
-	}
-	return s.cum
-}
+// offer ever acknowledged, by the merge lemma.
+func (s *Store) Cumulative() []*sketch.BottomK { s.mu.Lock(); defer s.mu.Unlock(); return s.cum }
+
+// CumulativeSegment returns the cumulative segment file's bytes — which
+// are EncodeSegment of Cumulative() — when it covers the last epoch and is
+// version 2, else nil. Callers must not modify them.
+func (s *Store) CumulativeSegment() []byte { s.mu.Lock(); defer s.mu.Unlock(); return s.cumSeg }
 
 // mergeEpochs merges the cumulative base (nil for none) with the given
 // epochs, per assignment, by the exact, fingerprint-verified merge.
@@ -450,16 +452,11 @@ func (s *Store) SampleConfig() (core.Config, bool) {
 func (s *Store) Range(lo, hi int) ([]*sketch.BottomK, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := checkRange(lo, hi, s.through, s.epoch); err != nil {
+	if err := checkRange(lo, hi, s.epoch-len(s.retained), s.epoch); err != nil {
 		return nil, err
 	}
-	var window []storedEpoch
-	for _, rec := range s.retained {
-		if rec.Epoch >= lo && rec.Epoch <= hi {
-			window = append(window, rec)
-		}
-	}
-	return mergeEpochs(nil, window)
+	first := s.epoch - len(s.retained) + 1 // the ring is consecutive
+	return mergeEpochs(nil, s.retained[lo-first:hi-first+1])
 }
 
 // checkRange validates an epoch range against the retained window.
@@ -476,36 +473,70 @@ func checkRange(lo, hi, through, epoch int) error {
 	return nil
 }
 
-// AppendEpoch durably persists one frozen epoch's sketch set (one sketch
-// per assignment, fingerprinted under the store's configuration) and
-// returns its epoch number. On return the epoch is acknowledged: segment
-// and manifest line are fsynced, and any crash afterwards recovers it
-// bit-identically. Compaction of epochs that fell out of the retention
-// ring runs before returning; if it fails, the error is a
-// *CompactionError and the epoch itself stays acknowledged (epoch != 0).
+// AppendEpoch is AppendMerged merging the epoch onto Cumulative() itself.
 func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
+	epoch, _, err := s.AppendMerged(sketches, nil)
+	return epoch, err
+}
+
+// AppendMerged durably persists one frozen epoch's sketch set (one sketch
+// per assignment, fingerprinted under the store's configuration) and
+// returns its epoch number; cum is the exact merge of Cumulative() and
+// sketches (nil: merge them here). On return the epoch is acknowledged,
+// and any crash afterwards recovers it bit-identically. Once the ring is
+// full it also writes cum as the cumulative segment and returns its bytes;
+// a *CompactionError means the epoch is acknowledged (epoch != 0) but
+// that segment was not written.
+func (s *Store) AppendMerged(sketches, cum []*sketch.BottomK) (int, []byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.writable {
-		return 0, fmt.Errorf("store: opened read-only (no Sample configuration)")
+		return 0, nil, fmt.Errorf("store: opened read-only (no Sample configuration)")
 	}
-	if len(sketches) != s.assignments {
-		return 0, fmt.Errorf("store: %d sketches for %d assignments", len(sketches), s.assignments)
+	if len(sketches) != s.assignments || cum != nil && len(cum) != s.assignments {
+		return 0, nil, fmt.Errorf("store: %d sketches for %d assignments", len(sketches), s.assignments)
 	}
 	if s.broken {
-		return 0, fmt.Errorf("store: a previous manifest append failed and may have left partial bytes; reopen the store to recover before appending")
+		return 0, nil, fmt.Errorf("store: a previous manifest append failed and may have left partial bytes; reopen the store to recover before appending")
+	}
+	if cum == nil {
+		var err error
+		if cum, err = mergeEpochs(s.cum, []storedEpoch{{EpochRecord: EpochRecord{Sketches: sketches}}}); err != nil {
+			return 0, nil, err
+		}
 	}
 	sketches = append([]*sketch.BottomK(nil), sketches...)
 	epoch := s.epoch + 1
-	buf, crc, err := s.encode(sketches)
-	if err != nil {
-		return 0, fmt.Errorf("store: encoding epoch %d: %w", epoch, err)
+	files := []*segFile{{name: segmentName("epoch", epoch), sketches: sketches}}
+	full := len(s.retained) >= s.retain
+	if full {
+		files = append(files, &segFile{name: segmentName("cum", epoch), sketches: cum})
 	}
-	name := segmentName("epoch", epoch)
-	if err := s.writeFileDurably(name, buf.Bytes()); err != nil {
-		return 0, err
+	if err := s.writeSegments(files); err != nil {
+		return 0, nil, err
 	}
-	line := manifestLine('E', epoch, name, buf.Len(), crc, fingerprints(sketches))
+	seg := files[0]
+	ring := append(s.retained[:len(s.retained):len(s.retained)], storedEpoch{
+		EpochRecord: EpochRecord{Epoch: epoch, Sketches: sketches}, size: len(seg.data), crc: seg.crc})
+	if full && files[1].err == nil {
+		cumSeg, kept := files[1], ring[len(ring)-s.retain:]
+		if err := s.rewriteManifest(epoch, cumSeg, kept); err != nil {
+			return 0, nil, err
+		}
+		// Acknowledged. Deleting what is no longer referenced is
+		// best-effort: a leftover is collected on the next writable open.
+		for _, rec := range ring[:len(ring)-s.retain] {
+			s.removeSegment(segmentName("epoch", rec.Epoch))
+		}
+		if s.through > 0 {
+			s.removeSegment(segmentName("cum", s.through))
+		}
+		s.epoch, s.through, s.cum, s.cumSeg, s.retained = epoch, epoch, cum, cumSeg.data, kept
+		s.bytes += int64(len(seg.data) + len(cumSeg.data))
+		s.log.Debug("wrote cumulative segment", "through", epoch, "disk_bytes", s.bytes)
+		return epoch, cumSeg.data, nil
+	}
+	line := manifestLine('E', epoch, seg.name, len(seg.data), seg.crc, fingerprints(sketches))
 	if out := s.faults.Act(FaultManifestAppend); out.Err != nil {
 		// Simulate a failed append; with "torn" it is a short write that
 		// stranded half the line in the file, exactly what a real partial
@@ -515,7 +546,7 @@ func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
 			_ = s.manifest.Sync()
 		}
 		s.broken = true
-		return 0, fmt.Errorf("store: appending manifest: %w", out.Err)
+		return 0, nil, fmt.Errorf("store: appending manifest: %w", out.Err)
 	}
 	if _, err := s.manifest.WriteString(line); err != nil {
 		// The file may now hold a partial line; a further append would
@@ -523,50 +554,24 @@ func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
 		// Refuse until a reopen truncates the manifest to its last good
 		// offset.
 		s.broken = true
-		return 0, fmt.Errorf("store: appending manifest: %w", err)
+		return 0, nil, fmt.Errorf("store: appending manifest: %w", err)
 	}
 	if out := s.faults.Act(FaultManifestFsync); out.Err != nil {
 		s.broken = true
-		return 0, fmt.Errorf("store: syncing manifest: %w", out.Err)
+		return 0, nil, fmt.Errorf("store: syncing manifest: %w", out.Err)
 	}
 	syncStart := time.Now()
 	if err := s.manifest.Sync(); err != nil {
 		s.broken = true
-		return 0, fmt.Errorf("store: syncing manifest: %w", err)
+		return 0, nil, fmt.Errorf("store: syncing manifest: %w", err)
 	}
 	s.manifestFsyncHist.Record(time.Since(syncStart))
-	// Acknowledged. Everything below only maintains in-memory state and
-	// bounds disk usage. The cumulative memo is invalidated, not updated:
-	// the serving layer maintains its own cumulative merge, so eagerly
-	// re-merging here would duplicate that work on every freeze.
-	s.epoch = epoch
-	s.bytes += int64(buf.Len())
-	s.retained = append(s.retained, storedEpoch{
-		EpochRecord: EpochRecord{Epoch: epoch, Sketches: sketches},
-		size:        buf.Len(),
-		crc:         crc,
-	})
-	s.cum = nil
-	if len(s.retained) > s.retain {
-		if err := s.compact(); err != nil {
-			return epoch, &CompactionError{Err: err}
-		}
+	s.epoch, s.cum, s.cumSeg, s.retained = epoch, cum, nil, ring
+	s.bytes += int64(len(seg.data))
+	if full {
+		return epoch, nil, &CompactionError{Err: files[1].err}
 	}
-	return epoch, nil
-}
-
-// encode encodes one segment and notes its key ratio. Caller holds s.mu.
-func (s *Store) encode(sketches []*sketch.BottomK) (*bytes.Buffer, uint32, error) {
-	var buf bytes.Buffer
-	crc, err := sketch.EncodeSegment(&buf, s.meta, sketches)
-	entries := 0
-	for _, sk := range sketches {
-		entries += sk.Size()
-	}
-	if keys, ok := sketch.SegmentKeys(buf.Bytes()); ok && entries > 0 {
-		s.keyRatio = float64(keys) / float64(entries)
-	}
-	return &buf, crc, err
+	return epoch, nil, nil
 }
 
 // SegmentKeyRatio returns dictionary keys ÷ entries of the last segment
@@ -582,67 +587,92 @@ func fingerprints(sketches []*sketch.BottomK) []uint64 {
 	return fps
 }
 
-// compact merges the epochs that fell out of the retention ring into the
-// cumulative segment, rewrites the manifest atomically, and deletes the
-// expired segment files. Caller holds s.mu.
-func (s *Store) compact() error {
-	drop := len(s.retained) - s.retain
-	expired, kept := s.retained[:drop], s.retained[drop:]
-	through := expired[drop-1].Epoch
+// segFile is one segment file a commit writes: its name and sketches, the
+// fault outcomes drawn for it, and once written its bytes, CRC and error.
+type segFile struct {
+	name         string
+	sketches     []*sketch.BottomK
+	write, fsync faults.Outcome
+	data         []byte
+	crc          uint32
+	err          error
+}
 
-	base, err := mergeEpochs(s.base, expired)
-	if err != nil {
+// writeSegments encodes and writes the files concurrently, then fsyncs the
+// directory once; the fault points are drawn first, in file order. It
+// returns the first file's error; a later one's stays in its err.
+func (s *Store) writeSegments(files []*segFile) error {
+	for _, f := range files {
+		f.write, f.fsync = s.faults.Act(FaultSegmentWrite), s.faults.Act(FaultSegmentFsync)
+	}
+	start := time.Now()
+	shard.ParallelDo(len(files), 0, func(i int) { files[i].err = s.writeSegment(files[i]) })
+	if files[0].err != nil {
+		return files[0].err
+	}
+	if err := s.syncDir(); err != nil {
 		return err
 	}
-	buf, crc, err := s.encode(base)
-	if err != nil {
-		return fmt.Errorf("store: encoding cumulative segment: %w", err)
+	for _, f := range files {
+		if f.err == nil {
+			s.segWriteHist.Record(time.Since(start))
+			entries := 0
+			for _, sk := range f.sketches {
+				entries += sk.Size()
+			}
+			if keys, ok := sketch.SegmentKeys(f.data); ok && entries > 0 {
+				s.keyRatio = float64(keys) / float64(entries)
+			}
+		}
 	}
-	name := segmentName("cum", through)
-	if err := s.writeFileDurably(name, buf.Bytes()); err != nil {
-		return err
-	}
-
-	// Rewrite the manifest: header, the new C record, the kept E records.
-	// The kept lines reuse the sizes and checksums recorded when each
-	// epoch was appended (or recovered) — no segment is re-read, and a
-	// file that rotted since its append cannot launder its own corrupt
-	// trailer into the fresh manifest.
-	var mb strings.Builder
-	fmt.Fprintf(&mb, "%s%d\n", manifestHeaderPrefix, s.assignments)
-	mb.WriteString(manifestLine('C', through, name, buf.Len(), crc, fingerprints(base)))
-	for _, rec := range kept {
-		mb.WriteString(manifestLine('E', rec.Epoch, segmentName("epoch", rec.Epoch), rec.size, rec.crc, fingerprints(rec.Sketches)))
-	}
-	if err := s.rewriteManifest(mb.String()); err != nil {
-		return err
-	}
-
-	oldThrough, oldBase := s.through, s.base
-	s.through, s.base = through, base
-	s.retained = append([]storedEpoch(nil), kept...)
-
-	// The expired epochs and the previous cumulative segment are no longer
-	// referenced; deletion is best-effort (a leftover is garbage-collected
-	// on the next writable open).
-	for _, rec := range expired {
-		s.removeSegment(segmentName("epoch", rec.Epoch))
-	}
-	if oldBase != nil {
-		s.removeSegment(segmentName("cum", oldThrough))
-	}
-	s.bytes += int64(buf.Len())
-	s.log.Debug("compacted epochs into cumulative segment",
-		"through", through, "retained", len(kept), "disk_bytes", s.bytes)
 	return nil
 }
 
-// rewriteManifest atomically replaces the manifest (write-tmp → fsync →
-// rename → fsync(dir)) and reopens it for appending. Caller holds s.mu.
-func (s *Store) rewriteManifest(content string) error {
-	if err := s.writeFileDurably(manifestName, []byte(content)); err != nil {
+// writeSegment encodes one segment and writes it under its final name. It
+// only reads the Store.
+func (s *Store) writeSegment(f *segFile) error {
+	var buf bytes.Buffer
+	crc, err := sketch.EncodeSegment(&buf, s.meta, f.sketches)
+	if err != nil {
+		return fmt.Errorf("store: encoding %s: %w", f.name, err)
+	}
+	f.data, f.crc = buf.Bytes(), crc
+	if f.write.Err != nil {
+		return fmt.Errorf("store: writing %s: %w", f.name, f.write.Err)
+	}
+	if f.write.Torn {
+		// A torn write that lies about success: the durable file holds
+		// half the bytes the manifest will acknowledge.
+		return s.writeRenamed(f.name, faults.Tear(f.data), f.fsync)
+	}
+	return s.writeRenamed(f.name, f.data, f.fsync)
+}
+
+// rewriteManifest atomically replaces the manifest with the header, the C
+// record of cum (epochs 1..through) and the E records of ring, whose sizes
+// and checksums are the ones recorded at append (or recovery): no segment
+// is re-read, so a rotted file cannot launder its own trailer into the new
+// manifest. A failure before the rename leaves the old manifest in force;
+// one after it breaks the store. Caller holds s.mu.
+func (s *Store) rewriteManifest(through int, cum *segFile, ring []storedEpoch) error {
+	var mb strings.Builder
+	fmt.Fprintf(&mb, "%s%d\n", manifestHeaderPrefix, s.assignments)
+	mb.WriteString(manifestLine('C', through, cum.name, len(cum.data), cum.crc, fingerprints(cum.sketches)))
+	for _, rec := range ring {
+		mb.WriteString(manifestLine('E', rec.Epoch, segmentName("epoch", rec.Epoch), rec.size, rec.crc, fingerprints(rec.Sketches)))
+	}
+	if out := s.faults.Act(FaultManifestAppend); out.Err != nil {
+		return fmt.Errorf("store: rewriting manifest: %w", out.Err)
+	}
+	start := time.Now()
+	if err := s.writeRenamed(manifestName, []byte(mb.String()), s.faults.Act(FaultManifestFsync)); err != nil {
 		return err
 	}
+	s.broken = true // until the rename is durable and the handle follows it
+	if err := s.syncDir(); err != nil {
+		return err
+	}
+	s.manifestFsyncHist.Record(time.Since(start))
 	if err := s.manifest.Close(); err != nil {
 		return fmt.Errorf("store: closing old manifest: %w", err)
 	}
@@ -650,7 +680,7 @@ func (s *Store) rewriteManifest(content string) error {
 	if err != nil {
 		return fmt.Errorf("store: reopening manifest: %w", err)
 	}
-	s.manifest = m
+	s.manifest, s.broken = m, false
 	return nil
 }
 
@@ -663,23 +693,11 @@ func (s *Store) removeSegment(name string) {
 	}
 }
 
-// writeFileDurably writes name under the store directory via write-tmp →
-// fsync → rename → fsync(dir): after it returns, the file is durable under
-// its final name; a crash mid-call leaves at worst a *.tmp orphan.
-func (s *Store) writeFileDurably(name string, data []byte) error {
-	start := time.Now()
-	isSegment := strings.HasSuffix(name, ".seg")
-	if isSegment {
-		out := s.faults.Act(FaultSegmentWrite)
-		if out.Err != nil {
-			return fmt.Errorf("store: writing %s: %w", name, out.Err)
-		}
-		if out.Torn {
-			// A torn write that lies about success: the durable file holds
-			// half the bytes the manifest will acknowledge.
-			data = faults.Tear(data)
-		}
-	}
+// writeRenamed writes data to name under the store directory via a
+// fsynced temp file and a rename (fsync names the injected outcome for the
+// temp file's fsync); the caller fsyncs the directory. A crash mid-call
+// leaves at worst a *.tmp orphan. It only reads the Store.
+func (s *Store) writeRenamed(name string, data []byte, fsync faults.Outcome) error {
 	tmp, err := os.CreateTemp(s.dir, name+".tmp-")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -689,13 +707,7 @@ func (s *Store) writeFileDurably(name string, data []byte) error {
 		tmp.Close()
 		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
-	if isSegment {
-		if out := s.faults.Act(FaultSegmentFsync); out.Err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: syncing %s: %w", name, out.Err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
+	if err := cmp.Or(fsync.Err, tmp.Sync()); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: syncing %s: %w", name, err)
 	}
@@ -704,12 +716,6 @@ func (s *Store) writeFileDurably(name string, data []byte) error {
 	}
 	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.syncDir(); err != nil {
-		return err
-	}
-	if isSegment {
-		s.segWriteHist.Record(time.Since(start))
 	}
 	return nil
 }
@@ -825,7 +831,10 @@ func (s *Store) recover() error {
 		// Fresh store: write the header atomically, so a torn header can
 		// never be observed.
 		header := fmt.Sprintf("%s%d\n", manifestHeaderPrefix, s.assignments)
-		return s.writeFileDurably(manifestName, []byte(header))
+		if err := s.writeRenamed(manifestName, []byte(header), faults.Outcome{}); err != nil {
+			return err
+		}
+		return s.syncDir()
 	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -879,13 +888,15 @@ func (s *Store) recover() error {
 	// Decode in parallel (serially at GOMAXPROCS=1); report in manifest order.
 	loaded := make([][]*sketch.BottomK, len(records))
 	metas := make([][]sketch.WireMeta, len(records))
+	raw := make([][]byte, len(records))
 	errs := make([]error, len(records))
 	shard.ParallelDo(len(records), 0, func(i int) {
-		loaded[i], metas[i], errs[i] = s.loadSegment(records[i])
+		loaded[i], metas[i], raw[i], errs[i] = s.loadSegment(records[i])
 	})
 	if len(records) > 0 && s.meta == nil {
 		s.meta = metas[0]
 	}
+	base, baseData := []*sketch.BottomK(nil), []byte(nil)
 	for i, rec := range records {
 		if errs[i] != nil {
 			return errs[i]
@@ -896,16 +907,15 @@ func (s *Store) recover() error {
 			if rec.n < s.epoch {
 				return &CorruptError{Path: mpath, Detail: fmt.Sprintf("compaction through %d behind epoch %d", rec.n, s.epoch)}
 			}
-			s.through, s.base = rec.n, loaded[i]
-			if rec.n > s.epoch {
-				s.epoch = rec.n
-			}
+			s.through, s.epoch, base, baseData = rec.n, rec.n, loaded[i], raw[i]
 			s.retained = nil
 		case 'E':
-			if rec.n != s.epoch+1 {
-				return &CorruptError{Path: mpath, Detail: fmt.Sprintf("epoch %d follows epoch %d (acknowledged history has a gap)", rec.n, s.epoch)}
+			// The ring is consecutive; it may start inside the cumulative
+			// segment's epochs.
+			if n := len(s.retained); n > 0 && rec.n != s.retained[n-1].Epoch+1 || n == 0 && rec.n > s.epoch+1 {
+				return &CorruptError{Path: mpath, Detail: fmt.Sprintf("epoch %d breaks the retained ring (acknowledged history has a gap)", rec.n)}
 			}
-			s.epoch = rec.n
+			s.epoch = max(s.epoch, rec.n)
 			s.retained = append(s.retained, storedEpoch{
 				EpochRecord: EpochRecord{Epoch: rec.n, Sketches: loaded[i]},
 				size:        rec.size,
@@ -913,10 +923,19 @@ func (s *Store) recover() error {
 			})
 		}
 	}
+	if n := len(s.retained); n > 0 && s.retained[n-1].Epoch < s.through {
+		return &CorruptError{Path: mpath, Detail: fmt.Sprintf("retained epochs end at %d, before the cumulative segment's %d", s.retained[n-1].Epoch, s.through)}
+	}
 
-	// Cumulative = base + retained, exactly as the epochs were merged live.
-	if s.epoch > 0 {
-		if s.cum, err = mergeEpochs(s.base, s.retained); err != nil {
+	// A cumulative segment covering the last epoch is the cumulative;
+	// otherwise it merges with the epochs above it, as they merged live.
+	if s.epoch > 0 && s.through == s.epoch {
+		s.cum = base
+		if _, v2 := sketch.SegmentKeys(baseData); v2 {
+			s.cumSeg = baseData
+		}
+	} else if s.epoch > 0 {
+		if s.cum, err = mergeEpochs(base, s.retained[len(s.retained)-(s.epoch-s.through):]); err != nil {
 			return err
 		}
 	}
@@ -938,40 +957,40 @@ func parseHeader(line string) (int, error) {
 }
 
 // loadSegment reads, verifies, and decodes one referenced segment file,
-// returning its sketches and their wire metadata. Every failure is
-// acknowledged-state corruption: a typed error, never a partial result. It
-// only reads the Store, so recovery runs it concurrently.
-func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.WireMeta, error) {
+// returning its sketches, their wire metadata and its bytes. Every failure
+// is acknowledged-state corruption: a typed error, never a partial result.
+// It only reads the Store, so recovery runs it concurrently.
+func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.WireMeta, []byte, error) {
 	path := s.path(rec.file)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, &CorruptError{Path: path, Detail: "acknowledged segment unreadable", Err: err}
+		return nil, nil, nil, &CorruptError{Path: path, Detail: "acknowledged segment unreadable", Err: err}
 	}
 	if len(data) != rec.size {
-		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d bytes, manifest records %d", len(data), rec.size)}
+		return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d bytes, manifest records %d", len(data), rec.size)}
 	}
 	if crc, ok := sketch.SegmentCRC(data); !ok || crc != rec.crc {
-		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("segment checksum %08x, manifest records %08x", crc, rec.crc)}
+		return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("segment checksum %08x, manifest records %08x", crc, rec.crc)}
 	}
 	decoded, err := sketch.DecodeSegment(data)
 	if err != nil {
-		return nil, nil, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
+		return nil, nil, nil, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
 	}
 	if len(decoded) != s.assignments || len(rec.fps) != s.assignments {
-		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d sketches for %d assignments", len(decoded), s.assignments)}
+		return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d sketches for %d assignments", len(decoded), s.assignments)}
 	}
 	sketches := make([]*sketch.BottomK, s.assignments)
 	metas := make([]sketch.WireMeta, s.assignments)
 	for b, d := range decoded {
 		if d.Meta.Assignment != b {
-			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
+			return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
 		}
 		if d.BottomK.Fingerprint() != rec.fps[b] {
-			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d fingerprint %016x, manifest records %016x", b, d.BottomK.Fingerprint(), rec.fps[b])}
+			return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d fingerprint %016x, manifest records %016x", b, d.BottomK.Fingerprint(), rec.fps[b])}
 		}
 		if s.writable {
 			if want := s.sample.Assigner().Fingerprint(b, s.sample.K); d.BottomK.Fingerprint() != want {
-				return nil, nil, &MismatchError{Detail: fmt.Sprintf(
+				return nil, nil, nil, &MismatchError{Detail: fmt.Sprintf(
 					"%s sketch %d was built under %v/%v/seed=%d/k=%d (fingerprint %016x), store opened for %v/%v/seed=%d/k=%d (fingerprint %016x)",
 					rec.file, b, d.Meta.Family, d.Meta.Mode, d.Meta.Seed, d.BottomK.K(),
 					d.BottomK.Fingerprint(), s.sample.Family, s.sample.Mode, s.sample.Seed, s.sample.K, want)}
@@ -979,16 +998,16 @@ func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.Wir
 		}
 		sketches[b], metas[b] = d.BottomK, d.Meta
 	}
-	return sketches, metas, nil
+	return sketches, metas, data, nil
 }
 
 // collectGarbage removes *.tmp orphans and segment files no manifest
 // record references (crash leftovers from between a segment rename and its
-// manifest append, or from an interrupted compaction). Writable opens
+// manifest commit, or from before the unlinks that follow one). Writable opens
 // only; caller is Open.
 func (s *Store) collectGarbage() {
 	referenced := map[string]bool{}
-	if s.base != nil {
+	if s.through > 0 {
 		referenced[segmentName("cum", s.through)] = true
 	}
 	for _, rec := range s.retained {

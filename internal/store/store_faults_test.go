@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,15 +197,15 @@ func TestManifestFsyncFailureBreaksStore(t *testing.T) {
 	sameSketchSet(t, "recovered cumulative", re.Cumulative(), mergeAll(t, epochs))
 }
 
-// TestSegmentFaultDuringCompactionIsTypedCompactionError: the compaction
-// path writes its cumulative segment through the same fault points; a
-// failure there surfaces as the PR-5 *CompactionError (epoch itself stays
-// acknowledged) wrapping the injected fault.
+// TestSegmentFaultDuringCompactionIsTypedCompactionError: a full-ring
+// commit writes its cumulative segment through the same fault points; a
+// failure there surfaces as a *CompactionError (the epoch itself is
+// acknowledged through the append form) wrapping the injected fault.
 func TestSegmentFaultDuringCompactionIsTypedCompactionError(t *testing.T) {
 	dir := t.TempDir()
 	epochs := buildEpochs(t, 2, 150)
-	// Hits 1 and 2 are the two epoch segments; hit 3 is the cumulative
-	// segment written by the compaction that append 2 triggers (retain=1).
+	// Hit 1 is epoch 1's segment; append 2 fills the ring past retain=1 and
+	// draws hit 2 for its epoch segment, then hit 3 for the cumulative one.
 	s := openWritableFaults(t, dir, 1, faults.MustParse(FaultSegmentWrite+":err,on=3"))
 
 	if _, err := s.AppendEpoch(epochs[0]); err != nil {
@@ -209,7 +213,7 @@ func TestSegmentFaultDuringCompactionIsTypedCompactionError(t *testing.T) {
 	}
 	epoch, err := s.AppendEpoch(epochs[1])
 	if epoch != 2 {
-		t.Fatalf("epoch %d, want 2 (the epoch is acknowledged before compaction runs)", epoch)
+		t.Fatalf("epoch %d, want 2 (the epoch is acknowledged without its cumulative segment)", epoch)
 	}
 	var comp *CompactionError
 	if !errors.As(err, &comp) {
@@ -226,4 +230,85 @@ func TestSegmentFaultDuringCompactionIsTypedCompactionError(t *testing.T) {
 		t.Fatalf("recovered epoch %d, want 2", re.Epoch())
 	}
 	sameSketchSet(t, "recovered cumulative", re.Cumulative(), mergeAll(t, epochs))
+}
+
+// TestCumulativeWriteFaultLeavesRingOneOver: when only the cumulative
+// segment of a full-ring commit fails, the epoch is committed in the
+// append form (a *CompactionError): the ring holds retain+1 epochs, the
+// cumulative segment still covers the older prefix, a reopen recovers
+// everything, and the next full-ring commit restores the bound.
+func TestCumulativeWriteFaultLeavesRingOneOver(t *testing.T) {
+	dir := t.TempDir()
+	epochs := buildEpochs(t, 4, 120)
+	// Hits: epoch 1, epoch 2 + cum 2, epoch 3 + cum 3 (fires), epoch 4 + cum 4.
+	s := openWritableFaults(t, dir, 1, faults.MustParse(FaultSegmentWrite+":err,on=5"))
+	appendAll(t, s, epochs[:2])
+	epoch, err := s.AppendEpoch(epochs[2])
+	var comp *CompactionError
+	if epoch != 3 || !errors.As(err, &comp) {
+		t.Fatalf("append 3: epoch %d, err %v; want 3 and a *CompactionError", epoch, err)
+	}
+	if n := len(s.Retained()); n != 2 {
+		t.Fatalf("ring holds %d epochs after the failed cumulative write, want retain+1 = 2", n)
+	}
+	if s.CumulativeSegment() != nil {
+		t.Fatal("CumulativeSegment returned bytes of a segment that does not cover the last epoch")
+	}
+	sameSketchSet(t, "cumulative", s.Cumulative(), mergeAll(t, epochs[:3]))
+	s.Close()
+
+	re := openWritableFaults(t, dir, 1, nil)
+	if re.Epoch() != 3 || len(re.Retained()) != 2 || re.CumulativeSegment() != nil {
+		t.Fatalf("reopened: epoch %d, %d retained, segment %v; want 3, 2, none", re.Epoch(), len(re.Retained()), re.CumulativeSegment() != nil)
+	}
+	sameSketchSet(t, "recovered cumulative", re.Cumulative(), mergeAll(t, epochs[:3]))
+	if epoch, err := re.AppendEpoch(epochs[3]); err != nil || epoch != 4 {
+		t.Fatalf("append 4: epoch %d, err %v", epoch, err)
+	}
+	if n := len(re.Retained()); n != 1 {
+		t.Fatalf("ring holds %d epochs after the next full-ring commit, want 1", n)
+	}
+	re.Close()
+	if got := segmentFiles(t, dir); !slices.Equal(got, []string{"cum-000004.seg", "epoch-000004.seg"}) {
+		t.Fatalf("disk holds %v, want the epoch 4 and cumulative 4 segments", got)
+	}
+	last := openWritable(t, dir, 1)
+	sameSketchSet(t, "final cumulative", last.Cumulative(), mergeAll(t, epochs))
+}
+
+// TestManifestRewriteFaultLeavesEpochUnacknowledged: a fault in the
+// full-ring commit's manifest rewrite — before the rename — fails the
+// commit: the epoch is not acknowledged, the old manifest is untouched,
+// the store stays usable, and the retried commit succeeds.
+func TestManifestRewriteFaultLeavesEpochUnacknowledged(t *testing.T) {
+	for _, point := range []string{FaultManifestAppend, FaultManifestFsync} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			epochs := buildEpochs(t, 3, 120)
+			// Hit 1 is epoch 1's append, hit 2 epoch 2's rewrite.
+			s := openWritableFaults(t, dir, 1, faults.MustParse(point+":err,on=2"))
+			appendAll(t, s, epochs[:1])
+			manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.AppendEpoch(epochs[1])
+			var inj *faults.InjectedError
+			if !errors.As(err, &inj) || inj.Point != point {
+				t.Fatalf("append error %v is not the injected %s fault", err, point)
+			}
+			if s.Epoch() != 1 {
+				t.Fatalf("failed commit acknowledged: epoch %d", s.Epoch())
+			}
+			if now, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(now, manifest) {
+				t.Fatal("failed rewrite changed the manifest")
+			}
+			if epoch, err := s.AppendEpoch(epochs[1]); err != nil || epoch != 2 {
+				t.Fatalf("retry: epoch %d, err %v", epoch, err)
+			}
+			s.Close()
+			re := openWritable(t, dir, 1)
+			sameSketchSet(t, "recovered cumulative", re.Cumulative(), mergeAll(t, epochs[:2]))
+		})
+	}
 }

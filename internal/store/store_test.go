@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,8 +147,8 @@ func TestRecoveryBitIdentical(t *testing.T) {
 // TestV1StoreUpgrades: a directory the version-1 segment writer left
 // (testdata/v1store: buildEpochs(t, 4, 60) appended at retain 2 — a
 // cumulative segment through epoch 2 and epochs 3 and 4, all version 1)
-// recovers bit-identically, takes a version-2 epoch whose compaction
-// rewrites the cumulative segment as version 2, and then recovers
+// recovers bit-identically, takes a version-2 epoch whose commit writes
+// the cumulative segment of epochs 1..5 as version 2, and then recovers
 // bit-identically from both versions at once.
 func TestV1StoreUpgrades(t *testing.T) {
 	dir := t.TempDir()
@@ -183,9 +185,9 @@ func TestV1StoreUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(s, 5, 3)
-	// The last segment written is the compacted cumulative one.
+	// The last segment written is the cumulative one.
 	union, entries := map[string]bool{}, 0
-	for _, sk := range mergeAll(t, epochs[:3]) {
+	for _, sk := range mergeAll(t, epochs) {
 		entries += sk.Size()
 		for _, e := range sk.Entries() {
 			union[e.Key] = true
@@ -195,7 +197,7 @@ func TestV1StoreUpgrades(t *testing.T) {
 		t.Errorf("SegmentKeyRatio = %v, want %d keys / %d entries", got, len(union), entries)
 	}
 	s.Close()
-	for name, want := range map[string]byte{"cum-000003.seg": 2, "epoch-000004.seg": 1, "epoch-000005.seg": 2} {
+	for name, want := range map[string]byte{"cum-000005.seg": 2, "epoch-000004.seg": 1, "epoch-000005.seg": 2} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -685,5 +687,77 @@ func TestRefusesToInitializeOverSegments(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, segmentName("epoch", e))); err != nil {
 			t.Fatalf("refused open deleted segment %d: %v", e, err)
 		}
+	}
+}
+
+// segmentFiles lists the segment files in dir, sorted.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".seg") {
+			segs = append(segs, e.Name())
+		}
+	}
+	return segs
+}
+
+// TestCumulativeSegmentIsTheCommit: once the ring is full every commit
+// writes the caller's cumulative as the cumulative segment of epochs
+// 1..n, the manifest holds that one C record and the ring's E records
+// (which lie at or below it), and the bytes AppendMerged returns — and a
+// reopen hands back — are EncodeSegment of the cumulative.
+func TestCumulativeSegmentIsTheCommit(t *testing.T) {
+	dir := t.TempDir()
+	epochs := buildEpochs(t, 5, 120)
+	encode := func(sketches []*sketch.BottomK) []byte {
+		var buf bytes.Buffer
+		if _, err := sketch.EncodeSegment(&buf, metasFor(testSample, 2), sketches); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	s := openWritable(t, dir, 2)
+	for i, set := range epochs {
+		cum := mergeAll(t, epochs[:i+1])
+		epoch, seg, err := s.AppendMerged(set, cum)
+		if err != nil || epoch != i+1 {
+			t.Fatalf("append %d: epoch %d, err %v", i+1, epoch, err)
+		}
+		if full := i >= 2; full != (seg != nil) {
+			t.Fatalf("append %d returned segment bytes %v, want %v", i+1, seg != nil, full)
+		}
+		if seg != nil && !bytes.Equal(seg, encode(cum)) {
+			t.Fatalf("append %d: returned bytes are not EncodeSegment of the cumulative", i+1)
+		}
+	}
+	s.Close()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		kinds = append(kinds, strings.Join(strings.Fields(line)[:2], " "))
+	}
+	if want := []string{"C 5", "E 4", "E 5"}; !slices.Equal(kinds, want) {
+		t.Fatalf("manifest records %v, want %v", kinds, want)
+	}
+	if got := segmentFiles(t, dir); !slices.Equal(got, []string{"cum-000005.seg", "epoch-000004.seg", "epoch-000005.seg"}) {
+		t.Fatalf("disk holds %v", got)
+	}
+	r := openWritable(t, dir, 2)
+	sameSketchSet(t, "recovered cumulative", r.Cumulative(), mergeAll(t, epochs))
+	if !bytes.Equal(r.CumulativeSegment(), encode(r.Cumulative())) {
+		t.Fatal("CumulativeSegment after reopen is not EncodeSegment of the cumulative")
+	}
+	if got, err := r.Range(4, 5); err != nil {
+		t.Fatal(err)
+	} else {
+		sameSketchSet(t, "range 4..5", got, mergeAll(t, epochs[3:]))
 	}
 }
