@@ -99,6 +99,7 @@ import (
 	"time"
 
 	"coordsample"
+	"coordsample/internal/shard"
 )
 
 func main() {
@@ -151,26 +152,10 @@ func main() {
 	}
 
 	// Cluster mode: this node owns the slice of the keyspace the routing
-	// hash assigns to -self, and mounts the scatter-gather router.
-	var router *coordsample.ClusterRouter
+	// hash assigns to -self ...
 	if *peers != "" {
-		list := strings.Split(*peers, ",")
-		router, err = coordsample.NewClusterRouter(coordsample.ClusterConfig{
-			Peers:       list,
-			Self:        *self,
-			Sample:      cfg.Sample,
-			Assignments: *assignments,
-			Faults:      fset,
-			Metrics:     reg,
-			Traces:      traces,
-			Log:         logger,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cws-serve: %v\n", err)
-			os.Exit(2)
-		}
-		defer router.Close()
-		cfg.OwnsKey = router.OwnsKey
+		n := len(strings.Split(*peers, ","))
+		cfg.OwnsKey = func(key string) bool { return shard.ShardOf(key, n) == *self }
 	}
 
 	var st *coordsample.EpochStore
@@ -193,6 +178,26 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cws-serve: %v\n", err)
 		os.Exit(2)
+	}
+	// ... and mounts the scatter-gather router, which reads srv in process.
+	var router *coordsample.ClusterRouter
+	if *peers != "" {
+		router, err = coordsample.NewClusterRouter(coordsample.ClusterConfig{
+			Peers:       strings.Split(*peers, ","),
+			Self:        *self,
+			Local:       srv,
+			Sample:      cfg.Sample,
+			Assignments: *assignments,
+			Faults:      fset,
+			Metrics:     reg,
+			Traces:      traces,
+			Log:         logger,
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cws-serve: %v\n", err)
+			os.Exit(2)
+		}
+		defer router.Close()
 	}
 
 	mux := http.NewServeMux()

@@ -184,6 +184,13 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 			t.Errorf("/metrics after the warm query missing %q", want)
 		}
 	}
+	// The router reads its own node in process: peer 0 never exported a
+	// segment, while peers 1 and 2 each sent one (the warm query's were 304s).
+	for i, want := range []string{"0", "1", "1"} {
+		if body := scrapeMetrics(t, procs[i].base); !strings.Contains(body, "\ncws_segment_exports_total "+want+"\n") {
+			t.Errorf("peer %d /metrics: want cws_segment_exports_total %s", i, want)
+		}
+	}
 
 	// The trace also landed in the shared /debug/traces ring.
 	code, ring := getStatusJSON(t, procs[0].base+"/debug/traces")

@@ -427,11 +427,10 @@ func ParseFaults(spec string) (*FaultSet, error) {
 	return faults.Parse(spec)
 }
 
-// NewClusterRouter creates the scatter-gather router over cfg.Peers.
-// Mount it next to a Server (it serves the /cluster/* endpoints), wire
-// its OwnsKey into ServerConfig.OwnsKey so the node rejects misrouted
-// keys, Start it to run the background health prober, and Close it on
-// shutdown.
+// NewClusterRouter creates the scatter-gather router over cfg.Peers. A
+// router on a peer reads that node's Server in process (cfg.Local): build
+// the Server first, with an OwnsKey that rejects other peers' keys. Mount
+// the router next to it (/cluster/*), Start the health prober, and Close.
 func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) {
 	return cluster.New(cfg)
 }

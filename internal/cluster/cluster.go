@@ -27,7 +27,9 @@
 // "<boot nonce>-<lo>..<hi>" for an epoch window), the router keeps the set
 // it last decoded and fingerprint-checked from each peer, and offers the
 // tag back as If-None-Match: an unchanged peer answers 304 and costs one
-// small round trip instead of a segment. Above the kept sets the router
+// small round trip instead of a segment. Its own node the router reads in
+// process (Config.Local): the same validator, and the node's own sketches
+// rather than a segment. Above the kept sets the router
 // memoizes the cluster state — the gathered sets, merged per assignment on
 // first use, their dispersed summary, the AW-summary memo (core.Merged, the
 // type a node's window state is) — under every peer's validator in peer
@@ -41,13 +43,16 @@
 //
 // # Failure handling
 //
-// Every peer fetch runs under a per-peer deadline with bounded retries,
-// exponential backoff with deterministic seeded jitter, and a hedged
-// second request for the slowest straggler. Peer health is tracked as
-// up/degraded/down: consecutive failures (from queries or the background
-// readiness prober) demote a peer, DownAfter of them mark it down, and a
-// down peer is skipped by queries — only the prober talks to it, and a
-// successful probe re-admits it through a degraded probation state.
+// A peer's 4xx (a window past its retention, say) is the request's fault:
+// the query answers with it, unretried, and the peer's health is unchanged.
+// Any other failure is retried: every peer fetch runs under a per-peer
+// deadline with bounded retries, exponential backoff with deterministic
+// seeded jitter, and a hedged second request for the slowest straggler.
+// Peer health is tracked as up/degraded/down: consecutive failures (from
+// queries or the background readiness prober) demote a peer, DownAfter of
+// them mark it down, and a down peer is skipped by queries — only the
+// prober talks to it, and a successful probe re-admits it through a
+// degraded probation state.
 //
 // # Graceful degradation
 //
@@ -144,6 +149,8 @@ type Config struct {
 	// Self is this node's index in Peers (-1 for a standalone router
 	// that is not itself a peer).
 	Self int
+	// Local is this node, read in process; required when Self ≥ 0.
+	Local Local
 	// Sample and Assignments mirror the peers' serving configuration;
 	// fetched sketches are fingerprint-verified against it.
 	Sample      core.Config
@@ -188,6 +195,14 @@ type Config struct {
 	Log *slog.Logger
 }
 
+// Local is the router's own node read in process (*server.Server): what GET
+// /sketches?epochs= would answer — the ETag, the snapshot epoch and, unless
+// the ETag equals ifNoneMatch, the node's own sketches. A refused window's
+// error has an HTTPStatus() int method.
+type Local interface {
+	LocalSketches(epochs, ifNoneMatch string) (etag string, epoch int, sketches []*sketch.BottomK, err error)
+}
+
 // withDefaults fills the zero values.
 func (c Config) withDefaults() Config {
 	if c.PeerTimeout <= 0 {
@@ -220,7 +235,8 @@ func (c Config) withDefaults() Config {
 // metrics. The counters are typed atomics so the scatter goroutines, the
 // prober, and metric scrapes never contend on the health mutex.
 type peer struct {
-	addr string
+	addr  string
+	local Local // non-nil for Self: read in process
 
 	mu    sync.Mutex
 	state PeerState
@@ -423,6 +439,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Assignments < 1 {
 		return nil, fmt.Errorf("cluster: need at least one assignment, got %d", cfg.Assignments)
 	}
+	if cfg.Self >= 0 && cfg.Local == nil {
+		return nil, fmt.Errorf("cluster: self index %d needs Local, its node read in process", cfg.Self)
+	}
 	cfg = cfg.withDefaults()
 	r := &Router{
 		cfg:    cfg,
@@ -448,15 +467,18 @@ func New(cfg Config) (*Router, error) {
 		reg.CounterL("cws_merged_assignments_total", "Assignments merged on first use by a window or cluster state.", obs.Label("site", "cluster"), r.mergedAssignments.Load)
 		reg.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "cluster"), r.mergeConflicts.Load)
 	}
-	for _, addr := range cfg.Peers {
+	for i, addr := range cfg.Peers {
 		p := &peer{addr: addr, rpc: &obs.Histogram{}}
+		if i == cfg.Self {
+			p.local = cfg.Local
+		}
 		r.peers = append(r.peers, p)
 		if reg := cfg.Metrics; reg != nil {
 			p := p
 			l := obs.Label("peer", p.addr)
 			reg.RegisterHistogram("cws_peer_rpc_seconds",
 				"Peer sketch-fetch RPC latency, per attempt (hedges included).", l, p.rpc)
-			const fetchHelp = "Successful peer sketch fetches: full (segment transferred, decoded, verified) or not_modified (304 validated the kept set)."
+			const fetchHelp = "Successful peer sketch fetches: full (segment transferred, decoded, verified; for the router's own node, read in process) or not_modified (the validator matched the kept set)."
 			reg.CounterL("cws_peer_fetch_total", fetchHelp, l+","+obs.Label("result", "full"), p.fetchedFull.Load)
 			reg.CounterL("cws_peer_fetch_total", fetchHelp, l+","+obs.Label("result", "not_modified"), p.fetched304.Load)
 			reg.CounterL("cws_peer_rpc_attempts_total", "Peer fetch attempts (retry-loop iterations).", l, p.attempts.Load)
@@ -486,8 +508,8 @@ func New(cfg Config) (*Router, error) {
 }
 
 // OwnsKey reports whether this node owns key under the cluster partition —
-// the guard wired into server.Config.OwnsKey. A standalone router
-// (Self < 0) owns nothing.
+// the test server.Config.OwnsKey must make. A standalone router (Self < 0)
+// owns nothing.
 func (r *Router) OwnsKey(key string) bool {
 	return r.cfg.Self >= 0 && shard.ShardOf(key, len(r.cfg.Peers)) == r.cfg.Self
 }
@@ -585,14 +607,25 @@ type fetchResult struct {
 	notModified bool // the peer answered 304: peerSet is the kept one
 }
 
-// fetchOnce performs one /sketches fetch attempt against a peer. It offers
-// the validator of the set kept for this epochs string, if any; a 304 then
-// returns that kept set — only ever to the request that earned it, so a
-// peer that cannot be reached is never answered for from memory. A 200 is
-// fully validated (CRC, per-sketch revalidation, assignment order,
-// fingerprints) before it is trusted or kept — a torn or corrupted response
-// is a typed error here, never a short sketch set, and leaves the kept set
-// as it was.
+// requestError is a peer's 4xx: the request's fault, and the query's answer
+// — never retried or hedged, and no failure of the peer's.
+type requestError struct {
+	addr, msg string
+	code      int
+}
+
+func (e *requestError) Error() string {
+	return fmt.Sprintf("cluster: %s returned status %d: %s", e.addr, e.code, e.msg)
+}
+
+// fetchOnce performs one /sketches fetch attempt against a peer, or reads
+// the router's own node (readLocal). It offers the validator of the set
+// kept for this epochs string, if any; a 304 then returns that kept set —
+// only ever to the request that earned it, so a peer that cannot be reached
+// is never answered for from memory. A 200 is fully validated (CRC,
+// per-sketch revalidation, assignment order, fingerprints) before it is
+// trusted or kept — a torn or corrupted response is a typed error here,
+// never a short sketch set, and leaves the kept set as it was.
 func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchResult, error) {
 	addr := p.addr
 	if out := r.cfg.Faults.Act(FaultFetch); out.Err != nil || out.Drop {
@@ -600,6 +633,10 @@ func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchR
 			return nil, fmt.Errorf("cluster: fetching %s: %w", addr, out.Err)
 		}
 		return nil, fmt.Errorf("cluster: fetching %s: %w", addr, io.ErrUnexpectedEOF)
+	}
+	held, _ := p.sets.get(epochs)
+	if p.local != nil {
+		return readLocal(p, epochs, held)
 	}
 	u := "http://" + addr + "/sketches"
 	if epochs != "" {
@@ -609,7 +646,6 @@ func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchR
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	held, _ := p.sets.get(epochs)
 	if held != nil {
 		req.Header.Set("If-None-Match", held.etag)
 	}
@@ -628,6 +664,13 @@ func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchR
 		return nil, fmt.Errorf("cluster: reading %s: %w", addr, err)
 	}
 	body := buf.Bytes()
+	if resp.StatusCode/100 == 4 {
+		var refusal struct{ Error string }
+		if json.Unmarshal(body, &refusal) != nil {
+			refusal.Error = firstLine(body)
+		}
+		return nil, &requestError{addr, refusal.Error, resp.StatusCode}
+	}
 	notModified := resp.StatusCode == http.StatusNotModified && held != nil
 	if resp.StatusCode != http.StatusOK && !notModified {
 		return nil, fmt.Errorf("cluster: %s returned status %d: %s", addr, resp.StatusCode, firstLine(body))
@@ -660,6 +703,27 @@ func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchR
 			return nil, fmt.Errorf("cluster: %s sketch %d fingerprint %016x does not match the cluster configuration (%016x) — merging would corrupt every estimate", addr, b, d.BottomK.Fingerprint(), want)
 		}
 		sketches[b] = d.BottomK
+	}
+	set := &peerSet{etag: etag, sketches: sketches}
+	p.sets.put(epochs, set)
+	return &fetchResult{peerSet: set, epoch: epoch}, nil
+}
+
+// readLocal is fetchOnce for the router's own node, read in process: no
+// request, and no segment encoded or decoded.
+func readLocal(p *peer, epochs string, held *peerSet) (*fetchResult, error) {
+	tag := ""
+	if held != nil {
+		tag = held.etag
+	}
+	etag, epoch, sketches, err := p.local.LocalSketches(epochs, tag)
+	if st, ok := err.(interface{ HTTPStatus() int }); ok && st.HTTPStatus()/100 == 4 {
+		return nil, &requestError{p.addr, err.Error(), st.HTTPStatus()}
+	} else if err != nil {
+		return nil, fmt.Errorf("cluster: reading %s: %w", p.addr, err)
+	}
+	if sketches == nil {
+		return &fetchResult{peerSet: held, epoch: epoch, notModified: true}, nil
 	}
 	set := &peerSet{etag: etag, sketches: sketches}
 	p.sets.put(epochs, set)
@@ -747,7 +811,7 @@ func (r *Router) fetchHedged(ctx context.Context, tr *obs.Trace, p *peer, epochs
 // fetch gathers one peer's sketches under the full failure policy:
 // per-attempt deadline, bounded retries with exponential backoff and
 // jitter, hedging within each attempt. Success and exhaustion both feed
-// the peer's health state.
+// the peer's health state; a refused request (requestError) does neither.
 func (r *Router) fetch(ctx context.Context, tr *obs.Trace, p *peer, epochs string) (*fetchResult, error) {
 	var lastErr error
 	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
@@ -774,6 +838,9 @@ func (r *Router) fetch(ctx context.Context, tr *obs.Trace, p *peer, epochs strin
 			r.peerOK(p, fr.epoch)
 			return fr, nil
 		}
+		if _, refused := err.(*requestError); refused {
+			return nil, err
+		}
 		lastErr = err
 	}
 	r.peerFail(p)
@@ -789,11 +856,12 @@ type peerReport struct {
 }
 
 // scatter fetches from every non-down peer concurrently. It returns the
-// reached peers' results (indexed like cfg.Peers, nil where unreached) and
-// the per-peer reports.
-func (r *Router) scatter(ctx context.Context, tr *obs.Trace, epochs string) ([]*fetchResult, []peerReport) {
+// reached peers' results (indexed like cfg.Peers, nil where unreached), the
+// per-peer reports, and the first peer's refusal of the request, if any.
+func (r *Router) scatter(ctx context.Context, tr *obs.Trace, epochs string) ([]*fetchResult, []peerReport, *requestError) {
 	results := make([]*fetchResult, len(r.peers))
 	reports := make([]peerReport, len(r.peers))
+	errs := make([]error, len(r.peers))
 	var wg sync.WaitGroup
 	for i, p := range r.peers {
 		state, _, epoch := p.status()
@@ -809,7 +877,7 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, epochs string) ([]*
 			state, _, epoch := p.status()
 			reports[i].State, reports[i].Epoch = state.String(), epoch
 			if err != nil {
-				reports[i].Error = err.Error()
+				reports[i].Error, errs[i] = err.Error(), err
 				return
 			}
 			results[i] = fr
@@ -817,7 +885,12 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, epochs string) ([]*
 		}(i, p)
 	}
 	wg.Wait()
-	return results, reports
+	for _, err := range errs {
+		if refused, ok := err.(*requestError); ok {
+			return results, reports, refused
+		}
+	}
+	return results, reports, nil
 }
 
 // stateKey names the merged cluster state a gather describes: every peer's
@@ -872,8 +945,12 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	tr.Op = "cluster-query agg=" + p.Agg + " est=" + p.Est.Name()
 	sp = tr.Start("scatter")
-	results, reports := r.scatter(req.Context(), tr, p.Epochs)
+	results, reports, refused := r.scatter(req.Context(), tr, p.Epochs)
 	sp.End()
+	if refused != nil {
+		writeJSON(w, refused.code, map[string]any{"error": refused.msg, "peers": reports})
+		return
+	}
 	var sets [][]*sketch.BottomK // the reached peers' sketch sets
 	for _, fr := range results {
 		if fr != nil {

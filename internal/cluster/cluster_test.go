@@ -17,6 +17,7 @@ import (
 	"coordsample/internal/rank"
 	"coordsample/internal/server"
 	"coordsample/internal/shard"
+	"coordsample/internal/sketch"
 )
 
 var testSample = core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 11, K: 32}
@@ -67,6 +68,12 @@ func (p *peerProc) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.srv.Load().ServeHTTP(w, r)
 }
 
+// LocalSketches is the process read in process, by a router co-located on
+// it (Config.Local).
+func (p *peerProc) LocalSketches(epochs, ifNoneMatch string) (string, int, []*sketch.BottomK, error) {
+	return p.srv.Load().LocalSketches(epochs, ifNoneMatch)
+}
+
 // newPeer starts a fresh, memory-only server process for peer i of k.
 func newPeer(t *testing.T, i, k int, fs *faults.Set) *server.Server {
 	t.Helper()
@@ -85,10 +92,17 @@ func newPeer(t *testing.T, i, k int, fs *faults.Set) *server.Server {
 	return s
 }
 
-// newTestCluster builds a k-peer cluster. cfg tweaks the router's failure
-// policy (Peers/Self/Sample/Assignments are filled in); peerFaults[i]
-// injects serving-side faults into peer i.
+// newTestCluster builds a k-peer cluster behind a standalone router. cfg
+// tweaks the router's failure policy (Peers/Self/Local/Sample/Assignments
+// are filled in); peerFaults[i] injects serving-side faults into peer i.
 func newTestCluster(t *testing.T, k int, cfg Config, peerFaults map[int]*faults.Set) *testCluster {
+	t.Helper()
+	return newTestClusterOn(t, k, -1, cfg, peerFaults)
+}
+
+// newTestClusterOn is newTestCluster with the router on peer self (-1:
+// standalone), which it then reads in process.
+func newTestClusterOn(t *testing.T, k, self int, cfg Config, peerFaults map[int]*faults.Set) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < k; i++ {
@@ -103,7 +117,10 @@ func newTestCluster(t *testing.T, k int, cfg Config, peerFaults map[int]*faults.
 		tc.addrs = append(tc.addrs, strings.TrimPrefix(ts.URL, "http://"))
 	}
 	cfg.Peers = tc.addrs
-	cfg.Self = -1
+	cfg.Self = self
+	if self >= 0 {
+		cfg.Local = tc.procs[self]
+	}
 	cfg.Sample = testSample
 	cfg.Assignments = testAssignments
 	if cfg.PeerTimeout == 0 {
@@ -202,15 +219,24 @@ func (tc *testCluster) clusterFreeze(t *testing.T) (int, map[string]any) {
 // given parameter strings.
 func referenceEstimates(t *testing.T, offers []server.Offer, params []string) map[string]float64 {
 	t.Helper()
-	s, err := server.New(server.Config{Sample: testSample, Assignments: testAssignments, Lanes: 1})
+	return referenceEpochs(t, [][]server.Offer{offers}, params)
+}
+
+// referenceEstimates with the offers frozen as one epoch per element
+// (retaining the last two, as the test peers do).
+func referenceEpochs(t *testing.T, epochs [][]server.Offer, params []string) map[string]float64 {
+	t.Helper()
+	s, err := server.New(server.Config{Sample: testSample, Assignments: testAssignments, Lanes: 1, Retain: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	postJSON(t, ts.URL+"/offer", map[string]any{"offers": offers})
-	postJSON(t, ts.URL+"/freeze", nil)
+	for _, offers := range epochs {
+		postJSON(t, ts.URL+"/offer", map[string]any{"offers": offers})
+		postJSON(t, ts.URL+"/freeze", nil)
+	}
 	out := make(map[string]float64, len(params))
 	for _, p := range params {
 		code, body := getJSON(t, ts.URL+"/query?"+p)
@@ -239,33 +265,55 @@ var queryParams = []string{
 // Keys partitioned across 3 peers by the routing hash form disjoint key
 // sets, so the router's merged answer is bit-identical to one node
 // ingesting the whole stream — for every aggregate, predicate, and
-// estimator in the query vocabulary.
+// estimator in the query vocabulary, and over an epoch window. It holds
+// for a standalone router and for one co-located on peer 0, which reads
+// that peer in process: peer 0 then exports no segment at all.
 func TestClusterQueryExactMatchesSingleNode(t *testing.T) {
-	offers := testOffers(400, 7)
-	tc := newTestCluster(t, 3, Config{}, nil)
-	tc.ingest(t, offers)
+	for _, self := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("self=%d", self), func(t *testing.T) {
+			offers := testOffers(400, 7)
+			tc := newTestClusterOn(t, 3, self, Config{}, nil)
+			tc.ingest(t, offers)
 
-	code, fz := tc.clusterFreeze(t)
-	if code != http.StatusOK || fz["published"] != true {
-		t.Fatalf("cluster freeze: status %d, body %v", code, fz)
-	}
-	epochs := fz["epochs"].(map[string]any)
-	if len(epochs) != 3 {
-		t.Fatalf("freeze published %d peer epochs, want 3: %v", len(epochs), epochs)
-	}
-	for addr, e := range epochs {
-		if e.(float64) != 1 {
-			t.Fatalf("peer %s froze epoch %v, want 1", addr, e)
-		}
-	}
+			code, fz := tc.clusterFreeze(t)
+			if code != http.StatusOK || fz["published"] != true {
+				t.Fatalf("cluster freeze: status %d, body %v", code, fz)
+			}
+			epochs := fz["epochs"].(map[string]any)
+			if len(epochs) != 3 {
+				t.Fatalf("freeze published %d peer epochs, want 3: %v", len(epochs), epochs)
+			}
+			for addr, e := range epochs {
+				if e.(float64) != 1 {
+					t.Fatalf("peer %s froze epoch %v, want 1", addr, e)
+				}
+			}
+			tc.assertExact(t, queryParams, referenceEstimates(t, offers, queryParams))
 
-	want := referenceEstimates(t, offers, queryParams)
-	for _, p := range queryParams {
+			// A second epoch, then its window and the whole history.
+			later := moreOffers(150, "later")
+			tc.ingest(t, later)
+			tc.clusterFreeze(t)
+			windowed := []string{"agg=L1&epochs=2..2", "agg=sum&b=0&epochs=1..2", "agg=jaccard&epochs=2..2"}
+			tc.assertExact(t, windowed, referenceEpochs(t, [][]server.Offer{offers, later}, windowed))
+
+			if n := tc.exports(t, 0); self == 0 && n != 0 {
+				t.Errorf("peer 0 exported %d segments to the router on its own process, want 0", n)
+			}
+		})
+	}
+}
+
+// assertExact runs each query through the router and wants the reference's
+// answer to the last bit, at full strength.
+func (tc *testCluster) assertExact(t *testing.T, params []string, want map[string]float64) {
+	t.Helper()
+	for _, p := range params {
 		code, body := getJSON(t, tc.routerTS.URL+"/cluster/query?"+p)
 		if code != http.StatusOK {
 			t.Fatalf("cluster query %q: status %d: %v", p, code, body)
 		}
-		if got := body["estimate"].(float64); got != want[p] {
+		if got := body["estimate"].(float64); math.Float64bits(got) != math.Float64bits(want[p]) {
 			t.Errorf("query %q: cluster %v != single-node %v (exactness broken)", p, got, want[p])
 		}
 		if body["degraded"] != false {
@@ -277,6 +325,42 @@ func TestClusterQueryExactMatchesSingleNode(t *testing.T) {
 		if body["reached"].(float64) != 3 {
 			t.Errorf("query %q reached %v peers, want 3", p, body["reached"])
 		}
+	}
+}
+
+// TestBadWindowIsNotAPeerFailure: a window no peer can serve (past the
+// current epoch) is the request's fault. Each such query is answered with
+// the peers' 400 and message — no retry, and no peer's health changes — so
+// any number of them leave the cluster serving valid queries at full
+// strength (they used to mark every peer down after DownAfter of them). The
+// router's own node, read in process, refuses exactly as the others do.
+func TestBadWindowIsNotAPeerFailure(t *testing.T) {
+	for _, self := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("self=%d", self), func(t *testing.T) {
+			tc := newTestClusterOn(t, 3, self, Config{}, nil)
+			offers := testOffers(200, 14)
+			tc.ingest(t, offers)
+			tc.clusterFreeze(t)
+			const bad = "agg=sum&b=0&epochs=1..9"
+			for i := 0; i < 3*tc.router.cfg.DownAfter; i++ {
+				code, body := getJSON(t, tc.routerTS.URL+"/cluster/query?"+bad)
+				if msg, _ := body["error"].(string); code != http.StatusBadRequest || msg != "epoch range 1..9 exceeds the current epoch 1" {
+					t.Fatalf("bad window %d: status %d, body %v; want the peers' 400 and message", i, code, body)
+				}
+			}
+			for addr, st := range tc.router.PeerStates() {
+				if st != Up {
+					t.Errorf("peer %s is %v after refused windows, want up", addr, st)
+				}
+			}
+			for i, p := range tc.router.peers {
+				if n := p.retries.Load(); n != 0 {
+					t.Errorf("peer %d: %d retries of a refused request, want 0", i, n)
+				}
+			}
+			want := referenceEstimates(t, offers, []string{"agg=sum&b=0"})
+			tc.assertExact(t, []string{"agg=sum&b=0"}, want)
+		})
 	}
 }
 
@@ -559,7 +643,7 @@ func TestClusterHealthEndpoint(t *testing.T) {
 // router's routing view agree on every key.
 func TestOwnsKeyMatchesOwner(t *testing.T) {
 	addrs := []string{"a:1", "b:2", "c:3"}
-	r, err := New(Config{Peers: addrs, Self: 1, Sample: testSample, Assignments: testAssignments})
+	r, err := New(Config{Peers: addrs, Self: 1, Local: newPeer(t, 1, 3, nil), Sample: testSample, Assignments: testAssignments})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,16 +662,26 @@ func TestOwnsKeyMatchesOwner(t *testing.T) {
 
 // TestConfigValidation: New rejects nonsense configurations.
 func TestConfigValidation(t *testing.T) {
+	local := newPeer(t, 0, 1, nil)
 	if _, err := New(Config{Sample: testSample, Assignments: 1}); err == nil {
 		t.Error("no peers accepted")
 	}
-	if _, err := New(Config{Peers: []string{"a:1"}, Self: 3, Sample: testSample, Assignments: 1}); err == nil {
+	if _, err := New(Config{Peers: []string{"a:1"}, Self: 3, Local: local, Sample: testSample, Assignments: 1}); err == nil {
 		t.Error("out-of-range self accepted")
 	}
-	if _, err := New(Config{Peers: []string{"a:1"}, Self: 0, Sample: core.Config{}, Assignments: 1}); err == nil {
+	if _, err := New(Config{Peers: []string{"a:1"}, Self: 0, Local: local, Sample: core.Config{}, Assignments: 1}); err == nil {
 		t.Error("invalid sample config accepted")
 	}
-	if _, err := New(Config{Peers: []string{"a:1"}, Self: 0, Sample: testSample, Assignments: 0}); err == nil {
+	if _, err := New(Config{Peers: []string{"a:1"}, Self: 0, Local: local, Sample: testSample, Assignments: 0}); err == nil {
 		t.Error("zero assignments accepted")
 	}
+	// A router on a peer reads that peer in process, never over HTTP.
+	if _, err := New(Config{Peers: []string{"a:1"}, Self: 0, Sample: testSample, Assignments: 1}); err == nil || !strings.Contains(err.Error(), "Local") {
+		t.Errorf("self without Local: err %v, want it refused", err)
+	}
+	r, err := New(Config{Peers: []string{"a:1"}, Self: 0, Local: local, Sample: testSample, Assignments: 1})
+	if err != nil {
+		t.Fatalf("a valid co-located router refused: %v", err)
+	}
+	r.Close()
 }

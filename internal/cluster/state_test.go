@@ -537,7 +537,8 @@ func TestRejectedRefetchKeepsValidatedSet(t *testing.T) {
 
 // TestWindowOutOfRetentionIsNotServed: once a window leaves the peers'
 // retention rings the set kept for it stops validating — the peers answer
-// 400, not 304 — and the router has nothing to answer from.
+// 400, not 304 — and the router answers that 400 with the peers' message
+// instead of anything kept, leaving every peer up.
 func TestWindowOutOfRetentionIsNotServed(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{Retries: -1, DownAfter: 1 << 20}, nil)
 	tc.ingest(t, testOffers(300, 26))
@@ -550,12 +551,15 @@ func TestWindowOutOfRetentionIsNotServed(t *testing.T) {
 		tc.clusterFreeze(t)
 	}
 	code, body := tc.query(t, params)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("window out of retention: status %d, body %v; want 503 (every peer refused)", code, body)
+	if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "no longer retained") {
+		t.Fatalf("window out of retention: status %d, body %v; want the peers' 400", code, body)
 	}
 	for _, pr := range body["peers"].([]any) {
 		if msg, _ := pr.(map[string]any)["error"].(string); !strings.Contains(msg, "status 400") || !strings.Contains(msg, "no longer retained") {
 			t.Errorf("peer report %v does not carry the peer's 400", pr)
+		}
+		if st := pr.(map[string]any)["state"]; st != "up" {
+			t.Errorf("peer report %v: a refused window changed the peer's health", pr)
 		}
 	}
 }
@@ -563,82 +567,87 @@ func TestWindowOutOfRetentionIsNotServed(t *testing.T) {
 // TestConcurrentQueriesAcrossFreeze: queries racing a cluster freeze each
 // see every peer at one of its two epochs, so every answer is the oracle's
 // over one of the 2³ combinations — and the race detector sees the kept
-// sets and states shared between them.
+// sets and states shared between them, and, with the router on peer 0,
+// that peer's snapshots read in process while it freezes.
 func TestConcurrentQueriesAcrossFreeze(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{}, nil)
-	tc.ingest(t, testOffers(300, 27))
-	tc.clusterFreeze(t)
-	const params = "agg=L1"
-	sets := [2][][]*sketch.BottomK{}
-	gather := func(e int) {
-		for i := range tc.addrs {
-			sets[e] = append(sets[e], tc.fetchSet(t, i, ""))
-		}
-	}
-	gather(0)
-
-	const workers, after = 4, 5
-	var frozen atomic.Bool
-	started := make(chan struct{}, workers)
-	answers := make([][]answer, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for n, post := 0, 0; post < after; n++ {
-				if frozen.Load() {
-					post++
+	for _, self := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("self=%d", self), func(t *testing.T) {
+			tc := newTestClusterOn(t, 3, self, Config{}, nil)
+			tc.ingest(t, testOffers(300, 27))
+			tc.clusterFreeze(t)
+			const params = "agg=L1"
+			sets := [2][][]*sketch.BottomK{}
+			gather := func(e int) {
+				for i := range tc.addrs {
+					sets[e] = append(sets[e], tc.fetchSet(t, i, ""))
 				}
-				resp, err := http.Get(tc.routerTS.URL + "/cluster/query?" + params)
+			}
+			gather(0)
+
+			const workers, after = 4, 5
+			var frozen atomic.Bool
+			started := make(chan struct{}, workers)
+			answers := make([][]answer, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for n, post := 0, 0; post < after; n++ {
+						if frozen.Load() {
+							post++
+						}
+						resp, err := http.Get(tc.routerTS.URL + "/cluster/query?" + params)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						var body map[string]any
+						err = json.NewDecoder(resp.Body).Decode(&body)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != http.StatusOK || body["degraded"] != false {
+							t.Errorf("worker %d query %d: status %d, err %v, body %v", w, n, resp.StatusCode, err, body)
+							return
+						}
+						answers[w] = append(answers[w], bodyAnswer(body))
+						if n == 0 {
+							started <- struct{}{}
+						}
+					}
+				}(w)
+			}
+			for w := 0; w < workers; w++ {
+				<-started
+			}
+			tc.ingest(t, moreOffers(200, "later"))
+			tc.clusterFreeze(t)
+			frozen.Store(true)
+			wg.Wait()
+			gather(1)
+
+			var valid []answer
+			for combo := 0; combo < 8; combo++ {
+				a, err := answerOver(t, params, sets[combo&1][0], sets[combo>>1&1][1], sets[combo>>2&1][2])
 				if err != nil {
-					t.Error(err)
-					return
+					t.Fatal(err)
 				}
-				var body map[string]any
-				err = json.NewDecoder(resp.Body).Decode(&body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK || body["degraded"] != false {
-					t.Errorf("worker %d query %d: status %d, err %v, body %v", w, n, resp.StatusCode, err, body)
-					return
-				}
-				answers[w] = append(answers[w], bodyAnswer(body))
-				if n == 0 {
-					started <- struct{}{}
+				valid = append(valid, a)
+			}
+			for w, as := range answers {
+				for n, a := range as {
+					ok := false
+					for _, v := range valid {
+						ok = ok || a.equal(v)
+					}
+					if !ok {
+						t.Errorf("worker %d query %d answered %v: no combination of the peers' epochs gives that", w, n, a)
+					}
 				}
 			}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-started
-	}
-	tc.ingest(t, moreOffers(200, "later"))
-	tc.clusterFreeze(t)
-	frozen.Store(true)
-	wg.Wait()
-	gather(1)
-
-	var valid []answer
-	for combo := 0; combo < 8; combo++ {
-		a, err := answerOver(t, params, sets[combo&1][0], sets[combo>>1&1][1], sets[combo>>2&1][2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		valid = append(valid, a)
-	}
-	for w, as := range answers {
-		for n, a := range as {
-			ok := false
-			for _, v := range valid {
-				ok = ok || a.equal(v)
+			if last, final := answers[0][len(answers[0])-1], valid[7]; !last.equal(final) {
+				t.Errorf("a query begun after the freeze returned answered %v, the new state's oracle %v", last, final)
 			}
-			if !ok {
-				t.Errorf("worker %d query %d answered %v: no combination of the peers' epochs gives that", w, n, a)
-			}
-		}
-	}
-	if last, final := answers[0][len(answers[0])-1], valid[7]; !last.equal(final) {
-		t.Errorf("a query begun after the freeze returned answered %v, the new state's oracle %v", last, final)
+		})
 	}
 }
 

@@ -286,6 +286,17 @@ type snapshot struct {
 	ranges  map[string]*core.Merged // by "lo..hi": the epoch windows' states, see Server.window
 }
 
+// WindowError is an epoch window a snapshot cannot serve, with the status
+// /query and /sketches answer it with: 400 for a malformed window, one
+// outside retention or past the current epoch; 409 when two of its epochs
+// hold one key.
+type WindowError struct {
+	Code int
+	error
+}
+
+func (e *WindowError) HTTPStatus() int { return e.Code }
+
 // window serves one request's ?epochs=lo..hi: the (memoized) serving state
 // of the window with the assignments bs — the ones the request reads —
 // merged. The window's epochs hold disjoint key sets under the
@@ -293,16 +304,14 @@ type snapshot struct {
 // exact sketch of the window (the merge lemma that makes sharded ingestion
 // exact, applied to time); a state is made unmerged, under the lock, and
 // merges an assignment for the first request reading it — the range-merge
-// span, there when this request merged any. A refusal is written to w and
-// nil returned: 400 for a window the snapshot cannot serve; 409 when two of
-// its epochs hold one key, which the freezes' cumulative merges cannot see
-// once the tighter cumulative threshold has pruned a copy. Nothing is kept
-// of the refused assignment; the others, and every other window, keep
-// answering.
-func (s *Server) window(w http.ResponseWriter, snap *snapshot, tr *obs.Trace, lo, hi int, bs []int) *core.Merged {
+// span, there when this request merged any. A refusal is a *WindowError: 400
+// for a window the snapshot cannot serve; 409 when two of its epochs hold
+// one key, which the freezes' cumulative merges cannot see once the tighter
+// cumulative threshold has pruned a copy. Nothing is kept of the refused
+// assignment; the others, and every other window, keep answering.
+func (s *Server) window(snap *snapshot, tr *obs.Trace, lo, hi int, bs []int) (*core.Merged, *WindowError) {
 	if err := snap.checkRange(lo, hi); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil
+		return nil, &WindowError{http.StatusBadRequest, err}
 	}
 	key := fmt.Sprintf("%d..%d", lo, hi)
 	snap.rangeMu.Lock()
@@ -327,10 +336,9 @@ func (s *Server) window(w http.ResponseWriter, snap *snapshot, tr *obs.Trace, lo
 	if err != nil {
 		s.mergeConflicts.Add(1)
 		s.log.Warn("window merge refused: contract violation", "lo", lo, "hi", hi, "err", err)
-		writeError(w, http.StatusConflict, "epochs %d..%d: %v (each key may be offered at most once per assignment across the server's lifetime)", lo, hi, err)
-		return nil
+		return nil, &WindowError{http.StatusConflict, fmt.Errorf("epochs %d..%d: %v (each key may be offered at most once per assignment across the server's lifetime)", lo, hi, err)}
 	}
-	return rs
+	return rs, nil
 }
 
 // checkRange validates an epoch window against what this snapshot retains.
@@ -1258,8 +1266,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
 			return
 		}
-		rs := s.window(w, snap, tr, lo, hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments))
-		if rs == nil {
+		rs, werr := s.window(snap, tr, lo, hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments))
+		if werr != nil {
+			writeError(w, werr.Code, "%v", werr)
 			return
 		}
 		summary, via = rs.Summary(), rs.SummaryFor
@@ -1343,24 +1352,15 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.snap.Load()
-	etag := fmt.Sprintf(`"%s-%d"`, s.nonce, snap.epoch)
 	eq := r.URL.Query().Get("epochs")
-	var lo, hi int
-	if eq != "" {
-		var err error
-		if lo, hi, err = cliquery.ParseEpochRange(eq); err != nil {
-			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
-			return
-		}
-		if err := snap.checkRange(lo, hi); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		etag = fmt.Sprintf(`"%s-%d..%d"`, s.nonce, lo, hi)
+	etag, sketches, werr := s.sketchSet(snap, eq, r.Header.Get("If-None-Match"))
+	if werr != nil {
+		writeError(w, werr.Code, "%v", werr)
+		return
 	}
-	if r.Header.Get("If-None-Match") == etag {
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-CWS-Epoch", strconv.Itoa(snap.epoch))
+	w.Header().Set("ETag", etag)
+	w.Header().Set("X-CWS-Epoch", strconv.Itoa(snap.epoch))
+	if sketches == nil {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -1373,15 +1373,7 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 		})
 		data = snap.segment
 	} else {
-		rs := s.window(w, snap, nil, lo, hi, nil)
-		if rs == nil {
-			return
-		}
-		exported := make([]*sketch.BottomK, s.cfg.Assignments)
-		for b := range exported {
-			exported[b] = rs.Sketch(b)
-		}
-		data = s.encodeExport(exported)
+		data = s.encodeExport(sketches)
 	}
 	if out.Torn {
 		// A torn response with a self-consistent Content-Length: the bytes
@@ -1391,10 +1383,52 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Header().Set("ETag", etag)
-	w.Header().Set("X-CWS-Epoch", strconv.Itoa(snap.epoch))
 	_, _ = w.Write(data)
 	s.segmentExports.Add(1)
+}
+
+// sketchSet resolves a /sketches request against snap: the validator and,
+// unless it equals ifNoneMatch, the cumulative sketches or the window's,
+// merged in full. A window is refused (*WindowError) before the 304.
+func (s *Server) sketchSet(snap *snapshot, epochs, ifNoneMatch string) (string, []*sketch.BottomK, *WindowError) {
+	if epochs == "" {
+		etag := fmt.Sprintf(`"%s-%d"`, s.nonce, snap.epoch)
+		if etag == ifNoneMatch {
+			return etag, nil, nil
+		}
+		return etag, snap.sketches, nil
+	}
+	lo, hi, err := cliquery.ParseEpochRange(epochs)
+	if err != nil {
+		return "", nil, &WindowError{http.StatusBadRequest, fmt.Errorf("bad epochs parameter: %v", err)}
+	}
+	if err := snap.checkRange(lo, hi); err != nil {
+		return "", nil, &WindowError{http.StatusBadRequest, err}
+	}
+	etag := fmt.Sprintf(`"%s-%d..%d"`, s.nonce, lo, hi)
+	if etag == ifNoneMatch {
+		return etag, nil, nil
+	}
+	rs, werr := s.window(snap, nil, lo, hi, nil)
+	if werr != nil {
+		return "", nil, werr
+	}
+	sketches := make([]*sketch.BottomK, s.cfg.Assignments)
+	for b := range sketches {
+		sketches[b] = rs.Sketch(b)
+	}
+	return etag, sketches, nil
+}
+
+// LocalSketches is GET /sketches?epochs= in process, for a cluster router on
+// this node (cluster.Local): the sketches themselves instead of a segment.
+func (s *Server) LocalSketches(epochs, ifNoneMatch string) (etag string, epoch int, sketches []*sketch.BottomK, err error) {
+	snap := s.snap.Load()
+	etag, sketches, werr := s.sketchSet(snap, epochs, ifNoneMatch)
+	if werr != nil { // never return a nil *WindowError as a non-nil error
+		return "", snap.epoch, nil, werr
+	}
+	return etag, snap.epoch, sketches, nil
 }
 
 // encodeExport encodes a /sketches segment and counts the encode; the
