@@ -432,6 +432,48 @@ func TestStoreQueries(t *testing.T) {
 	}
 }
 
+// TestStoreWindowWithDuplicateKeyFails: a store whose epochs 2 and 3 both
+// hold one key (epoch 1's heavy keys keep it out of the cumulative, so the
+// store accepted every epoch) is a broken pre-aggregation contract, and
+// -epochs 2..3 reports the key as an error, the one main prints before it
+// exits 1, instead of panicking.
+func TestStoreWindowWithDuplicateKeyFails(t *testing.T) {
+	dir := t.TempDir()
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 9, K: 16}
+	st, err := coordsample.OpenStore(coordsample.StoreConfig{Dir: dir, Retain: 4, Sample: cfg, Assignments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	heavy := make([]string, cfg.K)
+	for i := range heavy {
+		heavy[i] = fmt.Sprintf("heavy-%02d", i)
+	}
+	for _, e := range []struct {
+		weight float64
+		keys   []string
+	}{{1e12, heavy}, {1, []string{"dup"}}, {1, []string{"dup"}}} {
+		set := make([]*coordsample.BottomK, 2)
+		for b := range set {
+			sk := coordsample.NewAssignmentSketcher(cfg, b)
+			for _, k := range e.keys {
+				sk.Offer(k, e.weight)
+			}
+			set[b] = sk.Sketch()
+		}
+		if _, err := st.AppendEpoch(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	var buf bytes.Buffer
+	err = run([]string{"-store", dir, "-epochs", "2..3", "-query", "sum"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `key "dup"`) {
+		t.Fatalf("-epochs 2..3 over a duplicate key: err %v, output %q; want an error naming key \"dup\"", err, buf.String())
+	}
+}
+
 // TestStoreUpgradedFromV1: -store reads a store the version-1 segment
 // writer left (internal/store/testdata/v1store) after a version-2 epoch
 // compacted it — both segment versions on disk — and answers

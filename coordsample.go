@@ -417,7 +417,8 @@ type (
 	ClusterRouter = cluster.Router
 	// ClusterConfig configures a ClusterRouter: the ordered peer list
 	// (the order IS the keyspace partition), this node's index, the
-	// shared sampling configuration, and the retry/hedge/health policy.
+	// shared sampling configuration, and its observability sinks. The
+	// retry/hedge/health policy is fixed (see internal/cluster).
 	ClusterConfig = cluster.Config
 )
 

@@ -2,18 +2,20 @@ package cliquery
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
 
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
+	"coordsample/internal/obs"
 )
 
 // HTTPParams is the parsed query-string vocabulary of GET /query, shared
 // by the single-node server and the cluster scatter-gather router so both
-// front ends accept the identical parameter grammar and dispatch through
-// the same AnswerVia path.
+// front ends accept the identical parameter grammar and answer through
+// the same Answer method.
 type HTTPParams struct {
 	Agg    string             // query name (required)
 	B      int                // assignment index for "sum" (default 0)
@@ -52,6 +54,32 @@ func ParseHTTPParams(q url.Values, n int) (HTTPParams, error) {
 	}
 	p.Epochs = q.Get("epochs")
 	return p, nil
+}
+
+// Answer answers p over summary into the response fields agg, label,
+// estimate, estimator and stderr (omitted when NaN: jaccard's, which JSON
+// cannot carry), under an "estimate" span of tr; each AW-summary comes
+// through via, and one it builds also gets a "summarize" span. An error is
+// the query's fault.
+func (p HTTPParams) Answer(tr *obs.Trace, summary *estimate.Dispersed, via SummaryBuilder, resp map[string]any) error {
+	sp := tr.Start("estimate")
+	label, v, stderr, err := AnswerVia(summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, func(key string, build func() estimate.AWSummary) estimate.AWSummary {
+		return via(key, func() estimate.AWSummary {
+			defer tr.Start("summarize").End()
+			return build()
+		})
+	})
+	sp.End()
+	if err != nil {
+		return err
+	}
+	// encoding/json writes the shortest form that parses back to the same
+	// float64, so bit-identity survives the HTTP boundary.
+	resp["agg"], resp["label"], resp["estimate"], resp["estimator"] = p.Agg, label, v, p.Est.Name()
+	if !math.IsNaN(stderr) {
+		resp["stderr"] = stderr
+	}
+	return nil
 }
 
 // intParam parses an optional integer parameter.

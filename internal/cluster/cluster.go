@@ -45,14 +45,15 @@
 //
 // A peer's 4xx (a window past its retention, say) is the request's fault:
 // the query answers with it, unretried, and the peer's health is unchanged.
-// Any other failure is retried: every peer fetch runs under a per-peer
-// deadline with bounded retries, exponential backoff with deterministic
-// seeded jitter, and a hedged second request for the slowest straggler.
-// Peer health is tracked as up/degraded/down: consecutive failures (from
-// queries or the background readiness prober) demote a peer, DownAfter of
-// them mark it down, and a down peer is skipped by queries — only the
-// prober talks to it, and a successful probe re-admits it through a
-// degraded probation state.
+// Any other failure is retried under one fixed policy, with no knob: each
+// fetch attempt runs under a 2 s deadline and races a hedged second
+// request after 250 ms, and a failed attempt is retried twice, after an
+// exponential backoff from 50 ms with deterministic seeded jitter. Peer
+// health is tracked as up/degraded/down: consecutive failures (from
+// queries or the background readiness prober, every second) demote a
+// peer, three of them mark it down, and a down peer is skipped by queries
+// — only the prober talks to it, and a successful probe re-admits it
+// through a degraded probation state.
 //
 // # Graceful degradation
 //
@@ -96,7 +97,6 @@ import (
 
 	"coordsample/internal/cliquery"
 	"coordsample/internal/core"
-	"coordsample/internal/estimate"
 	"coordsample/internal/faults"
 	"coordsample/internal/obs"
 	"coordsample/internal/shard"
@@ -124,8 +124,8 @@ const (
 	// Degraded: recent failure, or probation after coming back from
 	// Down; still queried.
 	Degraded
-	// Down: DownAfter consecutive failures; skipped by queries until a
-	// background probe succeeds.
+	// Down: the policy's downAfter consecutive failures; skipped by queries
+	// until a background probe succeeds.
 	Down
 )
 
@@ -155,31 +155,9 @@ type Config struct {
 	// fetched sketches are fingerprint-verified against it.
 	Sample      core.Config
 	Assignments int
-	// PeerTimeout bounds one fetch attempt (default 2s).
-	PeerTimeout time.Duration
-	// Retries is the per-peer retry budget beyond the first attempt
-	// (default 2; -1 for none).
-	Retries int
-	// RetryBase is the exponential backoff base (default 50ms); attempt
-	// i waits RetryBase<<i plus deterministic jitter.
-	RetryBase time.Duration
-	// HedgeAfter launches a hedged second request if the first has not
-	// answered (default 250ms; -1 disables hedging).
-	HedgeAfter time.Duration
-	// ProbeInterval is the background readiness-probe period (default
-	// 1s; probing starts with Start).
-	ProbeInterval time.Duration
-	// DownAfter is how many consecutive failures mark a peer down
-	// (default 3).
-	DownAfter int
-	// Seed drives the retry jitter deterministically (tests); the zero
-	// seed is fine in production.
-	Seed int64
 	// Faults injects router-side failures (FaultFetch, FaultFreeze);
 	// nil injects nothing.
 	Faults *faults.Set
-	// Client overrides the HTTP client (tests); nil builds a pooled one.
-	Client *http.Client
 	// Metrics, when non-nil, receives the router's per-peer series
 	// (RPC latency histograms, attempt/retry/hedge/transition counters,
 	// probe outcomes, state gauges). cws-serve shares the serving
@@ -203,32 +181,24 @@ type Local interface {
 	LocalSketches(epochs, ifNoneMatch string) (etag string, epoch int, sketches []*sketch.BottomK, err error)
 }
 
-// withDefaults fills the zero values.
-func (c Config) withDefaults() Config {
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 250 * time.Millisecond
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	}
-	return c
+// policy is the router's failure policy. Every router runs defaultPolicy;
+// the package tests shorten it through newRouter.
+type policy struct {
+	attemptTimeout time.Duration // bounds one fetch attempt; a freeze gets 5×
+	retries        int           // attempts beyond each fetch's first
+	retryBase      time.Duration // retry i waits retryBase<<i plus seeded jitter in [0, retryBase)
+	hedgeAfter     time.Duration // a hedged second request races an attempt this slow; 0: none
+	probeEvery     time.Duration // background readiness-probe period
+	downAfter      int           // consecutive failures that mark a peer down
+}
+
+var defaultPolicy = policy{
+	attemptTimeout: 2 * time.Second,
+	retries:        2,
+	retryBase:      50 * time.Millisecond,
+	hedgeAfter:     250 * time.Millisecond,
+	probeEvery:     time.Second,
+	downAfter:      3,
 }
 
 // peer is one cluster member's address, tracked health, and per-peer RPC
@@ -383,6 +353,8 @@ func (p *peer) status() (PeerState, int, int) {
 // it on shutdown.
 type Router struct {
 	cfg    Config
+	pol    policy
+	client *http.Client
 	peers  []*peer
 	mux    *http.ServeMux
 	log    *slog.Logger
@@ -412,7 +384,7 @@ type Router struct {
 // peerFail feeds one failure into a peer's health state and logs the
 // transition, if any.
 func (r *Router) peerFail(p *peer) {
-	if from, to := p.fail(r.cfg.DownAfter); from != to {
+	if from, to := p.fail(r.pol.downAfter); from != to {
 		r.log.Warn("peer state changed", "peer", p.addr, "from", from.String(), "to", to.String())
 	}
 }
@@ -426,7 +398,10 @@ func (r *Router) peerOK(p *peer, epoch int) {
 }
 
 // New creates a Router over cfg.Peers.
-func New(cfg Config) (*Router, error) {
+func New(cfg Config) (*Router, error) { return newRouter(cfg, defaultPolicy) }
+
+// newRouter is New under failure policy pol.
+func newRouter(cfg Config, pol policy) (*Router, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peers")
 	}
@@ -442,12 +417,13 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Self >= 0 && cfg.Local == nil {
 		return nil, fmt.Errorf("cluster: self index %d needs Local, its node read in process", cfg.Self)
 	}
-	cfg = cfg.withDefaults()
 	r := &Router{
 		cfg:    cfg,
+		pol:    pol,
+		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
 		log:    obs.Component(cfg.Log, "cluster"),
 		traces: cfg.Traces,
-		jitter: rand.New(rand.NewSource(cfg.Seed)),
+		jitter: rand.New(rand.NewSource(0)),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -459,8 +435,6 @@ func New(cfg Config) (*Router, error) {
 		for _, span := range []string{"merge", "summarize"} {
 			r.queryStages[span] = reg.NewHistogramL(obs.QueryStageMetric, obs.QueryStageHelp, obs.Label("stage", "cluster-"+span))
 		}
-	}
-	if reg := cfg.Metrics; reg != nil {
 		const help = "Cluster queries that found their cluster state memoized (hit) or made it from the gathered sets (miss)."
 		reg.CounterL("cws_cluster_state_total", help, obs.Label("result", "hit"), r.stateHits.Load)
 		reg.CounterL("cws_cluster_state_total", help, obs.Label("result", "miss"), r.stateMisses.Load)
@@ -514,11 +488,6 @@ func (r *Router) OwnsKey(key string) bool {
 	return r.cfg.Self >= 0 && shard.ShardOf(key, len(r.cfg.Peers)) == r.cfg.Self
 }
 
-// Owner returns the address of the peer owning key.
-func (r *Router) Owner(key string) string {
-	return r.cfg.Peers[shard.ShardOf(key, len(r.cfg.Peers))]
-}
-
 // ServeHTTP dispatches the /cluster/* endpoints.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.ServeHTTP(w, req) }
 
@@ -528,7 +497,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.Ser
 func (r *Router) Start() {
 	go func() {
 		defer close(r.done)
-		t := time.NewTicker(r.cfg.ProbeInterval)
+		t := time.NewTicker(r.pol.probeEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -550,7 +519,7 @@ func (r *Router) Close() {
 		case <-time.After(time.Second):
 		}
 	})
-	r.cfg.Client.CloseIdleConnections()
+	r.client.CloseIdleConnections()
 }
 
 // probeAll checks every peer's /healthz/ready once. Probes feed the same
@@ -562,42 +531,44 @@ func (r *Router) probeAll() {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.PeerTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+p.addr+"/healthz/ready", nil)
-			if err != nil {
+			if r.ready(p) {
+				p.probesOK.Add(1)
+				r.peerOK(p, -1)
+			} else {
 				p.probesFail.Add(1)
 				r.peerFail(p)
-				return
 			}
-			resp, err := r.cfg.Client.Do(req)
-			if err != nil {
-				p.probesFail.Add(1)
-				r.peerFail(p)
-				return
-			}
-			defer resp.Body.Close()
-			_, _ = io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				// Ready=false (draining) or an error: stop routing to it.
-				p.probesFail.Add(1)
-				r.peerFail(p)
-				return
-			}
-			p.probesOK.Add(1)
-			r.peerOK(p, -1)
 		}(p)
 	}
 	wg.Wait()
 }
 
+// ready is one readiness probe: whether p answers GET /healthz/ready with
+// 200 within the attempt deadline. A draining peer answers 503, so probes
+// stop routing to it.
+func (r *Router) ready(p *peer) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), r.pol.attemptTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+p.addr+"/healthz/ready", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode == http.StatusOK
+}
+
 // backoff returns the wait before retry attempt i (0-based), exponential
-// with deterministic seeded jitter in [0, RetryBase).
+// with deterministic seeded jitter in [0, retryBase).
 func (r *Router) backoff(i int) time.Duration {
 	r.jitterMu.Lock()
-	j := time.Duration(r.jitter.Int63n(int64(r.cfg.RetryBase)))
+	j := time.Duration(r.jitter.Int63n(int64(r.pol.retryBase)))
 	r.jitterMu.Unlock()
-	return r.cfg.RetryBase<<i + j
+	return r.pol.retryBase<<i + j
 }
 
 // fetchResult is one peer's gathered sketch set.
@@ -649,7 +620,7 @@ func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchR
 	if held != nil {
 		req.Header.Set("If-None-Match", held.etag)
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fetching %s: %w", addr, err)
 	}
@@ -741,12 +712,12 @@ func firstLine(b []byte) string {
 	return string(b)
 }
 
-// fetchHedged runs one attempt with an optional hedged second request: if
-// the first has not answered after HedgeAfter, an identical request races
-// it and the first success wins. Hedging spends one extra request to cut
-// the tail latency a single slow peer imposes on every scatter.
+// fetchHedged runs one attempt with a hedged second request: if the first
+// has not answered after the policy's hedgeAfter, an identical request
+// races it and the first success wins. Hedging spends one extra request to
+// cut the tail latency a single slow peer imposes on every scatter.
 func (r *Router) fetchHedged(ctx context.Context, tr *obs.Trace, p *peer, epochs string) (*fetchResult, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.PeerTimeout)
+	ctx, cancel := context.WithTimeout(ctx, r.pol.attemptTimeout)
 	defer cancel()
 	// call is one timed RPC: its latency sample and its span, which says
 	// "not-modified" when a 304 is why it was short.
@@ -766,7 +737,7 @@ func (r *Router) fetchHedged(ctx context.Context, tr *obs.Trace, p *peer, epochs
 		tr.AddNote(name, note, start, d)
 		return fr, err
 	}
-	if r.cfg.HedgeAfter < 0 {
+	if r.pol.hedgeAfter == 0 {
 		return call(false)
 	}
 	type res struct {
@@ -780,7 +751,7 @@ func (r *Router) fetchHedged(ctx context.Context, tr *obs.Trace, p *peer, epochs
 		ch <- res{fr, err, hedged}
 	}
 	go launch(false)
-	hedge := time.NewTimer(r.cfg.HedgeAfter)
+	hedge := time.NewTimer(r.pol.hedgeAfter)
 	defer hedge.Stop()
 	launched := 1
 	var firstErr error
@@ -814,7 +785,7 @@ func (r *Router) fetchHedged(ctx context.Context, tr *obs.Trace, p *peer, epochs
 // the peer's health state; a refused request (requestError) does neither.
 func (r *Router) fetch(ctx context.Context, tr *obs.Trace, p *peer, epochs string) (*fetchResult, error) {
 	var lastErr error
-	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= r.pol.retries; attempt++ {
 		p.attempts.Add(1)
 		if attempt > 0 {
 			p.retries.Add(1)
@@ -991,41 +962,23 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadGateway, "cluster: %v", err)
 		return
 	}
-	// The cold phase — building an aggregate's AW-summary — is its own span,
-	// as on a node; a memoized summary runs no build and shows none.
-	via := func(key string, build func() estimate.AWSummary) estimate.AWSummary {
-		return state.SummaryFor(key, func() estimate.AWSummary {
-			defer tr.Start("summarize").End()
-			return build()
-		})
-	}
-	sp = tr.Start("estimate")
-	label, v, stderr, err := cliquery.AnswerVia(state.Summary(), p.Agg, p.B, p.R, p.L, p.Pred, p.Est, via)
-	sp.End()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	total := len(r.peers)
-	if reached < total {
-		r.log.Warn("degraded cluster query", "agg", p.Agg, "reached", reached, "total", total)
-	}
 	resp := map[string]any{
-		"agg":       p.Agg,
-		"label":     label,
-		"estimate":  v,
-		"estimator": p.Est.Name(),
-		"degraded":  reached < total,
-		"coverage":  float64(reached) / float64(total),
-		"reached":   reached,
-		"total":     total,
-		"peers":     reports,
+		"degraded": reached < total,
+		"coverage": float64(reached) / float64(total),
+		"reached":  reached,
+		"total":    total,
+		"peers":    reports,
 	}
 	if p.Epochs != "" {
 		resp["epochs"] = p.Epochs
 	}
-	if !isNaN(stderr) {
-		resp["stderr"] = stderr
+	if err := p.Answer(tr, state.Summary(), state.SummaryFor, resp); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if reached < total {
+		r.log.Warn("degraded cluster query", "agg", p.Agg, "reached", reached, "total", total)
 	}
 	if req.URL.Query().Get("trace") == "1" {
 		resp["trace"] = tr.Report()
@@ -1043,17 +996,14 @@ func (r *Router) handleFreeze(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	type freezeOut struct {
-		epoch int
-		err   error
-	}
-	outs := make([]freezeOut, len(r.peers))
+	peerEpochs := make([]int, len(r.peers))
+	errs := make([]error, len(r.peers))
 	var wg sync.WaitGroup
 	for i, p := range r.peers {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			outs[i] = r.freezeOne(req.Context(), p)
+			peerEpochs[i], errs[i] = r.freezeOne(req.Context(), p)
 		}(i, p)
 	}
 	wg.Wait()
@@ -1063,12 +1013,12 @@ func (r *Router) handleFreeze(w http.ResponseWriter, req *http.Request) {
 	for i, p := range r.peers {
 		state, _, epoch := p.status()
 		reports[i] = peerReport{Addr: p.addr, State: state.String(), Epoch: epoch}
-		if outs[i].err != nil {
+		if errs[i] != nil {
 			failed = append(failed, p.addr)
-			reports[i].Error = outs[i].err.Error()
+			reports[i].Error = errs[i].Error()
 			continue
 		}
-		epochs[p.addr] = outs[i].epoch
+		epochs[p.addr] = peerEpochs[i]
 	}
 	published := len(failed) == 0
 	code := http.StatusOK
@@ -1092,53 +1042,43 @@ func (r *Router) handleFreeze(w http.ResponseWriter, req *http.Request) {
 // idempotent (a retried freeze whose first attempt actually succeeded
 // would mint an extra empty epoch; harmless for exactness, but noise in
 // the epoch history).
-func (r *Router) freezeOne(ctx context.Context, p *peer) (out struct {
-	epoch int
-	err   error
-}) {
-	if o := r.cfg.Faults.Act(FaultFreeze); o.Err != nil {
-		out.err = fmt.Errorf("cluster: freezing %s: %w", p.addr, o.Err)
+func (r *Router) freezeOne(ctx context.Context, p *peer) (int, error) {
+	// fail is a failure of the peer's: it also feeds the health state.
+	fail := func(format string, args ...any) (int, error) {
 		r.peerFail(p)
-		return out
+		return 0, fmt.Errorf(format, args...)
+	}
+	if o := r.cfg.Faults.Act(FaultFreeze); o.Err != nil {
+		return fail("cluster: freezing %s: %w", p.addr, o.Err)
 	}
 	// Freezing (merge + fsync) legitimately outlasts a fetch deadline;
 	// give it 5× the per-fetch budget.
-	ctx, cancel := context.WithTimeout(ctx, 5*r.cfg.PeerTimeout)
+	ctx, cancel := context.WithTimeout(ctx, 5*r.pol.attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+p.addr+"/freeze", nil)
 	if err != nil {
-		out.err = fmt.Errorf("cluster: %w", err)
-		return out
+		return 0, fmt.Errorf("cluster: %w", err)
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
-		out.err = fmt.Errorf("cluster: freezing %s: %w", p.addr, err)
-		r.peerFail(p)
-		return out
+		return fail("cluster: freezing %s: %w", p.addr, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		out.err = fmt.Errorf("cluster: freezing %s: %w", p.addr, err)
-		r.peerFail(p)
-		return out
+		return fail("cluster: freezing %s: %w", p.addr, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		out.err = fmt.Errorf("cluster: %s freeze returned status %d: %s", p.addr, resp.StatusCode, firstLine(body))
-		r.peerFail(p)
-		return out
+		return fail("cluster: %s freeze returned status %d: %s", p.addr, resp.StatusCode, firstLine(body))
 	}
 	var fr struct {
 		Epoch int `json:"epoch"`
 	}
 	if err := json.Unmarshal(body, &fr); err != nil {
-		out.err = fmt.Errorf("cluster: %s freeze response: %w", p.addr, err)
-		r.peerFail(p)
-		return out
+		return fail("cluster: %s freeze response: %w", p.addr, err)
 	}
 	r.peerOK(p, fr.Epoch)
-	out.epoch = fr.Epoch
-	return out
+	return fr.Epoch, nil
 }
 
 // handleHealth is GET /cluster/health: every peer's tracked state.
@@ -1163,19 +1103,6 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 		"coverage": float64(len(reports)-down) / float64(len(reports)),
 	})
 }
-
-// PeerStates snapshots every peer's state (tests and cws-serve logging).
-func (r *Router) PeerStates() map[string]PeerState {
-	out := make(map[string]PeerState, len(r.peers))
-	for _, p := range r.peers {
-		state, _, _ := p.status()
-		out[p.addr] = state
-	}
-	return out
-}
-
-// isNaN avoids importing math for one comparison.
-func isNaN(f float64) bool { return f != f }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -92,17 +92,24 @@ func newPeer(t *testing.T, i, k int, fs *faults.Set) *server.Server {
 	return s
 }
 
-// newTestCluster builds a k-peer cluster behind a standalone router. cfg
-// tweaks the router's failure policy (Peers/Self/Local/Sample/Assignments
-// are filled in); peerFaults[i] injects serving-side faults into peer i.
-func newTestCluster(t *testing.T, k int, cfg Config, peerFaults map[int]*faults.Set) *testCluster {
+// testPolicy is the failure policy of the tests that inject failures or
+// count requests: retries after a 1 ms backoff base, a deadline a loaded
+// race-detector run cannot hit, and no hedging, so that no straggler adds a
+// request. The tests of the answers run defaultPolicy, production's.
+var testPolicy = policy{attemptTimeout: 10 * time.Second, retries: 2, retryBase: time.Millisecond, downAfter: 3}
+
+// newTestCluster builds a k-peer cluster behind a standalone router under
+// failure policy pol. cfg carries the router's Faults (Peers, Self, Local,
+// Sample and Assignments are filled in); peerFaults[i] injects
+// serving-side faults into peer i.
+func newTestCluster(t *testing.T, k int, cfg Config, pol policy, peerFaults map[int]*faults.Set) *testCluster {
 	t.Helper()
-	return newTestClusterOn(t, k, -1, cfg, peerFaults)
+	return newTestClusterOn(t, k, -1, cfg, pol, peerFaults)
 }
 
 // newTestClusterOn is newTestCluster with the router on peer self (-1:
 // standalone), which it then reads in process.
-func newTestClusterOn(t *testing.T, k, self int, cfg Config, peerFaults map[int]*faults.Set) *testCluster {
+func newTestClusterOn(t *testing.T, k, self int, cfg Config, pol policy, peerFaults map[int]*faults.Set) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < k; i++ {
@@ -123,17 +130,7 @@ func newTestClusterOn(t *testing.T, k, self int, cfg Config, peerFaults map[int]
 	}
 	cfg.Sample = testSample
 	cfg.Assignments = testAssignments
-	if cfg.PeerTimeout == 0 {
-		cfg.PeerTimeout = 10 * time.Second
-	}
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = time.Millisecond
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = -1 // hedging off unless a test turns it on
-	}
-	cfg.Seed = 1
-	r, err := New(cfg)
+	r, err := newRouter(cfg, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +216,17 @@ func (tc *testCluster) clusterFreeze(t *testing.T) (int, map[string]any) {
 // given parameter strings.
 func referenceEstimates(t *testing.T, offers []server.Offer, params []string) map[string]float64 {
 	t.Helper()
-	return referenceEpochs(t, [][]server.Offer{offers}, params)
+	out := make(map[string]float64, len(params))
+	for p, body := range referenceEpochs(t, [][]server.Offer{offers}, params) {
+		out[p] = body["estimate"].(float64)
+	}
+	return out
 }
 
-// referenceEstimates with the offers frozen as one epoch per element
-// (retaining the last two, as the test peers do).
-func referenceEpochs(t *testing.T, epochs [][]server.Offer, params []string) map[string]float64 {
+// referenceEpochs runs the offers, frozen as one epoch per element
+// (retaining the last two, as the test peers do), through the single node
+// and returns its whole /query response bodies.
+func referenceEpochs(t *testing.T, epochs [][]server.Offer, params []string) map[string]map[string]any {
 	t.Helper()
 	s, err := server.New(server.Config{Sample: testSample, Assignments: testAssignments, Lanes: 1, Retain: 2})
 	if err != nil {
@@ -237,13 +239,13 @@ func referenceEpochs(t *testing.T, epochs [][]server.Offer, params []string) map
 		postJSON(t, ts.URL+"/offer", map[string]any{"offers": offers})
 		postJSON(t, ts.URL+"/freeze", nil)
 	}
-	out := make(map[string]float64, len(params))
+	out := make(map[string]map[string]any, len(params))
 	for _, p := range params {
 		code, body := getJSON(t, ts.URL+"/query?"+p)
 		if code != http.StatusOK {
 			t.Fatalf("reference query %q: status %d: %v", p, code, body)
 		}
-		out[p] = body["estimate"].(float64)
+		out[p] = body
 	}
 	return out
 }
@@ -272,7 +274,7 @@ func TestClusterQueryExactMatchesSingleNode(t *testing.T) {
 	for _, self := range []int{-1, 0} {
 		t.Run(fmt.Sprintf("self=%d", self), func(t *testing.T) {
 			offers := testOffers(400, 7)
-			tc := newTestClusterOn(t, 3, self, Config{}, nil)
+			tc := newTestClusterOn(t, 3, self, Config{}, defaultPolicy, nil)
 			tc.ingest(t, offers)
 
 			code, fz := tc.clusterFreeze(t)
@@ -288,7 +290,7 @@ func TestClusterQueryExactMatchesSingleNode(t *testing.T) {
 					t.Fatalf("peer %s froze epoch %v, want 1", addr, e)
 				}
 			}
-			tc.assertExact(t, queryParams, referenceEstimates(t, offers, queryParams))
+			tc.assertExact(t, queryParams, referenceEpochs(t, [][]server.Offer{offers}, queryParams))
 
 			// A second epoch, then its window and the whole history.
 			later := moreOffers(150, "later")
@@ -304,17 +306,29 @@ func TestClusterQueryExactMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// assertExact runs each query through the router and wants the reference's
-// answer to the last bit, at full strength.
-func (tc *testCluster) assertExact(t *testing.T, params []string, want map[string]float64) {
+// assertExact runs each query through the router and wants the reference
+// node's answer at full strength: the estimate and stderr to the last bit
+// (stderr absent for both, or for neither), and the same agg, label and
+// estimator — both front ends answer through one helper.
+func (tc *testCluster) assertExact(t *testing.T, params []string, want map[string]map[string]any) {
 	t.Helper()
 	for _, p := range params {
 		code, body := getJSON(t, tc.routerTS.URL+"/cluster/query?"+p)
 		if code != http.StatusOK {
 			t.Fatalf("cluster query %q: status %d: %v", p, code, body)
 		}
-		if got := body["estimate"].(float64); math.Float64bits(got) != math.Float64bits(want[p]) {
-			t.Errorf("query %q: cluster %v != single-node %v (exactness broken)", p, got, want[p])
+		ref := want[p]
+		for _, field := range []string{"estimate", "stderr"} {
+			got, gok := body[field].(float64)
+			w, wok := ref[field].(float64)
+			if gok != wok || math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("query %q: cluster %s %v != single-node %v (exactness broken)", p, field, body[field], ref[field])
+			}
+		}
+		for _, field := range []string{"agg", "label", "estimator"} {
+			if body[field] != ref[field] || body[field] == nil {
+				t.Errorf("query %q: cluster %s %v != single-node %v", p, field, body[field], ref[field])
+			}
 		}
 		if body["degraded"] != false {
 			t.Errorf("query %q reported degraded with all peers up", p)
@@ -332,25 +346,25 @@ func (tc *testCluster) assertExact(t *testing.T, params []string, want map[strin
 // current epoch) is the request's fault. Each such query is answered with
 // the peers' 400 and message — no retry, and no peer's health changes — so
 // any number of them leave the cluster serving valid queries at full
-// strength (they used to mark every peer down after DownAfter of them). The
+// strength (they used to mark every peer down after downAfter of them). The
 // router's own node, read in process, refuses exactly as the others do.
 func TestBadWindowIsNotAPeerFailure(t *testing.T) {
 	for _, self := range []int{-1, 0} {
 		t.Run(fmt.Sprintf("self=%d", self), func(t *testing.T) {
-			tc := newTestClusterOn(t, 3, self, Config{}, nil)
+			tc := newTestClusterOn(t, 3, self, Config{}, defaultPolicy, nil)
 			offers := testOffers(200, 14)
 			tc.ingest(t, offers)
 			tc.clusterFreeze(t)
 			const bad = "agg=sum&b=0&epochs=1..9"
-			for i := 0; i < 3*tc.router.cfg.DownAfter; i++ {
+			for i := 0; i < 3*defaultPolicy.downAfter; i++ {
 				code, body := getJSON(t, tc.routerTS.URL+"/cluster/query?"+bad)
 				if msg, _ := body["error"].(string); code != http.StatusBadRequest || msg != "epoch range 1..9 exceeds the current epoch 1" {
 					t.Fatalf("bad window %d: status %d, body %v; want the peers' 400 and message", i, code, body)
 				}
 			}
-			for addr, st := range tc.router.PeerStates() {
-				if st != Up {
-					t.Errorf("peer %s is %v after refused windows, want up", addr, st)
+			for _, p := range tc.router.peers {
+				if st, _, _ := p.status(); st != Up {
+					t.Errorf("peer %s is %v after refused windows, want up", p.addr, st)
 				}
 			}
 			for i, p := range tc.router.peers {
@@ -358,7 +372,7 @@ func TestBadWindowIsNotAPeerFailure(t *testing.T) {
 					t.Errorf("peer %d: %d retries of a refused request, want 0", i, n)
 				}
 			}
-			want := referenceEstimates(t, offers, []string{"agg=sum&b=0"})
+			want := referenceEpochs(t, [][]server.Offer{offers}, []string{"agg=sum&b=0"})
 			tc.assertExact(t, []string{"agg=sum&b=0"}, want)
 		})
 	}
@@ -370,7 +384,7 @@ func TestTransientFetchFaultRetried(t *testing.T) {
 	offers := testOffers(200, 8)
 	for _, action := range []string{"err", "drop"} {
 		fs := faults.MustParse(FaultFetch + ":" + action + ",on=1")
-		tc := newTestCluster(t, 3, Config{Faults: fs}, nil)
+		tc := newTestCluster(t, 3, Config{Faults: fs}, testPolicy, nil)
 		tc.ingest(t, offers)
 		tc.clusterFreeze(t)
 
@@ -398,7 +412,7 @@ func TestTransientFetchFaultRetried(t *testing.T) {
 func TestTornPeerResponseCaughtAndRetried(t *testing.T) {
 	offers := testOffers(200, 9)
 	peerFS := faults.MustParse(server.FaultSketches + ":torn,on=1")
-	tc := newTestCluster(t, 3, Config{}, map[int]*faults.Set{1: peerFS})
+	tc := newTestCluster(t, 3, Config{}, testPolicy, map[int]*faults.Set{1: peerFS})
 	tc.ingest(t, offers)
 	tc.clusterFreeze(t)
 
@@ -424,7 +438,7 @@ func TestTornPeerResponseCaughtAndRetried(t *testing.T) {
 func TestHedgedRequestCutsStragglerLatency(t *testing.T) {
 	offers := testOffers(200, 10)
 	fs := faults.MustParse(FaultFetch + ":latency=3s,on=1")
-	tc := newTestCluster(t, 3, Config{Faults: fs, HedgeAfter: 20 * time.Millisecond, Retries: -1}, nil)
+	tc := newTestCluster(t, 3, Config{Faults: fs}, policy{attemptTimeout: 10 * time.Second, hedgeAfter: 20 * time.Millisecond, downAfter: 3}, nil)
 	tc.ingest(t, offers)
 	tc.clusterFreeze(t)
 
@@ -456,7 +470,7 @@ func TestHedgedRequestCutsStragglerLatency(t *testing.T) {
 // keys). A follow-up query skips the peer entirely (it is down).
 func TestDeadPeerDegradesGracefully(t *testing.T) {
 	offers := testOffers(300, 11)
-	tc := newTestCluster(t, 3, Config{Retries: -1, DownAfter: 1, PeerTimeout: 2 * time.Second}, nil)
+	tc := newTestCluster(t, 3, Config{}, policy{attemptTimeout: 2 * time.Second, downAfter: 1}, nil)
 	tc.ingest(t, offers)
 	tc.clusterFreeze(t)
 	tc.peerTS[2].Close() // SIGKILL stand-in: the peer vanishes mid-serving
@@ -486,9 +500,9 @@ func TestDeadPeerDegradesGracefully(t *testing.T) {
 		t.Errorf("degraded estimate %v != survivors-only reference %v (must be the exact subpopulation answer)", got, want["agg=sum&b=0"])
 	}
 
-	// DownAfter=1: the failure marked the peer down, so the next query
+	// downAfter 1: the failure marked the peer down, so the next query
 	// skips it instead of burning its deadline again.
-	if st := tc.router.PeerStates()[tc.addrs[2]]; st != Down {
+	if st, _, _ := tc.router.peers[2].status(); st != Down {
 		t.Fatalf("dead peer state %v, want down", st)
 	}
 	_, body = getJSON(t, tc.routerTS.URL+"/cluster/query?agg=sum&b=0")
@@ -510,7 +524,7 @@ func TestDeadPeerDegradesGracefully(t *testing.T) {
 // TestNoPeerReachableIs503: graceful degradation ends where coverage
 // does — zero reachable peers is an error, not an empty answer.
 func TestNoPeerReachableIs503(t *testing.T) {
-	tc := newTestCluster(t, 2, Config{Retries: -1, PeerTimeout: 2 * time.Second}, nil)
+	tc := newTestCluster(t, 2, Config{}, policy{attemptTimeout: 2 * time.Second, downAfter: 3}, nil)
 	tc.ingest(t, testOffers(50, 12))
 	tc.clusterFreeze(t)
 	tc.peerTS[0].Close()
@@ -532,7 +546,7 @@ func TestNoPeerReachableIs503(t *testing.T) {
 func TestTwoPhaseFreezeDegradedOnPeerFailure(t *testing.T) {
 	offers := testOffers(200, 13)
 	fs := faults.MustParse(FaultFreeze + ":err,on=2")
-	tc := newTestCluster(t, 3, Config{Faults: fs}, nil)
+	tc := newTestCluster(t, 3, Config{Faults: fs}, testPolicy, nil)
 	tc.ingest(t, offers)
 
 	code, body := tc.clusterFreeze(t)
@@ -568,7 +582,7 @@ func TestTwoPhaseFreezeDegradedOnPeerFailure(t *testing.T) {
 }
 
 // TestPeerStateMachine: the health transitions the router promises —
-// failures degrade then down at DownAfter, recovery re-enters through
+// failures degrade then down at downAfter, recovery re-enters through
 // degraded probation, and two consecutive successes restore up.
 func TestPeerStateMachine(t *testing.T) {
 	p := &peer{addr: "x"}
@@ -599,23 +613,29 @@ func TestPeerStateMachine(t *testing.T) {
 // machine through GET /healthz/ready — a draining peer goes down, and
 // repeated successful probes walk it back up through probation.
 func TestProberTracksReadiness(t *testing.T) {
-	tc := newTestCluster(t, 2, Config{DownAfter: 2}, nil)
+	pol := testPolicy
+	pol.downAfter = 2
+	tc := newTestCluster(t, 2, Config{}, pol, nil)
+	state := func(i int) PeerState {
+		st, _, _ := tc.router.peers[i].status()
+		return st
+	}
 	tc.servers[0].SetDraining(true)
 	tc.router.probeAll()
 	tc.router.probeAll()
-	if st := tc.router.PeerStates()[tc.addrs[0]]; st != Down {
+	if st := state(0); st != Down {
 		t.Fatalf("draining peer after 2 probes: %v, want down", st)
 	}
-	if st := tc.router.PeerStates()[tc.addrs[1]]; st == Down {
+	if st := state(1); st == Down {
 		t.Fatalf("healthy peer marked down")
 	}
 	tc.servers[0].SetDraining(false)
 	tc.router.probeAll()
-	if st := tc.router.PeerStates()[tc.addrs[0]]; st != Degraded {
+	if st := state(0); st != Degraded {
 		t.Fatalf("first good probe: %v, want degraded probation", st)
 	}
 	tc.router.probeAll()
-	if st := tc.router.PeerStates()[tc.addrs[0]]; st != Up {
+	if st := state(0); st != Up {
 		t.Fatalf("second good probe: %v, want up", st)
 	}
 }
@@ -623,7 +643,7 @@ func TestProberTracksReadiness(t *testing.T) {
 // TestClusterHealthEndpoint: /cluster/health reports every peer with its
 // tracked state and the cluster's coverage.
 func TestClusterHealthEndpoint(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, defaultPolicy, nil)
 	code, body := getJSON(t, tc.routerTS.URL+"/cluster/health")
 	if code != http.StatusOK {
 		t.Fatalf("health status %d: %v", code, body)
@@ -639,8 +659,8 @@ func TestClusterHealthEndpoint(t *testing.T) {
 	}
 }
 
-// TestOwnsKeyMatchesOwner: the guard wired into each peer and the
-// router's routing view agree on every key.
+// TestOwnsKeyMatchesOwner: the router's OwnsKey, the guard wired into
+// each peer, is the partition: exactly the keys shard.ShardOf gives self.
 func TestOwnsKeyMatchesOwner(t *testing.T) {
 	addrs := []string{"a:1", "b:2", "c:3"}
 	r, err := New(Config{Peers: addrs, Self: 1, Local: newPeer(t, 1, 3, nil), Sample: testSample, Assignments: testAssignments})
@@ -650,12 +670,8 @@ func TestOwnsKeyMatchesOwner(t *testing.T) {
 	defer r.Close()
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("host-%05d", i)
-		owns := r.OwnsKey(key)
-		if owns != (r.Owner(key) == addrs[1]) {
-			t.Fatalf("key %q: OwnsKey=%v but Owner=%s", key, owns, r.Owner(key))
-		}
-		if shard.ShardOf(key, 3) == 1 && !owns {
-			t.Fatalf("key %q: partition says self, OwnsKey says no", key)
+		if owns, owner := r.OwnsKey(key), shard.ShardOf(key, len(addrs)); owns != (owner == 1) {
+			t.Fatalf("key %q: OwnsKey=%v but the partition gives it to peer %d", key, owns, owner)
 		}
 	}
 }

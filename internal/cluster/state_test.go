@@ -165,7 +165,7 @@ func TestStateDifferential(t *testing.T) {
 			vocabulary = append(vocabulary, "agg="+agg+"&est="+est)
 		}
 	}
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
 	tc.ingest(t, testOffers(400, 21))
 	tc.clusterFreeze(t)
 
@@ -236,7 +236,7 @@ func traceNote(body map[string]any, name string) (string, bool) {
 // different aggregate over the same assignments none — by the counter and
 // by the merge span, which is only there when the query merged.
 func TestStateMergesOnlyWhatQueriesRead(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
 	tc.ingest(t, testOffers(300, 30))
 	tc.clusterFreeze(t)
 	for step, c := range []struct {
@@ -274,7 +274,7 @@ func TestStateMergesOnlyWhatQueriesRead(t *testing.T) {
 // overlapping assignment sets against one warmed-up gather (every peer
 // answers 304, one state) merge each assignment once.
 func TestConcurrentQueriesMergeEachAssignmentOnce(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
 	tc.ingest(t, testOffers(300, 31))
 	tc.clusterFreeze(t)
 	tc.mustAnswer(t, "agg=sum&b=0&epochs=1..1") // the window's sets are kept; its state is not the one below
@@ -327,7 +327,7 @@ func TestConcurrentQueriesMergeEachAssignmentOnce(t *testing.T) {
 // the router refuses with 502 naming the key — every time, counted, traced
 // — while the other assignment keeps answering exactly.
 func TestDuplicateKeyAcrossPeersIsRefused(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
 	const key = "held-twice"
 	owner := shard.ShardOf(key, 3)
 	other := (owner + 1) % 3
@@ -377,7 +377,7 @@ func TestDuplicateKeyAcrossPeersIsRefused(t *testing.T) {
 // segment per peer; the other N−1 rounds are 304s answered from one state.
 func TestIdenticalQueriesCostOneExport(t *testing.T) {
 	const n = 6
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
 	tc.ingest(t, testOffers(300, 22))
 	tc.clusterFreeze(t)
 	first := tc.mustAnswer(t, "agg=L1")
@@ -403,7 +403,7 @@ func TestIdenticalQueriesCostOneExport(t *testing.T) {
 // that reaches the same epoch number over different keys carries a new boot
 // nonce, so the set kept from its predecessor is refetched, never validated.
 func TestReplacedPeerIsRefetched(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
 	tc.ingest(t, testOffers(300, 23))
 	tc.clusterFreeze(t)
 	before := tc.mustAnswer(t, "agg=sum&b=0")
@@ -411,7 +411,7 @@ func TestReplacedPeerIsRefetched(t *testing.T) {
 	tc.procs[1].srv.Store(newPeer(t, 1, 3, nil))
 	var owned []server.Offer
 	for _, o := range moreOffers(300, "reborn") {
-		if tc.router.Owner(o.Key) == tc.addrs[1] {
+		if shard.ShardOf(o.Key, 3) == 1 {
 			owned = append(owned, o)
 		}
 	}
@@ -447,7 +447,7 @@ func TestReplacedPeerIsRefetched(t *testing.T) {
 // full answer returns; each cluster state is found again under its own key
 // and never under the other's.
 func TestDegradedAndFullStatesNeverAlias(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{Retries: -1, DownAfter: 1 << 20, PeerTimeout: 2 * time.Second}, nil)
+	tc := newTestCluster(t, 3, Config{}, policy{attemptTimeout: 2 * time.Second, downAfter: 1 << 20}, nil)
 	tc.ingest(t, testOffers(300, 24))
 	tc.clusterFreeze(t)
 	const params = "agg=sum&b=0"
@@ -495,7 +495,7 @@ func TestRejectedRefetchKeepsValidatedSet(t *testing.T) {
 			// Peer 1's /sketches hits: 1 full, 2 not modified, 3 the faulted
 			// refetch after the freeze, 4 the clean one.
 			peerFS := faults.MustParse(server.FaultSketches + ":" + action + ",on=3")
-			tc := newTestCluster(t, 3, Config{Retries: -1, DownAfter: 1 << 20}, map[int]*faults.Set{1: peerFS})
+			tc := newTestCluster(t, 3, Config{}, policy{attemptTimeout: 10 * time.Second, downAfter: 1 << 20}, map[int]*faults.Set{1: peerFS})
 			tc.ingest(t, testOffers(300, 25))
 			tc.clusterFreeze(t)
 			const params = "agg=max"
@@ -540,7 +540,7 @@ func TestRejectedRefetchKeepsValidatedSet(t *testing.T) {
 // 400, not 304 — and the router answers that 400 with the peers' message
 // instead of anything kept, leaving every peer up.
 func TestWindowOutOfRetentionIsNotServed(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{Retries: -1, DownAfter: 1 << 20}, nil)
+	tc := newTestCluster(t, 3, Config{}, policy{attemptTimeout: 10 * time.Second, downAfter: 1 << 20}, nil)
 	tc.ingest(t, testOffers(300, 26))
 	tc.clusterFreeze(t)
 	const params = "agg=sum&b=0&epochs=1..1"
@@ -572,7 +572,7 @@ func TestWindowOutOfRetentionIsNotServed(t *testing.T) {
 func TestConcurrentQueriesAcrossFreeze(t *testing.T) {
 	for _, self := range []int{-1, 0} {
 		t.Run(fmt.Sprintf("self=%d", self), func(t *testing.T) {
-			tc := newTestClusterOn(t, 3, self, Config{}, nil)
+			tc := newTestClusterOn(t, 3, self, Config{}, defaultPolicy, nil)
 			tc.ingest(t, testOffers(300, 27))
 			tc.clusterFreeze(t)
 			const params = "agg=L1"
@@ -675,7 +675,7 @@ func TestKeepEvictsLeastRecentlyUsed(t *testing.T) {
 // the estimator: ℓ beyond the assignments) still leaves its trace in the
 // ring, scatter span included — as does one refused while parsing.
 func TestEveryQueryOutcomeIsTraced(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{}, nil)
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
 	tc.ingest(t, testOffers(100, 28))
 	tc.clusterFreeze(t)
 	if code, body := tc.query(t, "agg=lth&l=9"); code != http.StatusBadRequest {

@@ -104,12 +104,6 @@ func Derive(seed uint64, index int) uint64 {
 	return Mix64(seed + (uint64(index)+1)*0x9e3779b97f4a7c15)
 }
 
-// UnitFromIndex is a convenience for Monte-Carlo style draws: the i-th value
-// of a deterministic low-discrepancy-free uniform stream under seed.
-func UnitFromIndex(seed uint64, index int) float64 {
-	return Unit(Mix64(Derive(seed, index)))
-}
-
 // Clamp01 restricts v to the closed unit interval. Estimator code uses it to
 // guard inclusion probabilities against floating-point drift.
 func Clamp01(v float64) float64 {

@@ -407,6 +407,10 @@ func FuzzIngestBinary(f *testing.F) {
 	// the hand-written malformed records are added here.
 	f.Add([]byte{0x00, 0x00, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(255))                   // empty key
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, uint8(255)) // varint overflow
+	// Ten continuation bytes, then EOF: ReadUvarint reports an overflow
+	// where binary.Uvarint reports an incomplete varint.
+	f.Add(bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64), uint8(255))
+	f.Add(append([]byte{0x00}, bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)...), uint8(3))
 	f.Add(AppendBinaryOffer(nil, 0, "nan", math.NaN()), uint8(255))
 	f.Add(AppendBinaryOffer(nil, 0, "neg", -1), uint8(7))
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, 0), maxIngestKeyLen+1), uint8(255))

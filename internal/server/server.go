@@ -76,7 +76,8 @@
 //
 // Every ingest endpoint stages its records the same way: the key is hashed
 // once where the decoder found it (for the binary framing, in the read
-// buffer), its bytes are copied into a reused arena, and a pointer-free
+// buffer, sized so that every record is parsed there and none through a
+// reader), its bytes are copied into a reused arena, and a pointer-free
 // (hash, weight, assignment, key window) record joins a pooled shard.Staged
 // batch. Every ingestFlushEvery records the batch is handed to one lane of
 // the epoch's shard.MultiSketcher, which prunes each record against its
@@ -776,6 +777,9 @@ const ingestFlushBytes = 1 << 20
 // (NDJSON) cannot put an arbitrarily large key into the retained sample.
 const maxIngestKeyLen = 1 << 16
 
+// maxIngestRecord, the longest legal binary record, sizes its read buffer.
+const maxIngestRecord = 2*binary.MaxVarintLen64 + maxIngestKeyLen + 8
+
 // maxIngestBody caps one streaming NDJSON /ingest request. The decoder
 // buffers one JSON token at a time, so without a cap a single multi-GB
 // token could exhaust memory before validation runs. The binary framing
@@ -798,7 +802,6 @@ type ingestState struct {
 	srv      *Server
 	buf      *shard.Staged
 	br       *bufio.Reader // binary framing only; made on first use
-	scratch  []byte        // binary framing only: a record the read buffer's end cut in two
 	accepted int
 	epoch    int
 	ticket   uint32 // which lane to wait for when all are busy
@@ -961,71 +964,47 @@ func (s *Server) ingestNDJSON(st *ingestState, r *http.Request, w http.ResponseW
 	}
 }
 
-// ingestBinary decodes the length-prefixed binary framing. A record that
-// lies whole in the read buffer — all but the few that straddle a refill —
-// is parsed where it lies: the key is hashed and staged straight from the
-// buffer, and no string is made for it here. Anything else (a record cut by
-// the buffer's end, a malformed varint, an oversized key, EOF) takes the
-// byte-at-a-time reader path, which also reports every framing error.
+// ingestBinary decodes the length-prefixed binary framing in place. The
+// read buffer holds the longest legal record, so every record is parsed
+// where it lies — one the buffer's end cuts in two is first completed by
+// Peek — and its key is hashed and staged straight from the buffer: no
+// string is made for it here.
 func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
 	if st.br == nil {
-		st.br = bufio.NewReaderSize(nil, 64<<10)
+		st.br = bufio.NewReaderSize(nil, maxIngestRecord)
 	}
 	br := st.br
 	br.Reset(r.Body)
 	for n := 0; ; n++ {
 		var (
-			assignment uint64
-			key        []byte
-			weight     float64
-			inPlace    int // bytes of the read buffer the record occupies, to discard once staged
+			buf, _    = br.Peek(br.Buffered())
+			end       error // what ended the stream at buf's end, once Peek met it
+			a, keyLen uint64
+			n1, n2    int
 		)
-		buf, _ := br.Peek(br.Buffered())
-		a, n1 := binary.Uvarint(buf)
-		keyLen, n2 := uint64(0), 0
-		if n1 > 0 {
-			keyLen, n2 = binary.Uvarint(buf[n1:])
+		for {
+			a, n1 = binary.Uvarint(buf)
+			if keyLen, n2 = 0, 0; n1 > 0 {
+				keyLen, n2 = binary.Uvarint(buf[n1:])
+			}
+			if n2 > 0 && keyLen <= maxIngestKeyLen && uint64(len(buf)-n1-n2) >= keyLen+8 {
+				break
+			}
+			need, err := binaryNeed(buf, n1, n2, keyLen, end)
+			if err == io.EOF {
+				return nil // the stream ended between records
+			} else if err != nil {
+				return fmt.Errorf("record %d: %w", n, err)
+			}
+			buf, end = br.Peek(need) // need ≤ maxIngestRecord: a short buf comes with end
 		}
-		if n2 > 0 && keyLen <= maxIngestKeyLen && uint64(len(buf)-n1-n2) >= keyLen+8 {
-			end := n1 + n2 + int(keyLen)
-			assignment, key = a, buf[n1+n2:end]
-			weight = math.Float64frombits(binary.LittleEndian.Uint64(buf[end:]))
-			inPlace = end + 8
-		} else {
-			var err error
-			assignment, err = binary.ReadUvarint(br)
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return fmt.Errorf("record %d: reading assignment: %w", n, err)
-			}
-			keyLen, err = binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("record %d: reading key length: %w", n, err)
-			}
-			if keyLen > maxIngestKeyLen {
-				return fmt.Errorf("record %d: key length %d exceeds %d", n, keyLen, maxIngestKeyLen)
-			}
-			if cap(st.scratch) < int(keyLen)+8 {
-				// Growth saturates at the longest record that straddled a
-				// refill, then never reallocates.
-				st.scratch = make([]byte, keyLen+8)
-			}
-			key = st.scratch[:keyLen]
-			if _, err := io.ReadFull(br, key); err != nil {
-				return fmt.Errorf("record %d: reading key: %w", n, err)
-			}
-			wb := st.scratch[keyLen : keyLen+8]
-			if _, err := io.ReadFull(br, wb); err != nil {
-				return fmt.Errorf("record %d: reading weight: %w", n, err)
-			}
-			weight = math.Float64frombits(binary.LittleEndian.Uint64(wb))
-		}
+		size := n1 + n2 + int(keyLen) + 8
+		key := buf[n1+n2 : size-8]
+		weight := math.Float64frombits(binary.LittleEndian.Uint64(buf[size-8:]))
 		if len(key) == 0 {
 			return fmt.Errorf("record %d: empty key", n)
 		}
-		if err := s.checkOffer(n, int(assignment), "-", weight); err != nil {
+		if err := s.checkOffer(n, int(a), "-", weight); err != nil {
 			return err
 		}
 		if weight != 0 {
@@ -1033,13 +1012,49 @@ func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
 			if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(string(key)) {
 				return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, key)
 			}
-			if err := stage(st, int(assignment), key, weight); err != nil {
+			if err := stage(st, int(a), key, weight); err != nil {
 				return err
 			}
 		}
 		// key aliased the read buffer until it was staged; now let it go.
-		_, _ = br.Discard(inPlace) // cannot fail: inPlace ≤ Buffered()
+		_, _ = br.Discard(size) // cannot fail: size ≤ len(buf)
 	}
+}
+
+// errVarintOverflow is the error, and its text, binary.ReadUvarint
+// reports for a varint longer than 64 bits.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// binaryNeed takes a record buf does not hold whole (n1, n2, keyLen: what
+// binary.Uvarint made of its head) and returns the length buf must reach,
+// or — malformed, or cut short by end — the error binary.ReadUvarint and
+// io.ReadFull would report; io.EOF when the stream ended between records.
+func binaryNeed(buf []byte, n1, n2 int, keyLen uint64, end error) (int, error) {
+	field, n, rest := "assignment", n1, len(buf) // the first field buf cuts, and its bytes in buf
+	if n1 > 0 {
+		field, n, rest = "key length", n2, len(buf)-n1
+	}
+	switch {
+	case n < 0 || n == 0 && rest >= binary.MaxVarintLen64:
+		return 0, fmt.Errorf("reading %s: %w", field, errVarintOverflow)
+	case n > 0 && keyLen > maxIngestKeyLen:
+		return 0, fmt.Errorf("key length %d exceeds %d", keyLen, maxIngestKeyLen)
+	case end == nil && n == 0:
+		return len(buf) + 1, nil
+	case end == nil:
+		return n1 + n2 + int(keyLen) + 8, nil
+	case len(buf) == 0 && end == io.EOF:
+		return 0, io.EOF
+	case n > 0: // the key or the weight is cut
+		field, rest = "key", len(buf)-n1-n2
+		if rest >= int(keyLen) {
+			field, rest = "weight", rest-int(keyLen)
+		}
+	}
+	if rest > 0 && end == io.EOF {
+		end = io.ErrUnexpectedEOF
+	}
+	return 0, fmt.Errorf("reading %s: %w", field, end)
 }
 
 // AppendBinaryOffer appends one offer in the POST /ingest binary framing —
@@ -1241,9 +1256,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rep.RecordStages(s.om.queryStages)
 		s.traces.Add(rep)
 	}()
-	// The parameter grammar is shared with the cluster router (the ?est=
-	// estimator family name is folded into the memo keys by
-	// cliquery.AnswerVia, so the snapshot caches never alias across
+	// The parameter grammar and the answer are shared with the cluster
+	// router (the ?est= estimator family name is folded into the memo keys
+	// by cliquery.AnswerVia, so the snapshot caches never alias across
 	// estimators).
 	sp := tr.Start("parse")
 	p, err := cliquery.ParseHTTPParams(r.URL.Query(), s.cfg.Assignments)
@@ -1259,7 +1274,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Default: the cumulative snapshot (all epochs). ?epochs=lo..hi
 	// answers over exactly that retained time window instead.
 	summary, via := snap.summary, cliquery.SummaryBuilder(snap.SummaryFor)
-	resp := map[string]any{"agg": p.Agg, "epoch": snap.epoch}
+	resp := map[string]any{"epoch": snap.epoch}
 	if p.Epochs != "" {
 		lo, hi, err := cliquery.ParseEpochRange(p.Epochs)
 		if err != nil {
@@ -1275,21 +1290,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp["epochs"] = fmt.Sprintf("%d..%d", lo, hi)
 		s.rangeQueries.Add(1)
 	}
-	// Wrap the summary builder so the expensive cold phase — building an
-	// aggregate's AW-summary — shows up as its own span. Memoized (warm)
-	// queries never run the inner build, so they show no summarize span.
-	baseVia := via
-	via = func(key string, build func() estimate.AWSummary) estimate.AWSummary {
-		return baseVia(key, func() estimate.AWSummary {
-			ssp := tr.Start("summarize")
-			defer ssp.End()
-			return build()
-		})
-	}
-	sp = tr.Start("estimate")
-	label, v, stderr, err := cliquery.AnswerVia(summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, via)
-	sp.End()
-	if err != nil {
+	if err := p.Answer(tr, summary, via, resp); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -1302,15 +1303,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("trace") == "1" {
 		resp["trace"] = tr.Report()
-	}
-	// The estimate travels as a JSON number; encoding/json emits the
-	// shortest representation that parses back to the identical float64,
-	// so the bit-identity guarantee survives the HTTP boundary.
-	resp["label"], resp["estimate"], resp["estimator"] = label, v, p.Est.Name()
-	// stderr is NaN for ratio queries (jaccard), which JSON cannot carry —
-	// the field is simply omitted there.
-	if !math.IsNaN(stderr) {
-		resp["stderr"] = stderr
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -414,8 +414,15 @@ func (s *Store) Cumulative() []*sketch.BottomK { s.mu.Lock(); defer s.mu.Unlock(
 func (s *Store) CumulativeSegment() []byte { s.mu.Lock(); defer s.mu.Unlock(); return s.cumSeg }
 
 // mergeEpochs merges the cumulative base (nil for none) with the given
-// epochs, per assignment, by the exact, fingerprint-verified merge.
-func mergeEpochs(base []*sketch.BottomK, epochs []storedEpoch) ([]*sketch.BottomK, error) {
+// epochs, per assignment, by the exact, fingerprint-verified merge. Two
+// inputs that both keep one key break the contract that epochs hold
+// disjoint keys: the sketch layer's panic naming the key becomes the error.
+func mergeEpochs(base []*sketch.BottomK, epochs []storedEpoch) (_ []*sketch.BottomK, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("store: %v", r)
+		}
+	}()
 	var sets [][]*sketch.BottomK
 	if base != nil {
 		sets = append(sets, base)

@@ -470,6 +470,42 @@ func TestRetainZeroCompactsEverything(t *testing.T) {
 	sameSketchSet(t, "recovered", r.Cumulative(), mergeAll(t, epochs))
 }
 
+// TestRangeDuplicateKeyIsAnError: epochs 2 and 3 both hold "dup", which
+// breaks the contract that epochs hold disjoint keys. Epoch 1's k heavy
+// keys keep it out of the cumulative, so every append succeeds; merging
+// the window 2..3 then meets both copies, and Range reports the key
+// instead of panicking.
+func TestRangeDuplicateKeyIsAnError(t *testing.T) {
+	a := testSample.Assigner()
+	epoch := func(weight float64, keys ...string) []*sketch.BottomK {
+		set := make([]*sketch.BottomK, 2)
+		for b := range set {
+			bld := sketch.NewBottomKBuilderWithFingerprint(testSample.K, a.Fingerprint(b, testSample.K))
+			for _, k := range keys {
+				bld.Offer(k, a.Rank(k, b, weight), weight)
+			}
+			set[b] = bld.Sketch()
+		}
+		return set
+	}
+	heavy := make([]string, testSample.K)
+	for i := range heavy {
+		heavy[i] = fmt.Sprintf("heavy-%02d", i)
+	}
+	s := openWritable(t, t.TempDir(), 4)
+	appendAll(t, s, [][]*sketch.BottomK{epoch(1e12, heavy...), epoch(1, "dup"), epoch(1, "dup")})
+	if _, ok := s.Cumulative()[0].Lookup("dup"); ok {
+		t.Fatal("the cumulative kept \"dup\": the window merge would not be the first to meet both copies")
+	}
+	got, err := s.Range(2, 3)
+	if err == nil || !strings.Contains(err.Error(), `key "dup"`) {
+		t.Fatalf("Range(2, 3) = %d sketches, err %v; want an error naming key \"dup\"", len(got), err)
+	}
+	if _, err := s.Range(1, 2); err != nil {
+		t.Fatalf("Range(1, 2), which holds \"dup\" once: %v", err)
+	}
+}
+
 // TestReadOnlyOpen: a store opened without a configuration recovers
 // everything, reconstructs the sampling configuration from the stored
 // sketches, and refuses writes.
