@@ -145,6 +145,8 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		`cws_merged_assignments_total{site="window"} 0`,
 		`cws_merge_conflicts_total{site="cluster"} 0`,
 		"cws_offers_total",
+		`cws_build_info{go_version="go`, // node and router share the registry: registered once
+		"\ncws_key_order_sorts_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

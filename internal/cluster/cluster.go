@@ -431,6 +431,7 @@ func newRouter(cfg Config, pol policy) (*Router, error) {
 		r.traces = obs.NewTraceRing(64)
 	}
 	if reg := cfg.Metrics; reg != nil {
+		reg.RegisterProcess(sketch.KeyOrderSorts)
 		r.queryStages = make(map[string]*obs.Histogram)
 		for _, span := range []string{"merge", "summarize"} {
 			r.queryStages[span] = reg.NewHistogramL(obs.QueryStageMetric, obs.QueryStageHelp, obs.Label("stage", "cluster-"+span))

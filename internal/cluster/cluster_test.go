@@ -14,6 +14,7 @@ import (
 
 	"coordsample/internal/core"
 	"coordsample/internal/faults"
+	"coordsample/internal/obs"
 	"coordsample/internal/rank"
 	"coordsample/internal/server"
 	"coordsample/internal/shard"
@@ -700,4 +701,36 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("a valid co-located router refused: %v", err)
 	}
 	r.Close()
+}
+
+// TestRouterProcessSeries: the router's registry carries the process-wide
+// series, once even when shared with its node's, and a cold cluster query
+// sorts no key order — the peers' decoded sets hold theirs and the router's
+// merge derives its own from them (cws_key_order_sorts_total stays flat).
+func TestRouterProcessSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.RegisterProcess(sketch.KeyOrderSorts) // as the node sharing it would
+	tc := newTestCluster(t, 3, Config{Metrics: reg}, testPolicy, nil)
+	tc.ingest(t, testOffers(300, 5))
+	if code, fz := tc.clusterFreeze(t); code != http.StatusOK || fz["published"] != true {
+		t.Fatalf("cluster freeze: status %d, body %v", code, fz)
+	}
+	sorts := sketch.KeyOrderSorts()
+	for _, q := range []string{"agg=L1", "agg=sum&b=1&epochs=1"} {
+		if code, out := getJSON(t, tc.routerTS.URL+"/cluster/query?"+q); code != http.StatusOK {
+			t.Fatalf("cluster query %s: status %d, body %v", q, code, out)
+		}
+	}
+	if got := sketch.KeyOrderSorts(); got != sorts {
+		t.Errorf("cold cluster queries sorted %d key orders, want none", got-sorts)
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`cws_build_info{go_version="go`, "\ncws_key_order_sorts_total "} {
+		if strings.Count(buf.String(), want) != 1 {
+			t.Errorf("router /metrics holds %q %d times, want once", want, strings.Count(buf.String(), want))
+		}
+	}
 }

@@ -703,14 +703,31 @@ func TestEveryQueryOutcomeIsTraced(t *testing.T) {
 // the first query after a freeze — three segments fetched and decoded, the
 // assignments the query reads merged (all four; two for miss-pair) and
 // summarized; hit is every query after it — three 304s, a memo hit, a
-// predicate scan.
+// predicate scan. Two key shapes: tie keys (host-%06d) share their first
+// eight bytes, so every key comparison falls back to whole strings;
+// distinct keys are the end-to-end benchmark's 13-byte 'k', class,
+// identifier shape, whose first eight bytes differ.
 func BenchmarkRouterQuery(b *testing.B) {
+	for _, keys := range []struct {
+		name, prefix string
+		key          func(i int) string
+	}{
+		{"tie", "host-00", func(i int) string { return fmt.Sprintf("host-%06d", i) }},
+		{"distinct", "k1", func(i int) string {
+			return fmt.Sprintf("k%x%011x", i%16, uint64(i)*0x9e3779b97f4a7c15&(1<<44-1))
+		}},
+	} {
+		b.Run(keys.name, func(b *testing.B) { routerQuery(b, keys.prefix, keys.key) })
+	}
+}
+
+func routerQuery(b *testing.B, prefix string, key func(i int) string) {
 	const assignments, peers = 4, 3
 	sample := core.Config{Family: testSample.Family, Mode: testSample.Mode, Seed: 11, K: 1024}
 	var addrs []string
 	var offers [peers][]server.Offer
 	for i := 0; i < 40_000; i++ {
-		key := fmt.Sprintf("host-%06d", i)
+		key := key(i)
 		p := shard.ShardOf(key, peers)
 		for a := 0; a < assignments; a++ {
 			offers[p] = append(offers[p], server.Offer{Assignment: a, Key: key, Weight: 1 + float64((i*(a+3))%97)})
@@ -735,7 +752,7 @@ func BenchmarkRouterQuery(b *testing.B) {
 	defer r.Close()
 	query := func(b *testing.B, R string) {
 		rec := httptest.NewRecorder()
-		r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster/query?agg=L1&prefix=host-00"+R, nil))
+		r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster/query?agg=L1&prefix="+prefix+R, nil))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}

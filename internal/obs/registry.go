@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -20,6 +22,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	process  sync.Once // RegisterProcess
 }
 
 type family struct {
@@ -102,6 +105,25 @@ func (r *Registry) NewHistogramL(name, help, labels string) *Histogram {
 // store) under a name and label set.
 func (r *Registry) RegisterHistogram(name, help, labels string, h *Histogram) {
 	r.add(name, help, "histogram", labels, series{hist: h})
+}
+
+// RegisterProcess registers the process's own series once per registry (a
+// node and the router sharing it both call it): cws_build_info{go_version,
+// revision}, always 1, and cws_key_order_sorts_total from keyOrderSorts.
+func (r *Registry) RegisterProcess(keyOrderSorts func() int64) {
+	r.process.Do(func() {
+		goVersion, revision := runtime.Version(), "unknown"
+		if bi, ok := debug.ReadBuildInfo(); ok {
+			for _, s := range bi.Settings {
+				if s.Key == "vcs.revision" {
+					revision = s.Value
+				}
+			}
+		}
+		r.GaugeL("cws_build_info", "Build of the serving binary: its Go version and VCS revision (\"unknown\" when built outside a checkout); always 1.",
+			Label("go_version", goVersion)+","+Label("revision", revision), func() float64 { return 1 })
+		r.Counter("cws_key_order_sorts_total", "Sketch key orders sorted on first use: samples no segment decode, merge or segment encode handed one. Flat across queries once a durable node's ring is full.", keyOrderSorts)
+	})
 }
 
 // Label renders one label pair, escaping the value per the exposition

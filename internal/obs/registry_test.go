@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,6 +104,27 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r.Counter("cws_dup_total", "D.", func() int64 { return 0 })
+}
+
+// TestRegisterProcessOnce: the process-wide series register once however
+// many layers sharing a registry ask, and render as the CI smoke and the
+// scrapers expect.
+func TestRegisterProcessOnce(t *testing.T) {
+	r := NewRegistry()
+	r.RegisterProcess(func() int64 { return 7 })
+	r.RegisterProcess(func() int64 { return 9 }) // the router sharing the node's registry
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	info := regexp.MustCompile(`(?m)^cws_build_info\{go_version="go[^"]+",revision="[^"]+"\} 1$`)
+	if !info.MatchString(out) || !strings.Contains(out, "# TYPE cws_build_info gauge") {
+		t.Errorf("no cws_build_info gauge in\n%s", out)
+	}
+	if !strings.Contains(out, "\ncws_key_order_sorts_total 7\n") || !strings.Contains(out, "# TYPE cws_key_order_sorts_total counter") {
+		t.Errorf("cws_key_order_sorts_total is not the first registration's counter in\n%s", out)
+	}
 }
 
 func TestLabelEscaping(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"coordsample/internal/obs"
+	"coordsample/internal/sketch"
 )
 
 // serverMetrics is the serving layer's histogram set. The histograms are
@@ -30,9 +31,10 @@ type serverMetrics struct {
 // config fields get private defaults, so embedders pay nothing for the
 // layer they did not ask for.
 //
-// The registry exposes the counters the server keeps (as function-backed
-// series — no double bookkeeping), the request/freeze histograms, the
-// store's durability histograms when a store is attached,
+// The registry exposes the process series (RegisterProcess), the counters
+// the server keeps (as function-backed series — no double bookkeeping), the
+// request/freeze histograms, the store's durability histograms when a store
+// is attached,
 // and one hits/fires counter pair per configured fault point — the whole
 // shared fault Set, so injected cluster and store faults are scrapable
 // from the serving process's /metrics.
@@ -64,6 +66,7 @@ func (s *Server) initObs(cfg Config) {
 	m.freezePersist = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "persist"))
 	m.freezePublish = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "publish"))
 
+	r.RegisterProcess(sketch.KeyOrderSorts)
 	r.Counter("cws_offers_total", "Offers accepted into the current or a frozen epoch.", s.offers.Load)
 	r.Counter("cws_offer_batches_total", "POST /offer requests accepted.", s.offerBatches.Load)
 	r.Counter("cws_ingest_streams_total", "POST /ingest streams completed.", s.ingestStreams.Load)

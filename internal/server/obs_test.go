@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -245,5 +246,50 @@ func TestTwoServersShareNothing(t *testing.T) {
 	}
 	if !strings.Contains(scrape(ts2.URL), "cws_offers_total 0") {
 		t.Error("server 2 saw server 1's traffic")
+	}
+}
+
+// TestKeyOrderSortsFlatAfterFullRingFreeze: once a durable server's ring is
+// full, every sketch a query reads holds a key order it never sorted — the
+// segment encoder handed the cumulative and the epochs theirs, and a window
+// merge derives its own — so cws_key_order_sorts_total stays flat across a
+// cold whole-stream query and cold window queries. Dropping the encoder's
+// hand-over moves the counter on the whole-stream query; dropping the
+// merge's derivation moves it on the two-epoch window.
+func TestKeyOrderSortsFlatAfterFullRingFreeze(t *testing.T) {
+	cfg := obsTestConfig()
+	cfg.Assignments = 2
+	const retain = 2
+	cfg.Retain = retain
+	cfg.Store = openTestStore(t, t.TempDir(), cfg, retain)
+	_, ts := newTestServer(t, cfg)
+	for epoch := 0; epoch <= retain; epoch++ { // the last freeze finds the ring full
+		var offers []Offer
+		for i := 0; i < 40; i++ {
+			key := fmt.Sprintf("e%d/%02d", epoch, i)
+			offers = append(offers, Offer{Assignment: 0, Key: key, Weight: float64(1 + i%7)}, Offer{Assignment: 1, Key: key, Weight: float64(1 + i%5)})
+		}
+		postJSON(t, ts.URL+"/offer", map[string]any{"offers": offers})
+		postJSON(t, ts.URL+"/freeze", nil)
+	}
+	metrics := obstest.Scrape(t, ts.URL)
+	sorts, ok := metrics["cws_key_order_sorts_total"]
+	if !ok {
+		t.Fatal("/metrics has no cws_key_order_sorts_total")
+	}
+	info := false
+	for name, v := range metrics {
+		info = info || strings.HasPrefix(name, `cws_build_info{go_version="go`) && v == 1
+	}
+	if !info {
+		t.Error("/metrics has no cws_build_info{go_version,revision} 1")
+	}
+	for _, q := range []string{"agg=L1", "agg=L1&epochs=2..3", "agg=sum&b=1&epochs=3"} {
+		queryHTTP(t, ts.URL, q)
+		got := obstest.Scrape(t, ts.URL)["cws_key_order_sorts_total"]
+		if got != sorts {
+			t.Errorf("cold query %s sorted %v key orders, want none", q, got-sorts)
+		}
+		sorts = got
 	}
 }

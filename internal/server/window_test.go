@@ -19,6 +19,7 @@ import (
 	"coordsample/internal/core"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
+	"coordsample/internal/store"
 )
 
 // These tests pin the assignment-lazy window state: a window query merges
@@ -382,15 +383,44 @@ func TestWindowDuplicateKeyIsRefused(t *testing.T) {
 
 // BenchmarkWindowQueryCold is the node read path's checked-in number: one
 // cold /query over a 4-epoch window at the end-to-end benchmark's sketch
-// size (k = 1 024, |W| = 8), against a fresh window state every iteration —
-// the assignments the query reads merged (one, two, all eight), its
-// AW-summary built, the predicate scanned.
+// size (k = 1 024, |W| = 8) on a durable node, as the end-to-end benchmark
+// runs it, against a fresh window state every iteration — the assignments
+// the query reads merged (one, two, all eight), its AW-summary built, the
+// predicate scanned. Two key shapes: tie keys (%06d.e%d) agree on their
+// first eight bytes across the window's epochs, so every key comparison
+// falls back to whole strings; distinct keys are the end-to-end
+// benchmark's 13-byte 'k', class, identifier shape, whose first eight
+// bytes differ.
 func BenchmarkWindowQueryCold(b *testing.B) {
+	for _, keys := range []struct {
+		name, prefix string
+		key          func(i, epoch int) string
+	}{
+		{"tie", "0001", func(i, epoch int) string { return fmt.Sprintf("%06d.e%d", i, epoch) }},
+		{"distinct", "k1", func(i, epoch int) string { return key13(epoch<<20 | i) }},
+	} {
+		b.Run(keys.name, func(b *testing.B) { windowQueryCold(b, keys.prefix, keys.key) })
+	}
+}
+
+// key13 is the n-th key of the end-to-end benchmark's shape: 'k', a class
+// hex digit and an 11-hex-digit identifier, distinct for distinct n < 2^44.
+func key13(n int) string {
+	return fmt.Sprintf("k%x%011x", n%16, uint64(n)*0x9e3779b97f4a7c15&(1<<44-1))
+}
+
+func windowQueryCold(b *testing.B, prefix string, key func(i, epoch int) string) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 11, K: 1024},
 		Assignments: 8,
 		Retain:      4,
 	}
+	st, err := store.Open(store.Config{Dir: b.TempDir(), Retain: cfg.Retain, Sample: cfg.Sample, Assignments: cfg.Assignments})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	cfg.Store = st
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -406,7 +436,7 @@ func BenchmarkWindowQueryCold(b *testing.B) {
 	for epoch := 0; epoch < 4; epoch++ {
 		var offers []Offer
 		for i := 0; i < 4*cfg.Sample.K; i++ {
-			key := fmt.Sprintf("%06d.e%d", i, epoch) // distinct leading bytes: the key-order sort's fast path
+			key := key(i, epoch)
 			for a := 0; a < cfg.Assignments; a++ {
 				offers = append(offers, Offer{Assignment: a, Key: key, Weight: 1 + float64((i*(a+3))%97)})
 			}
@@ -428,7 +458,7 @@ func BenchmarkWindowQueryCold(b *testing.B) {
 				clear(snap.ranges)
 				snap.rangeMu.Unlock()
 				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?"+shape.params+"&prefix=0001&epochs=1..4", nil))
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?"+shape.params+"&prefix="+prefix+"&epochs=1..4", nil))
 				if rec.Code != http.StatusOK {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body)
 				}

@@ -95,16 +95,21 @@ func mustDistinct(entries []Entry) {
 }
 
 // sample is what BottomK and Poisson share: the sampled entries and their
-// key order, built on first use and at most once (sync.Once), so decode and
-// recovery never sort a sketch nobody queries (a segment decode hands it
-// over). The embedding sketches are otherwise written only by their
-// constructors; the memoized order is their one internally synchronized
-// part, and every reader sees the same value.
+// key order, which a segment decode or encode hands over and a merge of
+// ordered inputs derives; other samples sort on first use (KeyOrderSorts).
+// The order is the embedding sketch's one part written after construction:
+// under the Once, published by the ordered flag, the same for every reader.
 type sample struct {
 	entries []Entry // ascending (rank, key), distinct keys
 	once    sync.Once
 	byKey   []int32
+	ordered atomic.Bool // byKey is set: read it only after a true Load
 }
+
+var keyOrderSorts atomic.Int64
+
+// KeyOrderSorts counts the key orders this process sorted on first use.
+func KeyOrderSorts() int64 { return keyOrderSorts.Load() }
 
 // Size returns the number of sampled keys (for a bottom-k sketch, min(k, |I|)).
 func (s *sample) Size() int { return len(s.entries) }
@@ -117,11 +122,20 @@ func (s *sample) Entries() []Entry { return s.entries }
 // column the estimators' merge join walks. Shared; do not modify.
 func (s *sample) KeyOrder() []int32 {
 	s.once.Do(func() {
-		if s.byKey == nil {
-			s.byKey = sortedByKey(s.entries)
-		}
+		keyOrderSorts.Add(1)
+		s.byKey = sortedByKey(s.entries)
+		s.ordered.Store(true)
 	})
 	return s.byKey
+}
+
+// handOver gives the sample byKey as its key order unless it holds one; the
+// Once it writes under makes it safe on a published sketch.
+func (s *sample) handOver(byKey []int32) {
+	s.once.Do(func() {
+		s.byKey = byKey
+		s.ordered.Store(true)
+	})
 }
 
 // Lookup returns the entry for key, if sampled (a binary search of KeyOrder).
@@ -140,6 +154,14 @@ func (s *sample) Contains(key string) bool {
 	return ok
 }
 
+// keyWord is the key's first eight bytes, zero-padded, as a big-endian
+// word: keys whose words differ are in the order of their words.
+func keyWord(key string) uint64 {
+	var prefix [8]byte
+	copy(prefix[:], key)
+	return binary.BigEndian.Uint64(prefix[:])
+}
+
 // sortedByKey returns the indexes of entries in ascending key order. Each
 // entry becomes one word — the key's first eight bytes, big-endian, the low
 // bits given up to the entry's index — so the sort is an integer sort; only
@@ -149,9 +171,7 @@ func sortedByKey(entries []Entry) []int32 {
 	low := uint64(1)<<shift - 1
 	words := make([]uint64, len(entries))
 	for i, e := range entries {
-		var prefix [8]byte // zero-padded
-		copy(prefix[:], e.Key)
-		words[i] = binary.BigEndian.Uint64(prefix[:])&^low | uint64(i)
+		words[i] = keyWord(e.Key)&^low | uint64(i)
 	}
 	slices.Sort(words)
 	perm := make([]int32, len(words))
@@ -187,14 +207,17 @@ type BottomK struct {
 
 // newBottomK assembles a sketch from its entries, already in ascending
 // (rank, key) order, and r_{k+1}; r_k is the last rank when all k exist.
-// It panics when a key repeats (mustDistinct).
-func newBottomK(k int, fingerprint uint64, entries []Entry, threshold float64) *BottomK {
-	mustDistinct(entries)
+// The caller has proved the keys distinct; a non-nil byKey is their order.
+func newBottomK(k int, fingerprint uint64, entries []Entry, threshold float64, byKey []int32) *BottomK {
 	kth := math.Inf(1)
 	if len(entries) == k {
 		kth = entries[k-1].Rank
 	}
-	return &BottomK{sample: sample{entries: entries}, k: k, fingerprint: fingerprint, kth: kth, threshold: threshold}
+	s := &BottomK{sample: sample{entries: entries}, k: k, fingerprint: fingerprint, kth: kth, threshold: threshold}
+	if byKey != nil {
+		s.handOver(byKey)
+	}
+	return s
 }
 
 // K returns the sketch size parameter.
@@ -339,7 +362,8 @@ func (b *BottomKBuilder) Offer(key string, rankValue, weight float64) {
 func (b *BottomKBuilder) Sketch() *BottomK {
 	entries := slices.Clone(b.heap)
 	slices.SortFunc(entries, entryCompare)
-	return newBottomK(b.k, b.fingerprint, entries, b.next)
+	mustDistinct(entries)
+	return newBottomK(b.k, b.fingerprint, entries, b.next, nil)
 }
 
 func (b *BottomKBuilder) push(e Entry) {
@@ -413,7 +437,8 @@ func (s *BottomK) Prefix(l int) *BottomK {
 	// has; carrying it over would falsely certify mergeability. Prefixes are
 	// consumed in-process by the fixed-budget colocated summaries, so they
 	// stay unfingerprinted.
-	return newBottomK(l, 0, s.entries[:min(l, n)], threshold)
+	mustDistinct(s.entries[:min(l, n)])
+	return newBottomK(l, 0, s.entries[:min(l, n)], threshold, nil)
 }
 
 // BottomKFromRanks constructs a bottom-k sketch offline from parallel slices
@@ -464,7 +489,8 @@ func (e *FingerprintMismatchError) Error() string {
 // entries plus the input thresholds. Inputs are in ascending (rank, key)
 // order, so the merge is one k-way pass that stops after k entries;
 // r_{k+1} of the union is the minimum of the input thresholds and the first
-// entry each input has left. A single input is returned as is.
+// entry each input has left. A single input is returned as is. When every
+// input holds its key order, the result's is derived from theirs.
 //
 // Contract: all sketches must carry the same nonzero configuration
 // fingerprint, which certifies identical family, mode, seed, assignment,
@@ -499,6 +525,7 @@ func kWayMerge(sketches ...*BottomK) *BottomK {
 	fp := sketches[0].fingerprint
 	total := 0
 	threshold := math.Inf(1)
+	ordered := true
 	heads := make([][]Entry, len(sketches)) // each input's unconsumed suffix
 	for j, s := range sketches {
 		if s.k != k {
@@ -509,8 +536,13 @@ func kWayMerge(sketches ...*BottomK) *BottomK {
 		// The input's threshold is the smallest rank among its unretained
 		// keys, all of which stay unretained in the union.
 		threshold = min(threshold, s.threshold)
+		ordered = ordered && s.ordered.Load()
 	}
 	entries := make([]Entry, min(k, total))
+	var from []int32 // from[i]: the input entries[i] came from
+	if ordered {
+		from = make([]int32, len(entries))
+	}
 	for i := range entries {
 		best := -1
 		for j, h := range heads {
@@ -520,13 +552,102 @@ func kWayMerge(sketches ...*BottomK) *BottomK {
 		}
 		entries[i] = heads[best][0]
 		heads[best] = heads[best][1:]
+		if ordered {
+			from[i] = int32(best)
+		}
 	}
 	for _, h := range heads {
 		if len(h) > 0 {
 			threshold = min(threshold, h[0].Rank)
 		}
 	}
-	return newBottomK(k, fp, entries, threshold)
+	var byKey []int32
+	if ordered {
+		byKey = mergedKeyOrder(sketches, heads, entries, from)
+	} else {
+		mustDistinct(entries)
+	}
+	return newBottomK(k, fp, entries, threshold, byKey)
+}
+
+// mergedKeyOrder derives kWayMerge's result's key order; from[i] is the
+// input entries[i] came from (reused for the result), heads[j] what input j
+// did not keep. Input j kept a prefix of its rank order, so its key order
+// filtered to that prefix is a run of what it kept; the runs, merged
+// pairwise, order the union. A key two inputs kept panics as mustDistinct.
+func mergedKeyOrder(sketches []*BottomK, heads [][]Entry, entries []Entry, from []int32) []int32 {
+	n, low := len(entries), uint64(1)<<bits.Len(uint(len(entries)))-1
+	buf := make([]int32, n+len(sketches))
+	pos, ends := buf[:n], buf[n:] // pos[ends[j-1]+t]: the merged index of input j's entry t
+	end := int32(0)
+	for j, s := range sketches {
+		end += int32(len(s.entries) - len(heads[j]))
+		ends[j] = end
+	}
+	for i := len(from) - 1; i >= 0; i-- { // back to front: an input's entries keep their order
+		j := from[i]
+		ends[j]--
+		pos[ends[j]] = int32(i)
+	}
+	runs := make([]uint64, 2*n+1) // a key's 8-byte prefix word above its merged index
+	for j, s := range sketches {  // in order: a run's filter writes one slot into the next
+		lo, hi := int(ends[j]), n
+		if j+1 < len(sketches) {
+			hi = int(ends[j+1])
+		}
+		run, kept, c := runs[lo:], int32(hi-lo), 0
+		for _, t := range s.byKey { // branch-free: every index is written, only a kept one stays
+			run[c] = uint64(t)
+			c += int(uint32(t-kept) >> 31)
+		}
+		for q, t := range run[:c] {
+			i := pos[lo+int(t)]
+			run[q] = keyWord(entries[i].Key)&^low | uint64(i)
+		}
+		ends[j] = int32(hi)
+	}
+	src, dst, bounds := runs[:n], runs[n:2*n], ends
+	for len(bounds) > 1 {
+		lo, merged := 0, bounds[:0]
+		for r := 0; r < len(bounds); r += 2 {
+			mid, hi := int(bounds[r]), int(bounds[min(r+1, len(bounds)-1)])
+			if !mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi], entries, low) {
+				mustDistinct(entries) // panics: two inputs kept one key
+			}
+			merged, lo = append(merged, int32(hi)), hi
+		}
+		src, dst, bounds = dst, src, merged
+	}
+	for q, v := range src {
+		from[q] = int32(v & low)
+	}
+	return from
+}
+
+// mergeRuns merges two of mergedKeyOrder's runs into dst and reports false
+// if they share a key. The head is chosen by a conditional move, not a
+// branch: runs from different inputs interleave at random.
+func mergeRuns(dst, a, b []uint64, entries []Entry, low uint64) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		takeA := x < y
+		if (x^y)&^low == 0 { // the prefix words tie
+			c := strings.Compare(entries[x&low].Key, entries[y&low].Key)
+			if c == 0 {
+				return false
+			}
+			takeA = c < 0
+		}
+		v, step := y, 0
+		if takeA {
+			v, step = x, 1
+		}
+		dst[i+j], i, j = v, i+step, j+1-step
+	}
+	copy(dst[i+j:], a[i:])
+	copy(dst[len(a)+j:], b[j:])
+	return true
 }
 
 // MergeSets merges sets[i][b] over i for every assignment b: the given sets

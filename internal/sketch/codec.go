@@ -199,6 +199,5 @@ func validateDecoded(meta WireMeta, k int, fp uint64, kth, threshold float64, en
 	if want := meta.Assigner().Fingerprint(meta.Assignment, k); fp != want {
 		return nil, &FingerprintMismatchError{Index: -1, Want: want, Got: fp}
 	}
-	s := &BottomK{sample: sample{entries: entries, byKey: byKey}, k: k, fingerprint: fp, kth: kth, threshold: threshold}
-	return &Decoded{Meta: meta, BottomK: s}, nil
+	return &Decoded{Meta: meta, BottomK: newBottomK(k, fp, entries, threshold, byKey)}, nil
 }

@@ -66,22 +66,51 @@ func mergeOutcome(merge func(...*BottomK) *BottomK, parts []*BottomK) (s *Bottom
 	return merge(parts...), ""
 }
 
+// unorderedCopy is s without its key order: a sketch as a builder freezes it.
+func unorderedCopy(s *BottomK) *BottomK {
+	return &BottomK{sample: sample{entries: s.entries}, k: s.k, fingerprint: s.fingerprint, kth: s.kth, threshold: s.threshold}
+}
+
+// orderedCopy is s holding its key order, as a decode, a merge of ordered
+// inputs or the segment encoder leaves a sketch.
+func orderedCopy(s *BottomK) *BottomK {
+	c := unorderedCopy(s)
+	c.handOver(sortedByKey(c.entries))
+	return c
+}
+
 // assertMergeMatchesOracle checks the merge kernel against the oracle on one
-// input set: identical entries, r_k, r_{k+1} and fingerprint, or the same
-// panic text.
+// input set, twice: on inputs without key orders (the checkDistinct path,
+// sorting on first use) and on inputs holding them (the derived order).
+// Each run must give identical entries, r_k, r_{k+1} and fingerprint and
+// the key order a sort gives, or the same panic text, naming the same key.
 func assertMergeMatchesOracle(t *testing.T, parts []*BottomK) {
 	t.Helper()
-	got, gotPanic := mergeOutcome(kWayMerge, parts)
 	want, wantPanic := mergeOutcome(mergeOracle, parts)
-	if gotPanic != wantPanic {
-		t.Fatalf("panic %q, oracle %q", gotPanic, wantPanic)
-	}
-	if wantPanic != "" {
-		return
-	}
-	compareSketches(t, got, want)
-	if got.k != want.k || got.fingerprint != want.fingerprint {
-		t.Fatalf("k=%d fingerprint=%#x, oracle k=%d fingerprint=%#x", got.k, got.fingerprint, want.k, want.fingerprint)
+	for _, ordered := range []bool{false, true} {
+		inputs := make([]*BottomK, len(parts))
+		for j, p := range parts {
+			if inputs[j] = unorderedCopy(p); ordered {
+				inputs[j] = orderedCopy(p)
+			}
+		}
+		got, gotPanic := mergeOutcome(kWayMerge, inputs)
+		if gotPanic != wantPanic {
+			t.Fatalf("ordered=%v: panic %q, oracle %q", ordered, gotPanic, wantPanic)
+		}
+		if wantPanic != "" {
+			continue
+		}
+		compareSketches(t, got, want)
+		if got.k != want.k || got.fingerprint != want.fingerprint {
+			t.Fatalf("ordered=%v: k=%d fingerprint=%#x, oracle k=%d fingerprint=%#x", ordered, got.k, got.fingerprint, want.k, want.fingerprint)
+		}
+		if derived := got.ordered.Load(); derived != ordered {
+			t.Fatalf("ordered=%v: merged sketch holds a key order: %v", ordered, derived)
+		}
+		if !slices.Equal(got.KeyOrder(), sortedByKey(got.entries)) {
+			t.Fatalf("ordered=%v: key order %v, want %v", ordered, got.KeyOrder(), sortedByKey(got.entries))
+		}
 	}
 }
 
@@ -92,7 +121,8 @@ func assertMergeMatchesOracle(t *testing.T, parts []*BottomK) {
 // across two inputs — at a small rank, where both copies survive and both
 // implementations must panic with the same text, and at a large rank,
 // where the second copy falls outside the merged sample and the duplicate
-// stays undetected by both alike.
+// stays undetected by both alike. Up to three keys are duplicated at once,
+// so a panic must name the same one of them as the oracle.
 func TestMergeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 4000; trial++ {
@@ -100,7 +130,7 @@ func TestMergeMatchesOracle(t *testing.T) {
 		m := 1 + rng.Intn(16)
 		tied := rng.Intn(2) == 0
 		maxPer := []int{1, k, 3 * k}[rng.Intn(3)] // 1: fewer than k in total is likely
-		dup := rng.Intn(4) == 0 && m > 1
+		dup, dups := rng.Intn(4) == 0 && m > 1, 1+rng.Intn(3)
 		mixedFP := rng.Intn(8) == 0
 		next := 0
 		parts := make([]*BottomK, m)
@@ -118,12 +148,12 @@ func TestMergeMatchesOracle(t *testing.T) {
 				b.Offer(fmt.Sprintf("k%04d", next), r, 1+rng.Float64())
 				next++
 			}
-			if dup && j < 2 {
-				r := 1e-9 // inside every merged sample
+			for d := 0; dup && j < 2 && d < dups; d++ {
+				r := 1e-9 * float64(1+rng.Intn(4)) // inside every merged sample
 				if rng.Intn(2) == 0 {
 					r = 0.999 // usually outside it
 				}
-				b.Offer("dup", r*float64(1+j*rng.Intn(2)), 1) // equal or distinct ranks
+				b.Offer(fmt.Sprintf("dup%d", d), r*float64(1+j*rng.Intn(2)), 1) // equal or distinct ranks
 			}
 			parts[j] = b.Sketch()
 		}
@@ -181,46 +211,71 @@ func FuzzMerge(f *testing.F) {
 }
 
 // mergeInputs builds m disjoint full sketches of size k, as the window and
-// shard merges see them.
+// shard merges see them: 13-byte keys whose first eight bytes are random, so
+// the inputs' keys interleave.
 func mergeInputs(m, k int) []*BottomK {
 	rng := rand.New(rand.NewSource(int64(m*k + 1)))
 	parts := make([]*BottomK, m)
 	for j := range parts {
 		b := NewBottomKBuilderWithFingerprint(k, 7)
 		for i := 0; i < 2*k; i++ {
-			b.Offer(fmt.Sprintf("k%x%011x", j, rng.Int63n(1<<44)), rng.Float64(), 1+rng.Float64())
+			b.Offer(fmt.Sprintf("k%011x%x", rng.Int63n(1<<44), j), rng.Float64(), 1+rng.Float64())
 		}
 		parts[j] = b.Sketch()
 	}
 	return parts
 }
 
-// TestMergeAllocations pins the merge to a constant number of allocations —
-// the head table, the merged entries, the transient duplicate-check table
-// and the sketch — whatever the number of entries.
+// TestMergeAllocations pins the merge to a constant number of allocations,
+// whatever the number of entries. Inputs without key orders take the head
+// table, the merged entries, the transient duplicate-check table and the
+// sketch; inputs holding them trade the table for the source column, the
+// position map, the key cursors and the derived order.
 func TestMergeAllocations(t *testing.T) {
-	var counts []float64
-	for _, k := range []int{64, 1024} {
-		parts := mergeInputs(4, k)
-		counts = append(counts, testing.AllocsPerRun(20, func() {
-			if _, err := Merge(parts...); err != nil {
-				t.Fatal(err)
+	for _, ordered := range []bool{false, true} {
+		var counts []float64
+		for _, k := range []int{64, 1024} {
+			parts := mergeInputs(4, k)
+			for j, p := range parts {
+				if ordered {
+					parts[j] = orderedCopy(p)
+				}
 			}
-		}))
-	}
-	if counts[0] != counts[1] || counts[1] > 5 {
-		t.Fatalf("Merge of 4×64 / 4×1024 entries allocates %v times, want the same small constant", counts)
+			counts = append(counts, testing.AllocsPerRun(20, func() {
+				if _, err := Merge(parts...); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if limit := map[bool]float64{false: 5, true: 6}[ordered]; counts[0] != counts[1] || counts[1] > limit {
+			t.Fatalf("ordered=%v: Merge of 4×64 / 4×1024 entries allocates %v times, want the same constant ≤ %v", ordered, counts, limit)
+		}
 	}
 }
 
 var mergeSink *BottomK
 
+// BenchmarkMerge4x1024 merges four full sketches, as a window of four
+// epochs does, and reads the result's key order, as the query that merged
+// them does: inputs fresh from builders (the result sorts on first use)
+// and inputs holding their orders (the merge derives the result's).
 func BenchmarkMerge4x1024(b *testing.B) {
-	parts := mergeInputs(4, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mergeSink, _ = Merge(parts...)
+	for _, ordered := range []bool{false, true} {
+		parts := mergeInputs(4, 1024)
+		name := "unordered"
+		if ordered {
+			name = "ordered"
+			for j, p := range parts {
+				parts[j] = orderedCopy(p)
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mergeSink, _ = Merge(parts...)
+				mergeSink.KeyOrder()
+			}
+		})
 	}
 }
 
@@ -266,6 +321,9 @@ func TestKeyOrderMatchesPlainSort(t *testing.T) {
 // EncodeSegment taking one as input — may write it: under -race a write in
 // any of them (say r_k reassigned in ConditioningRanks) fails this test,
 // and the sketch's segment bytes are the same after the readers as before.
+// The two writers of a published sketch's order race its readers too: the
+// segment encoder handing a fresh sketch its order while eight goroutines
+// read it, and a merge of ordered inputs deriving its result's order.
 func TestKeyOrderConcurrentFirstUse(t *testing.T) {
 	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3}
 	a := meta.Assigner()
@@ -290,16 +348,27 @@ func TestKeyOrderConcurrentFirstUse(t *testing.T) {
 			pb.Offer(key, a.Rank(key, 0, w), w)
 		}
 		s, partner, p := bk.Sketch(), other.Sketch(), pb.Sketch()
+		handed := bk.Sketch() // gets its order from the encoder below
 		want, wantP := sortedByKey(s.entries), sortedByKey(p.entries)
 		before, err := encode(s)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The encoder handed s its order; s stays the sketch whose readers
+		// race the lazy sort.
+		s = unorderedCopy(s)
+		ordered, orderedPartner := orderedCopy(s), orderedCopy(partner)
+		wantMerged := sortedByKey(mergeOracle(s, partner).entries)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				if g == 0 { // hands handed its order while the others go on to read it
+					if got, err := encode(handed); err != nil || !bytes.Equal(got, before) {
+						t.Errorf("goroutine %d: encode handing over the order differs (%v)", g, err)
+					}
+				}
 				if e := s.Entries()[g]; !s.Contains(e.Key) || s.Contains(e.Key+"?") {
 					t.Errorf("goroutine %d: lookup of %q through a racing first use failed", g, e.Key)
 				}
@@ -325,6 +394,13 @@ func TestKeyOrderConcurrentFirstUse(t *testing.T) {
 				}
 				if got, err := encode(s); err != nil || !bytes.Equal(got, before) {
 					t.Errorf("goroutine %d: concurrent encode differs (%v)", g, err)
+				}
+				if !slices.Equal(handed.KeyOrder(), want) {
+					t.Errorf("goroutine %d: key order of the sketch the encoder hands one differs", g)
+				}
+				m, err := Merge(ordered, orderedPartner)
+				if derived := m.ordered.Load(); err != nil || !derived || !slices.Equal(m.KeyOrder(), wantMerged) {
+					t.Errorf("goroutine %d: merge of ordered inputs: derived=%v err=%v", g, derived, err)
 				}
 			}(g)
 		}

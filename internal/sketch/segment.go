@@ -83,7 +83,8 @@ func corruptSegment(format string, args ...any) error {
 }
 
 // EncodeSegment writes the sketches as one version-2 segment file, whose
-// bytes depend on the sketches alone. metas[b] must describe the
+// bytes depend on the sketches alone, and hands each sketch without a key
+// order the one its key dictionary implies. metas[b] must describe the
 // configuration sketches[b] was built under (its fingerprint is checked),
 // one per assignment in order; nothing is written on error. Returns the
 // trailer's CRC-32C, which callers persisting segments should record out
@@ -105,6 +106,7 @@ func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, 
 		}
 	}
 	dict, order, index := segmentKeys(sketches)
+	handOverKeyOrders(sketches, len(dict), index)
 	size := segmentHeaderSize + binary.MaxVarintLen64 + len(sketches)*segmentSketchSize + segmentTrailerSize +
 		len(index)*(len(binary.AppendUvarint(nil, uint64(len(dict))))+16)
 	for _, e := range dict {
@@ -183,6 +185,36 @@ func segmentKeys(sketches []*BottomK) (dict []Entry, order, index []int32) {
 		index[p] = pos[f]
 	}
 	return dict, order, index
+}
+
+// handOverKeyOrders gives every sketch without a key order the one its
+// entries' dictionary ranks (index, from segmentKeys) imply: its entry
+// positions by ascending rank, one counting pass per sketch, as
+// decodeSegmentV2 hands them over. The orders share one allocation.
+func handOverKeyOrders(sketches []*BottomK, d int, index []int32) {
+	var at, orders []int32 // at: dictionary rank → entry position + 1, for one sketch
+	for _, s := range sketches {
+		ranks := index[:len(s.entries)]
+		index = index[len(s.entries):]
+		if s.ordered.Load() {
+			continue
+		}
+		if at == nil {
+			at, orders = make([]int32, d), make([]int32, len(index)+len(ranks)+1)
+		}
+		for p, r := range ranks {
+			at[r] = int32(p + 1)
+		}
+		// Branch-free: every slot is written, only a held rank's (p > 0) stays.
+		j := 0
+		for _, p := range at {
+			orders[j] = p - 1
+			j += int(uint32(-p) >> 31)
+		}
+		s.handOver(orders[:j:j])
+		orders = orders[j:]
+		clear(at)
+	}
 }
 
 // DecodeSegment decodes one segment file (version 2 or 1) from memory:

@@ -175,6 +175,35 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSegmentEncodeHandsOverKeyOrders: encoding gives every sketch without
+// a key order the one a sort would give, from the segment's dictionary, so
+// no reader of an encoded set sorts; a sketch that held an order keeps it.
+func TestSegmentEncodeHandsOverKeyOrders(t *testing.T) {
+	for _, n := range []int{0, 3, 500} {
+		_, sketches, _, _ := buildSegmentFixture(t, 32, n)
+		sorts := KeyOrderSorts()
+		for b, s := range sketches {
+			ok := s.ordered.Load()
+			got := s.byKey
+			if !ok || !slices.Equal(got, sortedByKey(s.entries)) {
+				t.Fatalf("n=%d sketch %d: handed order %v (%v), want %v", n, b, got, ok, sortedByKey(s.entries))
+			}
+			if s.KeyOrder(); KeyOrderSorts() != sorts {
+				t.Fatalf("n=%d sketch %d: KeyOrder sorted an encoded sketch", n, b)
+			}
+		}
+	}
+	metas, sketches := benchSegmentSketches(2, 64)
+	held := orderedCopy(sketches[0])
+	order := held.KeyOrder()
+	if _, err := EncodeSegment(io.Discard, metas, []*BottomK{held, sketches[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := held.KeyOrder(); &got[0] != &order[0] {
+		t.Fatal("encoding replaced a key order the sketch already held")
+	}
+}
+
 // TestSegmentEncodeDeterministic: the encoding depends on the sketches
 // alone — re-encoding what was decoded reproduces the bytes — and it is
 // smaller than version 1 once the samples overlap.
@@ -462,16 +491,26 @@ var segmentCodecs = []struct {
 	encode func(io.Writer, []WireMeta, []*BottomK) (uint32, error)
 }{{"v1", encodeSegmentV1}, {"v2", EncodeSegment}}
 
-// BenchmarkSegmentEncode: one epoch's segment at |W| = 8, k = 1 024.
+// BenchmarkSegmentEncode: one epoch's segment at |W| = 8, k = 1 024, each
+// iteration from sketches without key orders, as a freeze encodes them (v2
+// hands each its order).
 func BenchmarkSegmentEncode(b *testing.B) {
 	metas, sketches := benchSegmentSketches(8, 1024)
 	for _, c := range segmentCodecs {
 		b.Run(c.name, func(b *testing.B) {
+			fresh := make([][]*BottomK, b.N)
+			for i := range fresh {
+				fresh[i] = make([]*BottomK, len(sketches))
+				for j, s := range sketches {
+					fresh[i][j] = unorderedCopy(s)
+				}
+			}
 			var buf bytes.Buffer
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				if _, err := c.encode(&buf, metas, sketches); err != nil {
+				if _, err := c.encode(&buf, metas, fresh[i]); err != nil {
 					b.Fatal(err)
 				}
 			}
