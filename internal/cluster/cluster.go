@@ -71,7 +71,7 @@
 //
 // POST /cluster/freeze advances the epoch cluster-wide in two phases:
 // phase one freezes every reachable peer (each peer persists and
-// acknowledges its own epoch durably — the store's manifest line remains
+// acknowledges its own epoch durably — the store's manifest rename remains
 // the single acknowledgement point); phase two publishes the outcome: the
 // per-peer epochs on success, or a degraded report naming the peers whose
 // freeze failed (502). A peer that died mid-freeze loses only its
@@ -989,7 +989,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 
 // handleFreeze is POST /cluster/freeze: the two-phase cluster epoch turn.
 // Phase one freezes every reachable peer concurrently (each peer's own
-// durable manifest append is its acknowledgement point); phase two
+// durable manifest rename is its acknowledgement point); phase two
 // publishes the outcome — per-peer epochs on full success, a degraded
 // report (502) when any peer's freeze failed.
 func (r *Router) handleFreeze(w http.ResponseWriter, req *http.Request) {

@@ -122,7 +122,7 @@ func (m *Merged) Ensure(bs []int) (merged int, err error) {
 		}
 	}
 	did, errs := make([]bool, len(missing)), make([]error, len(missing))
-	shard.ParallelDo(len(missing), 0, func(i int) {
+	shard.ParallelDo(len(missing), func(i int) {
 		did[i], errs[i] = m.slots[missing[i]].merge(m.assigner, missing[i])
 	})
 	for i := len(missing) - 1; i >= 0; i-- {

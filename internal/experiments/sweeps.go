@@ -7,6 +7,7 @@ import (
 	"coordsample/internal/evalstats"
 	"coordsample/internal/hashing"
 	"coordsample/internal/rank"
+	"coordsample/internal/shard"
 )
 
 // dispersedPoint holds ΣV measurements for the full dispersed estimator
@@ -44,14 +45,15 @@ func dispersedSweep(ds *dataset.Dataset, R []int, ks []int, runs int, seed uint6
 		// per-run ΣV given the realized conditioning thresholds, unbiased
 		// for ΣV[a] and immune to the error censoring that makes empirical
 		// squared error unusable for independent sketches with large |R|.
-		results := parallelRuns(runs, func(run int) []float64 {
+		results := make([][]float64, runs)
+		shard.ParallelDo(runs, func(run int) {
 			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
 			cc := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}
 			cv := evalstats.CondVarDispersed(sub, core.SummarizeDispersed(cc, sub))
 			ci := core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}
 			indMin := evalstats.CondVarIndependentMin(sub, core.SummarizeDispersed(ci, sub))
 			vec := []float64{cv.Max, cv.MinL, cv.MinS, cv.L1L, cv.L1S, indMin}
-			return append(vec, cv.Singles...)
+			results[run] = append(vec, cv.Singles...)
 		})
 		totals := sumRuns(results)
 		seMax, seMinL, seMinS, seL1L, seL1S, seIndMin := totals[0], totals[1], totals[2], totals[3], totals[4], totals[5]
@@ -104,7 +106,8 @@ func colocatedRatioSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) [
 	points := make([]colocatedRatioPoint, 0, len(ks))
 	for ki, k := range ks {
 		k := k
-		results := parallelRuns(runs, func(run int) []float64 {
+		results := make([][]float64, runs)
+		shard.ParallelDo(runs, func(run int) {
 			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
 			cc := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}, ds)
 			ci := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}, ds)
@@ -114,7 +117,7 @@ func colocatedRatioSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) [
 				inclInd, _ := evalstats.CondVarColocated(ds, ci, b)
 				vec[b], vec[w+b], vec[2*w+b] = plain, incl, inclInd
 			}
-			return vec
+			results[run] = vec
 		})
 		totals := sumRuns(results)
 		sePlain, seCoord, seInd := totals[:w], totals[w:2*w], totals[2*w:]
@@ -152,7 +155,8 @@ func sizeTradeoffSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []s
 	points := make([]sizePoint, 0, len(ks))
 	for ki, k := range ks {
 		k := k
-		results := parallelRuns(runs, func(run int) []float64 {
+		results := make([][]float64, runs)
+		shard.ParallelDo(runs, func(run int) {
 			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
 			cc := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}, ds)
 			ci := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}, ds)
@@ -163,7 +167,7 @@ func sizeTradeoffSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []s
 				inclI, plainI := evalstats.CondVarColocated(ds, ci, b)
 				vec[2+b], vec[2+w+b], vec[2+2*w+b], vec[2+3*w+b] = plainC, plainI, inclC, inclI
 			}
-			return vec
+			results[run] = vec
 		})
 		totals := sumRuns(results)
 		sizeC, sizeI := totals[0], totals[1]
@@ -242,4 +246,19 @@ func uniformBaselineSweep(ds *dataset.Dataset, R []int, ks []int, runs int, seed
 		points = append(points, uniformBaselinePoint{K: k, WeightedSV: seW / float64(runs), UniformSV: seU / float64(runs)})
 	}
 	return points
+}
+
+// sumRuns folds per-run vectors into their componentwise sum (in run order,
+// keeping floating-point results deterministic).
+func sumRuns(results [][]float64) []float64 {
+	if len(results) == 0 {
+		return nil
+	}
+	total := make([]float64, len(results[0]))
+	for _, vec := range results {
+		for i, v := range vec {
+			total[i] += v
+		}
+	}
+	return total
 }

@@ -68,10 +68,6 @@ func (s *Server) initObs(cfg Config) {
 
 	r.RegisterProcess(sketch.KeyOrderSorts)
 	r.Counter("cws_offers_total", "Offers accepted into the current or a frozen epoch.", s.offers.Load)
-	r.Counter("cws_offer_batches_total", "POST /offer requests accepted.", s.offerBatches.Load)
-	r.Counter("cws_ingest_streams_total", "POST /ingest streams completed.", s.ingestStreams.Load)
-	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "aw"), s.queriesAW.Load)
-	r.CounterL("cws_queries_total", "Queries answered, by estimator family.", obs.Label("est", "discarded"), s.queriesDiscarded.Load)
 	r.Counter("cws_range_queries_total", "Queries answered over a retained epoch window (?epochs=lo..hi).", s.rangeQueries.Load)
 	r.CounterL("cws_merged_assignments_total", "Assignments merged on first use by a window or cluster state.", obs.Label("site", "window"), s.mergedAssignments.Load)
 	r.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "window"), s.mergeConflicts.Load)

@@ -72,9 +72,7 @@ func TestMetricsExposition(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		"cws_offers_total 2",
-		"cws_offer_batches_total 1",
 		"cws_freezes_total 1",
-		`cws_queries_total{est="aw"} 1`,
 		"cws_epoch 1",
 		"# TYPE cws_offer_latency_seconds histogram",
 		"cws_offer_latency_seconds_count 1",

@@ -48,8 +48,8 @@
 // With a store attached (Config.Store, wired from cws-serve's -data-dir),
 // every freeze persists the epoch's sketch set through the durable epoch
 // store (internal/store) *before* the new snapshot is published: segment
-// write, fsync, rename, manifest append, fsync — only then is the freeze
-// acknowledged to the client. Once the store's ring is full it also writes
+// write, fsync, rename, directory fsync, then the manifest replaced the
+// same way — only then is the freeze acknowledged to the client. Once the store's ring is full it also writes
 // the freeze's cumulative merge, and GET /sketches serves those bytes. On
 // startup the server recovers the store's acknowledged epochs and serves
 // them immediately, bit-identically to the pre-crash process: same
@@ -408,10 +408,6 @@ type Server struct {
 
 	// Counters behind the /metrics registry (see initObs).
 	offers           atomic.Int64
-	offerBatches     atomic.Int64
-	ingestStreams    atomic.Int64
-	queriesAW        atomic.Int64
-	queriesDiscarded atomic.Int64
 	rangeQueries     atomic.Int64
 	freezes          atomic.Int64
 	freezeErrors     atomic.Int64
@@ -753,7 +749,6 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	s.offerBatches.Add(1)
 	s.om.offer.Record(time.Since(started))
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": st.accepted, "epoch": st.epoch})
 }
@@ -910,7 +905,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, map[string]any{"error": err.Error(), "accepted": st.accepted})
 		return
 	}
-	s.ingestStreams.Add(1)
 	s.om.ingestStream.Record(time.Since(started))
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": st.accepted, "epoch": st.epoch})
 }
@@ -1205,7 +1199,7 @@ func freezeAndMerge(ingest *shard.MultiSketcher, cum []*sketch.BottomK) ([]*sket
 	epochs := make([]*sketch.BottomK, len(sketchers))
 	out := make([]*sketch.BottomK, len(sketchers))
 	errs := make([]error, len(sketchers))
-	shard.ParallelDo(len(sketchers), 0, func(b int) {
+	shard.ParallelDo(len(sketchers), func(b int) {
 		epochs[b], out[b], errs[b] = freezeOne(sketchers[b], cum[b])
 	})
 	for _, err := range errs {
@@ -1295,10 +1289,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p.Est.Name() == estimate.DiscardedEstimator.Name() {
-		s.queriesDiscarded.Add(1)
 		s.om.queryDiscarded.Record(time.Since(started))
 	} else {
-		s.queriesAW.Add(1)
 		s.om.queryAW.Record(time.Since(started))
 	}
 	if r.URL.Query().Get("trace") == "1" {

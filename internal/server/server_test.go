@@ -543,14 +543,14 @@ func TestCountersAndHealth(t *testing.T) {
 	queryHTTP(t, ts.URL, "agg=sum&b=0")
 
 	m := obstest.Scrape(t, ts.URL)
-	m["cws_queries_total"] = m[`cws_queries_total{est="aw"}`] + m[`cws_queries_total{est="discarded"}`]
+	m["cws_query_latency_seconds_count"] = m[`cws_query_latency_seconds_count{est="aw"}`] + m[`cws_query_latency_seconds_count{est="discarded"}`]
 	for name, want := range map[string]float64{
-		"cws_offers_total":        2,
-		"cws_offer_batches_total": 1,
-		"cws_freezes_total":       1,
-		"cws_queries_total":       1,
-		"cws_epoch":               1,
-		"cws_serving_entries":     2,
+		"cws_offers_total":                2,
+		"cws_offer_latency_seconds_count": 1,
+		"cws_freezes_total":               1,
+		"cws_query_latency_seconds_count": 1,
+		"cws_epoch":                       1,
+		"cws_serving_entries":             2,
 	} {
 		if got, ok := m[name]; !ok || got != want {
 			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
@@ -1308,14 +1308,14 @@ func TestEstimatorSelectionEndToEnd(t *testing.T) {
 		t.Errorf("est=bogus error = %q, want it to name the unknown estimator", msg)
 	}
 
-	// Per-family counters: the loop above issued len(aggs) queries twice
+	// Per-family query counts: the loop above issued len(aggs) queries twice
 	// (memo check) per family = 10 discarded and 2×10 AW, plus 1 of each
 	// from the aliasing probe; the bogus query counts nowhere.
 	m := obstest.Scrape(t, ts.URL)
-	if got := m[`cws_queries_total{est="aw"}`]; got != 21 {
-		t.Errorf(`cws_queries_total{est="aw"} = %v, want 21`, got)
+	if got := m[`cws_query_latency_seconds_count{est="aw"}`]; got != 21 {
+		t.Errorf(`cws_query_latency_seconds_count{est="aw"} = %v, want 21`, got)
 	}
-	if got := m[`cws_queries_total{est="discarded"}`]; got != 11 {
-		t.Errorf(`cws_queries_total{est="discarded"} = %v, want 11`, got)
+	if got := m[`cws_query_latency_seconds_count{est="discarded"}`]; got != 11 {
+		t.Errorf(`cws_query_latency_seconds_count{est="discarded"} = %v, want 11`, got)
 	}
 }

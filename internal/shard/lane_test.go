@@ -232,29 +232,32 @@ func TestLaneDefaults(t *testing.T) {
 }
 
 // TestParallelDo pins the fan-out primitive itself: full index coverage at
-// any limit, serial fallback, and panic propagation choosing the lowest
-// index — the same panic a serial loop would surface first.
+// any GOMAXPROCS, serial fallback, and panic propagation choosing the
+// lowest index — the same panic a serial loop would surface first.
 func TestParallelDo(t *testing.T) {
-	for _, limit := range []int{0, 1, 3, 64} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 64} {
+		runtime.GOMAXPROCS(procs)
 		const n = 100
 		var hits [n]int32
 		var mu sync.Mutex
-		ParallelDo(n, limit, func(i int) {
+		ParallelDo(n, func(i int) {
 			mu.Lock()
 			hits[i]++
 			mu.Unlock()
 		})
 		for i, h := range hits {
 			if h != 1 {
-				t.Fatalf("limit=%d: f(%d) ran %d times, want 1", limit, i, h)
+				t.Fatalf("GOMAXPROCS=%d: f(%d) ran %d times, want 1", procs, i, h)
 			}
 		}
 	}
+	runtime.GOMAXPROCS(4)
 	got := func() (msg any) {
 		defer func() { msg = recover() }()
-		// limit > 1 forces the concurrent path even on one core; every odd
-		// index panics and the lowest (1) must win.
-		ParallelDo(10, 4, func(i int) {
+		// GOMAXPROCS > 1 forces the concurrent path even on one core; every
+		// odd index panics and the lowest (1) must win.
+		ParallelDo(10, func(i int) {
 			if i%2 == 1 {
 				panic(fmt.Sprintf("boom-%d", i))
 			}
@@ -264,5 +267,5 @@ func TestParallelDo(t *testing.T) {
 	if got != "boom-1" {
 		t.Fatalf("ParallelDo propagated panic %v, want boom-1", got)
 	}
-	ParallelDo(0, 4, func(int) { t.Fatal("n=0 must not call f") })
+	ParallelDo(0, func(int) { t.Fatal("n=0 must not call f") })
 }

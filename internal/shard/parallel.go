@@ -6,27 +6,22 @@ import (
 	"sync/atomic"
 )
 
-// ParallelDo runs f(0) … f(n-1) across at most limit concurrent goroutines,
-// pulling indexes from a shared counter so the work self-balances. limit ≤ 0
-// selects GOMAXPROCS; with an effective limit of one (or n ≤ 1) it runs the
-// plain serial loop — in particular a single-core process pays no goroutine
-// or synchronization cost. It is the repository's freeze/encode fan-out
-// primitive: per-shard and per-assignment freezes are embarrassingly
-// parallel, and ParallelDo keeps them semantically identical to the serial
-// loop, including panics.
+// ParallelDo runs f(0) … f(n-1) across at most GOMAXPROCS concurrent
+// goroutines, pulling indexes from a shared counter so the work
+// self-balances; with one schedulable core (or n ≤ 1) it runs the plain
+// serial loop — a single-core process pays no goroutine or synchronization
+// cost. It is the repository's one fan-out primitive (freezes, segment
+// writes and decodes, window merges, experiment runs, each writing its
+// result by index): the work is embarrassingly parallel, and ParallelDo
+// keeps it semantically identical to the serial loop, including panics.
 //
 // A panic raised by f is captured in the worker, and after every worker has
 // stopped the panic for the lowest index is re-raised on the calling
 // goroutine — the same panic a serial loop would have surfaced first. (The
 // original stack is lost to the recover, but callers that care — the
 // server's freeze path — recover the value itself, which is preserved.)
-func ParallelDo(n, limit int, f func(int)) {
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if limit > n {
-		limit = n
-	}
+func ParallelDo(n int, f func(int)) {
+	limit := min(runtime.GOMAXPROCS(0), n)
 	if limit <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)

@@ -423,7 +423,7 @@ func (m *MultiSketcher) Sketchers() []*Sketcher { return m.sketchers }
 // order.
 func (m *MultiSketcher) Sketches() []*sketch.BottomK {
 	out := make([]*sketch.BottomK, len(m.sketchers))
-	ParallelDo(len(m.sketchers), 0, func(b int) {
+	ParallelDo(len(m.sketchers), func(b int) {
 		out[b] = m.sketchers[b].Sketch()
 	})
 	return out

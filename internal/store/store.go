@@ -12,13 +12,13 @@
 //
 // # On-disk layout
 //
-//	<dir>/MANIFEST            append-only record of acknowledged epochs
+//	<dir>/MANIFEST            record of acknowledged epochs, replaced whole by every commit
 //	<dir>/epoch-000042.seg    one retained epoch's sketch set (segment file)
 //	<dir>/cum-000034.seg      cumulative segment: epochs 1..34 merged
 //	<dir>/LOCK                writer flock (held while a writable Store is open)
 //
 // Writable opens take an exclusive flock on LOCK: two writers on one
-// directory would interleave manifest appends and overwrite each other's
+// directory would interleave manifest commits and overwrite each other's
 // segments, so the second open is refused. The lock dies with the
 // process, so a SIGKILL never wedges the store; read-only opens
 // (cws-merge -store) take no lock and work alongside a live server.
@@ -33,9 +33,9 @@
 // # Manifest
 //
 // The manifest is the commit record: an epoch exists once — and only once
-// — its manifest line is durable. The header names the format and the
-// assignment count; each subsequent line records one durable action with
-// its own CRC-32C:
+// — a manifest holding its line is durable. The header names the format
+// and the assignment count; each subsequent line records one durable
+// segment with its own CRC-32C:
 //
 //	cws-store v1 assignments=2
 //	C 9 cum-000009.seg 8080 5e6f7a8b fps=... 1c2d3e4f
@@ -45,13 +45,16 @@
 // "E n" records epoch n: its segment file, byte size, segment checksum,
 // and per-assignment fingerprints. "C t" records the cumulative segment,
 // the exact merge of epochs 1..t. The E lines are the retained ring, which
-// may lie at or below t. While the ring fills, a commit writes the epoch
-// segment, then appends and fsyncs its E line. Once it is full, a commit
-// writes the epoch segment and the cumulative segment of epochs 1..n (the
-// caller's merge, encoded once) at the same time, fsyncs the directory
-// once, and atomically rewrites the manifest as the header, "C n" and the
-// last retain E lines. The append or the rename is the acknowledgement
-// point; only then are the expired epoch and the old cumulative unlinked.
+// may lie at or below t. A commit takes one form. It writes the epoch
+// segment — and, once the ring is full, the cumulative segment of epochs
+// 1..n (the caller's merge, encoded once) beside it — and fsyncs the
+// directory once. It then replaces the manifest atomically (temp file,
+// fsync, rename, directory fsync) with the header, the current C record
+// (none before the first) and the ring's E lines, the last retain of them
+// once the ring is full. The rename is the acknowledgement point; only
+// then are the expired epoch and the old cumulative unlinked. A commit
+// that fails before the rename leaves the old manifest in force and the
+// store usable.
 //
 // # Recovery invariants
 //
@@ -65,12 +68,15 @@
 //   - Every acknowledged epoch is recovered bit-identically: same entries,
 //     same conditioning ranks, same fingerprints — so a restarted server
 //     answers every query exactly as the pre-crash server did.
-//   - A torn final manifest line (crash mid-append) is tolerated and
-//     dropped: it was never acknowledged. Its orphaned segment file, if
-//     the rename happened, is overwritten by the next append of the same
-//     epoch number and garbage-collected on writable open.
-//   - Any other damage — a corrupt non-final manifest line, a missing,
-//     truncated, or bit-flipped segment — is acknowledged state that
+//   - A torn final manifest line is tolerated and dropped: it was never
+//     acknowledged. Only stores from older builds, which appended their E
+//     lines, can hold one; the next commit's manifest replaces it.
+//   - A segment written by a commit that never reached its rename is an
+//     orphan: the next commit of the same epoch number overwrites it, and
+//     a writable open garbage-collects it.
+//   - Any other damage — a corrupt non-final manifest line (one naming a
+//     segment other than its own epoch-<n>.seg or cum-<n>.seg included), a
+//     missing, truncated, or bit-flipped segment — is acknowledged state that
 //     cannot be served; Open fails with a typed *CorruptError rather than
 //     ever serving corrupt sketches.
 //
@@ -79,8 +85,9 @@
 // A ring of the most recent epochs is retained for epoch-range queries,
 // and the cumulative segment is the serving cumulative: disk holds retain
 // epoch segments plus that one, and nothing is merged to bound it. If only
-// the cumulative write fails, the epoch is committed in the append form (a
-// *CompactionError), and the next full-ring commit catches up.
+// the cumulative write fails, the epoch is committed under the old C record
+// with the ring one past retain (a *CompactionError), and the next
+// full-ring commit catches up.
 package store
 
 import (
@@ -141,11 +148,11 @@ type Config struct {
 }
 
 // The store's injectable fault points. The manifest points fire once per
-// commit, in either form; the segment points once per segment file, drawn
-// epoch first, before the files are written concurrently.
+// commit; the segment points once per segment file, drawn epoch first,
+// before the files are written concurrently.
 const (
 	// FaultSegmentWrite covers writing a segment's bytes to its temp
-	// file: "err" simulates ENOSPC (the append fails, the epoch is never
+	// file: "err" simulates ENOSPC (the commit fails, the epoch is never
 	// acknowledged); "torn" silently truncates the written bytes while
 	// reporting success — the manifest then acknowledges a size the file
 	// does not have, which recovery must refuse as a *CorruptError.
@@ -153,17 +160,13 @@ const (
 	// FaultSegmentFsync covers fsyncing the segment temp file ("err"
 	// only).
 	FaultSegmentFsync = "store.segment-fsync"
-	// FaultManifestAppend covers appending an epoch's manifest line:
-	// "err" fails the append (setting the store's broken flag — further
-	// appends are refused until reopen); "err,torn" additionally leaves
-	// half the line in the file first, the partial bytes a real short
-	// write strands, which reopen must heal as a torn tail. A rewrite it
-	// fails before the rename, leaving the old manifest in force.
+	// FaultManifestAppend covers writing a commit's new manifest: "err"
+	// fails the commit before the temp file is written, leaving the old
+	// manifest in force and the store usable ("torn" adds nothing: a
+	// partial temp file is never renamed into place).
 	FaultManifestAppend = "store.manifest-append"
-	// FaultManifestFsync covers fsyncing the manifest after a successful
-	// append ("err" only; also sets broken — the line may or may not be
-	// durable, so the epoch must not be treated as acknowledged); for a
-	// rewrite, the new manifest's fsync.
+	// FaultManifestFsync covers fsyncing the new manifest's temp file
+	// before its rename ("err" only; same outcome as FaultManifestAppend).
 	FaultManifestFsync = "store.manifest-fsync"
 )
 
@@ -196,10 +199,10 @@ type MismatchError struct {
 
 func (e *MismatchError) Error() string { return "store: " + e.Detail }
 
-// CompactionError reports an epoch acknowledged in the append form because
-// its cumulative segment could not be written (disk full, I/O error): the
-// epoch is safe — treat the append as successful — and the next full-ring
-// commit writes the cumulative again.
+// CompactionError reports an epoch acknowledged under the old C record
+// because its cumulative segment could not be written (disk full, I/O
+// error): the epoch is safe — treat the commit as successful — and the
+// next full-ring commit writes the cumulative again.
 type CompactionError struct {
 	Err error
 }
@@ -215,19 +218,19 @@ type EpochRecord struct {
 }
 
 // storedEpoch is one retained epoch plus the segment accounting (byte
-// size and segment CRC, as recorded in the manifest) that a manifest
-// rewrite needs — carried in memory so a commit never re-reads kept
+// size and segment CRC, as recorded in the manifest) that a commit's new
+// manifest needs — carried in memory so a commit never re-reads kept
 // segment files, and never has to trust a possibly rotten file's own
-// trailer for the rewritten manifest line.
+// trailer for the manifest line.
 type storedEpoch struct {
 	EpochRecord
 	size int
 	crc  uint32
 }
 
-// Store is a durable epoch store. Open recovers it; AppendEpoch persists a
-// frozen epoch and is the only mutating operation. Methods are safe for
-// concurrent use.
+// Store is a durable epoch store. Open recovers it; AppendMerged (and
+// AppendEpoch, which merges for the caller) commits a frozen epoch, the
+// only mutating operation. Methods are safe for concurrent use.
 type Store struct {
 	mu          sync.Mutex
 	dir         string
@@ -237,14 +240,13 @@ type Store struct {
 	assignments int
 
 	epoch    int               // last acknowledged epoch
-	through  int               // cumulative segment covers epochs 1..through (0 = none)
+	cumRec   manifestRecord    // the manifest's C record: the cumulative segment of epochs 1..cumRec.n (n = 0: none)
 	retained []storedEpoch     // the ring: consecutive epochs ending at epoch, ascending
 	cum      []*sketch.BottomK // exact merge of epochs 1..epoch (nil when epoch == 0)
 	cumSeg   []byte            // the cumulative segment's bytes when it covers epoch and is version 2
 	meta     []sketch.WireMeta // construction metadata of the stored sketches
-	manifest *os.File          // open for append on writable stores
 	lock     *os.File          // flock-held LOCK file on writable stores
-	broken   bool              // a manifest append failed; appends refused until reopen
+	broken   bool              // a manifest's rename may not be durable; commits refused until reopen
 	bytes    int64             // total bytes of referenced segment files
 	keyRatio float64           // dictionary keys ÷ entries of the last segment written
 	faults   *faults.Set       // injectable durability faults (nil in production)
@@ -296,7 +298,7 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		// Exclusive writer lock: two writable opens of one directory would
-		// interleave manifest appends and overwrite each other's segments,
+		// interleave manifest commits and overwrite each other's segments,
 		// silently corrupting acknowledged history. flock is released
 		// automatically if the process dies, so a crash never wedges the
 		// store.
@@ -310,12 +312,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if writable {
 		s.collectGarbage()
-		var err error
-		s.manifest, err = os.OpenFile(s.path(manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			s.releaseLock()
-			return nil, fmt.Errorf("store: %w", err)
-		}
 	}
 	return s, nil
 }
@@ -352,18 +348,13 @@ func metasFor(sample core.Config, assignments int) []sketch.WireMeta {
 	return metas
 }
 
-// Close releases the manifest handle. The store's durable state needs no
+// Close releases the writer lock. The store's durable state needs no
 // shutdown — every acknowledged epoch is already fsynced.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	if s.manifest != nil {
-		err = s.manifest.Close()
-		s.manifest = nil
-	}
 	s.releaseLock()
-	return err
+	return nil
 }
 
 // Writable reports whether the store was opened with a configuration and
@@ -504,7 +495,7 @@ func (s *Store) AppendMerged(sketches, cum []*sketch.BottomK) (int, []byte, erro
 		return 0, nil, fmt.Errorf("store: %d sketches for %d assignments", len(sketches), s.assignments)
 	}
 	if s.broken {
-		return 0, nil, fmt.Errorf("store: a previous manifest append failed and may have left partial bytes; reopen the store to recover before appending")
+		return 0, nil, fmt.Errorf("store: a renamed manifest may not be durable (directory fsync failed); reopen the store to recover before committing")
 	}
 	if cum == nil {
 		var err error
@@ -525,60 +516,32 @@ func (s *Store) AppendMerged(sketches, cum []*sketch.BottomK) (int, []byte, erro
 	seg := files[0]
 	ring := append(s.retained[:len(s.retained):len(s.retained)], storedEpoch{
 		EpochRecord: EpochRecord{Epoch: epoch, Sketches: sketches}, size: len(seg.data), crc: seg.crc})
+	c, cumSeg, expired := s.cumRec, []byte(nil), []storedEpoch(nil)
 	if full && files[1].err == nil {
-		cumSeg, kept := files[1], ring[len(ring)-s.retain:]
-		if err := s.rewriteManifest(epoch, cumSeg, kept); err != nil {
-			return 0, nil, err
-		}
-		// Acknowledged. Deleting what is no longer referenced is
-		// best-effort: a leftover is collected on the next writable open.
-		for _, rec := range ring[:len(ring)-s.retain] {
-			s.removeSegment(segmentName("epoch", rec.Epoch))
-		}
-		if s.through > 0 {
-			s.removeSegment(segmentName("cum", s.through))
-		}
-		s.epoch, s.through, s.cum, s.cumSeg, s.retained = epoch, epoch, cum, cumSeg.data, kept
-		s.bytes += int64(len(seg.data) + len(cumSeg.data))
-		s.log.Debug("wrote cumulative segment", "through", epoch, "disk_bytes", s.bytes)
-		return epoch, cumSeg.data, nil
+		f := files[1]
+		c = manifestRecord{kind: 'C', n: epoch, file: f.name, size: len(f.data), crc: f.crc, fps: fingerprints(cum)}
+		cumSeg, expired, ring = f.data, ring[:len(ring)-s.retain], ring[len(ring)-s.retain:]
 	}
-	line := manifestLine('E', epoch, seg.name, len(seg.data), seg.crc, fingerprints(sketches))
-	if out := s.faults.Act(FaultManifestAppend); out.Err != nil {
-		// Simulate a failed append; with "torn" it is a short write that
-		// stranded half the line in the file, exactly what a real partial
-		// WriteString leaves behind.
-		if out.Torn {
-			_, _ = s.manifest.WriteString(string(faults.Tear([]byte(line))))
-			_ = s.manifest.Sync()
-		}
-		s.broken = true
-		return 0, nil, fmt.Errorf("store: appending manifest: %w", out.Err)
+	if err := s.writeManifest(c, ring); err != nil {
+		return 0, nil, err
 	}
-	if _, err := s.manifest.WriteString(line); err != nil {
-		// The file may now hold a partial line; a further append would
-		// concatenate onto the junk and corrupt the record that follows.
-		// Refuse until a reopen truncates the manifest to its last good
-		// offset.
-		s.broken = true
-		return 0, nil, fmt.Errorf("store: appending manifest: %w", err)
+	// Acknowledged. Deleting what is no longer referenced is best-effort: a
+	// leftover is collected on the next writable open.
+	for _, rec := range expired {
+		s.removeSegment(segmentName("epoch", rec.Epoch))
 	}
-	if out := s.faults.Act(FaultManifestFsync); out.Err != nil {
-		s.broken = true
-		return 0, nil, fmt.Errorf("store: syncing manifest: %w", out.Err)
+	if cumSeg != nil && s.cumRec.n > 0 {
+		s.removeSegment(s.cumRec.file)
 	}
-	syncStart := time.Now()
-	if err := s.manifest.Sync(); err != nil {
-		s.broken = true
-		return 0, nil, fmt.Errorf("store: syncing manifest: %w", err)
-	}
-	s.manifestFsyncHist.Record(time.Since(syncStart))
-	s.epoch, s.cum, s.cumSeg, s.retained = epoch, cum, nil, ring
-	s.bytes += int64(len(seg.data))
-	if full {
+	s.epoch, s.cumRec, s.cum, s.cumSeg, s.retained = epoch, c, cum, cumSeg, ring
+	s.bytes += int64(len(seg.data) + len(cumSeg))
+	if full && cumSeg == nil {
 		return epoch, nil, &CompactionError{Err: files[1].err}
 	}
-	return epoch, nil, nil
+	if cumSeg != nil {
+		s.log.Debug("wrote cumulative segment", "through", epoch, "disk_bytes", s.bytes)
+	}
+	return epoch, cumSeg, nil
 }
 
 // SegmentKeyRatio returns dictionary keys ÷ entries of the last segment
@@ -613,7 +576,7 @@ func (s *Store) writeSegments(files []*segFile) error {
 		f.write, f.fsync = s.faults.Act(FaultSegmentWrite), s.faults.Act(FaultSegmentFsync)
 	}
 	start := time.Now()
-	shard.ParallelDo(len(files), 0, func(i int) { files[i].err = s.writeSegment(files[i]) })
+	shard.ParallelDo(len(files), func(i int) { files[i].err = s.writeSegment(files[i]) })
 	if files[0].err != nil {
 		return files[0].err
 	}
@@ -655,40 +618,40 @@ func (s *Store) writeSegment(f *segFile) error {
 	return s.writeRenamed(f.name, f.data, f.fsync)
 }
 
-// rewriteManifest atomically replaces the manifest with the header, the C
-// record of cum (epochs 1..through) and the E records of ring, whose sizes
-// and checksums are the ones recorded at append (or recovery): no segment
-// is re-read, so a rotted file cannot launder its own trailer into the new
-// manifest. A failure before the rename leaves the old manifest in force;
-// one after it breaks the store. Caller holds s.mu.
-func (s *Store) rewriteManifest(through int, cum *segFile, ring []storedEpoch) error {
-	var mb strings.Builder
-	fmt.Fprintf(&mb, "%s%d\n", manifestHeaderPrefix, s.assignments)
-	mb.WriteString(manifestLine('C', through, cum.name, len(cum.data), cum.crc, fingerprints(cum.sketches)))
-	for _, rec := range ring {
-		mb.WriteString(manifestLine('E', rec.Epoch, segmentName("epoch", rec.Epoch), rec.size, rec.crc, fingerprints(rec.Sketches)))
-	}
+// writeManifest is every commit's acknowledgement point: it atomically
+// replaces the manifest with manifestText(c, ring). A failure before the
+// rename leaves the old manifest in force; a failed directory fsync after
+// it breaks the store. Caller holds s.mu.
+func (s *Store) writeManifest(c manifestRecord, ring []storedEpoch) error {
 	if out := s.faults.Act(FaultManifestAppend); out.Err != nil {
-		return fmt.Errorf("store: rewriting manifest: %w", out.Err)
+		return fmt.Errorf("store: writing manifest: %w", out.Err)
 	}
 	start := time.Now()
-	if err := s.writeRenamed(manifestName, []byte(mb.String()), s.faults.Act(FaultManifestFsync)); err != nil {
+	if err := s.writeRenamed(manifestName, s.manifestText(c, ring), s.faults.Act(FaultManifestFsync)); err != nil {
 		return err
 	}
-	s.broken = true // until the rename is durable and the handle follows it
 	if err := s.syncDir(); err != nil {
+		s.broken = true
 		return err
 	}
 	s.manifestFsyncHist.Record(time.Since(start))
-	if err := s.manifest.Close(); err != nil {
-		return fmt.Errorf("store: closing old manifest: %w", err)
-	}
-	m, err := os.OpenFile(s.path(manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopening manifest: %w", err)
-	}
-	s.manifest, s.broken = m, false
 	return nil
+}
+
+// manifestText renders a manifest: the header, the C record c (none when
+// c.n is 0) and the E records of ring, whose sizes and checksums are the
+// ones recorded at commit or recovery — no segment is re-read, so a rotted
+// file cannot launder its own trailer into a new manifest.
+func (s *Store) manifestText(c manifestRecord, ring []storedEpoch) []byte {
+	var mb strings.Builder
+	fmt.Fprintf(&mb, "%s%d\n", manifestHeaderPrefix, s.assignments)
+	if c.n > 0 {
+		mb.WriteString(manifestLine('C', c.n, c.file, c.size, c.crc, c.fps))
+	}
+	for _, rec := range ring {
+		mb.WriteString(manifestLine('E', rec.Epoch, segmentName("epoch", rec.Epoch), rec.size, rec.crc, fingerprints(rec.Sketches)))
+	}
+	return []byte(mb.String())
 }
 
 // removeSegment deletes a segment file, adjusting the byte accounting.
@@ -784,16 +747,18 @@ func parseManifestLine(line string) (manifestRecord, error) {
 	if crc32.Checksum([]byte(body), castagnoli) != uint32(lineCRC) {
 		return rec, fmt.Errorf("line checksum mismatch")
 	}
-	if len(fields[0]) != 1 || (fields[0][0] != 'E' && fields[0][0] != 'C') {
+	prefix, ok := map[string]string{"E": "epoch", "C": "cum"}[fields[0]]
+	if !ok {
 		return rec, fmt.Errorf("unknown record kind %q", fields[0])
 	}
 	rec.kind = fields[0][0]
 	if rec.n, err = strconv.Atoi(fields[1]); err != nil || rec.n < 1 {
 		return rec, fmt.Errorf("bad epoch %q", fields[1])
 	}
-	rec.file = fields[2]
-	if rec.file != filepath.Base(rec.file) {
-		return rec, fmt.Errorf("segment name %q escapes the store directory", rec.file)
+	// Every build names a record's segment after its kind and epoch; any
+	// other name could alias another record's file.
+	if rec.file = fields[2]; rec.file != segmentName(prefix, rec.n) {
+		return rec, fmt.Errorf("segment name %q, want %q", rec.file, segmentName(prefix, rec.n))
 	}
 	if rec.size, err = strconv.Atoi(fields[3]); err != nil || rec.size < 0 {
 		return rec, fmt.Errorf("bad size %q", fields[3])
@@ -837,8 +802,7 @@ func (s *Store) recover() error {
 		}
 		// Fresh store: write the header atomically, so a torn header can
 		// never be observed.
-		header := fmt.Sprintf("%s%d\n", manifestHeaderPrefix, s.assignments)
-		if err := s.writeRenamed(manifestName, []byte(header), faults.Outcome{}); err != nil {
+		if err := s.writeRenamed(manifestName, s.manifestText(manifestRecord{}, nil), faults.Outcome{}); err != nil {
 			return err
 		}
 		return s.syncDir()
@@ -847,10 +811,11 @@ func (s *Store) recover() error {
 		return fmt.Errorf("store: %w", err)
 	}
 
-	// Only an *unterminated* final line can be a torn append (every record
-	// is written as a single "line\n"; a crash mid-append cuts it before
-	// the newline). A newline-terminated line that fails its checksum is
-	// acknowledged state hit by bit rot — corruption, never tolerated.
+	// Only an *unterminated* final line can be a torn append (older builds
+	// appended each record as a single "line\n"; a crash mid-append cut it
+	// before the newline). A newline-terminated line that fails its
+	// checksum is acknowledged state hit by bit rot — corruption, never
+	// tolerated.
 	content := string(data)
 	torn := ""
 	if i := strings.LastIndexByte(content, '\n'); i < 0 {
@@ -883,21 +848,12 @@ func (s *Store) recover() error {
 		}
 		records = append(records, rec)
 	}
-	if torn != "" && s.writable {
-		// Heal the torn append: truncate to the acknowledged prefix so the
-		// next append starts on a fresh line instead of concatenating onto
-		// the partial bytes.
-		if err := os.Truncate(mpath, int64(len(content))); err != nil {
-			return fmt.Errorf("store: truncating torn manifest tail: %w", err)
-		}
-	}
-
 	// Decode in parallel (serially at GOMAXPROCS=1); report in manifest order.
 	loaded := make([][]*sketch.BottomK, len(records))
 	metas := make([][]sketch.WireMeta, len(records))
 	raw := make([][]byte, len(records))
 	errs := make([]error, len(records))
-	shard.ParallelDo(len(records), 0, func(i int) {
+	shard.ParallelDo(len(records), func(i int) {
 		loaded[i], metas[i], raw[i], errs[i] = s.loadSegment(records[i])
 	})
 	if len(records) > 0 && s.meta == nil {
@@ -908,13 +864,12 @@ func (s *Store) recover() error {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		s.bytes += int64(rec.size)
 		switch rec.kind {
 		case 'C':
 			if rec.n < s.epoch {
 				return &CorruptError{Path: mpath, Detail: fmt.Sprintf("compaction through %d behind epoch %d", rec.n, s.epoch)}
 			}
-			s.through, s.epoch, base, baseData = rec.n, rec.n, loaded[i], raw[i]
+			s.cumRec, s.epoch, base, baseData = rec, rec.n, loaded[i], raw[i]
 			s.retained = nil
 		case 'E':
 			// The ring is consecutive; it may start inside the cumulative
@@ -930,20 +885,24 @@ func (s *Store) recover() error {
 			})
 		}
 	}
-	if n := len(s.retained); n > 0 && s.retained[n-1].Epoch < s.through {
-		return &CorruptError{Path: mpath, Detail: fmt.Sprintf("retained epochs end at %d, before the cumulative segment's %d", s.retained[n-1].Epoch, s.through)}
+	if n := len(s.retained); n > 0 && s.retained[n-1].Epoch < s.cumRec.n {
+		return &CorruptError{Path: mpath, Detail: fmt.Sprintf("retained epochs end at %d, before the cumulative segment's %d", s.retained[n-1].Epoch, s.cumRec.n)}
+	}
+	s.bytes = int64(s.cumRec.size)
+	for _, rec := range s.retained {
+		s.bytes += int64(rec.size)
 	}
 
 	// A cumulative segment covering the last epoch is the cumulative;
 	// otherwise it merges with the epochs above it, as they merged live.
-	if s.epoch > 0 && s.through == s.epoch {
+	if s.epoch > 0 && s.cumRec.n == s.epoch {
 		s.cum = base
 		if _, v2 := sketch.SegmentKeys(baseData); v2 {
 			s.cumSeg = baseData
 		}
 	} else if s.epoch > 0 {
-		if s.cum, err = mergeEpochs(base, s.retained[len(s.retained)-(s.epoch-s.through):]); err != nil {
-			return err
+		if s.cum, err = mergeEpochs(base, s.retained[len(s.retained)-(s.epoch-s.cumRec.n):]); err != nil {
+			return &CorruptError{Path: mpath, Detail: "recorded segments do not merge", Err: err}
 		}
 	}
 	return nil
@@ -1014,8 +973,8 @@ func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.Wir
 // only; caller is Open.
 func (s *Store) collectGarbage() {
 	referenced := map[string]bool{}
-	if s.through > 0 {
-		referenced[segmentName("cum", s.through)] = true
+	if s.cumRec.n > 0 {
+		referenced[s.cumRec.file] = true
 	}
 	for _, rec := range s.retained {
 		referenced[segmentName("epoch", rec.Epoch)] = true

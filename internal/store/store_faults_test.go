@@ -25,7 +25,7 @@ func openWritableFaults(t *testing.T, dir string, retain int, fs *faults.Set) *S
 
 // TestSegmentWriteErrorLeavesEpochUnacknowledged: an ENOSPC-style failure
 // writing the segment fails the append before anything is acknowledged;
-// the store is not broken (nothing reached the manifest) and the retried
+// nothing reached the manifest, so the store stays usable and the retried
 // append persists the same epoch, recovered bit-identically.
 func TestSegmentWriteErrorLeavesEpochUnacknowledged(t *testing.T) {
 	dir := t.TempDir()
@@ -44,8 +44,7 @@ func TestSegmentWriteErrorLeavesEpochUnacknowledged(t *testing.T) {
 	if s.Epoch() != 1 {
 		t.Fatalf("failed append acknowledged: epoch %d", s.Epoch())
 	}
-	// Nothing reached the manifest, so the store is not broken: the retry
-	// succeeds in place.
+	// Nothing reached the manifest: the retry succeeds in place.
 	epoch, err := s.AppendEpoch(epochs[1])
 	if err != nil || epoch != 2 {
 		t.Fatalf("retry: epoch %d, err %v", epoch, err)
@@ -107,92 +106,71 @@ func TestTornSegmentWriteRefusedAsCorruptOnReopen(t *testing.T) {
 	}
 }
 
-// TestManifestAppendFailureBreaksStoreUntilReopen: a failed manifest
-// append may strand partial bytes, so the store refuses further appends
-// (PR-5 contract) until a reopen re-establishes a clean tail.
+// TestManifestFaultWhileFillingLeavesEpochUnacknowledged: a fault fsyncing
+// the new manifest while the ring fills fails the commit before the rename.
+func TestManifestFaultWhileFillingLeavesEpochUnacknowledged(t *testing.T) {
+	spec := FaultManifestFsync + ":err"
+	t.Run(spec, func(t *testing.T) { checkManifestFault(t, 4, spec) })
+}
+
+// TestManifestAppendFailureBreaksStoreUntilReopen: a fault writing the new
+// manifest while the ring fills fails the commit before the rename. The
+// name dates from the append-only manifest, when such a failure left a
+// possibly-partial line and the store refused appends until reopened; the
+// rewritten manifest is untouched, so the store now stays usable and a
+// retry succeeds with no reopen (checkManifestFault pins both).
 func TestManifestAppendFailureBreaksStoreUntilReopen(t *testing.T) {
-	dir := t.TempDir()
-	epochs := buildEpochs(t, 2, 150)
-	s := openWritableFaults(t, dir, 4, faults.MustParse(FaultManifestAppend+":err,on=2"))
-
-	if _, err := s.AppendEpoch(epochs[0]); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.AppendEpoch(epochs[1])
-	var inj *faults.InjectedError
-	if !errors.As(err, &inj) || inj.Point != FaultManifestAppend {
-		t.Fatalf("append error %v is not the injected manifest-append fault", err)
-	}
-	// Append-refusal: even though the fault will not fire again, the store
-	// must refuse to append onto a possibly-partial manifest line.
-	if _, err := s.AppendEpoch(epochs[1]); err == nil || !strings.Contains(err.Error(), "reopen") {
-		t.Fatalf("broken store accepted an append (err %v)", err)
-	}
-	s.Close()
-
-	re := openWritable(t, dir, 4)
-	if re.Epoch() != 1 {
-		t.Fatalf("recovered epoch %d, want 1", re.Epoch())
-	}
-	if epoch, err := re.AppendEpoch(epochs[1]); err != nil || epoch != 2 {
-		t.Fatalf("append after reopen: epoch %d, err %v", epoch, err)
-	}
-	sameSketchSet(t, "cumulative after heal", re.Cumulative(), mergeAll(t, epochs))
+	checkManifestFault(t, 4, FaultManifestAppend+":err")
 }
 
-// TestTornManifestAppendHealedOnReopen: "err,torn" leaves half the
-// manifest line durably in the file — the bytes a real short write
-// strands. Reopen must drop the unacknowledged torn tail, recover the
-// acknowledged prefix bit-identically, and accept appends again.
+// TestTornManifestAppendHealedOnReopen: a torn manifest write changes
+// nothing on disk, since the partial temp file is never renamed into place;
+// reopening recovers the last acknowledged epoch and appends on from it.
 func TestTornManifestAppendHealedOnReopen(t *testing.T) {
-	dir := t.TempDir()
-	epochs := buildEpochs(t, 2, 150)
-	s := openWritableFaults(t, dir, 4, faults.MustParse(FaultManifestAppend+":err,torn,on=2"))
-
-	if _, err := s.AppendEpoch(epochs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AppendEpoch(epochs[1]); err == nil {
-		t.Fatal("torn manifest append reported success")
-	}
-	s.Close()
-
-	re := openWritable(t, dir, 4)
-	if re.Epoch() != 1 {
-		t.Fatalf("recovered epoch %d, want 1", re.Epoch())
-	}
-	sameSketchSet(t, "recovered epoch 1", re.Cumulative(), mergeAll(t, epochs[:1]))
-	if epoch, err := re.AppendEpoch(epochs[1]); err != nil || epoch != 2 {
-		t.Fatalf("append after torn-tail heal: epoch %d, err %v", epoch, err)
-	}
-	sameSketchSet(t, "cumulative after heal", re.Cumulative(), mergeAll(t, epochs))
+	checkManifestFault(t, 4, FaultManifestAppend+":err,torn")
 }
 
-// TestManifestFsyncFailureBreaksStore: after a failed manifest fsync the
-// line's durability is unknown, so the epoch must not be reported
-// acknowledged and the store must refuse further appends until reopen.
-func TestManifestFsyncFailureBreaksStore(t *testing.T) {
+// checkManifestFault commits epoch 1 into a store retaining retain epochs,
+// then fails epoch 2's commit with the manifest fault spec (its second
+// hit): MANIFEST must be byte-identical, the epoch unacknowledged, a crash
+// at that moment must recover epoch 1, the store must stay usable — the
+// retry succeeds with no reopen — and a reopen must recover both epochs.
+func checkManifestFault(t *testing.T, retain int, spec string) {
 	dir := t.TempDir()
-	epochs := buildEpochs(t, 1, 150)
-	s := openWritableFaults(t, dir, 4, faults.MustParse(FaultManifestFsync+":err,on=1"))
-
-	_, err := s.AppendEpoch(epochs[0])
-	var inj *faults.InjectedError
-	if !errors.As(err, &inj) || inj.Point != FaultManifestFsync {
-		t.Fatalf("append error %v is not the injected manifest-fsync fault", err)
+	epochs := buildEpochs(t, 2, 120)
+	point, _, _ := strings.Cut(spec, ":")
+	s := openWritableFaults(t, dir, retain, faults.MustParse(spec+",on=2"))
+	appendAll(t, s, epochs[:1])
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.AppendEpoch(epochs[0]); err == nil || !strings.Contains(err.Error(), "reopen") {
-		t.Fatalf("broken store accepted an append (err %v)", err)
+	_, err = s.AppendEpoch(epochs[1])
+	var inj *faults.InjectedError
+	if !errors.As(err, &inj) || inj.Point != point {
+		t.Fatalf("append error %v is not the injected %s fault", err, point)
+	}
+	if s.Epoch() != 1 {
+		t.Fatalf("failed commit acknowledged: epoch %d", s.Epoch())
+	}
+	if now, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(now, manifest) {
+		t.Fatal("failed commit changed the manifest")
+	}
+	crashed, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery after the failed commit: %v", err)
+	}
+	crashed.Close()
+	if crashed.Epoch() != 1 {
+		t.Fatalf("recovery after the failed commit: epoch %d, want 1", crashed.Epoch())
+	}
+	if epoch, err := s.AppendEpoch(epochs[1]); err != nil || epoch != 2 {
+		t.Fatalf("retry: epoch %d, err %v", epoch, err)
 	}
 	s.Close()
-
-	// The line reached the file before the (simulated) fsync failure, so
-	// reopen legitimately recovers the epoch — the contract is only that
-	// the caller was never told it was acknowledged, and that recovered
-	// state is self-consistent.
-	re := openWritable(t, dir, 4)
-	if re.Epoch() != 1 {
-		t.Fatalf("recovered epoch %d, want 1", re.Epoch())
+	re := openWritable(t, dir, retain)
+	if re.Epoch() != 2 {
+		t.Fatalf("recovered epoch %d, want 2", re.Epoch())
 	}
 	sameSketchSet(t, "recovered cumulative", re.Cumulative(), mergeAll(t, epochs))
 }
@@ -200,7 +178,7 @@ func TestManifestFsyncFailureBreaksStore(t *testing.T) {
 // TestSegmentFaultDuringCompactionIsTypedCompactionError: a full-ring
 // commit writes its cumulative segment through the same fault points; a
 // failure there surfaces as a *CompactionError (the epoch itself is
-// acknowledged through the append form) wrapping the injected fault.
+// acknowledged under the old C record) wrapping the injected fault.
 func TestSegmentFaultDuringCompactionIsTypedCompactionError(t *testing.T) {
 	dir := t.TempDir()
 	epochs := buildEpochs(t, 2, 150)
@@ -233,8 +211,8 @@ func TestSegmentFaultDuringCompactionIsTypedCompactionError(t *testing.T) {
 }
 
 // TestCumulativeWriteFaultLeavesRingOneOver: when only the cumulative
-// segment of a full-ring commit fails, the epoch is committed in the
-// append form (a *CompactionError): the ring holds retain+1 epochs, the
+// segment of a full-ring commit fails, the epoch is committed under the
+// old C record (a *CompactionError): the ring holds retain+1 epochs, the
 // cumulative segment still covers the older prefix, a reopen recovers
 // everything, and the next full-ring commit restores the bound.
 func TestCumulativeWriteFaultLeavesRingOneOver(t *testing.T) {
@@ -276,39 +254,11 @@ func TestCumulativeWriteFaultLeavesRingOneOver(t *testing.T) {
 	sameSketchSet(t, "final cumulative", last.Cumulative(), mergeAll(t, epochs))
 }
 
-// TestManifestRewriteFaultLeavesEpochUnacknowledged: a fault in the
-// full-ring commit's manifest rewrite — before the rename — fails the
-// commit: the epoch is not acknowledged, the old manifest is untouched,
-// the store stays usable, and the retried commit succeeds.
+// TestManifestRewriteFaultLeavesEpochUnacknowledged: the same contract
+// once the ring is full, where the failed commit had also written its
+// cumulative segment.
 func TestManifestRewriteFaultLeavesEpochUnacknowledged(t *testing.T) {
 	for _, point := range []string{FaultManifestAppend, FaultManifestFsync} {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			epochs := buildEpochs(t, 3, 120)
-			// Hit 1 is epoch 1's append, hit 2 epoch 2's rewrite.
-			s := openWritableFaults(t, dir, 1, faults.MustParse(point+":err,on=2"))
-			appendAll(t, s, epochs[:1])
-			manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = s.AppendEpoch(epochs[1])
-			var inj *faults.InjectedError
-			if !errors.As(err, &inj) || inj.Point != point {
-				t.Fatalf("append error %v is not the injected %s fault", err, point)
-			}
-			if s.Epoch() != 1 {
-				t.Fatalf("failed commit acknowledged: epoch %d", s.Epoch())
-			}
-			if now, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(now, manifest) {
-				t.Fatal("failed rewrite changed the manifest")
-			}
-			if epoch, err := s.AppendEpoch(epochs[1]); err != nil || epoch != 2 {
-				t.Fatalf("retry: epoch %d, err %v", epoch, err)
-			}
-			s.Close()
-			re := openWritable(t, dir, 1)
-			sameSketchSet(t, "recovered cumulative", re.Cumulative(), mergeAll(t, epochs[:2]))
-		})
+		t.Run(point, func(t *testing.T) { checkManifestFault(t, 1, point+":err") })
 	}
 }

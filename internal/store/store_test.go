@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"coordsample/internal/core"
+	"coordsample/internal/faults"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 )
@@ -22,7 +23,7 @@ var testSample = core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 77,
 
 // buildEpochs synthesizes n epochs of two-assignment sketch sets over
 // disjoint key ranges (the pre-aggregation contract across epochs).
-func buildEpochs(t *testing.T, n, keysPerEpoch int) [][]*sketch.BottomK {
+func buildEpochs(t testing.TB, n, keysPerEpoch int) [][]*sketch.BottomK {
 	t.Helper()
 	a := testSample.Assigner()
 	rng := rand.New(rand.NewSource(5))
@@ -73,7 +74,7 @@ func appendAll(t *testing.T, s *Store, epochs [][]*sketch.BottomK) {
 	}
 }
 
-func sameSketch(t *testing.T, label string, got, want *sketch.BottomK) {
+func sameSketch(t testing.TB, label string, got, want *sketch.BottomK) {
 	t.Helper()
 	if got.K() != want.K() || got.Fingerprint() != want.Fingerprint() ||
 		math.Float64bits(got.KthRank()) != math.Float64bits(want.KthRank()) ||
@@ -88,7 +89,7 @@ func sameSketch(t *testing.T, label string, got, want *sketch.BottomK) {
 	}
 }
 
-func sameSketchSet(t *testing.T, label string, got, want []*sketch.BottomK) {
+func sameSketchSet(t testing.TB, label string, got, want []*sketch.BottomK) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d sketches, want %d", label, len(got), len(want))
@@ -99,7 +100,7 @@ func sameSketchSet(t *testing.T, label string, got, want []*sketch.BottomK) {
 }
 
 // mergeAll is the offline reference: the exact merge of a run of epochs.
-func mergeAll(t *testing.T, epochs [][]*sketch.BottomK) []*sketch.BottomK {
+func mergeAll(t testing.TB, epochs [][]*sketch.BottomK) []*sketch.BottomK {
 	t.Helper()
 	out, err := sketch.MergeSets(epochs...)
 	if err != nil {
@@ -210,7 +211,7 @@ func TestV1StoreUpgrades(t *testing.T) {
 }
 
 // TestCrashAfterUnacknowledgedAppend simulates a SIGKILL between the
-// segment rename and the manifest append: the segment exists but no
+// segment rename and the manifest rename: the segment exists but no
 // manifest line does. Recovery must serve exactly the acknowledged prefix,
 // and the next append must reuse the epoch number cleanly.
 func TestCrashAfterUnacknowledgedAppend(t *testing.T) {
@@ -607,9 +608,10 @@ func TestTerminatedCorruptFinalLineIsCorruption(t *testing.T) {
 	}
 }
 
-// TestTornTailIsTruncatedOnReopen: a writable open heals a torn manifest
-// tail by truncating it, so the next append starts on a fresh line
-// instead of concatenating onto partial bytes.
+// TestTornTailIsTruncatedOnReopen: a writable open over a torn manifest
+// tail (left by an older build's append) recovers the prefix, and the
+// next commit's manifest replaces the torn bytes, so later commits
+// recover cleanly.
 func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	epochs := buildEpochs(t, 4, 100)
@@ -646,35 +648,48 @@ func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 	sameSketchSet(t, "healed cumulative", r2.Cumulative(), mergeAll(t, epochs))
 }
 
-// TestBrokenAfterManifestAppendFailure: once a manifest append fails, the
-// store refuses further appends until a reopen (which truncates the
-// partial bytes) — a later append must never concatenate onto junk.
-func TestBrokenAfterManifestAppendFailure(t *testing.T) {
+// TestManifestWriteFailureLeavesStoreUsable: a commit whose new manifest
+// cannot be renamed into place — a real I/O error, here a directory
+// holding MANIFEST's name — fails without acknowledging the epoch, and
+// once the name is free again the retry succeeds with no reopen.
+func TestManifestWriteFailureLeavesStoreUsable(t *testing.T) {
 	dir := t.TempDir()
-	epochs := buildEpochs(t, 3, 80)
+	epochs := buildEpochs(t, 2, 80)
 	s := openWritable(t, dir, 8)
 	appendAll(t, s, epochs[:1])
 
-	// Force the next manifest write to fail: close the handle underneath.
-	s.mu.Lock()
-	s.manifest.Close()
-	s.mu.Unlock()
+	mpath := filepath.Join(dir, manifestName)
+	manifest, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(mpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(mpath, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.AppendEpoch(epochs[1]); err == nil {
-		t.Fatal("append with a closed manifest succeeded")
+		t.Fatal("commit with MANIFEST's name taken by a directory succeeded")
 	}
-	if _, err := s.AppendEpoch(epochs[2]); err == nil || !strings.Contains(err.Error(), "reopen") {
-		t.Fatalf("append after failure: err = %v, want refusal pointing at reopen", err)
+	if s.Epoch() != 1 {
+		t.Fatalf("failed commit acknowledged: epoch %d", s.Epoch())
 	}
-
-	// Reopen recovers the acknowledged prefix and appends work again.
-	s.Close() // release the writer flock, as the dying process would
+	if err := os.Remove(mpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if epoch, err := s.AppendEpoch(epochs[1]); err != nil || epoch != 2 {
+		t.Fatalf("retry: epoch %d, err %v", epoch, err)
+	}
+	s.Close()
 	r := openWritable(t, dir, 8)
-	if r.Epoch() != 1 {
-		t.Fatalf("recovered epoch %d, want 1", r.Epoch())
+	if r.Epoch() != 2 {
+		t.Fatalf("recovered epoch %d, want 2", r.Epoch())
 	}
-	if epoch, err := r.AppendEpoch(epochs[1]); err != nil || epoch != 2 {
-		t.Fatalf("append after reopen: epoch %d, err %v", epoch, err)
-	}
+	sameSketchSet(t, "recovered cumulative", r.Cumulative(), mergeAll(t, epochs))
 }
 
 // TestWriterLockIsExclusive: a second writable open of the same directory
@@ -772,16 +787,8 @@ func TestCumulativeSegmentIsTheCommit(t *testing.T) {
 		}
 	}
 	s.Close()
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
-		kinds = append(kinds, strings.Join(strings.Fields(line)[:2], " "))
-	}
-	if want := []string{"C 5", "E 4", "E 5"}; !slices.Equal(kinds, want) {
-		t.Fatalf("manifest records %v, want %v", kinds, want)
+	if got := manifestRecords(t, dir); got != "C 5, E 4, E 5" {
+		t.Fatalf("manifest records %s, want C 5, E 4, E 5", got)
 	}
 	if got := segmentFiles(t, dir); !slices.Equal(got, []string{"cum-000005.seg", "epoch-000004.seg", "epoch-000005.seg"}) {
 		t.Fatalf("disk holds %v", got)
@@ -796,4 +803,61 @@ func TestCumulativeSegmentIsTheCommit(t *testing.T) {
 	} else {
 		sameSketchSet(t, "range 4..5", got, mergeAll(t, epochs[3:]))
 	}
+}
+
+// manifestRecords lists the kind and number of every record in dir's
+// manifest, comma-separated.
+func manifestRecords(t *testing.T, dir string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		kinds = append(kinds, strings.Join(strings.Fields(line)[:2], " "))
+	}
+	return strings.Join(kinds, ", ")
+}
+
+// TestManifestRecordsThroughCommitSequence pins the manifest's records and
+// the segment files after each commit of one store's life: the ring fills
+// (retain 2), is full, a cumulative write fails (the ring grows one past
+// retain under the old C record), a reopen raises retain to 4, and the
+// ring fills and turns over again. Every commit replaces the manifest
+// with the header, the current C record and the ring.
+func TestManifestRecordsThroughCommitSequence(t *testing.T) {
+	dir := t.TempDir()
+	epochs := buildEpochs(t, 7, 100)
+	// Segment-write hits: epochs 1-3, cum 3, epoch 4, cum 4 (fires).
+	s := openWritableFaults(t, dir, 2, faults.MustParse(FaultSegmentWrite+":err,on=6"))
+	steps := []struct{ records, files string }{
+		{"E 1", "epoch-000001"},
+		{"E 1, E 2", "epoch-000001 epoch-000002"},
+		{"C 3, E 2, E 3", "cum-000003 epoch-000002 epoch-000003"},
+		{"C 3, E 2, E 3, E 4", "cum-000003 epoch-000002 epoch-000003 epoch-000004"},
+		{"C 3, E 2, E 3, E 4, E 5", "cum-000003 epoch-000002 epoch-000003 epoch-000004 epoch-000005"},
+		{"C 6, E 3, E 4, E 5, E 6", "cum-000006 epoch-000003 epoch-000004 epoch-000005 epoch-000006"},
+		{"C 7, E 4, E 5, E 6, E 7", "cum-000007 epoch-000004 epoch-000005 epoch-000006 epoch-000007"},
+	}
+	for i, step := range steps {
+		if i == 4 {
+			s.Close()
+			s = openWritable(t, dir, 4)
+		}
+		epoch, err := s.AppendEpoch(epochs[i])
+		var comp *CompactionError
+		if wantComp := i == 3; epoch != i+1 || wantComp != errors.As(err, &comp) || !wantComp && err != nil {
+			t.Fatalf("commit %d: epoch %d, err %v", i+1, epoch, err)
+		}
+		if got := manifestRecords(t, dir); got != step.records {
+			t.Fatalf("after commit %d the manifest records %s, want %s", i+1, got, step.records)
+		}
+		if got := strings.ReplaceAll(strings.Join(segmentFiles(t, dir), " "), ".seg", ""); got != step.files {
+			t.Fatalf("after commit %d disk holds %s, want %s", i+1, got, step.files)
+		}
+	}
+	s.Close()
+	r := openWritable(t, dir, 4)
+	sameSketchSet(t, "recovered cumulative", r.Cumulative(), mergeAll(t, epochs))
 }
