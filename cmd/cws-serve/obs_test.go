@@ -147,6 +147,8 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		"cws_offers_total",
 		`cws_build_info{go_version="go`, // node and router share the registry: registered once
 		"\ncws_key_order_sorts_total ",
+		"\ncws_go_gc_cycles_total ", "\ncws_go_gc_cpu_seconds_total ",
+		"\ncws_go_heap_live_bytes ", "\ncws_go_heap_goal_bytes ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -109,7 +110,8 @@ func (r *Registry) RegisterHistogram(name, help, labels string, h *Histogram) {
 
 // RegisterProcess registers the process's own series once per registry (a
 // node and the router sharing it both call it): cws_build_info{go_version,
-// revision}, always 1, and cws_key_order_sorts_total from keyOrderSorts.
+// revision}, always 1, cws_key_order_sorts_total from keyOrderSorts, and
+// the collector's work, read from runtime/metrics at scrape time.
 func (r *Registry) RegisterProcess(keyOrderSorts func() int64) {
 	r.process.Do(func() {
 		goVersion, revision := runtime.Version(), "unknown"
@@ -123,7 +125,28 @@ func (r *Registry) RegisterProcess(keyOrderSorts func() int64) {
 		r.GaugeL("cws_build_info", "Build of the serving binary: its Go version and VCS revision (\"unknown\" when built outside a checkout); always 1.",
 			Label("go_version", goVersion)+","+Label("revision", revision), func() float64 { return 1 })
 		r.Counter("cws_key_order_sorts_total", "Sketch key orders sorted on first use: samples no segment decode, merge or segment encode handed one. Flat across queries once a durable node's ring is full.", keyOrderSorts)
+		r.Counter("cws_go_gc_cycles_total", "Completed GC cycles (runtime/metrics /gc/cycles/total:gc-cycles).",
+			func() int64 { return int64(runtimeMetric("/gc/cycles/total:gc-cycles")) })
+		r.add("cws_go_gc_cpu_seconds_total", "CPU time the GC spent, an estimate updated at each cycle (runtime/metrics /cpu/classes/gc/total:cpu-seconds).", "counter", "",
+			series{floatFn: func() float64 { return runtimeMetric("/cpu/classes/gc/total:cpu-seconds") }})
+		r.Gauge("cws_go_heap_live_bytes", "Heap bytes the last GC marked live (runtime/metrics /gc/heap/live:bytes).",
+			func() float64 { return runtimeMetric("/gc/heap/live:bytes") })
+		r.Gauge("cws_go_heap_goal_bytes", "Heap size at which the next GC starts (runtime/metrics /gc/heap/goal:bytes).",
+			func() float64 { return runtimeMetric("/gc/heap/goal:bytes") })
 	})
+}
+
+// runtimeMetric reads one uint64 or float64 runtime/metrics sample.
+func runtimeMetric(name string) float64 {
+	sample := []metrics.Sample{{Name: name}}
+	metrics.Read(sample)
+	switch v := sample[0].Value; v.Kind() {
+	case metrics.KindUint64:
+		return float64(v.Uint64())
+	case metrics.KindFloat64:
+		return v.Float64()
+	}
+	return 0 // metrics.KindBad: a name this Go release does not know
 }
 
 // Label renders one label pair, escaping the value per the exposition

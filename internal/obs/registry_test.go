@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,8 +109,11 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 // TestRegisterProcessOnce: the process-wide series register once however
 // many layers sharing a registry ask, and render as the CI smoke and the
-// scrapers expect.
+// scrapers expect; the GC series read runtime/metrics (a forced collection
+// makes every one of them nonzero, so a name the runtime does not know —
+// read as 0 — fails).
 func TestRegisterProcessOnce(t *testing.T) {
+	runtime.GC()
 	r := NewRegistry()
 	r.RegisterProcess(func() int64 { return 7 })
 	r.RegisterProcess(func() int64 { return 9 }) // the router sharing the node's registry
@@ -124,6 +128,17 @@ func TestRegisterProcessOnce(t *testing.T) {
 	}
 	if !strings.Contains(out, "\ncws_key_order_sorts_total 7\n") || !strings.Contains(out, "# TYPE cws_key_order_sorts_total counter") {
 		t.Errorf("cws_key_order_sorts_total is not the first registration's counter in\n%s", out)
+	}
+	for name, typ := range map[string]string{"cws_go_gc_cycles_total": "counter", "cws_go_gc_cpu_seconds_total": "counter",
+		"cws_go_heap_live_bytes": "gauge", "cws_go_heap_goal_bytes": "gauge"} {
+		series := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(out)
+		if series == nil || strings.Count(out, "# TYPE "+name+" "+typ+"\n") != 1 {
+			t.Errorf("no single %s %s in\n%s", typ, name, out)
+			continue
+		}
+		if v, err := strconv.ParseFloat(series[1], 64); err != nil || !(v > 0) {
+			t.Errorf("%s = %s after a forced GC, want > 0", name, series[1])
+		}
 	}
 }
 

@@ -173,9 +173,9 @@ func TestIngestKeyLengthBoundary(t *testing.T) {
 }
 
 // TestDuplicateKeySplitAcrossLanesIs409: when the two copies of a key land
-// on different lanes neither lane's own freeze can see the violation — only
-// the lane merge holds both — and it must still surface as the freeze
-// panic, converted to 409, with the previous snapshot left serving.
+// on different lanes no one lane's builder holds both — only the freeze of
+// all lanes sees them — and it must still surface as the freeze panic,
+// converted to 409, with the previous snapshot left serving.
 func TestDuplicateKeySplitAcrossLanesIs409(t *testing.T) {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 16},
@@ -206,6 +206,54 @@ func TestDuplicateKeySplitAcrossLanesIs409(t *testing.T) {
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "at most once") {
 		t.Fatalf("freeze error does not explain the contract: %v", body)
+	}
+	if s.Epoch() != 1 {
+		t.Fatalf("failed freeze advanced the epoch to %d", s.Epoch())
+	}
+	if got := queryHTTP(t, ts.URL, "agg=sum&b=0"); got != 5 {
+		t.Fatalf("serving snapshot changed after the failed freeze: %v, want 5", got)
+	}
+}
+
+// TestDuplicateKeyRetainedByTwoLanesIs409: a key two lanes retained fails
+// the freeze with 409 even when only one copy ranks inside the epoch's
+// bottom-k (the other is far past it), and the previous snapshot keeps
+// serving. Freezing lane by lane and merging used to keep the one copy and
+// acknowledge the epoch with the duplicate unseen.
+func TestDuplicateKeyRetainedByTwoLanesIs409(t *testing.T) {
+	cfg := Config{
+		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, K: 16},
+		Assignments: 1,
+		Lanes:       2,
+	}
+	s, ts := newTestServer(t, cfg)
+	postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: "before", Weight: 5})
+	postJSON(t, ts.URL+"/freeze", nil)
+
+	s.ingestMu.RLock()
+	lanes := s.ingest.lanes
+	lanes[1].mu.Lock() // the light copy first, before any lane fills and prunes
+	lanes[1].ml.Offer(0, "dup", 1e-6)
+	lanes[1].mu.Unlock()
+	lanes[0].mu.Lock()
+	lanes[0].ml.Offer(0, "dup", 1e9)
+	for i := 0; i < 100; i++ {
+		lanes[0].ml.Offer(0, fmt.Sprintf("fill-%d", i), 1e3+float64(i))
+	}
+	lanes[0].mu.Unlock()
+	s.ingestMu.RUnlock()
+
+	resp, err := http.Post(ts.URL+"/freeze", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := decodeJSONBody(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("freeze of a key two lanes retained: status %d (%v), want 409", resp.StatusCode, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, `"dup"`) || !strings.Contains(msg, "at most once") {
+		t.Fatalf("freeze error does not name the key and the contract: %v", body)
 	}
 	if s.Epoch() != 1 {
 		t.Fatalf("failed freeze advanced the epoch to %d", s.Epoch())

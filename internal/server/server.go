@@ -123,7 +123,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -1423,11 +1422,11 @@ func (s *Server) encodeExport(sketches []*sketch.BottomK) []byte {
 	for b := range metas {
 		metas[b] = sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}
 	}
-	var buf bytes.Buffer
-	if _, err := sketch.EncodeSegment(&buf, metas, sketches); err != nil {
+	data, _, err := sketch.MarshalSegment(metas, sketches)
+	if err != nil {
 		panic(fmt.Sprintf("server: %v", err))
 	}
-	return buf.Bytes()
+	return data
 }
 
 // --- health and counters ---

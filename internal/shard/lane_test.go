@@ -187,6 +187,32 @@ func TestLaneDuplicateKeyPanic(t *testing.T) {
 	}
 }
 
+// TestLaneDuplicateRetainedTwicePanics: a key two lanes retained fails the
+// freeze, naming the key, even when only one copy ranks inside the union's
+// bottom-k — the freeze checks every retained entry once, where freezing
+// lane by lane and merging saw only the copies the merge kept and let the
+// other one through as silent bias.
+func TestLaneDuplicateRetainedTwicePanics(t *testing.T) {
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 239}
+	s := NewSketcher(a, 0, 8, 2)
+	lanes := s.Lanes()
+	// Lane 1 takes the light copy while nothing has filled (its rank is far
+	// past the union's bottom-k, but no threshold prunes it yet); lane 0
+	// then takes the heavy copy and fills with keys that all rank below it.
+	lanes[1].Offer("dup", 1e-6)
+	lanes[0].Offer("dup", 1e9)
+	for i := 0; i < 50; i++ {
+		lanes[0].Offer(fmt.Sprintf("fill-%d", i), 1e3+float64(i))
+	}
+	defer func() {
+		want := `sketch: key "dup" offered more than once; aggregate keys before sketching`
+		if msg := recover(); fmt.Sprint(msg) != want {
+			t.Fatalf("freeze of a key two lanes retained: panic %v, want %q", msg, want)
+		}
+	}()
+	s.Sketch()
+}
+
 // TestLaneOfferZeroAllocs is the per-lane allocation budget: once one lane
 // has filled and published the shared threshold, a pruned Offer on any
 // lane — including a lane whose own builder is still empty — must not

@@ -1,9 +1,9 @@
 // Package shard implements concurrent ingestion of one weight assignment's
 // aggregated (key, weight) stream: one private bottom-k builder per producer
 // lane, one shared admission threshold per assignment, and a freeze that
-// merges the lanes into the exact single-stream sketch. A record's fate is
-// decided by one hash and one compare; its key is materialised only if its
-// lane's builder is actually offered it.
+// sorts the lanes' retained entries once into the exact single-stream
+// sketch. A record's fate is decided by one hash and one compare; its key is
+// materialised only if its lane's builder is actually offered it.
 //
 // # Lanes
 //
@@ -23,9 +23,9 @@
 //
 // Under the pre-aggregation contract every (key, assignment) is offered
 // once, so however the stream is split across lanes the lanes hold disjoint
-// key sets — which is all sketch.Merge needs. (ShardOf, the seed-free key
-// partition, is what the cluster uses to split a key space across peers for
-// the same reason.)
+// key sets — which is all the freeze (sketch.SketchBuilders) needs.
+// (ShardOf, the seed-free key partition, is what the cluster uses to split
+// a key space across peers for the same reason.)
 //
 // # Exactness
 //
@@ -41,9 +41,9 @@
 // the union's bottom-k; an item that ties the threshold is not pruned and
 // reaches a builder, which breaks ties on the key. Every item of the
 // union's bottom-k thus survives in its lane's builder (it ranks within that
-// lane's own bottom-k a fortiori), and sketch.Merge — which re-offers every
-// retained entry to one builder under the total (rank, key) order — selects
-// exactly them.
+// lane's own bottom-k a fortiori), and the freeze — one sort of every
+// lane's retained entries under the total (rank, key) order — puts exactly
+// them first.
 //
 // r_{k+1}. The (k+1)-st smallest rank of I is the minimum rank over the
 // items outside the union's bottom-k. Those are of three kinds: items a lane
@@ -51,12 +51,15 @@
 // lazily — the quantile is computed only when the one-multiply bound says
 // the running minimum might improve — and reports it to its builder with
 // NoteRejected at freeze), items a lane's builder rejected or evicted (the
-// builder's own r_{k+1} tracking), and items a lane retained that the merge
-// evicts. Merge takes the minimum over the parts' thresholds and its own
-// evictions, which is the minimum over all three. A lane that never filled
-// may still carry a finite threshold (it pruned against another lane's
-// r_k); Merge reads a part's entries and threshold only, never its r_k, so
-// such parts are ordinary inputs.
+// builder's own r_{k+1} tracking), and items a lane retained that the sort
+// leaves past the first k. The freeze takes the minimum over the builders'
+// thresholds and those leftovers, which is the minimum over all three. A
+// lane that never filled may still carry a finite threshold (it pruned
+// against another lane's r_k); the freeze reads a builder's entries and
+// threshold only, never its r_k, so such lanes are ordinary inputs.
+//
+// The freeze checks every retained entry for distinct keys, so a key two
+// lanes retained panics even when only one copy would be kept.
 //
 // Both the bottom-k and r_{k+1} are minima under total orders, so neither
 // depends on arrival order; the lane tests and the end-to-end benchmark's
@@ -129,11 +132,8 @@ func NewSketcher(assigner rank.Assigner, assignment, k, lanes int) *Sketcher {
 		lanes:    make([]*Lane, lanes),
 	}
 	s.shared.Store(math.Float64bits(math.Inf(1)))
-	// Every lane builder carries the assignment's configuration fingerprint:
-	// the lane sketches are bottom-k sketches of disjoint pieces of the same
-	// assignment under the same rank assignment, so the freeze-time Merge is
-	// a verified same-fingerprint merge and the frozen result is itself
-	// fingerprinted and wire-portable.
+	// Every lane builder carries the assignment's configuration fingerprint,
+	// so the frozen sketch is fingerprinted and wire-portable.
 	fp := assigner.Fingerprint(assignment, k)
 	for j := range s.lanes {
 		s.lanes[j] = &Lane{s: s, b: sketch.NewBottomKBuilderWithFingerprint(k, fp), prunedMin: math.Inf(1)}
@@ -260,31 +260,25 @@ func (s *Sketcher) AdmissionThreshold() float64 {
 	return math.Float64frombits(s.shared.Load())
 }
 
-// Sketch freezes the lanes and merges them into the bottom-k sketch of the
-// full assignment: each lane reports its pruned-rank minimum to its builder
-// (NoteRejected takes a minimum, so order cannot matter), the builders
-// freeze, and sketch.Merge combines the disjoint parts exactly. It is
-// terminal — further Offers panic — and all producers must have stopped
-// before it is called. Sketch may be called again; it returns the same
-// frozen result.
+// Sketch freezes the lanes into the bottom-k sketch of the full
+// assignment: each lane reports its pruned-rank minimum to its builder
+// (NoteRejected takes a minimum, so order cannot matter), and
+// sketch.SketchBuilders sorts every lane's retained entries once and keeps
+// the union's bottom-k exactly. It is terminal — further Offers panic — and
+// all producers must have stopped before it is called. Sketch may be called
+// again; it returns the same frozen result.
 func (s *Sketcher) Sketch() *sketch.BottomK {
 	if s.frozen != nil {
 		return s.frozen
 	}
 	s.closed = true
-	parts := make([]*sketch.BottomK, len(s.lanes))
+	builders := make([]*sketch.BottomKBuilder, len(s.lanes))
 	for j, l := range s.lanes {
 		l.b.NoteRejected(l.prunedMin)
-		parts[j] = l.b.Sketch()
+		builders[j] = l.b
 	}
-	merged, err := sketch.Merge(parts...)
-	if err != nil {
-		// The builders were all created with one fingerprint, so a mismatch
-		// here is a programming error, not bad input.
-		panic(fmt.Sprintf("shard: %v", err))
-	}
-	s.frozen = merged
-	return merged
+	s.frozen = sketch.SketchBuilders(builders...)
+	return s.frozen
 }
 
 // MultiSketcher fronts one Sketcher per weight assignment of a single

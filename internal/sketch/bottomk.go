@@ -9,6 +9,12 @@
 // in one pass with O(k) state, which is what makes the summarization scalable
 // in the dispersed model — each assignment is sketched independently, and
 // coordination comes entirely from the shared hash-derived ranks.
+//
+// Builders fed disjoint pieces of one stream freeze together
+// (SketchBuilders): their retained entries are sorted once, as packed
+// rank words, into the sketch of the whole. Merge combines frozen sketches
+// of disjoint key sets — epochs, windows, peers — into the sketch of their
+// union; both rest on the merge property of bottom-k samples.
 package sketch
 
 import (
@@ -189,6 +195,50 @@ func sortedByKey(entries []Entry) []int32 {
 	return perm
 }
 
+// rankWord maps a rank to bits that order like it: a rank r ≥ 0 gets its
+// sign bit set, a negative one all its bits flipped, and −0 reads as +0, so
+// the two zeros tie as entryCompare ties them. Ranks are never NaN.
+func rankWord(r float64) uint64 {
+	switch w := math.Float64bits(r); {
+	case r == 0:
+		return 1 << 63
+	case r > 0:
+		return w | 1<<63
+	default:
+		return ^w
+	}
+}
+
+// sortedByRank returns the indexes of entries in ascending (rank, key)
+// order, as sortedByKey does for keys: each entry becomes one word — its
+// rank's order-preserving bits, the low ⌈log₂ n⌉ given up to its index — so
+// the sort is an integer sort, and only runs of entries agreeing on the
+// kept rank bits are ordered by entryCompare.
+func sortedByRank(entries []Entry) []int32 {
+	perm := make([]int32, len(entries))
+	if len(entries) < 2 {
+		return perm
+	}
+	low := uint64(1)<<bits.Len(uint(len(entries)-1)) - 1
+	words := make([]uint64, len(entries))
+	for i, e := range entries {
+		words[i] = rankWord(e.Rank)&^low | uint64(i)
+	}
+	slices.Sort(words)
+	for i, w := range words {
+		perm[i] = int32(w & low)
+	}
+	for lo, hi := 0, 1; lo < len(words); lo, hi = hi, hi+1 {
+		for hi < len(words) && words[hi]&^low == words[lo]&^low {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(perm[lo:hi], func(a, b int32) int { return entryCompare(entries[a], entries[b]) })
+		}
+	}
+	return perm
+}
+
 // BottomK is an immutable bottom-k sketch: the (at most) k keys of smallest
 // rank, the k-th smallest rank r_k(I), and the (k+1)-st smallest rank
 // r_{k+1}(I) (+Inf when fewer than k, resp. k+1, keys exist). A sketch built
@@ -352,18 +402,78 @@ func (b *BottomKBuilder) Offer(key string, rankValue, weight float64) {
 	}
 }
 
-// Sketch freezes the builder into a BottomK. The builder may continue to be
-// fed afterwards; Sketch can be called again for an updated snapshot.
+// Sketch freezes the builder into a BottomK: SketchBuilders(b). The
+// builder may continue to be fed afterwards; Sketch can be called again for
+// an updated snapshot.
+func (b *BottomKBuilder) Sketch() *BottomK { return SketchBuilders(b) }
+
+// SketchBuilders freezes builders fed disjoint pieces of one stream — a
+// Sketcher's lanes — into the bottom-k sketch of the whole, exactly the
+// sketch Merge of their one-by-one Sketch()es would give. Every key of the
+// union's bottom-k ranks within the bottom-k of its own piece, so it is
+// among the retained entries; those are sorted once (sortedByRank), the
+// first k kept, and r_{k+1} is the minimum of the builders' own r_{k+1}
+// (each covers what its builder rejected, evicted or was told of through
+// NoteRejected) and the rank of each builder's first entry past the k
+// kept. The builders (at least one) must share k and fingerprint; the
+// result carries them.
 //
-// The sampling model requires pre-aggregated keys (each key offered once per
-// assignment); a violation that leaves two copies of a key in the retained
-// sample is detected here and reported by panic rather than silently
-// corrupting every downstream estimate.
-func (b *BottomKBuilder) Sketch() *BottomK {
-	entries := slices.Clone(b.heap)
-	slices.SortFunc(entries, entryCompare)
-	mustDistinct(entries)
-	return newBottomK(b.k, b.fingerprint, entries, b.next, nil)
+// The sampling model requires pre-aggregated keys (each key offered once
+// per assignment): a key that two retained entries share — both in one
+// builder, or one in each of two, even when only one copy would be kept —
+// is reported by panic rather than silently corrupting every downstream
+// estimate. The builders may continue to be fed afterwards.
+func SketchBuilders(bs ...*BottomKBuilder) *BottomK {
+	k, fp := bs[0].k, bs[0].fingerprint
+	var retained []Entry
+	n, held := 0, 0 // entries, and builders holding any
+	threshold := math.Inf(1)
+	for _, b := range bs {
+		if b.k != k || b.fingerprint != fp {
+			panic("sketch: frozen builders must share k and fingerprint")
+		}
+		if len(b.heap) > 0 {
+			retained, held = b.heap, held+1 // read in place when it is the only one
+		}
+		n += len(b.heap)
+		threshold = min(threshold, b.next)
+	}
+	if held > 1 {
+		retained = make([]Entry, 0, n)
+		for _, b := range bs {
+			retained = append(retained, b.heap...)
+		}
+	}
+	mustDistinct(retained)
+	order := sortedByRank(retained)
+	entries := make([]Entry, min(k, len(order)))
+	for i := range entries {
+		entries[i] = retained[order[i]]
+	}
+	// r_{k+1} also takes each builder's first entry past the k kept, as a
+	// Merge of the builders' sketches does. Ranks ascend, so the scan stops
+	// at the first rank above the minimum so far: past the (k+1)-st entry
+	// it reads only ties, and of a tie of −0 and +0 the per-builder firsts
+	// decide which zero is left.
+	var seen []bool
+	for _, i := range order[len(entries):] {
+		if retained[i].Rank > threshold {
+			break
+		}
+		j, end := 0, len(bs[0].heap)
+		for int(i) >= end {
+			j++
+			end += len(bs[j].heap)
+		}
+		if seen == nil {
+			seen = make([]bool, len(bs))
+		}
+		if !seen[j] {
+			seen[j] = true
+			threshold = min(threshold, retained[i].Rank)
+		}
+	}
+	return newBottomK(k, fp, entries, threshold, nil)
 }
 
 func (b *BottomKBuilder) push(e Entry) {
@@ -483,7 +593,7 @@ func (e *FingerprintMismatchError) Error() string {
 
 // Merge combines bottom-k sketches of *disjoint* key sets into the bottom-k
 // sketch of their union — the substrate for sketching one assignment across
-// shards, lanes, peers and epochs. Every key of input j absent from its
+// peers and epochs (a Sketcher's lanes freeze through SketchBuilders). Every key of input j absent from its
 // sketch has rank at least that sketch's threshold, so the merged k smallest
 // entries and the merged (k+1)-smallest rank are determined by the retained
 // entries plus the input thresholds. Inputs are in ascending (rank, key)
@@ -684,13 +794,14 @@ func UnionBottomK(k int, sketches []*BottomK) []Entry {
 			}
 		}
 	}
-	entries := make([]Entry, 0, len(minRank))
+	all := make([]Entry, 0, len(minRank))
 	for key, r := range minRank {
-		entries = append(entries, Entry{Key: key, Rank: r})
+		all = append(all, Entry{Key: key, Rank: r})
 	}
-	slices.SortFunc(entries, entryCompare)
-	if len(entries) > k {
-		entries = entries[:k]
+	order := sortedByRank(all)
+	entries := make([]Entry, min(k, len(all)))
+	for i := range entries {
+		entries[i] = all[order[i]]
 	}
 	return entries
 }

@@ -3,7 +3,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"coordsample/internal/rank"
 )
@@ -79,8 +78,9 @@ func (b *PoissonBuilder) Offer(key string, rankValue, weight float64) {
 // (a violation of the pre-aggregation requirement) are reported by panic.
 func (b *PoissonBuilder) Sketch() *Poisson {
 	entries := make([]Entry, len(b.entries))
-	copy(entries, b.entries)
-	slices.SortFunc(entries, entryCompare)
+	for i, j := range sortedByRank(b.entries) {
+		entries[i] = b.entries[j]
+	}
 	mustDistinct(entries)
 	return &Poisson{sample: sample{entries: entries}, tau: b.tau, fingerprint: b.fingerprint}
 }

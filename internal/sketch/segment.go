@@ -83,26 +83,41 @@ func corruptSegment(format string, args ...any) error {
 }
 
 // EncodeSegment writes the sketches as one version-2 segment file, whose
-// bytes depend on the sketches alone, and hands each sketch without a key
-// order the one its key dictionary implies. metas[b] must describe the
-// configuration sketches[b] was built under (its fingerprint is checked),
-// one per assignment in order; nothing is written on error. Returns the
+// bytes depend on the sketches alone: MarshalSegment's bytes, in one Write.
+// Nothing is written on error. Returns the trailer's CRC-32C.
+func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, error) {
+	buf, crc, err := MarshalSegment(metas, sketches)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(buf); err != nil {
+		return 0, err
+	}
+	return crc, nil
+}
+
+// MarshalSegment returns the sketches encoded as one version-2 segment
+// file and hands each sketch without a key order the one its key
+// dictionary implies. metas[b] must describe the configuration sketches[b]
+// was built under (its fingerprint is checked), one per assignment in
+// order. The segment is sized before it is written, so its bytes are one
+// allocation of exactly their length, which a caller may keep. Returns the
 // trailer's CRC-32C, which callers persisting segments should record out
 // of band (a manifest), so corruption is detectable without trusting the
 // corrupted file's own trailer.
-func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, error) {
+func MarshalSegment(metas []WireMeta, sketches []*BottomK) ([]byte, uint32, error) {
 	if len(metas) != len(sketches) {
-		return 0, fmt.Errorf("sketch: %d metas for %d sketches", len(metas), len(sketches))
+		return nil, 0, fmt.Errorf("sketch: %d metas for %d sketches", len(metas), len(sketches))
 	}
 	if len(sketches) == 0 {
-		return 0, fmt.Errorf("sketch: empty segment")
+		return nil, 0, fmt.Errorf("sketch: empty segment")
 	}
 	if len(sketches) > math.MaxInt32 {
-		return 0, fmt.Errorf("sketch: %d sketches not encodable in one segment", len(sketches))
+		return nil, 0, fmt.Errorf("sketch: %d sketches not encodable in one segment", len(sketches))
 	}
 	for b, s := range sketches {
 		if err := checkWireMeta(metas[b], s.k, s.fingerprint); err != nil {
-			return 0, fmt.Errorf("sketch: encoding segment sketch %d: %w", b, err)
+			return nil, 0, fmt.Errorf("sketch: encoding segment sketch %d: %w", b, err)
 		}
 	}
 	dict, order, index := segmentKeys(sketches)
@@ -139,11 +154,7 @@ func EncodeSegment(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, 
 		}
 	}
 	crc := crc32.Checksum(buf, castagnoli)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	if _, err := w.Write(buf); err != nil {
-		return 0, err
-	}
-	return crc, nil
+	return binary.LittleEndian.AppendUint32(buf, crc), crc, nil
 }
 
 // segmentKeys builds a segment's key dictionary: dict holds the first entry

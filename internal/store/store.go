@@ -91,7 +91,6 @@
 package store
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -601,12 +600,11 @@ func (s *Store) writeSegments(files []*segFile) error {
 // writeSegment encodes one segment and writes it under its final name. It
 // only reads the Store.
 func (s *Store) writeSegment(f *segFile) error {
-	var buf bytes.Buffer
-	crc, err := sketch.EncodeSegment(&buf, s.meta, f.sketches)
+	data, crc, err := sketch.MarshalSegment(s.meta, f.sketches)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", f.name, err)
 	}
-	f.data, f.crc = buf.Bytes(), crc
+	f.data, f.crc = data, crc
 	if f.write.Err != nil {
 		return fmt.Errorf("store: writing %s: %w", f.name, f.write.Err)
 	}
