@@ -48,6 +48,8 @@ import (
 
 	"coordsample"
 	"coordsample/internal/cliquery"
+	"coordsample/internal/core"
+	"coordsample/internal/store"
 )
 
 func main() {
@@ -122,9 +124,9 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// summarizeStore opens a durable epoch store read-only and combines its
+// summarizeStore opens a durable epoch store read-only and serves its
 // cumulative sketches — or, with an epoch range, the exact merge of that
-// retained time window.
+// retained time window — through the serving state a node answers with.
 func summarizeStore(dir, epochsSel string, verbose bool, stdout io.Writer) (*coordsample.Dispersed, string, error) {
 	st, err := coordsample.OpenStore(coordsample.StoreConfig{Dir: dir})
 	if err != nil {
@@ -138,15 +140,15 @@ func summarizeStore(dir, epochsSel string, verbose bool, stdout io.Writer) (*coo
 	if !ok {
 		return nil, "", fmt.Errorf("%s: store holds no sketches", dir)
 	}
-	sketches := st.Cumulative()
+	sets := [][]*coordsample.BottomK{st.Cumulative()}
 	source := fmt.Sprintf("store %s, epochs 1..%d", dir, st.Epoch())
 	if epochsSel != "" {
 		lo, hi, err := cliquery.ParseEpochRange(epochsSel)
 		if err != nil {
 			return nil, "", err
 		}
-		if sketches, err = st.Range(lo, hi); err != nil {
-			return nil, "", err
+		if sets, err = store.Window(st.Retained(), st.Epoch(), lo, hi); err != nil {
+			return nil, "", fmt.Errorf("%s: %w", dir, err)
 		}
 		source = fmt.Sprintf("store %s, epochs %d..%d", dir, lo, hi)
 	}
@@ -155,11 +157,11 @@ func summarizeStore(dir, epochsSel string, verbose bool, stdout io.Writer) (*coo
 			dir, st.Epoch(), len(st.Retained()), st.CompactedThrough()+1, st.Assignments(),
 			cfg.Family, cfg.Mode, cfg.Seed, cfg.K, st.DiskBytes())
 	}
-	summary, err := coordsample.CombineDispersed(cfg, sketches)
-	if err != nil {
-		return nil, "", err
+	state := core.NewMerged(cfg, sets)
+	if _, err := state.Ensure(nil); err != nil {
+		return nil, "", fmt.Errorf("%s: %w", source, err)
 	}
-	return summary, source, nil
+	return state.Summary(), source, nil
 }
 
 // summarizeFiles expands the arguments (files, directories, globs) into

@@ -359,20 +359,19 @@ func TestFingerprintMismatchNamesTheFile(t *testing.T) {
 	}
 }
 
-// TestStoreQueries: -store reads a durable epoch store directly —
-// cumulative by default, any retained window with -epochs — and answers
-// bit-identically to the summaries the store's sketches combine to.
-func TestStoreQueries(t *testing.T) {
-	dir := t.TempDir()
-	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 9, K: 64}
-	st, err := coordsample.OpenStore(coordsample.StoreConfig{Dir: dir, Retain: 8, Sample: cfg, Assignments: 2})
+// writeStore appends n epochs of 200 fresh keys each to a new store in dir
+// at the given retention and returns the epochs' sketch sets.
+func writeStore(t *testing.T, dir string, cfg coordsample.Config, n, retain int) [][]*coordsample.BottomK {
+	t.Helper()
+	st, err := coordsample.OpenStore(coordsample.StoreConfig{Dir: dir, Retain: retain, Sample: cfg, Assignments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	rng := rand.New(rand.NewSource(12))
-	var epochSketches [][]*coordsample.BottomK
+	var epochs [][]*coordsample.BottomK
 	key := 0
-	for e := 0; e < 3; e++ {
+	for e := 0; e < n; e++ {
 		sketchers := []*coordsample.AssignmentSketcher{
 			coordsample.NewAssignmentSketcher(cfg, 0),
 			coordsample.NewAssignmentSketcher(cfg, 1),
@@ -388,40 +387,75 @@ func TestStoreQueries(t *testing.T) {
 		if _, err := st.AppendEpoch(set); err != nil {
 			t.Fatal(err)
 		}
-		epochSketches = append(epochSketches, set)
+		epochs = append(epochs, set)
 	}
-	st.Close()
+	return epochs
+}
 
-	mergedWindow, err := coordsample.MergeSketches(epochSketches[1][0], epochSketches[2][0])
+// offlineL1 is the answer text cws-merge must print for the L1 query over
+// epochs: their offline merge (sketch.MergeSets), then CombineDispersed.
+func offlineL1(t *testing.T, cfg coordsample.Config, epochs [][]*coordsample.BottomK) string {
+	t.Helper()
+	merged, err := sketch.MergeSets(epochs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedWindow1, err := coordsample.MergeSketches(epochSketches[1][1], epochSketches[2][1])
+	summary, err := coordsample.CombineDispersed(cfg, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowSummary, err := coordsample.CombineDispersed(cfg, []*coordsample.BottomK{mergedWindow, mergedWindow1})
-	if err != nil {
-		t.Fatal(err)
+	return fmt.Sprintf("= %v ", summary.RangeLSet(nil).Estimate(nil))
+}
+
+// TestStoreQueries: -store reads a durable epoch store directly —
+// cumulative by default, any retained window with -epochs — and answers
+// bit-identically to the offline merge of the same epochs. A window that
+// starts below the retained ring or ends after the last epoch is refused.
+func TestStoreQueries(t *testing.T) {
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 9, K: 64}
+	wide, narrow := t.TempDir(), t.TempDir()
+	wideEpochs := writeStore(t, wide, cfg, 5, 8)
+	narrowEpochs := writeStore(t, narrow, cfg, 10, 3)
+	for _, c := range []struct {
+		dir    string
+		epochs string
+		want   [][]*coordsample.BottomK
+	}{
+		{wide, "", wideEpochs},
+		{wide, "2..3", wideEpochs[1:3]},
+		{wide, "2..4", wideEpochs[1:4]},
+		{narrow, "", narrowEpochs},
+		{narrow, "8..10", narrowEpochs[7:]},
+		{narrow, "9..9", narrowEpochs[8:9]},
+	} {
+		args := []string{"-store", c.dir, "-query", "L1", "-v"}
+		if c.epochs != "" {
+			args = append(args, "-epochs", c.epochs)
+		}
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := offlineL1(t, cfg, c.want); !strings.Contains(buf.String(), want) {
+			t.Fatalf("-store -epochs %q output %q does not contain bit-identical %q", c.epochs, buf.String(), want)
+		}
+		if !strings.Contains(buf.String(), "opened "+c.dir) {
+			t.Fatalf("-v did not describe the store: %q", buf.String())
+		}
 	}
 
+	// Error paths: windows outside the ring, files+store conflicts.
 	var buf bytes.Buffer
-	if err := run([]string{"-store", dir, "-epochs", "2..3", "-query", "L1", "-v"}, &buf); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ dir, epochs, want string }{
+		{narrow, "6..8", "epochs 6..7 are no longer retained (retained window is 8..10)"},
+		{narrow, "8..11", "epoch range 8..11 exceeds the current epoch 10"},
+		{wide, "2..9", "epoch range 2..9 exceeds the current epoch 5"},
+	} {
+		if err := run([]string{"-store", c.dir, "-epochs", c.epochs}, &buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("-epochs %s: err %v, want one containing %q", c.epochs, err, c.want)
+		}
 	}
-	want := fmt.Sprintf("= %v ", windowSummary.RangeLSet(nil).Estimate(nil))
-	if !strings.Contains(buf.String(), want) {
-		t.Fatalf("-store -epochs output %q does not contain bit-identical %q", buf.String(), want)
-	}
-	if !strings.Contains(buf.String(), "opened "+dir) {
-		t.Fatalf("-v did not describe the store: %q", buf.String())
-	}
-
-	// Error paths: compacted/evicted windows, files+store conflicts.
-	if err := run([]string{"-store", dir, "-epochs", "2..9"}, &buf); err == nil {
-		t.Fatal("out-of-range window accepted")
-	}
-	if err := run([]string{"-store", dir, "file.cws"}, &buf); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+	if err := run([]string{"-store", wide, "file.cws"}, &buf); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("store+files: err = %v", err)
 	}
 	if err := run([]string{"-epochs", "1..2", "x.cws"}, &buf); err == nil || !strings.Contains(err.Error(), "requires -store") {
@@ -520,7 +554,12 @@ func TestStoreUpgradedFromV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	window, err := ro.Range(4, 5) // epoch 4 is a version-1 segment, epoch 5 version 2
+	// Epoch 4 is a version-1 segment, epoch 5 version 2.
+	ring := ro.Retained()
+	if len(ring) != 2 || ring[0].Epoch != 4 || ring[1].Epoch != 5 {
+		t.Fatalf("retained ring %v, want epochs 4 and 5", ring)
+	}
+	window, err := sketch.MergeSets(ring[0].Sketches, ring[1].Sketches)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@
 // or SIGKILL — recovers every acknowledged epoch bit-identically. The
 // -retain most recent epochs stay individually queryable as time windows
 // (GET /query?epochs=3..7 answers any aggregate over exactly epochs 3–7);
-// older epochs are compacted into the cumulative segment so disk stays
+// older epochs live on only in the cumulative segment, so disk stays
 // bounded. On SIGINT/SIGTERM the server drains in-flight requests
 // (readiness flips false first, so load balancers stop routing), auto-
 // freezes the open epoch (persisting it when durable), and exits cleanly —
@@ -109,7 +109,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "hash seed shared by all assignments (and all coordinating sites)")
 	lanes := flag.Int("lanes", 0, "concurrent ingest lanes: requests on distinct lanes offer in parallel (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "durable epoch store directory (empty = memory only; epochs are lost on exit)")
-	retain := flag.Int("retain", 8, "recent epochs kept individually for epoch-range queries (older ones are compacted)")
+	retain := flag.Int("retain", 8, "recent epochs kept individually for epoch-range queries (older ones live on only in the cumulative)")
 	peers := flag.String("peers", "", "comma-separated host:port of every cluster member incl. this one, identical order everywhere (empty = single node)")
 	self := flag.Int("self", 0, "this node's index in -peers")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent ingest requests before shedding with 429 (0 = unbounded)")

@@ -144,7 +144,7 @@ func TestObservabilityClusterTraceAndMetrics(t *testing.T) {
 		`cws_merged_assignments_total{site="cluster"} 2`,
 		`cws_merged_assignments_total{site="window"} 0`,
 		`cws_merge_conflicts_total{site="cluster"} 0`,
-		"cws_offers_total",
+		"cws_ingest_offered_total",
 		`cws_build_info{go_version="go`, // node and router share the registry: registered once
 		"\ncws_key_order_sorts_total ",
 		"\ncws_go_gc_cycles_total ", "\ncws_go_gc_cpu_seconds_total ",
@@ -230,7 +230,7 @@ func TestChaosFaultsVisibleInMetrics(t *testing.T) {
 		`cws_fault_fires_total{point="store.segment-write"} 1`,
 		"cws_freeze_errors_total 1",
 		"cws_store_persist_errors_total 1",
-		"cws_store_persists_total 0",
+		`cws_freeze_phase_seconds_count{phase="persist"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q after injected store fault", want)

@@ -11,45 +11,13 @@ import (
 	"coordsample/internal/sketch"
 )
 
-// SummaryMemo is a synchronized, value-deterministic AW-summary memo: racing
-// builds of the same aggregate produce identical summaries (deterministic
-// estimators), so storing whichever finishes first is correct. The build
-// runs outside the lock so a slow build never blocks other aggregates. The
-// zero value is an empty memo.
-type SummaryMemo struct {
-	mu    sync.Mutex
-	cache map[string]estimate.AWSummary
-}
-
-// SummaryFor is the memo as a cliquery.SummaryBuilder: the first query
-// needing an aggregate builds its AW-summary (the expensive phase — an
-// estimator pass over the union of the sketches), every later query
-// reuses it.
-func (m *SummaryMemo) SummaryFor(key string, build func() estimate.AWSummary) estimate.AWSummary {
-	m.mu.Lock()
-	aw, ok := m.cache[key]
-	m.mu.Unlock()
-	if ok {
-		return aw
-	}
-	aw = build()
-	m.mu.Lock()
-	if prior, ok := m.cache[key]; ok {
-		aw = prior
-	} else {
-		if m.cache == nil {
-			m.cache = make(map[string]estimate.AWSummary)
-		}
-		m.cache[key] = aw
-	}
-	m.mu.Unlock()
-	return aw
-}
-
 // Merged is the memoized serving state of one exact merge of disjoint
-// sketch sets — a node's epoch window, or the router's gather of its peers —
-// merged per assignment, on first use (Section 7: an assignment's sketch is
-// built, merged and read independently of the others). A query calls Ensure
+// sketch sets — a node's whole stream (its cumulative set alone, or at a
+// freeze the cumulative and the new epoch), one of its epoch windows, or the
+// router's gather of its peers — merged per assignment, on first use
+// (Section 7: an assignment's sketch is built, merged and read independently
+// of the others). It is the one place a served sketch set is merged. A
+// query calls Ensure
 // for the assignments it reads (cliquery.Reads) and then reads them through
 // Summary, whose sketches are the state's slots; an assignment is merged at
 // most once per state, and one nobody reads costs nothing. The state is
@@ -59,18 +27,41 @@ func (m *SummaryMemo) SummaryFor(key string, build func() estimate.AWSummary) es
 // and the server's TestWindowConcurrentQueriesMergeOnce pin this under -race).
 type Merged struct {
 	summary  *estimate.Dispersed
-	memo     SummaryMemo
 	assigner rank.Assigner
 	slots    []slot
+
+	memoMu sync.Mutex
+	memo   map[string]estimate.AWSummary
 }
 
 // Summary returns the state's dispersed summary: the view the estimators
 // read, over the slots.
 func (m *Merged) Summary() *estimate.Dispersed { return m.summary }
 
-// SummaryFor is the state's AW-summary memo (SummaryMemo.SummaryFor).
+// SummaryFor is the state's AW-summary memo as a cliquery.SummaryBuilder:
+// the first query needing an aggregate builds its AW-summary (an estimator
+// pass over the union of the sketches), every later query reuses it. The
+// build runs outside the lock, so a slow one never blocks other aggregates;
+// racing builds of one aggregate produce identical summaries (the estimators
+// are deterministic), so keeping whichever finishes first is correct.
 func (m *Merged) SummaryFor(key string, build func() estimate.AWSummary) estimate.AWSummary {
-	return m.memo.SummaryFor(key, build)
+	m.memoMu.Lock()
+	aw, ok := m.memo[key]
+	m.memoMu.Unlock()
+	if ok {
+		return aw
+	}
+	aw = build()
+	m.memoMu.Lock()
+	defer m.memoMu.Unlock()
+	if prior, ok := m.memo[key]; ok {
+		return prior
+	}
+	if m.memo == nil {
+		m.memo = make(map[string]estimate.AWSummary)
+	}
+	m.memo[key] = aw
+	return aw
 }
 
 // slot is one assignment of a Merged: the column of disjoint input sketches
@@ -139,6 +130,16 @@ func (m *Merged) Ensure(bs []int) (merged int, err error) {
 // Sketch returns the merged sketch of an ensured assignment: the value
 // sketch.Merge returns for its column.
 func (m *Merged) Sketch(b int) *sketch.BottomK { return m.slots[b].sk.Load() }
+
+// Sketches returns every assignment's merged sketch, in assignment order;
+// the state must be ensured in full (Ensure(nil)).
+func (m *Merged) Sketches() []*sketch.BottomK {
+	out := make([]*sketch.BottomK, len(m.slots))
+	for b := range out {
+		out[b] = m.Sketch(b)
+	}
+	return out
+}
 
 // merge is the state's one merge site; did is false when a concurrent query
 // got there first. The result passes what MergeSets → CombineDispersed

@@ -150,7 +150,7 @@ func TestIngestKeyLengthBoundary(t *testing.T) {
 				t.Fatalf("%d keys of %d bytes: status %d: %v", keys, maxIngestKeyLen, code, out)
 			}
 			postJSON(t, ts.URL+"/freeze", nil)
-			got := s.snap.Load().sketches[0]
+			got := s.snap.Load().cum.Sketches()[0]
 			if got.Size() != keys {
 				t.Fatalf("%d entries retained, want %d", got.Size(), keys)
 			}
@@ -507,7 +507,7 @@ func FuzzIngestBinary(f *testing.F) {
 			t.Fatalf("freeze of a legal stream: %v", err)
 		}
 		for b, builder := range builders {
-			ref, got := builder.Sketch(), snap.sketches[b]
+			ref, got := builder.Sketch(), snap.cum.Sketches()[b]
 			if math.Float64bits(got.KthRank()) != math.Float64bits(ref.KthRank()) ||
 				math.Float64bits(got.Threshold()) != math.Float64bits(ref.Threshold()) ||
 				len(got.Entries()) != len(ref.Entries()) {

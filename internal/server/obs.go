@@ -67,7 +67,6 @@ func (s *Server) initObs(cfg Config) {
 	m.freezePublish = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "publish"))
 
 	r.RegisterProcess(sketch.KeyOrderSorts)
-	r.Counter("cws_offers_total", "Offers accepted into the current or a frozen epoch.", s.offers.Load)
 	r.Counter("cws_range_queries_total", "Queries answered over a retained epoch window (?epochs=lo..hi).", s.rangeQueries.Load)
 	r.CounterL("cws_merged_assignments_total", "Assignments merged on first use by a window or cluster state.", obs.Label("site", "window"), s.mergedAssignments.Load)
 	r.CounterL("cws_merge_conflicts_total", "Window or cluster merges refused: two inputs held one key, or an input's configuration fingerprint did not match.", obs.Label("site", "window"), s.mergeConflicts.Load)
@@ -76,7 +75,6 @@ func (s *Server) initObs(cfg Config) {
 	r.Counter("cws_segment_exports_total", "GET /sketches exports (peer bulk fetches and downloads).", s.segmentExports.Load)
 	r.Counter("cws_segment_export_encodes_total", "GET /sketches responses that encoded their segment (a window, or a cumulative no freeze or recovery had the bytes of).", s.exportEncodes.Load)
 	r.Counter("cws_sheds_total", "Ingest requests shed with 429 under the inflight bound.", s.sheds.Load)
-	r.Counter("cws_store_persists_total", "Epochs durably persisted.", s.persists.Load)
 	r.Counter("cws_store_persist_errors_total", "Persist failures (the freeze was not acknowledged).", s.persistErrors.Load)
 	r.Counter("cws_store_compaction_errors_total", "Cumulative segment writes that failed after an acknowledged persist.", s.compactionErrors.Load)
 
@@ -113,7 +111,7 @@ func (s *Server) initObs(cfg Config) {
 	})
 	r.Gauge("cws_serving_entries", "Sample entries across the serving snapshot's sketches.", func() float64 {
 		n := 0
-		for _, sk := range s.snap.Load().sketches {
+		for _, sk := range s.snap.Load().cum.Sketches() {
 			n += sk.Size()
 		}
 		return float64(n)

@@ -71,7 +71,7 @@ func TestMetricsExposition(t *testing.T) {
 	resp.Body.Close()
 	body := string(raw)
 	for _, want := range []string{
-		"cws_offers_total 2",
+		`cws_ingest_offered_total{assignment="0"} 2`,
 		"cws_freezes_total 1",
 		"cws_epoch 1",
 		"# TYPE cws_offer_latency_seconds histogram",
@@ -239,10 +239,10 @@ func TestTwoServersShareNothing(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		return string(raw)
 	}
-	if !strings.Contains(scrape(ts1.URL), "cws_offers_total 1") {
+	if !strings.Contains(scrape(ts1.URL), `cws_ingest_offered_total{assignment="0"} 1`) {
 		t.Error("server 1 did not count its offer")
 	}
-	if !strings.Contains(scrape(ts2.URL), "cws_offers_total 0") {
+	if !strings.Contains(scrape(ts2.URL), `cws_ingest_offered_total{assignment="0"} 0`) {
 		t.Error("server 2 saw server 1's traffic")
 	}
 }

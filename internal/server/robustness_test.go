@@ -168,7 +168,7 @@ func TestOverloadSheddingReturns429(t *testing.T) {
 	postJSON(t, ts.URL+"/freeze", nil)
 	acked := append(append(held, after), shed...)
 	for b, want := range epochSketches(cfg, acked) {
-		got := s.snap.Load().sketches[b]
+		got := s.snap.Load().cum.Sketches()[b]
 		if got.KthRank() != want.KthRank() || got.Threshold() != want.Threshold() || !slices.Equal(got.Entries(), want.Entries()) {
 			t.Fatalf("assignment %d: frozen (%d entries, r_k %v, r_k+1 %v), offline (%d, %v, %v)", b,
 				got.Size(), got.KthRank(), got.Threshold(), want.Size(), want.KthRank(), want.Threshold())
@@ -300,11 +300,11 @@ func TestSketchesSegmentEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := s.snap.Load()
-	if len(decoded) != len(snap.sketches) {
-		t.Fatalf("%d sketches, want %d", len(decoded), len(snap.sketches))
+	if len(decoded) != len(snap.cum.Sketches()) {
+		t.Fatalf("%d sketches, want %d", len(decoded), len(snap.cum.Sketches()))
 	}
 	for b, d := range decoded {
-		want := snap.sketches[b]
+		want := snap.cum.Sketches()[b]
 		if d.BottomK == nil || d.BottomK.Fingerprint() != want.Fingerprint() || d.BottomK.Size() != want.Size() {
 			t.Fatalf("sketch %d differs from the snapshot", b)
 		}

@@ -14,8 +14,8 @@
 // (POST /freeze) detaches the epoch's sketchers, arms fresh ones, and then
 // — off the ingest path, with producers already streaming into the next
 // epoch — terminally freezes the detached sketchers across a bounded
-// worker pool, merges each assignment's epoch sketch into the cumulative
-// sketch of all previous epochs with the exact sketch.Merge — the merge
+// worker pool, merges the epoch's sketches with the cumulative sketches of
+// all previous epochs into the new whole-stream core.Merged — the merge
 // lemma: bottom-k sketches of disjoint key sets merge into the bit-exact
 // bottom-k sketch of the union — and atomically swaps in a new immutable
 // snapshot.
@@ -33,10 +33,12 @@
 // # Freeze-and-swap memory model
 //
 // The snapshot is published through an atomic pointer. Queries load the
-// pointer once and answer entirely from the immutable snapshot — frozen
-// sketches, a frozen estimate.Dispersed summary, and a memo of the
-// AW-summaries built so far (estimates are deterministic, sorted-order
-// Neumaier sums, so memoization can never change an answer). Readers
+// pointer once and answer entirely from the immutable snapshot: its serving
+// states — a core.Merged of the cumulative sketches for the whole stream,
+// one per epoch window named so far — each a frozen estimate.Dispersed
+// summary plus a memo of the AW-summaries built so far (estimates are
+// deterministic, sorted-order Neumaier sums, so memoization can never
+// change an answer). Readers
 // therefore never take the ingest lock, writers never wait for readers,
 // and no query can ever observe a half-built sketch: the swap is a single
 // pointer store of a fully constructed snapshot, and Go's atomic.Pointer
@@ -258,25 +260,16 @@ func (c Config) check() error {
 	return nil
 }
 
-// epochSet is one retained epoch: its number and its frozen per-assignment
-// sketches.
-type epochSet struct {
-	epoch    int
-	sketches []*sketch.BottomK
-}
-
 // snapshot is one immutable serving state: everything a query touches.
 // It is swapped in whole by freeze and only ever read afterwards, except
-// for the internally synchronized memos (the cumulative AW-summary memo
-// and the per-range states), which are value-deterministic. A write after
+// for the internally synchronized states (the whole stream's and the
+// windows'), whose merges and memos are value-deterministic. A write after
 // the publish races the concurrent queries of
 // TestWindowConcurrentQueriesMergeOnce under -race.
 type snapshot struct {
 	epoch    int
-	summary  *estimate.Dispersed
-	sketches []*sketch.BottomK
-	retained []epochSet // ascending epoch; the queryable time windows
-	core.SummaryMemo
+	cum      *core.Merged        // the whole stream: every epoch's exact merge, ensured in full
+	retained []store.EpochRecord // ascending epoch; the queryable time windows
 
 	// segment is what GET /sketches serves: the store's bytes, else the first export's.
 	segment     []byte
@@ -310,20 +303,15 @@ func (e *WindowError) HTTPStatus() int { return e.Code }
 // cumulative threshold has pruned a copy. Nothing is kept of the refused
 // assignment; the others, and every other window, keep answering.
 func (s *Server) window(snap *snapshot, tr *obs.Trace, lo, hi int, bs []int) (*core.Merged, *WindowError) {
-	if err := snap.checkRange(lo, hi); err != nil {
+	sets, err := store.Window(snap.retained, snap.epoch, lo, hi)
+	if err != nil {
 		return nil, &WindowError{http.StatusBadRequest, err}
 	}
 	key := fmt.Sprintf("%d..%d", lo, hi)
 	snap.rangeMu.Lock()
 	rs, ok := snap.ranges[key]
 	if !ok {
-		var window [][]*sketch.BottomK
-		for _, set := range snap.retained {
-			if set.epoch >= lo && set.epoch <= hi {
-				window = append(window, set.sketches)
-			}
-		}
-		rs = core.NewMerged(s.cfg.Sample, window)
+		rs = core.NewMerged(s.cfg.Sample, sets)
 		snap.ranges[key] = rs
 	}
 	snap.rangeMu.Unlock()
@@ -339,20 +327,6 @@ func (s *Server) window(snap *snapshot, tr *obs.Trace, lo, hi int, bs []int) (*c
 		return nil, &WindowError{http.StatusConflict, fmt.Errorf("epochs %d..%d: %v (each key may be offered at most once per assignment across the server's lifetime)", lo, hi, err)}
 	}
 	return rs, nil
-}
-
-// checkRange validates an epoch window against what this snapshot retains.
-func (s *snapshot) checkRange(lo, hi int) error {
-	if hi > s.epoch {
-		return fmt.Errorf("epoch range %d..%d exceeds the current epoch %d", lo, hi, s.epoch)
-	}
-	if len(s.retained) == 0 {
-		return fmt.Errorf("no epochs are retained (configure -retain, or freeze first)")
-	}
-	if first := s.retained[0].epoch; lo < first {
-		return fmt.Errorf("epochs %d..%d are no longer retained (retained window is %d..%d); raise -retain to keep more history", lo, min(hi, first-1), first, s.epoch)
-	}
-	return nil
 }
 
 // Server is the resident sketch service. Create it with New; it implements
@@ -406,14 +380,12 @@ type Server struct {
 	ingestStats []ingestStat
 
 	// Counters behind the /metrics registry (see initObs).
-	offers           atomic.Int64
 	rangeQueries     atomic.Int64
 	freezes          atomic.Int64
 	freezeErrors     atomic.Int64
 	segmentExports   atomic.Int64
 	exportEncodes    atomic.Int64
 	sheds            atomic.Int64
-	persists         atomic.Int64
 	persistErrors    atomic.Int64
 	compactionErrors atomic.Int64
 	recoveredEpochs  atomic.Int64
@@ -437,15 +409,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: drawing the boot nonce: %w", err)
 	}
 	s := &Server{cfg: cfg, start: time.Now(), nonce: hex.EncodeToString(nonce[:]), store: cfg.Store, retain: cfg.Retain}
-	epoch, cum, retained, segment := 0, []*sketch.BottomK(nil), []epochSet(nil), []byte(nil)
+	epoch, cum, retained, segment := 0, []*sketch.BottomK(nil), []store.EpochRecord(nil), []byte(nil)
 	if s.store != nil {
 		s.retain = s.store.Retain()
 		epoch, cum, segment = s.store.Epoch(), s.store.Cumulative(), s.store.CumulativeSegment()
-		recovered := s.store.Retained()
+		retained = s.store.Retained()
 		// The store's ring may be wider (older -retain, failed cumulative write).
-		for _, rec := range recovered[max(0, len(recovered)-s.retain):] {
-			retained = append(retained, epochSet{epoch: rec.Epoch, sketches: rec.Sketches})
-		}
+		retained = retained[max(0, len(retained)-s.retain):]
 		s.recoveredEpochs.Store(int64(epoch))
 	}
 	if cum == nil {
@@ -457,9 +427,13 @@ func New(cfg Config) (*Server, error) {
 			cum[b] = sketch.NewBottomKBuilderWithFingerprint(cfg.Sample.K, assigner.Fingerprint(b, cfg.Sample.K)).Sketch()
 		}
 	}
+	state := core.NewMerged(cfg.Sample, [][]*sketch.BottomK{cum})
+	if _, err := state.Ensure(nil); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	s.ingest = newEpochIngest(cfg)
 	s.epochNow.Store(int64(epoch))
-	s.snap.Store(s.newSnapshot(epoch, cum, retained, segment))
+	s.snap.Store(newSnapshot(epoch, state, retained, segment))
 	s.ingestStates.New = func() any {
 		return &ingestState{srv: s, buf: shard.NewStaged(cfg.Sample.Assigner(), cfg.Assignments)}
 	}
@@ -577,23 +551,10 @@ func newEpochIngest(cfg Config) *epochIngest {
 	return e
 }
 
-// newSnapshot builds the immutable serving state for the given cumulative
-// sketches (and their encoding, if known) and retained-epoch ring. The
-// combine is fingerprint-verified; the sketches were built by this server
-// under its own configuration, so a failure is a programming error.
-func (s *Server) newSnapshot(epoch int, cum []*sketch.BottomK, retained []epochSet, segment []byte) *snapshot {
-	summary, err := core.CombineDispersed(s.cfg.Sample, cum)
-	if err != nil {
-		panic(fmt.Sprintf("server: %v", err))
-	}
-	return &snapshot{
-		epoch:    epoch,
-		summary:  summary,
-		sketches: cum,
-		retained: retained,
-		segment:  segment,
-		ranges:   make(map[string]*core.Merged),
-	}
+// newSnapshot is the immutable serving state of the whole stream's ensured
+// state cum (with its encoding, if known) and the retained-epoch ring.
+func newSnapshot(epoch int, cum *core.Merged, retained []store.EpochRecord, segment []byte) *snapshot {
+	return &snapshot{epoch: epoch, cum: cum, retained: retained, segment: segment, ranges: make(map[string]*core.Merged)}
 }
 
 // ServeHTTP dispatches to the server's endpoints.
@@ -842,7 +803,6 @@ func (st *ingestState) flush() error {
 	s.dirty.Store(true)
 	st.epoch = int(s.epochNow.Load())
 	s.ingestMu.RUnlock()
-	s.offers.Add(int64(n))
 	st.accepted += n
 	st.buf.Reset()
 	return nil
@@ -1091,9 +1051,9 @@ func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.freezes.Add(1)
-	entries := make([]int, len(snap.sketches))
-	for b, sk := range snap.sketches {
-		entries[b] = sk.Size()
+	entries := make([]int, s.cfg.Assignments)
+	for b := range entries {
+		entries[b] = snap.cum.Sketch(b).Size()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": snap.epoch, "assignments": s.cfg.Assignments, "entries": entries})
 }
@@ -1108,15 +1068,15 @@ func (e *persistError) Error() string {
 }
 func (e *persistError) Unwrap() error { return e.err }
 
-// freeze advances the epoch: terminally freeze the current sketchers,
-// persist the epoch's sketch set through the store (when durable — the
-// acknowledgement point), merge each assignment's epoch sketch into the
-// cumulative sketch (exact, by the merge lemma — epochs are disjoint key
-// sets under the pre-aggregation contract), publish the new snapshot with
-// the refreshed retention ring, and arm fresh sketchers. On error (a
-// duplicate key surviving the merge — a contract violation in the
-// ingested data — or a persist failure) the serving snapshot and the
-// cumulative sketches are left unchanged, the poisoned epoch's data is
+// freeze advances the epoch: arm fresh sketchers, terminally freeze the
+// detached ones, merge the epoch's sketches with the cumulative ones into
+// the new whole-stream state (exact, by the merge lemma — epochs are
+// disjoint key sets under the pre-aggregation contract), persist the epoch
+// through the store (when durable — the acknowledgement point), and publish
+// the new snapshot with the refreshed retention ring. On error (a duplicate
+// key two lanes, or the epoch and the cumulative, both retained — a
+// contract violation in the ingested data — or a persist failure) the
+// serving snapshot is left unchanged, the poisoned epoch's data is
 // discarded, and ingestion continues in a fresh epoch.
 func (s *Server) freeze() (*snapshot, error) {
 	s.mu.Lock()
@@ -1148,16 +1108,21 @@ func (s *Server) freeze() (*snapshot, error) {
 	}
 	prev := s.snap.Load()
 	mergeStart := time.Now()
-	epochSketches, merged, err := freezeAndMerge(old.ms, prev.sketches)
+	epochSketches, err := freezeLanes(old.ms)
+	var cum *core.Merged
+	if err == nil {
+		cum = core.NewMerged(s.cfg.Sample, [][]*sketch.BottomK{prev.cum.Sketches(), epochSketches})
+		_, err = cum.Ensure(nil)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("freezing epoch: %v (each key may be offered at most once per assignment across the server's lifetime; the epoch's data is discarded and the serving snapshot is unchanged)", err)
 	}
 	s.om.freezeMerge.Record(time.Since(mergeStart))
 	var segment []byte
 	if s.store != nil {
 		persistStart := time.Now()
 		var perr error
-		if _, segment, perr = s.store.AppendMerged(epochSketches, merged); perr != nil {
+		if _, segment, perr = s.store.AppendMerged(epochSketches, cum.Sketches()); perr != nil {
 			var ce *store.CompactionError
 			if errors.As(perr, &ce) {
 				// The epoch itself is acknowledged; only its cumulative
@@ -1169,63 +1134,30 @@ func (s *Server) freeze() (*snapshot, error) {
 			}
 		}
 		s.om.freezePersist.Record(time.Since(persistStart))
-		s.persists.Add(1)
 	}
 	publishStart := time.Now()
 	epoch := prev.epoch + 1
 	s.epochNow.Store(int64(epoch))
 	// A fresh ring slice every freeze: published snapshots hold the old one.
-	retained := append(prev.retained[:len(prev.retained):len(prev.retained)], epochSet{epoch: epoch, sketches: epochSketches})
-	snap := s.newSnapshot(epoch, merged, retained[max(0, len(retained)-s.retain):], segment)
+	retained := append(prev.retained[:len(prev.retained):len(prev.retained)], store.EpochRecord{Epoch: epoch, Sketches: epochSketches})
+	snap := newSnapshot(epoch, cum, retained[max(0, len(retained)-s.retain):], segment)
 	s.snap.Store(snap)
 	s.om.freezePublish.Record(time.Since(publishStart))
 	s.log.Info("epoch frozen", "epoch", epoch, "retained", len(snap.retained))
 	return snap, nil
 }
 
-// freezeAndMerge freezes every epoch sketcher and merges into the
-// cumulative sketches, converting the duplicate-key freeze panic (the
-// library's detection of pre-aggregation violations) into an error a
-// server can survive. It returns both the frozen epoch sketches (what the
-// store persists and the retention ring serves) and the merged cumulative
-// sketches. The per-assignment freezes are independent (each terminally
-// freezes its own sketcher and merges into its own cumulative sketch), so
-// they fan across shard.ParallelDo's bounded pool; with one schedulable
-// core this degenerates to the serial loop, and the error reported is the
-// lowest assignment index's — the one a serial pass would have hit first.
-func freezeAndMerge(ingest *shard.MultiSketcher, cum []*sketch.BottomK) ([]*sketch.BottomK, []*sketch.BottomK, error) {
-	sketchers := ingest.Sketchers()
-	epochs := make([]*sketch.BottomK, len(sketchers))
-	out := make([]*sketch.BottomK, len(sketchers))
-	errs := make([]error, len(sketchers))
-	shard.ParallelDo(len(sketchers), func(b int) {
-		epochs[b], out[b], errs[b] = freezeOne(sketchers[b], cum[b])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return epochs, out, nil
-}
-
-// freezeOne terminally freezes one assignment's epoch sketcher and merges
-// it into that assignment's cumulative sketch, recovering the panic the
-// sketch layer raises when a key was offered more than once (within the
-// epoch — on one lane or split across two — in sk.Sketch(); across epochs,
-// in the cumulative Merge).
-func freezeOne(sk *shard.Sketcher, cum *sketch.BottomK) (epochSketch, out *sketch.BottomK, err error) {
+// freezeLanes terminally freezes the epoch's sketchers, turning the sketch
+// layer's panic at a key two of an assignment's lanes retained (a
+// pre-aggregation violation within the epoch) into an error a server can
+// survive.
+func freezeLanes(ms *shard.MultiSketcher) (sketches []*sketch.BottomK, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("freezing epoch: %v (each key may be offered at most once per assignment across the server's lifetime; the epoch's data is discarded and the serving snapshot is unchanged)", r)
+			err = fmt.Errorf("%v", r)
 		}
 	}()
-	epochSketch = sk.Sketch()
-	merged, mergeErr := sketch.Merge(cum, epochSketch)
-	if mergeErr != nil {
-		return nil, nil, mergeErr // impossible: both sides carry this server's fingerprint
-	}
-	return epochSketch, merged, nil
+	return ms.Sketches(), nil
 }
 
 // --- queries ---
@@ -1266,24 +1198,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 	// Default: the cumulative snapshot (all epochs). ?epochs=lo..hi
 	// answers over exactly that retained time window instead.
-	summary, via := snap.summary, cliquery.SummaryBuilder(snap.SummaryFor)
-	resp := map[string]any{"epoch": snap.epoch}
+	state, resp := snap.cum, map[string]any{"epoch": snap.epoch}
 	if p.Epochs != "" {
 		lo, hi, err := cliquery.ParseEpochRange(p.Epochs)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
 			return
 		}
-		rs, werr := s.window(snap, tr, lo, hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments))
-		if werr != nil {
+		var werr *WindowError
+		if state, werr = s.window(snap, tr, lo, hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments)); werr != nil {
 			writeError(w, werr.Code, "%v", werr)
 			return
 		}
-		summary, via = rs.Summary(), rs.SummaryFor
 		resp["epochs"] = fmt.Sprintf("%d..%d", lo, hi)
 		s.rangeQueries.Add(1)
 	}
-	if err := p.Answer(tr, summary, via, resp); err != nil {
+	if err := p.Answer(tr, state.Summary(), state.SummaryFor, resp); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -1351,7 +1281,7 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	if eq == "" {
 		snap.segmentOnce.Do(func() {
 			if snap.segment == nil {
-				snap.segment = s.encodeExport(snap.sketches)
+				snap.segment = s.encodeExport(snap.cum.Sketches())
 			}
 		})
 		data = snap.segment
@@ -1379,13 +1309,13 @@ func (s *Server) sketchSet(snap *snapshot, epochs, ifNoneMatch string) (string, 
 		if etag == ifNoneMatch {
 			return etag, nil, nil
 		}
-		return etag, snap.sketches, nil
+		return etag, snap.cum.Sketches(), nil
 	}
 	lo, hi, err := cliquery.ParseEpochRange(epochs)
 	if err != nil {
 		return "", nil, &WindowError{http.StatusBadRequest, fmt.Errorf("bad epochs parameter: %v", err)}
 	}
-	if err := snap.checkRange(lo, hi); err != nil {
+	if _, err := store.Window(snap.retained, snap.epoch, lo, hi); err != nil {
 		return "", nil, &WindowError{http.StatusBadRequest, err}
 	}
 	etag := fmt.Sprintf(`"%s-%d..%d"`, s.nonce, lo, hi)
@@ -1396,11 +1326,7 @@ func (s *Server) sketchSet(snap *snapshot, epochs, ifNoneMatch string) (string, 
 	if werr != nil {
 		return "", nil, werr
 	}
-	sketches := make([]*sketch.BottomK, s.cfg.Assignments)
-	for b := range sketches {
-		sketches[b] = rs.Sketch(b)
-	}
-	return etag, sketches, nil
+	return etag, rs.Sketches(), nil
 }
 
 // LocalSketches is GET /sketches?epochs= in process, for a cluster router on
@@ -1442,7 +1368,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_sec":  time.Since(s.start).Seconds(),
 	}
 	if len(snap.retained) > 0 {
-		resp["retained_epochs"] = fmt.Sprintf("%d..%d", snap.retained[0].epoch, snap.retained[len(snap.retained)-1].epoch)
+		resp["retained_epochs"] = fmt.Sprintf("%d..%d", snap.retained[0].Epoch, snap.retained[len(snap.retained)-1].Epoch)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -545,12 +545,12 @@ func TestCountersAndHealth(t *testing.T) {
 	m := obstest.Scrape(t, ts.URL)
 	m["cws_query_latency_seconds_count"] = m[`cws_query_latency_seconds_count{est="aw"}`] + m[`cws_query_latency_seconds_count{est="discarded"}`]
 	for name, want := range map[string]float64{
-		"cws_offers_total":                2,
-		"cws_offer_latency_seconds_count": 1,
-		"cws_freezes_total":               1,
-		"cws_query_latency_seconds_count": 1,
-		"cws_epoch":                       1,
-		"cws_serving_entries":             2,
+		`cws_ingest_offered_total{assignment="0"}`: 2,
+		"cws_offer_latency_seconds_count":          1,
+		"cws_freezes_total":                        1,
+		"cws_query_latency_seconds_count":          1,
+		"cws_epoch":                                1,
+		"cws_serving_entries":                      2,
 	} {
 		if got, ok := m[name]; !ok || got != want {
 			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
@@ -1046,7 +1046,7 @@ func TestCumulativeExportIsTheFreezeBytes(t *testing.T) {
 	check := func(t *testing.T, s *Server, base string, n int) ([]byte, float64) {
 		t.Helper()
 		var want bytes.Buffer
-		if _, err := sketch.EncodeSegment(&want, metas, s.snap.Load().sketches); err != nil {
+		if _, err := sketch.EncodeSegment(&want, metas, s.snap.Load().cum.Sketches()); err != nil {
 			t.Fatal(err)
 		}
 		before := obstest.Scrape(t, base)["cws_segment_export_encodes_total"]

@@ -115,25 +115,29 @@ func windowVocabulary() []string {
 }
 
 // TestWindowDifferential: on windows of one epoch, four epochs and the whole
-// ring, every query of the vocabulary, asked in shuffled orders against
-// fresh window states, answers float-bit identically (estimate and stderr)
-// to the eager oracle; and the windows' exported /sketches bytes are the
-// encoding of the eagerly merged sketches.
+// ring, and on the whole stream (no epochs=, the snapshot's cumulative
+// state), every query of the vocabulary, asked in shuffled orders against
+// fresh states, answers float-bit identically (estimate and stderr) to the
+// eager oracle over all the input's epochs; and the exported /sketches
+// bytes are the encoding of the eagerly merged sketches.
 func TestWindowDifferential(t *testing.T) {
 	cfg := windowCfg()
 	const epochs = 6
 	chunks := chunkEpochs(windowStream(1500, 31), epochs)
-	windows := [][2]int{{1, 1}, {2, 5}, {1, epochs}}
+	windows := [][2]int{{1, 1}, {2, 5}, {1, epochs}, {}} // {}: the whole stream
 	vocabulary := windowVocabulary()
 	for order := int64(0); order < 3; order++ {
 		_, base := windowServer(t, cfg, chunks)
 		for _, win := range windows {
-			eager := eagerWindow(t, cfg, chunks[win[0]-1:win[1]])
+			in, epochsParam := chunks, ""
+			if win != [2]int{} {
+				in, epochsParam = chunks[win[0]-1:win[1]], fmt.Sprintf("&epochs=%d..%d", win[0], win[1])
+			}
+			eager := eagerWindow(t, cfg, in)
 			oracle, err := core.CombineDispersed(cfg.Sample, eager)
 			if err != nil {
 				t.Fatal(err)
 			}
-			epochsParam := fmt.Sprintf("&epochs=%d..%d", win[0], win[1])
 			if order == 0 {
 				checkWindowExports(t, cfg, base, epochsParam, eager)
 			}
@@ -170,7 +174,7 @@ func TestWindowDifferential(t *testing.T) {
 // parent served.
 func checkWindowExports(t *testing.T, cfg Config, base, epochsParam string, eager []*sketch.BottomK) {
 	t.Helper()
-	path := "/sketches?" + epochsParam[1:]
+	path := "/sketches?" + strings.TrimPrefix(epochsParam, "&")
 	resp, err := http.Get(base + path)
 	if err != nil {
 		t.Fatal(err)

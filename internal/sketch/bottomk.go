@@ -168,31 +168,14 @@ func keyWord(key string) uint64 {
 	return binary.BigEndian.Uint64(prefix[:])
 }
 
-// sortedByKey returns the indexes of entries in ascending key order. Each
-// entry becomes one word — the key's first eight bytes, big-endian, the low
-// bits given up to the entry's index — so the sort is an integer sort; only
-// runs of keys agreeing on the kept prefix bits are ordered by whole key.
+// sortedByKey returns the indexes of entries in ascending key order; each
+// entry's word is its key's first eight bytes (keyWord).
 func sortedByKey(entries []Entry) []int32 {
-	shift := bits.Len(uint(len(entries))) // bits an index needs
-	low := uint64(1)<<shift - 1
 	words := make([]uint64, len(entries))
 	for i, e := range entries {
-		words[i] = keyWord(e.Key)&^low | uint64(i)
+		words[i] = keyWord(e.Key)
 	}
-	slices.Sort(words)
-	perm := make([]int32, len(words))
-	for i, w := range words {
-		perm[i] = int32(w & low)
-	}
-	for lo, hi := 0, 1; lo < len(words); lo, hi = hi, hi+1 {
-		for hi < len(words) && words[hi]&^low == words[lo]&^low {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(perm[lo:hi], func(a, b int32) int { return strings.Compare(entries[a].Key, entries[b].Key) })
-		}
-	}
-	return perm
+	return sortedByWord(words, func(a, b int32) int { return strings.Compare(entries[a].Key, entries[b].Key) })
 }
 
 // rankWord maps a rank to bits that order like it: a rank r ≥ 0 gets its
@@ -210,21 +193,28 @@ func rankWord(r float64) uint64 {
 }
 
 // sortedByRank returns the indexes of entries in ascending (rank, key)
-// order, as sortedByKey does for keys: each entry becomes one word — its
-// rank's order-preserving bits, the low ⌈log₂ n⌉ given up to its index — so
-// the sort is an integer sort, and only runs of entries agreeing on the
-// kept rank bits are ordered by entryCompare.
+// order; each entry's word is its rank's order-preserving bits (rankWord).
 func sortedByRank(entries []Entry) []int32 {
-	perm := make([]int32, len(entries))
-	if len(entries) < 2 {
-		return perm
-	}
-	low := uint64(1)<<bits.Len(uint(len(entries)-1)) - 1
 	words := make([]uint64, len(entries))
 	for i, e := range entries {
-		words[i] = rankWord(e.Rank)&^low | uint64(i)
+		words[i] = rankWord(e.Rank)
+	}
+	return sortedByWord(words, func(a, b int32) int { return entryCompare(entries[a], entries[b]) })
+}
+
+// sortedByWord is the packed-word sort behind sortedByKey and sortedByRank:
+// given each entry's word — a map to integers whose order cmp, the order of
+// the entries' indexes, refines — it returns the indexes in cmp order,
+// reusing words. The low bits an index needs are given up to the index, so
+// the sort is an integer sort; only runs of entries agreeing on the kept
+// bits are ordered by cmp.
+func sortedByWord(words []uint64, cmp func(a, b int32) int) []int32 {
+	low := uint64(1)<<bits.Len(uint(len(words))) - 1
+	for i := range words {
+		words[i] = words[i]&^low | uint64(i)
 	}
 	slices.Sort(words)
+	perm := make([]int32, len(words))
 	for i, w := range words {
 		perm[i] = int32(w & low)
 	}
@@ -233,7 +223,7 @@ func sortedByRank(entries []Entry) []int32 {
 			hi++
 		}
 		if hi-lo > 1 {
-			slices.SortFunc(perm[lo:hi], func(a, b int32) int { return entryCompare(entries[a], entries[b]) })
+			slices.SortFunc(perm[lo:hi], cmp)
 		}
 	}
 	return perm

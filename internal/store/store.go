@@ -6,9 +6,10 @@
 // scenario is "snapshots of an evolving database at multiple points in
 // time" treated as coordinated weight assignments, and retaining the
 // per-epoch sketches (rather than only their cumulative merge) is what
-// makes time itself queryable — any range of epochs merges on demand into
-// the exact sketch of that time window, by the same merge lemma that makes
-// sharding exact.
+// makes time itself queryable — any range of retained epochs (Window checks
+// it against the ring and returns its epoch sets) merges on demand, in the
+// caller's core.Merged, into the exact sketch of that time window, by the
+// same merge lemma that makes sharding exact.
 //
 // # On-disk layout
 //
@@ -214,6 +215,31 @@ func (e *CompactionError) Unwrap() error { return e.Err }
 type EpochRecord struct {
 	Epoch    int
 	Sketches []*sketch.BottomK
+}
+
+// Window validates the epoch window lo..hi (1 ≤ lo ≤ hi, as
+// cliquery.ParseEpochRange returns it) against ring, the ascending retained
+// epochs of a store or node whose last epoch is epoch, and returns the
+// window's epoch sketch sets, oldest first: disjoint key sets, which merge
+// into the window's exact sketches. An error is worded for the client that
+// asked for the window.
+func Window(ring []EpochRecord, epoch, lo, hi int) ([][]*sketch.BottomK, error) {
+	if hi > epoch {
+		return nil, fmt.Errorf("epoch range %d..%d exceeds the current epoch %d", lo, hi, epoch)
+	}
+	if len(ring) == 0 {
+		return nil, fmt.Errorf("no epochs are retained (configure -retain, or freeze first)")
+	}
+	if first := ring[0].Epoch; lo < first {
+		return nil, fmt.Errorf("epochs %d..%d are no longer retained (retained window is %d..%d); raise -retain to keep more history", lo, min(hi, first-1), first, epoch)
+	}
+	var sets [][]*sketch.BottomK
+	for _, rec := range ring {
+		if rec.Epoch >= lo && rec.Epoch <= hi {
+			sets = append(sets, rec.Sketches)
+		}
+	}
+	return sets, nil
 }
 
 // storedEpoch is one retained epoch plus the segment accounting (byte
@@ -441,33 +467,6 @@ func (s *Store) SampleConfig() (core.Config, bool) {
 	}
 	m := s.meta[0]
 	return core.Config{Family: m.Family, Mode: m.Mode, Seed: m.Seed, K: s.cum[0].K()}, true
-}
-
-// Range merges the retained epochs lo..hi (inclusive) into the exact
-// per-assignment sketches of that time window. Both bounds must lie in the
-// retained ring: lo > CompactedThrough() and hi ≤ Epoch().
-func (s *Store) Range(lo, hi int) ([]*sketch.BottomK, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := checkRange(lo, hi, s.epoch-len(s.retained), s.epoch); err != nil {
-		return nil, err
-	}
-	first := s.epoch - len(s.retained) + 1 // the ring is consecutive
-	return mergeEpochs(nil, s.retained[lo-first:hi-first+1])
-}
-
-// checkRange validates an epoch range against the retained window.
-func checkRange(lo, hi, through, epoch int) error {
-	if lo < 1 || hi < lo {
-		return fmt.Errorf("store: invalid epoch range %d..%d", lo, hi)
-	}
-	if hi > epoch {
-		return fmt.Errorf("store: epoch range %d..%d exceeds last epoch %d", lo, hi, epoch)
-	}
-	if lo <= through {
-		return fmt.Errorf("store: epochs %d..%d are compacted (retained window is %d..%d); raise -retain to keep more history", lo, min(hi, through), through+1, epoch)
-	}
-	return nil
 }
 
 // AppendEpoch is AppendMerged merging the epoch onto Cumulative() itself.

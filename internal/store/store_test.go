@@ -137,12 +137,6 @@ func TestRecoveryBitIdentical(t *testing.T) {
 		}
 		sameSketchSet(t, fmt.Sprintf("epoch %d", rec.Epoch), rec.Sketches, epochs[i])
 	}
-	// Range queries over the recovered ring equal the offline merge.
-	got, err := r.Range(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSketchSet(t, "range 2..4", got, mergeAll(t, epochs[1:4]))
 }
 
 // TestV1StoreUpgrades: a directory the version-1 segment writer left
@@ -436,23 +430,14 @@ func TestCompactionBoundsDiskAndKeepsCumulativeExact(t *testing.T) {
 	}
 	sameSketchSet(t, "recovered cumulative", r.Cumulative(), mergeAll(t, epochs))
 
-	// Compacted epochs are not range-queryable; retained ones are exact.
-	if _, err := r.Range(6, 8); err == nil || !strings.Contains(err.Error(), "compacted") {
-		t.Fatalf("range into compacted history: err = %v", err)
+	// The ring holds the last retain epochs bit-identically; cws-merge's
+	// TestStoreQueries merges windows of it.
+	for i, rec := range r.Retained() {
+		if rec.Epoch != 8+i {
+			t.Fatalf("retained[%d] is epoch %d, want %d", i, rec.Epoch, 8+i)
+		}
+		sameSketchSet(t, fmt.Sprintf("epoch %d", rec.Epoch), rec.Sketches, epochs[7+i])
 	}
-	if _, err := r.Range(8, 11); err == nil {
-		t.Fatal("range beyond last epoch accepted")
-	}
-	got, err := r.Range(8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSketchSet(t, "range 8..10", got, mergeAll(t, epochs[7:]))
-	one, err := r.Range(9, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSketchSet(t, "range 9..9", one, epochs[8])
 }
 
 // TestRetainZeroCompactsEverything: retain=0 keeps no individual epochs —
@@ -471,39 +456,71 @@ func TestRetainZeroCompactsEverything(t *testing.T) {
 	sameSketchSet(t, "recovered", r.Cumulative(), mergeAll(t, epochs))
 }
 
-// TestRangeDuplicateKeyIsAnError: epochs 2 and 3 both hold "dup", which
-// breaks the contract that epochs hold disjoint keys. Epoch 1's k heavy
-// keys keep it out of the cumulative, so every append succeeds; merging
-// the window 2..3 then meets both copies, and Range reports the key
-// instead of panicking.
-func TestRangeDuplicateKeyIsAnError(t *testing.T) {
+// TestAppendEpochDuplicateKeyIsAnError: epochs 1 and 2 both hold "dup",
+// which breaks the contract that epochs hold disjoint keys. Both copies are
+// heavy, so the cumulative keeps the first and the second survives into
+// AppendEpoch's merge: mergeEpochs turns the sketch layer's panic naming the
+// key into an error, nothing is committed, and the store keeps serving.
+func TestAppendEpochDuplicateKeyIsAnError(t *testing.T) {
 	a := testSample.Assigner()
-	epoch := func(weight float64, keys ...string) []*sketch.BottomK {
+	epoch := func(keys ...string) []*sketch.BottomK {
 		set := make([]*sketch.BottomK, 2)
 		for b := range set {
 			bld := sketch.NewBottomKBuilderWithFingerprint(testSample.K, a.Fingerprint(b, testSample.K))
 			for _, k := range keys {
-				bld.Offer(k, a.Rank(k, b, weight), weight)
+				bld.Offer(k, a.Rank(k, b, 1e12), 1e12)
 			}
 			set[b] = bld.Sketch()
 		}
 		return set
 	}
-	heavy := make([]string, testSample.K)
-	for i := range heavy {
-		heavy[i] = fmt.Sprintf("heavy-%02d", i)
+	dir := t.TempDir()
+	s := openWritable(t, dir, 4)
+	appendAll(t, s, [][]*sketch.BottomK{epoch("dup", "one")})
+	if _, ok := s.Cumulative()[0].Lookup("dup"); !ok {
+		t.Fatal("the cumulative dropped \"dup\": the append's merge would not meet both copies")
 	}
-	s := openWritable(t, t.TempDir(), 4)
-	appendAll(t, s, [][]*sketch.BottomK{epoch(1e12, heavy...), epoch(1, "dup"), epoch(1, "dup")})
-	if _, ok := s.Cumulative()[0].Lookup("dup"); ok {
-		t.Fatal("the cumulative kept \"dup\": the window merge would not be the first to meet both copies")
+	if epoch, err := s.AppendEpoch(epoch("dup", "two")); err == nil || !strings.Contains(err.Error(), `key "dup"`) {
+		t.Fatalf("AppendEpoch = epoch %d, err %v; want an error naming key \"dup\"", epoch, err)
 	}
-	got, err := s.Range(2, 3)
-	if err == nil || !strings.Contains(err.Error(), `key "dup"`) {
-		t.Fatalf("Range(2, 3) = %d sketches, err %v; want an error naming key \"dup\"", len(got), err)
+	if got, err := s.AppendEpoch(epoch("three")); err != nil || got != 2 {
+		t.Fatalf("the append after the refused one: epoch %d, err %v; want 2, nil", got, err)
 	}
-	if _, err := s.Range(1, 2); err != nil {
-		t.Fatalf("Range(1, 2), which holds \"dup\" once: %v", err)
+	s.Close()
+	if r := openWritable(t, dir, 4); r.Epoch() != 2 {
+		t.Fatalf("reopened at epoch %d, want 2", r.Epoch())
+	}
+}
+
+// TestWindow: Window refuses a window past the last epoch or starting below
+// the ring, and anything over an empty ring, in the node's wording; a window
+// on the ring's exact bounds returns its epochs' sets, oldest first.
+func TestWindow(t *testing.T) {
+	epochs := buildEpochs(t, 3, 40)
+	ring := []EpochRecord{{Epoch: 4, Sketches: epochs[0]}, {Epoch: 5, Sketches: epochs[1]}, {Epoch: 6, Sketches: epochs[2]}}
+	for _, c := range []struct {
+		ring          []EpochRecord
+		epoch, lo, hi int
+		want          string
+	}{
+		{nil, 0, 1, 1, "epoch range 1..1 exceeds the current epoch 0"},
+		{nil, 3, 1, 3, "no epochs are retained (configure -retain, or freeze first)"},
+		{ring, 6, 5, 7, "epoch range 5..7 exceeds the current epoch 6"},
+		{ring, 6, 3, 5, "epochs 3..3 are no longer retained (retained window is 4..6); raise -retain to keep more history"},
+		{ring, 6, 1, 2, "epochs 1..2 are no longer retained (retained window is 4..6); raise -retain to keep more history"},
+	} {
+		if sets, err := Window(c.ring, c.epoch, c.lo, c.hi); err == nil || err.Error() != c.want {
+			t.Errorf("Window(%d-epoch ring, %d, %d, %d) = %d sets, err %v; want %q", len(c.ring), c.epoch, c.lo, c.hi, len(sets), err, c.want)
+		}
+	}
+	for _, c := range []struct{ lo, hi, first int }{{4, 6, 0}, {4, 4, 0}, {6, 6, 2}, {5, 6, 1}} {
+		sets, err := Window(ring, 6, c.lo, c.hi)
+		if err != nil || len(sets) != c.hi-c.lo+1 {
+			t.Fatalf("Window(ring, 6, %d, %d) = %d sets, err %v", c.lo, c.hi, len(sets), err)
+		}
+		for i, set := range sets {
+			sameSketchSet(t, fmt.Sprintf("%d..%d[%d]", c.lo, c.hi, i), set, epochs[c.first+i])
+		}
 	}
 }
 
@@ -798,10 +815,8 @@ func TestCumulativeSegmentIsTheCommit(t *testing.T) {
 	if !bytes.Equal(r.CumulativeSegment(), encode(r.Cumulative())) {
 		t.Fatal("CumulativeSegment after reopen is not EncodeSegment of the cumulative")
 	}
-	if got, err := r.Range(4, 5); err != nil {
-		t.Fatal(err)
-	} else {
-		sameSketchSet(t, "range 4..5", got, mergeAll(t, epochs[3:]))
+	for i, rec := range r.Retained() {
+		sameSketchSet(t, fmt.Sprintf("epoch %d", rec.Epoch), rec.Sketches, epochs[3+i])
 	}
 }
 
