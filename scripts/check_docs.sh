@@ -149,7 +149,7 @@ if [ -f internal/obs/histogram.go ]; then
 fi
 
 # --- 4. doc examples are gofmt-clean ---
-examples=$(gofmt -l example_test.go 2>/dev/null)
+examples=$(gofmt -l example*_test.go 2>/dev/null)
 if [ -n "$examples" ]; then
     echo "gofmt needed on doc examples: $examples"
     fail=1
