@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 
@@ -26,98 +27,65 @@ import (
 // never exchange data, yet because they share a hash seed their bottom-k
 // samples are coordinated. Combining the sketches answers
 // multiple-assignment queries (total change, min/max dominance) that
-// independent samples answer badly.
+// independent samples answer badly, over subpopulations chosen afterwards.
 func ExampleNewAssignmentSketcher() {
-	const numKeys, k = 50000, 2000
 	cfg := coordsample.Config{
 		Family: coordsample.IPPS,       // priority-sampling ranks
 		Mode:   coordsample.SharedSeed, // coordination across periods
 		Seed:   42,                     // shared by both sites
-		K:      k,
+		K:      2000,
 	}
-
-	// Site A sketches period 1; site B sketches period 2. Weights are
-	// heavy-tailed with churn: ~20% of keys disappear, ~20% appear.
-	rng := rand.New(rand.NewSource(7))
-	siteA := coordsample.NewAssignmentSketcher(cfg, 0)
-	siteB := coordsample.NewAssignmentSketcher(cfg, 1)
-	var truth1, truthMax, truthMin, truthL1 float64
-	for i := 0; i < numKeys; i++ {
-		key := fmt.Sprintf("host-%05d", i)
-		base := math.Exp(rng.NormFloat64() * 2) // skewed volumes
-		var w1, w2 float64
-		if rng.Float64() < 0.8 {
-			w1 = base * (0.5 + rng.Float64())
-			siteA.Offer(key, w1)
+	keys, periods := twoPeriods("host", 50000, 7)
+	sketches := make([]*coordsample.BottomK, 2)
+	for b, ws := range periods { // site A sketches period 1, site B period 2
+		site := coordsample.NewAssignmentSketcher(cfg, b)
+		for i, key := range keys {
+			if ws[i] > 0 {
+				site.Offer(key, ws[i])
+			}
 		}
-		if rng.Float64() < 0.8 {
-			w2 = base * (0.5 + rng.Float64())
-			siteB.Offer(key, w2)
-		}
-		truth1 += w1
-		truthMax += math.Max(w1, w2)
-		truthMin += math.Min(w1, w2)
-		truthL1 += math.Abs(w1 - w2)
+		sketches[b] = site.Sketch()
 	}
-
 	// The error path fires only when sketches built under different
 	// configurations are mixed — impossible here, where both sites share cfg.
-	summary, err := coordsample.CombineDispersed(cfg, []*coordsample.BottomK{siteA.Sketch(), siteB.Sketch()})
+	summary, err := coordsample.CombineDispersed(cfg, sketches)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("bottom-%d sketches of %d keys: %d distinct keys stored\n", k, numKeys, summary.DistinctKeys(nil))
-	show := func(name string, got, want float64) {
-		fmt.Printf("%-14s estimate %.4g  truth %.4g\n", name, got, want)
+	var truth [4]float64
+	for i := range keys {
+		w1, w2 := periods[0][i], periods[1][i]
+		for j, v := range []float64{w1, math.Max(w1, w2), math.Min(w1, w2), math.Abs(w1 - w2)} {
+			truth[j] += v
+		}
 	}
-	show("Σ w1", summary.Single(0).Estimate(nil), truth1)
-	show("Σ max(w1,w2)", summary.Max(nil).Estimate(nil), truthMax)
-	show("Σ min(w1,w2)", summary.MinLSet(nil).Estimate(nil), truthMin)
-	show("Σ |w1−w2|", summary.RangeLSet(nil).Estimate(nil), truthL1)
-
-	// A subpopulation chosen after the fact: keys ending in "7".
-	pred := func(key string) bool { return key[len(key)-1] == '7' }
-	fmt.Printf("L1 over keys ending in 7: %.4g\n", summary.RangeLSet(nil).Estimate(pred))
-
-	// Every estimate carries a standard error computed from the summary
-	// itself (per-key variance a²(1−p); conservative for L1).
-	est, se := summary.Max(nil).EstimateWithStdErr(nil)
-	fmt.Printf("Σ max: %.4g ± %.3g\n", est, se)
-
-	// Representative keys: the heaviest contributors to the change.
+	fmt.Printf("%d distinct keys stored for two bottom-2000 sketches of 50000 keys\n", summary.DistinctKeys(nil))
+	for j, agg := range []coordsample.AWSummary{summary.Single(0), summary.Max(nil), summary.MinLSet(nil), summary.RangeLSet(nil)} {
+		fmt.Printf("%-10s estimate %.4g  truth %.4g\n", []string{"Σ w1", "Σ max", "Σ min", "Σ |w1−w2|"}[j], agg.Estimate(nil), truth[j])
+	}
 	l1 := summary.RangeLSet(nil)
-	for _, key := range l1.TopKeys(3) {
+	fmt.Printf("L1 over keys ending in 7: %.4g\n", l1.Estimate(func(key string) bool { return strings.HasSuffix(key, "7") }))
+	for _, key := range l1.TopKeys(2) { // the heaviest contributors to the change
 		fmt.Printf("top change %s ≈ %.4g\n", key, l1.AdjustedWeight(key))
 	}
 	// Output:
-	// bottom-2000 sketches of 50000 keys: 2613 distinct keys stored
-	// Σ w1           estimate 2.901e+05  truth 2.841e+05
-	// Σ max(w1,w2)   estimate 3.92e+05  truth 3.836e+05
-	// Σ min(w1,w2)   estimate 1.983e+05  truth 1.933e+05
-	// Σ |w1−w2|      estimate 1.937e+05  truth 1.903e+05
+	// 2613 distinct keys stored for two bottom-2000 sketches of 50000 keys
+	// Σ w1       estimate 2.901e+05  truth 2.841e+05
+	// Σ max      estimate 3.92e+05  truth 3.836e+05
+	// Σ min      estimate 1.983e+05  truth 1.933e+05
+	// Σ |w1−w2|  estimate 1.937e+05  truth 1.903e+05
 	// L1 over keys ending in 7: 2.061e+04
-	// Σ max: 3.92e+05 ± 4.67e+03
 	// top change host-30780 ≈ 2101
 	// top change host-20222 ≈ 1894
-	// top change host-45244 ≈ 1449
 }
 
-// ExampleCombineDecoded is the dispersed model deployed: two sites sketch
-// their periods independently and ship fingerprinted sketch files (here
-// byte buffers); a combiner holding only the files answers
-// multiple-assignment queries bit-identically to one process that held all
-// the data, and refuses a site built with a different seed instead of
-// silently corrupting the estimates.
-func ExampleCombineDecoded() {
-	const numKeys = 40000
-	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 97, K: 1500}
-
-	// Heavy-tailed weights with churn between the two periods.
-	rng := rand.New(rand.NewSource(5))
-	keys := make([]string, numKeys)
-	periods := [2][]float64{make([]float64, numKeys), make([]float64, numKeys)}
-	for i := range keys {
-		keys[i] = fmt.Sprintf("flow-%05d", i)
+// twoPeriods draws two periods of heavy-tailed per-key volumes with churn:
+// each period misses about a fifth of the n keys.
+func twoPeriods(prefix string, n int, seed int64) (keys []string, periods [2][]float64) {
+	rng := rand.New(rand.NewSource(seed))
+	periods = [2][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		keys = append(keys, fmt.Sprintf("%s-%05d", prefix, i))
 		base := math.Exp(rng.NormFloat64() * 2)
 		for _, w := range periods {
 			if rng.Float64() < 0.8 {
@@ -125,8 +93,18 @@ func ExampleCombineDecoded() {
 			}
 		}
 	}
-	// site sketches one assignment's stream and ships its sketch file.
-	site := func(cfg coordsample.Config, b int) *bytes.Buffer {
+	return keys, periods
+}
+
+// ExampleCombineDecoded is the dispersed model deployed: two sites ship
+// fingerprinted sketch files (here byte buffers), and a combiner holding
+// only the files answers bit-identically to one process that held all the
+// data. A site built with a different seed is refused instead of silently
+// corrupting the estimates.
+func ExampleCombineDecoded() {
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 97, K: 1500}
+	keys, periods := twoPeriods("flow", 40000, 5)
+	site := func(cfg coordsample.Config, b int) []*coordsample.DecodedSketch {
 		sk := coordsample.NewAssignmentSketcher(cfg, b)
 		for i, key := range keys {
 			if w := periods[b][i]; w > 0 {
@@ -137,55 +115,38 @@ func ExampleCombineDecoded() {
 		if err := coordsample.EncodeSketch(&file, cfg, b, sk.Sketch()); err != nil {
 			panic(err)
 		}
-		return &file
-	}
-
-	// The combiner: only the shipped files, no data, no sites.
-	var decoded []*coordsample.DecodedSketch
-	for b := range periods {
-		ds, err := coordsample.DecodeSketches(site(cfg, b))
+		decoded, err := coordsample.DecodeSketches(&file) // at the combiner
 		if err != nil {
 			panic(err)
 		}
-		for _, d := range ds {
-			fmt.Printf("verified assignment %d: %d entries, fingerprint %#016x\n", d.Meta.Assignment, d.BottomK.Size(), d.Fingerprint())
-		}
-		decoded = append(decoded, ds...)
+		return decoded
+	}
+	decoded := append(site(cfg, 0), site(cfg, 1)...)
+	for _, d := range decoded {
+		fmt.Printf("verified assignment %d: %d entries, fingerprint %#016x\n", d.Meta.Assignment, d.BottomK.Size(), d.Fingerprint())
 	}
 	shipped, err := coordsample.CombineDecoded(decoded)
 	if err != nil {
 		panic(err)
 	}
-
-	// The same pipeline in one process, for comparison.
-	bld := coordsample.NewDatasetBuilder("period1", "period2")
+	whole := coordsample.NewDatasetBuilder("period1", "period2") // the same data in one process
 	for b, ws := range periods {
 		for i, key := range keys {
-			if ws[i] > 0 {
-				bld.Add(b, key, ws[i])
-			}
+			whole.Add(b, key, ws[i])
 		}
 	}
-	local := coordsample.SummarizeDispersed(cfg, bld.Build())
-	maxS, maxL := shipped.Max(nil).Estimate(nil), local.Max(nil).Estimate(nil)
-	l1S, l1L := shipped.RangeLSet(nil).Estimate(nil), local.RangeLSet(nil).Estimate(nil)
-	fmt.Printf("Σ max ≈ %.4g, bit-identical to in-process: %v\n", maxS, maxS == maxL)
-	fmt.Printf("L1 ≈ %.4g, bit-identical to in-process: %v\n", l1S, l1S == l1L)
+	local := coordsample.SummarizeDispersed(cfg, whole.Build())
+	l1, l1Local := shipped.RangeLSet(nil).Estimate(nil), local.RangeLSet(nil).Estimate(nil)
+	fmt.Printf("L1 ≈ %.4g, bit-identical to in-process: %v\n", l1, l1 == l1Local)
 
-	// A site that missed the seed rollout cannot corrupt the combiner.
 	badCfg := cfg
-	badCfg.Seed = 4242
-	bad, err := coordsample.DecodeSketches(site(badCfg, 1))
-	if err != nil {
-		panic(err)
-	}
-	_, err = coordsample.CombineDecoded([]*coordsample.DecodedSketch{decoded[0], bad[0]})
+	badCfg.Seed = 4242 // a site that missed the seed rollout
+	_, err = coordsample.CombineDecoded([]*coordsample.DecodedSketch{decoded[0], site(badCfg, 1)[0]})
 	var mismatch *coordsample.CoordinationMismatchError
 	fmt.Println("misconfigured site refused:", errors.As(err, &mismatch))
 	// Output:
 	// verified assignment 0: 1500 entries, fingerprint 0xa0f39ade4010c625
 	// verified assignment 1: 1500 entries, fingerprint 0x93815b2f71164d93
-	// Σ max ≈ 3.14e+05, bit-identical to in-process: true
 	// L1 ≈ 1.529e+05, bit-identical to in-process: true
 	// misconfigured site refused: true
 }
@@ -201,21 +162,12 @@ func ExampleNewLaneSketcher() {
 	const numKeys, lanes = 100000, 4
 	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 42, K: 4096}
 	rng := rand.New(rand.NewSource(7))
-	keys := make([]string, numKeys)
-	weights := make([]float64, numKeys)
-	total := 0.0
-	for i := range keys {
-		keys[i] = fmt.Sprintf("host-%06d", i)
-		weights[i] = math.Exp(rng.NormFloat64() * 2)
-		total += weights[i]
-	}
-
+	keys, weights := make([]string, numKeys), make([]float64, numKeys)
 	single := coordsample.NewAssignmentSketcher(cfg, 0)
-	for i, key := range keys {
-		single.Offer(key, weights[i])
+	for i := range keys {
+		keys[i], weights[i] = fmt.Sprintf("host-%06d", i), math.Exp(rng.NormFloat64()*2)
+		single.Offer(keys[i], weights[i])
 	}
-	ref := single.Sketch()
-
 	sketcher := coordsample.NewLaneSketcher(cfg, 0, lanes)
 	var wg sync.WaitGroup
 	for j, lane := range sketcher.Lanes() {
@@ -228,30 +180,18 @@ func ExampleNewLaneSketcher() {
 		}(j, lane)
 	}
 	wg.Wait()
-	merged := sketcher.Sketch()
-
-	identical := ref.Size() == merged.Size() && ref.KthRank() == merged.KthRank() && ref.Threshold() == merged.Threshold()
-	for i, e := range ref.Entries() {
-		identical = identical && merged.Entries()[i] == e
-	}
+	ref, merged := single.Sketch(), sketcher.Sketch()
+	identical := ref.KthRank() == merged.KthRank() && ref.Threshold() == merged.Threshold() && slices.Equal(ref.Entries(), merged.Entries())
 	fmt.Printf("%d lanes, %d entries, bit-identical to single-stream: %v\n", len(sketcher.Lanes()), merged.Size(), identical)
-
-	// The merged sketch slots into the usual query pipeline.
-	summary, err := coordsample.CombineDispersed(cfg, []*coordsample.BottomK{merged})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("Σ w estimate %.4g  truth %.4g\n", summary.Single(0).Estimate(nil), total)
 	// Output:
 	// 4 lanes, 4096 entries, bit-identical to single-stream: true
-	// Σ w estimate 7.433e+05  truth 7.373e+05
 }
 
 // ExampleNewServer runs the online sketch server in process: concurrent
 // clients stream two assignments of flow traffic into it, an epoch is
-// frozen mid-stream and queried while ingestion continues, and the served
-// sketches, exported as one segment (GET /sketches, the file cws-merge
-// reads), answer offline bit-identically to the server.
+// frozen and queried while ingestion continues, and the served sketches,
+// exported as one segment (GET /sketches, the file cws-merge reads), answer
+// offline bit-identically to the server.
 func ExampleNewServer() {
 	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 42, K: 512}
 	srv, err := coordsample.NewServer(coordsample.ServerConfig{Sample: cfg, Assignments: 2})
@@ -263,187 +203,136 @@ func ExampleNewServer() {
 	defer ts.Close()
 
 	// stream posts flows [lo, hi) from two concurrent clients, one per
-	// period. Each key is offered at most once per assignment (the
-	// pre-aggregation contract).
+	// period, offering each key at most once per assignment.
+	var wg sync.WaitGroup
 	stream := func(lo, hi int) {
-		var wg sync.WaitGroup
 		for period := 0; period < 2; period++ {
 			wg.Add(1)
 			go func(period int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(100*period + lo)))
-				var batch []coordsample.ServerOffer
+				var offers []coordsample.ServerOffer
 				for i := lo; i < hi; i++ {
-					if rng.Float64() < 0.15 {
-						continue // flow inactive in this period
+					if rng.Float64() >= 0.15 { // else the flow is inactive this period
+						key := fmt.Sprintf("10.%d.%d.%d", i%4, (i/64)%256, i%256)
+						offers = append(offers, coordsample.ServerOffer{Assignment: period, Key: key, Weight: math.Exp(rng.NormFloat64() * 2)})
 					}
-					key := fmt.Sprintf("10.%d.%d.%d", i%4, (i/64)%256, i%256)
-					batch = append(batch, coordsample.ServerOffer{Assignment: period, Key: key, Weight: math.Exp(rng.NormFloat64() * 2)})
 				}
-				post(ts.URL+"/offer", map[string]any{"offers": batch})
+				body, _ := json.Marshal(map[string]any{"offers": offers})
+				do(http.NewRequest(http.MethodPost, ts.URL+"/offer", bytes.NewReader(body)))
 			}(period)
 		}
-		wg.Wait()
 	}
 	query := func(params string) float64 {
-		var out struct {
-			Estimate float64
-			Epoch    int
-		}
-		get(ts.URL+"/query?"+params, &out)
-		fmt.Printf("epoch %d: %s ≈ %.4g\n", out.Epoch, params, out.Estimate)
-		return out.Estimate
+		out := do(http.NewRequest(http.MethodGet, ts.URL+"/query?"+params, nil))
+		fmt.Printf("epoch %v: %s ≈ %.4g\n", out["epoch"], params, out["estimate"])
+		return out["estimate"].(float64)
 	}
 	freeze := func() {
-		out := post(ts.URL+"/freeze", nil)
+		out := do(http.NewRequest(http.MethodPost, ts.URL+"/freeze", nil))
 		fmt.Printf("froze epoch %v, entries per assignment %v\n", out["epoch"], out["entries"])
 	}
 
 	stream(0, 4000)
+	wg.Wait()
 	freeze()
-	query("agg=sum&b=0")
-	// The second half arrives while the frozen snapshot keeps answering.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		stream(4000, 8000)
-	}()
-	query("agg=L1")
+	stream(4000, 8000)
+	query("agg=L1") // the frozen snapshot answers while the second half streams in
 	wg.Wait()
 	freeze()
 	query("agg=sum&b=0&prefix=10.0.")
 	served := query("agg=L1")
 
-	// Combine the exported segment offline, as cws-merge would.
 	resp, err := http.Get(ts.URL + "/sketches")
 	if err != nil {
 		panic(err)
 	}
+	defer resp.Body.Close()
 	decoded, err := coordsample.DecodeSketches(resp.Body)
-	resp.Body.Close()
 	if err != nil {
 		panic(err)
 	}
-	offline, err := coordsample.CombineDecoded(decoded)
+	offline, err := coordsample.CombineDecoded(decoded) // as cws-merge would
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("exported %d sketches; offline L1 bit-identical to the server's: %v\n",
-		len(decoded), offline.RangeLSet(nil).Estimate(nil) == served)
+	fmt.Printf("offline L1 over the export bit-identical to the server's: %v\n", offline.RangeLSet(nil).Estimate(nil) == served)
 	// Output:
 	// froze epoch 1, entries per assignment [512 512]
-	// epoch 1: agg=sum&b=0 ≈ 2.267e+04
 	// epoch 1: agg=L1 ≈ 4.183e+04
 	// froze epoch 2, entries per assignment [512 512]
 	// epoch 2: agg=sum&b=0&prefix=10.0. ≈ 1.098e+04
 	// epoch 2: agg=L1 ≈ 8.802e+04
-	// exported 2 sketches; offline L1 bit-identical to the server's: true
+	// offline L1 over the export bit-identical to the server's: true
 }
 
-// post sends body as JSON (nothing when nil) and decodes the JSON reply,
-// panicking on any status but 200.
-func post(url string, body any) map[string]any {
-	var data []byte
-	if body != nil {
-		var err error
-		if data, err = json.Marshal(body); err != nil {
-			panic(err)
-		}
+// do sends req and decodes its JSON reply, panicking on an error or on any
+// status but 200.
+func do(req *http.Request, err error) map[string]any {
+	if err != nil {
+		panic(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		panic(err)
 	}
 	defer resp.Body.Close()
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
-		panic(fmt.Sprintf("POST %s: status %d: %v %v", url, resp.StatusCode, out, err))
+		panic(fmt.Sprintf("%s %s: status %d: %v %v", req.Method, req.URL, resp.StatusCode, out, err))
 	}
 	return out
 }
 
-// get decodes the JSON reply of a GET into out, panicking on any status
-// but 200.
-func get(url string, out any) {
-	resp, err := http.Get(url)
-	if err != nil {
-		panic(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil || resp.StatusCode != http.StatusOK {
-		panic(fmt.Sprintf("GET %s: status %d: %v", url, resp.StatusCode, err))
-	}
-}
-
-// ExampleKMinsJaccard is the paper's ratings workload: keys are movies and
-// a movie's weight in a month is its rating count. Coordinated k-mins
+// ExampleKMinsJaccard is the paper's ratings workload: keys are movies, a
+// movie's weight in a month its rating count (Zipf popularity, correlated
+// drift, and winter spikes for franchise titles). Coordinated k-mins
 // sketches estimate the weighted Jaccard similarity of two months (Theorem
-// 4.1); one bottom-k summary over all twelve months answers min/max
-// dominance, L1 and quantile aggregates over any month subset, including
-// subpopulations selected at query time.
+// 4.1); one bottom-k summary of all twelve months answers dominance, L1
+// and quantile aggregates over month subsets and subpopulations chosen at
+// query time.
 func ExampleKMinsJaccard() {
-	ds := ratingsCatalog(2000)
-	cfgJ := coordsample.Config{Family: coordsample.EXP, Mode: coordsample.IndependentDifferences, Seed: 99, K: 256}
-	for _, pair := range [][2]int{{0, 1}, {0, 5}, {0, 11}} {
-		est := coordsample.KMinsJaccard(cfgJ, ds, pair[0], pair[1])
-		exact := ds.WeightedJaccard([]int{pair[0], pair[1]}, nil)
-		fmt.Printf("months %d vs %d: Jaccard estimate %.2f  exact %.2f\n", pair[0]+1, pair[1]+1, est, exact)
-	}
-
-	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 5, K: 300}
-	summary := coordsample.SummarizeDispersed(cfg, ds)
-	firstHalf := []int{0, 1, 2, 3, 4, 5}
-	fmt.Printf("months 1-6 Σ min ≈ %.4g  exact %.4g\n", summary.MinLSet(firstHalf).Estimate(nil), ds.SumMin(firstHalf, nil))
-	fmt.Printf("months 1-6 Σ max ≈ %.4g  exact %.4g\n", summary.Max(firstHalf).Estimate(nil), ds.SumMax(firstHalf, nil))
-	fmt.Printf("months 1-6 Σ L1  ≈ %.4g  exact %.4g\n", summary.RangeLSet(firstHalf).Estimate(nil), ds.SumRange(firstHalf, nil))
-	// A subpopulation chosen after summarization: franchise titles only.
-	franchise := func(key string) bool { return strings.HasPrefix(key, "franchise/") }
-	fmt.Printf("franchise Σ L1 ≈ %.4g  exact %.4g\n", summary.RangeLSet(nil).Estimate(franchise), ds.SumRange(nil, franchise))
-	// The median month (6th largest of 12): a quantile only the l-set
-	// estimator supports.
-	fmt.Printf("Σ median month ≈ %.4g  exact %.4g\n", summary.LthLargest(nil, 6).Estimate(nil), ds.SumLthLargest(ds.AllAssignments(), 6, nil))
-	// Output:
-	// months 1 vs 2: Jaccard estimate 0.65  exact 0.64
-	// months 1 vs 6: Jaccard estimate 0.58  exact 0.59
-	// months 1 vs 12: Jaccard estimate 0.57  exact 0.58
-	// months 1-6 Σ min ≈ 2.075e+04  exact 2.251e+04
-	// months 1-6 Σ max ≈ 6.694e+04  exact 6.758e+04
-	// months 1-6 Σ L1  ≈ 4.62e+04  exact 4.508e+04
-	// franchise Σ L1 ≈ 5493  exact 5243
-	// Σ median month ≈ 3.907e+04  exact 4.051e+04
-}
-
-// ratingsCatalog synthesizes twelve months of rating counts for n movies:
-// Zipf popularity, correlated month-over-month drift, and a "franchise/"
-// segment with winter spikes.
-func ratingsCatalog(n int) *coordsample.Dataset {
-	const months = 12
+	const movies = 2000
 	rng := rand.New(rand.NewSource(3))
-	names := make([]string, months)
-	for m := range names {
-		names[m] = fmt.Sprintf("month%02d", m+1)
-	}
-	b := coordsample.NewDatasetBuilder(names...)
-	for i := 0; i < n; i++ {
+	b := coordsample.NewDatasetBuilder("jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec")
+	for i := 0; i < movies; i++ {
 		key := fmt.Sprintf("title/%05d", i)
 		if i%40 == 0 {
 			key = fmt.Sprintf("franchise/%05d", i)
 		}
-		pop := 2000 * math.Pow(float64(rng.Intn(n)+1), -0.8)
-		drift := 0.0
-		for m := 0; m < months; m++ {
+		pop, drift := 2000*math.Pow(float64(rng.Intn(movies)+1), -0.8), 0.0
+		for m := 0; m < 12; m++ {
 			drift = 0.7*drift + 0.3*rng.NormFloat64()
 			lam := pop * math.Exp(drift)
 			if strings.HasPrefix(key, "franchise/") && m >= 10 {
 				lam *= 6 // holiday release bump
 			}
-			if c := math.Round(lam * (0.5 + rng.Float64())); c > 0 {
-				b.Add(m, key, c)
-			}
+			b.Add(m, key, math.Round(lam*(0.5+rng.Float64())))
 		}
 	}
-	return b.Build()
+	ds := b.Build()
+	cfgJ := coordsample.Config{Family: coordsample.EXP, Mode: coordsample.IndependentDifferences, Seed: 99, K: 256}
+	for _, m := range []int{1, 5, 11} {
+		fmt.Printf("Jaccard of months 1 and %d: estimate %.2f  exact %.2f\n", m+1,
+			coordsample.KMinsJaccard(cfgJ, ds, 0, m), ds.WeightedJaccard([]int{0, m}, nil))
+	}
+
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 5, K: 300}
+	summary := coordsample.SummarizeDispersed(cfg, ds)
+	half := []int{0, 1, 2, 3, 4, 5}
+	franchise := func(key string) bool { return strings.HasPrefix(key, "franchise/") }
+	fmt.Printf("months 1-6 Σ min ≈ %.4g  exact %.4g\n", summary.MinLSet(half).Estimate(nil), ds.SumMin(half, nil))
+	fmt.Printf("months 1-6 Σ max ≈ %.4g  exact %.4g\n", summary.Max(half).Estimate(nil), ds.SumMax(half, nil))
+	fmt.Printf("franchise Σ L1 ≈ %.4g  exact %.4g\n", summary.RangeLSet(nil).Estimate(franchise), ds.SumRange(nil, franchise))
+	fmt.Printf("Σ median month ≈ %.4g  exact %.4g\n", summary.LthLargest(nil, 6).Estimate(nil), ds.SumLthLargest(ds.AllAssignments(), 6, nil))
+	// Output:
+	// Jaccard of months 1 and 2: estimate 0.65  exact 0.64
+	// Jaccard of months 1 and 6: estimate 0.58  exact 0.59
+	// Jaccard of months 1 and 12: estimate 0.57  exact 0.58
+	// months 1-6 Σ min ≈ 2.075e+04  exact 2.251e+04
+	// months 1-6 Σ max ≈ 6.694e+04  exact 6.758e+04
+	// franchise Σ L1 ≈ 5493  exact 5243
+	// Σ median month ≈ 3.907e+04  exact 4.051e+04
 }
 
 // ExampleSummarizeColocatedFixed is the paper's stocks workload: each
@@ -454,11 +343,9 @@ func ratingsCatalog(n int) *coordsample.Dataset {
 // a cross-attribute subpopulation at query time. The fixed-budget variant
 // grows every attribute's sample until the summary holds 6k keys.
 func ExampleSummarizeColocatedFixed() {
-	const tickers, k = 6000, 400
-	attrs := []string{"open", "high", "low", "close", "adj_close", "volume"}
 	rng := rand.New(rand.NewSource(13))
-	b := coordsample.NewDatasetBuilder(attrs...)
-	for i := 0; i < tickers; i++ {
+	b := coordsample.NewDatasetBuilder("open", "high", "low", "close", "adj_close", "volume")
+	for i := 0; i < 6000; i++ {
 		base := math.Exp(2.5 + 1.3*rng.NormFloat64())
 		open := base * (1 + 0.01*rng.NormFloat64())
 		cls := base * (1 + 0.03*rng.NormFloat64())
@@ -469,46 +356,35 @@ func ExampleSummarizeColocatedFixed() {
 			vol = 0 // no trades
 		}
 		for a, w := range []float64{open, high, low, cls, cls * 0.9999, vol} {
-			if w > 0 {
-				b.Add(a, fmt.Sprintf("TK%04d", i), w)
-			}
+			b.Add(a, fmt.Sprintf("TK%04d", i), w)
 		}
 	}
 	ds := b.Build()
-	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 31, K: k}
-
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 31, K: 400}
 	summary := coordsample.SummarizeColocated(cfg, ds)
-	fmt.Printf("%d distinct tickers embed %d bottom-%d samples\n", summary.DistinctKeys(), len(attrs), k)
-	for a, name := range attrs {
-		fmt.Printf("%-9s truth %.4g  inclusive %.4g  plain %.4g\n", name, ds.SumSingle(a, nil),
+	fmt.Printf("%d distinct tickers embed 6 bottom-400 samples\n", summary.DistinctKeys())
+	for _, a := range []int{0, 5} {
+		fmt.Printf("%s total: truth %.4g  inclusive %.4g  plain %.4g\n", ds.AssignmentNames()[a], ds.SumSingle(a, nil),
 			summary.Inclusive(coordsample.SingleOf(a)).Estimate(nil), summary.Plain(a).Estimate(nil))
 	}
-
 	// Share volume of tickers whose intraday swing exceeded 10% of the open.
 	swing := func(_ string, vec []float64) bool { return vec[0] > 0 && vec[1]-vec[2] > 0.10*vec[0] }
-	var truth float64
+	truth := 0.0
 	for i := 0; i < ds.NumKeys(); i++ {
 		if vec := ds.WeightVector(i); swing("", vec) {
 			truth += vec[5]
 		}
 	}
 	fmt.Printf("volume in >10%% swings: estimate %.4g  truth %.4g\n", summary.EstimateWhere(coordsample.SingleOf(5), swing), truth)
-
 	fixed, ell := coordsample.SummarizeColocatedFixed(cfg, ds)
-	fmt.Printf("fixed budget: ℓ=%d per attribute in %d distinct keys\n", ell, fixed.DistinctKeys())
-	fmt.Printf("volume total: fixed-k %.4g  fixed-budget %.4g  truth %.4g\n",
-		summary.Inclusive(coordsample.SingleOf(5)).Estimate(nil), fixed.Inclusive(coordsample.SingleOf(5)).Estimate(nil), ds.SumSingle(5, nil))
+	fmt.Printf("fixed budget: ℓ=%d per attribute in %d distinct keys; volume total %.4g\n",
+		ell, fixed.DistinctKeys(), fixed.Inclusive(coordsample.SingleOf(5)).Estimate(nil))
 	// Output:
 	// 675 distinct tickers embed 6 bottom-400 samples
-	// open      truth 1.735e+05  inclusive 1.646e+05  plain 1.632e+05
-	// high      truth 1.784e+05  inclusive 1.692e+05  plain 1.69e+05
-	// low       truth 1.685e+05  inclusive 1.598e+05  plain 1.588e+05
-	// close     truth 1.733e+05  inclusive 1.644e+05  plain 1.636e+05
-	// adj_close truth 1.733e+05  inclusive 1.644e+05  plain 1.635e+05
-	// volume    truth 3.672e+08  inclusive 3.578e+08  plain 3.557e+08
+	// open total: truth 1.735e+05  inclusive 1.646e+05  plain 1.632e+05
+	// volume total: truth 3.672e+08  inclusive 3.578e+08  plain 3.557e+08
 	// volume in >10% swings: estimate 2.094e+07  truth 2.237e+07
-	// fixed budget: ℓ=1502 per attribute in 2400 distinct keys
-	// volume total: fixed-k 3.578e+08  fixed-budget 3.651e+08  truth 3.672e+08
+	// fixed budget: ℓ=1502 per attribute in 2400 distinct keys; volume total 3.651e+08
 }
 
 // Example_netmonitor is the paper's motivating network-monitoring case:
@@ -518,23 +394,15 @@ func ExampleSummarizeColocatedFixed() {
 // persisted across all four hours (min- against max-dominance). A flash
 // crowd hits 10.3.0.0/16 in hours 3 and 4.
 func Example_netmonitor() {
-	const hours, numFlows = 4, 40000
-	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 2024, K: 3000}
-
-	// Sketching requires pre-aggregated keys (each offered at most once per
-	// hour), and randomly drawn destinations collide: accumulate first.
+	// Randomly drawn destinations collide, and a key is sketched at most
+	// once an hour: the builder sums each destination's flows per hour.
 	rng := rand.New(rand.NewSource(11))
-	volumes := make(map[string]*[hours]float64)
-	for i := 0; i < numFlows; i++ {
+	b := coordsample.NewDatasetBuilder("hour1", "hour2", "hour3", "hour4")
+	for i := 0; i < 40000; i++ {
 		prefix := fmt.Sprintf("10.%d", rng.Intn(8))
 		dest := fmt.Sprintf("%s.%d.%d", prefix, rng.Intn(256), rng.Intn(256))
 		base := math.Exp(rng.NormFloat64() * 2)
-		acc := volumes[dest]
-		if acc == nil {
-			acc = new([hours]float64)
-			volumes[dest] = acc
-		}
-		for h := range acc {
+		for h := 0; h < 4; h++ {
 			v := base * (0.5 + rng.Float64())
 			if prefix == "10.3" && h >= 2 {
 				v *= 25 // flash crowd
@@ -542,47 +410,29 @@ func Example_netmonitor() {
 			if rng.Float64() < 0.15 {
 				v = 0 // flow absent this hour
 			}
-			acc[h] += v
+			b.Add(h, dest, v)
 		}
 	}
-	// One sketcher per hour; in production each runs as its hour streams by
-	// and keeps only the k-entry sketch.
-	sketches := make([]*coordsample.BottomK, hours)
-	for h := range sketches {
-		s := coordsample.NewAssignmentSketcher(cfg, h)
-		for dest, acc := range volumes {
-			if acc[h] > 0 {
-				s.Offer(dest, acc[h])
-			}
-		}
-		sketches[h] = s.Sketch()
-	}
-	summary, err := coordsample.CombineDispersed(cfg, sketches)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%d distinct keys for %d hourly sketches\n", summary.DistinctKeys(nil), hours)
-
+	// One coordinated sketch per hour; in production each is built as its
+	// hour streams by, and only the k-entry sketches are kept.
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: 2024, K: 3000}
+	summary := coordsample.SummarizeDispersed(cfg, b.Build())
+	fmt.Printf("%d distinct keys for 4 hourly sketches\n", summary.DistinctKeys(nil))
 	l1 := summary.RangeLSet([]int{1, 2})
 	for p := 0; p < 8; p++ {
 		prefix := fmt.Sprintf("10.%d.", p)
-		fmt.Printf("%s hour 2→3 L1 ≈ %.4g\n", prefix, l1.Estimate(func(key string) bool { return strings.HasPrefix(key, prefix) }))
-	}
-	for _, prefix := range []string{"10.3.", "10.5."} {
 		in := func(key string) bool { return strings.HasPrefix(key, prefix) }
-		minDom, maxDom := summary.MinLSet(nil).Estimate(in), summary.Max(nil).Estimate(in)
-		fmt.Printf("%s persistent ≈ %.4g  peak ≈ %.4g  ratio %.2f\n", prefix, minDom, maxDom, minDom/maxDom)
+		fmt.Printf("%s0.0/16: hour 2→3 L1 ≈ %.4g, persistent/peak ≈ %.2f\n", prefix, l1.Estimate(in),
+			summary.MinLSet(nil).Estimate(in)/summary.Max(nil).Estimate(in))
 	}
 	// Output:
 	// 5222 distinct keys for 4 hourly sketches
-	// 10.0. hour 2→3 L1 ≈ 1.865e+04
-	// 10.1. hour 2→3 L1 ≈ 1.796e+04
-	// 10.2. hour 2→3 L1 ≈ 1.902e+04
-	// 10.3. hour 2→3 L1 ≈ 9.061e+05
-	// 10.4. hour 2→3 L1 ≈ 1.634e+04
-	// 10.5. hour 2→3 L1 ≈ 1.822e+04
-	// 10.6. hour 2→3 L1 ≈ 2.107e+04
-	// 10.7. hour 2→3 L1 ≈ 2.031e+04
-	// 10.3. persistent ≈ 1.742e+04  peak ≈ 1.166e+06  ratio 0.01
-	// 10.5. persistent ≈ 1.294e+04  peak ≈ 4.35e+04  ratio 0.30
+	// 10.0.0.0/16: hour 2→3 L1 ≈ 1.865e+04, persistent/peak ≈ 0.32
+	// 10.1.0.0/16: hour 2→3 L1 ≈ 1.796e+04, persistent/peak ≈ 0.29
+	// 10.2.0.0/16: hour 2→3 L1 ≈ 1.902e+04, persistent/peak ≈ 0.32
+	// 10.3.0.0/16: hour 2→3 L1 ≈ 9.061e+05, persistent/peak ≈ 0.01
+	// 10.4.0.0/16: hour 2→3 L1 ≈ 1.634e+04, persistent/peak ≈ 0.33
+	// 10.5.0.0/16: hour 2→3 L1 ≈ 1.822e+04, persistent/peak ≈ 0.30
+	// 10.6.0.0/16: hour 2→3 L1 ≈ 2.107e+04, persistent/peak ≈ 0.26
+	// 10.7.0.0/16: hour 2→3 L1 ≈ 2.031e+04, persistent/peak ≈ 0.34
 }
