@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"slices"
 	"strings"
@@ -503,50 +504,43 @@ func TestFreezeCompactionFailureIsAcknowledged(t *testing.T) {
 }
 
 // TestOwnsKeyGuardRejectsMisroutedKeys: with the cluster partition guard
-// installed, every ingest framing rejects keys the node does not own, and
-// owned keys pass.
+// installed, /offer and both /ingest framings refuse a key the node does not
+// own with the same 400, whatever its weight — a zero weight included, which
+// the binary framing once accepted unchecked — and owned keys pass.
 func TestOwnsKeyGuardRejectsMisroutedKeys(t *testing.T) {
 	cfg := robustCfg()
 	cfg.OwnsKey = func(key string) bool { return strings.HasPrefix(key, "mine-") }
-	_, ts := newTestServer(t, cfg)
-
-	if _, err := tryPostJSON(ts.URL+"/offer", Offer{Assignment: 0, Key: "mine-1", Weight: 1}); err != nil {
-		t.Fatalf("owned key rejected: %v", err)
-	}
-	if _, err := tryPostJSON(ts.URL+"/offer", Offer{Assignment: 0, Key: "theirs-1", Weight: 1}); err == nil {
-		t.Fatal("misrouted key accepted by /offer")
-	}
-
-	// NDJSON framing.
-	resp, err := http.Post(ts.URL+"/ingest", "application/json",
-		strings.NewReader(`{"assignment":0,"key":"theirs-2","weight":1}`+"\n"))
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("NDJSON misroute: status %d, want 400", resp.StatusCode)
+	t.Cleanup(s.Close)
+	json1 := func(o Offer) io.Reader {
+		body, _ := json.Marshal(o)
+		return bytes.NewReader(body)
 	}
-
-	// Binary framing.
-	var body []byte
-	body = AppendBinaryOffer(body, 0, "theirs-3", 1)
-	resp, err = http.Post(ts.URL+"/ingest", ContentTypeBinaryIngest, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	encodings := map[string]func(o Offer) (int, map[string]any){
+		"offer": func(o Offer) (int, map[string]any) {
+			rw := httptest.NewRecorder()
+			s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/offer", json1(o)))
+			var out map[string]any
+			_ = json.Unmarshal(rw.Body.Bytes(), &out)
+			return rw.Code, out
+		},
+		"ndjson": func(o Offer) (int, map[string]any) { return ingestFrom(s, "application/x-ndjson", json1(o)) },
+		"binary": func(o Offer) (int, map[string]any) {
+			return ingestFrom(s, ContentTypeBinaryIngest, bytes.NewReader(AppendBinaryOffer(nil, o.Assignment, o.Key, o.Weight)))
+		},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("binary misroute: status %d, want 400", resp.StatusCode)
-	}
-	var owned []byte
-	owned = AppendBinaryOffer(owned, 0, "mine-2", 1)
-	resp, err = http.Post(ts.URL+"/ingest", ContentTypeBinaryIngest, bytes.NewReader(owned))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owned binary key: status %d", resp.StatusCode)
+	const want = `record 0: key "theirs" is not owned by this node (misrouted; check the cluster partition)`
+	for name, send := range encodings {
+		for _, w := range []float64{1, 0} {
+			if code, out := send(Offer{Assignment: 0, Key: "theirs", Weight: w}); code != http.StatusBadRequest || out["error"] != want {
+				t.Errorf("%s, weight %v: misrouted key got status %d, %v; want 400 %q", name, w, code, out["error"], want)
+			}
+			if code, out := send(Offer{Assignment: 0, Key: "mine-" + name, Weight: w}); code != http.StatusOK {
+				t.Errorf("%s, weight %v: owned key got status %d, %v", name, w, code, out)
+			}
+		}
 	}
 }

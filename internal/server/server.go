@@ -680,12 +680,8 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 	// Validate everything before ingesting anything, so a rejected request
 	// never half-applies.
 	for i, o := range batch {
-		if err := s.checkOffer(i, o.Assignment, o.Key, o.Weight); err != nil {
+		if err := checkRecord(s, i, o.Assignment, o.Key, o.Weight); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(o.Key) {
-			writeError(w, http.StatusBadRequest, "record %d: key %q is not owned by this node (misrouted; check the cluster partition)", i, o.Key)
 			return
 		}
 	}
@@ -868,20 +864,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": st.accepted, "epoch": st.epoch})
 }
 
-// checkOffer validates one record of /offer or /ingest against the server
-// configuration.
-func (s *Server) checkOffer(n, assignment int, key string, weight float64) error {
+// checkRecord validates record n of /offer or /ingest, in any of the three
+// encodings and before any zero-weight skip, against the server
+// configuration and, on a cluster member, the partition guard.
+func checkRecord[K string | []byte](s *Server, n, assignment int, key K, weight float64) error {
+	if len(key) == 0 {
+		return fmt.Errorf("record %d: empty key", n)
+	}
 	if assignment < 0 || assignment >= s.cfg.Assignments {
 		return fmt.Errorf("record %d: assignment %d out of range (have %d assignments)", n, assignment, s.cfg.Assignments)
-	}
-	if key == "" {
-		return fmt.Errorf("record %d: empty key", n)
 	}
 	if len(key) > maxIngestKeyLen {
 		return fmt.Errorf("record %d: key length %d exceeds %d", n, len(key), maxIngestKeyLen)
 	}
 	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
 		return fmt.Errorf("record %d: invalid weight %v", n, weight)
+	}
+	if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(string(key)) {
+		return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, key)
 	}
 	return nil
 }
@@ -902,11 +902,8 @@ func (s *Server) ingestNDJSON(st *ingestState, r *http.Request, w http.ResponseW
 			// (stream cap exceeded) to 413 instead of a generic 400.
 			return fmt.Errorf("record %d: %w", n, err)
 		}
-		if err := s.checkOffer(n, o.Assignment, o.Key, o.Weight); err != nil {
+		if err := checkRecord(s, n, o.Assignment, o.Key, o.Weight); err != nil {
 			return err
-		}
-		if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(o.Key) {
-			return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, o.Key)
 		}
 		if o.Weight == 0 {
 			continue
@@ -954,17 +951,10 @@ func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
 		size := n1 + n2 + int(keyLen) + 8
 		key := buf[n1+n2 : size-8]
 		weight := math.Float64frombits(binary.LittleEndian.Uint64(buf[size-8:]))
-		if len(key) == 0 {
-			return fmt.Errorf("record %d: empty key", n)
-		}
-		if err := s.checkOffer(n, int(a), "-", weight); err != nil {
+		if err := checkRecord(s, n, int(a), key, weight); err != nil {
 			return err
 		}
 		if weight != 0 {
-			// Cluster members only: the partition guard takes a string.
-			if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(string(key)) {
-				return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, key)
-			}
 			if err := stage(st, int(a), key, weight); err != nil {
 				return err
 			}
@@ -1200,17 +1190,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// answers over exactly that retained time window instead.
 	state, resp := snap.cum, map[string]any{"epoch": snap.epoch}
 	if p.Epochs != "" {
-		lo, hi, err := cliquery.ParseEpochRange(p.Epochs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad epochs parameter: %v", err)
-			return
-		}
 		var werr *WindowError
-		if state, werr = s.window(snap, tr, lo, hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments)); werr != nil {
+		if state, werr = s.window(snap, tr, p.Lo, p.Hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments)); werr != nil {
 			writeError(w, werr.Code, "%v", werr)
 			return
 		}
-		resp["epochs"] = fmt.Sprintf("%d..%d", lo, hi)
+		resp["epochs"] = p.Epochs
 		s.rangeQueries.Add(1)
 	}
 	if err := p.Answer(tr, state.Summary(), state.SummaryFor, resp); err != nil {
