@@ -24,7 +24,8 @@ type HTTPParams struct {
 	Prefix string             // raw key-prefix predicate ("" = none)
 	Pred   dataset.Pred       // compiled Prefix (nil = all keys)
 	Est    estimate.Estimator // estimator family (default AW)
-	Epochs string             // raw epoch-window selector ("" = cumulative)
+	Epochs string             // epoch window as "lo..hi", however it was asked ("" = cumulative)
+	Lo, Hi int                // the window's bounds (0 when Epochs is "")
 }
 
 // ParseHTTPParams parses the GET /query parameters against n assignments.
@@ -52,7 +53,12 @@ func ParseHTTPParams(q url.Values, n int) (HTTPParams, error) {
 	if p.Est, err = estimate.ParseEstimator(q.Get("est")); err != nil {
 		return p, fmt.Errorf("bad est parameter: %w", err)
 	}
-	p.Epochs = q.Get("epochs")
+	if e := q.Get("epochs"); e != "" {
+		if p.Lo, p.Hi, err = ParseEpochRange(e); err != nil {
+			return p, fmt.Errorf("bad epochs parameter: %w", err)
+		}
+		p.Epochs = fmt.Sprintf("%d..%d", p.Lo, p.Hi)
+	}
 	return p, nil
 }
 

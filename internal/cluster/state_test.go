@@ -564,6 +564,50 @@ func TestWindowOutOfRetentionIsNotServed(t *testing.T) {
 	}
 }
 
+// TestEpochsSpellingsShareOneState: the router parses ?epochs= before it
+// scatters, so "2" and "2..2" are one window — one cluster state, and one
+// kept set per peer that answers the second spelling with a 304 — and a
+// malformed window is refused in the node's 400 words before any peer is
+// asked.
+func TestEpochsSpellingsShareOneState(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
+	tc.ingest(t, testOffers(300, 27))
+	tc.clusterFreeze(t)
+	tc.ingest(t, moreOffers(50, "epoch2"))
+	tc.clusterFreeze(t)
+	sum := func(count func(p *peer) int64) (n int64) {
+		for _, p := range tc.router.peers {
+			n += count(p)
+		}
+		return n
+	}
+	notModified := func(p *peer) int64 { return p.fetched304.Load() }
+	attempts := func(p *peer) int64 { return p.attempts.Load() }
+
+	_, first := tc.query(t, "agg=L1&epochs=2..2")
+	hits, nm := tc.router.stateHits.Load(), sum(notModified)
+	_, second := tc.query(t, "agg=L1&epochs=2")
+	if first["epochs"] != "2..2" || second["epochs"] != "2..2" || !bodyAnswer(first).equal(bodyAnswer(second)) {
+		t.Fatalf("epochs=2..2 answered %v, epochs=2 %v; want one answer for window \"2..2\"", first, second)
+	}
+	if got := tc.router.stateHits.Load(); got != hits+1 {
+		t.Errorf("epochs=2 after epochs=2..2: %d state hits, want %d", got, hits+1)
+	}
+	if got := sum(notModified) - nm; got != int64(len(tc.router.peers)) {
+		t.Errorf("epochs=2 after epochs=2..2: %d not-modified fetches, want one per peer", got)
+	}
+
+	before := sum(attempts)
+	code, body := tc.query(t, "agg=L1&epochs=x")
+	_, node := getJSON(t, tc.peerTS[0].URL+"/query?agg=L1&epochs=x")
+	if code != http.StatusBadRequest || body["error"] != node["error"] {
+		t.Errorf("epochs=x: status %d, %v; want 400 and the node's %q", code, body["error"], node["error"])
+	}
+	if got := sum(attempts) - before; got != 0 {
+		t.Errorf("epochs=x cost %d peer fetch attempts, want 0", got)
+	}
+}
+
 // TestConcurrentQueriesAcrossFreeze: queries racing a cluster freeze each
 // see every peer at one of its two epochs, so every answer is the oracle's
 // over one of the 2³ combinations — and the race detector sees the kept
