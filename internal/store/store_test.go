@@ -440,8 +440,11 @@ func TestCompactionBoundsDiskAndKeepsCumulativeExact(t *testing.T) {
 	}
 }
 
-// TestRetainZeroCompactsEverything: retain=0 keeps no individual epochs —
-// pure durability, bounded to one cumulative segment.
+// TestRetainZeroCompactsEverything: retain=0 (cws-serve -retain 0) keeps no
+// individual epochs — pure durability: every commit writes its epoch
+// segment and the cumulative, then unlinks the epoch segment, so the
+// directory holds one cumulative segment beside MANIFEST and LOCK, and
+// Window refuses every window.
 func TestRetainZeroCompactsEverything(t *testing.T) {
 	dir := t.TempDir()
 	epochs := buildEpochs(t, 4, 100)
@@ -454,6 +457,24 @@ func TestRetainZeroCompactsEverything(t *testing.T) {
 	s.Close()
 	r := openWritable(t, dir, 0)
 	sameSketchSet(t, "recovered", r.Cumulative(), mergeAll(t, epochs))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"LOCK", "MANIFEST", segmentName("cum", 4)}; !slices.Equal(names, want) {
+		t.Errorf("directory holds %v, want %v", names, want)
+	}
+	for lo := 1; lo <= 5; lo++ {
+		for hi := lo; hi <= 5; hi++ {
+			if sets, err := Window(r.Retained(), r.Epoch(), lo, hi); err == nil {
+				t.Errorf("Window(%d..%d) served %d epochs from a retain-0 store", lo, hi, len(sets))
+			}
+		}
+	}
 }
 
 // TestAppendEpochDuplicateKeyIsAnError: epochs 1 and 2 both hold "dup",
