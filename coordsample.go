@@ -32,7 +32,7 @@
 // between processes as a segment (the one sample file format, which the
 // durable store and GET /sketches share), and CombineDecoded reassembles
 // shipped sketches into a queryable summary, rejecting any built under a
-// mismatched configuration (see cmd/cws-merge and examples/distributed).
+// mismatched configuration (see cmd/cws-merge and ExampleCombineDecoded).
 //
 // Colocated weights (full weight vector available per key): feed a
 // ColocatedSummarizer and use the inclusive estimators, which exploit every

@@ -542,7 +542,7 @@ func (s *BottomK) Prefix(l int) *BottomK {
 }
 
 // BottomKFromRanks constructs a bottom-k sketch offline from parallel slices
-// of keys, ranks, and weights (used by tests and by the worked examples).
+// of keys, ranks, and weights (used by tests, on the paper's worked examples).
 func BottomKFromRanks(k int, keys []string, ranks, weights []float64) *BottomK {
 	if len(keys) != len(ranks) || len(keys) != len(weights) {
 		panic("sketch: length mismatch")
