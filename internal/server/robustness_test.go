@@ -505,8 +505,7 @@ func TestFreezeCompactionFailureIsAcknowledged(t *testing.T) {
 
 // TestOwnsKeyGuardRejectsMisroutedKeys: with the cluster partition guard
 // installed, /offer and both /ingest framings refuse a key the node does not
-// own with the same 400, whatever its weight — a zero weight included, which
-// the binary framing once accepted unchecked — and owned keys pass.
+// own with the same 400, whatever its weight, and owned keys pass.
 func TestOwnsKeyGuardRejectsMisroutedKeys(t *testing.T) {
 	cfg := robustCfg()
 	cfg.OwnsKey = func(key string) bool { return strings.HasPrefix(key, "mine-") }
