@@ -376,9 +376,10 @@ type Router struct {
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
 
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	stop    chan struct{}
+	done    chan struct{} // closed by Start's prober on exit
+	started atomic.Bool   // Start ran: Close waits for done
+	once    sync.Once
 }
 
 // peerFail feeds one failure into a peer's health state and logs the
@@ -496,6 +497,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.Ser
 // health state is fed by query traffic alone and a down peer is never
 // re-probed between queries.
 func (r *Router) Start() {
+	r.started.Store(true)
 	go func() {
 		defer close(r.done)
 		t := time.NewTicker(r.pol.probeEvery)
@@ -515,6 +517,9 @@ func (r *Router) Start() {
 func (r *Router) Close() {
 	r.once.Do(func() {
 		close(r.stop)
+		if !r.started.Load() {
+			return
+		}
 		select {
 		case <-r.done:
 		case <-time.After(time.Second):

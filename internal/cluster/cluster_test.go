@@ -703,6 +703,20 @@ func TestConfigValidation(t *testing.T) {
 	r.Close()
 }
 
+// TestCloseUnstartedRouterReturns: Close waits for the prober only when
+// Start launched one, so a router that was never started closes at once.
+func TestCloseUnstartedRouterReturns(t *testing.T) {
+	r, err := New(Config{Peers: []string{"a:1"}, Self: 0, Local: newPeer(t, 0, 1, nil), Sample: testSample, Assignments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	r.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("Close of an unstarted router took %v, want < 100ms", d)
+	}
+}
+
 // TestRouterProcessSeries: the router's registry carries the process-wide
 // series, once even when shared with its node's, and a cold cluster query
 // sorts no key order — the peers' decoded sets hold theirs and the router's
