@@ -99,7 +99,9 @@ import (
 	"time"
 
 	"coordsample"
+	"coordsample/internal/obs"
 	"coordsample/internal/shard"
+	"coordsample/internal/store"
 )
 
 func main() {
@@ -174,7 +176,9 @@ func main() {
 			logger.Info(fmt.Sprintf("recovered %d epoch(s) from %s (%d bytes on disk)", st.Epoch(), *dataDir, st.DiskBytes()))
 		}
 	}
+	snapshotStart := time.Now()
 	srv, err := coordsample.NewServer(cfg)
+	snapshot := time.Since(snapshotStart)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cws-serve: %v\n", err)
 		os.Exit(2)
@@ -220,11 +224,13 @@ func main() {
 
 	// Listen before logging so the printed address carries the real port
 	// (":0" resolves to an ephemeral one — the e2e tests depend on it).
+	listenStart := time.Now()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cws-serve: %v\n", err)
 		os.Exit(2)
 	}
+	registerStartup(reg, st, snapshot, time.Since(listenStart))
 	durability := "memory only"
 	if st != nil {
 		durability = "durable in " + *dataDir
@@ -268,4 +274,24 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info(fmt.Sprintf("shut down cleanly at epoch %d", srv.Epoch()))
+}
+
+// registerStartup publishes how long this process took to start, by phase,
+// as cws_startup_phase_seconds{phase}: the store's open (lock, manifest,
+// segment reads and checksums), decode and merge (the cumulative rebuilt
+// from its checkpoint and the ring epochs above it) — zero without a store
+// — then server.New's snapshot, and the listen.
+func registerStartup(reg *coordsample.MetricsRegistry, st *coordsample.EpochStore, snapshot, listen time.Duration) {
+	var op store.OpenPhases
+	if st != nil {
+		op = st.OpenPhases()
+	}
+	for _, p := range []struct {
+		phase string
+		took  time.Duration
+	}{{"open", op.Open}, {"decode", op.Decode}, {"merge", op.Merge}, {"snapshot", snapshot}, {"listen", listen}} {
+		secs := p.took.Seconds()
+		reg.GaugeL("cws_startup_phase_seconds", "Process startup by phase, set once: store open (manifest, segment reads, checksums), decode, merge (checkpoint and ring), server snapshot, listen.",
+			obs.Label("phase", p.phase), func() float64 { return secs })
+	}
 }

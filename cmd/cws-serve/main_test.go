@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -425,9 +426,10 @@ func getBytes(t *testing.T, url string) []byte {
 // TestSIGKILLAfterFullRingFreeze: SIGKILL lands after a full-ring /freeze
 // is acknowledged, with no shutdown of any kind. The restarted server's
 // directory holds exactly the retained epoch segments, one cumulative
-// segment of the last epoch, MANIFEST and LOCK; it exports the same
-// /sketches bytes, without encoding them, and answers every query exactly
-// as before the kill.
+// segment of the last epoch (at retain 2 every full-ring freeze is a
+// checkpoint), MANIFEST and LOCK; it exports the same /sketches bytes,
+// without encoding them, and answers every query exactly as before the
+// kill.
 func TestSIGKILLAfterFullRingFreeze(t *testing.T) {
 	serveBin, _ := buildBinaries(t)
 	dataDir := t.TempDir()
@@ -438,16 +440,53 @@ func TestSIGKILLAfterFullRingFreeze(t *testing.T) {
 		p1.post(t, "/offer", map[string]any{"offers": chunk})
 		p1.post(t, "/freeze", nil)
 	}
-	queries := []string{"agg=L1", "agg=max", "agg=jaccard", "agg=sum&b=1", "agg=L1&epochs=4..5", "agg=sum&b=0&epochs=5"}
+	killAndRestart(t, p1, serveBin, args, dataDir, 2, 5, 0, "agg=L1&epochs=4..5", "agg=sum&b=0&epochs=5")
+}
+
+// TestSIGKILLAtEveryCheckpointLag: at retain 5 the cumulative segment is a
+// checkpoint written every ⌈5/2⌉ = 3 freezes once the ring is full, so a
+// SIGKILL after freezes 6 to 9 lands at checkpoint lags 0, 1, 2 and 0 again.
+// After each, the restarted server's directory holds the five retained
+// epoch segments, the one checkpoint, MANIFEST and LOCK; it rebuilds the
+// cumulative from the checkpoint and the epochs above it and answers every
+// query, every window and /sketches exactly as before the kill (encoding
+// the export once when the checkpoint lags).
+func TestSIGKILLAtEveryCheckpointLag(t *testing.T) {
+	serveBin, _ := buildBinaries(t)
+	dataDir := t.TempDir()
+	chunks := e2eStream(3000, 9, 31)
+	args := []string{"-assignments", "2", "-k", "64", "-seed", "9", "-data-dir", dataDir, "-retain", "5"}
+	p := startServe(t, serveBin, args...)
+	for i, chunk := range chunks {
+		p.post(t, "/offer", map[string]any{"offers": chunk})
+		p.post(t, "/freeze", nil)
+		if epoch := i + 1; epoch > 5 {
+			p = killAndRestart(t, p, serveBin, args, dataDir, 5, epoch, (epoch-6)%3,
+				fmt.Sprintf("agg=L1&epochs=%d..%d", epoch-4, epoch), fmt.Sprintf("agg=sum&b=0&epochs=%d", epoch-4))
+		}
+	}
+}
+
+// killAndRestart records p's answers to a fixed query battery plus windows
+// and its cumulative /sketches bytes, SIGKILLs it at epoch with its
+// checkpoint lag epochs behind, and restarts the server over dataDir
+// (args, retaining retain epochs). The
+// restarted server's directory must hold LOCK, MANIFEST, the checkpoint
+// cum-<epoch-lag>.seg and the retained epoch segments; its /sketches bytes
+// and answers must equal p's, and it must encode the export only when the
+// checkpoint lags. It returns the restarted server.
+func killAndRestart(t *testing.T, p *serveProc, serveBin string, args []string, dataDir string, retain, epoch, lag int, windows ...string) *serveProc {
+	t.Helper()
+	queries := append([]string{"agg=L1", "agg=max", "agg=jaccard", "agg=sum&b=1"}, windows...)
 	preKill := make(map[string]float64)
 	for _, q := range queries {
-		preKill[q] = p1.query(t, q)
+		preKill[q] = p.query(t, q)
 	}
-	sketches := getBytes(t, p1.base+"/sketches")
-	if err := p1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+	sketches := getBytes(t, p.base+"/sketches")
+	if err := p.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	if clean := p1.wait(t); clean {
+	if clean := p.wait(t); clean {
 		t.Fatal("SIGKILL produced a clean exit?")
 	}
 
@@ -460,20 +499,38 @@ func TestSIGKILLAfterFullRingFreeze(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := "LOCK MANIFEST cum-000005.seg epoch-000004.seg epoch-000005.seg"; strings.Join(names, " ") != want {
-		t.Fatalf("data dir after restart holds %v, want %s", names, want)
+	want := []string{"LOCK", "MANIFEST", fmt.Sprintf("cum-%06d.seg", epoch-lag)}
+	for e := epoch - retain + 1; e <= epoch; e++ {
+		want = append(want, fmt.Sprintf("epoch-%06d.seg", e))
+	}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("epoch %d: data dir after restart holds %v, want %v", epoch, names, want)
 	}
 	if got := getBytes(t, p2.base+"/sketches"); !bytes.Equal(got, sketches) {
-		t.Errorf("/sketches after the restart (%d bytes) differs from before the kill (%d bytes)", len(got), len(sketches))
+		t.Errorf("epoch %d: /sketches after the restart (%d bytes) differs from before the kill (%d bytes)", epoch, len(got), len(sketches))
 	}
-	if !strings.Contains(scrapeMetrics(t, p2.base), "\ncws_segment_export_encodes_total 0\n") {
-		t.Error("the restarted server encoded its cumulative export instead of serving the recovered bytes")
+	metrics := scrapeMetrics(t, p2.base)
+	if encodes := min(lag, 1); !strings.Contains(metrics, fmt.Sprintf("\ncws_segment_export_encodes_total %d\n", encodes)) {
+		t.Errorf("epoch %d, lag %d: the restarted server's export was not encoded %d time(s)", epoch, lag, encodes)
+	}
+	// The startup phases are set; merge only when the checkpoint lags.
+	for _, phase := range []string{"open", "decode", "merge", "snapshot", "listen"} {
+		line := fmt.Sprintf("\ncws_startup_phase_seconds{phase=%q} ", phase)
+		i := strings.Index(metrics, line)
+		if i < 0 {
+			t.Fatalf("/metrics after the restart has no %s", strings.TrimSpace(line))
+		}
+		v, err := strconv.ParseFloat(strings.SplitN(metrics[i+len(line):], "\n", 2)[0], 64)
+		if positive := phase != "merge" || lag > 0; err != nil || (v > 0) != positive {
+			t.Errorf("epoch %d, lag %d: startup phase %s = %v (err %v)", epoch, lag, phase, v, err)
+		}
 	}
 	for _, q := range queries {
 		if got := p2.query(t, q); got != preKill[q] {
-			t.Errorf("/query?%s after SIGKILL restart = %v, pre-kill %v (must be bit-identical)", q, got, preKill[q])
+			t.Errorf("epoch %d: /query?%s after SIGKILL restart = %v, pre-kill %v (must be bit-identical)", epoch, q, got, preKill[q])
 		}
 	}
+	return p2
 }
 
 // TestGracefulShutdownAutoFreezes is the SIGTERM regression test: offers

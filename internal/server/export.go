@@ -123,10 +123,16 @@ func (s *Server) LocalSketches(epochs, ifNoneMatch string) (etag string, epoch i
 	return etag, snap.epoch, sketches, nil
 }
 
-// encodeExport encodes a /sketches segment and counts the encode; the
-// sketches are this server's own, so a failure is a programming error.
+// encodeExport encodes a /sketches response's segment and counts the
+// encode.
 func (s *Server) encodeExport(sketches []*sketch.BottomK) []byte {
 	s.exportEncodes.Add(1)
+	return s.exportSegment(sketches)
+}
+
+// exportSegment encodes sketches as a /sketches segment; they are this
+// server's own, so a failure is a programming error.
+func (s *Server) exportSegment(sketches []*sketch.BottomK) []byte {
 	metas := make([]sketch.WireMeta, len(sketches))
 	for b := range metas {
 		metas[b] = sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}

@@ -63,9 +63,12 @@ func (e *persistError) Unwrap() error { return e.err }
 // freeze advances the epoch: arm fresh sketchers, terminally freeze the
 // detached ones, merge the epoch's sketches with the cumulative ones into
 // the new whole-stream state (exact, by the merge lemma — epochs are
-// disjoint key sets under the pre-aggregation contract), persist the epoch
-// through the store (when durable — the acknowledgement point), and publish
-// the new snapshot with the refreshed retention ring. On error (a duplicate
+// disjoint key sets under the pre-aggregation contract) while the store
+// writes the epoch (when durable; the commit is the acknowledgement point),
+// and publish the new snapshot with the refreshed retention ring. The
+// phases it records do not overlap: detach; merge, from the lane freeze
+// through the store's epoch encode to the merge's return; persist, from
+// there to the durable manifest; publish. On error (a duplicate
 // key two lanes, or the epoch and the cumulative, both retained — a
 // contract violation in the ingested data — or a persist failure) the
 // serving snapshot is left unchanged, the poisoned epoch's data is
@@ -102,36 +105,50 @@ func (s *Server) freeze() (*snapshot, error) {
 	mergeStart := time.Now()
 	epochSketches, err := freezeLanes(old.ms)
 	var cum *core.Merged
-	if err == nil {
+	var mergeEnd time.Time
+	merge := func() ([]*sketch.BottomK, error) {
 		cum = core.NewMerged(s.cfg.Sample, [][]*sketch.BottomK{prev.cum.Sketches(), epochSketches})
 		_, err = cum.Ensure(nil)
+		mergeEnd = time.Now()
+		if err != nil {
+			return nil, err
+		}
+		return cum.Sketches(), nil
+	}
+	var segment []byte
+	var perr error
+	if err == nil && s.store == nil {
+		merge()
+	} else if err == nil {
+		// The store encodes the epoch first, then writes it while merge runs.
+		_, segment, perr = s.store.Commit(epochSketches, merge)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("freezing epoch: %v (each key may be offered at most once per assignment across the server's lifetime; the epoch's data is discarded and the serving snapshot is unchanged)", err)
 	}
-	s.om.freezeMerge.Record(time.Since(mergeStart))
-	var segment []byte
+	var ce *store.CompactionError
+	if perr != nil && !errors.As(perr, &ce) {
+		s.persistErrors.Add(1)
+		return nil, &persistError{err: perr}
+	}
+	if perr != nil {
+		// The epoch itself is acknowledged; only its checkpoint was not
+		// written (the next commit writes one).
+		s.compactionErrors.Add(1)
+	}
+	s.om.freezeMerge.Record(mergeEnd.Sub(mergeStart))
 	if s.store != nil {
-		persistStart := time.Now()
-		var perr error
-		if _, segment, perr = s.store.AppendMerged(epochSketches, cum.Sketches()); perr != nil {
-			var ce *store.CompactionError
-			if errors.As(perr, &ce) {
-				// The epoch itself is acknowledged; only its cumulative
-				// segment was not written (the next full-ring freeze is).
-				s.compactionErrors.Add(1)
-			} else {
-				s.persistErrors.Add(1)
-				return nil, &persistError{err: perr}
-			}
-		}
-		s.om.freezePersist.Record(time.Since(persistStart))
+		s.om.freezePersist.Record(time.Since(mergeEnd))
 	}
 	publishStart := time.Now()
 	epoch := prev.epoch + 1
 	s.epochNow.Store(int64(epoch))
 	// A fresh ring slice every freeze: published snapshots hold the old one.
 	retained := append(prev.retained[:len(prev.retained):len(prev.retained)], store.EpochRecord{Epoch: epoch, Sketches: epochSketches})
+	if segment == nil && s.cfg.OwnsKey != nil {
+		// A cluster member's router fetches the new cumulative right away.
+		segment = s.exportSegment(cum.Sketches())
+	}
 	snap := newSnapshot(epoch, cum, retained[max(0, len(retained)-s.retain):], segment)
 	s.snap.Store(snap)
 	s.om.freezePublish.Record(time.Since(publishStart))

@@ -18,8 +18,8 @@ type serverMetrics struct {
 	queryAW        *obs.Histogram // GET /query latency, AW estimator family
 	queryDiscarded *obs.Histogram // GET /query latency, discarded-samples family
 	freezeDetach   *obs.Histogram // freeze: epoch detach under the ingest write lock
-	freezeMerge    *obs.Histogram // freeze: terminal freeze + cumulative merge
-	freezePersist  *obs.Histogram // freeze: durable persist (the ack point)
+	freezeMerge    *obs.Histogram // freeze: lane freeze, epoch segment encode, cumulative merge
+	freezePersist  *obs.Histogram // freeze: the merge's return to the durable manifest (the ack point)
 	freezePublish  *obs.Histogram // freeze: ring rebuild, snapshot build and swap
 
 	queryStages map[string]*obs.Histogram // GET /query cold-path spans, by span name
@@ -60,7 +60,7 @@ func (s *Server) initObs(cfg Config) {
 	for _, stage := range []string{"range-merge", "summarize"} {
 		m.queryStages[stage] = r.NewHistogramL(obs.QueryStageMetric, obs.QueryStageHelp, obs.Label("stage", stage))
 	}
-	const freezeHelp = "Freeze phase latency: detach (ingest write lock held), merge (terminal freeze + cumulative merge), persist (durable ack), publish (ring rebuild, snapshot build and swap)."
+	const freezeHelp = "Freeze phase latency, phases back to back: detach (ingest write lock held), merge (lane freeze, epoch segment encode, cumulative merge), persist (from the merge's return to the durable manifest), publish (ring rebuild, snapshot build and swap)."
 	m.freezeDetach = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "detach"))
 	m.freezeMerge = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "merge"))
 	m.freezePersist = r.NewHistogramL("cws_freeze_phase_seconds", freezeHelp, obs.Label("phase", "persist"))
@@ -76,7 +76,7 @@ func (s *Server) initObs(cfg Config) {
 	r.Counter("cws_segment_export_encodes_total", "GET /sketches responses that encoded their segment (a window, or a cumulative no freeze or recovery had the bytes of).", s.exportEncodes.Load)
 	r.Counter("cws_sheds_total", "Ingest requests shed with 429 under the inflight bound.", s.sheds.Load)
 	r.Counter("cws_store_persist_errors_total", "Persist failures (the freeze was not acknowledged).", s.persistErrors.Load)
-	r.Counter("cws_store_compaction_errors_total", "Cumulative segment writes that failed after an acknowledged persist.", s.compactionErrors.Load)
+	r.Counter("cws_store_compaction_errors_total", "Checkpoint (cumulative segment) writes that failed after an acknowledged persist.", s.compactionErrors.Load)
 
 	// Sampler signals, per assignment: how much of the stream the shared
 	// admission threshold prunes, where that threshold stands, and how full

@@ -249,44 +249,66 @@ func TestTwoServersShareNothing(t *testing.T) {
 
 // TestKeyOrderSortsFlatAfterFullRingFreeze: once a durable server's ring is
 // full, every sketch a query reads holds a key order it never sorted — the
-// segment encoder handed the cumulative and the epochs theirs, and a window
-// merge derives its own — so cws_key_order_sorts_total stays flat across a
-// cold whole-stream query and cold window queries. Dropping the encoder's
-// hand-over moves the counter on the whole-stream query; dropping the
-// merge's derivation moves it on the two-epoch window.
+// segment encoder handed the epochs theirs before the freeze's merge, which
+// derives the cumulative's from them, and a window merge derives its own —
+// so cws_key_order_sorts_total stays flat across a cold whole-stream query
+// and cold window queries. At retain 2 the last freeze is a checkpoint; at
+// retain 4 it lags its checkpoint by one, and a restart over that store
+// rebuilds the cumulative by a merge that derives its order too. Dropping
+// the encoder's hand-over moves the counter on the whole-stream query;
+// dropping the merge's derivation moves it on the two-epoch window.
 func TestKeyOrderSortsFlatAfterFullRingFreeze(t *testing.T) {
-	cfg := obsTestConfig()
-	cfg.Assignments = 2
-	const retain = 2
-	cfg.Retain = retain
-	cfg.Store = openTestStore(t, t.TempDir(), cfg, retain)
-	_, ts := newTestServer(t, cfg)
-	for epoch := 0; epoch <= retain; epoch++ { // the last freeze finds the ring full
-		var offers []Offer
-		for i := 0; i < 40; i++ {
-			key := fmt.Sprintf("e%d/%02d", epoch, i)
-			offers = append(offers, Offer{Assignment: 0, Key: key, Weight: float64(1 + i%7)}, Offer{Assignment: 1, Key: key, Weight: float64(1 + i%5)})
+	for _, c := range []struct{ retain, lag int }{{2, 0}, {4, 1}} {
+		retain := c.retain
+		cfg := obsTestConfig()
+		cfg.Assignments = 2
+		cfg.Retain = retain
+		dir := t.TempDir()
+		cfg.Store = openTestStore(t, dir, cfg, retain)
+		_, ts := newTestServer(t, cfg)
+		freezes := retain + 1 + c.lag // the first full-ring freeze is a checkpoint
+		for epoch := 1; epoch <= freezes; epoch++ {
+			var offers []Offer
+			for i := 0; i < 40; i++ {
+				key := fmt.Sprintf("e%d/%02d", epoch, i)
+				offers = append(offers, Offer{Assignment: 0, Key: key, Weight: float64(1 + i%7)}, Offer{Assignment: 1, Key: key, Weight: float64(1 + i%5)})
+			}
+			postJSON(t, ts.URL+"/offer", map[string]any{"offers": offers})
+			postJSON(t, ts.URL+"/freeze", nil)
 		}
-		postJSON(t, ts.URL+"/offer", map[string]any{"offers": offers})
-		postJSON(t, ts.URL+"/freeze", nil)
+		metrics := obstest.Scrape(t, ts.URL)
+		info := false
+		for name, v := range metrics {
+			info = info || strings.HasPrefix(name, `cws_build_info{go_version="go`) && v == 1
+		}
+		if !info {
+			t.Error("/metrics has no cws_build_info{go_version,revision} 1")
+		}
+		queries := []string{"agg=L1", fmt.Sprintf("agg=L1&epochs=%d..%d", freezes-1, freezes), fmt.Sprintf("agg=sum&b=1&epochs=%d", freezes)}
+		checkSortsFlat(t, ts.URL, fmt.Sprintf("retain %d", retain), queries)
+		if c.lag == 0 {
+			continue
+		}
+		cfg.Store.Close()
+		cfg.Store = openTestStore(t, dir, cfg, retain)
+		_, ts2 := newTestServer(t, cfg)
+		checkSortsFlat(t, ts2.URL, fmt.Sprintf("retain %d, restarted", retain), queries)
 	}
-	metrics := obstest.Scrape(t, ts.URL)
-	sorts, ok := metrics["cws_key_order_sorts_total"]
+}
+
+// checkSortsFlat asks each query once, cold, and fails when one moved
+// cws_key_order_sorts_total.
+func checkSortsFlat(t *testing.T, base, label string, queries []string) {
+	t.Helper()
+	sorts, ok := obstest.Scrape(t, base)["cws_key_order_sorts_total"]
 	if !ok {
 		t.Fatal("/metrics has no cws_key_order_sorts_total")
 	}
-	info := false
-	for name, v := range metrics {
-		info = info || strings.HasPrefix(name, `cws_build_info{go_version="go`) && v == 1
-	}
-	if !info {
-		t.Error("/metrics has no cws_build_info{go_version,revision} 1")
-	}
-	for _, q := range []string{"agg=L1", "agg=L1&epochs=2..3", "agg=sum&b=1&epochs=3"} {
-		queryHTTP(t, ts.URL, q)
-		got := obstest.Scrape(t, ts.URL)["cws_key_order_sorts_total"]
+	for _, q := range queries {
+		queryHTTP(t, base, q)
+		got := obstest.Scrape(t, base)["cws_key_order_sorts_total"]
 		if got != sorts {
-			t.Errorf("cold query %s sorted %v key orders, want none", q, got-sorts)
+			t.Errorf("%s: cold query %s sorted %v key orders, want none", label, q, got-sorts)
 		}
 		sorts = got
 	}

@@ -49,15 +49,21 @@
 //
 // With a store attached (Config.Store, wired from cws-serve's -data-dir),
 // every freeze persists the epoch's sketch set through the durable epoch
-// store (internal/store) *before* the new snapshot is published: segment
-// write, fsync, rename, directory fsync, then the manifest replaced the
-// same way — only then is the freeze acknowledged to the client. Once the store's ring is full it also writes
-// the freeze's cumulative merge, and GET /sketches serves those bytes. On
-// startup the server recovers the store's acknowledged epochs and serves
-// them immediately, bit-identically to the pre-crash process: same
-// cumulative sketches, same retained epochs, same query answers. A freeze
-// whose persist fails returns 500 and leaves the serving snapshot
-// unchanged, exactly like a contract violation.
+// store (internal/store) *before* the new snapshot is published: the store
+// encodes the epoch, then writes, fsyncs and renames its segment while the
+// freeze merges it onto the cumulative; a directory fsync, then the
+// manifest replaced the same way — only then is the freeze acknowledged to
+// the client. Every ⌈retain/2⌉ freezes once the ring is full the store also
+// writes the freeze's cumulative merge as a checkpoint, and GET /sketches
+// serves those bytes; between checkpoints a single node encodes the export
+// on its first request, and a cluster member (Config.OwnsKey set), whose
+// router fetches it right after every freeze and restart, encodes it at
+// the freeze and in New. On startup the server recovers the store's
+// acknowledged epochs — the cumulative rebuilt from the checkpoint and the
+// ring epochs above it — and serves them immediately, bit-identically to
+// the pre-crash process: same cumulative sketches, same retained epochs,
+// same query answers. A freeze whose persist fails returns 500 and leaves
+// the serving snapshot unchanged, exactly like a contract violation.
 //
 // Alongside the cumulative sketches, a ring of the most recent epochs is
 // retained individually (the store's retention ring when durable, an
@@ -263,7 +269,8 @@ type snapshot struct {
 	cum      *core.Merged        // the whole stream: every epoch's exact merge, ensured in full
 	retained []store.EpochRecord // ascending epoch; the queryable time windows
 
-	// segment is what GET /sketches serves: the store's bytes, else the first export's.
+	// segment is what GET /sketches serves: the store's checkpoint bytes, a
+	// cluster member's own encode, else the first export's.
 	segment     []byte
 	segmentOnce sync.Once
 
@@ -372,6 +379,12 @@ func New(cfg Config) (*Server, error) {
 	state := core.NewMerged(cfg.Sample, [][]*sketch.BottomK{cum})
 	if _, err := state.Ensure(nil); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
+	}
+	if segment == nil && cfg.OwnsKey != nil {
+		// A cluster member's router fetches the cumulative right after a
+		// restart; the store has its bytes only when its checkpoint covers
+		// the last epoch.
+		segment = s.exportSegment(cum)
 	}
 	s.ingest = newEpochIngest(cfg)
 	s.epochNow.Store(int64(epoch))

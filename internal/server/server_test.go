@@ -1030,10 +1030,11 @@ func TestRecoveredRingTrimmedToRetain(t *testing.T) {
 }
 
 // TestCumulativeExportIsTheFreezeBytes: the cumulative GET /sketches body
-// is EncodeSegment of the snapshot's sketches after a durable full-ring
+// is EncodeSegment of the snapshot's sketches after a durable checkpoint
 // freeze (the store's cumulative segment, served with no encode), after a
-// reopen (the recovered file, again no encode), and on a memory-only
-// server (encoded once, by the first export).
+// reopen (the recovered file, again no encode), on a memory-only server
+// (encoded once, by the first export), and after a freeze whose checkpoint
+// lags (once on a single node, never on a cluster member).
 func TestCumulativeExportIsTheFreezeBytes(t *testing.T) {
 	cfg := robustCfg()
 	metas := make([]sketch.WireMeta, cfg.Assignments)
@@ -1114,6 +1115,38 @@ func TestCumulativeExportIsTheFreezeBytes(t *testing.T) {
 	}
 	if !bytes.Equal(memory, durable) {
 		t.Fatal("the memory-only server exports other bytes than the durable one")
+	}
+
+	// Retain 4 writes a checkpoint every second full-ring freeze, so after
+	// the sixth the store holds no segment of the cumulative: a single node
+	// encodes the export on its first request, before and after a reopen,
+	// while a cluster member, whose router fetches it right after every
+	// freeze and restart, encodes it at the freeze and in New.
+	lagging := chunkEpochs(testStream(600, 23), 6)
+	for _, member := range []bool{false, true} {
+		cfg := robustCfg()
+		if member {
+			cfg.OwnsKey = func(string) bool { return true }
+		}
+		dir := t.TempDir()
+		cfg.Store = openTestStore(t, dir, cfg, 4)
+		s, ts := newTestServer(t, cfg)
+		for _, chunk := range lagging {
+			freeze(ts.URL, chunk)
+		}
+		want := map[bool]float64{false: 1, true: 0}[member]
+		live, encodes := check(t, s, ts.URL, 4)
+		if encodes != want {
+			t.Fatalf("cluster member %v, checkpoint lagging: 4 exports encoded %v times, want %v", member, encodes, want)
+		}
+		cfg.Store.Close()
+		cfg.Store = openTestStore(t, dir, cfg, 4)
+		s2, ts2 := newTestServer(t, cfg)
+		reopened, encodes := check(t, s2, ts2.URL, 4)
+		if encodes != want || !bytes.Equal(reopened, live) {
+			t.Fatalf("cluster member %v, reopened over a lagging checkpoint: 4 exports encoded %v times (want %v), same bytes %v",
+				member, encodes, want, bytes.Equal(reopened, live))
+		}
 	}
 }
 

@@ -15,7 +15,7 @@
 //
 //	<dir>/MANIFEST            record of acknowledged epochs, replaced whole by every commit
 //	<dir>/epoch-000042.seg    one retained epoch's sketch set (segment file)
-//	<dir>/cum-000034.seg      cumulative segment: epochs 1..34 merged
+//	<dir>/cum-000040.seg      cumulative segment (a checkpoint): epochs 1..40 merged
 //	<dir>/LOCK                writer flock (held while a writable Store is open)
 //
 // Writable opens take an exclusive flock on LOCK: two writers on one
@@ -39,23 +39,31 @@
 // segment with its own CRC-32C:
 //
 //	cws-store v1 assignments=2
-//	C 9 cum-000009.seg 8080 5e6f7a8b fps=... 1c2d3e4f
+//	C 8 cum-000008.seg 8080 5e6f7a8b fps=... 1c2d3e4f
 //	E 8 epoch-000008.seg 4242 1a2b3c4d fps=00c0ffee...,00abcdef... 9f8e7d6c
 //	E 9 epoch-000009.seg 4240 2b3c4d5e fps=00c0ffee...,00abcdef... 8e7d6c5b
 //
 // "E n" records epoch n: its segment file, byte size, segment checksum,
 // and per-assignment fingerprints. "C t" records the cumulative segment,
-// the exact merge of epochs 1..t. The E lines are the retained ring, which
-// may lie at or below t. A commit takes one form. It writes the epoch
-// segment — and, once the ring is full, the cumulative segment of epochs
-// 1..n (the caller's merge, encoded once) beside it — and fsyncs the
-// directory once. It then replaces the manifest atomically (temp file,
-// fsync, rename, directory fsync) with the header, the current C record
-// (none before the first) and the ring's E lines, the last retain of them
-// once the ring is full. The rename is the acknowledgement point; only
-// then are the expired epoch and the old cumulative unlinked. A commit
-// that fails before the rename leaves the old manifest in force and the
-// store usable.
+// the exact merge of epochs 1..t: a checkpoint, which may lag the last
+// epoch. The E lines are the retained ring, which may start at or below t
+// and always holds every epoch above it. A commit takes one form. It
+// encodes the epoch segment first — the encoder hands the epoch's sketches
+// their key orders, so the caller's merge of them onto the cumulative
+// derives the cumulative's — and writes, fsyncs and renames it while that
+// merge runs. A commit is a checkpoint when the ring is full and the
+// epoch is ⌈retain/2⌉ or more past the C record (the first full-ring
+// commit, then every ⌈retain/2⌉-th; every commit at retain ≤ 1): it then
+// also writes the merge, encoded, as the cumulative segment of epochs 1..n.
+// The commit fsyncs the directory once, then replaces the manifest
+// atomically (temp file, fsync, rename, directory fsync) with the header,
+// the current C record (none before the first) and the ring's E lines, the
+// last retain of them once the ring is full. Off a checkpoint the new
+// manifest's temp file is written and fsynced during the merge too, as
+// nothing merged changes it. The rename is the acknowledgement point; only
+// then are the expired epoch and the old cumulative unlinked. A commit that
+// fails before the rename leaves the old manifest in force and the store
+// usable.
 //
 // # Recovery invariants
 //
@@ -64,7 +72,9 @@
 // fingerprints); the segments decode in parallel, and their errors are
 // reported in manifest order. A C record covering the last epoch is the
 // cumulative, with no merge; otherwise it merges with the E records above
-// it. The guarantees:
+// it (fewer than ⌈retain/2⌉ of them, unless a checkpoint write failed), as
+// they merged live, each assignment on its own worker. OpenPhases reports
+// the time spent reading, decoding and merging. The guarantees:
 //
 //   - Every acknowledged epoch is recovered bit-identically: same entries,
 //     same conditioning ranks, same fingerprints — so a restarted server
@@ -84,11 +94,15 @@
 // # Retention
 //
 // A ring of the most recent epochs is retained for epoch-range queries,
-// and the cumulative segment is the serving cumulative: disk holds retain
-// epoch segments plus that one, and nothing is merged to bound it. If only
-// the cumulative write fails, the epoch is committed under the old C record
-// with the ring one past retain (a *CompactionError), and the next
-// full-ring commit catches up.
+// and the cumulative is rebuilt from the checkpoint and the ring epochs
+// above it: disk holds retain epoch segments plus one checkpoint, and
+// nothing is merged to bound it. A commit that is no checkpoint still
+// trims the ring to retain and unlinks the expired epoch, which the C
+// record covers: it lags by less than ⌈retain/2⌉ ≤ retain. If only a
+// checkpoint's cumulative write fails, the epoch is committed under the old
+// C record with the ring untrimmed, one past retain, so the ring keeps
+// every epoch the C record does not cover (a *CompactionError); the next
+// commit is a checkpoint again and catches up.
 package store
 
 import (
@@ -128,7 +142,8 @@ type Config struct {
 	Dir string
 	// Retain is the ring of most recent epochs kept individually for
 	// epoch-range queries; older epochs live on only in the cumulative
-	// segment. 0 keeps none (no time travel).
+	// segment, a checkpoint written every ⌈Retain/2⌉ commits once the ring
+	// is full. 0 keeps none (no time travel).
 	Retain int
 	// Sample and Assignments describe the sketches the store will hold.
 	// Both set (K ≥ 1, Assignments ≥ 1) opens the store writable and
@@ -147,9 +162,11 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// The store's injectable fault points. The manifest points fire once per
-// commit; the segment points once per segment file, drawn epoch first,
-// before the files are written concurrently.
+// The store's injectable fault points. Every commit draws them all before
+// any of its concurrent work, in file order: the epoch segment's write and
+// fsync, a checkpoint's cumulative segment's, then the manifest's — so a
+// schedule stays deterministic by hit count, and the manifest points fire
+// once per commit, whether or not it gets as far as the manifest.
 const (
 	// FaultSegmentWrite covers writing a segment's bytes to its temp
 	// file: "err" simulates ENOSPC (the commit fails, the epoch is never
@@ -200,9 +217,9 @@ type MismatchError struct {
 func (e *MismatchError) Error() string { return "store: " + e.Detail }
 
 // CompactionError reports an epoch acknowledged under the old C record
-// because its cumulative segment could not be written (disk full, I/O
-// error): the epoch is safe — treat the commit as successful — and the
-// next full-ring commit writes the cumulative again.
+// because its checkpoint's cumulative segment could not be written (disk
+// full, I/O error): the epoch is safe — treat the commit as successful —
+// and the next commit writes the checkpoint again.
 type CompactionError struct {
 	Err error
 }
@@ -253,10 +270,11 @@ type storedEpoch struct {
 	crc  uint32
 }
 
-// Store is a durable epoch store. Open recovers it; AppendMerged (and
+// Store is a durable epoch store. Open recovers it; Commit (and
 // AppendEpoch, which merges for the caller) commits a frozen epoch, the
 // only mutating operation. Methods are safe for concurrent use.
 type Store struct {
+	commitMu    sync.Mutex // serializes Commit; held across its merge and writes, which mu is not
 	mu          sync.Mutex
 	dir         string
 	retain      int
@@ -275,6 +293,7 @@ type Store struct {
 	bytes    int64             // total bytes of referenced segment files
 	keyRatio float64           // dictionary keys ÷ entries of the last segment written
 	faults   *faults.Set       // injectable durability faults (nil in production)
+	phases   OpenPhases        // how long Open took, by phase
 	log      *slog.Logger      // component-tagged structured logger (never nil)
 
 	// Durability latency histograms, always allocated so the recording
@@ -283,6 +302,17 @@ type Store struct {
 	segWriteHist      *obs.Histogram // segment write+fsync+rename, per durable file
 	manifestFsyncHist *obs.Histogram // manifest fsync — the epoch ack point
 }
+
+// OpenPhases is how long Open took, by phase. They add up to Open's
+// duration.
+type OpenPhases struct {
+	Open   time.Duration // the lock, the manifest, and reading and checksumming every referenced segment
+	Decode time.Duration // decoding and validating the segments
+	Merge  time.Duration // the cumulative: the C record's segment merged with the epochs above it
+}
+
+// OpenPhases returns how long Open took, by phase.
+func (s *Store) OpenPhases() OpenPhases { return s.phases }
 
 // Metrics exposes the store's internal latency histograms so a serving
 // process can register them for /metrics exposition.
@@ -300,6 +330,7 @@ func (s *Store) Metrics() Metrics {
 // recovers all acknowledged epochs. See Config for the writable/read-only
 // distinction and the package documentation for the recovery guarantees.
 func Open(cfg Config) (*Store, error) {
+	start := time.Now()
 	writable := cfg.Assignments != 0 || cfg.Sample != (core.Config{})
 	s := &Store{
 		dir: cfg.Dir, retain: cfg.Retain, writable: writable, faults: cfg.Faults,
@@ -338,6 +369,7 @@ func Open(cfg Config) (*Store, error) {
 	if writable {
 		s.collectGarbage()
 	}
+	s.phases.Open = time.Since(start) - s.phases.Decode - s.phases.Merge
 	return s, nil
 }
 
@@ -430,9 +462,10 @@ func (s *Store) Cumulative() []*sketch.BottomK { s.mu.Lock(); defer s.mu.Unlock(
 func (s *Store) CumulativeSegment() []byte { s.mu.Lock(); defer s.mu.Unlock(); return s.cumSeg }
 
 // mergeEpochs merges the cumulative base (nil for none) with the given
-// epochs, per assignment, by the exact, fingerprint-verified merge. Two
-// inputs that both keep one key break the contract that epochs hold
-// disjoint keys: the sketch layer's panic naming the key becomes the error.
+// epochs by the exact, fingerprint-verified merge, the assignments across
+// shard.ParallelDo's pool. Two inputs that both keep one key break the
+// contract that epochs hold disjoint keys: the sketch layer's panic naming
+// the key becomes the error.
 func mergeEpochs(base []*sketch.BottomK, epochs []storedEpoch) (_ []*sketch.BottomK, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -446,9 +479,20 @@ func mergeEpochs(base []*sketch.BottomK, epochs []storedEpoch) (_ []*sketch.Bott
 	for _, rec := range epochs {
 		sets = append(sets, rec.Sketches)
 	}
-	merged, err := sketch.MergeSets(sets...)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	merged, errs := make([]*sketch.BottomK, len(sets[0])), make([]error, len(sets[0]))
+	shard.ParallelDo(len(merged), func(b int) {
+		column := make([]*sketch.BottomK, len(sets))
+		for i, set := range sets {
+			column[i] = set[b]
+		}
+		if merged[b], errs[b] = sketch.Merge(column...); errs[b] != nil {
+			errs[b] = fmt.Errorf("store: merging assignment %d: %w", b, errs[b])
+		}
+	})
+	for _, err := range errs { // the lowest assignment's, as MergeSets reports it
+		if err != nil {
+			return nil, err
+		}
 	}
 	return merged, nil
 }
@@ -469,72 +513,132 @@ func (s *Store) SampleConfig() (core.Config, bool) {
 	return core.Config{Family: m.Family, Mode: m.Mode, Seed: m.Seed, K: s.cum[0].K()}, true
 }
 
-// AppendEpoch is AppendMerged merging the epoch onto Cumulative() itself.
+// AppendEpoch is Commit merging the epoch onto Cumulative() itself.
 func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
-	epoch, _, err := s.AppendMerged(sketches, nil)
+	epoch, _, err := s.Commit(sketches, func() ([]*sketch.BottomK, error) {
+		return mergeEpochs(s.Cumulative(), []storedEpoch{{EpochRecord: EpochRecord{Sketches: sketches}}})
+	})
 	return epoch, err
 }
 
-// AppendMerged durably persists one frozen epoch's sketch set (one sketch
-// per assignment, fingerprinted under the store's configuration) and
-// returns its epoch number; cum is the exact merge of Cumulative() and
-// sketches (nil: merge them here). On return the epoch is acknowledged,
-// and any crash afterwards recovers it bit-identically. Once the ring is
-// full it also writes cum as the cumulative segment and returns its bytes;
-// a *CompactionError means the epoch is acknowledged (epoch != 0) but
-// that segment was not written.
-func (s *Store) AppendMerged(sketches, cum []*sketch.BottomK) (int, []byte, error) {
+// Commit durably persists one frozen epoch's sketch set (one sketch per
+// assignment, fingerprinted under the store's configuration) and returns
+// its epoch number. merge returns the exact merge of Cumulative() and
+// sketches; Commit calls it once, after encoding the epoch segment — the
+// encoder hands the epoch's sketches their key orders, so a merge of
+// ordered inputs derives the cumulative's — and while the segment is
+// written. The Store's readers do not wait for the merge, and it must not
+// Commit. A merge error is returned as is, and nothing is acknowledged.
+// On a nil error the epoch is acknowledged, and any crash afterwards
+// recovers it bit-identically. A checkpoint commit (see the package
+// documentation) also writes the merge as the cumulative segment and
+// returns its bytes; a *CompactionError means the epoch is acknowledged
+// (epoch != 0) but that segment was not written.
+func (s *Store) Commit(sketches []*sketch.BottomK, merge func() ([]*sketch.BottomK, error)) (int, []byte, error) {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	epoch, retained, prevC, broken := s.epoch+1, s.retained, s.cumRec, s.broken
+	s.mu.Unlock()
 	if !s.writable {
 		return 0, nil, fmt.Errorf("store: opened read-only (no Sample configuration)")
 	}
-	if len(sketches) != s.assignments || cum != nil && len(cum) != s.assignments {
+	if len(sketches) != s.assignments {
 		return 0, nil, fmt.Errorf("store: %d sketches for %d assignments", len(sketches), s.assignments)
 	}
-	if s.broken {
+	if broken {
 		return 0, nil, fmt.Errorf("store: a renamed manifest may not be durable (directory fsync failed); reopen the store to recover before committing")
 	}
-	if cum == nil {
-		var err error
-		if cum, err = mergeEpochs(s.cum, []storedEpoch{{EpochRecord: EpochRecord{Sketches: sketches}}}); err != nil {
-			return 0, nil, err
-		}
-	}
-	sketches = append([]*sketch.BottomK(nil), sketches...)
-	epoch := s.epoch + 1
-	files := []*segFile{{name: segmentName("epoch", epoch), sketches: sketches}}
-	full := len(s.retained) >= s.retain
-	if full {
-		files = append(files, &segFile{name: segmentName("cum", epoch), sketches: cum})
-	}
-	if err := s.writeSegments(files); err != nil {
+	ep := &segFile{name: segmentName("epoch", epoch), sketches: append([]*sketch.BottomK(nil), sketches...)}
+	if err := s.encode(ep); err != nil {
 		return 0, nil, err
 	}
-	seg := files[0]
-	ring := append(s.retained[:len(s.retained):len(s.retained)], storedEpoch{
-		EpochRecord: EpochRecord{Epoch: epoch, Sketches: sketches}, size: len(seg.data), crc: seg.crc})
-	c, cumSeg, expired := s.cumRec, []byte(nil), []storedEpoch(nil)
-	if full && files[1].err == nil {
-		f := files[1]
-		c = manifestRecord{kind: 'C', n: epoch, file: f.name, size: len(f.data), crc: f.crc, fps: fingerprints(cum)}
-		cumSeg, expired, ring = f.data, ring[:len(ring)-s.retain], ring[len(ring)-s.retain:]
+	full := len(retained) >= s.retain
+	var cf *segFile // the cumulative segment, on a checkpoint commit
+	if full && epoch-prevC.n >= (s.retain+1)/2 {
+		cf = &segFile{name: segmentName("cum", epoch)}
 	}
-	if err := s.writeManifest(c, ring); err != nil {
+	// Every fault point is drawn before any concurrent work, in file order.
+	ep.write, ep.fsync = s.faults.Act(FaultSegmentWrite), s.faults.Act(FaultSegmentFsync)
+	if cf != nil {
+		cf.write, cf.fsync = s.faults.Act(FaultSegmentWrite), s.faults.Act(FaultSegmentFsync)
+	}
+	mwrite, mfsync := s.faults.Act(FaultManifestAppend), s.faults.Act(FaultManifestFsync)
+
+	ring := append(retained[:len(retained):len(retained)], storedEpoch{
+		EpochRecord: EpochRecord{Epoch: epoch, Sketches: ep.sketches}, size: len(ep.data), crc: ep.crc})
+	cut := 0 // ring[:cut] expires: past retain, and covered by the C record
+	if full {
+		cut = len(ring) - s.retain
+	}
+	c, manifest := prevC, &tempFile{name: manifestName, write: mwrite, fsync: mfsync}
+	defer manifest.discard()
+	// While the caller merges, the epoch segment is written beside the new
+	// manifest's temp file, which off a checkpoint nothing merged changes.
+	written := make(chan error, 1)
+	go func() {
+		var text []byte
+		if cf == nil {
+			text = s.manifestText(c, ring[cut:])
+		}
+		written <- s.writeBeside(ep, manifest, text)
+	}()
+	cum, err := merge()
+	if err == nil && len(cum) != s.assignments {
+		err = fmt.Errorf("store: merge returned %d sketches for %d assignments", len(cum), s.assignments)
+	}
+	werr := <-written
+	if err != nil {
+		if ep.err == nil {
+			os.Remove(s.path(ep.name)) // best-effort: nothing references it
+		}
+		return 0, nil, err
+	}
+	if werr != nil {
+		return 0, nil, werr
+	}
+	if cf != nil {
+		cf.sketches = cum
+		if cf.err = s.encode(cf); cf.err == nil {
+			c = manifestRecord{kind: 'C', n: epoch, file: cf.name, size: len(cf.data), crc: cf.crc, fps: fingerprints(cum)}
+			if err := s.writeBeside(cf, manifest, s.manifestText(c, ring[cut:])); cf.err == nil && err != nil {
+				return 0, nil, err
+			}
+		}
+		if cf.err != nil {
+			// The ring keeps the epochs the old C record does not cover.
+			c, cut = prevC, 0
+			if err := s.writeTemp(manifest, s.manifestText(c, ring)); err != nil {
+				return 0, nil, err
+			}
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	syncStart := time.Now()
+	if err := s.syncDir(); err != nil {
+		return 0, nil, err
+	}
+	s.recordSegments(time.Since(syncStart), ep, cf)
+	if err := s.installManifest(manifest); err != nil {
 		return 0, nil, err
 	}
 	// Acknowledged. Deleting what is no longer referenced is best-effort: a
 	// leftover is collected on the next writable open.
-	for _, rec := range expired {
+	for _, rec := range ring[:cut] {
 		s.removeSegment(segmentName("epoch", rec.Epoch))
 	}
-	if cumSeg != nil && s.cumRec.n > 0 {
-		s.removeSegment(s.cumRec.file)
+	var cumSeg []byte
+	if c.n == epoch { // a checkpoint: the old one is referenced no more
+		cumSeg = cf.data
+		if prevC.n > 0 {
+			s.removeSegment(prevC.file)
+		}
 	}
-	s.epoch, s.cumRec, s.cum, s.cumSeg, s.retained = epoch, c, cum, cumSeg, ring
-	s.bytes += int64(len(seg.data) + len(cumSeg))
-	if full && cumSeg == nil {
-		return epoch, nil, &CompactionError{Err: files[1].err}
+	s.epoch, s.cumRec, s.cum, s.cumSeg, s.retained = epoch, c, cum, cumSeg, ring[cut:]
+	s.bytes += int64(len(ep.data) + len(cumSeg))
+	if cf != nil && cf.err != nil {
+		return epoch, nil, &CompactionError{Err: cf.err}
 	}
 	if cumSeg != nil {
 		s.log.Debug("wrote cumulative segment", "through", epoch, "disk_bytes", s.bytes)
@@ -556,82 +660,95 @@ func fingerprints(sketches []*sketch.BottomK) []uint64 {
 }
 
 // segFile is one segment file a commit writes: its name and sketches, the
-// fault outcomes drawn for it, and once written its bytes, CRC and error.
+// fault outcomes drawn for it, its encoding, and once written the time the
+// write took and its error.
 type segFile struct {
 	name         string
 	sketches     []*sketch.BottomK
 	write, fsync faults.Outcome
 	data         []byte
 	crc          uint32
+	took         time.Duration
 	err          error
 }
 
-// writeSegments encodes and writes the files concurrently, then fsyncs the
-// directory once; the fault points are drawn first, in file order. It
-// returns the first file's error; a later one's stays in its err.
-func (s *Store) writeSegments(files []*segFile) error {
-	for _, f := range files {
-		f.write, f.fsync = s.faults.Act(FaultSegmentWrite), s.faults.Act(FaultSegmentFsync)
-	}
-	start := time.Now()
-	shard.ParallelDo(len(files), func(i int) { files[i].err = s.writeSegment(files[i]) })
-	if files[0].err != nil {
-		return files[0].err
-	}
-	if err := s.syncDir(); err != nil {
-		return err
-	}
-	for _, f := range files {
-		if f.err == nil {
-			s.segWriteHist.Record(time.Since(start))
-			entries := 0
-			for _, sk := range f.sketches {
-				entries += sk.Size()
-			}
-			if keys, ok := sketch.SegmentKeys(f.data); ok && entries > 0 {
-				s.keyRatio = float64(keys) / float64(entries)
-			}
-		}
-	}
-	return nil
-}
-
-// writeSegment encodes one segment and writes it under its final name. It
-// only reads the Store.
-func (s *Store) writeSegment(f *segFile) error {
+// encode encodes f's sketches as its segment bytes.
+func (s *Store) encode(f *segFile) error {
 	data, crc, err := sketch.MarshalSegment(s.meta, f.sketches)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", f.name, err)
 	}
 	f.data, f.crc = data, crc
-	if f.write.Err != nil {
-		return fmt.Errorf("store: writing %s: %w", f.name, f.write.Err)
-	}
+	return nil
+}
+
+// writeSegment writes an encoded segment under its final name; the caller
+// fsyncs the directory. It only reads the Store.
+func (s *Store) writeSegment(f *segFile) error {
+	start := time.Now()
+	defer func() { f.took = time.Since(start) }()
+	data := f.data
 	if f.write.Torn {
 		// A torn write that lies about success: the durable file holds
 		// half the bytes the manifest will acknowledge.
-		return s.writeRenamed(f.name, faults.Tear(f.data), f.fsync)
+		data = faults.Tear(data)
 	}
-	return s.writeRenamed(f.name, f.data, f.fsync)
+	tmp := &tempFile{name: f.name, write: f.write, fsync: f.fsync}
+	defer tmp.discard()
+	if err := s.writeTemp(tmp, data); err != nil {
+		return err
+	}
+	return s.rename(tmp)
 }
 
-// writeManifest is every commit's acknowledgement point: it atomically
-// replaces the manifest with manifestText(c, ring). A failure before the
-// rename leaves the old manifest in force; a failed directory fsync after
-// it breaks the store. Caller holds s.mu.
-func (s *Store) writeManifest(c manifestRecord, ring []storedEpoch) error {
-	if out := s.faults.Act(FaultManifestAppend); out.Err != nil {
-		return fmt.Errorf("store: writing manifest: %w", out.Err)
+// writeBeside writes the encoded segment f under its final name (its
+// error in f.err) and, unless text is nil, text to m's temp file,
+// concurrently. It returns f's error, else m's. It only reads the Store.
+func (s *Store) writeBeside(f *segFile, m *tempFile, text []byte) error {
+	var merr error
+	shard.ParallelDo(1+min(len(text), 1), func(i int) {
+		if i == 0 {
+			f.err = s.writeSegment(f)
+		} else {
+			merr = s.writeTemp(m, text)
+		}
+	})
+	return cmp.Or(f.err, merr)
+}
+
+// recordSegments records the written segments' durations (each file's
+// write, fsync and rename, plus the directory fsync that made them
+// durable, dirSync) and the key ratio of the last one written.
+func (s *Store) recordSegments(dirSync time.Duration, files ...*segFile) {
+	for _, f := range files {
+		if f == nil || f.err != nil {
+			continue
+		}
+		s.segWriteHist.Record(f.took + dirSync)
+		entries := 0
+		for _, sk := range f.sketches {
+			entries += sk.Size()
+		}
+		if keys, ok := sketch.SegmentKeys(f.data); ok && entries > 0 {
+			s.keyRatio = float64(keys) / float64(entries)
+		}
 	}
+}
+
+// installManifest is every commit's acknowledgement point: it renames the
+// new manifest's fsynced temp file over MANIFEST and fsyncs the directory.
+// A failure before the rename leaves the old manifest in force; a failed
+// directory fsync after it breaks the store. Caller holds s.mu.
+func (s *Store) installManifest(m *tempFile) error {
 	start := time.Now()
-	if err := s.writeRenamed(manifestName, s.manifestText(c, ring), s.faults.Act(FaultManifestFsync)); err != nil {
+	if err := s.rename(m); err != nil {
 		return err
 	}
 	if err := s.syncDir(); err != nil {
 		s.broken = true
 		return err
 	}
-	s.manifestFsyncHist.Record(time.Since(start))
+	s.manifestFsyncHist.Record(m.took + time.Since(start))
 	return nil
 }
 
@@ -660,30 +777,61 @@ func (s *Store) removeSegment(name string) {
 	}
 }
 
-// writeRenamed writes data to name under the store directory via a
-// fsynced temp file and a rename (fsync names the injected outcome for the
-// temp file's fsync); the caller fsyncs the directory. A crash mid-call
-// leaves at worst a *.tmp orphan. It only reads the Store.
-func (s *Store) writeRenamed(name string, data []byte, fsync faults.Outcome) error {
-	tmp, err := os.CreateTemp(s.dir, name+".tmp-")
+// tempFile is the fsynced temp file a durable file is written to before
+// its rename: the final name, the fault outcomes drawn for it, and once
+// written its path and the time it took.
+type tempFile struct {
+	name         string
+	write, fsync faults.Outcome
+	path         string
+	took         time.Duration
+}
+
+// discard removes a temp file that was never renamed into place.
+func (t *tempFile) discard() {
+	if t.path != "" {
+		os.Remove(t.path)
+		t.path = ""
+	}
+}
+
+// writeTemp writes data to a fresh temp file beside t's final name (in
+// place of any it wrote before) and fsyncs it; the caller renames it and
+// fsyncs the directory. A crash mid-call leaves at worst a *.tmp orphan.
+// It only reads the Store.
+func (s *Store) writeTemp(t *tempFile, data []byte) error {
+	t.discard()
+	if t.write.Err != nil {
+		return fmt.Errorf("store: writing %s: %w", t.name, t.write.Err)
+	}
+	start := time.Now()
+	f, err := os.CreateTemp(s.dir, t.name+".tmp-")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing %s: %w", name, err)
+	t.path = f.Name()
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("store: writing %s: %w", t.name, err)
 	}
-	if err := cmp.Or(fsync.Err, tmp.Sync()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: syncing %s: %w", name, err)
+	if err := cmp.Or(t.fsync.Err, f.Sync()); err != nil {
+		f.Close()
+		return fmt.Errorf("store: syncing %s: %w", t.name, err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: closing %s: %w", name, err)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("store: closing %s: %w", t.name, err)
 	}
-	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
+	t.took = time.Since(start)
+	return nil
+}
+
+// rename moves t's temp file to its final name; the caller fsyncs the
+// directory.
+func (s *Store) rename(t *tempFile) error {
+	if err := os.Rename(t.path, s.path(t.name)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	t.path = ""
 	return nil
 }
 
@@ -799,7 +947,12 @@ func (s *Store) recover() error {
 		}
 		// Fresh store: write the header atomically, so a torn header can
 		// never be observed.
-		if err := s.writeRenamed(manifestName, s.manifestText(manifestRecord{}, nil), faults.Outcome{}); err != nil {
+		m := &tempFile{name: manifestName}
+		defer m.discard()
+		if err := s.writeTemp(m, s.manifestText(manifestRecord{}, nil)); err != nil {
+			return err
+		}
+		if err := s.rename(m); err != nil {
 			return err
 		}
 		return s.syncDir()
@@ -845,14 +998,32 @@ func (s *Store) recover() error {
 		}
 		records = append(records, rec)
 	}
-	// Decode in parallel (serially at GOMAXPROCS=1); report in manifest order.
+	// Read, check and decode each segment in parallel (serially at
+	// GOMAXPROCS=1); report in manifest order. The pass's time is split
+	// between the open and decode phases in proportion to the time its
+	// reads and decodes took.
 	loaded := make([][]*sketch.BottomK, len(records))
 	metas := make([][]sketch.WireMeta, len(records))
 	raw := make([][]byte, len(records))
 	errs := make([]error, len(records))
+	reads, decodes := make([]time.Duration, len(records)), make([]time.Duration, len(records))
+	passStart := time.Now()
 	shard.ParallelDo(len(records), func(i int) {
-		loaded[i], metas[i], raw[i], errs[i] = s.loadSegment(records[i])
+		start := time.Now()
+		raw[i], errs[i] = s.readSegment(records[i])
+		reads[i] = time.Since(start)
+		if errs[i] == nil {
+			loaded[i], metas[i], errs[i] = s.decodeSegment(records[i], raw[i])
+			decodes[i] = time.Since(start) - reads[i]
+		}
 	})
+	var read, decode time.Duration
+	for i := range records {
+		read, decode = read+reads[i], decode+decodes[i]
+	}
+	if read+decode > 0 {
+		s.phases.Decode = time.Duration(float64(time.Since(passStart)) * float64(decode) / float64(read+decode))
+	}
 	if len(records) > 0 && s.meta == nil {
 		s.meta = metas[0]
 	}
@@ -898,9 +1069,11 @@ func (s *Store) recover() error {
 			s.cumSeg = baseData
 		}
 	} else if s.epoch > 0 {
+		mergeStart := time.Now()
 		if s.cum, err = mergeEpochs(base, s.retained[len(s.retained)-(s.epoch-s.cumRec.n):]); err != nil {
 			return &CorruptError{Path: mpath, Detail: "recorded segments do not merge", Err: err}
 		}
+		s.phases.Merge = time.Since(mergeStart)
 	}
 	return nil
 }
@@ -919,41 +1092,50 @@ func parseHeader(line string) (int, error) {
 	return n, nil
 }
 
-// loadSegment reads, verifies, and decodes one referenced segment file,
-// returning its sketches, their wire metadata and its bytes. Every failure
-// is acknowledged-state corruption: a typed error, never a partial result.
-// It only reads the Store, so recovery runs it concurrently.
-func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.WireMeta, []byte, error) {
+// readSegment reads one referenced segment file and checks its size and
+// checksum against the manifest record. Every failure is
+// acknowledged-state corruption. It only reads the Store, so recovery runs
+// it concurrently.
+func (s *Store) readSegment(rec manifestRecord) ([]byte, error) {
 	path := s.path(rec.file)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, &CorruptError{Path: path, Detail: "acknowledged segment unreadable", Err: err}
+		return nil, &CorruptError{Path: path, Detail: "acknowledged segment unreadable", Err: err}
 	}
 	if len(data) != rec.size {
-		return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d bytes, manifest records %d", len(data), rec.size)}
+		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d bytes, manifest records %d", len(data), rec.size)}
 	}
 	if crc, ok := sketch.SegmentCRC(data); !ok || crc != rec.crc {
-		return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("segment checksum %08x, manifest records %08x", crc, rec.crc)}
+		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("segment checksum %08x, manifest records %08x", crc, rec.crc)}
 	}
+	return data, nil
+}
+
+// decodeSegment decodes and validates the bytes readSegment returned for
+// rec, returning their sketches and wire metadata: a typed error, never a
+// partial result. It only reads the Store, so recovery runs it
+// concurrently.
+func (s *Store) decodeSegment(rec manifestRecord, data []byte) ([]*sketch.BottomK, []sketch.WireMeta, error) {
+	path := s.path(rec.file)
 	decoded, err := sketch.DecodeSegment(data)
 	if err != nil {
-		return nil, nil, nil, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
+		return nil, nil, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
 	}
 	if len(decoded) != s.assignments || len(rec.fps) != s.assignments {
-		return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d sketches for %d assignments", len(decoded), s.assignments)}
+		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d sketches for %d assignments", len(decoded), s.assignments)}
 	}
 	sketches := make([]*sketch.BottomK, s.assignments)
 	metas := make([]sketch.WireMeta, s.assignments)
 	for b, d := range decoded {
 		if d.Meta.Assignment != b {
-			return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
+			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
 		}
 		if d.BottomK.Fingerprint() != rec.fps[b] {
-			return nil, nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d fingerprint %016x, manifest records %016x", b, d.BottomK.Fingerprint(), rec.fps[b])}
+			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d fingerprint %016x, manifest records %016x", b, d.BottomK.Fingerprint(), rec.fps[b])}
 		}
 		if s.writable {
 			if want := s.sample.Assigner().Fingerprint(b, s.sample.K); d.BottomK.Fingerprint() != want {
-				return nil, nil, nil, &MismatchError{Detail: fmt.Sprintf(
+				return nil, nil, &MismatchError{Detail: fmt.Sprintf(
 					"%s sketch %d was built under %v/%v/seed=%d/k=%d (fingerprint %016x), store opened for %v/%v/seed=%d/k=%d (fingerprint %016x)",
 					rec.file, b, d.Meta.Family, d.Meta.Mode, d.Meta.Seed, d.BottomK.K(),
 					d.BottomK.Fingerprint(), s.sample.Family, s.sample.Mode, s.sample.Seed, s.sample.K, want)}
@@ -961,7 +1143,7 @@ func (s *Store) loadSegment(rec manifestRecord) ([]*sketch.BottomK, []sketch.Wir
 		}
 		sketches[b], metas[b] = d.BottomK, d.Meta
 	}
-	return sketches, metas, data, nil
+	return sketches, metas, nil
 }
 
 // collectGarbage removes *.tmp orphans and segment files no manifest

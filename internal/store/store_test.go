@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"coordsample/internal/core"
@@ -795,11 +796,12 @@ func segmentFiles(t *testing.T, dir string) []string {
 	return segs
 }
 
-// TestCumulativeSegmentIsTheCommit: once the ring is full every commit
-// writes the caller's cumulative as the cumulative segment of epochs
-// 1..n, the manifest holds that one C record and the ring's E records
-// (which lie at or below it), and the bytes AppendMerged returns — and a
-// reopen hands back — are EncodeSegment of the cumulative.
+// TestCumulativeSegmentIsTheCommit: at retain 2 the checkpoint interval
+// ⌈retain/2⌉ is 1, so once the ring is full every commit writes the
+// caller's merge as the cumulative segment of epochs 1..n, the manifest
+// holds that one C record and the ring's E records (which lie at or below
+// it), and the bytes Commit returns — and a reopen hands back — are
+// EncodeSegment of the cumulative.
 func TestCumulativeSegmentIsTheCommit(t *testing.T) {
 	dir := t.TempDir()
 	epochs := buildEpochs(t, 5, 120)
@@ -813,7 +815,7 @@ func TestCumulativeSegmentIsTheCommit(t *testing.T) {
 	s := openWritable(t, dir, 2)
 	for i, set := range epochs {
 		cum := mergeAll(t, epochs[:i+1])
-		epoch, seg, err := s.AppendMerged(set, cum)
+		epoch, seg, err := s.Commit(set, func() ([]*sketch.BottomK, error) { return cum, nil })
 		if err != nil || epoch != i+1 {
 			t.Fatalf("append %d: epoch %d, err %v", i+1, epoch, err)
 		}
@@ -858,13 +860,15 @@ func manifestRecords(t *testing.T, dir string) string {
 
 // TestManifestRecordsThroughCommitSequence pins the manifest's records and
 // the segment files after each commit of one store's life: the ring fills
-// (retain 2), is full, a cumulative write fails (the ring grows one past
-// retain under the old C record), a reopen raises retain to 4, and the
-// ring fills and turns over again. Every commit replaces the manifest
-// with the header, the current C record and the ring.
+// (retain 2, a checkpoint every commit), is full, a cumulative write fails
+// (the ring grows one past retain under the old C record), a reopen raises
+// retain to 4 (a checkpoint every second commit), and the ring fills and
+// turns over again: commit 7 is no checkpoint, so it trims the ring under
+// C 6, and commit 8 is. Every commit replaces the manifest with the
+// header, the current C record and the ring.
 func TestManifestRecordsThroughCommitSequence(t *testing.T) {
 	dir := t.TempDir()
-	epochs := buildEpochs(t, 7, 100)
+	epochs := buildEpochs(t, 8, 100)
 	// Segment-write hits: epochs 1-3, cum 3, epoch 4, cum 4 (fires).
 	s := openWritableFaults(t, dir, 2, faults.MustParse(FaultSegmentWrite+":err,on=6"))
 	steps := []struct{ records, files string }{
@@ -874,7 +878,8 @@ func TestManifestRecordsThroughCommitSequence(t *testing.T) {
 		{"C 3, E 2, E 3, E 4", "cum-000003 epoch-000002 epoch-000003 epoch-000004"},
 		{"C 3, E 2, E 3, E 4, E 5", "cum-000003 epoch-000002 epoch-000003 epoch-000004 epoch-000005"},
 		{"C 6, E 3, E 4, E 5, E 6", "cum-000006 epoch-000003 epoch-000004 epoch-000005 epoch-000006"},
-		{"C 7, E 4, E 5, E 6, E 7", "cum-000007 epoch-000004 epoch-000005 epoch-000006 epoch-000007"},
+		{"C 6, E 4, E 5, E 6, E 7", "cum-000006 epoch-000004 epoch-000005 epoch-000006 epoch-000007"},
+		{"C 8, E 5, E 6, E 7, E 8", "cum-000008 epoch-000005 epoch-000006 epoch-000007 epoch-000008"},
 	}
 	for i, step := range steps {
 		if i == 4 {
@@ -896,4 +901,164 @@ func TestManifestRecordsThroughCommitSequence(t *testing.T) {
 	s.Close()
 	r := openWritable(t, dir, 4)
 	sameSketchSet(t, "recovered cumulative", r.Cumulative(), mergeAll(t, epochs))
+}
+
+// checkCheckpointedStore opens dir read-only beside its writer (no Close of
+// the writer: what a crash right now would leave) after commit n of epochs
+// at retain, and checks it: the cumulative is bit-identical to the offline
+// merge of epochs 1..n; the directory holds exactly LOCK, MANIFEST, the
+// ring's epoch segments and, once the ring has filled, one cum-<c>.seg,
+// c the last checkpoint commit (retain+1, then every ⌈retain/2⌉-th), so
+// lagging n by less than ⌈retain/2⌉; and Window answers every retained
+// window with the window's epochs.
+func checkCheckpointedStore(t *testing.T, dir string, epochs [][]*sketch.BottomK, retain, n int) {
+	t.Helper()
+	ro, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("retain %d, commit %d: reopen: %v", retain, n, err)
+	}
+	defer ro.Close()
+	if ro.Epoch() != n {
+		t.Fatalf("retain %d, commit %d: reopened at epoch %d", retain, n, ro.Epoch())
+	}
+	sameSketchSet(t, fmt.Sprintf("retain %d, commit %d: cumulative", retain, n), ro.Cumulative(), mergeAll(t, epochs[:n]))
+	ring := ro.Retained()
+	want := []string{"LOCK", "MANIFEST"}
+	if c, every := ro.cumRec.n, max(1, (retain+1)/2); n > retain {
+		// The first full-ring commit, retain+1, and every every-th after it.
+		if wantC := n - (n-retain-1)%every; c != wantC {
+			t.Fatalf("retain %d, commit %d: checkpoint through %d, want %d (a lag under %d)", retain, n, c, wantC, every)
+		}
+		want = append(want, segmentName("cum", c))
+	} else if c != 0 {
+		t.Fatalf("retain %d, commit %d: a checkpoint through %d before the ring filled", retain, n, c)
+	}
+	if len(ring) != min(n, retain) {
+		t.Fatalf("retain %d, commit %d: %d retained epochs, want %d", retain, n, len(ring), min(n, retain))
+	}
+	for i, rec := range ring {
+		if rec.Epoch != n-len(ring)+1+i {
+			t.Fatalf("retain %d, commit %d: retained[%d] is epoch %d", retain, n, i, rec.Epoch)
+		}
+		want = append(want, segmentName("epoch", rec.Epoch))
+	}
+	var names []string
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(names, want) {
+		t.Fatalf("retain %d, commit %d: directory holds %v, want %v", retain, n, names, want)
+	}
+	for i, lo := range ring {
+		for _, hi := range ring[i:] {
+			sets, err := Window(ring, n, lo.Epoch, hi.Epoch)
+			if err != nil {
+				t.Fatalf("retain %d, commit %d: window %d..%d: %v", retain, n, lo.Epoch, hi.Epoch, err)
+			}
+			label := fmt.Sprintf("retain %d, commit %d: window %d..%d", retain, n, lo.Epoch, hi.Epoch)
+			sameSketchSet(t, label, mergeAll(t, sets), mergeAll(t, epochs[lo.Epoch-1:hi.Epoch]))
+		}
+	}
+}
+
+// TestCheckpointMatrix: at every retain the cumulative segment is a
+// checkpoint written by the first full-ring commit and then by every
+// ⌈retain/2⌉-th, and a store read after any commit — with the writer
+// still open, as a crash would leave it — recovers the exact cumulative
+// from the checkpoint and the epochs above it, holds retain epoch segments
+// plus one checkpoint, and answers every retained window.
+func TestCheckpointMatrix(t *testing.T) {
+	for _, retain := range []int{0, 1, 2, 3, 8, 16} {
+		n := 3*((retain+1)/2) + 2
+		epochs := buildEpochs(t, n, 40)
+		dir := t.TempDir()
+		s := openWritable(t, dir, retain)
+		for i, set := range epochs {
+			if epoch, err := s.AppendEpoch(set); err != nil || epoch != i+1 {
+				t.Fatalf("retain %d: commit %d: epoch %d, err %v", retain, i+1, epoch, err)
+			}
+			checkCheckpointedStore(t, dir, epochs, retain, i+1)
+		}
+	}
+}
+
+// TestCheckpointWriteFaultKeepsUncoveredEpochs: a segment-write fault on a
+// checkpoint's cumulative segment is a *CompactionError; the epoch is
+// acknowledged, the ring then keeps every epoch the old C record does not
+// cover (one past retain), and the next commit — a checkpoint again —
+// catches up. At retain 4 (a checkpoint every 2 commits) hit 6 is the
+// first checkpoint's cumulative segment (commit 5, when no C record exists
+// yet) and hit 12 a later one's (commit 9, under C 7).
+func TestCheckpointWriteFaultKeepsUncoveredEpochs(t *testing.T) {
+	const retain = 4
+	for _, c := range []struct{ hit, failing int }{{6, 5}, {12, 9}} {
+		epochs := buildEpochs(t, 10, 40)
+		dir := t.TempDir()
+		s := openWritableFaults(t, dir, retain, faults.MustParse(fmt.Sprintf("%s:err,on=%d", FaultSegmentWrite, c.hit)))
+		for i, set := range epochs {
+			n := i + 1
+			epoch, err := s.AppendEpoch(set)
+			var comp *CompactionError
+			if epoch != n || (n == c.failing) != errors.As(err, &comp) || n != c.failing && err != nil {
+				t.Fatalf("hit %d: commit %d: epoch %d, err %v", c.hit, n, epoch, err)
+			}
+			ring := s.Retained()
+			if ring[0].Epoch > s.cumRec.n+1 {
+				t.Fatalf("hit %d: commit %d dropped epochs %d..%d, which C %d does not cover", c.hit, n, s.cumRec.n+1, ring[0].Epoch-1, s.cumRec.n)
+			}
+			if want := min(n, retain) + map[bool]int{true: 1}[n == c.failing]; len(ring) != want {
+				t.Fatalf("hit %d: commit %d: %d retained epochs, want %d", c.hit, n, len(ring), want)
+			}
+			if n == c.failing+1 && s.cumRec.n != n {
+				t.Fatalf("hit %d: commit %d is under C %d, want the catch-up checkpoint", c.hit, n, s.cumRec.n)
+			}
+			ro, err := Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatalf("hit %d: commit %d: reopen: %v", c.hit, n, err)
+			}
+			sameSketchSet(t, fmt.Sprintf("hit %d: commit %d: cumulative", c.hit, n), ro.Cumulative(), mergeAll(t, epochs[:n]))
+			ro.Close()
+		}
+	}
+}
+
+// TestReadersDuringCommits: the Store's readers do not wait for a commit's
+// merge and writes, so they run beside commits; under -race every reader
+// sees a consistent acknowledged state (its ring ends at its epoch) while
+// epochs are committed at retain 3.
+func TestReadersDuringCommits(t *testing.T) {
+	epochs := buildEpochs(t, 12, 40)
+	s := openWritable(t, t.TempDir(), 3)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				s.mu.Lock()
+				epoch, ring := s.epoch, s.retained
+				s.mu.Unlock()
+				if n := len(ring); n > 0 && ring[n-1].Epoch != epoch {
+					t.Errorf("ring ends at %d, epoch %d", ring[n-1].Epoch, epoch)
+					return
+				}
+				_, _, _ = s.Cumulative(), s.DiskBytes(), s.SegmentKeyRatio()
+			}
+		}()
+	}
+	appendAll(t, s, epochs)
+	close(done)
+	wg.Wait()
+	sameSketchSet(t, "cumulative", s.Cumulative(), mergeAll(t, epochs))
 }
