@@ -505,6 +505,10 @@ func TestAppendEpochDuplicateKeyIsAnError(t *testing.T) {
 	if epoch, err := s.AppendEpoch(epoch("dup", "two")); err == nil || !strings.Contains(err.Error(), `key "dup"`) {
 		t.Fatalf("AppendEpoch = epoch %d, err %v; want an error naming key \"dup\"", epoch, err)
 	}
+	// The refused epoch's segment, written while the merge ran, is removed.
+	if got := segmentFiles(t, dir); !slices.Equal(got, []string{segmentName("epoch", 1)}) {
+		t.Fatalf("after the refused append the directory holds %v, want only epoch 1's segment", got)
+	}
 	if got, err := s.AppendEpoch(epoch("three")); err != nil || got != 2 {
 		t.Fatalf("the append after the refused one: epoch %d, err %v; want 2, nil", got, err)
 	}
