@@ -405,9 +405,12 @@ func metasFor(sample core.Config, assignments int) []sketch.WireMeta {
 	return metas
 }
 
-// Close releases the writer lock. The store's durable state needs no
-// shutdown — every acknowledged epoch is already fsynced.
+// Close releases the writer lock, after any commit in flight. The store's
+// durable state needs no shutdown — every acknowledged epoch is already
+// fsynced.
 func (s *Store) Close() error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.releaseLock()
@@ -527,8 +530,8 @@ func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
 // sketches; Commit calls it once, after encoding the epoch segment — the
 // encoder hands the epoch's sketches their key orders, so a merge of
 // ordered inputs derives the cumulative's — and while the segment is
-// written. The Store's readers do not wait for the merge, and it must not
-// Commit. A merge error is returned as is, and nothing is acknowledged.
+// written. The Store's readers do not wait for the merge, which must not
+// call Commit or Close. A merge error is returned as is, and nothing is acknowledged.
 // On a nil error the epoch is acknowledged, and any crash afterwards
 // recovers it bit-identically. A checkpoint commit (see the package
 // documentation) also writes the merge as the cumulative segment and

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"coordsample/internal/core"
 	"coordsample/internal/faults"
@@ -1065,4 +1066,35 @@ func TestReadersDuringCommits(t *testing.T) {
 	close(done)
 	wg.Wait()
 	sameSketchSet(t, "cumulative", s.Cumulative(), mergeAll(t, epochs))
+}
+
+// TestCloseWaitsForCommit: Close releases the writer lock only after a
+// commit in flight — here one whose merge is still running — is
+// acknowledged, so no second writer can open the directory under it.
+func TestCloseWaitsForCommit(t *testing.T) {
+	epochs := buildEpochs(t, 1, 40)
+	dir := t.TempDir()
+	s := openWritable(t, dir, 2)
+	merging, closed := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-merging
+		s.Close()
+		close(closed)
+	}()
+	_, _, err := s.Commit(epochs[0], func() ([]*sketch.BottomK, error) {
+		close(merging)
+		select {
+		case <-closed:
+			t.Error("Close returned while a commit was merging")
+		case <-time.After(50 * time.Millisecond):
+		}
+		return epochs[0], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-closed
+	if r := openWritable(t, dir, 2); r.Epoch() != 1 {
+		t.Fatalf("reopened at epoch %d, want 1", r.Epoch())
+	}
 }
