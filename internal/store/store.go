@@ -590,6 +590,10 @@ func (s *Store) Commit(sketches []*sketch.BottomK, merge func() ([]*sketch.Botto
 	if err == nil && len(cum) != s.assignments {
 		err = fmt.Errorf("store: merge returned %d sketches for %d assignments", len(cum), s.assignments)
 	}
+	if err == nil && cf != nil { // while the epoch segment may still be written
+		cf.sketches = cum
+		cf.err = s.encode(cf)
+	}
 	werr := <-written
 	if err != nil {
 		if ep.err == nil {
@@ -601,8 +605,7 @@ func (s *Store) Commit(sketches []*sketch.BottomK, merge func() ([]*sketch.Botto
 		return 0, nil, werr
 	}
 	if cf != nil {
-		cf.sketches = cum
-		if cf.err = s.encode(cf); cf.err == nil {
+		if cf.err == nil {
 			c = manifestRecord{kind: 'C', n: epoch, file: cf.name, size: len(cf.data), crc: cf.crc, fps: fingerprints(cum)}
 			if err := s.writeBeside(cf, manifest, s.manifestText(c, ring[cut:])); cf.err == nil && err != nil {
 				return 0, nil, err
