@@ -159,8 +159,7 @@ func (d *Dispersed) RangeDiscarded(R []int) AWSummary {
 	if len(R) != 2 {
 		return d.RangeLSet(R)
 	}
-	v := d.View(R)
-	return subScaled(totalParts(v, true), awMinLSet(v), 2)
+	return subScaled(d.TotalDiscarded(R), d.MinLSet(R), 2)
 }
 
 // JaccardDiscarded estimates the weighted Jaccard similarity

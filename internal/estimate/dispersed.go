@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
@@ -36,9 +37,16 @@ type AssignmentSketch interface {
 // per weight assignment, where assignment b's sketch was built independently
 // of all other assignments using the shared rank Assigner. The weight
 // w^(b)(i) is known only when i is in the sketch of b.
+//
+// A summary keeps the sample view of every assignment subset it has been
+// asked for (View): it must be built over sketches that no longer change,
+// and it pins the views for as long as it lives.
 type Dispersed struct {
 	assigner rank.Assigner
 	sketches []AssignmentSketch
+
+	viewMu sync.Mutex
+	views  map[string]*SampleView // by R, uvarint-encoded in R's order
 }
 
 // asSketches widens concrete sketches to the interface the summaries hold.
@@ -112,43 +120,36 @@ func topLMin(w []float64, _ []int) float64 { return w[len(w)-1] }
 // assignments). For consistent ranks this is the s-set = l-set estimator of
 // Eq. (11); for independent ranks it is the known-seeds l-set estimator with
 // ℓ = 1 — an extension enabled by hash-derived (hence always known) seeds.
-func (d *Dispersed) Max(R []int) AWSummary { return awMax(d.View(R)) }
-
-func awMax(v *SampleView) AWSummary {
-	if v.assigner.Mode.Consistent() {
-		return awSSetTopL(v, 1, topLMax)
+func (d *Dispersed) Max(R []int) AWSummary {
+	if d.assigner.Mode.Consistent() {
+		return d.SSetTopL(R, 1, topLMax)
 	}
-	return awLSetTopL(v, 1, topLMax)
+	return d.LSetTopL(R, 1, topLMax)
 }
-
-// awMinSSet and awMinLSet are the two min estimators over a view: ℓ = |R|.
-func awMinSSet(v *SampleView) AWSummary { return awSSetTopL(v, v.NumAssignments(), topLMin) }
-func awMinLSet(v *SampleView) AWSummary { return awLSetTopL(v, v.NumAssignments(), topLMin) }
 
 // MinSSet returns the s-set estimator for f = w^(minR) (Eq. 12). Defined for
 // both consistent and independent ranks (min-dependence needs no top-ℓ
 // identification).
-func (d *Dispersed) MinSSet(R []int) AWSummary { return awMinSSet(d.View(R)) }
+func (d *Dispersed) MinSSet(R []int) AWSummary {
+	v := d.View(R)
+	return awSSetTopL(v, v.NumAssignments(), topLMin)
+}
 
 // MinLSet returns the l-set estimator for f = w^(minR) (Eq. 15 for
 // shared-seed, Eq. 16 for independent ranks). It dominates MinSSet
 // (Lemma 5.1): its selection is strictly more inclusive.
-func (d *Dispersed) MinLSet(R []int) AWSummary { return awMinLSet(d.View(R)) }
+func (d *Dispersed) MinLSet(R []int) AWSummary {
+	v := d.View(R)
+	return awLSetTopL(v, v.NumAssignments(), topLMin)
+}
 
 // RangeSSet returns a^(L1 R) = a^(maxR) − a^(minR) (Eq. 17) with the s-set
-// min estimator. Nonnegative for consistent ranks (Lemma 7.5). Both parts
-// read one view of R.
-func (d *Dispersed) RangeSSet(R []int) AWSummary {
-	v := d.View(R)
-	return Sub(awMax(v), awMinSSet(v))
-}
+// min estimator. Nonnegative for consistent ranks (Lemma 7.5).
+func (d *Dispersed) RangeSSet(R []int) AWSummary { return Sub(d.Max(R), d.MinSSet(R)) }
 
 // RangeLSet returns a^(L1 R) = a^(maxR) − a^(minR) (Eq. 17) with the l-set
 // min estimator.
-func (d *Dispersed) RangeLSet(R []int) AWSummary {
-	v := d.View(R)
-	return Sub(awMax(v), awMinLSet(v))
-}
+func (d *Dispersed) RangeLSet(R []int) AWSummary { return Sub(d.Max(R), d.MinLSet(R)) }
 
 // LthLargest returns the estimator for f = w^(ℓth-largest R) using the l-set
 // selection (the tightest template estimator for this f).

@@ -1,7 +1,9 @@
 package estimate
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 
 	"coordsample/internal/rank"
@@ -35,8 +37,8 @@ type KeyRow struct {
 // thresholds. It is the seam between sample assembly and estimation — the
 // raw material both the AW estimator family (s-set/l-set templates,
 // Section 7 of the paper) and the discarded-samples family (arXiv:0903.0625)
-// consume, assembled once and shared by every estimator run over the same
-// (summary, R) pair.
+// consume, assembled once per (summary, R) pair and shared by every
+// estimator run over it (Dispersed.View keeps it).
 //
 // Rows are in ascending key order; Obs slices are in R order (the caller's
 // subset order, not necessarily ascending assignment index).
@@ -46,17 +48,48 @@ type SampleView struct {
 	rows     []KeyRow
 }
 
-// View assembles the cross-assignment sample view over the assignment
-// subset R (nil means all assignments). The view is immutable; estimators
-// only read it.
+// View returns the cross-assignment sample view over the assignment subset
+// R (nil means all assignments, the same view as R listing them all in
+// order). The summary keeps one view per R, in R's order: the first call
+// for R builds it, every later one — any aggregate, either estimator
+// family — reads the same rows. The view is immutable, so concurrent
+// callers share it; like Merged.SummaryFor, the build runs outside the
+// lock and racing builds keep whichever is stored first (the join is
+// deterministic). The view keeps its own copy of R.
+func (d *Dispersed) View(R []int) *SampleView {
+	R = d.checkR(R)
+	var buf [32]byte
+	key := buf[:0]
+	for _, b := range R {
+		key = binary.AppendUvarint(key, uint64(b))
+	}
+	d.viewMu.Lock()
+	v, ok := d.views[string(key)]
+	d.viewMu.Unlock()
+	if ok {
+		return v
+	}
+	v = d.buildView(slices.Clone(R))
+	d.viewMu.Lock()
+	defer d.viewMu.Unlock()
+	if prior, ok := d.views[string(key)]; ok {
+		return prior
+	}
+	if d.views == nil {
+		d.views = make(map[string]*SampleView)
+	}
+	d.views[string(key)] = v
+	return v
+}
+
+// buildView assembles the view of R for View.
 //
 // The sample of a multi-assignment query is the union of the per-assignment
 // samples, assembled by an |R|-way merge join over the sketches' key-ordered
 // columns: rows come out in ascending key order with no hashing and no sort.
 // The join records for each row which sketches hold its key; the rows are
 // then allocated at their exact number and filled from that record.
-func (d *Dispersed) View(R []int) *SampleView {
-	R = d.checkR(R)
+func (d *Dispersed) buildView(R []int) *SampleView {
 	type column struct {
 		entries []sketch.Entry
 		order   []int32 // entries' indexes in ascending key order

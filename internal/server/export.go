@@ -101,11 +101,12 @@ func (s *Server) sketchSet(snap *snapshot, epochs, ifNoneMatch string) (string, 
 	if _, err := store.Window(snap.retained, snap.epoch, lo, hi); err != nil {
 		return "", nil, &WindowError{http.StatusBadRequest, err}
 	}
-	etag := fmt.Sprintf(`"%s-%d..%d"`, s.nonce, lo, hi)
+	span := fmt.Sprintf("%d..%d", lo, hi)
+	etag := `"` + s.nonce + "-" + span + `"`
 	if etag == ifNoneMatch {
 		return etag, nil, nil
 	}
-	rs, werr := s.window(snap, nil, lo, hi, nil)
+	rs, werr := s.window(snap, nil, span, lo, hi, nil)
 	if werr != nil {
 		return "", nil, werr
 	}

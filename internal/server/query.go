@@ -23,7 +23,8 @@ type WindowError struct {
 
 func (e *WindowError) HTTPStatus() int { return e.Code }
 
-// window serves one request's ?epochs=lo..hi: the (memoized) serving state
+// window serves one request's ?epochs=lo..hi (span, the window spelled
+// "lo..hi" however it was asked): the (memoized) serving state
 // of the window with the assignments bs — the ones the request reads —
 // merged. The window's epochs hold disjoint key sets under the
 // pre-aggregation contract, so an assignment's epoch sketches merge into its
@@ -35,17 +36,16 @@ func (e *WindowError) HTTPStatus() int { return e.Code }
 // one key, which the freezes' cumulative merges cannot see once the tighter
 // cumulative threshold has pruned a copy. Nothing is kept of the refused
 // assignment; the others, and every other window, keep answering.
-func (s *Server) window(snap *snapshot, tr *obs.Trace, lo, hi int, bs []int) (*core.Merged, *WindowError) {
+func (s *Server) window(snap *snapshot, tr *obs.Trace, span string, lo, hi int, bs []int) (*core.Merged, *WindowError) {
 	sets, err := store.Window(snap.retained, snap.epoch, lo, hi)
 	if err != nil {
 		return nil, &WindowError{http.StatusBadRequest, err}
 	}
-	key := fmt.Sprintf("%d..%d", lo, hi)
 	snap.rangeMu.Lock()
-	rs, ok := snap.ranges[key]
+	rs, ok := snap.ranges[span]
 	if !ok {
 		rs = core.NewMerged(s.cfg.Sample, sets)
-		snap.ranges[key] = rs
+		snap.ranges[span] = rs
 	}
 	snap.rangeMu.Unlock()
 	start := time.Now()
@@ -88,7 +88,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// by cliquery.AnswerVia, so the snapshot caches never alias across
 	// estimators).
 	sp := tr.Start("parse")
-	p, err := cliquery.ParseHTTPParams(r.URL.Query(), s.cfg.Assignments)
+	q := r.URL.Query()
+	p, err := cliquery.ParseHTTPParams(q, s.cfg.Assignments)
 	sp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -103,7 +104,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	state, resp := snap.cum, map[string]any{"epoch": snap.epoch}
 	if p.Epochs != "" {
 		var werr *WindowError
-		if state, werr = s.window(snap, tr, p.Lo, p.Hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments)); werr != nil {
+		if state, werr = s.window(snap, tr, p.Epochs, p.Lo, p.Hi, cliquery.Reads(p.Agg, p.B, p.R, s.cfg.Assignments)); werr != nil {
 			writeError(w, werr.Code, "%v", werr)
 			return
 		}
@@ -119,7 +120,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.om.queryAW.Record(time.Since(started))
 	}
-	if r.URL.Query().Get("trace") == "1" {
+	if q.Get("trace") == "1" {
 		resp["trace"] = tr.Report()
 	}
 	writeJSON(w, http.StatusOK, resp)

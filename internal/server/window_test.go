@@ -267,6 +267,30 @@ func TestWindowMergesOnlyWhatQueriesRead(t *testing.T) {
 	}
 }
 
+// TestWindowSpellingsShareOneState: ?epochs=2 and ?epochs=2..2 are one
+// window — one state, merged once, answered as "2..2" both times.
+func TestWindowSpellingsShareOneState(t *testing.T) {
+	s, base := windowServer(t, windowCfg(), chunkEpochs(windowStream(400, 34), 3))
+	for _, epochs := range []string{"2", "2..2", " 2 .. 2"} {
+		resp, err := http.Get(base + "/query?agg=total&epochs=" + url.QueryEscape(epochs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := decodeJSONBody(t, resp.Body)
+		resp.Body.Close()
+		if body["epochs"] != "2..2" {
+			t.Fatalf("epochs=%q answered as window %v, want 2..2", epochs, body["epochs"])
+		}
+	}
+	snap := s.snap.Load()
+	snap.rangeMu.Lock()
+	n := len(snap.ranges)
+	snap.rangeMu.Unlock()
+	if n != 1 || s.mergedAssignments.Load() != 4 {
+		t.Errorf("three spellings of one window: %d window states, %d assignments merged; want 1 and 4", n, s.mergedAssignments.Load())
+	}
+}
+
 // TestWindowConcurrentQueriesMergeOnce: 32 concurrent queries with
 // overlapping assignment sets on one fresh window merge each assignment
 // once, and all answer as the serial oracle does.
