@@ -353,6 +353,7 @@ func (p *peer) status() (PeerState, int, int) {
 // it on shutdown.
 type Router struct {
 	cfg    Config
+	fps    []uint64 // the configuration's fingerprint of each assignment: what a fetched set must carry
 	pol    policy
 	client *http.Client
 	peers  []*peer
@@ -427,6 +428,10 @@ func newRouter(cfg Config, pol policy) (*Router, error) {
 		jitter: rand.New(rand.NewSource(0)),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+		fps:    make([]uint64, cfg.Assignments),
+	}
+	for b := range r.fps {
+		r.fps[b] = cfg.Sample.Assigner().Fingerprint(b, cfg.Sample.K)
 	}
 	if r.traces == nil {
 		r.traces = obs.NewTraceRing(64)
@@ -667,19 +672,9 @@ func (r *Router) fetchOnce(ctx context.Context, p *peer, epochs string) (*fetchR
 	if err != nil {
 		return nil, fmt.Errorf("cluster: segment from %s failed validation: %w", addr, err)
 	}
-	if len(decoded) != r.cfg.Assignments {
-		return nil, fmt.Errorf("cluster: %s sent %d sketches for %d assignments", addr, len(decoded), r.cfg.Assignments)
-	}
-	assigner := r.cfg.Sample.Assigner()
-	sketches := make([]*sketch.BottomK, r.cfg.Assignments)
-	for b, d := range decoded {
-		if d.Meta.Assignment != b {
-			return nil, fmt.Errorf("cluster: %s sketch %d describes assignment %d", addr, b, d.Meta.Assignment)
-		}
-		if want := assigner.Fingerprint(b, r.cfg.Sample.K); d.BottomK.Fingerprint() != want {
-			return nil, fmt.Errorf("cluster: %s sketch %d fingerprint %016x does not match the cluster configuration (%016x) — merging would corrupt every estimate", addr, b, d.BottomK.Fingerprint(), want)
-		}
-		sketches[b] = d.BottomK
+	sketches, err := sketch.CheckSet(decoded, r.fps)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s sent a sketch set the cluster configuration does not describe (merging it would corrupt every estimate): %w", addr, err)
 	}
 	set := &peerSet{etag: etag, sketches: sketches}
 	p.sets.put(epochs, set)
@@ -914,7 +909,8 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		r.traces.Add(rep)
 	}()
 	sp := tr.Start("parse")
-	p, err := cliquery.ParseHTTPParams(req.URL.Query(), r.cfg.Assignments)
+	q := req.URL.Query()
+	p, err := cliquery.ParseHTTPParams(q, r.cfg.Assignments)
 	sp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -986,7 +982,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if reached < total {
 		r.log.Warn("degraded cluster query", "agg", p.Agg, "reached", reached, "total", total)
 	}
-	if req.URL.Query().Get("trace") == "1" {
+	if q.Get("trace") == "1" {
 		resp["trace"] = tr.Report()
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -433,6 +433,101 @@ func TestTornPeerResponseCaughtAndRetried(t *testing.T) {
 	}
 }
 
+// TestMisShapedPeerSetIsAPeerFailure: a peer whose /sketches segment decodes
+// but is not one assignment-ordered set under the cluster's configuration —
+// built under another seed, holding another number of assignments, or its
+// sketches out of assignment order — fails its fetch like a torn response:
+// retried, then left out of a degraded answer that is exact over the other
+// peers' keys. The set is never merged and never kept.
+func TestMisShapedPeerSetIsAPeerFailure(t *testing.T) {
+	offers := testOffers(300, 13)
+	var survivors, own []server.Offer // own: what peer 2 holds
+	for _, o := range offers {
+		if shard.ShardOf(o.Key, 3) == 2 {
+			own = append(own, o)
+		} else {
+			survivors = append(survivors, o)
+		}
+	}
+	want := referenceEstimates(t, survivors, []string{"agg=sum&b=0"})["agg=sum&b=0"]
+	tc := newTestCluster(t, 3, Config{}, testPolicy, nil)
+	tc.ingest(t, offers)
+	tc.clusterFreeze(t)
+	other := testSample
+	other.Seed++
+	for _, c := range []struct {
+		name, why string
+		cfg       core.Config
+		order     []int
+	}{
+		{"seed", "fingerprint", other, []int{0, 1}},
+		{"assignments", "3 sketches for 2 assignments", testSample, []int{0, 1, 2}},
+		{"order", "sketch 0 describes assignment 1", testSample, []int{1, 0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			seg := ownSegment(t, c.cfg, own, c.order)
+			var fetches atomic.Int64
+			rogue := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				fetches.Add(1)
+				w.Header().Set("ETag", `"rogue-1"`)
+				w.Header().Set("X-CWS-Epoch", "1")
+				w.Write(seg)
+			}))
+			t.Cleanup(rogue.Close)
+			peers := []string{tc.addrs[0], tc.addrs[1], strings.TrimPrefix(rogue.URL, "http://")}
+			r, err := newRouter(Config{Peers: peers, Self: -1, Sample: testSample, Assignments: testAssignments}, testPolicy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Close)
+			rec := httptest.NewRecorder()
+			r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster/query?agg=sum&b=0", nil))
+			var body map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("query status %d, body %s", rec.Code, rec.Body)
+			}
+			if body["degraded"] != true || body["coverage"].(float64) != 2.0/3.0 {
+				t.Fatalf("degraded %v, coverage %v; want true, 2/3", body["degraded"], body["coverage"])
+			}
+			if got := body["estimate"].(float64); got != want {
+				t.Errorf("estimate %v != the other peers' exact answer %v: the set was merged", got, want)
+			}
+			if report := body["peers"].([]any)[2].(map[string]any); !strings.Contains(report["error"].(string), c.why) {
+				t.Errorf("peer report %v does not say %q", report, c.why)
+			}
+			if n := fetches.Load(); n != int64(1+testPolicy.retries) {
+				t.Errorf("%d fetches of the mis-shaped set, want %d (retried)", n, 1+testPolicy.retries)
+			}
+			if _, kept := r.peers[2].sets.get(""); kept {
+				t.Error("the mis-shaped set was kept")
+			}
+		})
+	}
+}
+
+// ownSegment encodes the sketches of offers under cfg for the assignments of
+// order, in that order.
+func ownSegment(t *testing.T, cfg core.Config, offers []server.Offer, order []int) []byte {
+	t.Helper()
+	a, all := cfg.Assigner(), cfg.WireMetas(len(order))
+	var metas []sketch.WireMeta
+	var sketches []*sketch.BottomK
+	for _, b := range order {
+		bld := sketch.NewBottomKBuilderWithFingerprint(cfg.K, a.Fingerprint(b, cfg.K))
+		for _, o := range offers {
+			if o.Assignment == b {
+				bld.Offer(o.Key, a.Rank(o.Key, b, o.Weight), o.Weight)
+			}
+		}
+		metas, sketches = append(metas, all[b]), append(sketches, bld.Sketch())
+	}
+	data, _, err := sketch.MarshalSegment(metas, sketches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestHedgedRequestCutsStragglerLatency: with hedging on, one straggling
 // attempt (injected 3s latency) does not hold the whole scatter hostage —
 // the hedged duplicate answers and the query completes fast and exact.

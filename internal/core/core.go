@@ -44,6 +44,16 @@ func (c Config) Assigner() rank.Assigner {
 	return rank.Assigner{Family: c.Family, Mode: c.Mode, Seed: c.Seed}
 }
 
+// WireMetas returns the wire metadata of the configuration's sketches of
+// assignments 0..assignments−1, in order: what a segment of them records.
+func (c Config) WireMetas(assignments int) []sketch.WireMeta {
+	metas := make([]sketch.WireMeta, assignments)
+	for b := range metas {
+		metas[b] = sketch.WireMeta{Family: c.Family, Mode: c.Mode, Seed: c.Seed, Assignment: b}
+	}
+	return metas
+}
+
 // Check reports whether the configuration is usable: k ≥ 1, a known rank
 // family and coordination mode, and independent-differences only paired
 // with EXP ranks (its construction is EXP-specific, Theorem 4.1). Library

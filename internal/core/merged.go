@@ -16,15 +16,17 @@ import (
 // freeze the cumulative and the new epoch), one of its epoch windows, or the
 // router's gather of its peers — merged per assignment, on first use
 // (Section 7: an assignment's sketch is built, merged and read independently
-// of the others). It is the one place a served sketch set is merged. A
-// query calls Ensure
-// for the assignments it reads (cliquery.Reads) and then reads them through
-// Summary, whose sketches are the state's slots; an assignment is merged at
-// most once per state, and one nobody reads costs nothing. The state is
-// shared between concurrent queries, so it is written once, in NewMerged:
-// its fields are unexported, so no other package can write one, and the
-// slots and the memo are internally synchronized (TestMergedConcurrentEnsure
-// and the server's TestWindowConcurrentQueriesMergeOnce pin this under -race).
+// of the others). It is the one place a served sketch set is merged: the
+// store's recovery (checkpoint and the ring epochs above it) and its
+// AppendEpoch merge through it too, ensuring every assignment. A query
+// calls Ensure for the assignments it reads (cliquery.Reads) and then reads
+// them through Summary, whose sketches are the state's slots; an assignment
+// is merged at most once per state, and one nobody reads costs nothing. The
+// state is shared between concurrent queries, so it is written once, in
+// NewMerged: its fields are unexported, so no other package can write one,
+// and the slots and the memo are internally synchronized
+// (TestMergedConcurrentEnsure and the server's
+// TestWindowConcurrentQueriesMergeOnce pin this under -race).
 type Merged struct {
 	summary  *estimate.Dispersed
 	assigner rank.Assigner

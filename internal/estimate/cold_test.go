@@ -107,6 +107,18 @@ func TestSummarySharedViewAllocations(t *testing.T) {
 	}
 }
 
+// TestWarmViewAllocations: a view the summary keeps is found without an
+// allocation, for nil R (all assignments) as for an explicit subset.
+func TestWarmViewAllocations(t *testing.T) {
+	d := coldDispersed(64, 4)
+	for _, R := range [][]int{nil, {0, 3}, {0, 1, 2, 3}} {
+		d.View(R)
+		if allocs := testing.AllocsPerRun(10, func() { d.View(R) }); allocs != 0 {
+			t.Errorf("warm View(%#v): %v allocations, want 0", R, allocs)
+		}
+	}
+}
+
 var (
 	viewSink    *SampleView
 	summarySink AWSummary

@@ -44,6 +44,7 @@ type AssignmentSketch interface {
 type Dispersed struct {
 	assigner rank.Assigner
 	sketches []AssignmentSketch
+	all      []int // 0..|W|−1, what checkR makes of a nil R; never written
 
 	viewMu sync.Mutex
 	views  map[string]*SampleView // by R, uvarint-encoded in R's order
@@ -77,7 +78,7 @@ func NewDispersedFromSketches(assigner rank.Assigner, sketches []AssignmentSketc
 	if len(sketches) == 0 {
 		panic("estimate: dispersed summary needs at least one sketch")
 	}
-	return &Dispersed{assigner: assigner, sketches: sketches}
+	return &Dispersed{assigner: assigner, sketches: sketches, all: allR(len(sketches))}
 }
 
 // NumAssignments returns |W|.
@@ -204,7 +205,7 @@ func JaccardRatio(mn, mx float64) float64 {
 
 func (d *Dispersed) checkR(R []int) []int {
 	if R == nil {
-		return allR(len(d.sketches))
+		return d.all
 	}
 	if len(R) == 0 {
 		panic("estimate: empty assignment subset R")

@@ -134,11 +134,7 @@ func (s *Server) encodeExport(sketches []*sketch.BottomK) []byte {
 // exportSegment encodes sketches as a /sketches segment; they are this
 // server's own, so a failure is a programming error.
 func (s *Server) exportSegment(sketches []*sketch.BottomK) []byte {
-	metas := make([]sketch.WireMeta, len(sketches))
-	for b := range metas {
-		metas[b] = sketch.WireMeta{Family: s.cfg.Sample.Family, Mode: s.cfg.Sample.Mode, Seed: s.cfg.Sample.Seed, Assignment: b}
-	}
-	data, _, err := sketch.MarshalSegment(metas, sketches)
+	data, _, err := sketch.MarshalSegment(s.cfg.Sample.WireMetas(len(sketches)), sketches)
 	if err != nil {
 		panic(fmt.Sprintf("server: %v", err))
 	}

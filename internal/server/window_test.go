@@ -184,12 +184,8 @@ func checkWindowExports(t *testing.T, cfg Config, base, epochsParam string, eage
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: status %d, err %v: %s", path, resp.StatusCode, err, got)
 	}
-	metas := make([]sketch.WireMeta, len(eager))
-	for b := range metas {
-		metas[b] = sketch.WireMeta{Family: cfg.Sample.Family, Mode: cfg.Sample.Mode, Seed: cfg.Sample.Seed, Assignment: b}
-	}
 	var want bytes.Buffer
-	if _, err := sketch.EncodeSegment(&want, metas, eager); err != nil {
+	if _, err := sketch.EncodeSegment(&want, cfg.Sample.WireMetas(len(eager)), eager); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {

@@ -53,6 +53,29 @@ type Decoded struct {
 // decoded sketch.
 func (d *Decoded) Fingerprint() uint64 { return d.BottomK.Fingerprint() }
 
+// CheckSet checks that decoded is one sketch set in assignment order — one
+// sketch per fingerprint of fps, sketch b describing assignment b and
+// carrying fps[b] (else a *FingerprintMismatchError) — and returns its
+// sketches. The store checks each segment against its manifest record with
+// it, the cluster router each peer's /sketches response against its
+// configuration.
+func CheckSet(decoded []*Decoded, fps []uint64) ([]*BottomK, error) {
+	if len(decoded) != len(fps) {
+		return nil, fmt.Errorf("sketch: %d sketches for %d assignments", len(decoded), len(fps))
+	}
+	sketches := make([]*BottomK, len(decoded))
+	for b, d := range decoded {
+		if d.Meta.Assignment != b {
+			return nil, fmt.Errorf("sketch: sketch %d describes assignment %d", b, d.Meta.Assignment)
+		}
+		if d.Fingerprint() != fps[b] {
+			return nil, &FingerprintMismatchError{Index: b, Want: fps[b], Got: d.Fingerprint()}
+		}
+		sketches[b] = d.BottomK
+	}
+	return sketches, nil
+}
+
 // Single-sketch "CWSK" file constants (the embedded files of a version-1
 // segment; nothing writes them any more).
 const (

@@ -542,3 +542,36 @@ func BenchmarkSegmentDecode(b *testing.B) {
 		})
 	}
 }
+
+// TestCheckSet: a decoded set passes only as one sketch per fingerprint, in
+// assignment order, each carrying its fingerprint; a wrong fingerprint is a
+// typed *FingerprintMismatchError at its index.
+func TestCheckSet(t *testing.T) {
+	_, sketches, data, _ := buildSegmentFixture(t, 8, 20)
+	decoded, err := DecodeSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := []uint64{sketches[0].Fingerprint(), sketches[1].Fingerprint()}
+	got, err := CheckSet(decoded, fps)
+	if err != nil || len(got) != 2 || got[0] != decoded[0].BottomK || got[1] != decoded[1].BottomK {
+		t.Fatalf("CheckSet = %v, %v; want the decoded sketches", got, err)
+	}
+	for name, c := range map[string]struct {
+		decoded []*Decoded
+		fps     []uint64
+		want    string
+	}{
+		"count":       {decoded[:1], fps, "1 sketches for 2 assignments"},
+		"order":       {[]*Decoded{decoded[1], decoded[0]}, []uint64{fps[1], fps[0]}, "sketch 0 describes assignment 1"},
+		"fingerprint": {decoded, []uint64{fps[0], fps[0]}, "sketch 1 has fingerprint"},
+	} {
+		if _, err := CheckSet(c.decoded, c.fps); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one saying %q", name, err, c.want)
+		}
+	}
+	var fm *FingerprintMismatchError
+	if _, err := CheckSet(decoded, []uint64{fps[0], fps[0]}); !errors.As(err, &fm) || fm.Index != 1 || fm.Want != fps[0] || fm.Got != fps[1] {
+		t.Fatalf("fingerprint mismatch: err %v, want *FingerprintMismatchError{Index: 1}", err)
+	}
+}

@@ -113,6 +113,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -279,7 +280,7 @@ type Store struct {
 	dir         string
 	retain      int
 	writable    bool
-	sample      core.Config
+	sample      core.Config // the stored sketches' configuration: Config.Sample, or on a read-only open its first segment's
 	assignments int
 
 	epoch    int               // last acknowledged epoch
@@ -287,7 +288,6 @@ type Store struct {
 	retained []storedEpoch     // the ring: consecutive epochs ending at epoch, ascending
 	cum      []*sketch.BottomK // exact merge of epochs 1..epoch (nil when epoch == 0)
 	cumSeg   []byte            // the cumulative segment's bytes when it covers epoch and is version 2
-	meta     []sketch.WireMeta // construction metadata of the stored sketches
 	lock     *os.File          // flock-held LOCK file on writable stores
 	broken   bool              // a manifest's rename may not be durable; commits refused until reopen
 	bytes    int64             // total bytes of referenced segment files
@@ -349,7 +349,6 @@ func Open(cfg Config) (*Store, error) {
 		}
 		s.sample = cfg.Sample
 		s.assignments = cfg.Assignments
-		s.meta = metasFor(cfg.Sample, cfg.Assignments)
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -394,15 +393,6 @@ func (s *Store) releaseLock() {
 		s.lock.Close()
 		s.lock = nil
 	}
-}
-
-// metasFor builds the per-assignment wire metadata of a sample config.
-func metasFor(sample core.Config, assignments int) []sketch.WireMeta {
-	metas := make([]sketch.WireMeta, assignments)
-	for b := range metas {
-		metas[b] = sketch.WireMeta{Family: sample.Family, Mode: sample.Mode, Seed: sample.Seed, Assignment: b}
-	}
-	return metas
 }
 
 // Close releases the writer lock, after any commit in flight. The store's
@@ -464,63 +454,30 @@ func (s *Store) Cumulative() []*sketch.BottomK { s.mu.Lock(); defer s.mu.Unlock(
 // version 2, else nil. Callers must not modify them.
 func (s *Store) CumulativeSegment() []byte { s.mu.Lock(); defer s.mu.Unlock(); return s.cumSeg }
 
-// mergeEpochs merges the cumulative base (nil for none) with the given
-// epochs by the exact, fingerprint-verified merge, the assignments across
-// shard.ParallelDo's pool. Two inputs that both keep one key break the
-// contract that epochs hold disjoint keys: the sketch layer's panic naming
-// the key becomes the error.
-func mergeEpochs(base []*sketch.BottomK, epochs []storedEpoch) (_ []*sketch.BottomK, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("store: %v", r)
-		}
-	}()
-	var sets [][]*sketch.BottomK
-	if base != nil {
-		sets = append(sets, base)
+// mergeSets merges the non-nil sketch sets (disjoint key sets) through a
+// core.Merged, as a serving state merges: each assignment on its own
+// worker, every merged sketch checked against the configuration, and two
+// sets keeping one key an error naming it.
+func (s *Store) mergeSets(sets ...[]*sketch.BottomK) ([]*sketch.BottomK, error) {
+	m := core.NewMerged(s.sample, slices.DeleteFunc(sets, func(set []*sketch.BottomK) bool { return set == nil }))
+	if _, err := m.Ensure(nil); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, rec := range epochs {
-		sets = append(sets, rec.Sketches)
-	}
-	merged, errs := make([]*sketch.BottomK, len(sets[0])), make([]error, len(sets[0]))
-	shard.ParallelDo(len(merged), func(b int) {
-		column := make([]*sketch.BottomK, len(sets))
-		for i, set := range sets {
-			column[i] = set[b]
-		}
-		if merged[b], errs[b] = sketch.Merge(column...); errs[b] != nil {
-			errs[b] = fmt.Errorf("store: merging assignment %d: %w", b, errs[b])
-		}
-	})
-	for _, err := range errs { // the lowest assignment's, as MergeSets reports it
-		if err != nil {
-			return nil, err
-		}
-	}
-	return merged, nil
+	return m.Sketches(), nil
 }
 
-// SampleConfig reconstructs the sampling configuration of the stored
-// sketches (Family, Mode, Seed from the wire metadata; K from the
-// sketches). ok is false for an empty store opened read-only.
+// SampleConfig returns the sampling configuration of the stored sketches:
+// the configured one, or on a read-only open the first segment's. ok is
+// false for an empty store opened read-only.
 func (s *Store) SampleConfig() (core.Config, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.writable {
-		return s.sample, true
-	}
-	if len(s.meta) == 0 || s.cum == nil {
-		return core.Config{}, false
-	}
-	m := s.meta[0]
-	return core.Config{Family: m.Family, Mode: m.Mode, Seed: m.Seed, K: s.cum[0].K()}, true
+	return s.sample, s.sample != core.Config{}
 }
 
 // AppendEpoch is Commit merging the epoch onto Cumulative() itself.
 func (s *Store) AppendEpoch(sketches []*sketch.BottomK) (int, error) {
-	epoch, _, err := s.Commit(sketches, func() ([]*sketch.BottomK, error) {
-		return mergeEpochs(s.Cumulative(), []storedEpoch{{EpochRecord: EpochRecord{Sketches: sketches}}})
-	})
+	epoch, _, err := s.Commit(sketches, func() ([]*sketch.BottomK, error) { return s.mergeSets(s.Cumulative(), sketches) })
 	return epoch, err
 }
 
@@ -680,7 +637,7 @@ type segFile struct {
 
 // encode encodes f's sketches as its segment bytes.
 func (s *Store) encode(f *segFile) error {
-	data, crc, err := sketch.MarshalSegment(s.meta, f.sketches)
+	data, crc, err := sketch.MarshalSegment(s.sample.WireMetas(s.assignments), f.sketches)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", f.name, err)
 	}
@@ -999,6 +956,9 @@ func (s *Store) recover() error {
 	records := make([]manifestRecord, 0, len(lines)-1)
 	for i, line := range lines[1:] {
 		rec, err := parseManifestLine(line)
+		if err == nil && len(rec.fps) != assignments {
+			err = fmt.Errorf("%d fingerprints for %d assignments", len(rec.fps), assignments)
+		}
 		if err != nil {
 			return &CorruptError{Path: mpath, Detail: fmt.Sprintf("record %d: %v", i+1, err), Err: err}
 		}
@@ -1009,7 +969,7 @@ func (s *Store) recover() error {
 	// between the open and decode phases in proportion to the time its
 	// reads and decodes took.
 	loaded := make([][]*sketch.BottomK, len(records))
-	metas := make([][]sketch.WireMeta, len(records))
+	cfgs := make([]core.Config, len(records))
 	raw := make([][]byte, len(records))
 	errs := make([]error, len(records))
 	reads, decodes := make([]time.Duration, len(records)), make([]time.Duration, len(records))
@@ -1019,7 +979,7 @@ func (s *Store) recover() error {
 		raw[i], errs[i] = s.readSegment(records[i])
 		reads[i] = time.Since(start)
 		if errs[i] == nil {
-			loaded[i], metas[i], errs[i] = s.decodeSegment(records[i], raw[i])
+			loaded[i], cfgs[i], errs[i] = s.decodeSegment(records[i], raw[i])
 			decodes[i] = time.Since(start) - reads[i]
 		}
 	})
@@ -1029,9 +989,6 @@ func (s *Store) recover() error {
 	}
 	if read+decode > 0 {
 		s.phases.Decode = time.Duration(float64(time.Since(passStart)) * float64(decode) / float64(read+decode))
-	}
-	if len(records) > 0 && s.meta == nil {
-		s.meta = metas[0]
 	}
 	base, baseData := []*sketch.BottomK(nil), []byte(nil)
 	for i, rec := range records {
@@ -1062,6 +1019,9 @@ func (s *Store) recover() error {
 	if n := len(s.retained); n > 0 && s.retained[n-1].Epoch < s.cumRec.n {
 		return &CorruptError{Path: mpath, Detail: fmt.Sprintf("retained epochs end at %d, before the cumulative segment's %d", s.retained[n-1].Epoch, s.cumRec.n)}
 	}
+	if !s.writable && len(records) > 0 {
+		s.sample = cfgs[0]
+	}
 	s.bytes = int64(s.cumRec.size)
 	for _, rec := range s.retained {
 		s.bytes += int64(rec.size)
@@ -1076,7 +1036,11 @@ func (s *Store) recover() error {
 		}
 	} else if s.epoch > 0 {
 		mergeStart := time.Now()
-		if s.cum, err = mergeEpochs(base, s.retained[len(s.retained)-(s.epoch-s.cumRec.n):]); err != nil {
+		sets := [][]*sketch.BottomK{base}
+		for _, rec := range s.retained[len(s.retained)-(s.epoch-s.cumRec.n):] {
+			sets = append(sets, rec.Sketches)
+		}
+		if s.cum, err = s.mergeSets(sets...); err != nil {
 			return &CorruptError{Path: mpath, Detail: "recorded segments do not merge", Err: err}
 		}
 		s.phases.Merge = time.Since(mergeStart)
@@ -1118,38 +1082,33 @@ func (s *Store) readSegment(rec manifestRecord) ([]byte, error) {
 }
 
 // decodeSegment decodes and validates the bytes readSegment returned for
-// rec, returning their sketches and wire metadata: a typed error, never a
-// partial result. It only reads the Store, so recovery runs it
+// rec — one sketch per assignment, in order, carrying the fingerprints rec
+// records and, on a writable store, the configuration's — returning their
+// sketches and the configuration they were built under: a typed error,
+// never a partial result. It only reads the Store, so recovery runs it
 // concurrently.
-func (s *Store) decodeSegment(rec manifestRecord, data []byte) ([]*sketch.BottomK, []sketch.WireMeta, error) {
+func (s *Store) decodeSegment(rec manifestRecord, data []byte) ([]*sketch.BottomK, core.Config, error) {
 	path := s.path(rec.file)
 	decoded, err := sketch.DecodeSegment(data)
 	if err != nil {
-		return nil, nil, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
+		return nil, core.Config{}, &CorruptError{Path: path, Detail: "segment failed validation", Err: err}
 	}
-	if len(decoded) != s.assignments || len(rec.fps) != s.assignments {
-		return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("%d sketches for %d assignments", len(decoded), s.assignments)}
+	sketches, err := sketch.CheckSet(decoded, rec.fps)
+	if err != nil {
+		return nil, core.Config{}, &CorruptError{Path: path, Detail: "segment disagrees with its manifest record", Err: err}
 	}
-	sketches := make([]*sketch.BottomK, s.assignments)
-	metas := make([]sketch.WireMeta, s.assignments)
-	for b, d := range decoded {
-		if d.Meta.Assignment != b {
-			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d describes assignment %d", b, d.Meta.Assignment)}
-		}
-		if d.BottomK.Fingerprint() != rec.fps[b] {
-			return nil, nil, &CorruptError{Path: path, Detail: fmt.Sprintf("sketch %d fingerprint %016x, manifest records %016x", b, d.BottomK.Fingerprint(), rec.fps[b])}
-		}
-		if s.writable {
-			if want := s.sample.Assigner().Fingerprint(b, s.sample.K); d.BottomK.Fingerprint() != want {
-				return nil, nil, &MismatchError{Detail: fmt.Sprintf(
+	if s.writable {
+		for b, d := range decoded {
+			if want := s.sample.Assigner().Fingerprint(b, s.sample.K); d.Fingerprint() != want {
+				return nil, core.Config{}, &MismatchError{Detail: fmt.Sprintf(
 					"%s sketch %d was built under %v/%v/seed=%d/k=%d (fingerprint %016x), store opened for %v/%v/seed=%d/k=%d (fingerprint %016x)",
 					rec.file, b, d.Meta.Family, d.Meta.Mode, d.Meta.Seed, d.BottomK.K(),
-					d.BottomK.Fingerprint(), s.sample.Family, s.sample.Mode, s.sample.Seed, s.sample.K, want)}
+					d.Fingerprint(), s.sample.Family, s.sample.Mode, s.sample.Seed, s.sample.K, want)}
 			}
 		}
-		sketches[b], metas[b] = d.BottomK, d.Meta
 	}
-	return sketches, metas, nil
+	m := decoded[0].Meta
+	return sketches, core.Config{Family: m.Family, Mode: m.Mode, Seed: m.Seed, K: sketches[0].K()}, nil
 }
 
 // collectGarbage removes *.tmp orphans and segment files no manifest

@@ -31,7 +31,7 @@ func FuzzOpenManifest(f *testing.F) {
 			sketches []*sketch.BottomK
 		}{{'E', "epoch", epochs[n-1]}, {'C', "cum", mergeAll(f, epochs[:n])}} {
 			var buf bytes.Buffer
-			crc, err := sketch.EncodeSegment(&buf, metasFor(testSample, 2), seg.sketches)
+			crc, err := sketch.EncodeSegment(&buf, testSample.WireMetas(2), seg.sketches)
 			if err != nil {
 				f.Fatal(err)
 			}

@@ -363,6 +363,37 @@ func TestCorruptionIsTyped(t *testing.T) {
 		}
 	})
 
+	// A segment whose checksum and size its record vouches for, but whose
+	// sketches are out of assignment order, disagrees with the record's
+	// per-assignment fingerprints.
+	t.Run("segment out of assignment order", func(t *testing.T) {
+		dir := build(t)
+		name := segmentName("epoch", 2)
+		data, _ := os.ReadFile(filepath.Join(dir, name))
+		d, err := sketch.DecodeSegment(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapped, crc, err := sketch.MarshalSegment([]sketch.WireMeta{d[1].Meta, d[0].Meta}, []*sketch.BottomK{d[1].BottomK, d[0].BottomK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.WriteFile(filepath.Join(dir, name), swapped, 0o644)
+		mpath := filepath.Join(dir, manifestName)
+		manifest, _ := os.ReadFile(mpath)
+		lines := strings.SplitAfter(string(manifest), "\n")
+		for i, line := range lines {
+			if strings.HasPrefix(line, "E 2 ") {
+				lines[i] = manifestLine('E', 2, name, len(swapped), crc, []uint64{d[0].Fingerprint(), d[1].Fingerprint()})
+			}
+		}
+		os.WriteFile(mpath, []byte(strings.Join(lines, "")), 0o644)
+		var ce *CorruptError
+		if err := reopen(t, dir); !errors.As(err, &ce) || filepath.Base(ce.Path) != name || !strings.Contains(err.Error(), "describes assignment 1") {
+			t.Fatalf("err = %v, want the *CorruptError of %s naming the order", err, name)
+		}
+	})
+
 	t.Run("damaged header", func(t *testing.T) {
 		dir := build(t)
 		mpath := filepath.Join(dir, manifestName)
@@ -482,8 +513,8 @@ func TestRetainZeroCompactsEverything(t *testing.T) {
 // TestAppendEpochDuplicateKeyIsAnError: epochs 1 and 2 both hold "dup",
 // which breaks the contract that epochs hold disjoint keys. Both copies are
 // heavy, so the cumulative keeps the first and the second survives into
-// AppendEpoch's merge: mergeEpochs turns the sketch layer's panic naming the
-// key into an error, nothing is committed, and the store keeps serving.
+// AppendEpoch's merge: its core.Merged turns the sketch layer's panic naming
+// the key into an error, nothing is committed, and the store keeps serving.
 func TestAppendEpochDuplicateKeyIsAnError(t *testing.T) {
 	a := testSample.Assigner()
 	epoch := func(keys ...string) []*sketch.BottomK {
@@ -812,7 +843,7 @@ func TestCumulativeSegmentIsTheCommit(t *testing.T) {
 	epochs := buildEpochs(t, 5, 120)
 	encode := func(sketches []*sketch.BottomK) []byte {
 		var buf bytes.Buffer
-		if _, err := sketch.EncodeSegment(&buf, metasFor(testSample, 2), sketches); err != nil {
+		if _, err := sketch.EncodeSegment(&buf, testSample.WireMetas(2), sketches); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
