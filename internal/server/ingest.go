@@ -163,11 +163,13 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate everything before ingesting anything, so a rejected request
 	// never half-applies.
+	prev := ""
 	for i, o := range batch {
-		if err := checkRecord(s, i, o.Assignment, o.Key, o.Weight); err != nil {
+		if err := checkRecord(s, i, o.Assignment, o.Key, o.Weight, prev); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		prev = o.Key
 	}
 	if s.closed.Load() {
 		writeError(w, http.StatusServiceUnavailable, "%v", errClosed)
@@ -350,8 +352,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // checkRecord validates record n of /offer or /ingest, in any of the three
 // encodings and before any zero-weight skip, against the server
-// configuration and, on a cluster member, the partition guard.
-func checkRecord[K string | []byte](s *Server, n, assignment int, key K, weight float64) error {
+// configuration and, on a cluster member, the partition guard. prev is a
+// key that passed the check (the previous record's, or the binary decoder's
+// last staged one; empty for none): a record of its key run has its
+// verdict, so the guard is asked once per run.
+func checkRecord[K string | []byte](s *Server, n, assignment int, key K, weight float64, prev K) error {
 	if len(key) == 0 {
 		return fmt.Errorf("record %d: empty key", n)
 	}
@@ -364,7 +369,7 @@ func checkRecord[K string | []byte](s *Server, n, assignment int, key K, weight 
 	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
 		return fmt.Errorf("record %d: invalid weight %v", n, weight)
 	}
-	if s.cfg.OwnsKey != nil && !s.cfg.OwnsKey(string(key)) {
+	if s.cfg.OwnsKey != nil && string(key) != string(prev) && !s.cfg.OwnsKey(string(key)) {
 		return fmt.Errorf("record %d: key %q is not owned by this node (misrouted; check the cluster partition)", n, key)
 	}
 	return nil
@@ -377,6 +382,7 @@ func (s *Server) ingestNDJSON(st *ingestState, r *http.Request, w http.ResponseW
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	var o Offer
 	for n := 0; ; n++ {
+		prev := o.Key
 		o = Offer{}
 		if err := dec.Decode(&o); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -386,7 +392,7 @@ func (s *Server) ingestNDJSON(st *ingestState, r *http.Request, w http.ResponseW
 			// (stream cap exceeded) to 413 instead of a generic 400.
 			return fmt.Errorf("record %d: %w", n, err)
 		}
-		if err := checkRecord(s, n, o.Assignment, o.Key, o.Weight); err != nil {
+		if err := checkRecord(s, n, o.Assignment, o.Key, o.Weight, prev); err != nil {
 			return err
 		}
 		if o.Weight == 0 {
@@ -435,7 +441,7 @@ func (s *Server) ingestBinary(st *ingestState, r *http.Request) error {
 		size := n1 + n2 + int(keyLen) + 8
 		key := buf[n1+n2 : size-8]
 		weight := math.Float64frombits(binary.LittleEndian.Uint64(buf[size-8:]))
-		if err := checkRecord(s, n, int(a), key, weight); err != nil {
+		if err := checkRecord(s, n, int(a), key, weight, st.buf.LastKey()); err != nil {
 			return err
 		}
 		if weight != 0 {

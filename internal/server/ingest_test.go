@@ -9,14 +9,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"coordsample/internal/core"
 	"coordsample/internal/obs/obstest"
 	"coordsample/internal/rank"
+	"coordsample/internal/shard"
 	"coordsample/internal/sketch"
 )
 
@@ -263,74 +266,273 @@ func TestDuplicateKeyRetainedByTwoLanesIs409(t *testing.T) {
 	}
 }
 
-// binaryBody encodes n distinct keys of one assignment with the given
-// weight.
-func binaryBody(prefix string, n int, weight float64) []byte {
+// keyMajorBody encodes keys fresh keys — those owned accepts, every one when
+// owned is nil — each as one run of records, its weight(i, b) in every
+// assignment b of assignments, and returns the body and the keys in order.
+func keyMajorBody(prefix string, keys, assignments int, owned func(string) bool, weight func(i, b int) float64) ([]byte, []string) {
 	var body []byte
-	for i := 0; i < n; i++ {
-		body = AppendBinaryOffer(body, 0, fmt.Sprintf("%s-%07d", prefix, i), weight)
+	var out []string
+	for i := 0; len(out) < keys; i++ {
+		key := fmt.Sprintf("%s-%07d", prefix, i)
+		if owned != nil && !owned(key) {
+			continue
+		}
+		for b := 0; b < assignments; b++ {
+			body = AppendBinaryOffer(body, b, key, weight(len(out), b))
+		}
+		out = append(out, key)
 	}
-	return body
+	return body, out
 }
 
 // TestBinaryIngestAllocBudget is the allocation budget of the byte seam: a
-// binary /ingest request may allocate one string per record a builder is
-// actually offered, plus a per-request remainder (the request and response
-// themselves) — and nothing at all per pruned record.
+// binary /ingest request may allocate one string per key run a builder
+// admits in any assignment — a key's records, one per assignment, share
+// one — plus, on a cluster member, one per key run for the partition
+// guard, plus a per-request remainder (the request and response
+// themselves); and on a single node nothing at all per pruned record.
 func TestBinaryIngestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled decoder state at random")
 	}
-	const k, n = 64, 8192
-	cfg := Config{
-		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9, K: k},
-		Assignments: 1,
-		Lanes:       1,
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the pooled decoder state and fill the sample.
-	if code, out := ingestDirect(s, ContentTypeBinaryIngest, binaryBody("warm", n, 1)); code != http.StatusOK {
-		t.Fatalf("warm-up ingest: status %d: %v", code, out)
-	}
-	// What a request costs whatever it carries: a few hundred pruned records
-	// (enough that the response's accepted count is boxed like a full
-	// batch's — the runtime interns the integers below 256).
-	fewPruned := binaryBody("few", 300, 1e-300)
-	perRequest := testing.AllocsPerRun(20, func() {
-		ingestDirect(s, ContentTypeBinaryIngest, fewPruned)
-	})
+	const k, records, runs = 512, 8192, 10
+	for _, tc := range []struct {
+		name        string
+		assignments int
+		member      bool
+	}{{"single-assignment", 1, false}, {"shared-seed-W8", 8, false}, {"member-W8", 8, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9, K: k},
+				Assignments: tc.assignments,
+				Lanes:       1,
+			}
+			if tc.member {
+				cfg.OwnsKey = func(key string) bool { return shard.ShardOf(key, 2) == 0 }
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			keys := records / tc.assignments
+			// Weights that differ across assignments, so that each admits
+			// its own keys under the one shared seed.
+			spread := func(i, b int) float64 { return 1 + float64((i+3*b)%7) }
+			pruned := func(int, int) float64 { return 1e-300 } // ranks above any threshold
 
-	// Steady state: fresh keys every run (the contract), unit weights.
-	run := 0
-	admittedBefore := s.ingestStats[0].admitted.Load()
-	const runs = 10
-	allocs := testing.AllocsPerRun(runs-1, func() { // AllocsPerRun calls f once more to warm up
-		run++
-		ingestDirect(s, ContentTypeBinaryIngest, binaryBody(fmt.Sprintf("steady%02d", run), n, 1))
-	})
-	admitted := float64(s.ingestStats[0].admitted.Load()-admittedBefore) / runs
-	// binaryBody itself allocates: n keys plus the growing body.
-	encode := testing.AllocsPerRun(5, func() { binaryBody("encode-only", n, 1) })
-	perRecord := (allocs - encode - perRequest) / n
-	if limit := admitted/n + 0.01; perRecord > limit {
-		t.Errorf("steady-state binary ingest allocates %.4f per record (%.0f per request of %d), want ≤ admitted/offered + 0.01 = %.4f",
-			perRecord, allocs-encode, n, limit)
-	}
+			// twin replays records on a lane that sees the server's one lane's
+			// history, and returns how many of keys it admitted in any
+			// assignment and how many records it admitted.
+			twin := core.NewMultiSketcher(cfg.Sample, cfg.Assignments, 1).Lanes()[0]
+			replay := func(keys []string, weight func(i, b int) float64) (admittedKeys, admitted int) {
+				for i, key := range keys {
+					some := false
+					for b := 0; b < cfg.Assignments; b++ {
+						twin.Offer(b, key, weight(i, b))
+						if _, n, _ := twin.TakeCounts(b); n > 0 {
+							some, admitted = true, admitted+1
+						}
+					}
+					if some {
+						admittedKeys++
+					}
+				}
+				return admittedKeys, admitted
+			}
+			admittedTotal := func() (n int64) {
+				for b := range s.ingestStats {
+					n += s.ingestStats[b].admitted.Load()
+				}
+				return n
+			}
 
-	// A fully pruned batch: vanishing weights rank above any threshold.
-	pruned := binaryBody("pruned", n, 1e-300)
-	admittedBefore = s.ingestStats[0].admitted.Load()
-	allocs = testing.AllocsPerRun(10, func() {
-		ingestDirect(s, ContentTypeBinaryIngest, pruned)
-	})
-	if got := s.ingestStats[0].admitted.Load() - admittedBefore; got != 0 {
-		t.Fatalf("%d records of the pruned batch were admitted", got)
+			// Warm the pooled decoder state and fill the sample.
+			warm, warmKeys := keyMajorBody("warm", keys, cfg.Assignments, cfg.OwnsKey, spread)
+			if code, out := ingestDirect(s, ContentTypeBinaryIngest, warm); code != http.StatusOK {
+				t.Fatalf("warm-up ingest: status %d: %v", code, out)
+			}
+			replay(warmKeys, spread)
+			// What a request costs whatever it carries: one pruned key run of a
+			// few hundred records (enough that the response's accepted count is
+			// boxed like a full batch's — the runtime interns the integers below
+			// 256), which on a member asks the partition guard once.
+			_, fewKey := keyMajorBody("few", 1, 1, cfg.OwnsKey, pruned) // an owned key
+			var few []byte
+			for i := 0; i < 300; i++ {
+				few = AppendBinaryOffer(few, i%cfg.Assignments, fewKey[0], 1e-300)
+			}
+			before := admittedTotal()
+			perRequest := testing.AllocsPerRun(20, func() {
+				ingestDirect(s, ContentTypeBinaryIngest, few)
+			})
+			if got := admittedTotal() - before; got != 0 {
+				t.Fatalf("%d records of the pruned run were admitted", got)
+			}
+
+			// Steady state: fresh keys every run (the contract).
+			bodies, bodyKeys := make([][]byte, runs), make([][]string, runs)
+			for r := range bodies {
+				bodies[r], bodyKeys[r] = keyMajorBody(fmt.Sprintf("steady%02d", r), keys, cfg.Assignments, cfg.OwnsKey, spread)
+			}
+			run := 0
+			before = admittedTotal()
+			allocs := testing.AllocsPerRun(runs-1, func() { // AllocsPerRun calls f once more to warm up
+				ingestDirect(s, ContentTypeBinaryIngest, bodies[run])
+				run++
+			})
+			admittedKeys, admitted := 0, 0
+			for r := range bodies {
+				ak, a := replay(bodyKeys[r], spread)
+				admittedKeys, admitted = admittedKeys+ak, admitted+a
+			}
+			if got := admittedTotal() - before; got != int64(admitted) {
+				t.Fatalf("the server admitted %d records, its twin lane %d: the replay is not the server's history", got, admitted)
+			}
+			perRecord := (allocs - perRequest) / records
+			limit := float64(admittedKeys)/(runs*records) + 0.01
+			if tc.member {
+				limit += float64(keys) / records // the partition guard's string per key run
+			}
+			t.Logf("%.4f allocations per record, ceiling %.4f; a pruned-run request costs %.1f", perRecord, limit, perRequest)
+			if perRecord > limit {
+				t.Errorf("steady-state binary ingest allocates %.4f per record (%.0f per request of %d records, %d keys admitted in some assignment, %d records admitted), want ≤ %.4f",
+					perRecord, allocs-perRequest, records, admittedKeys/runs, admitted/runs, limit)
+			}
+
+			// A fully pruned batch.
+			body, _ := keyMajorBody("pruned", keys, cfg.Assignments, cfg.OwnsKey, pruned)
+			before = admittedTotal()
+			allocs = testing.AllocsPerRun(10, func() {
+				ingestDirect(s, ContentTypeBinaryIngest, body)
+			})
+			if got := admittedTotal() - before; got != 0 {
+				t.Fatalf("%d records of the pruned batch were admitted", got)
+			}
+			extra, want := allocs-perRequest, 0.0
+			if tc.member {
+				want = float64(keys) // the partition guard's string per key run
+			}
+			if extra > want {
+				t.Errorf("a fully pruned batch of %d records in %d key runs allocates %.1f beyond the %.1f of a one-run request, want ≤ %.0f", records, keys, extra, perRequest, want)
+			}
+		})
 	}
-	if extra := allocs - perRequest; extra != 0 {
-		t.Errorf("a fully pruned batch of %d records allocates %.1f beyond the %.1f of a 300-record one, want 0", n, extra, perRequest)
+}
+
+// postRecords sends offers to s in one request: binary or NDJSON /ingest,
+// or JSON /offer.
+func postRecords(s *Server, encoding string, offers []Offer) (int, map[string]any) {
+	f, ok := ingestFramings[encoding]
+	if !ok {
+		body, err := json.Marshal(map[string]any{"offers": offers})
+		if err != nil {
+			panic(err)
+		}
+		rw := httptest.NewRecorder()
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/offer", bytes.NewReader(body)))
+		var out map[string]any
+		_ = json.Unmarshal(rw.Body.Bytes(), &out)
+		return rw.Code, out
+	}
+	var body []byte
+	for _, o := range offers {
+		body = append(body, f.record(o.Assignment, o.Key, o.Weight)...)
+	}
+	return ingestDirect(s, f.contentType, body)
+}
+
+// TestKeyRunOrdersBitIdentical: a key's consecutive records share one
+// staged arena window — under SharedSeed one hash too — and one key string
+// in the lanes, and none of it may show in the sample. Through every
+// encoding and under {IPPS, EXP} × {SharedSeed, Independent}, the frozen
+// sketches equal offline AssignmentSketchers whether the records arrive
+// key-major (each key one run), assignment-major (no runs), with a run cut
+// after its second record by the ingestFlushEvery flush, or with zero
+// weights inside runs. A run that repeats an assignment still breaks the
+// once-per-key contract: the freeze is a 409.
+func TestKeyRunOrdersBitIdentical(t *testing.T) {
+	const keys, assignments = 2000, 3
+	// Key-major, the flush falls after the first record of a run; two lone
+	// records ahead of the runs move it to after the second.
+	if ingestFlushEvery%assignments != 1 || keys*assignments <= ingestFlushEvery {
+		t.Fatal("the stream no longer cuts a run at the flush")
+	}
+	rng := rand.New(rand.NewSource(41))
+	var keyMajor []Offer
+	for i := 0; i < keys; i++ {
+		base := math.Exp(rng.NormFloat64() * 2)
+		for b := 0; b < assignments; b++ {
+			keyMajor = append(keyMajor, Offer{Assignment: b, Key: fmt.Sprintf("run-%05d", i), Weight: base * (0.5 + rng.Float64())})
+		}
+	}
+	assignmentMajor := slices.Clone(keyMajor)
+	slices.SortStableFunc(assignmentMajor, func(x, y Offer) int { return x.Assignment - y.Assignment })
+	zeros := slices.Clone(keyMajor)
+	for i := 1; i < len(zeros); i += 7 { // every position of a run in turn
+		zeros[i].Weight = 0
+	}
+	orders := map[string][]Offer{
+		"key-major":         keyMajor,
+		"assignment-major":  assignmentMajor,
+		"run-cut-after-two": append([]Offer{{Assignment: 2, Key: "lone-a", Weight: 2}, {Assignment: 0, Key: "lone-b", Weight: 3}}, keyMajor...),
+		"zero-weights":      zeros,
+	}
+	encodings := []string{"binary", "ndjson", "offer"}
+	for _, family := range []rank.Family{rank.IPPS, rank.EXP} {
+		for _, mode := range []rank.Coordination{rank.SharedSeed, rank.Independent} {
+			cfg := Config{
+				Sample:      core.Config{Family: family, Mode: mode, Seed: 43, K: 64},
+				Assignments: assignments,
+				Lanes:       1,
+			}
+			for name, offers := range orders {
+				offline := make([]*core.AssignmentSketcher, assignments)
+				for b := range offline {
+					offline[b] = core.NewAssignmentSketcher(cfg.Sample, b)
+				}
+				for _, o := range offers {
+					if o.Weight > 0 {
+						offline[o.Assignment].Offer(o.Key, o.Weight)
+					}
+				}
+				for _, enc := range encodings {
+					what := fmt.Sprintf("%v/%v/%s/%s", family, mode, name, enc)
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if code, out := postRecords(s, enc, offers); code != http.StatusOK {
+						t.Fatalf("%s: status %d: %v", what, code, out)
+					}
+					snap, err := s.freeze()
+					if err != nil {
+						t.Fatalf("%s: freeze: %v", what, err)
+					}
+					for b, got := range snap.cum.Sketches() {
+						sameSketch(t, fmt.Sprintf("%s assignment %d", what, b), got, offline[b].Sketch())
+					}
+					s.Close()
+				}
+			}
+			for _, enc := range encodings {
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repeat := []Offer{{0, "dup", 2}, {1, "dup", 3}, {0, "dup", 4}, {1, "other", 1}}
+				if code, out := postRecords(s, enc, repeat); code != http.StatusOK {
+					t.Fatalf("%v/%v/%s: a run repeating an assignment: status %d: %v", family, mode, enc, code, out)
+				}
+				rw := httptest.NewRecorder()
+				s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/freeze", nil))
+				body := decodeJSONBody(t, rw.Body)
+				if msg, _ := body["error"].(string); rw.Code != http.StatusConflict || !strings.Contains(msg, `"dup"`) {
+					t.Errorf("%v/%v/%s: freeze after a run repeating an assignment: status %d (%v), want 409 naming the key", family, mode, enc, rw.Code, body)
+				}
+				s.Close()
+			}
+		}
 	}
 }
 
@@ -451,8 +653,10 @@ func referenceIngestBinary(body []byte, assignments int) (accepted []Offer, err 
 func FuzzIngestBinary(f *testing.F) {
 	// The bulk seeds — a valid 44-record stream, the same stream with a torn
 	// weight and with an out-of-range assignment, each at segment sizes 1, 5,
-	// 14, 38 and 256 — are checked in under testdata/fuzz/FuzzIngestBinary;
-	// the hand-written malformed records are added here.
+	// 14, 38 and 256 — and three key-run streams — each key's run across
+	// both assignments, a run that repeats an assignment, a run cut inside a
+	// weight — are checked in under testdata/fuzz/FuzzIngestBinary; the
+	// hand-written malformed records are added here.
 	f.Add([]byte{0x00, 0x00, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(255))                   // empty key
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, uint8(255)) // varint overflow
 	// Ten continuation bytes, then EOF: ReadUvarint reports an overflow

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"slices"
 	"strings"
@@ -505,7 +504,10 @@ func TestFreezeCompactionFailureIsAcknowledged(t *testing.T) {
 
 // TestOwnsKeyGuardRejectsMisroutedKeys: with the cluster partition guard
 // installed, /offer and both /ingest framings refuse a key the node does not
-// own with the same 400, whatever its weight, and owned keys pass.
+// own with the same 400, whatever its weight, and owned keys pass. The guard
+// is asked once per key run, so a misrouted key straight after an owned one
+// of the same length — staged, or skipped for its zero weight — is refused
+// all the same.
 func TestOwnsKeyGuardRejectsMisroutedKeys(t *testing.T) {
 	cfg := robustCfg()
 	cfg.OwnsKey = func(key string) bool { return strings.HasPrefix(key, "mine-") }
@@ -514,31 +516,21 @@ func TestOwnsKeyGuardRejectsMisroutedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	json1 := func(o Offer) io.Reader {
-		body, _ := json.Marshal(o)
-		return bytes.NewReader(body)
-	}
-	encodings := map[string]func(o Offer) (int, map[string]any){
-		"offer": func(o Offer) (int, map[string]any) {
-			rw := httptest.NewRecorder()
-			s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/offer", json1(o)))
-			var out map[string]any
-			_ = json.Unmarshal(rw.Body.Bytes(), &out)
-			return rw.Code, out
-		},
-		"ndjson": func(o Offer) (int, map[string]any) { return ingestFrom(s, "application/x-ndjson", json1(o)) },
-		"binary": func(o Offer) (int, map[string]any) {
-			return ingestFrom(s, ContentTypeBinaryIngest, bytes.NewReader(AppendBinaryOffer(nil, o.Assignment, o.Key, o.Weight)))
-		},
-	}
-	const want = `record 0: key "theirs" is not owned by this node (misrouted; check the cluster partition)`
-	for name, send := range encodings {
+	for _, enc := range []string{"offer", "ndjson", "binary"} {
 		for _, w := range []float64{1, 0} {
-			if code, out := send(Offer{Assignment: 0, Key: "theirs", Weight: w}); code != http.StatusBadRequest || out["error"] != want {
-				t.Errorf("%s, weight %v: misrouted key got status %d, %v; want 400 %q", name, w, code, out["error"], want)
+			const want = `record 0: key "theirs" is not owned by this node (misrouted; check the cluster partition)`
+			if code, out := postRecords(s, enc, []Offer{{Assignment: 0, Key: "theirs", Weight: w}}); code != http.StatusBadRequest || out["error"] != want {
+				t.Errorf("%s, weight %v: misrouted key got status %d, %v; want 400 %q", enc, w, code, out["error"], want)
 			}
-			if code, out := send(Offer{Assignment: 0, Key: "mine-" + name, Weight: w}); code != http.StatusOK {
-				t.Errorf("%s, weight %v: owned key got status %d, %v", name, w, code, out)
+			owned := fmt.Sprintf("mine-%s-%v", enc, w)
+			if code, out := postRecords(s, enc, []Offer{{Assignment: 0, Key: owned, Weight: w}, {Assignment: 1, Key: owned, Weight: w}}); code != http.StatusOK {
+				t.Errorf("%s, weight %v: owned key run got status %d, %v", enc, w, code, out)
+			}
+			next := strings.Repeat("x", len(owned)+1)
+			run := []Offer{{Assignment: 0, Key: owned + "r", Weight: w}, {Assignment: 1, Key: owned + "r", Weight: w}, {Assignment: 0, Key: next, Weight: 1}}
+			wantNext := fmt.Sprintf("record 2: key %q is not owned by this node (misrouted; check the cluster partition)", next)
+			if code, out := postRecords(s, enc, run); code != http.StatusBadRequest || out["error"] != wantNext {
+				t.Errorf("%s, weight %v: misrouted key after an owned run got status %d, %v; want 400 %q", enc, w, code, out["error"], wantNext)
 			}
 		}
 	}

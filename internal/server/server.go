@@ -195,7 +195,8 @@ type Config struct {
 	// rejects records whose key the hook refuses, so a misrouted client
 	// cannot break the disjoint-key-sets invariant the exact
 	// scatter-gather merge rests on. It takes a string, so on a cluster
-	// member every binary /ingest record pays for one.
+	// member a binary /ingest key run (a key's consecutive records, one
+	// per assignment) pays for one: ingest asks once per run.
 	OwnsKey func(key string) bool
 	// Metrics, when non-nil, is the registry GET /metrics scrapes. The
 	// server registers its counters, gauges, and latency histograms into

@@ -19,7 +19,8 @@
 // and only for the few survivors evaluates the quantile and calls the
 // builder. Keys may arrive as strings or as []byte (the server's binary
 // decoder hands over slices of a reused arena); string(key) runs on the
-// admission branch only, so a pruned record allocates nothing.
+// admission branch only, once per admitted key run of a staged batch, so a
+// pruned record allocates nothing.
 //
 // Under the pre-aggregation contract every (key, assignment) is offered
 // once, so however the stream is split across lanes the lanes hold disjoint
@@ -168,15 +169,17 @@ func (l *Lane) Offer(key string, weight float64) {
 // weights that are never sampled, prune against the shared threshold, and
 // materialise the key only for the builder. h must be Hash64(s.hashSeed,
 // key) — callers that hold the hash already (OfferVector under SharedSeed,
-// a Staged batch hashed by the decoder) pass it in instead of rehashing.
-func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
+// a Staged batch hashed by the decoder) pass it in instead of rehashing. It
+// returns the key string the builder took, "" when the record was not
+// admitted.
+func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) string {
 	s := l.s
 	if s.closed {
 		panic("shard: Offer after Sketch")
 	}
 	// Nonpositive, NaN, and +Inf weights are never sampled.
 	if !(weight > 0) || math.IsInf(weight, 1) {
-		return
+		return ""
 	}
 	l.offered++
 	u := hashing.Unit(h)
@@ -190,7 +193,7 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
 				l.prunedMin = r
 			}
 		}
-		return
+		return ""
 	}
 	r := s.family.Quantile(weight, u)
 	if r > shared {
@@ -198,7 +201,7 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
 		if r < l.prunedMin {
 			l.prunedMin = r
 		}
-		return
+		return ""
 	}
 	// r ≤ shared ≤ this builder's own r_k: the builder takes it (ties go to
 	// the key order), so the key is worth materialising.
@@ -206,10 +209,12 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) {
 	// The one deliberate allocation per admitted []byte key: the builder
 	// retains sampled keys, so they cannot alias the caller's buffer (a
 	// string key converts for free).
-	l.b.Offer(string(key), r, weight)
+	str := string(key)
+	l.b.Offer(str, r, weight)
 	if t := l.b.AdmissionThreshold(); t < shared {
 		s.lower(t)
 	}
+	return str
 }
 
 // lower publishes a lane's new r_k as the shared threshold unless another
@@ -376,10 +381,12 @@ func (ml *MultiLane) OfferVector(key string, weights []float64) {
 }
 
 // OfferStaged presents every record of a staged batch on this lane, in
-// order: the []byte face of the lane entry point. The batch must have been
-// staged under this MultiSketcher's assigner (NewStaged with the same
-// configuration); a batch hashed under other seeds is a programming error
-// and panics.
+// order: the []byte face of the lane entry point. A key run's first
+// admitted record makes its key string and the run's later admissions take
+// the same one, so one epoch's sketches share their key strings. The batch
+// must have been staged under this MultiSketcher's assigner (NewStaged with
+// the same configuration); a batch hashed under other seeds is a
+// programming error and panics.
 func (ml *MultiLane) OfferStaged(b *Staged) {
 	if len(b.seeds) != len(ml.lanes) {
 		panic("shard: staged batch built for a different assignment count")
@@ -389,9 +396,18 @@ func (ml *MultiLane) OfferStaged(b *Staged) {
 			panic("shard: staged batch hashed under a different rank assignment")
 		}
 	}
-	for i := range b.recs {
-		r := &b.recs[i]
-		offer(ml.lanes[r.assignment], b.arena[r.off:r.off+r.n], r.hash, r.weight)
+	// run is the key run's string once one of its records was admitted. A new
+	// run starts in a new arena window (after an empty key, run is "" anyway).
+	var run string
+	for i, r := range b.recs {
+		if i > 0 && r.off != b.recs[i-1].off {
+			run = ""
+		}
+		if run == "" {
+			run = offer(ml.lanes[r.assignment], b.arena[r.off:r.off+r.n], r.hash, r.weight)
+		} else {
+			offer(ml.lanes[r.assignment], run, r.hash, r.weight)
+		}
 	}
 }
 

@@ -464,6 +464,7 @@ func TestProducerFastPathZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		staged.Reset()
 		Stage(staged, 0, key, 1e-300)
+		Stage(staged, 0, key, 1e-300) // continues the run
 	}); allocs != 0 {
 		t.Errorf("Stage into a warm batch allocates %v, want 0", allocs)
 	}
@@ -474,6 +475,20 @@ func TestProducerFastPathZeroAllocs(t *testing.T) {
 	Stage(staged, 0, []byte("a-key-long-enough-to-need-the-heap-0123456789"), 1e300)
 	if allocs := testing.AllocsPerRun(100, func() { ml.OfferStaged(staged) }); allocs != 1 {
 		t.Errorf("OfferStaged of one admitted record allocates %v, want exactly its key string", allocs)
+	}
+	// A key run admitted in every assignment: one arena copy, one string.
+	for _, a := range []rank.Assigner{a, {Family: rank.IPPS, Mode: rank.Independent, Seed: 71}} {
+		run, runKey := NewStaged(a, 3), []byte("a-key-long-enough-to-need-the-heap-0123456789")
+		for b := 0; b < 3; b++ {
+			Stage(run, b, runKey, 1e300)
+		}
+		if run.ArenaLen() != len(runKey) {
+			t.Errorf("%v: a run of 3 records staged %d key bytes, want %d", a.Mode, run.ArenaLen(), len(runKey))
+		}
+		ml := NewMultiSketcher(a, 3, 8, 1).Lanes()[0]
+		if allocs := testing.AllocsPerRun(100, func() { ml.OfferStaged(run) }); allocs != 1 {
+			t.Errorf("%v: OfferStaged of a run admitted in 3 assignments allocates %v, want its one key string", a.Mode, allocs)
+		}
 	}
 
 	// Every other face of the lane entry point takes a string key and must

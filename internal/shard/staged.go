@@ -19,8 +19,10 @@ type stagedRec struct {
 // one arena: what a decoder accumulates between flushes and hands to
 // MultiLane.OfferStaged under the lane lock. Staging hashes each key where
 // it lies (a string, or a slice of the decoder's read buffer) and copies the
-// bytes once; no per-record string exists until a lane's builder is offered
-// the record. A Staged is not safe for concurrent use.
+// bytes once per key run — the consecutive records of one key, a key's
+// offer in each assignment — so the run's records share one arena window,
+// and under SharedSeed one hash. No per-record string exists until a lane's
+// builder is offered the record. A Staged is not safe for concurrent use.
 type Staged struct {
 	seeds []uint64 // rank hash seed per assignment
 	recs  []stagedRec
@@ -40,21 +42,36 @@ func NewStaged(assigner rank.Assigner, assignments int) *Staged {
 
 // Stage appends one record: it hashes key under the assignment's rank hash
 // seed and copies its bytes into the arena, so key may alias a buffer the
-// caller is about to reuse. assignment must be in range and weight valid;
-// the arena must stay below 4 GiB between Resets (ArenaLen lets the caller
-// flush on bytes as well as on records).
+// caller is about to reuse — unless key is the last staged record's: the
+// record continues that key run, in its arena window and, when the two
+// assignments share a rank hash seed, with its hash. assignment must be in
+// range and weight valid; the arena must stay below 4 GiB between Resets
+// (ArenaLen lets the caller flush on bytes as well as on records).
 func Stage[K string | []byte](b *Staged, assignment int, key K, weight float64) {
-	off := len(b.arena)
-	// Both appends grow reused buffers: steady-state capacity is reached
-	// after the first flush cycle.
-	b.arena = append(b.arena, key...)
-	b.recs = append(b.recs, stagedRec{
-		hash:       hashing.Hash64(b.seeds[assignment], key),
-		weight:     weight,
-		off:        uint32(off),
-		n:          uint32(len(key)),
-		assignment: uint32(assignment),
-	})
+	rec := stagedRec{weight: weight, off: uint32(len(b.arena)), n: uint32(len(key)), assignment: uint32(assignment)}
+	if n := len(b.recs); n > 0 && string(b.LastKey()) == string(key) {
+		last := b.recs[n-1]
+		rec.off, rec.hash = last.off, last.hash
+		if b.seeds[assignment] != b.seeds[last.assignment] {
+			rec.hash = hashing.Hash64(b.seeds[assignment], key)
+		}
+	} else {
+		// Both appends grow reused buffers: steady-state capacity is reached
+		// after the first flush cycle.
+		b.arena = append(b.arena, key...)
+		rec.hash = hashing.Hash64(b.seeds[assignment], key)
+	}
+	b.recs = append(b.recs, rec)
+}
+
+// LastKey returns the last staged record's key, nil for an empty batch. It
+// aliases the arena until the next Stage or Reset.
+func (b *Staged) LastKey() []byte {
+	if len(b.recs) == 0 {
+		return nil
+	}
+	r := b.recs[len(b.recs)-1]
+	return b.arena[r.off : r.off+r.n]
 }
 
 // Len returns the number of staged records.

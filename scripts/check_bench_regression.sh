@@ -18,8 +18,10 @@
 #      it replaced ran at about 2.5x.
 #   2. Allocations. server.ingest_binary_allocs_per_offer must not exceed
 #      sketch.builder_admit_ratio by more than ALLOC_SLACK (0.01): the
-#      binary decoder may allocate one string per record a builder is
-#      offered, and nothing per pruned record.
+#      binary decoder may allocate one string per key run a builder is
+#      offered (a key's consecutive records, one per assignment, share
+#      one), and nothing per pruned record. With one record per key run
+#      that is the admit ratio itself; longer runs sit below it.
 #   3. Bit-identity. The run must report "0 differ from the offline
 #      pipeline" and end in a result line with "correct":true and
 #      "failed":0.
