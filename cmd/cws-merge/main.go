@@ -98,16 +98,13 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var pred coordsample.Pred
-	if *prefix != "" {
-		p := *prefix
-		pred = func(key string) bool { return strings.HasPrefix(key, p) }
-	}
 	est, err := coordsample.ParseEstimator(*estimator)
 	if err != nil {
 		return err
 	}
-	label, v, stderr, err := cliquery.Answer(summary, *query, *b, R, *l, pred, est)
+	label, v, stderr, err := cliquery.AnswerVia(summary, *query, *b, R, *l, nil, est, func(_ string, build func() coordsample.AWSummary) coordsample.AWSummary {
+		return build().Within(*prefix)
+	})
 	if err != nil {
 		return err
 	}

@@ -152,7 +152,7 @@ func TestChaosClusterSIGKILLMidFreeze(t *testing.T) {
 		t.Fatalf("cluster freeze 1: status %d, body %v", code, fz)
 	}
 	offAll1 := offline(t, cfg, chunks[:1])
-	_, want, _, err := cliquery.Answer(offAll1, "sum", 0, nil, 1, nil, nil)
+	_, want, _, err := cliquery.AnswerVia(offAll1, "sum", 0, nil, 1, nil, nil, cliquery.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestChaosClusterSIGKILLMidFreeze(t *testing.T) {
 	// 2/3, and the estimate is the EXACT answer over the surviving
 	// partitions' acknowledged keys (epochs 1+2 of peers 0 and 1).
 	offSurv := offline(t, cfg, ownedBy(chunks, 0, 1))
-	_, wantSurv, _, err := cliquery.Answer(offSurv, "sum", 0, nil, 1, nil, nil)
+	_, wantSurv, _, err := cliquery.AnswerVia(offSurv, "sum", 0, nil, 1, nil, nil, cliquery.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestChaosClusterSIGKILLMidFreeze(t *testing.T) {
 		t.Fatalf("restarted peer did not recover its acknowledged epoch; logs:\n%s", procs[2].logs())
 	}
 	offP2 := offline(t, cfg, ownedBy(chunks[:1], 2))
-	_, wantP2, _, err := cliquery.Answer(offP2, "sum", 0, nil, 1, nil, nil)
+	_, wantP2, _, err := cliquery.AnswerVia(offP2, "sum", 0, nil, 1, nil, nil, cliquery.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestChaosClusterSIGKILLMidFreeze(t *testing.T) {
 			agg = agg[:i]
 			b = 0
 		}
-		_, want, _, err := cliquery.Answer(offAll, agg, b, nil, 1, nil, nil)
+		_, want, _, err := cliquery.AnswerVia(offAll, agg, b, nil, 1, nil, nil, cliquery.Direct)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -281,11 +281,11 @@ func TestSIGKILLRecoveryBitIdentical(t *testing.T) {
 
 	// Offline pipeline agreement (cumulative and the 2..3 window).
 	offAll := offline(t, cfg, chunks)
-	if _, want, _, err := cliquery.Answer(offAll, "L1", 0, nil, 1, nil, nil); err != nil || p2.query(t, "agg=L1") != want {
+	if _, want, _, err := cliquery.AnswerVia(offAll, "L1", 0, nil, 1, nil, nil, cliquery.Direct); err != nil || p2.query(t, "agg=L1") != want {
 		t.Errorf("recovered cumulative L1 != offline pipeline (%v)", err)
 	}
 	offWin := offline(t, cfg, chunks[1:3])
-	_, wantWin, _, err := cliquery.Answer(offWin, "L1", 0, nil, 1, nil, nil)
+	_, wantWin, _, err := cliquery.AnswerVia(offWin, "L1", 0, nil, 1, nil, nil, cliquery.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestSIGKILLDuringParallelDurableFreeze(t *testing.T) {
 		{"agg=sum&b=1", "sum", 1},
 		{"agg=jaccard", "jaccard", 0},
 	} {
-		_, want, _, err := cliquery.Answer(off, q.query, q.b, nil, 1, nil, nil)
+		_, want, _, err := cliquery.AnswerVia(off, q.query, q.b, nil, 1, nil, nil, cliquery.Direct)
 		if err != nil {
 			t.Fatal(err)
 		}

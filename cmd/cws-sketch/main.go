@@ -26,7 +26,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"coordsample"
 	"coordsample/internal/cliquery"
@@ -83,17 +82,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var pred coordsample.Pred
-	if *prefix != "" {
-		p := *prefix
-		pred = func(key string) bool { return strings.HasPrefix(key, p) }
-	}
-
 	est, err := coordsample.ParseEstimator(*estimator)
 	if err != nil {
 		fatal(err)
 	}
-	label, v, stderr, err := cliquery.Answer(summary, *query, *b, R, *l, pred, est)
+	label, v, stderr, err := cliquery.AnswerVia(summary, *query, *b, R, *l, nil, est, func(_ string, build func() coordsample.AWSummary) coordsample.AWSummary {
+		return build().Within(*prefix)
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -7,11 +7,12 @@
 // same sketches yields the bit-identical estimate everywhere.
 //
 // Answering a query has two phases with very different costs: building the
-// AW-summary for the aggregate (runs an estimator over the union of the
-// sketches' keys) and evaluating the subpopulation sum over it (a cached,
-// deterministic summation). The SummaryBuilder hook separates them so a
-// resident process can memoize phase one per frozen snapshot — every
-// front end still funnels through AnswerVia, keeping one query path.
+// AW-summary for the aggregate (an estimator pass over the union of the
+// sketches' keys), then summing it over the subpopulation: every front end
+// asks a key prefix, one run of the summary's sorted keys (AWSummary.Within,
+// bit-identical to a predicate scan). The SummaryBuilder hook separates the
+// phases so a resident process memoizes whole summaries per frozen snapshot,
+// one build serving every prefix; every front end funnels through AnswerVia.
 package cliquery
 
 import (
@@ -80,7 +81,7 @@ func ParseEpochRange(s string) (lo, hi int, err error) {
 type SummaryBuilder func(key string, build func() estimate.AWSummary) estimate.AWSummary
 
 // Direct is the memoization-free SummaryBuilder: it builds the summary on
-// every call. The one-shot command-line tools use it.
+// every call, the reference a memoizing builder must agree with.
 func Direct(key string, build func() estimate.AWSummary) estimate.AWSummary { return build() }
 
 // aggKey canonicalizes an aggregate identity for SummaryBuilder memoization.
@@ -111,18 +112,6 @@ func aggKey(est, query string, R []int, extra int) string {
 	return sb.String()
 }
 
-// Answer evaluates the named query over the summary restricted to pred
-// (nil selects all keys): "sum" (single assignment b), "total" (sum across
-// the assignments of R), "min"/"max" dominance, "L1" difference, "lth"
-// (ℓ-th largest, ℓ = l), or "jaccard" (clamped ratio, 1 by convention for
-// an empty subpopulation), using the estimator family est (nil selects the
-// default AW family). It returns a human-readable label, the estimate, and
-// the estimated standard error (NaN for jaccard, a ratio of estimates with
-// no unbiased variance estimator).
-func Answer(d *estimate.Dispersed, query string, b int, R []int, l int, pred dataset.Pred, est estimate.Estimator) (string, float64, float64, error) {
-	return AnswerVia(d, query, b, R, l, pred, est, Direct)
-}
-
 // Reads returns the assignments AnswerVia reads to answer query: b alone for
 // "sum" (none when AnswerVia will refuse b), else R — nil meaning all n, as
 // everywhere. A serving state that merges per assignment (core.Merged)
@@ -137,11 +126,18 @@ func Reads(query string, b int, R []int, n int) []int {
 	return []int{b}
 }
 
-// AnswerVia is Answer with an explicit SummaryBuilder: every AW-summary the
-// query needs is obtained through via, letting the caller cache summaries
-// across calls that share a frozen snapshot. The estimate for a given
-// summary and predicate is deterministic (sorted-order Neumaier summation),
-// so memoizing the summary cannot change any answer.
+// AnswerVia evaluates the named query over the summary restricted to pred
+// (nil selects all keys): "sum" (single assignment b), "total" (sum across
+// the assignments of R), "min"/"max" dominance, "L1" difference, "lth"
+// (ℓ-th largest, ℓ = l), or "jaccard" (clamped ratio, 1 by convention for
+// an empty subpopulation), using the estimator family est (nil selects the
+// default AW family). It returns a human-readable label, the estimate, and
+// the estimated standard error (NaN for jaccard, a ratio of estimates with
+// no unbiased variance estimator). Every AW-summary the query needs comes
+// through via (Direct builds each one), letting a caller cache summaries
+// across calls that share a frozen snapshot: the estimate for a given
+// summary and predicate is deterministic (sorted-order Neumaier
+// summation), so memoizing the summary cannot change any answer.
 func AnswerVia(d *estimate.Dispersed, query string, b int, R []int, l int, pred dataset.Pred, est estimate.Estimator, via SummaryBuilder) (string, float64, float64, error) {
 	if est == nil {
 		est = estimate.AWEstimator

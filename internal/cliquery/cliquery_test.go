@@ -32,7 +32,7 @@ func buildSummary(t *testing.T) *estimate.Dispersed {
 func TestAnswerDispatch(t *testing.T) {
 	d := buildSummary(t)
 	for _, q := range []string{"sum", "total", "min", "max", "L1", "lth", "jaccard"} {
-		label, v, stderr, err := Answer(d, q, 0, nil, 1, nil, nil)
+		label, v, stderr, err := AnswerVia(d, q, 0, nil, 1, nil, nil, Direct)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -49,17 +49,17 @@ func TestAnswerDispatch(t *testing.T) {
 		}
 	}
 	// The dispatch must agree with the direct estimator calls.
-	if _, v, _, _ := Answer(d, "L1", 0, nil, 1, nil, nil); v != d.RangeLSet(nil).Estimate(nil) {
+	if _, v, _, _ := AnswerVia(d, "L1", 0, nil, 1, nil, nil, Direct); v != d.RangeLSet(nil).Estimate(nil) {
 		t.Fatal("L1 dispatch diverges from RangeLSet")
 	}
-	if _, v, _, _ := Answer(d, "lth", 0, nil, 2, nil, nil); v != d.LthLargest(nil, 2).Estimate(nil) {
+	if _, v, _, _ := AnswerVia(d, "lth", 0, nil, 2, nil, nil, Direct); v != d.LthLargest(nil, 2).Estimate(nil) {
 		t.Fatal("lth dispatch diverges from LthLargest")
 	}
-	if _, v, _, _ := Answer(d, "total", 0, nil, 1, nil, nil); v != d.TotalUnion(nil).Estimate(nil) {
+	if _, v, _, _ := AnswerVia(d, "total", 0, nil, 1, nil, nil, Direct); v != d.TotalUnion(nil).Estimate(nil) {
 		t.Fatal("total dispatch diverges from TotalUnion")
 	}
 	pred := func(key string) bool { return strings.HasSuffix(key, "1") }
-	if _, v, _, _ := Answer(d, "max", 0, []int{1}, 1, pred, nil); v != d.Max([]int{1}).Estimate(pred) {
+	if _, v, _, _ := AnswerVia(d, "max", 0, []int{1}, 1, pred, nil, Direct); v != d.Max([]int{1}).Estimate(pred) {
 		t.Fatal("predicate/R not forwarded")
 	}
 }
@@ -70,17 +70,17 @@ func TestAnswerDispatch(t *testing.T) {
 func TestAnswerEstimatorDispatch(t *testing.T) {
 	d := buildSummary(t)
 	disc := estimate.DiscardedEstimator
-	if _, v, _, _ := Answer(d, "total", 0, nil, 1, nil, disc); v != d.TotalDiscarded(nil).Estimate(nil) {
+	if _, v, _, _ := AnswerVia(d, "total", 0, nil, 1, nil, disc, Direct); v != d.TotalDiscarded(nil).Estimate(nil) {
 		t.Fatal("discarded total dispatch diverges from TotalDiscarded")
 	}
-	if _, v, _, _ := Answer(d, "L1", 0, nil, 1, nil, disc); v != d.RangeDiscarded(nil).Estimate(nil) {
+	if _, v, _, _ := AnswerVia(d, "L1", 0, nil, 1, nil, disc, Direct); v != d.RangeDiscarded(nil).Estimate(nil) {
 		t.Fatal("discarded L1 dispatch diverges from RangeDiscarded")
 	}
-	if _, v, _, _ := Answer(d, "min", 0, nil, 1, nil, disc); v != d.MinLSet(nil).Estimate(nil) {
+	if _, v, _, _ := AnswerVia(d, "min", 0, nil, 1, nil, disc, Direct); v != d.MinLSet(nil).Estimate(nil) {
 		t.Fatal("discarded min must coincide with the l-set estimator")
 	}
 	// Discarded jaccard composes min/(total − min) on a pair.
-	_, j, _, err := Answer(d, "jaccard", 0, nil, 1, nil, disc)
+	_, j, _, err := AnswerVia(d, "jaccard", 0, nil, 1, nil, disc, Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAnswerErrors(t *testing.T) {
 		{"lth", 0, 0},
 		{"lth", 0, 3},
 	} {
-		if _, _, _, err := Answer(d, tc.q, tc.b, nil, tc.l, nil, nil); err == nil {
+		if _, _, _, err := AnswerVia(d, tc.q, tc.b, nil, tc.l, nil, nil, Direct); err == nil {
 			t.Fatalf("%+v: expected error", tc)
 		}
 	}
@@ -139,7 +139,7 @@ func TestAnswerViaMemoization(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, want, _, err := Answer(d, tc.q, 0, nil, tc.l, nil, nil)
+			_, want, _, err := AnswerVia(d, tc.q, 0, nil, tc.l, nil, nil, Direct)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,9 +5,7 @@ import (
 	"math"
 	"net/url"
 	"strconv"
-	"strings"
 
-	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
 	"coordsample/internal/obs"
 )
@@ -21,8 +19,7 @@ type HTTPParams struct {
 	B      int                // assignment index for "sum" (default 0)
 	L      int                // ℓ for "lth" (default 1)
 	R      []int              // assignment subset (nil = all)
-	Prefix string             // raw key-prefix predicate ("" = none)
-	Pred   dataset.Pred       // compiled Prefix (nil = all keys)
+	Prefix string             // key prefix of the subpopulation ("" = all keys)
 	Est    estimate.Estimator // estimator family (default AW)
 	Epochs string             // epoch window as "lo..hi", however it was asked ("" = cumulative)
 	Lo, Hi int                // the window's bounds (0 when Epochs is "")
@@ -46,10 +43,7 @@ func ParseHTTPParams(q url.Values, n int) (HTTPParams, error) {
 	if p.R, err = ParseR(q.Get("R"), n); err != nil {
 		return p, fmt.Errorf("bad R parameter: %w", err)
 	}
-	if p.Prefix = q.Get("prefix"); p.Prefix != "" {
-		prefix := p.Prefix
-		p.Pred = func(key string) bool { return strings.HasPrefix(key, prefix) }
-	}
+	p.Prefix = q.Get("prefix")
 	if p.Est, err = estimate.ParseEstimator(q.Get("est")); err != nil {
 		return p, fmt.Errorf("bad est parameter: %w", err)
 	}
@@ -64,16 +58,16 @@ func ParseHTTPParams(q url.Values, n int) (HTTPParams, error) {
 
 // Answer answers p over summary into the response fields agg, label,
 // estimate, estimator and stderr (omitted when NaN: jaccard's, which JSON
-// cannot carry), under an "estimate" span of tr; each AW-summary comes
-// through via, and one it builds also gets a "summarize" span. An error is
-// the query's fault.
+// cannot carry), under an "estimate" span of tr; each whole AW-summary comes
+// through via (one it builds gets a "summarize" span) and is summed over its
+// Within(p.Prefix) run. An error is the query's fault.
 func (p HTTPParams) Answer(tr *obs.Trace, summary *estimate.Dispersed, via SummaryBuilder, resp map[string]any) error {
 	sp := tr.Start("estimate")
-	label, v, stderr, err := AnswerVia(summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, func(key string, build func() estimate.AWSummary) estimate.AWSummary {
+	label, v, stderr, err := AnswerVia(summary, p.Agg, p.B, p.R, p.L, nil, p.Est, func(key string, build func() estimate.AWSummary) estimate.AWSummary {
 		return via(key, func() estimate.AWSummary {
 			defer tr.Start("summarize").End()
 			return build()
-		})
+		}).Within(p.Prefix)
 	})
 	sp.End()
 	if err != nil {

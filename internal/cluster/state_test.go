@@ -17,6 +17,7 @@ import (
 
 	"coordsample/internal/cliquery"
 	"coordsample/internal/core"
+	"coordsample/internal/dataset"
 	"coordsample/internal/faults"
 	"coordsample/internal/obs/obstest"
 	"coordsample/internal/server"
@@ -91,8 +92,17 @@ func answerOver(t *testing.T, params string, sets ...[]*sketch.BottomK) (answer,
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v, stderr, err := cliquery.AnswerVia(summary, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, cliquery.Direct)
+	_, v, stderr, err := cliquery.AnswerVia(summary, p.Agg, p.B, p.R, p.L, prefixPred(p.Prefix), p.Est, cliquery.Direct)
 	return answer{v, stderr}, err
+}
+
+// prefixPred is the oracle's subpopulation: a strings.HasPrefix scan of
+// every key, independent of the key-run lookup /cluster/query answers with.
+func prefixPred(prefix string) dataset.Pred {
+	if prefix == "" {
+		return nil
+	}
+	return func(key string) bool { return strings.HasPrefix(key, prefix) }
 }
 
 // oracle answers params over the listed peers' current sets (all peers when

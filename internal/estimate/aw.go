@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 
 	"coordsample/internal/dataset"
@@ -132,6 +133,16 @@ func (s AWSummary) Len() int { return len(s.keys) }
 // Keys returns the summarized keys in sorted order. The slice is shared;
 // callers must not modify it.
 func (s AWSummary) Keys() []string { return s.keys }
+
+// Within returns the sub-summary of the keys that begin with prefix: one run
+// of the sorted keys, found by binary search and shared with s, capped so an
+// append cannot reach into s. Estimate(nil) over it adds what Estimate over s
+// adds under a strings.HasPrefix predicate, in the same order: bit-identical.
+func (s AWSummary) Within(prefix string) AWSummary {
+	lo, _ := slices.BinarySearch(s.keys, prefix) // past lo, keys without prefix follow those with it
+	hi := lo + sort.Search(len(s.keys)-lo, func(i int) bool { return !strings.HasPrefix(s.keys[lo+i], prefix) })
+	return AWSummary{keys: s.keys[lo:hi:hi], weights: s.weights[lo:hi:hi], vars: s.vars[lo:hi:hi]}
+}
 
 // Equal reports whether o holds the same keys, weights and variances.
 func (s AWSummary) Equal(o AWSummary) bool {

@@ -212,7 +212,7 @@ func TestBitIdenticalAcrossConcurrentFreezes(t *testing.T) {
 		if strings.Contains(c.params, "R=0,1") {
 			R = []int{0, 1}
 		}
-		_, want, _, err := cliquery.Answer(offline, c.query, c.b, R, c.l, c.pred, nil)
+		_, want, _, err := cliquery.AnswerVia(offline, c.query, c.b, R, c.l, c.pred, nil, cliquery.Direct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -791,7 +791,7 @@ func TestEpochRangeQueriesBitIdentical(t *testing.T) {
 			}{
 				{"agg=L1", "L1"}, {"agg=max", "max"}, {"agg=sum&b=0", "sum"}, {"agg=jaccard", "jaccard"},
 			} {
-				_, want, _, err := cliquery.Answer(offline, check.q, 0, nil, 1, nil, nil)
+				_, want, _, err := cliquery.AnswerVia(offline, check.q, 0, nil, 1, nil, nil, cliquery.Direct)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -1293,7 +1293,7 @@ func TestEstimatorSelectionEndToEnd(t *testing.T) {
 	for _, fam := range families {
 		for _, c := range aggs {
 			params := c.params + fam.param
-			_, want, wantErr, err := cliquery.Answer(offline, c.q, c.b, nil, c.l, nil, fam.est)
+			_, want, wantErr, err := cliquery.AnswerVia(offline, c.q, c.b, nil, c.l, nil, fam.est, cliquery.Direct)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,6 +17,7 @@ import (
 
 	"coordsample/internal/cliquery"
 	"coordsample/internal/core"
+	"coordsample/internal/dataset"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 	"coordsample/internal/store"
@@ -114,6 +115,15 @@ func windowVocabulary() []string {
 	return qs
 }
 
+// prefixPred is the oracle's subpopulation: a strings.HasPrefix scan of
+// every key, independent of the key-run lookup /query answers with.
+func prefixPred(prefix string) dataset.Pred {
+	if prefix == "" {
+		return nil
+	}
+	return func(key string) bool { return strings.HasPrefix(key, prefix) }
+}
+
 // TestWindowDifferential: on windows of one epoch, four epochs and the whole
 // ring, and on the whole stream (no epochs=, the snapshot's cumulative
 // state), every query of the vocabulary, asked in shuffled orders against
@@ -149,7 +159,7 @@ func TestWindowDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, want, wantSE, err := cliquery.AnswerVia(oracle, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, cliquery.Direct)
+				_, want, wantSE, err := cliquery.AnswerVia(oracle, p.Agg, p.B, p.R, p.L, prefixPred(p.Prefix), p.Est, cliquery.Direct)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -311,7 +321,7 @@ func TestWindowConcurrentQueriesMergeOnce(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			_, want, _, err := cliquery.AnswerVia(oracle, p.Agg, p.B, p.R, p.L, p.Pred, p.Est, cliquery.Direct)
+			_, want, _, err := cliquery.AnswerVia(oracle, p.Agg, p.B, p.R, p.L, prefixPred(p.Prefix), p.Est, cliquery.Direct)
 			if err != nil {
 				t.Error(err)
 				return
@@ -433,30 +443,26 @@ func key13(n int) string {
 	return fmt.Sprintf("k%x%011x", n%16, uint64(n)*0x9e3779b97f4a7c15&(1<<44-1))
 }
 
-func windowQueryCold(b *testing.B, prefix string, key func(i, epoch int) string) {
+// queryNode is a durable node at the end-to-end benchmark's sketch size
+// (k = 1 024, |W| = 8) holding four frozen epochs of 4k keys each, every key
+// offered in every assignment.
+func queryNode(tb testing.TB, key func(i, epoch int) string) *Server {
 	cfg := Config{
 		Sample:      core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 11, K: 1024},
 		Assignments: 8,
 		Retain:      4,
 	}
-	st, err := store.Open(store.Config{Dir: b.TempDir(), Retain: cfg.Retain, Sample: cfg.Sample, Assignments: cfg.Assignments})
+	st, err := store.Open(store.Config{Dir: tb.TempDir(), Retain: cfg.Retain, Sample: cfg.Sample, Assignments: cfg.Assignments})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer st.Close()
+	tb.Cleanup(func() { st.Close() })
 	cfg.Store = st
 	s, err := New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Close()
-	post := func(path string, body []byte) {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
-		}
-	}
+	tb.Cleanup(func() { s.Close() })
 	for epoch := 0; epoch < 4; epoch++ {
 		var offers []Offer
 		for i := 0; i < 4*cfg.Sample.K; i++ {
@@ -467,11 +473,25 @@ func windowQueryCold(b *testing.B, prefix string, key func(i, epoch int) string)
 		}
 		body, err := json.Marshal(map[string]any{"offers": offers})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		post("/offer", body)
-		post("/freeze", nil)
+		serveOK(tb, s, http.MethodPost, "/offer", body)
+		serveOK(tb, s, http.MethodPost, "/freeze", nil)
 	}
+	return s
+}
+
+// serveOK serves one request in process and fails unless it answers 200.
+func serveOK(tb testing.TB, s *Server, method, path string, body []byte) {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+	}
+}
+
+func windowQueryCold(b *testing.B, prefix string, key func(i, epoch int) string) {
+	s := queryNode(b, key)
 	snap := s.snap.Load()
 	for _, shape := range []struct{ name, params string }{
 		{"single", "agg=sum&b=1"}, {"pair", "agg=L1&R=0,7"}, {"all", "agg=L1"},
@@ -481,12 +501,50 @@ func windowQueryCold(b *testing.B, prefix string, key func(i, epoch int) string)
 				snap.rangeMu.Lock()
 				clear(snap.ranges)
 				snap.rangeMu.Unlock()
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?"+shape.params+"&prefix="+prefix+"&epochs=1..4", nil))
-				if rec.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", rec.Code, rec.Body)
-				}
+				serveOK(b, s, http.MethodGet, "/query?"+shape.params+"&prefix="+prefix+"&epochs=1..4", nil)
 			}
 		})
+	}
+}
+
+// BenchmarkWindowQueryWarm is the warm counterpart on the same node: one
+// cumulative /query whose AW-summary the snapshot already keeps, so an
+// iteration is the handler alone — parse, pin, the sum over the prefix's
+// key run, encode — with no prefix, a 1/16 prefix (a key class) and a
+// 1/256 prefix (a class and one identifier digit).
+func BenchmarkWindowQueryWarm(b *testing.B) {
+	s := queryNode(b, func(i, epoch int) string { return key13(epoch<<20 | i) })
+	for _, prefix := range []struct{ name, param string }{
+		{"none", ""}, {"1of16", "&prefix=k3"}, {"1of256", "&prefix=k3a"},
+	} {
+		b.Run(prefix.name, func(b *testing.B) {
+			path := "/query?agg=L1" + prefix.param
+			serveOK(b, s, http.MethodGet, path, nil) // builds the summary
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOK(b, s, http.MethodGet, path, nil)
+			}
+		})
+	}
+}
+
+// TestWarmPrefixQueryAllocations: a warm /query with a prefix allocates no
+// more than the same warm query with an empty one (all keys): the prefix
+// costs a binary search for its key run, not a predicate. Both carry the
+// parameter, whose parse allocates alike whatever its value.
+func TestWarmPrefixQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled state at random")
+	}
+	s, _ := windowServer(t, windowCfg(), chunkEpochs(windowStream(600, 35), 2))
+	allocs := func(path string) float64 {
+		serveOK(t, s, http.MethodGet, path, nil) // builds the summary
+		return testing.AllocsPerRun(20, func() { serveOK(t, s, http.MethodGet, path, nil) })
+	}
+	for _, q := range []string{"agg=L1", "agg=sum&b=2", "agg=jaccard&R=1,3", "agg=total&est=discarded"} {
+		whole, prefixed := allocs("/query?"+q+"&prefix="), allocs("/query?"+q+"&prefix=host-00")
+		if prefixed > whole {
+			t.Errorf("warm /query?%s: %v allocations with prefix=host-00, %v with none", q, prefixed, whole)
+		}
 	}
 }
