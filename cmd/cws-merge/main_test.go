@@ -508,13 +508,13 @@ func TestStoreWindowWithDuplicateKeyFails(t *testing.T) {
 	}
 }
 
-// TestStoreUpgradedFromV1: -store reads a store the version-1 segment
-// writer left (internal/store/testdata/v1store) after a version-2 epoch
-// compacted it — both segment versions on disk — and answers
-// bit-identically to the sketches the store recovers.
-func TestStoreUpgradedFromV1(t *testing.T) {
+// TestStoreUpgradedFromV2: -store reads a store the version-2 segment
+// writer left (internal/store/testdata/v2store) after a version-3 epoch
+// and checkpoint were committed onto it — both segment versions on disk —
+// and answers bit-identically to the sketches the store recovers.
+func TestStoreUpgradedFromV2(t *testing.T) {
 	dir := t.TempDir()
-	const fixture = "../../internal/store/testdata/v1store"
+	const fixture = "../../internal/store/testdata/v2store"
 	files, err := os.ReadDir(fixture)
 	if err != nil {
 		t.Fatal(err)
@@ -554,10 +554,15 @@ func TestStoreUpgradedFromV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	// Epoch 4 is a version-1 segment, epoch 5 version 2.
+	// Epoch 4 is a version-2 segment, epoch 5 version 3.
 	ring := ro.Retained()
 	if len(ring) != 2 || ring[0].Epoch != 4 || ring[1].Epoch != 5 {
 		t.Fatalf("retained ring %v, want epochs 4 and 5", ring)
+	}
+	for name, want := range map[string]byte{"epoch-000004.seg": 2, "epoch-000005.seg": 3} {
+		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || data[4] != want {
+			t.Fatalf("%s: want segment version %d (err %v)", name, want, err)
+		}
 	}
 	window, err := sketch.MergeSets(ring[0].Sketches, ring[1].Sketches)
 	if err != nil {

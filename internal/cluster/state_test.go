@@ -52,6 +52,12 @@ func (tc *testCluster) fetchSet(t *testing.T, i int, epochs string) []*sketch.Bo
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: status %d: %s", u, resp.StatusCode, body)
 	}
+	// testSample is IPPS shared-seed: every peer's segment is version 3,
+	// its ranks derived on decode, so the router's answers are checked
+	// over version-3 segments.
+	if body[4] != 3 {
+		t.Fatalf("GET %s: segment version %d, want 3", u, body[4])
+	}
 	decoded, err := sketch.DecodeSegment(body)
 	if err != nil {
 		t.Fatal(err)

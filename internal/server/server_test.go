@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -1147,6 +1149,58 @@ func TestCumulativeExportIsTheFreezeBytes(t *testing.T) {
 			t.Fatalf("cluster member %v, reopened over a lagging checkpoint: 4 exports encoded %v times (want %v), same bytes %v",
 				member, encodes, want, bytes.Equal(reopened, live))
 		}
+	}
+}
+
+// TestV2StoreExportIsVersion3: a node recovering a store the version-2
+// writer left (internal/store/testdata/v2store, whose checkpoint covers
+// its last epoch) exports the version-3 segment of the recovered
+// cumulative, encoded once, never the checkpoint's version-2 bytes; after
+// its next freeze it exports the new version-3 checkpoint with no encode.
+func TestV2StoreExportIsVersion3(t *testing.T) {
+	dir, fixture := t.TempDir(), "../store/testdata/v2store"
+	files, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{Sample: core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 77, K: 32}, Assignments: 2, Lanes: 1}
+	cfg.Store = openTestStore(t, dir, cfg, 2)
+	s, ts := newTestServer(t, cfg)
+	check := func(wantEncodes float64) []byte {
+		t.Helper()
+		want, _, err := sketch.MarshalSegment(cfg.Sample.WireMetas(2), s.snap.Load().cum.Sketches())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := obstest.Scrape(t, ts.URL)["cws_segment_export_encodes_total"]
+		resp, err := http.Get(ts.URL + "/sketches")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || !bytes.Equal(body, want) || body[4] != 3 {
+			t.Fatalf("/sketches (%d bytes, err %v) is not the version-3 encoding of the cumulative (%d bytes)", len(body), err, len(want))
+		}
+		if got := obstest.Scrape(t, ts.URL)["cws_segment_export_encodes_total"] - before; got != wantEncodes {
+			t.Fatalf("the export encoded %v times, want %v", got, wantEncodes)
+		}
+		return body
+	}
+	check(1)
+	postJSON(t, ts.URL+"/offer", Offer{Assignment: 0, Key: "after-upgrade", Weight: 3})
+	postJSON(t, ts.URL+"/freeze", nil)
+	if cum, err := os.ReadFile(filepath.Join(dir, "cum-000005.seg")); err != nil || !bytes.Equal(check(0), cum) {
+		t.Fatalf("the export is not the new checkpoint's bytes (err %v)", err)
 	}
 }
 

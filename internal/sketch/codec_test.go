@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
@@ -77,24 +76,6 @@ func firstSketchHeader(data []byte) int {
 	return off
 }
 
-// v1Files returns the single-sketch CWSK files embedded in
-// testdata/segment-v1.seg, as the version-1 writer produced them.
-func v1Files(t testing.TB) [][]byte {
-	t.Helper()
-	data, err := os.ReadFile("testdata/segment-v1.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files [][]byte
-	rest := data[segmentHeaderSize : len(data)-segmentTrailerSize]
-	for len(rest) > 0 {
-		n := binary.LittleEndian.Uint32(rest)
-		files = append(files, rest[4:4+n])
-		rest = rest[4+n:]
-	}
-	return files
-}
-
 // TestCodecRoundTripBottomK is the round-trip property of the one sample
 // format over the structural corner cases of a single shipped sketch: full
 // sketches, size < k (both conditioning ranks +Inf), and empty sketches.
@@ -158,19 +139,14 @@ func TestEncodeRejectsWrongProvenance(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsTampering flips each byte of a valid version-2 segment
-// and of the version-1 fixture, resealing the checksum so the flip reaches
-// the parser, and requires the decoder to either reject the mutation with
-// a typed error or produce sketches that still satisfy every invariant —
+// TestDecodeRejectsTampering flips each byte of a valid version-3 and
+// version-2 segment, resealing the checksum so the flip reaches the
+// parser, and requires the decoder to either reject the mutation with a
+// typed error or produce sketches that still satisfy every invariant —
 // never to panic.
 func TestDecodeRejectsTampering(t *testing.T) {
-	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, Assignment: 1}
-	v2 := oneSketchSegment(t, meta, buildFingerprinted(meta, 8, 100, 1))
-	v1, err := os.ReadFile("testdata/segment-v1.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, valid := range [][]byte{v2, v1} {
+	segments := tamperSegments(t)
+	for _, valid := range segments {
 		body := valid[:len(valid)-segmentTrailerSize]
 		for i := range body {
 			for _, flip := range []byte{0x01, 0x80} {
@@ -196,11 +172,9 @@ func TestDecodeRejectsTampering(t *testing.T) {
 
 	// Tampering with a stored fingerprint specifically yields the typed
 	// mismatch error, in either version.
-	mutV2 := bytes.Clone(v2[:len(v2)-segmentTrailerSize])
-	mutV2[firstSketchHeader(v2)+18] ^= 0xff // fingerprint field of the sketch header
-	mutV1 := bytes.Clone(v1[:len(v1)-segmentTrailerSize])
-	mutV1[segmentHeaderSize+4+24] ^= 0xff // fingerprint field of the first CWSK header
-	for name, mut := range map[string][]byte{"v2": mutV2, "v1": mutV1} {
+	for name, valid := range segments {
+		mut := bytes.Clone(valid[:len(valid)-segmentTrailerSize])
+		mut[firstSketchHeader(valid)+18] ^= 0xff // fingerprint field of the sketch header
 		var fpErr *FingerprintMismatchError
 		if _, err := DecodeSegment(reseal(mut)); !errors.As(err, &fpErr) {
 			t.Fatalf("%s fingerprint tamper: got %v, want *FingerprintMismatchError", name, err)
@@ -208,13 +182,32 @@ func TestDecodeRejectsTampering(t *testing.T) {
 	}
 }
 
+// tamperSegments returns a one-sketch segment of each version: IPPS
+// shared-seed ranks (version 3) and EXP ranks (version 2).
+func tamperSegments(t *testing.T) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for name, family := range map[string]rank.Family{"v3": rank.IPPS, "v2": rank.EXP} {
+		meta := WireMeta{Family: family, Mode: rank.SharedSeed, Seed: 5, Assignment: 1}
+		out[name] = oneSketchSegment(t, meta, buildFingerprinted(meta, 8, 100, 1))
+		if want := map[string]byte{"v3": segmentV3, "v2": segmentV2}[name]; out[name][4] != want {
+			t.Fatalf("%s fixture is version %d", name, out[name][4])
+		}
+	}
+	return out
+}
+
 // TestDecodeRejectsGarbage: inputs that are not segments — including the
-// retired standalone formats — are refused with a typed error.
+// retired standalone formats and version-1 segments — are refused with a
+// typed error.
 func TestDecodeRejectsGarbage(t *testing.T) {
 	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, Assignment: 1}
-	v2 := oneSketchSegment(t, meta, buildFingerprinted(meta, 8, 100, 1))
-	bad := bytes.Clone(v2)
+	bad := oneSketchSegment(t, meta, buildFingerprinted(meta, 8, 100, 1))
 	bad[4] = 99 // unknown segment version
+	v1 := reseal(append(bytes.Clone(segmentMagic[:]), 1, 0, 0, 0, 0))
+	if _, err := DecodeSegment(v1); err == nil || !strings.Contains(err.Error(), "unsupported segment version 1") {
+		t.Fatalf("version-1 segment: err = %v, want \"unsupported segment version 1\"", err)
+	}
 	cases := [][]byte{
 		nil,
 		[]byte("not a sketch"),
@@ -223,7 +216,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		segmentMagic[:],
 		reseal(append(bytes.Clone(segmentMagic[:]), 99, 0, 0, 0, 0)),
 		bad,
-		v1Files(t)[0], // a standalone CWSK file
+		v1,
+		[]byte("CWSK\x01\x01"), // the head of a retired standalone CWSK file
 	}
 	for i, data := range cases {
 		_, err := DecodeSegment(data)
@@ -285,59 +279,13 @@ func TestMergeVerifiesFingerprints(t *testing.T) {
 	}
 }
 
-// FuzzDecode hardens the CWSK decoder behind version-1 segments, which a
-// fuzzer mutating whole segments rarely reaches past the checksum:
-// arbitrary input must produce an error or a fully validated bottom-k
-// sketch, never a panic, and anything that decodes must ship as a segment
-// and decode to the identical sketch. The seeds are the files the
-// version-1 writer embedded in testdata/segment-v1.seg, each as written
-// and in four broken variants.
-func FuzzDecode(f *testing.F) {
-	// Variants: torn tail, header only, Poisson kind, wire version 2.
-	for _, file := range v1Files(f) {
-		f.Add(file)
-		f.Add(file[:len(file)-1])
-		f.Add(file[:headerSize])
-		for _, edit := range []struct{ at, v byte }{{5, 2}, {4, 2}} {
-			mut := bytes.Clone(file)
-			mut[edit.at] = edit.v
-			f.Add(mut)
-		}
-	}
-	f.Add([]byte(nil))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := decodeCWSK(data)
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := EncodeSegment(&buf, []WireMeta{d.Meta}, []*BottomK{d.BottomK}); err != nil {
-			t.Fatalf("decoded sketch does not re-encode: %v", err)
-		}
-		again, err := DecodeSegment(buf.Bytes())
-		if err != nil {
-			t.Fatalf("re-encoded sketch does not decode: %v", err)
-		}
-		sameBottomK(t, again[0].BottomK, d.BottomK)
-	})
-}
-
 // TestDecodeRejectsHugeAssignment: both segment versions bound the
 // assignment index — combiners size state by it, so an unbounded claimed
 // index is an allocation bomb.
 func TestDecodeRejectsHugeAssignment(t *testing.T) {
-	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, Assignment: 0}
-	v2 := oneSketchSegment(t, meta, buildFingerprinted(meta, 4, 50, 1))
-	mutV2 := bytes.Clone(v2[:len(v2)-segmentTrailerSize])
-	binary.LittleEndian.PutUint32(mutV2[firstSketchHeader(v2)+10:], 1<<31)
-	v1, err := os.ReadFile("testdata/segment-v1.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutV1 := bytes.Clone(v1[:len(v1)-segmentTrailerSize])
-	binary.LittleEndian.PutUint32(mutV1[segmentHeaderSize+4+16:], 1<<31)
-	for name, mut := range map[string][]byte{"v2": mutV2, "v1": mutV1} {
+	for name, valid := range tamperSegments(t) {
+		mut := bytes.Clone(valid[:len(valid)-segmentTrailerSize])
+		binary.LittleEndian.PutUint32(mut[firstSketchHeader(valid)+10:], 1<<31)
 		if _, err := DecodeSegment(reseal(mut)); err == nil || !strings.Contains(err.Error(), "assignment index") {
 			t.Fatalf("%s: huge assignment index accepted: %v", name, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -17,11 +16,12 @@ import (
 	"coordsample/internal/rank"
 )
 
-// buildSegmentFixture builds a fingerprinted two-assignment sketch set and
-// its encoded segment.
-func buildSegmentFixture(t *testing.T, k, n int) ([]WireMeta, []*BottomK, []byte, uint32) {
+// buildSegmentFixture builds a fingerprinted two-assignment shared-seed
+// sketch set of the given rank family and its encoded segment (version 3
+// for IPPS, 2 for EXP).
+func buildSegmentFixture(t *testing.T, family rank.Family, k, n int) ([]WireMeta, []*BottomK, []byte, uint32) {
 	t.Helper()
-	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 99}
+	a := rank.Assigner{Family: family, Mode: rank.SharedSeed, Seed: 99}
 	metas := make([]WireMeta, 2)
 	sketches := make([]*BottomK, 2)
 	rng := rand.New(rand.NewSource(4))
@@ -43,11 +43,10 @@ func buildSegmentFixture(t *testing.T, k, n int) ([]WireMeta, []*BottomK, []byte
 	return metas, sketches, buf.Bytes(), crc
 }
 
-// v1FixtureSketches rebuilds the sketch set testdata/segment-v1.seg was
-// written from by the version-1 writer: four EXP assignments at k = 16 —
-// overfull, overfull on half the keys, underfull, empty — whose keys
-// include the empty string.
-func v1FixtureSketches() ([]WireMeta, []*BottomK) {
+// expFixtureSketches builds four EXP assignments at k = 16 — overfull,
+// overfull on half the keys, underfull, empty — whose keys include the
+// empty string: a version-2 set of every sketch shape.
+func expFixtureSketches() ([]WireMeta, []*BottomK) {
 	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 31}
 	const k = 16
 	metas := make([]WireMeta, 4)
@@ -71,54 +70,30 @@ func v1FixtureSketches() ([]WireMeta, []*BottomK) {
 	return metas, sketches
 }
 
-// appendCWSK appends one single-sketch CWSK file as the version-1 segment
-// writer embedded it (kind 2 was a Poisson sketch, with τ in condA).
-func appendCWSK(buf []byte, kind byte, meta WireMeta, k int, fp uint64, condA, condB float64, entries []Entry) []byte {
-	buf = append(buf, wireMagic[:]...)
-	buf = append(buf, wireVersion, kind, byte(meta.Family), byte(meta.Mode))
-	buf = binary.LittleEndian.AppendUint64(buf, meta.Seed)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(meta.Assignment))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
-	buf = binary.LittleEndian.AppendUint64(buf, fp)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(condA))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(condB))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rank))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Weight))
+// asVersion2 rewrites a version-3 segment as the version-2 segment of the
+// same sketches, the form every store held before version 3: each entry's
+// derived rank spliced in before its weight, and the checksum resealed.
+func asVersion2(t testing.TB, data []byte) []byte {
+	t.Helper()
+	decoded, err := DecodeSegment(data)
+	if err != nil || data[4] != segmentV3 {
+		t.Fatalf("not a version-3 segment (version %d): %v", data[4], err)
 	}
-	return buf
-}
-
-// segmentV1 frames single-sketch files as a sealed version-1 segment.
-func segmentV1(files ...[]byte) []byte {
-	buf := append(bytes.Clone(segmentMagic[:]), 1)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(files)))
-	for _, f := range files {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f)))
-		buf = append(buf, f...)
+	off := firstSketchHeader(data)
+	buf := bytes.Clone(data[:off])
+	buf[4] = segmentV2
+	for _, d := range decoded {
+		buf = append(buf, data[off:off+segmentSketchSize]...)
+		off += segmentSketchSize
+		for _, e := range d.BottomK.Entries() {
+			_, m := binary.Uvarint(data[off:])
+			buf = append(buf, data[off:off+m]...)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rank))
+			buf = append(buf, data[off+m:off+m+8]...)
+			off += m + 8
+		}
 	}
 	return reseal(buf)
-}
-
-// encodeSegmentV1 is the version-1 segment writer version 2 replaced (each
-// sketch as a length-prefixed single-sketch file), kept as the baseline of
-// the segment benchmarks; TestSegmentV1Fixture pins it to the bytes the
-// deleted writer produced.
-func encodeSegmentV1(w io.Writer, metas []WireMeta, sketches []*BottomK) (uint32, error) {
-	files := make([][]byte, len(sketches))
-	for b, s := range sketches {
-		if err := checkWireMeta(metas[b], s.K(), s.Fingerprint()); err != nil {
-			return 0, err
-		}
-		files[b] = appendCWSK(nil, kindBottomK, metas[b], s.K(), s.Fingerprint(), s.KthRank(), s.Threshold(), s.Entries())
-	}
-	data := segmentV1(files...)
-	_, err := w.Write(data)
-	crc, _ := SegmentCRC(data)
-	return crc, err
 }
 
 // reseal replaces a segment's trailer with the CRC-32C of its (edited)
@@ -151,8 +126,8 @@ func sameDecoded(t *testing.T, decoded []*Decoded, metas []WireMeta, sketches []
 // key order — and holds each key once, however many sketches sampled it.
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 3, 500} { // empty, underfull, overfull sketches
-		metas, sketches, data, crc := buildSegmentFixture(t, 32, n)
-		if data[4] != segmentVersion {
+		metas, sketches, data, crc := buildSegmentFixture(t, rank.IPPS, 32, n)
+		if data[4] != segmentV3 {
 			t.Fatalf("n=%d: wrote segment version %d", n, data[4])
 		}
 		if got, ok := SegmentCRC(data); !ok || got != crc {
@@ -175,12 +150,108 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSegmentVersionFollowsRanks: the writer leaves the ranks out (version
+// 3) exactly when every one is the shared seed's IPPS rank, and keeps them
+// (version 2) for EXP, for independent ranks and for an IPPS set one of
+// whose ranks is off by an ulp. Each decodes to bit-identical sketches and
+// key orders and re-encodes to its own bytes.
+func TestSegmentVersionFollowsRanks(t *testing.T) {
+	build := func(family rank.Family, mode rank.Coordination, nudge bool) ([]WireMeta, []*BottomK) {
+		a := rank.Assigner{Family: family, Mode: mode, Seed: 12}
+		metas, sketches := make([]WireMeta, 3), make([]*BottomK, 3)
+		rng := rand.New(rand.NewSource(9))
+		for b := range sketches {
+			metas[b] = WireMeta{Family: family, Mode: mode, Seed: a.Seed, Assignment: b}
+			bld := NewBottomKBuilderWithFingerprint(64, a.Fingerprint(b, 64))
+			for i := 0; i < 40; i++ { // underfull: every key is kept
+				key, w := fmt.Sprintf("k%03d", i), math.Exp(rng.NormFloat64())
+				r := a.Rank(key, b, w)
+				if nudge && b == 2 && i == 17 {
+					r = math.Nextafter(r, math.Inf(1))
+				}
+				bld.Offer(key, r, w)
+			}
+			sketches[b] = bld.Sketch()
+		}
+		return metas, sketches
+	}
+	for _, c := range []struct {
+		name    string
+		family  rank.Family
+		mode    rank.Coordination
+		nudge   bool
+		version byte
+	}{
+		{"ipps-shared", rank.IPPS, rank.SharedSeed, false, segmentV3},
+		{"exp-shared", rank.EXP, rank.SharedSeed, false, segmentV2},
+		{"ipps-independent", rank.IPPS, rank.Independent, false, segmentV2},
+		{"exp-independent", rank.EXP, rank.Independent, false, segmentV2},
+		{"ipps-shared-one-rank-off", rank.IPPS, rank.SharedSeed, true, segmentV2},
+	} {
+		metas, sketches := build(c.family, c.mode, c.nudge)
+		data, _, err := MarshalSegment(metas, sketches)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if data[4] != c.version {
+			t.Fatalf("%s: wrote version %d, want %d", c.name, data[4], c.version)
+		}
+		decoded, err := DecodeSegment(data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sameDecoded(t, decoded, metas, sketches)
+		again := make([]*BottomK, len(decoded))
+		for b, d := range decoded {
+			again[b] = unorderedCopy(d.BottomK)
+		}
+		if out, _, err := MarshalSegment(metas, again); err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("%s: re-encoding gave other bytes (err %v)", c.name, err)
+		}
+		// SegmentCanonical goes by the configuration: it refuses the one
+		// set here whose ranks are not the configuration's, a set no
+		// sketch built under it can be.
+		if got := SegmentCanonical(data, metas); got == c.nudge {
+			t.Fatalf("%s: SegmentCanonical = %v", c.name, got)
+		}
+	}
+}
+
+// TestSegmentV2UpgradesToV3: a version-2 segment of shared-seed IPPS
+// sketches, what every store held before version 3, decodes to the same
+// sketches and re-encodes as version 3; it is not canonical for them.
+func TestSegmentV2UpgradesToV3(t *testing.T) {
+	for _, n := range []int{0, 3, 500} {
+		metas, sketches, v3, _ := buildSegmentFixture(t, rank.IPPS, 32, n)
+		v2 := asVersion2(t, v3)
+		want, _ := SegmentKeys(v3)
+		if got, ok := SegmentKeys(v2); !ok || got != want {
+			t.Fatalf("n=%d: SegmentKeys(v2) = %d,%v, want %d", n, got, ok, want)
+		}
+		decoded, err := DecodeSegment(v2)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		sameDecoded(t, decoded, metas, sketches)
+		if SegmentCanonical(v2, metas) || !SegmentCanonical(v3, metas) {
+			t.Fatalf("n=%d: SegmentCanonical v2 %v, v3 %v; want false, true", n, SegmentCanonical(v2, metas), SegmentCanonical(v3, metas))
+		}
+		again := make([]*BottomK, len(decoded))
+		for b, d := range decoded {
+			again[b] = d.BottomK
+		}
+		if out, _, err := MarshalSegment(metas, again); err != nil || !bytes.Equal(out, v3) {
+			t.Fatalf("n=%d: a decoded version-2 segment does not re-encode as version 3 (err %v)", n, err)
+		}
+	}
+}
+
 // TestSegmentEncodeHandsOverKeyOrders: encoding gives every sketch without
 // a key order the one a sort would give, from the segment's dictionary, so
 // no reader of an encoded set sorts; a sketch that held an order keeps it.
 func TestSegmentEncodeHandsOverKeyOrders(t *testing.T) {
 	for _, n := range []int{0, 3, 500} {
-		_, sketches, _, _ := buildSegmentFixture(t, 32, n)
+		_, sketches, _, _ := buildSegmentFixture(t, rank.IPPS, 32, n)
 		sorts := KeyOrderSorts()
 		for b, s := range sketches {
 			ok := s.ordered.Load()
@@ -205,10 +276,10 @@ func TestSegmentEncodeHandsOverKeyOrders(t *testing.T) {
 }
 
 // TestSegmentEncodeDeterministic: the encoding depends on the sketches
-// alone — re-encoding what was decoded reproduces the bytes — and it is
-// smaller than version 1 once the samples overlap.
+// alone — re-encoding what was decoded reproduces the bytes — and version
+// 3 is smaller than version 2 by the 8 bytes of every entry's rank.
 func TestSegmentEncodeDeterministic(t *testing.T) {
-	metas, _, data, _ := buildSegmentFixture(t, 64, 400)
+	metas, sketches, data, _ := buildSegmentFixture(t, rank.IPPS, 64, 400)
 	decoded, err := DecodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
@@ -217,58 +288,23 @@ func TestSegmentEncodeDeterministic(t *testing.T) {
 	for b, d := range decoded {
 		again[b] = d.BottomK
 	}
-	var buf, v1 bytes.Buffer
+	var buf bytes.Buffer
 	if _, err := EncodeSegment(&buf, metas, again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), data) {
 		t.Fatal("re-encoding a decoded segment changed its bytes")
 	}
-	if _, err := encodeSegmentV1(&v1, metas, again); err != nil {
-		t.Fatal(err)
+	entries := sketches[0].Size() + sketches[1].Size()
+	if v2 := asVersion2(t, data); len(v2)-len(data) != 8*entries {
+		t.Fatalf("version 3 takes %d bytes, version 2 %d, for %d entries", len(data), len(v2), entries)
 	}
-	if buf.Len() >= v1.Len() {
-		t.Fatalf("version 2 takes %d bytes, version 1 %d", buf.Len(), v1.Len())
-	}
-}
-
-// TestSegmentV1Fixture: a segment the deleted version-1 writer produced
-// (testdata/segment-v1.seg) still decodes, bit for bit, to the sketches it
-// was written from, and re-encodes as version 2 to the same sketches.
-func TestSegmentV1Fixture(t *testing.T) {
-	data, err := os.ReadFile("testdata/segment-v1.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[4] != 1 {
-		t.Fatalf("fixture is version %d", data[4])
-	}
-	metas, sketches := v1FixtureSketches()
-	decoded, err := DecodeSegment(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDecoded(t, decoded, metas, sketches)
-	var v1, v2 bytes.Buffer
-	if _, err := encodeSegmentV1(&v1, metas, sketches); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v1.Bytes(), data) {
-		t.Fatal("encodeSegmentV1 no longer writes what the version-1 writer wrote")
-	}
-	if _, err := EncodeSegment(&v2, metas, sketches); err != nil {
-		t.Fatal(err)
-	}
-	if decoded, err = DecodeSegment(v2.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	sameDecoded(t, decoded, metas, sketches)
 }
 
 // TestSegmentEncodeRejectsMismatch: encoding verifies fingerprints exactly
 // like the single-sketch codec, so a segment can never misstate provenance.
 func TestSegmentEncodeRejectsMismatch(t *testing.T) {
-	metas, sketches, _, _ := buildSegmentFixture(t, 16, 100)
+	metas, sketches, _, _ := buildSegmentFixture(t, rank.IPPS, 16, 100)
 	var buf bytes.Buffer
 	if _, err := EncodeSegment(&buf, metas[:1], sketches); err == nil {
 		t.Error("length mismatch accepted")
@@ -290,35 +326,55 @@ func TestSegmentEncodeRejectsMismatch(t *testing.T) {
 // yields a typed *CorruptSegmentError, never silently decoded sketches, and
 // every such error names its package ("sketch: ") for the caller's logs.
 func TestSegmentCorruptionDetected(t *testing.T) {
-	_, _, data, _ := buildSegmentFixture(t, 32, 200)
+	for _, family := range []rank.Family{rank.IPPS, rank.EXP} { // versions 3 and 2
+		_, _, data, _ := buildSegmentFixture(t, family, 32, 200)
 
-	// Truncations at every boundary class.
-	for _, cut := range []int{0, 3, segmentHeaderSize, len(data) / 2, len(data) - 1} {
-		if _, err := DecodeSegment(data[:cut]); err == nil {
-			t.Errorf("truncation to %d bytes decoded successfully", cut)
-		} else {
-			var ce *CorruptSegmentError
-			if !errors.As(err, &ce) || !strings.HasPrefix(err.Error(), "sketch: ") {
-				t.Errorf("truncation to %d: err %v is not a \"sketch: \" *CorruptSegmentError", cut, err)
+		// Truncations at every boundary class.
+		for _, cut := range []int{0, 3, segmentHeaderSize, len(data) / 2, len(data) - 1} {
+			if _, err := DecodeSegment(data[:cut]); err == nil {
+				t.Errorf("%v: truncation to %d bytes decoded successfully", family, cut)
+			} else {
+				var ce *CorruptSegmentError
+				if !errors.As(err, &ce) || !strings.HasPrefix(err.Error(), "sketch: ") {
+					t.Errorf("%v: truncation to %d: err %v is not a \"sketch: \" *CorruptSegmentError", family, cut, err)
+				}
 			}
 		}
-	}
 
-	// Every single-byte flip must be caught by the checksum (including
-	// flips that keep the file structurally valid, e.g. weight low bits).
-	for i := 0; i < len(data); i++ {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x01
-		if _, err := DecodeSegment(mut); err == nil {
-			t.Fatalf("flipped byte %d decoded successfully", i)
-		} else if !strings.HasPrefix(err.Error(), "sketch: ") {
-			t.Fatalf("flipped byte %d: error %q lacks the \"sketch: \" prefix", i, err)
+		// Every single-byte flip must be caught by the checksum (including
+		// flips that keep the file structurally valid, e.g. weight low bits).
+		for i := 0; i < len(data); i++ {
+			mut := append([]byte(nil), data...)
+			mut[i] ^= 0x01
+			if _, err := DecodeSegment(mut); err == nil {
+				t.Fatalf("%v: flipped byte %d decoded successfully", family, i)
+			} else if !strings.HasPrefix(err.Error(), "sketch: ") {
+				t.Fatalf("%v: flipped byte %d: error %q lacks the \"sketch: \" prefix", family, i, err)
+			}
+		}
+
+		// Trailing garbage after the trailer changes the checksummed region.
+		if _, err := DecodeSegment(append(append([]byte(nil), data...), 0xFF)); err == nil {
+			t.Errorf("%v: trailing garbage accepted", family)
 		}
 	}
+}
 
-	// Trailing garbage after the trailer changes the checksummed region.
-	if _, err := DecodeSegment(append(append([]byte(nil), data...), 0xFF)); err == nil {
-		t.Error("trailing garbage accepted")
+// corruptCase is one body edit behind a resealed checksum and the words
+// its *CorruptSegmentError must contain.
+type corruptCase struct {
+	name, want string
+	data       []byte
+}
+
+func checkCorruptCases(t *testing.T, cases []corruptCase) {
+	t.Helper()
+	for _, c := range cases {
+		_, err := DecodeSegment(c.data)
+		var ce *CorruptSegmentError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a *CorruptSegmentError saying %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -326,7 +382,10 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 // dictionary's invariants is refused even under a valid checksum — the
 // proofs of distinct keys and key order rest on them.
 func TestSegmentV2CorruptionBehindChecksum(t *testing.T) {
-	_, sketches, data, _ := buildSegmentFixture(t, 32, 200)
+	_, sketches, data, _ := buildSegmentFixture(t, rank.EXP, 32, 200)
+	if data[4] != segmentV2 {
+		t.Fatalf("EXP fixture is version %d", data[4])
+	}
 	body := data[:len(data)-segmentTrailerSize]
 	// Every varint here is one byte: d < 128, and keys are 8 bytes
 	// ("key-0042"), so key i opens at 10+9i and entry i of sketch 0 at
@@ -337,10 +396,7 @@ func TestSegmentV2CorruptionBehindChecksum(t *testing.T) {
 	}
 	entry0 := segmentHeaderSize + 1 + 9*d + segmentSketchSize
 	edit := func(f func(b []byte) []byte) []byte { return reseal(f(slices.Clone(body))) }
-	for _, c := range []struct {
-		name, want string
-		data       []byte
-	}{
+	checkCorruptCases(t, []corruptCase{
 		{"dictionary not ascending", "not strictly ascending", edit(func(b []byte) []byte {
 			k0, k1 := b[11:19], b[20:28]
 			var tmp [8]byte
@@ -359,67 +415,82 @@ func TestSegmentV2CorruptionBehindChecksum(t *testing.T) {
 		})},
 		{"truncated dictionary", "truncated dictionary", reseal(body[:segmentHeaderSize+1+9*2+4])},
 		{"trailing byte", "trailing bytes", reseal(append(slices.Clone(body), 0))},
-	} {
-		_, err := DecodeSegment(c.data)
-		var ce *CorruptSegmentError
-		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want a *CorruptSegmentError saying %q", c.name, err, c.want)
-		}
-	}
+	})
 }
 
-// TestSegmentV1CorruptionBehindChecksum: a version-1 segment embeds
-// bottom-k CWSK files only, so a checksum-valid one embedding anything
-// else — a Poisson file, a JSON sketch, garbage — is corrupt.
-func TestSegmentV1CorruptionBehindChecksum(t *testing.T) {
-	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, Assignment: 0}
-	a := meta.Assigner()
-	poisson := NewPoissonBuilderWithFingerprint(0.25, a.Fingerprint(0, 0))
-	for i := 0; i < 50; i++ {
-		key := "key-" + itoa(i)
-		poisson.Offer(key, a.Rank(key, 0, 1), 1)
+// TestSegmentV3CorruptionBehindChecksum: a version-3 body is refused under
+// a valid checksum when its ranks could not be derived — a sketch header
+// that is not IPPS shared-seed, a second seed — or when the derived
+// sketches break an invariant: an entry cut short of its 9 bytes, a
+// repeated index, a weight whose rank leaves rank order, an unused key.
+func TestSegmentV3CorruptionBehindChecksum(t *testing.T) {
+	_, sketches, data, _ := buildSegmentFixture(t, rank.IPPS, 32, 200)
+	body := data[:len(data)-segmentTrailerSize]
+	// As above, but an entry is its one-byte index and its weight.
+	d := int(body[segmentHeaderSize])
+	if data[4] != segmentV3 || d >= 127 || d < 2 || sketches[0].Size() < 2 {
+		t.Fatalf("fixture shape changed: version %d, %d keys", data[4], d)
 	}
-	p := poisson.Sketch()
-	jsonFile := fmt.Sprintf(`{"format":"cws-sketch","version":1,"kind":"bottomk","family":%q,"mode":%q,`+
-		`"seed":"1","assignment":0,"k":4,"fingerprint":"%#x","kth":"+Inf","threshold":"+Inf","entries":[]}`,
-		meta.Family, meta.Mode, a.Fingerprint(0, 4))
-	valid := v1Files(t)[0]
-	badVersion := bytes.Clone(valid)
-	badVersion[4] = 2
-	for _, c := range []struct {
-		name, want string
-		file       []byte
-	}{
-		{"embedded Poisson file", "not bottom-k", appendCWSK(nil, 2, meta, 0, p.Fingerprint(), p.Tau(), 0, p.Entries())},
-		{"embedded JSON file", "magic", []byte(jsonFile)},
-		{"embedded garbage", "truncated header", []byte("not a sketch")},
-		{"embedded bad wire version", "wire version", badVersion},
-		{"embedded trailing byte", "trailing bytes", append(bytes.Clone(valid), 0)},
-	} {
-		_, err := DecodeSegment(segmentV1(valid, c.file))
-		var ce *CorruptSegmentError
-		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want a *CorruptSegmentError saying %q", c.name, err, c.want)
-		}
+	sketch0 := segmentHeaderSize + 1 + 9*d
+	sketch1 := sketch0 + segmentSketchSize + 9*sketches[0].Size()
+	entry0 := sketch0 + segmentSketchSize
+	edit := func(f func(b []byte) []byte) []byte { return reseal(f(slices.Clone(body))) }
+	// Enough keys that some take a two-byte index, so the entry count
+	// check passes a body cut one byte short.
+	_, _, big, _ := buildSegmentFixture(t, rank.IPPS, 256, 600)
+	if keys, _ := SegmentKeys(big); keys < 128 {
+		t.Fatalf("large fixture has only %d keys", keys)
 	}
+	checkCorruptCases(t, []corruptCase{
+		{"EXP sketch header", "version-3", edit(func(b []byte) []byte {
+			b[sketch1] = byte(rank.EXP)
+			return b
+		})},
+		{"independent sketch header", "version-3", edit(func(b []byte) []byte {
+			b[sketch0+1] = byte(rank.Independent)
+			return b
+		})},
+		{"a second seed", "under seed 99", edit(func(b []byte) []byte {
+			b[sketch1+2]++
+			return b
+		})},
+		{"entry cut short", "truncated entry", reseal(big[:len(big)-segmentTrailerSize-1])},
+		{"index repeated within a sketch", "repeated", edit(func(b []byte) []byte {
+			b[entry0+9] = b[entry0]
+			return b
+		})},
+		{"weight out of rank order", "out of (rank, key) order", edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[entry0+1:], math.Float64bits(1e-300))
+			return b
+		})},
+		{"unused dictionary key", "in no sketch", edit(func(b []byte) []byte {
+			b[segmentHeaderSize]++
+			return slices.Insert(b, sketch0, 1, '~')
+		})},
+	})
 }
 
 // FuzzDecodeSegment: no input panics the segment decoder — as given, and
 // resealed with a valid checksum so the mutations reach the parser — and
-// anything it accepts re-encodes as version 2 (a version-2 input to its
-// own bytes) and decodes to the same sketches.
+// anything it accepts re-encodes to its own bytes when its version is the
+// one the writer picks for its sketches, and otherwise to bytes that
+// decode to the same sketches (a version-2 set of derivable ranks).
 func FuzzDecodeSegment(f *testing.F) {
-	v1, err := os.ReadFile("testdata/segment-v1.seg")
+	metas, sketches := expFixtureSketches()
+	v2, _, err := MarshalSegment(metas, sketches)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1)
-	metas, sketches := v1FixtureSketches()
-	var v2 bytes.Buffer
-	if _, err := EncodeSegment(&v2, metas, sketches); err != nil {
+	f.Add(v2)
+	ipps := []WireMeta{
+		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 31, Assignment: 0},
+		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 31, Assignment: 1},
+	}
+	v3, _, err := MarshalSegment(ipps, []*BottomK{buildFingerprinted(ipps[0], 16, 30, 1), buildFingerprinted(ipps[1], 16, 30, 2)})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
+	f.Add(v3)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}
 		if len(data) >= segmentTrailerSize {
@@ -442,14 +513,14 @@ func FuzzDecodeSegment(f *testing.F) {
 			if len(decoded) == 0 {
 				continue
 			}
-			var buf bytes.Buffer
-			if _, err := EncodeSegment(&buf, metas, sketches); err != nil {
+			out, _, err := MarshalSegment(metas, sketches)
+			if err != nil {
 				t.Fatalf("accepted segment does not re-encode: %v", err)
 			}
-			if in[4] == segmentVersion && !bytes.Equal(buf.Bytes(), in) {
-				t.Fatalf("accepted version-2 segment re-encodes to other bytes:\n in %x\nout %x", in, buf.Bytes())
+			if out[4] == in[4] && !bytes.Equal(out, in) {
+				t.Fatalf("accepted version-%d segment re-encodes to other bytes:\n in %x\nout %x", in[4], in, out)
 			}
-			again, err := DecodeSegment(buf.Bytes())
+			again, err := DecodeSegment(out)
 			if err != nil {
 				t.Fatalf("re-encoded segment does not decode: %v", err)
 			}
@@ -486,52 +557,48 @@ func benchSegmentSketches(assignments, k int) ([]WireMeta, []*BottomK) {
 	return metas, sketches
 }
 
-var segmentCodecs = []struct {
-	name   string
-	encode func(io.Writer, []WireMeta, []*BottomK) (uint32, error)
-}{{"v1", encodeSegmentV1}, {"v2", EncodeSegment}}
-
 // BenchmarkSegmentEncode: one epoch's segment at |W| = 8, k = 1 024, each
-// iteration from sketches without key orders, as a freeze encodes them (v2
-// hands each its order).
+// iteration from sketches without key orders, as a freeze encodes them
+// (the encoder hands each its order, and checks every rank against the
+// shared seed to write version 3).
 func BenchmarkSegmentEncode(b *testing.B) {
 	metas, sketches := benchSegmentSketches(8, 1024)
-	for _, c := range segmentCodecs {
-		b.Run(c.name, func(b *testing.B) {
-			fresh := make([][]*BottomK, b.N)
-			for i := range fresh {
-				fresh[i] = make([]*BottomK, len(sketches))
-				for j, s := range sketches {
-					fresh[i][j] = unorderedCopy(s)
-				}
-			}
-			var buf bytes.Buffer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if _, err := c.encode(&buf, metas, fresh[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(buf.Len()), "bytes")
-		})
+	fresh := make([][]*BottomK, b.N)
+	for i := range fresh {
+		fresh[i] = make([]*BottomK, len(sketches))
+		for j, s := range sketches {
+			fresh[i][j] = unorderedCopy(s)
+		}
 	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if _, err := EncodeSegment(&buf, metas, fresh[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes")
 }
 
 // BenchmarkSegmentDecode: decoding that segment and delivering every
-// sketch's key order (sorted for v1, read off the dictionary for v2).
+// sketch's key order (read off the dictionary), as version 2 (stored
+// ranks) and as version 3 (ranks derived, one hash per key).
 func BenchmarkSegmentDecode(b *testing.B) {
 	metas, sketches := benchSegmentSketches(8, 1024)
-	for _, c := range segmentCodecs {
+	v3, _, err := MarshalSegment(metas, sketches)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"v2", asVersion2(b, v3)}, {"v3", v3}} {
 		b.Run(c.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if _, err := c.encode(&buf, metas, sketches); err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				decoded, err := DecodeSegment(buf.Bytes())
+				decoded, err := DecodeSegment(c.data)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -539,6 +606,7 @@ func BenchmarkSegmentDecode(b *testing.B) {
 					d.BottomK.KeyOrder()
 				}
 			}
+			b.ReportMetric(float64(len(c.data)), "bytes")
 		})
 	}
 }
@@ -547,7 +615,7 @@ func BenchmarkSegmentDecode(b *testing.B) {
 // assignment order, each carrying its fingerprint; a wrong fingerprint is a
 // typed *FingerprintMismatchError at its index.
 func TestCheckSet(t *testing.T) {
-	_, sketches, data, _ := buildSegmentFixture(t, 8, 20)
+	_, sketches, data, _ := buildSegmentFixture(t, rank.IPPS, 8, 20)
 	decoded, err := DecodeSegment(data)
 	if err != nil {
 		t.Fatal(err)

@@ -26,10 +26,13 @@
 //
 // A segment file is the multi-sketch framing of internal/sketch
 // (EncodeSegment): one sorted dictionary of the keys every assignment's
-// bottom-k sketch indexes into, closed by a CRC-32C (version 2; version-1
-// segments are still read). Segments are written write-tmp → fsync →
-// rename → fsync(dir), so a crash mid-write leaves at worst an ignored
-// *.tmp file, never a half-written segment under the final name.
+// bottom-k sketch indexes into, closed by a CRC-32C. Version 3 leaves out
+// the ranks IPPS shared-seed sketches derive from their keys; version 2,
+// for every other configuration and every store written before version 3,
+// stores them (both are read; the writer picks). Segments are written
+// write-tmp → fsync → rename → fsync(dir), so a crash mid-write leaves at
+// worst an ignored *.tmp file, never a half-written segment under the
+// final name.
 //
 // # Manifest
 //
@@ -79,17 +82,14 @@
 //   - Every acknowledged epoch is recovered bit-identically: same entries,
 //     same conditioning ranks, same fingerprints — so a restarted server
 //     answers every query exactly as the pre-crash server did.
-//   - A torn final manifest line is tolerated and dropped: it was never
-//     acknowledged. Only stores from older builds, which appended their E
-//     lines, can hold one; the next commit's manifest replaces it.
 //   - A segment written by a commit that never reached its rename is an
 //     orphan: the next commit of the same epoch number overwrites it, and
 //     a writable open garbage-collects it.
-//   - Any other damage — a corrupt non-final manifest line (one naming a
-//     segment other than its own epoch-<n>.seg or cum-<n>.seg included), a
-//     missing, truncated, or bit-flipped segment — is acknowledged state that
-//     cannot be served; Open fails with a typed *CorruptError rather than
-//     ever serving corrupt sketches.
+//   - Any other damage — a corrupt or unterminated manifest line (one
+//     naming a segment other than its own epoch-<n>.seg or cum-<n>.seg
+//     included), a missing, truncated, or bit-flipped segment, a version-1
+//     segment — is acknowledged state that cannot be served; Open fails
+//     with a typed *CorruptError rather than ever serving corrupt sketches.
 //
 // # Retention
 //
@@ -189,7 +189,7 @@ const (
 )
 
 // CorruptError reports acknowledged store state that cannot be trusted: a
-// corrupt manifest line that is not a torn tail, or a referenced segment
+// corrupt or unterminated manifest line, or a referenced segment
 // that is missing, truncated, or fails checksum/validation. The store
 // refuses to open rather than serve it.
 type CorruptError struct {
@@ -287,7 +287,7 @@ type Store struct {
 	cumRec   manifestRecord    // the manifest's C record: the cumulative segment of epochs 1..cumRec.n (n = 0: none)
 	retained []storedEpoch     // the ring: consecutive epochs ending at epoch, ascending
 	cum      []*sketch.BottomK // exact merge of epochs 1..epoch (nil when epoch == 0)
-	cumSeg   []byte            // the cumulative segment's bytes when it covers epoch and is version 2
+	cumSeg   []byte            // the cumulative segment's bytes when it covers epoch and is canonical
 	lock     *os.File          // flock-held LOCK file on writable stores
 	broken   bool              // a manifest's rename may not be durable; commits refused until reopen
 	bytes    int64             // total bytes of referenced segment files
@@ -451,7 +451,8 @@ func (s *Store) Cumulative() []*sketch.BottomK { s.mu.Lock(); defer s.mu.Unlock(
 
 // CumulativeSegment returns the cumulative segment file's bytes — which
 // are EncodeSegment of Cumulative() — when it covers the last epoch and is
-// version 2, else nil. Callers must not modify them.
+// in the version the writer now picks (sketch.SegmentCanonical), else nil.
+// Callers must not modify them.
 func (s *Store) CumulativeSegment() []byte { s.mu.Lock(); defer s.mu.Unlock(); return s.cumSeg }
 
 // mergeSets merges the non-nil sketch sets (disjoint key sets) through a
@@ -924,26 +925,13 @@ func (s *Store) recover() error {
 		return fmt.Errorf("store: %w", err)
 	}
 
-	// Only an *unterminated* final line can be a torn append (older builds
-	// appended each record as a single "line\n"; a crash mid-append cut it
-	// before the newline). A newline-terminated line that fails its
-	// checksum is acknowledged state hit by bit rot — corruption, never
-	// tolerated.
-	content := string(data)
-	torn := ""
-	if i := strings.LastIndexByte(content, '\n'); i < 0 {
-		torn, content = content, ""
-	} else if i != len(content)-1 {
-		torn, content = content[i+1:], content[:i+1]
+	// Every commit replaces the manifest whole, so an unterminated line is
+	// damage, like a line that fails its checksum.
+	content, ok := strings.CutSuffix(string(data), "\n")
+	if !ok {
+		return &CorruptError{Path: mpath, Detail: "manifest does not end in a newline"}
 	}
 	lines := strings.Split(content, "\n")
-	lines = lines[:len(lines)-1] // drop the empty element after the final "\n"
-	if len(lines) == 0 {
-		if torn != "" {
-			return &CorruptError{Path: mpath, Detail: "manifest holds no complete header"}
-		}
-		return &CorruptError{Path: mpath, Detail: "empty manifest"}
-	}
 	assignments, err := parseHeader(lines[0])
 	if err != nil {
 		return &CorruptError{Path: mpath, Detail: err.Error()}
@@ -1000,7 +988,10 @@ func (s *Store) recover() error {
 			if rec.n < s.epoch {
 				return &CorruptError{Path: mpath, Detail: fmt.Sprintf("compaction through %d behind epoch %d", rec.n, s.epoch)}
 			}
-			s.cumRec, s.epoch, base, baseData = rec, rec.n, loaded[i], raw[i]
+			s.cumRec, s.epoch, base, baseData = rec, rec.n, loaded[i], nil
+			if sketch.SegmentCanonical(raw[i], cfgs[i].WireMetas(assignments)) {
+				baseData = raw[i] // what the writer would now write: servable as the export
+			}
 			s.retained = nil
 		case 'E':
 			// The ring is consecutive; it may start inside the cumulative
@@ -1030,10 +1021,7 @@ func (s *Store) recover() error {
 	// A cumulative segment covering the last epoch is the cumulative;
 	// otherwise it merges with the epochs above it, as they merged live.
 	if s.epoch > 0 && s.cumRec.n == s.epoch {
-		s.cum = base
-		if _, v2 := sketch.SegmentKeys(baseData); v2 {
-			s.cumSeg = baseData
-		}
+		s.cum, s.cumSeg = base, baseData
 	} else if s.epoch > 0 {
 		mergeStart := time.Now()
 		sets := [][]*sketch.BottomK{base}

@@ -49,7 +49,7 @@ func FuzzOpenManifest(f *testing.F) {
 	}
 	f.Add([]byte(manifest("E 1", "E 2", "E 3")))                 // the ring filling
 	f.Add([]byte(manifest("C 5", "E 4", "E 5")))                 // a full ring
-	f.Add([]byte(manifest("E 1", "E 2") + lines["E 3"][:30]))    // a torn tail
+	f.Add([]byte(manifest("E 1", "E 2") + lines["E 3"][:30]))    // an unterminated line: corrupt
 	f.Add([]byte(manifest("C 3", "E 2", "E 3", "E 4")))          // C below the last E
 	f.Add(reseal([]byte(manifest() + "E 1" + lines["E 2"][3:]))) // E 1 naming epoch 2's file
 	fresh := epochs[6]

@@ -141,20 +141,17 @@ func TestRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestV1StoreUpgrades: a directory the version-1 segment writer left
-// (testdata/v1store: buildEpochs(t, 4, 60) appended at retain 2 — a
-// cumulative segment through epoch 2 and epochs 3 and 4, all version 1)
-// recovers bit-identically, takes a version-2 epoch whose commit writes
-// the cumulative segment of epochs 1..5 as version 2, and then recovers
-// bit-identically from both versions at once.
-func TestV1StoreUpgrades(t *testing.T) {
+// copyFixture copies the store directory testdata/<name> into a temporary
+// directory and returns it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	files, err := os.ReadDir("testdata/v1store")
+	files, err := os.ReadDir(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		data, err := os.ReadFile(filepath.Join("testdata/v1store", f.Name()))
+		data, err := os.ReadFile(filepath.Join("testdata", name, f.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,29 +159,55 @@ func TestV1StoreUpgrades(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// TestV2StoreUpgrades: a directory the version-2 segment writer left
+// (testdata/v2store: buildEpochs(t, 4, 60) appended at retain 2 — a
+// checkpoint through epoch 4 and epochs 3 and 4, all version 2) recovers
+// bit-identically without handing out its checkpoint's bytes as the
+// export, which the writer would now write as version 3. Its next commit
+// writes version 3 (the epoch and the checkpoint, whose bytes are then the
+// export), and it recovers bit-identically from both versions at once.
+func TestV2StoreUpgrades(t *testing.T) {
+	dir := copyFixture(t, "v2store")
 	epochs := buildEpochs(t, 5, 60)
-	check := func(s *Store, epoch, through int) {
+	check := func(s *Store, epoch int) {
 		t.Helper()
 		retained := s.Retained()
-		if s.Epoch() != epoch || s.CompactedThrough() != through || len(retained) != epoch-through {
-			t.Fatalf("epoch %d, compacted through %d, %d retained; want %d, %d, %d",
-				s.Epoch(), s.CompactedThrough(), len(retained), epoch, through, epoch-through)
+		if s.Epoch() != epoch || s.CompactedThrough() != epoch-2 || len(retained) != 2 {
+			t.Fatalf("epoch %d, compacted through %d, %d retained; want %d, %d, 2",
+				s.Epoch(), s.CompactedThrough(), len(retained), epoch, epoch-2)
 		}
 		sameSketchSet(t, "cumulative", s.Cumulative(), mergeAll(t, epochs[:epoch]))
 		for _, rec := range retained {
 			sameSketchSet(t, fmt.Sprintf("epoch %d", rec.Epoch), rec.Sketches, epochs[rec.Epoch-1])
 		}
 	}
+	version := func(name string) byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data[4]
+	}
+	if v := version("cum-000004.seg"); v != 2 {
+		t.Fatalf("fixture checkpoint is version %d", v)
+	}
 
 	s := openWritable(t, dir, 2)
-	check(s, 4, 2)
+	check(s, 4)
+	if s.CumulativeSegment() != nil {
+		t.Fatal("a version-2 checkpoint of IPPS shared-seed sketches is handed out as the export")
+	}
 	if _, err := s.AppendEpoch(epochs[4]); err != nil {
 		t.Fatal(err)
 	}
-	check(s, 5, 3)
-	// The last segment written is the cumulative one.
+	check(s, 5)
+	// The last segment written, version 3, is the cumulative one.
 	union, entries := map[string]bool{}, 0
-	for _, sk := range mergeAll(t, epochs) {
+	for _, sk := range s.Cumulative() {
 		entries += sk.Size()
 		for _, e := range sk.Entries() {
 			union[e.Key] = true
@@ -193,17 +216,24 @@ func TestV1StoreUpgrades(t *testing.T) {
 	if got, want := s.SegmentKeyRatio(), float64(len(union))/float64(entries); got != want {
 		t.Errorf("SegmentKeyRatio = %v, want %d keys / %d entries", got, len(union), entries)
 	}
+	want, _, err := sketch.MarshalSegment(testSample.WireMetas(2), s.Cumulative())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CumulativeSegment(); !bytes.Equal(got, want) || got[4] != 3 {
+		t.Fatal("the first commit's checkpoint is not the version-3 encoding of the cumulative")
+	}
 	s.Close()
-	for name, want := range map[string]byte{"cum-000005.seg": 2, "epoch-000004.seg": 1, "epoch-000005.seg": 2} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if data[4] != want {
-			t.Errorf("%s is segment version %d, want %d", name, data[4], want)
+	for name, want := range map[string]byte{"cum-000005.seg": 3, "epoch-000004.seg": 2, "epoch-000005.seg": 3} {
+		if v := version(name); v != want {
+			t.Errorf("%s is segment version %d, want %d", name, v, want)
 		}
 	}
-	check(openWritable(t, dir, 2), 5, 3)
+	r := openWritable(t, dir, 2)
+	check(r, 5)
+	if !bytes.Equal(r.CumulativeSegment(), want) {
+		t.Fatal("a recovered version-3 checkpoint is not handed out as the export")
+	}
 }
 
 // TestCrashAfterUnacknowledgedAppend simulates a SIGKILL between the
@@ -242,41 +272,6 @@ func TestCrashAfterUnacknowledgedAppend(t *testing.T) {
 		t.Fatalf("re-append after orphan: epoch %d, err %v", epoch, err)
 	}
 	sameSketchSet(t, "re-appended cumulative", r.Cumulative(), mergeAll(t, epochs))
-}
-
-// TestTornManifestTailTolerated: a crash mid-manifest-append leaves a
-// partial final line; recovery drops it (it was never acknowledged) and
-// serves the prefix.
-func TestTornManifestTailTolerated(t *testing.T) {
-	for _, cut := range []int{1, 10, 20} {
-		dir := t.TempDir()
-		epochs := buildEpochs(t, 3, 100)
-		s := openWritable(t, dir, 8)
-		appendAll(t, s, epochs)
-		s.Close()
-
-		mpath := filepath.Join(dir, manifestName)
-		data, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
-		last := lines[len(lines)-1]
-		if cut >= len(last) {
-			t.Fatalf("cut %d exceeds final line length %d", cut, len(last))
-		}
-		torn := strings.Join(lines[:len(lines)-1], "") + last[:cut]
-		if err := os.WriteFile(mpath, []byte(torn), 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		r := openWritable(t, dir, 8)
-		if r.Epoch() != 2 {
-			t.Fatalf("cut=%d: recovered epoch %d, want 2", cut, r.Epoch())
-		}
-		sameSketchSet(t, "torn-tail cumulative", r.Cumulative(), mergeAll(t, epochs[:2]))
-		r.Close()
-	}
 }
 
 // TestCorruptionIsTyped: non-tail manifest damage and segment damage (flip,
@@ -651,76 +646,40 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
-// TestTerminatedCorruptFinalLineIsCorruption: only an *unterminated*
-// final manifest line is a torn append. A newline-terminated final line
-// that fails its checksum is acknowledged state hit by bit rot and must
-// refuse to open — not be silently dropped (which would discard the
-// acknowledged epoch and garbage-collect its segment).
+// TestTerminatedCorruptFinalLineIsCorruption: a final manifest line that
+// fails its checksum is acknowledged state hit by bit rot and must refuse
+// to open — not be silently dropped (which would discard the acknowledged
+// epoch and garbage-collect its segment). So must a final line cut short
+// of its newline: every commit replaces the manifest whole, so nothing
+// writes a partial line, and none is forgiven as a torn append.
 func TestTerminatedCorruptFinalLineIsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s := openWritable(t, dir, 8)
-	appendAll(t, s, buildEpochs(t, 3, 100))
-	s.Close()
+	for name, damage := range map[string]func([]byte) []byte{
+		"flipped byte, newline kept": func(b []byte) []byte { b[len(b)-10] ^= 0x01; return b },
+		"cut short of its newline":   func(b []byte) []byte { return b[:len(b)-20] },
+		"newline dropped":            func(b []byte) []byte { return b[:len(b)-1] },
+	} {
+		dir := t.TempDir()
+		s := openWritable(t, dir, 8)
+		appendAll(t, s, buildEpochs(t, 3, 100))
+		s.Close()
 
-	mpath := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
+		mpath := filepath.Join(dir, manifestName)
+		data, err := os.ReadFile(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mpath, damage(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CorruptError
+		if _, err := Open(Config{Dir: dir, Retain: 8, Sample: testSample, Assignments: 2}); !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want *CorruptError", name, err)
+		}
+		// The acknowledged segment must survive the failed open.
+		if _, err := os.Stat(filepath.Join(dir, segmentName("epoch", 3))); err != nil {
+			t.Fatalf("%s: failed open deleted acknowledged segment: %v", name, err)
+		}
 	}
-	// Flip a byte inside the final line, keeping its trailing newline.
-	mut := append([]byte(nil), data...)
-	mut[len(mut)-10] ^= 0x01
-	if err := os.WriteFile(mpath, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var ce *CorruptError
-	if _, err := Open(Config{Dir: dir, Retain: 8, Sample: testSample, Assignments: 2}); !errors.As(err, &ce) {
-		t.Fatalf("newline-terminated corrupt final line: err = %v, want *CorruptError", err)
-	}
-	// The acknowledged segment must survive the failed open.
-	if _, err := os.Stat(filepath.Join(dir, segmentName("epoch", 3))); err != nil {
-		t.Fatalf("failed open deleted acknowledged segment: %v", err)
-	}
-}
-
-// TestTornTailIsTruncatedOnReopen: a writable open over a torn manifest
-// tail (left by an older build's append) recovers the prefix, and the
-// next commit's manifest replaces the torn bytes, so later commits
-// recover cleanly.
-func TestTornTailIsTruncatedOnReopen(t *testing.T) {
-	dir := t.TempDir()
-	epochs := buildEpochs(t, 4, 100)
-	s := openWritable(t, dir, 8)
-	appendAll(t, s, epochs[:3])
-	s.Close()
-
-	mpath := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the final line: drop its newline and half its bytes.
-	if err := os.WriteFile(mpath, data[:len(data)-20], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r := openWritable(t, dir, 8)
-	if r.Epoch() != 2 {
-		t.Fatalf("recovered epoch %d, want 2", r.Epoch())
-	}
-	// Appends after the heal must produce a cleanly parseable manifest.
-	if epoch, err := r.AppendEpoch(epochs[2]); err != nil || epoch != 3 {
-		t.Fatalf("append after torn-tail heal: epoch %d, err %v", epoch, err)
-	}
-	if epoch, err := r.AppendEpoch(epochs[3]); err != nil || epoch != 4 {
-		t.Fatalf("second append after heal: epoch %d, err %v", epoch, err)
-	}
-	r.Close()
-	r2 := openWritable(t, dir, 8)
-	if r2.Epoch() != 4 {
-		t.Fatalf("re-recovered epoch %d, want 4", r2.Epoch())
-	}
-	sameSketchSet(t, "healed cumulative", r2.Cumulative(), mergeAll(t, epochs))
 }
 
 // TestManifestWriteFailureLeavesStoreUsable: a commit whose new manifest
