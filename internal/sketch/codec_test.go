@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -277,6 +278,57 @@ func TestMergeVerifiesFingerprints(t *testing.T) {
 	if msg := err.Error(); !strings.HasSuffix(msg, "rebuild it through a fingerprinted constructor") {
 		t.Fatalf("standalone sketch: message %q must name the one remedy and no bypass", msg)
 	}
+}
+
+// v1Files returns the single-sketch CWSK files embedded in
+// testdata/segment-v1.seg, as the retired version-1 writer produced them.
+func v1Files(t testing.TB) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/segment-v1.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files [][]byte
+	rest := data[segmentHeaderSize : len(data)-segmentTrailerSize]
+	for len(rest) > 0 {
+		n := binary.LittleEndian.Uint32(rest)
+		files = append(files, rest[4:4+n])
+		rest = rest[4+n:]
+	}
+	return files
+}
+
+// FuzzDecode hardens the segment decoder against the single-sketch CWSK
+// files older builds wrote, in every framing a reader can meet them: as
+// the one file of a checksum-valid version-1 segment they must be refused
+// by that version, never parsed; bare, and behind a sealed version-2 or
+// version-3 header, they must meet FuzzDecodeSegment's property (a typed
+// error, or sketches that re-encode and decode identically), never a
+// panic. The seeds are the files in testdata/segment-v1.seg, each as
+// written and in four broken variants.
+func FuzzDecode(f *testing.F) {
+	// Variants: torn tail, header only (52 bytes), Poisson kind, wire
+	// version 2.
+	for _, file := range v1Files(f) {
+		f.Add(file)
+		f.Add(file[:len(file)-1])
+		f.Add(file[:52])
+		for _, edit := range []struct{ at, v byte }{{5, 2}, {4, 2}} {
+			mut := bytes.Clone(file)
+			mut[edit.at] = edit.v
+			f.Add(mut)
+		}
+	}
+	f.Add([]byte(nil))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, err := DecodeSegment(segmentV1(data))
+		refusedAsV1(t, "version-1 segment", err)
+		checkDecodeSegment(t, data)
+		for _, v := range []byte{segmentV2, segmentV3} {
+			checkDecodeSegment(t, reseal(append(append(bytes.Clone(segmentMagic[:]), v, 1, 0, 0, 0), data...)))
+		}
+	})
 }
 
 // TestDecodeRejectsHugeAssignment: both segment versions bound the

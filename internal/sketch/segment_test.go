@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -301,6 +302,119 @@ func TestSegmentEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// appendCWSK appends one single-sketch CWSK file as the retired version-1
+// segment writer embedded it: magic "CWSK", wire version 1, kind (1 was
+// bottom-k, 2 Poisson with τ in condA), the sketch header and its entries.
+func appendCWSK(buf []byte, kind byte, meta WireMeta, k int, fp uint64, condA, condB float64, entries []Entry) []byte {
+	buf = append(buf, 'C', 'W', 'S', 'K', 1, kind, byte(meta.Family), byte(meta.Mode))
+	buf = binary.LittleEndian.AppendUint64(buf, meta.Seed)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(meta.Assignment))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
+	buf = binary.LittleEndian.AppendUint64(buf, fp)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(condA))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(condB))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	for _, e := range entries {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Key)))
+		buf = append(buf, e.Key...)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rank))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Weight))
+	}
+	return buf
+}
+
+// segmentV1 frames single-sketch files as a sealed version-1 segment.
+func segmentV1(files ...[]byte) []byte {
+	buf := append(bytes.Clone(segmentMagic[:]), 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(files)))
+	for _, f := range files {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f)))
+		buf = append(buf, f...)
+	}
+	return reseal(buf)
+}
+
+// refusedAsV1 fails unless err is the *CorruptSegmentError that refuses a
+// version-1 segment by its version.
+func refusedAsV1(t *testing.T, what string, err error) {
+	t.Helper()
+	var ce *CorruptSegmentError
+	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "unsupported segment version 1") {
+		t.Fatalf("%s: err = %v, want a *CorruptSegmentError \"unsupported segment version 1\"", what, err)
+	}
+}
+
+// TestSegmentV1Fixture: a segment the retired version-1 writer produced
+// (testdata/segment-v1.seg, the EXP set of expFixtureSketches), intact
+// behind its checksum, is refused by its version — by DecodeSegment and
+// by SegmentKeys — while the same sketches still encode as version 2 and
+// decode bit for bit.
+func TestSegmentV1Fixture(t *testing.T) {
+	data, err := os.ReadFile("testdata/segment-v1.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas, sketches := expFixtureSketches()
+	files := make([][]byte, len(sketches))
+	for b, s := range sketches {
+		files[b] = appendCWSK(nil, 1, metas[b], s.K(), s.Fingerprint(), s.KthRank(), s.Threshold(), s.Entries())
+	}
+	if !bytes.Equal(segmentV1(files...), data) {
+		t.Fatal("fixture is not the version-1 encoding of expFixtureSketches behind a valid checksum")
+	}
+	_, err = DecodeSegment(data)
+	refusedAsV1(t, "version-1 fixture", err)
+	if _, ok := SegmentKeys(data); ok {
+		t.Fatal("SegmentKeys read a version-1 dictionary")
+	}
+	v2, _, err := MarshalSegment(metas, sketches)
+	if err != nil || v2[4] != segmentV2 {
+		t.Fatalf("the fixture's sketches encode as version %d: %v", v2[4], err)
+	}
+	decoded, err := DecodeSegment(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDecoded(t, decoded, metas, sketches)
+}
+
+// TestSegmentV1CorruptionBehindChecksum: a checksum-valid version-1
+// segment is refused by its version whatever it embeds — a valid bottom-k
+// file, a Poisson file, a JSON sketch, garbage — so no embedded byte is
+// ever parsed.
+func TestSegmentV1CorruptionBehindChecksum(t *testing.T) {
+	meta := WireMeta{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1, Assignment: 0}
+	a := meta.Assigner()
+	poisson := NewPoissonBuilderWithFingerprint(0.25, a.Fingerprint(0, 0))
+	for i := 0; i < 50; i++ {
+		key := "key-" + itoa(i)
+		poisson.Offer(key, a.Rank(key, 0, 1), 1)
+	}
+	p := poisson.Sketch()
+	jsonFile := fmt.Sprintf(`{"format":"cws-sketch","version":1,"kind":"bottomk","family":%q,"mode":%q,`+
+		`"seed":"1","assignment":0,"k":4,"fingerprint":"%#x","kth":"+Inf","threshold":"+Inf","entries":[]}`,
+		meta.Family, meta.Mode, a.Fingerprint(0, 4))
+	s := buildFingerprinted(meta, 4, 30, 1)
+	valid := appendCWSK(nil, 1, meta, s.K(), s.Fingerprint(), s.KthRank(), s.Threshold(), s.Entries())
+	badVersion := bytes.Clone(valid)
+	badVersion[4] = 2
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"valid bottom-k file", segmentV1(valid)},
+		{"embedded Poisson file", segmentV1(valid, appendCWSK(nil, 2, meta, 0, p.Fingerprint(), p.Tau(), 0, p.Entries()))},
+		{"embedded JSON file", segmentV1(valid, []byte(jsonFile))},
+		{"embedded garbage", segmentV1(valid, []byte("not a sketch"))},
+		{"embedded bad wire version", segmentV1(valid, badVersion)},
+		{"embedded trailing byte", segmentV1(valid, append(bytes.Clone(valid), 0))},
+		{"no files", segmentV1()},
+	} {
+		_, err := DecodeSegment(c.data)
+		refusedAsV1(t, c.name, err)
+	}
+}
+
 // TestSegmentEncodeRejectsMismatch: encoding verifies fingerprints exactly
 // like the single-sketch codec, so a segment can never misstate provenance.
 func TestSegmentEncodeRejectsMismatch(t *testing.T) {
@@ -492,41 +606,47 @@ func FuzzDecodeSegment(f *testing.F) {
 	}
 	f.Add(v3)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		inputs := [][]byte{data}
+		checkDecodeSegment(t, data)
 		if len(data) >= segmentTrailerSize {
-			inputs = append(inputs, reseal(data[:len(data)-segmentTrailerSize]))
-		}
-		for _, in := range inputs {
-			decoded, err := DecodeSegment(in)
-			if err != nil {
-				var ce *CorruptSegmentError
-				if !errors.As(err, &ce) {
-					t.Fatalf("untyped error %v", err)
-				}
-				continue
-			}
-			metas := make([]WireMeta, len(decoded))
-			sketches := make([]*BottomK, len(decoded))
-			for b, d := range decoded {
-				metas[b], sketches[b] = d.Meta, d.BottomK
-			}
-			if len(decoded) == 0 {
-				continue
-			}
-			out, _, err := MarshalSegment(metas, sketches)
-			if err != nil {
-				t.Fatalf("accepted segment does not re-encode: %v", err)
-			}
-			if out[4] == in[4] && !bytes.Equal(out, in) {
-				t.Fatalf("accepted version-%d segment re-encodes to other bytes:\n in %x\nout %x", in[4], in, out)
-			}
-			again, err := DecodeSegment(out)
-			if err != nil {
-				t.Fatalf("re-encoded segment does not decode: %v", err)
-			}
-			sameDecoded(t, again, metas, sketches)
+			checkDecodeSegment(t, reseal(data[:len(data)-segmentTrailerSize]))
 		}
 	})
+}
+
+// checkDecodeSegment is the decoder's fuzz property on one input: a typed
+// error, or sketches that re-encode to the input's bytes when its version
+// is the one the writer picks for them, and otherwise to bytes that decode
+// to the same sketches.
+func checkDecodeSegment(t *testing.T, in []byte) {
+	t.Helper()
+	decoded, err := DecodeSegment(in)
+	if err != nil {
+		var ce *CorruptSegmentError
+		if !errors.As(err, &ce) {
+			t.Fatalf("untyped error %v", err)
+		}
+		return
+	}
+	if len(decoded) == 0 {
+		return
+	}
+	metas := make([]WireMeta, len(decoded))
+	sketches := make([]*BottomK, len(decoded))
+	for b, d := range decoded {
+		metas[b], sketches[b] = d.Meta, d.BottomK
+	}
+	out, _, err := MarshalSegment(metas, sketches)
+	if err != nil {
+		t.Fatalf("accepted segment does not re-encode: %v", err)
+	}
+	if out[4] == in[4] && !bytes.Equal(out, in) {
+		t.Fatalf("accepted version-%d segment re-encodes to other bytes:\n in %x\nout %x", in[4], in, out)
+	}
+	again, err := DecodeSegment(out)
+	if err != nil {
+		t.Fatalf("re-encoded segment does not decode: %v", err)
+	}
+	sameDecoded(t, again, metas, sketches)
 }
 
 // benchSegmentSketches builds one epoch-shaped set: |W| coordinated
