@@ -26,7 +26,7 @@ import (
 type laneSlot struct {
 	mu sync.Mutex
 	ml *shard.MultiLane
-	// retained is, per assignment, how many entries this lane's builder
+	// retained is, per assignment, how many candidates this lane's builder
 	// held at its last flush — the level behind cws_ingest_sample_fill.
 	retained []atomic.Int64
 }

@@ -86,8 +86,8 @@ func (s *Server) initObs(cfg Config) {
 	for b := range s.ingestStats {
 		label := obs.Label("assignment", strconv.Itoa(b))
 		r.CounterL("cws_ingest_offered_total", "Positive-weight offers handed to an ingest lane.", label, s.ingestStats[b].offered.Load)
-		r.CounterL("cws_ingest_admitted_total", "Offers a lane's bottom-k builder was offered; the rest were pruned by hash against the shared threshold.", label, s.ingestStats[b].admitted.Load)
-		r.GaugeL("cws_ingest_admission_threshold", "Shared admission threshold of the open epoch: the smallest k-th rank any lane has reached (+Inf until a lane fills).", label, func() float64 {
+		r.CounterL("cws_ingest_admitted_total", "Offers a lane's bottom-k builder took as candidates; the rest were pruned by hash against the shared threshold.", label, s.ingestStats[b].admitted.Load)
+		r.GaugeL("cws_ingest_admission_threshold", "Shared admission threshold of the open epoch: the smallest bound (k-th rank as of its last compaction) any lane's builder has reached (+Inf until a lane fills).", label, func() float64 {
 			s.ingestMu.RLock()
 			defer s.ingestMu.RUnlock()
 			return s.ingest.ms.Sketchers()[b].AdmissionThreshold()
@@ -95,6 +95,8 @@ func (s *Server) initObs(cfg Config) {
 		r.GaugeL("cws_ingest_sample_fill", "Entries the open epoch's sample would hold if frozen now, as a fraction of k.", label, func() float64 {
 			s.ingestMu.RLock()
 			defer s.ingestMu.RUnlock()
+			// Candidates, not entries: none is dropped before a lane holds k,
+			// so below k the sum is the sample's size, and from k it is full.
 			var n int64
 			for _, slot := range s.ingest.lanes {
 				n += slot.retained[b].Load()

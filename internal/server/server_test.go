@@ -367,7 +367,7 @@ func TestFailedFreezeDoesNotLeakWorkers(t *testing.T) {
 	t.Cleanup(s.Close)
 	offerAll := func(key string, w float64) {
 		s.ingestMu.RLock()
-		for b := 0; b < s.ingest.ms.NumAssignments(); b++ {
+		for b := 0; b < len(s.ingest.ms.Sketchers()); b++ {
 			s.ingest.ms.Offer(b, key, w)
 		}
 		s.ingestMu.RUnlock()

@@ -247,8 +247,8 @@ func TestLaneDefaults(t *testing.T) {
 		}
 	}
 	m := NewMultiSketcher(a, 3, 4, 2)
-	if len(m.Lanes()) != 2 || m.NumAssignments() != 3 {
-		t.Fatalf("MultiSketcher has %d lanes over %d assignments, want 2 over 3", len(m.Lanes()), m.NumAssignments())
+	if len(m.Lanes()) != 2 || len(m.Sketchers()) != 3 {
+		t.Fatalf("MultiSketcher has %d lanes over %d assignments, want 2 over 3", len(m.Lanes()), len(m.Sketchers()))
 	}
 	for b, sk := range m.Sketchers() {
 		if len(sk.Lanes()) != 2 {

@@ -1,7 +1,7 @@
 // Package shard implements concurrent ingestion of one weight assignment's
 // aggregated (key, weight) stream: one private bottom-k builder per producer
 // lane, one shared admission threshold per assignment, and a freeze that
-// sorts the lanes' retained entries once into the exact single-stream
+// selects and sorts the lanes' candidates once into the exact single-stream
 // sketch. A record's fate is decided by one hash and one compare; its key is
 // materialised only if its lane's builder is actually offered it.
 //
@@ -11,16 +11,16 @@
 // other goroutine ever touches, so a lane is driven by one goroutine at a
 // time and distinct lanes run concurrently with nothing between them but a
 // single atomic: the assignment's shared threshold, the float bits of the
-// smallest r_k (k-th smallest rank so far) any lane's builder has reached,
-// lowered by compare-and-swap after an admission. An offer hashes its key
-// with the assignment's rank hash (rank.Assigner.RankHashSeed), proves "rank
-// certainly above the shared threshold" with one multiply and one compare
-// (rank.Family.RejectsSeed — rank families are monotone with F_w(x) ≤ w·x),
-// and only for the few survivors evaluates the quantile and calls the
-// builder. Keys may arrive as strings or as []byte (the server's binary
-// decoder hands over slices of a reused arena); string(key) runs on the
-// admission branch only, once per admitted key run of a staged batch, so a
-// pruned record allocates nothing.
+// smallest bound any lane's builder has reached (its r_k as of its last
+// compaction), lowered by compare-and-swap after an admission. An offer
+// hashes its key with the assignment's rank hash (RankHashSeed), proves
+// "rank certainly above the shared threshold" with one multiply and one
+// compare (rank.Family.RejectsSeed — rank families are monotone with
+// F_w(x) ≤ w·x), and only for the few survivors evaluates the quantile and
+// calls the builder. Keys may arrive as strings or as []byte (the server's
+// binary decoder hands over slices of a reused arena); string(key) runs on
+// the admission branch only, once per admitted key run of a staged batch,
+// so a pruned record allocates nothing.
 //
 // Under the pre-aggregation contract every (key, assignment) is offered
 // once, so however the stream is split across lanes the lanes hold disjoint
@@ -34,33 +34,33 @@
 // r_{k+1}(I) — to a single builder fed the whole stream, for every lane
 // count, interleaving and both dispersed coordination modes.
 //
-// Entries. Each lane's retained set is a k-subset of the union I, so any
-// lane's r_k is an upper bound on r_k(I), and so is the shared threshold at
-// every instant (it only ever holds some lane's past r_k, and those only
-// decrease). An item pruned because its rank strictly exceeds the shared
-// threshold therefore ranks strictly above r_k(I) and can never be among
-// the union's bottom-k; an item that ties the threshold is not pruned and
-// reaches a builder, which breaks ties on the key. Every item of the
-// union's bottom-k thus survives in its lane's builder (it ranks within that
-// lane's own bottom-k a fortiori), and the freeze — one sort of every
-// lane's retained entries under the total (rank, key) order — puts exactly
-// them first.
+// Entries. A lane's bound is the r_k of a k-subset of the union I, so it is
+// an upper bound on r_k(I), and so is the shared threshold at every instant
+// (it only ever holds some lane's past bound, and those only decrease). An
+// item pruned because its rank strictly exceeds the shared threshold
+// therefore ranks strictly above r_k(I) and can never be among the union's
+// bottom-k; an item that ties the threshold is not pruned and reaches a
+// builder, which keeps it as a candidate. Every item of the
+// union's bottom-k thus survives among its lane's candidates (it ranks
+// within that lane's own bottom-k a fortiori), and the freeze — one select
+// of the k smallest candidates under the total (rank, key) order — keeps
+// exactly them.
 //
 // r_{k+1}. The (k+1)-st smallest rank of I is the minimum rank over the
 // items outside the union's bottom-k. Those are of three kinds: items a lane
 // pruned (each lane keeps the exact minimum rank among them, evaluated
 // lazily — the quantile is computed only when the one-multiply bound says
 // the running minimum might improve — and reports it to its builder with
-// NoteRejected at freeze), items a lane's builder rejected or evicted (the
-// builder's own r_{k+1} tracking), and items a lane retained that the sort
+// NoteRejected at freeze), items a lane's builder rejected or compacted
+// away (the builder's own r_{k+1} tracking), and candidates the select
 // leaves past the first k. The freeze takes the minimum over the builders'
 // thresholds and those leftovers, which is the minimum over all three. A
 // lane that never filled may still carry a finite threshold (it pruned
-// against another lane's r_k); the freeze reads a builder's entries and
-// threshold only, never its r_k, so such lanes are ordinary inputs.
+// against another lane's bound); the freeze reads a builder's candidates
+// and threshold only, never its bound, so such lanes are ordinary inputs.
 //
-// The freeze checks every retained entry for distinct keys, so a key two
-// lanes retained panics even when only one copy would be kept.
+// The freeze checks every candidate a lane's compaction leaves for distinct
+// keys, so a key two lanes keep panics even when no copy would be kept.
 //
 // Both the bottom-k and r_{k+1} are minima under total orders, so neither
 // depends on arrival order; the lane tests and the end-to-end benchmark's
@@ -107,7 +107,7 @@ type Sketcher struct {
 	hashSeed uint64 // rank.Assigner.RankHashSeed(assignment)
 
 	// shared is the admission threshold every lane prunes against: the
-	// Float64bits of the smallest r_k any lane's builder has reached, +Inf
+	// Float64bits of the smallest bound any lane's builder has reached, +Inf
 	// until some lane fills. It only decreases, so a stale read is
 	// conservative. Positive floats order like their bit patterns, but the
 	// comparisons below stay in float64 for clarity.
@@ -203,8 +203,8 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) string {
 		}
 		return ""
 	}
-	// r ≤ shared ≤ this builder's own r_k: the builder takes it (ties go to
-	// the key order), so the key is worth materialising.
+	// r ≤ shared ≤ this builder's bound: the builder takes it as a
+	// candidate, so the key is worth materialising.
 	l.admitted++
 	// The one deliberate allocation per admitted []byte key: the builder
 	// retains sampled keys, so they cannot alias the caller's buffer (a
@@ -217,7 +217,7 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) string {
 	return str
 }
 
-// lower publishes a lane's new r_k as the shared threshold unless another
+// lower publishes a lane's new bound as the shared threshold unless another
 // lane has already published a smaller one.
 func (s *Sketcher) lower(t float64) {
 	for {
@@ -238,9 +238,10 @@ func (l *Lane) OfferBatch(obs []Observation) {
 
 // TakeCounts returns the lane's running counts since the previous call —
 // valid offers, and those that reached the builder — and resets them,
-// together with the number of entries the lane's builder holds. The counts
-// are plain fields: call it from the goroutine driving the lane (the server
-// does, at its flush boundary, under the lane's lock).
+// together with the number of candidates its builder holds (under 2k, at
+// least k once filled). The counts are plain fields: call it from the
+// goroutine driving the lane (the server does, at its flush boundary, under
+// the lane's lock).
 func (l *Lane) TakeCounts() (offered, admitted uint64, retained int) {
 	offered, admitted = l.offered, l.admitted
 	l.offered, l.admitted = 0, 0
@@ -259,7 +260,7 @@ func (s *Sketcher) Offer(key string, weight float64) {
 func (s *Sketcher) Lanes() []*Lane { return s.lanes }
 
 // AdmissionThreshold returns the shared admission threshold: the smallest
-// r_k any lane has reached, +Inf while no lane has filled. Safe to call
+// bound any lane has reached, +Inf while no lane has filled. Safe to call
 // concurrently with offers.
 func (s *Sketcher) AdmissionThreshold() float64 {
 	return math.Float64frombits(s.shared.Load())
@@ -267,10 +268,11 @@ func (s *Sketcher) AdmissionThreshold() float64 {
 
 // Sketch freezes the lanes into the bottom-k sketch of the full
 // assignment: each lane reports its pruned-rank minimum to its builder
-// (NoteRejected takes a minimum, so order cannot matter), and
-// sketch.SketchBuilders sorts every lane's retained entries once and keeps
-// the union's bottom-k exactly. It is terminal — further Offers panic — and
-// all producers must have stopped before it is called. Sketch may be called
+// (NoteRejected takes a minimum, so order cannot matter),
+// sketch.SketchBuilders keeps the union's bottom-k of the lanes' candidates
+// exactly, and the lanes' candidate buffers go back to the spares for the
+// next epoch's builders. It is terminal — further Offers panic — and all
+// producers must have stopped before it is called. Sketch may be called
 // again; it returns the same frozen result.
 func (s *Sketcher) Sketch() *sketch.BottomK {
 	if s.frozen != nil {
@@ -283,6 +285,9 @@ func (s *Sketcher) Sketch() *sketch.BottomK {
 		builders[j] = l.b
 	}
 	s.frozen = sketch.SketchBuilders(builders...)
+	for _, b := range builders {
+		b.Release()
+	}
 	return s.frozen
 }
 
@@ -438,6 +443,3 @@ func (m *MultiSketcher) Sketches() []*sketch.BottomK {
 	})
 	return out
 }
-
-// NumAssignments returns the number of assignments ingested.
-func (m *MultiSketcher) NumAssignments() int { return len(m.sketchers) }

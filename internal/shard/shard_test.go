@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
@@ -530,9 +532,61 @@ func TestProducerFastPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCandidateBufferAllocations pins the builders' buffer recycling:
+// arming a MultiSketcher, as the server does at every freeze under its
+// ingest lock, allocates no candidate buffer; a lane takes one at its first
+// admission, so an idle lane never does; and once a terminal Sketches has
+// handed the lanes' buffers back, the next sketcher's lanes fill without
+// allocating. k is one no other test uses, so spares of other sizes do not
+// count.
+func TestCandidateBufferAllocations(t *testing.T) {
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5}
+	const k, assignments = 3001, 4
+	buffer := 2 * k * uint64(unsafe.Sizeof(sketch.Entry{}))
+	// Bytes, not allocation counts: a stray allocation elsewhere in the
+	// process cannot add up to a buffer.
+	allocated := func(f func()) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		b0 := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - b0
+	}
+	keys := make([]string, 3*k)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("buf-%05d", i)
+	}
+	weights := []float64{1, 2, 3, 4}
+	for epoch := 0; epoch < 3; epoch++ {
+		var m *MultiSketcher
+		if bytes := allocated(func() { m = NewMultiSketcher(a, assignments, k, 2) }); bytes >= buffer {
+			t.Errorf("epoch %d: arming allocated %d bytes, a candidate buffer is %d", epoch, bytes, buffer)
+		}
+		// Lane 0 of each assignment takes every offer; lane 1 stays idle.
+		bytes := allocated(func() {
+			for _, key := range keys {
+				m.OfferVector(key, weights)
+			}
+		})
+		// The first epoch takes a buffer per busy lane (fewer when an
+		// earlier run of this test left spares); later epochs take the
+		// buffers the last freeze handed back.
+		want := uint64(0)
+		if epoch == 0 {
+			want = assignments
+		}
+		if bytes/buffer > want {
+			t.Errorf("epoch %d: filling %d busy lanes and %d idle ones allocated %d bytes, more than %d buffers of %d", epoch, assignments, assignments, bytes, want, buffer)
+		}
+		m.Sketches()
+	}
+}
+
 // TestTakeCounts: the lane's plain counters see every valid offer once,
 // count as admitted exactly the offers its builder was handed, and reset on
-// read.
+// read; retained counts the builder's candidates, between k and 2k once it
+// has filled.
 func TestTakeCounts(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9}
 	const k = 16
@@ -544,11 +598,13 @@ func TestTakeCounts(t *testing.T) {
 	lane.Offer("zero", 0)
 	lane.Offer("nan", math.NaN())
 	offered, admitted, retained := lane.TakeCounts()
-	if offered != 1000 || retained != k {
-		t.Errorf("offered, retained = %d, %d, want 1000, %d", offered, retained, k)
+	if offered != 1000 || retained < k || retained >= 2*k {
+		t.Errorf("offered, retained = %d, %d, want 1000, in [%d, %d)", offered, retained, k, 2*k)
 	}
-	if admitted < k || admitted > 200 {
-		t.Errorf("admitted = %d of 1000 at k=%d, want about k·(1+ln(n/k)) ≈ 82", admitted, k)
+	// The bound drops only at compactions, about every doubling of the
+	// stream, and each admits about k more: k·(1+log₂(n/k)) ≈ 111.
+	if admitted < k || admitted > 250 {
+		t.Errorf("admitted = %d of 1000 at k=%d, want about k·(1+log₂(n/k)) ≈ 111", admitted, k)
 	}
 	if o, a, _ := lane.TakeCounts(); o != 0 || a != 0 {
 		t.Errorf("counts after a take = %d, %d, want 0, 0", o, a)

@@ -11,10 +11,11 @@
 // coordination comes entirely from the shared hash-derived ranks.
 //
 // Builders fed disjoint pieces of one stream freeze together
-// (SketchBuilders): their retained entries are sorted once, as packed
-// rank words, into the sketch of the whole. Merge combines frozen sketches
-// of disjoint key sets — epochs, windows, peers — into the sketch of their
-// union; both rest on the merge property of bottom-k samples.
+// (SketchBuilders): one quickselect over their candidates keeps the k
+// smallest, sorted as packed rank words, as the sketch of the whole. Merge
+// combines frozen sketches of disjoint key sets — epochs, windows, peers —
+// into the sketch of their union; both rest on the merge property of
+// bottom-k samples.
 package sketch
 
 import (
@@ -294,24 +295,30 @@ func (s *BottomK) RankExcluding(key string) float64 {
 func (s *BottomK) ConditioningRanks() (sampled, unsampled float64) { return s.threshold, s.kth }
 
 // BottomKBuilder consumes an aggregated (key, rank, weight) stream and
-// maintains the k smallest-ranked keys with O(k) state and O(log k) work per
-// item. Keys must be pre-aggregated: offering the same key twice would treat
+// maintains the k smallest-ranked keys with O(k) state and amortised O(1)
+// work per item — the QuickSelect rebuild of the theta sketch (Dasgupta,
+// Lang, Rhodes and Thaler, ICDT 2016). An item ranking at most the
+// builder's bound is appended to an unordered buffer of up to 2k
+// candidates; when the buffer first holds k, and whenever it holds 2k, an
+// in-place quickselect keeps the k smallest and lowers the bound to their
+// r_k. Keys must be pre-aggregated: offering the same key twice would treat
 // it as two distinct stream elements.
 type BottomKBuilder struct {
 	k           int
 	fingerprint uint64
-	heap        []Entry // max-heap on (rank, key)
-	next        float64 // min rank among rejected/evicted items = r_{k+1} so far
-
-	// admission publishes the builder's current admission threshold — the
-	// Float64bits of r_k so far (heap root rank once the heap is full, +Inf
-	// before) — for concurrent producers running the threshold-pruned fast
-	// path. It only ever decreases, so a stale read is conservative: an item
-	// whose rank exceeds any past value of the threshold is certain to be
-	// rejected by Offer. Plain atomic load/store suffice; no ordering beyond
-	// the value itself is needed (see AdmissionThreshold).
-	admission atomic.Uint64
+	cand        []Entry // unordered candidates, ranks ≤ bound; nil before the first admission
+	limit       int     // the length that compacts cand: k, then 2k
+	bound       float64 // r_k of the last compaction, +Inf before it: AdmissionThreshold
+	next        float64 // min of the ranks rejected or compacted away: of ±0, −0
 }
+
+// spares is a free list, by capacity, of the candidate buffers frozen
+// builders handed back (Release) for the next builders of that k: not a
+// sync.Pool, which a collection empties about as often as epochs freeze.
+var spares = struct {
+	sync.Mutex
+	byCap map[int][][]Entry
+}{byCap: make(map[int][][]Entry)}
 
 // NewBottomKBuilder returns a builder for bottom-k sketches. k must be ≥ 1.
 // Sketches frozen from it are standalone: they carry no fingerprint, Merge
@@ -332,41 +339,29 @@ func NewBottomKBuilderWithFingerprint(k int, fingerprint uint64) *BottomKBuilder
 	if k < 1 {
 		panic(fmt.Sprintf("sketch: invalid bottom-k size %d", k))
 	}
-	b := &BottomKBuilder{k: k, fingerprint: fingerprint, heap: make([]Entry, 0, k), next: math.Inf(1)}
-	b.admission.Store(math.Float64bits(math.Inf(1)))
-	return b
+	return &BottomKBuilder{k: k, fingerprint: fingerprint, limit: k, bound: math.Inf(1), next: math.Inf(1)}
 }
 
-// AdmissionThreshold returns the builder's current admission threshold: the
-// k-th smallest rank seen so far, or +Inf while fewer than k items have been
-// admitted. The value is monotonically non-increasing over the builder's
-// lifetime, which is what makes producer-side pruning exact: any item whose
-// rank is strictly greater than a value read here — no matter how stale —
-// is guaranteed to be rejected by every later Offer, so skipping the Offer
-// entirely cannot change the frozen sketch's entries. (The skipped item's
-// rank may still be the stream's r_{k+1}; producers report the minimum rank
-// among their pruned items via NoteRejected to keep the frozen Threshold
-// bit-exact.)
-//
-// Safe to call concurrently with Offer from any goroutine.
-func (b *BottomKBuilder) AdmissionThreshold() float64 {
-	return math.Float64frombits(b.admission.Load())
-}
+// AdmissionThreshold returns the builder's bound: the k-th smallest rank as
+// of its last compaction (+Inf before the first; after its Sketch, the
+// frozen r_k). It never increases and is never below the stream's r_k,
+// which makes producer-side pruning exact: an item ranking strictly above
+// any value read here cannot be in the stream's bottom-k, so skipping its
+// Offer cannot change the frozen entries. (Its rank may still be r_{k+1};
+// producers report their pruned minimum via NoteRejected.)
+func (b *BottomKBuilder) AdmissionThreshold() float64 { return b.bound }
 
-// Len returns the number of entries the builder currently retains (≤ k).
-func (b *BottomKBuilder) Len() int { return len(b.heap) }
+// Len returns the number of candidates the builder holds: fewer than 2k,
+// at least k once its bound is finite.
+func (b *BottomKBuilder) Len() int { return len(b.cand) }
 
 // NoteRejected merges the rank of an item that was pruned before reaching
 // Offer into the builder's r_{k+1} tracking. The caller asserts the item
 // would certainly have been rejected — its rank strictly exceeds a value
 // AdmissionThreshold returned at or after the item was drawn. Feeding only
 // the minimum rank over all pruned items is equivalent to offering each of
-// them. +Inf (no items pruned) is a no-op. Not safe concurrently with Offer.
-func (b *BottomKBuilder) NoteRejected(rank float64) {
-	if rank < b.next {
-		b.next = rank
-	}
-}
+// them. +Inf (no items pruned) is a no-op.
+func (b *BottomKBuilder) NoteRejected(rank float64) { b.next = min(b.next, rank) }
 
 // Offer presents one aggregated key with its rank and weight. Keys with
 // nonpositive weight or infinite rank are never sampled and are skipped.
@@ -374,21 +369,78 @@ func (b *BottomKBuilder) Offer(key string, rankValue, weight float64) {
 	if weight <= 0 || math.IsInf(rankValue, 1) || math.IsNaN(rankValue) {
 		return
 	}
-	e := Entry{Key: key, Rank: rankValue, Weight: weight}
-	if len(b.heap) < b.k {
-		b.push(e)
+	if rankValue > b.bound {
+		b.next = min(b.next, rankValue)
 		return
 	}
-	if entryLess(e, b.heap[0]) {
-		evicted := b.heap[0]
-		b.replaceTop(e)
-		if evicted.Rank < b.next {
-			b.next = evicted.Rank
+	if b.cand == nil {
+		b.cand = takeCandidates(2 * b.k)
+	}
+	b.cand = append(b.cand, Entry{Key: key, Rank: rankValue, Weight: weight})
+	if len(b.cand) == b.limit {
+		b.compact()
+	}
+}
+
+// compact keeps the k smallest candidates (len(cand) ≥ k), folds the
+// others' ranks into next and lowers the bound to the k-th's rank.
+func (b *BottomKBuilder) compact() {
+	selectSmallest(b.cand, b.k-1)
+	for _, e := range b.cand[b.k:] {
+		b.next = min(b.next, e.Rank)
+	}
+	b.bound, b.limit, b.cand = b.cand[b.k-1].Rank, 2*b.k, b.cand[:b.k]
+}
+
+// selectSmallest reorders es in place so that es[t] is the entry a sort
+// under entryLess would put there, with none greater before it and none
+// smaller after: Hoare's FIND, allocation-free.
+func selectSmallest(es []Entry, t int) {
+	for lo, hi := 0, len(es)-1; lo < hi; {
+		p, i, j := es[lo+(hi-lo)/2], lo, hi
+		for i <= j {
+			for entryLess(es[i], p) {
+				i++
+			}
+			for entryLess(p, es[j]) {
+				j--
+			}
+			if i <= j {
+				es[i], es[j], i, j = es[j], es[i], i+1, j-1
+			}
 		}
-		return
+		if j < t {
+			lo = i
+		}
+		if t < i {
+			hi = j
+		}
 	}
-	if e.Rank < b.next {
-		b.next = e.Rank
+}
+
+// takeCandidates returns an empty buffer of capacity n, a spare if one is held.
+func takeCandidates(n int) []Entry {
+	spares.Lock()
+	defer spares.Unlock()
+	free := spares.byCap[n]
+	if len(free) == 0 {
+		return make([]Entry, 0, n)
+	}
+	buf := free[len(free)-1]
+	free[len(free)-1], spares.byCap[n] = nil, free[:len(free)-1]
+	return buf
+}
+
+// Release hands the builder's candidate buffer, cleared, to the spares; the
+// builder must not be offered to or frozen afterwards. A shard.Sketcher
+// releases its lanes' builders when it freezes.
+func (b *BottomKBuilder) Release() {
+	if b.cand != nil {
+		clear(b.cand[:cap(b.cand)])
+		spares.Lock()
+		spares.byCap[cap(b.cand)] = append(spares.byCap[cap(b.cand)], b.cand[:0])
+		spares.Unlock()
+		b.cand = nil
 	}
 }
 
@@ -399,118 +451,60 @@ func (b *BottomKBuilder) Sketch() *BottomK { return SketchBuilders(b) }
 
 // SketchBuilders freezes builders fed disjoint pieces of one stream — a
 // Sketcher's lanes — into the bottom-k sketch of the whole, exactly the
-// sketch Merge of their one-by-one Sketch()es would give. Every key of the
-// union's bottom-k ranks within the bottom-k of its own piece, so it is
-// among the retained entries; those are sorted once (sortedByRank), the
-// first k kept, and r_{k+1} is the minimum of the builders' own r_{k+1}
-// (each covers what its builder rejected, evicted or was told of through
-// NoteRejected) and the rank of each builder's first entry past the k
-// kept. The builders (at least one) must share k and fingerprint; the
-// result carries them.
-//
-// The sampling model requires pre-aggregated keys (each key offered once
-// per assignment): a key that two retained entries share — both in one
-// builder, or one in each of two, even when only one copy would be kept —
-// is reported by panic rather than silently corrupting every downstream
-// estimate. The builders may continue to be fed afterwards.
+// sketch Merge of their one-by-one Sketch()es would give: a builder holding
+// more than k is compacted to its own bottom-k, which holds every key of
+// the union's; one quickselect over the union keeps the k smallest, sorted.
+// r_{k+1} is the minimum of the builders' own r_{k+1} and of each builder's
+// first entry past the k kept (of a tie of −0 and +0, as Merge takes it).
+// The builders (at least one) must share k and fingerprint; the result
+// carries them, and they may continue to be fed afterwards. A key two
+// compacted builders' candidates share, in one builder or in two, panics
+// even where no copy would be kept: keys must be pre-aggregated (offered
+// once per assignment), and a repeat would corrupt every estimate.
 func SketchBuilders(bs ...*BottomKBuilder) *BottomK {
 	k, fp := bs[0].k, bs[0].fingerprint
-	var retained []Entry
-	n, held := 0, 0 // entries, and builders holding any
-	threshold := math.Inf(1)
+	var union []Entry
+	n, threshold := 0, math.Inf(1)
 	for _, b := range bs {
 		if b.k != k || b.fingerprint != fp {
 			panic("sketch: frozen builders must share k and fingerprint")
 		}
-		if len(b.heap) > 0 {
-			retained, held = b.heap, held+1 // read in place when it is the only one
+		if len(b.cand) > k {
+			b.compact()
 		}
-		n += len(b.heap)
-		threshold = min(threshold, b.next)
+		if len(b.cand) > 0 {
+			union = b.cand // read in place when it is the only one
+		}
+		n, threshold = n+len(b.cand), min(threshold, b.next)
 	}
-	if held > 1 {
-		retained = make([]Entry, 0, n)
+	if n > len(union) {
+		union = make([]Entry, 0, n)
 		for _, b := range bs {
-			retained = append(retained, b.heap...)
+			union = append(union, b.cand...)
 		}
 	}
-	mustDistinct(retained)
-	order := sortedByRank(retained)
-	entries := make([]Entry, min(k, len(order)))
-	for i := range entries {
-		entries[i] = retained[order[i]]
+	mustDistinct(union)
+	if len(union) > k {
+		selectSmallest(union, k-1)
+		// A builder's first entry past the k kept is its least one above the
+		// k-th: its candidates are now its own bottom-k, as in its Sketch().
+		for _, b := range bs {
+			head := Entry{Rank: math.Inf(1)} // no candidate ranks +Inf
+			for _, e := range b.cand {
+				if entryLess(union[k-1], e) && entryLess(e, head) {
+					head = e
+				}
+			}
+			threshold = min(threshold, head.Rank)
+		}
+		union = union[:k]
 	}
-	// r_{k+1} also takes each builder's first entry past the k kept, as a
-	// Merge of the builders' sketches does. Ranks ascend, so the scan stops
-	// at the first rank above the minimum so far: past the (k+1)-st entry
-	// it reads only ties, and of a tie of −0 and +0 the per-builder firsts
-	// decide which zero is left.
-	var seen []bool
-	for _, i := range order[len(entries):] {
-		if retained[i].Rank > threshold {
-			break
-		}
-		j, end := 0, len(bs[0].heap)
-		for int(i) >= end {
-			j++
-			end += len(bs[j].heap)
-		}
-		if seen == nil {
-			seen = make([]bool, len(bs))
-		}
-		if !seen[j] {
-			seen[j] = true
-			threshold = min(threshold, retained[i].Rank)
-		}
+	order := sortedByRank(union)
+	entries := make([]Entry, len(order))
+	for i, j := range order {
+		entries[i] = union[j]
 	}
 	return newBottomK(k, fp, entries, threshold, nil)
-}
-
-func (b *BottomKBuilder) push(e Entry) {
-	b.heap = append(b.heap, e) // within the capacity k the constructor reserved
-	// Sift up with a hole: parents move down into it and e is written once,
-	// at its final position — half the pointer writes (and write barriers,
-	// when the collector is marking) of swapping at every level.
-	i := len(b.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entryLess(b.heap[parent], e) {
-			break
-		}
-		b.heap[i] = b.heap[parent]
-		i = parent
-	}
-	b.heap[i] = e
-	if len(b.heap) == b.k {
-		// The heap just filled: the admission threshold drops from +Inf to
-		// the current k-th smallest rank.
-		b.admission.Store(math.Float64bits(b.heap[0].Rank))
-	}
-}
-
-// replaceTop replaces the root (the largest retained entry) with e and
-// restores the heap, sifting down with a hole as push sifts up.
-func (b *BottomKBuilder) replaceTop(e Entry) {
-	h := b.heap
-	i := 0
-	for {
-		c := 2*i + 1 // the larger child
-		if c >= len(h) {
-			break
-		}
-		if r := c + 1; r < len(h) && entryLess(h[c], h[r]) {
-			c = r
-		}
-		if !entryLess(e, h[c]) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = e
-	// Every replacement lowers (or keeps) the root rank, so the published
-	// admission threshold is monotone non-increasing.
-	b.admission.Store(math.Float64bits(h[0].Rank))
 }
 
 // Prefix returns the bottom-l sketch embedded in s (l ≤ s.K()): the l

@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -536,9 +537,11 @@ func TestMergeSingleSketchIdentity(t *testing.T) {
 	compareSketches(t, kWayMerge(s), s)
 }
 
-// TestAdmissionThresholdTracksKth: the published admission threshold is
-// +Inf until the sample fills, then equals the current k-th smallest rank
-// and only ever decreases.
+// TestAdmissionThresholdTracksKth: the admission threshold is +Inf until
+// the builder holds k candidates, then the k-th smallest rank as of its
+// last compaction (at k, then at every 2k): it only ever decreases, never
+// falls below the stream's r_k, and a freeze, which compacts, lowers it to
+// the frozen r_k.
 func TestAdmissionThresholdTracksKth(t *testing.T) {
 	b := NewBottomKBuilder(3)
 	if !math.IsInf(b.AdmissionThreshold(), 1) {
@@ -553,6 +556,15 @@ func TestAdmissionThresholdTracksKth(t *testing.T) {
 	if got := b.AdmissionThreshold(); got != 0.9 {
 		t.Fatalf("threshold after fill = %v, want 0.9", got)
 	}
+	b.Offer("d", 0.1, 1)
+	b.Offer("e", 0.2, 1)
+	if got := b.AdmissionThreshold(); got != 0.9 {
+		t.Fatalf("threshold between compactions = %v, want 0.9 until 2k candidates", got)
+	}
+	b.Offer("f", 0.3, 1) // the 2k-th candidate: keeps 0.1, 0.2, 0.3
+	if got := b.AdmissionThreshold(); got != 0.3 {
+		t.Fatalf("threshold after the compaction at 2k = %v, want 0.3", got)
+	}
 	prev := b.AdmissionThreshold()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
@@ -563,9 +575,152 @@ func TestAdmissionThresholdTracksKth(t *testing.T) {
 		}
 		prev = cur
 	}
-	if got, want := b.AdmissionThreshold(), b.Sketch().KthRank(); got != want {
-		t.Fatalf("final threshold %v != frozen KthRank %v", got, want)
+	kth := b.Sketch().KthRank()
+	if prev < kth {
+		t.Fatalf("threshold %v before the freeze is below the frozen KthRank %v", prev, kth)
 	}
+	if got := b.AdmissionThreshold(); got != kth {
+		t.Fatalf("threshold after the freeze %v != frozen KthRank %v", got, kth)
+	}
+}
+
+// builderOffer is one Offer call of the sort-oracle check.
+type builderOffer struct {
+	key          string
+	rank, weight float64
+}
+
+// checkBuilderAgainstSort feeds offers to a k-builder and checks it against
+// a sort of every offer it takes (Offer skips nonpositive weights and +Inf
+// and NaN ranks): the frozen entries are the k smallest under entryCompare,
+// float-bit equal, r_k is the k-th one's rank, and r_{k+1} the min of the
+// ranks left out (−0 when both zeros are). After every offer the builder
+// holds fewer than 2k candidates, and AdmissionThreshold has not risen and
+// is not below the final r_k.
+func checkBuilderAgainstSort(t *testing.T, k int, offers []builderOffer) {
+	t.Helper()
+	var valid []Entry
+	for _, o := range offers {
+		if !(o.weight <= 0) && !math.IsInf(o.rank, 1) && !math.IsNaN(o.rank) {
+			valid = append(valid, Entry{Key: o.key, Rank: o.rank, Weight: o.weight})
+		}
+	}
+	slices.SortFunc(valid, entryCompare)
+	want := &BottomK{sample: sample{entries: valid[:min(k, len(valid))]}, k: k, kth: math.Inf(1), threshold: math.Inf(1)}
+	if len(valid) >= k {
+		want.kth = valid[k-1].Rank
+	}
+	for _, e := range valid[len(want.entries):] {
+		want.threshold = min(want.threshold, e.Rank)
+	}
+	b := NewBottomKBuilder(k)
+	prev := math.Inf(1)
+	for i, o := range offers {
+		b.Offer(o.key, o.rank, o.weight)
+		th := b.AdmissionThreshold()
+		if th > prev || th < want.kth || b.Len() >= 2*k {
+			t.Fatalf("k %d, offer %d of %d: threshold %v (before it %v, final r_k %v), %d candidates", k, i, len(offers), th, prev, want.kth, b.Len())
+		}
+		prev = th
+	}
+	if err := sameBits(b.Sketch(), want); err != nil {
+		t.Fatalf("k %d, %d offers (%d valid): %v", k, len(offers), len(valid), err)
+	}
+}
+
+// TestBuilderMatchesSortOracle checks the builder against a sort of its
+// stream (checkBuilderAgainstSort) at stream lengths around each
+// compaction point — none, k−1, k, k+1, 2k−1, 2k, 2k+1 — and 50k, with
+// distinct, tie-heavy and signed ranks (±0, negatives, −Inf, subnormals),
+// shuffled and in descending order (every offer a candidate), with invalid
+// offers interleaved.
+func TestBuilderMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	shapes := map[string]func() float64{
+		"distinct": rng.Float64,
+		"ties":     func() float64 { return float64(rng.Intn(4)) / 4 },
+		"signed": func() float64 {
+			return []float64{0, math.Copysign(0, -1), -0.5, math.Inf(-1), math.SmallestNonzeroFloat64, 0.25, rng.Float64()}[rng.Intn(7)]
+		},
+	}
+	invalid := []builderOffer{{rank: math.Inf(1), weight: 1}, {rank: math.NaN(), weight: 1}, {rank: 0.1}, {rank: 0.1, weight: -1}}
+	for _, k := range []int{1, 2, 3, 8, 1024} {
+		for _, n := range []int{0, k - 1, k, k + 1, 2*k - 1, 2 * k, 2*k + 1, 50 * k} {
+			for name, draw := range shapes {
+				ranks := make([]float64, n)
+				for i := range ranks {
+					ranks[i] = draw()
+				}
+				for _, descending := range []bool{false, true} {
+					if descending {
+						slices.Sort(ranks)
+						slices.Reverse(ranks)
+					}
+					var offers []builderOffer
+					for i, r := range ranks {
+						if rng.Intn(8) == 0 {
+							bad := invalid[rng.Intn(len(invalid))]
+							bad.key = "bad" + itoa(i)
+							offers = append(offers, bad)
+						}
+						offers = append(offers, builderOffer{key: name + itoa(rng.Intn(4)) + "-" + itoa(i), rank: r, weight: 1 + float64(i%5)})
+					}
+					checkBuilderAgainstSort(t, k, offers)
+				}
+			}
+		}
+	}
+	// Zeros of both signs left out, rejected (the bound is below zero) or
+	// compacted away, in either order: r_{k+1} is −0.
+	z := math.Copysign(0, -1)
+	for _, ranks := range [][]float64{{-1, -2, 0, z}, {-1, -2, z, 0}, {0, z, 0, -1}, {z, 0, z, -1}} {
+		var offers []builderOffer
+		for i, r := range ranks {
+			offers = append(offers, builderOffer{key: "z" + itoa(i), rank: r, weight: 1})
+		}
+		checkBuilderAgainstSort(t, 2, offers)
+	}
+}
+
+// FuzzBottomKBuilder runs the sort-oracle check on fuzzer-chosen streams:
+// byte 0 picks k (1–64), and every following pair one offer — the first
+// byte its weight (nonpositive when the high bit is set), the second its
+// rank, from a palette of exact ties, ranks a few ulps apart, zeros of both
+// signs, negatives, −Inf, +Inf and NaN. Keys are distinct.
+func FuzzBottomKBuilder(f *testing.F) {
+	f.Add([]byte{0, 0x01, 0x08, 0x01, 0x04, 0x01, 0x0c})                         // k 1: a new minimum, then a tie
+	f.Add([]byte{2, 0x01, 0x10, 0x01, 0x0c, 0x01, 0x08, 0x01, 0x04, 0x01, 0x00}) // k 3, descending
+	f.Add([]byte{1, 0x01, 0x03, 0x01, 0x07, 0x01, 0x03, 0x01, 0x07, 0x81, 0x07}) // k 2: ±0 past the k kept
+	f.Add([]byte{0, 0x01, 0x0b, 0x01, 0x0f, 0x01, 0x13, 0x01, 0x17})             // −Inf, +Inf, NaN
+	f.Add([]byte{63})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0]%64)
+		var offers []builderOffer
+		for i := 1; i+1 < len(data); i += 2 {
+			wb, rb := data[i], data[i+1]
+			w := 1 + float64(wb%7)
+			if wb&0x80 != 0 {
+				w = -float64(wb % 2) // 0 or −1
+			}
+			r := float64(1+rb>>2%16) / 16 // exact ties
+			switch rb % 4 {
+			case 1: // a few ulps above 0.5
+				r = 0.5
+				for s := 0; s < int(rb>>2)%4; s++ {
+					r = math.Nextafter(r, 1)
+				}
+			case 2:
+				r = float64(rb) / 257
+			case 3:
+				r = []float64{0, math.Copysign(0, -1), -r, math.Inf(-1), math.Inf(1), math.NaN()}[int(rb>>2)%6]
+			}
+			offers = append(offers, builderOffer{key: "k" + itoa(i), rank: r, weight: w})
+		}
+		checkBuilderAgainstSort(t, k, offers)
+	})
 }
 
 // TestNoteRejectedEquivalentToOffering: reporting only the minimum rank of
@@ -605,7 +760,8 @@ func TestNoteRejectedEquivalentToOffering(t *testing.T) {
 }
 
 // TestOfferSteadyStateZeroAllocs is the allocation budget of the builder:
-// with a full heap, neither a rejected nor an admitted Offer allocates.
+// once it holds its candidate buffer, neither a rejected nor an admitted
+// Offer allocates, compactions included.
 func TestOfferSteadyStateZeroAllocs(t *testing.T) {
 	b := NewBottomKBuilder(64)
 	rng := rand.New(rand.NewSource(3))
@@ -618,7 +774,7 @@ func TestOfferSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("rejected Offer allocates %v per op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(500, func() {
-		b.Offer("admitted", 1e-9, 1) // below every retained rank: replaces the root
+		b.Offer("admitted", 1e-9, 1) // below every candidate: kept; every k-th compacts
 	}); allocs != 0 {
 		t.Fatalf("admitted Offer allocates %v per op, want 0", allocs)
 	}

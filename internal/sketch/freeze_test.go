@@ -10,13 +10,17 @@ import (
 
 // sketchBuildersOracle is the lane freeze SketchBuilders replaced, kept as
 // the reference it must stay indistinguishable from: freeze each builder on
-// its own (a copy of its retained entries sorted by entryCompare, checked
-// for distinct keys) and merge the parts with the k-way kernel behind Merge
-// (called directly, so standalone builders are compared too).
+// its own (compacted to its bottom-k, a copy of its candidates sorted by
+// entryCompare, checked for distinct keys) and merge the parts with the
+// k-way kernel behind Merge (called directly, so standalone builders are
+// compared too).
 func sketchBuildersOracle(bs ...*BottomKBuilder) *BottomK {
 	parts := make([]*BottomK, len(bs))
 	for j, b := range bs {
-		entries := slices.Clone(b.heap)
+		if len(b.cand) > b.k {
+			b.compact()
+		}
+		entries := slices.Clone(b.cand)
 		slices.SortFunc(entries, entryCompare)
 		mustDistinct(entries)
 		parts[j] = newBottomK(b.k, b.fingerprint, entries, b.next, nil)
@@ -132,8 +136,11 @@ func checkSketchBuilders(t *testing.T, bs []*BottomKBuilder) {
 	var retained []Entry
 	count := map[string]int{}
 	for _, b := range bs {
-		retained = append(retained, b.heap...)
-		for _, e := range b.heap {
+		if len(b.cand) > b.k {
+			b.compact() // the freeze checks what a compaction leaves
+		}
+		retained = append(retained, b.cand...)
+		for _, e := range b.cand {
 			count[e.Key]++
 		}
 	}

@@ -16,9 +16,9 @@ import (
 
 // mergeOracle is the merge the k-way kernel replaced, kept as the
 // reference it must stay indistinguishable from: re-offer every entry of
-// every input into a max-heap builder, feed the input thresholds as
-// rejected ranks, and freeze with the map-based duplicate check the builder
-// used to run.
+// every input into a builder, feed the input thresholds as rejected ranks,
+// compact it to its bottom-k, and freeze with the map-based duplicate check
+// the builder used to run.
 func mergeOracle(sketches ...*BottomK) *BottomK {
 	if len(sketches) == 0 {
 		panic("sketch: nothing to merge")
@@ -35,12 +35,12 @@ func mergeOracle(sketches ...*BottomK) *BottomK {
 		for _, e := range s.entries {
 			b.Offer(e.Key, e.Rank, e.Weight)
 		}
-		if !math.IsInf(s.threshold, 1) && s.threshold < b.next {
-			b.next = s.threshold
-		}
+		b.NoteRejected(s.threshold)
 	}
-	entries := make([]Entry, len(b.heap))
-	copy(entries, b.heap)
+	if len(b.cand) > k {
+		b.compact()
+	}
+	entries := slices.Clone(b.cand)
 	slices.SortFunc(entries, entryCompare)
 	kth := math.Inf(1)
 	if len(entries) == k {
