@@ -69,6 +69,15 @@ func main() {
 		return
 	}
 
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "cws-bench: invalid -runs %d (want at least 1)\n", *runs)
+		os.Exit(2)
+	}
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "cws-bench: invalid -scale %v (want a positive number)\n", *scale)
+		os.Exit(2)
+	}
+
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 
 	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed}

@@ -1,16 +1,17 @@
 // Package evalstats implements the evaluation metrics of Section 9: the sum
 // of per-key variances ΣV[a] = Σ_i VAR[a(i)] and its normalized form
-// nΣV = ΣV/(Σ_i f(i))², approximated by averaging squared errors over
-// repeated runs of the sampling algorithm, plus the sharing index and
-// combined-sample-size accounting used by the colocated comparisons.
+// nΣV = ΣV/(Σ_i f(i))², approximated by averaging squared errors or
+// conditional variances over repeated runs of the sampling algorithm (Sum),
+// plus the sharing index used by the colocated comparisons.
 package evalstats
 
 import (
 	"fmt"
-	"math"
 
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
+	"coordsample/internal/hashing"
+	"coordsample/internal/shard"
 )
 
 // Truth holds the exact per-key values of an aggregate f over a dataset,
@@ -52,44 +53,6 @@ func (t Truth) SquaredError(aw estimate.AWSummary) float64 {
 	return total
 }
 
-// Measurement aggregates repeated-run statistics for one estimator.
-type Measurement struct {
-	// SigmaV approximates ΣV[a] = Σ_i VAR[a(i)].
-	SigmaV float64
-	// NSigmaV is SigmaV normalized by (Σ_i f(i))².
-	NSigmaV float64
-	// MeanSummaryKeys is the mean number of keys with positive adjusted
-	// weight per run.
-	MeanSummaryKeys float64
-	// Runs is the number of sampling repetitions averaged.
-	Runs int
-}
-
-// Measure approximates ΣV[a] for an estimator by averaging squared error
-// over runs independent sampling repetitions (the paper uses 25–200). The
-// est callback must build a fresh summary under the given hash seed.
-func Measure(truth Truth, runs int, baseSeed uint64, est func(seed uint64) estimate.AWSummary) Measurement {
-	if runs < 1 {
-		panic(fmt.Sprintf("evalstats: invalid run count %d", runs))
-	}
-	var total float64
-	var keys int
-	for r := 0; r < runs; r++ {
-		aw := est(baseSeed + uint64(r)*0x9e3779b97f4a7c15)
-		total += truth.SquaredError(aw)
-		keys += aw.Len()
-	}
-	m := Measurement{
-		SigmaV:          total / float64(runs),
-		MeanSummaryKeys: float64(keys) / float64(runs),
-		Runs:            runs,
-	}
-	if truth.SumF > 0 {
-		m.NSigmaV = m.SigmaV / (truth.SumF * truth.SumF)
-	}
-	return m
-}
-
 // SharingIndex is |S|/(k·|W|): the ratio of distinct keys in the combined
 // summary to the total embedded-sample budget (Section 9.3). It lies in
 // [1/|W|, 1]; lower is better (more sharing).
@@ -97,30 +60,25 @@ func SharingIndex(distinctKeys, k, numAssignments int) float64 {
 	return float64(distinctKeys) / (float64(k) * float64(numAssignments))
 }
 
-// MeanSummarySize averages a summary-size callback over runs repetitions;
-// used for the sharing index and the variance-versus-storage tradeoffs
-// (Figures 12–17).
-func MeanSummarySize(runs int, baseSeed uint64, size func(seed uint64) int) float64 {
+// Sum is the Monte-Carlo runner every ΣV measurement goes through: it calls
+// run once per repetition r in [0, runs) under the hash seed
+// hashing.Mix64(base+r), spread across shard.ParallelDo, and returns the
+// componentwise sum of the returned vectors. The vectors are added in
+// repetition order, so the sums do not depend on scheduling. Dividing by
+// runs gives the averages the paper reports (it uses 25–200 runs).
+func Sum(runs int, base uint64, run func(seed uint64) []float64) []float64 {
 	if runs < 1 {
 		panic(fmt.Sprintf("evalstats: invalid run count %d", runs))
 	}
-	total := 0
-	for r := 0; r < runs; r++ {
-		total += size(baseSeed + uint64(r)*0x9e3779b97f4a7c15)
-	}
-	return float64(total) / float64(runs)
-}
-
-// RelErr is a convenience for reporting: |got−want|/want (0 when want is 0
-// and got is 0, +Inf when only want is 0).
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
+	vecs := make([][]float64, runs)
+	shard.ParallelDo(runs, func(r int) { vecs[r] = run(hashing.Mix64(base + uint64(r))) })
+	total := make([]float64, len(vecs[0]))
+	for _, vec := range vecs {
+		for i, v := range vec {
+			total[i] += v
 		}
-		return math.Inf(1)
 	}
-	return math.Abs(got-want) / math.Abs(want)
+	return total
 }
 
 // Covariance accumulates the empirical covariance of two keys' adjusted

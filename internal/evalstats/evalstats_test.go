@@ -3,11 +3,13 @@ package evalstats
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"coordsample/internal/core"
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
+	"coordsample/internal/hashing"
 	"coordsample/internal/rank"
 )
 
@@ -91,38 +93,76 @@ func TestMeasureConvergesToAnalyticVariance(t *testing.T) {
 	// estimators and check positivity and scaling in k.
 	ds := synthData(300, 1, 3)
 	truth := TruthOf(ds, estimate.SingleOf(0))
-	measure := func(k int) Measurement {
-		return Measure(truth, 60, 1000, func(seed uint64) estimate.AWSummary {
+	const runs = 60
+	// measure returns the mean squared error (ΣV) and the mean summary size.
+	measure := func(k int) (sigmaV, keys float64) {
+		s := Sum(runs, 1000, func(seed uint64) []float64 {
 			cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: seed, K: k}
-			return core.SummarizeDispersed(cfg, ds).Single(0)
+			aw := core.SummarizeDispersed(cfg, ds).Single(0)
+			return []float64{truth.SquaredError(aw), float64(aw.Len())}
 		})
+		return s[0] / runs, s[1] / runs
 	}
-	m8 := measure(8)
-	m64 := measure(64)
+	sv8, keys8 := measure(8)
+	sv64, _ := measure(64)
 	bound8 := truth.SumF * truth.SumF / (8 - 2)
-	if m8.SigmaV <= 0 || m8.SigmaV > bound8 {
-		t.Fatalf("ΣV(k=8) = %v outside (0, %v]", m8.SigmaV, bound8)
+	if sv8 <= 0 || sv8 > bound8 {
+		t.Fatalf("ΣV(k=8) = %v outside (0, %v]", sv8, bound8)
 	}
-	if m64.SigmaV >= m8.SigmaV {
-		t.Fatalf("ΣV should shrink with k: k=8 %v, k=64 %v", m8.SigmaV, m64.SigmaV)
+	if sv64 >= sv8 {
+		t.Fatalf("ΣV should shrink with k: k=8 %v, k=64 %v", sv8, sv64)
 	}
-	if m8.NSigmaV != m8.SigmaV/(truth.SumF*truth.SumF) {
-		t.Fatal("NSigmaV normalization wrong")
-	}
-	if m8.Runs != 60 || m8.MeanSummaryKeys <= 0 {
-		t.Fatal("bookkeeping fields wrong")
+	if keys8 <= 0 {
+		t.Fatal("mean summary size not positive")
 	}
 }
 
 func TestMeasureExactEstimatorHasZeroVariance(t *testing.T) {
 	ds := synthData(40, 2, 4)
 	truth := TruthOf(ds, estimate.MaxOf())
-	m := Measure(truth, 10, 55, func(seed uint64) estimate.AWSummary {
+	s := Sum(10, 55, func(seed uint64) []float64 {
 		cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: seed, K: 100}
-		return core.SummarizeDispersed(cfg, ds).Max(nil)
+		return []float64{truth.SquaredError(core.SummarizeDispersed(cfg, ds).Max(nil))}
 	})
-	if m.SigmaV > 1e-12*truth.SumF2 {
-		t.Fatalf("full-coverage estimator should have ~0 variance, got %v", m.SigmaV)
+	if sigmaV := s[0] / 10; sigmaV > 1e-12*truth.SumF2 {
+		t.Fatalf("full-coverage estimator should have ~0 variance, got %v", sigmaV)
+	}
+}
+
+// TestSumIsScheduleFree checks that Sum adds the repetitions in order
+// whatever the scheduling: the per-run values span 2^±40, so their float
+// sum depends on the order of the additions.
+func TestSumIsScheduleFree(t *testing.T) {
+	const runs, base = 97, 31
+	run := func(seed uint64) []float64 {
+		v := math.Ldexp(float64(seed>>40), int(seed%81)-40)
+		if seed&1 == 1 {
+			v = -v
+		}
+		return []float64{v, 1 / (v + 3)}
+	}
+	serial := make([]float64, 2)
+	reversed := make([]float64, 2)
+	for r := 0; r < runs; r++ {
+		for i, v := range run(hashing.Mix64(base + uint64(r))) {
+			serial[i] += v
+		}
+		for i, v := range run(hashing.Mix64(base + uint64(runs-1-r))) {
+			reversed[i] += v
+		}
+	}
+	if serial[0] == reversed[0] {
+		t.Fatal("test vectors do not make the sum order-dependent")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		got := Sum(runs, base, run)
+		for i := range serial {
+			if math.Float64bits(got[i]) != math.Float64bits(serial[i]) {
+				t.Fatalf("GOMAXPROCS=%d: component %d = %v, serial loop gives %v", procs, i, got[i], serial[i])
+			}
+		}
 	}
 }
 
@@ -137,24 +177,12 @@ func TestSharingIndexBounds(t *testing.T) {
 
 func TestMeanSummarySize(t *testing.T) {
 	ds := synthData(200, 3, 5)
-	mean := MeanSummarySize(20, 99, func(seed uint64) int {
+	s := Sum(20, 99, func(seed uint64) []float64 {
 		cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: seed, K: 10}
-		return core.SummarizeColocated(cfg, ds).DistinctKeys()
+		return []float64{float64(core.SummarizeColocated(cfg, ds).DistinctKeys())}
 	})
-	if mean < 10 || mean > 30 {
+	if mean := s[0] / 20; mean < 10 || mean > 30 {
 		t.Fatalf("mean summary size %v outside [k, |W|k]", mean)
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if RelErr(11, 10) != 0.1 {
-		t.Fatal("RelErr basic")
-	}
-	if RelErr(0, 0) != 0 {
-		t.Fatal("RelErr 0/0")
-	}
-	if !math.IsInf(RelErr(1, 0), 1) {
-		t.Fatal("RelErr x/0")
 	}
 }
 
@@ -207,8 +235,8 @@ func TestZeroCovarianceConjecture(t *testing.T) {
 }
 
 func TestMeasureValidation(t *testing.T) {
-	assertPanics(t, func() { Measure(Truth{}, 0, 1, nil) })
-	assertPanics(t, func() { MeanSummarySize(0, 1, nil) })
+	assertPanics(t, func() { Sum(0, 1, nil) })
+	assertPanics(t, func() { Sum(-1, 1, nil) })
 }
 
 func assertPanics(t *testing.T, f func()) {

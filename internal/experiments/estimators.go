@@ -9,9 +9,7 @@ import (
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
 	"coordsample/internal/evalstats"
-	"coordsample/internal/hashing"
 	"coordsample/internal/rank"
-	"coordsample/internal/shard"
 )
 
 func init() {
@@ -80,9 +78,8 @@ func runEstimators(opts Options) Result {
 			Columns: []string{"k", "total nMSE aw", "total nMSE disc", "disc/aw", "L1 nMSE aw", "L1 nMSE disc", "disc/aw"},
 		}
 		for ki, k := range capKs(opts.Ks, ds.NumKeys()) {
-			results := make([][]float64, opts.Runs)
-			shard.ParallelDo(opts.Runs, func(run int) {
-				runSeed := hashing.Mix64(opts.Seed + uint64(combo.asg)*1e9 + uint64(ki)*1e6 + uint64(run) + 1)
+			base := opts.Seed + uint64(combo.asg)*1e9 + uint64(ki)*1e6 + 1
+			totals := evalstats.Sum(opts.Runs, base, func(runSeed uint64) []float64 {
 				cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}
 				d := core.SummarizeDispersed(cfg, ds)
 				totAW := estimate.AWEstimator.Summary(d, estimate.TotalOf()).Estimate(nil)
@@ -90,12 +87,11 @@ func runEstimators(opts Options) Result {
 				l1AW := estimate.AWEstimator.Summary(d, estimate.RangeOf(0, 1)).Estimate(nil)
 				l1D := estimate.DiscardedEstimator.Summary(d, estimate.RangeOf(0, 1)).Estimate(nil)
 				sq := func(x float64) float64 { return x * x }
-				results[run] = []float64{
+				return []float64{
 					sq(totAW - truthTotal.SumF), sq(totD - truthTotal.SumF),
 					sq(l1AW - truthL1.SumF), sq(l1D - truthL1.SumF),
 				}
 			})
-			totals := sumRuns(results)
 			n := float64(opts.Runs)
 			norm := func(se, truth float64) float64 {
 				if truth == 0 {

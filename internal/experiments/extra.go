@@ -8,7 +8,6 @@ import (
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
 	"coordsample/internal/evalstats"
-	"coordsample/internal/hashing"
 	"coordsample/internal/rank"
 )
 
@@ -101,19 +100,19 @@ func runAblationFamily(opts Options) Result {
 		Columns: []string{"k", "family", "SV[min-l]", "SV[max]", "SV[L1-l]"}}
 	for _, k := range capKs(opts.Ks, sub.NumKeys()) {
 		for _, fam := range []rank.Family{rank.IPPS, rank.EXP} {
-			var seMin, seMax, seL1 float64
-			for run := 0; run < opts.Runs; run++ {
-				seed := hashing.Mix64(opts.Seed + uint64(run) + uint64(k)*7919)
+			se := evalstats.Sum(opts.Runs, opts.Seed+uint64(k)*7919, func(seed uint64) []float64 {
 				cfg := core.Config{Family: fam, Mode: rank.SharedSeed, Seed: seed, K: k}
 				d := core.SummarizeDispersed(cfg, sub)
 				maxAW := d.Max(all)
 				minAW := d.MinLSet(all)
-				seMin += truthMin.SquaredError(minAW)
-				seMax += truthMax.SquaredError(maxAW)
-				seL1 += truthL1.SquaredError(estimate.Sub(maxAW, minAW))
-			}
+				return []float64{
+					truthMin.SquaredError(minAW),
+					truthMax.SquaredError(maxAW),
+					truthL1.SquaredError(estimate.Sub(maxAW, minAW)),
+				}
+			})
 			n := float64(opts.Runs)
-			t.AddRow(fmt.Sprint(k), fam.String(), fsci(seMin/n), fsci(seMax/n), fsci(seL1/n))
+			t.AddRow(fmt.Sprint(k), fam.String(), fsci(se[0]/n), fsci(se[1]/n), fsci(se[2]/n))
 		}
 	}
 	return Result{Tables: []Table{t}}
@@ -128,15 +127,15 @@ func runAblationSketch(opts Options) Result {
 	col := ds.Column(0)
 	for _, k := range capKs(opts.Ks, ds.NumKeys()) {
 		tau := core.PoissonTau(rank.IPPS, col, float64(k))
-		var seB, seP float64
-		for run := 0; run < opts.Runs; run++ {
-			seed := hashing.Mix64(opts.Seed + uint64(run) + uint64(k)*104729)
+		se := evalstats.Sum(opts.Runs, opts.Seed+uint64(k)*104729, func(seed uint64) []float64 {
 			cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: seed, K: k}
-			seB += truth.SquaredError(core.SummarizeDispersed(cfg, ds).Single(0))
-			seP += truth.SquaredError(core.PoissonSingle(cfg, ds, 0, tau))
-		}
+			return []float64{
+				truth.SquaredError(core.SummarizeDispersed(cfg, ds).Single(0)),
+				truth.SquaredError(core.PoissonSingle(cfg, ds, 0, tau)),
+			}
+		})
 		n := float64(opts.Runs)
-		t.AddRow(fmt.Sprint(k), fsci(seB/n), fsci(seP/n), fmtRatio(seB, seP))
+		t.AddRow(fmt.Sprint(k), fsci(se[0]/n), fsci(se[1]/n), fmtRatio(se[0], se[1]))
 	}
 	return Result{Tables: []Table{t}}
 }
@@ -149,20 +148,19 @@ func runAblationFixedK(opts Options) Result {
 	t := Table{Title: "Fixed-k vs fixed-distinct-budget colocated summaries — IP1 destIP, bytes estimator",
 		Columns: []string{"k", "size(fixed-k)", "size(budget)", "ℓ", "SV[fixed-k]", "SV[budget]"}}
 	for _, k := range capKs(opts.Ks, ds.NumKeys()/ds.NumAssignments()) {
-		var seF, seB, sizeF, sizeB, ellSum float64
-		for run := 0; run < opts.Runs; run++ {
-			seed := hashing.Mix64(opts.Seed + uint64(run) + uint64(k)*15485863)
+		// Per run: size and ΣV of the fixed-k summary, then of the budget one, then ℓ.
+		s := evalstats.Sum(opts.Runs, opts.Seed+uint64(k)*15485863, func(seed uint64) []float64 {
 			cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: seed, K: k}
 			cF := core.SummarizeColocated(cfg, ds)
-			seF += truth.SquaredError(cF.Inclusive(estimate.SingleOf(0)))
-			sizeF += float64(cF.DistinctKeys())
 			cB, ell := core.SummarizeColocatedFixed(cfg, ds)
-			seB += truth.SquaredError(cB.Inclusive(estimate.SingleOf(0)))
-			sizeB += float64(cB.DistinctKeys())
-			ellSum += float64(ell)
-		}
+			return []float64{
+				float64(cF.DistinctKeys()), truth.SquaredError(cF.Inclusive(estimate.SingleOf(0))),
+				float64(cB.DistinctKeys()), truth.SquaredError(cB.Inclusive(estimate.SingleOf(0))),
+				float64(ell),
+			}
+		})
 		n := float64(opts.Runs)
-		t.AddRow(fmt.Sprint(k), fint(sizeF/n), fint(sizeB/n), fint(ellSum/n), fsci(seF/n), fsci(seB/n))
+		t.AddRow(fmt.Sprint(k), fint(s[0]/n), fint(s[2]/n), fint(s[4]/n), fsci(s[1]/n), fsci(s[3]/n))
 	}
 	return Result{Tables: []Table{t}}
 }
@@ -176,15 +174,13 @@ func runAblationGeneric(opts Options) Result {
 		Columns: []string{"k", "SV[inclusive]", "SV[generic]", "generic/inclusive"}}
 	f := estimate.MaxOf(0, 1)
 	for _, k := range capKs(opts.Ks, ds.NumKeys()) {
-		var seI, seG float64
-		for run := 0; run < opts.Runs; run++ {
-			seed := hashing.Mix64(opts.Seed + uint64(run) + uint64(k)*32452843)
+		se := evalstats.Sum(opts.Runs, opts.Seed+uint64(k)*32452843, func(seed uint64) []float64 {
 			cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: seed, K: k}
 			c := core.SummarizeColocated(cfg, ds)
-			seI += truth.SquaredError(c.Inclusive(f))
-			seG += truth.SquaredError(c.GenericConsistent(f))
-		}
-		t.AddRow(fmt.Sprint(k), fsci(seI/float64(opts.Runs)), fsci(seG/float64(opts.Runs)), fmtRatio(seG, seI))
+			return []float64{truth.SquaredError(c.Inclusive(f)), truth.SquaredError(c.GenericConsistent(f))}
+		})
+		n := float64(opts.Runs)
+		t.AddRow(fmt.Sprint(k), fsci(se[0]/n), fsci(se[1]/n), fmtRatio(se[1], se[0]))
 	}
 	return Result{Tables: []Table{t}}
 }

@@ -38,18 +38,14 @@ func TestExperimentTablesGolden(t *testing.T) {
 			sb.WriteString("\n")
 		}
 	}
-	got := strings.Split(sb.String(), "\n")
-	wantLines := strings.Split(string(want), "\n")
-	for i := 0; i < len(got) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Fatalf("%s line %d:\n got %q\nwant %q", goldenPath, i+1, g, w)
+	if sb.String() == string(want) {
+		return
+	}
+	got, wantLines := strings.Split(sb.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(wantLines)) {
+		if got[i] != wantLines[i] {
+			t.Fatalf("%s line %d:\n got %q\nwant %q", goldenPath, i+1, got[i], wantLines[i])
 		}
 	}
+	t.Fatalf("%s: rendered %d lines, want %d", goldenPath, len(got), len(wantLines))
 }

@@ -5,9 +5,7 @@ import (
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
 	"coordsample/internal/evalstats"
-	"coordsample/internal/hashing"
 	"coordsample/internal/rank"
-	"coordsample/internal/shard"
 )
 
 // dispersedPoint holds ΣV measurements for the full dispersed estimator
@@ -40,22 +38,18 @@ func dispersedSweep(ds *dataset.Dataset, R []int, ks []int, runs int, seed uint6
 	ks = capKs(ks, sub.NumKeys())
 	points := make([]dispersedPoint, 0, len(ks))
 	for ki, k := range ks {
-		k := k
 		// Conditional-variance measurement (see internal/evalstats): exact
 		// per-run ΣV given the realized conditioning thresholds, unbiased
 		// for ΣV[a] and immune to the error censoring that makes empirical
 		// squared error unusable for independent sketches with large |R|.
-		results := make([][]float64, runs)
-		shard.ParallelDo(runs, func(run int) {
-			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
+		totals := evalstats.Sum(runs, sweepBase(seed, ki), func(runSeed uint64) []float64 {
 			cc := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}
 			cv := evalstats.CondVarDispersed(sub, core.SummarizeDispersed(cc, sub))
 			ci := core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}
 			indMin := evalstats.CondVarIndependentMin(sub, core.SummarizeDispersed(ci, sub))
 			vec := []float64{cv.Max, cv.MinL, cv.MinS, cv.L1L, cv.L1S, indMin}
-			results[run] = append(vec, cv.Singles...)
+			return append(vec, cv.Singles...)
 		})
-		totals := sumRuns(results)
 		seMax, seMinL, seMinS, seL1L, seL1S, seIndMin := totals[0], totals[1], totals[2], totals[3], totals[4], totals[5]
 		seSingles := totals[6:]
 		n := float64(runs)
@@ -105,10 +99,7 @@ func colocatedRatioSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) [
 	ks = capKs(ks, ds.NumKeys())
 	points := make([]colocatedRatioPoint, 0, len(ks))
 	for ki, k := range ks {
-		k := k
-		results := make([][]float64, runs)
-		shard.ParallelDo(runs, func(run int) {
-			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
+		totals := evalstats.Sum(runs, sweepBase(seed, ki), func(runSeed uint64) []float64 {
 			cc := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}, ds)
 			ci := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}, ds)
 			vec := make([]float64, 3*w)
@@ -117,9 +108,8 @@ func colocatedRatioSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) [
 				inclInd, _ := evalstats.CondVarColocated(ds, ci, b)
 				vec[b], vec[w+b], vec[2*w+b] = plain, incl, inclInd
 			}
-			results[run] = vec
+			return vec
 		})
-		totals := sumRuns(results)
 		sePlain, seCoord, seInd := totals[:w], totals[w:2*w], totals[2*w:]
 		p := colocatedRatioPoint{K: k, RatioCoord: make([]float64, w), RatioInd: make([]float64, w)}
 		for b := 0; b < w; b++ {
@@ -154,10 +144,7 @@ func sizeTradeoffSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []s
 	ks = capKs(ks, ds.NumKeys())
 	points := make([]sizePoint, 0, len(ks))
 	for ki, k := range ks {
-		k := k
-		results := make([][]float64, runs)
-		shard.ParallelDo(runs, func(run int) {
-			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
+		totals := evalstats.Sum(runs, sweepBase(seed, ki), func(runSeed uint64) []float64 {
 			cc := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}, ds)
 			ci := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}, ds)
 			vec := make([]float64, 2+4*w)
@@ -167,9 +154,8 @@ func sizeTradeoffSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []s
 				inclI, plainI := evalstats.CondVarColocated(ds, ci, b)
 				vec[2+b], vec[2+w+b], vec[2+2*w+b], vec[2+3*w+b] = plainC, plainI, inclC, inclI
 			}
-			results[run] = vec
+			return vec
 		})
-		totals := sumRuns(results)
 		sizeC, sizeI := totals[0], totals[1]
 		sePC, sePI := totals[2:2+w], totals[2+w:2+2*w]
 		seIC, seII := totals[2+2*w:2+3*w], totals[2+3*w:]
@@ -206,19 +192,16 @@ func sharingSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []sharin
 	ks = capKs(ks, ds.NumKeys())
 	points := make([]sharingPoint, 0, len(ks))
 	for ki, k := range ks {
-		var dc, di float64
-		for run := 0; run < runs; run++ {
-			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
+		d := evalstats.Sum(runs, sweepBase(seed, ki), func(runSeed uint64) []float64 {
 			cc := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}, ds)
 			ci := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}, ds)
-			dc += float64(cc.DistinctKeys())
-			di += float64(ci.DistinctKeys())
-		}
+			return []float64{float64(cc.DistinctKeys()), float64(ci.DistinctKeys())}
+		})
 		n := float64(runs)
 		points = append(points, sharingPoint{
 			K:          k,
-			IndexCoord: evalstats.SharingIndex(int(dc/n), k, w),
-			IndexInd:   evalstats.SharingIndex(int(di/n), k, w),
+			IndexCoord: evalstats.SharingIndex(int(d[0]/n), k, w),
+			IndexInd:   evalstats.SharingIndex(int(d[1]/n), k, w),
 		})
 	}
 	return points
@@ -236,29 +219,18 @@ func uniformBaselineSweep(ds *dataset.Dataset, R []int, ks []int, runs int, seed
 	ks = capKs(ks, sub.NumKeys())
 	points := make([]uniformBaselinePoint, 0, len(ks))
 	for ki, k := range ks {
-		var seW, seU float64
-		for run := 0; run < runs; run++ {
-			runSeed := hashing.Mix64(seed + uint64(ki)*1e6 + uint64(run) + 1)
+		se := evalstats.Sum(runs, sweepBase(seed, ki), func(runSeed uint64) []float64 {
 			cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}
-			seW += evalstats.CondVarDispersed(sub, core.SummarizeDispersed(cfg, sub)).MinL
-			seU += evalstats.CondVarUniformMin(sub, rank.IPPS, core.SummarizeUniformBaseline(cfg, sub))
-		}
-		points = append(points, uniformBaselinePoint{K: k, WeightedSV: seW / float64(runs), UniformSV: seU / float64(runs)})
+			return []float64{
+				evalstats.CondVarDispersed(sub, core.SummarizeDispersed(cfg, sub)).MinL,
+				evalstats.CondVarUniformMin(sub, rank.IPPS, core.SummarizeUniformBaseline(cfg, sub)),
+			}
+		})
+		points = append(points, uniformBaselinePoint{K: k, WeightedSV: se[0] / float64(runs), UniformSV: se[1] / float64(runs)})
 	}
 	return points
 }
 
-// sumRuns folds per-run vectors into their componentwise sum (in run order,
-// keeping floating-point results deterministic).
-func sumRuns(results [][]float64) []float64 {
-	if len(results) == 0 {
-		return nil
-	}
-	total := make([]float64, len(results[0]))
-	for _, vec := range results {
-		for i, v := range vec {
-			total[i] += v
-		}
-	}
-	return total
-}
+// sweepBase is the seed base of the ki-th point of a k sweep: repetition r
+// of that point runs under hashing.Mix64(seed + ki·10⁶ + 1 + r).
+func sweepBase(seed uint64, ki int) uint64 { return seed + uint64(ki)*1e6 + 1 }
