@@ -171,8 +171,9 @@ func BenchmarkLaneOffer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := coordsample.NewLaneSketcher(cfg, 0, 1)
+		lane := s.Lanes()[0]
 		for j := range keys {
-			s.Offer(keys[j], weights[j])
+			lane.Offer(keys[j], weights[j])
 		}
 		s.Sketch()
 	}
@@ -252,8 +253,9 @@ func BenchmarkMultiSketcherOfferVector(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := coordsample.NewMultiSketcher(cfg, numAsg, 1)
+				ml := m.Lanes()[0]
 				for j := range keys {
-					m.OfferVector(keys[j], vecs[j])
+					ml.OfferVector(keys[j], vecs[j])
 				}
 				m.Sketches()
 			}

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"coordsample/internal/csvio"
@@ -45,6 +46,9 @@ func main() {
 }
 
 func build(name, key, weight, attr string, scale float64, seed int64) (*dataset.Dataset, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("invalid -scale %v (want a positive finite number)", scale)
+	}
 	switch name {
 	case "ip1", "ip2":
 		var cfg datagen.IPConfig

@@ -45,6 +45,10 @@ func main() {
 	out := flag.String("out", "", "write one sketch file per assignment: <out>.<b>.cws")
 	flag.Parse()
 
+	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: *seed, K: *k}
+	if err := cfg.Check(); err != nil {
+		fatal(err)
+	}
 	var r io.Reader = os.Stdin
 	if *in != "" {
 		f, err := os.Open(*in)
@@ -55,7 +59,6 @@ func main() {
 		r = f
 	}
 
-	cfg := coordsample.Config{Family: coordsample.IPPS, Mode: coordsample.SharedSeed, Seed: *seed, K: *k}
 	names, sketches, err := sketchCSV(bufio.NewReader(r), cfg)
 	if err != nil {
 		fatal(err)
@@ -123,6 +126,7 @@ func sketchCSV(r io.Reader, cfg coordsample.Config) ([]string, []*coordsample.Bo
 	}
 	names := cr.AssignmentNames()
 	m := coordsample.NewMultiSketcher(cfg, len(names), 1)
+	lane := m.Lanes()[0]
 	for {
 		row, err := cr.Next()
 		if err == io.EOF {
@@ -131,7 +135,7 @@ func sketchCSV(r io.Reader, cfg coordsample.Config) ([]string, []*coordsample.Bo
 		if err != nil {
 			return nil, nil, err
 		}
-		m.OfferVector(row.Key, row.Weights)
+		lane.OfferVector(row.Key, row.Weights)
 	}
 	return names, m.Sketches(), nil
 }

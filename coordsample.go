@@ -222,10 +222,10 @@ func NewLaneSketcher(cfg Config, b, lanes int) *LaneSketcher {
 // NewMultiSketcher creates the multi-assignment ingest front-end: one lane
 // sketcher per assignment index 0..assignments-1 under cfg, with lane j of
 // every assignment exposed as one MultiLane via Lanes() (lanes ≤ 0 selects
-// GOMAXPROCS). Offer ingests dispersed (assignment, key, weight)
-// observations; OfferVector ingests a key's whole weight vector, hashing
-// the key exactly once under shared-seed coordination. Sketches() freezes
-// all assignments.
+// GOMAXPROCS); a single producer takes Lanes()[0]. A MultiLane's Offer
+// ingests dispersed (assignment, key, weight) observations; its
+// OfferVector ingests a key's whole weight vector, hashing the key exactly
+// once under shared-seed coordination. Sketches() freezes all assignments.
 func NewMultiSketcher(cfg Config, assignments, lanes int) *MultiSketcher {
 	return core.NewMultiSketcher(cfg, assignments, lanes)
 }

@@ -91,6 +91,38 @@ func TestAnswerEstimatorDispatch(t *testing.T) {
 	}
 }
 
+// TestJaccardExactWhenKCoversSet: when k covers every key the sketches are
+// lossless, so the pair Jaccard AnswerVia composes must equal the exact
+// weighted Jaccard Σ min / Σ max under both estimator families — for the
+// discarded family through min/(total − min).
+func TestJaccardExactWhenKCoversSet(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e"}
+	cols := [][]float64{
+		{4, 0, 2, 7, 1},
+		{2, 3, 2, 0, 5},
+	}
+	const want = 5.0 / 21 // Σ min = 2+0+2+0+1, Σ max = 4+3+2+7+5
+	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9}
+	sketches := make([]*sketch.BottomK, len(cols))
+	for b, col := range cols {
+		bld := sketch.NewBottomKBuilder(len(keys) + 1)
+		for i, key := range keys {
+			bld.Offer(key, a.Rank(key, b, col[i]), col[i])
+		}
+		sketches[b] = bld.Sketch()
+	}
+	d := estimate.NewDispersed(a, sketches)
+	for _, est := range []estimate.Estimator{estimate.AWEstimator, estimate.DiscardedEstimator} {
+		_, got, _, err := AnswerVia(d, "jaccard", 0, nil, 1, nil, est, Direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s jaccard = %v, want %v", est.Name(), got, want)
+		}
+	}
+}
+
 func TestAnswerErrors(t *testing.T) {
 	d := buildSummary(t)
 	for _, tc := range []struct {

@@ -161,18 +161,3 @@ func (d *Dispersed) RangeDiscarded(R []int) AWSummary {
 	}
 	return subScaled(d.TotalDiscarded(R), d.MinLSet(R), 2)
 }
-
-// JaccardDiscarded estimates the weighted Jaccard similarity
-// Σ w^(minR) / Σ w^(maxR) over the selected subpopulation. For a pair it
-// uses Σ w^(maxR) = Σ w^(sumR) − Σ w^(minR) with the discarded-samples
-// total in the denominator; for |R| ≠ 2 it falls back to the classic
-// min/max ratio. Clamped to [0, 1] with the same 0/0 → 1 empty-
-// subpopulation convention as JaccardSSet.
-func (d *Dispersed) JaccardDiscarded(R []int, pred func(string) bool) float64 {
-	R = d.checkR(R)
-	mn := d.MinLSet(R).Estimate(pred)
-	if len(R) == 2 {
-		return JaccardRatio(mn, d.TotalDiscarded(R).Estimate(pred)-mn)
-	}
-	return JaccardRatio(mn, d.Max(R).Estimate(pred))
-}

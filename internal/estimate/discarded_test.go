@@ -320,8 +320,8 @@ func TestDiscardedDominatesUnion(t *testing.T) {
 
 // TestExactWhenKCoversSetDiscarded: when k covers every key, the sketches
 // are lossless and every estimator must return the exact aggregate — the
-// discarded family included. JaccardDiscarded must equal the exact weighted
-// Jaccard similarity in that regime.
+// discarded family included. The pair Jaccard ratio is checked in
+// internal/cliquery, where it is composed.
 func TestExactWhenKCoversSetDiscarded(t *testing.T) {
 	keys := []string{"a", "b", "c", "d", "e"}
 	cols := [][]float64{
@@ -333,8 +333,6 @@ func TestExactWhenKCoversSetDiscarded(t *testing.T) {
 
 	sumTruth := truthOf(keys, cols, func(v []float64) float64 { return dataset.SumR(v, nil) })
 	l1Truth := truthOf(keys, cols, func(v []float64) float64 { return dataset.RangeR(v, nil) })
-	minTruth := truthOf(keys, cols, func(v []float64) float64 { return dataset.MinR(v, nil) })
-	maxTruth := truthOf(keys, cols, func(v []float64) float64 { return dataset.MaxR(v, nil) })
 
 	if got := d.TotalDiscarded(nil).Estimate(nil); math.Abs(got-sumTruth) > 1e-9 {
 		t.Errorf("total-discarded = %v, want %v", got, sumTruth)
@@ -344,10 +342,6 @@ func TestExactWhenKCoversSetDiscarded(t *testing.T) {
 	}
 	if got := d.RangeDiscarded(nil).Estimate(nil); math.Abs(got-l1Truth) > 1e-9 {
 		t.Errorf("L1-discarded = %v, want %v", got, l1Truth)
-	}
-	want := minTruth / maxTruth
-	if got := d.JaccardDiscarded(nil, nil); math.Abs(got-want) > 1e-9 {
-		t.Errorf("jaccard-discarded = %v, want %v", got, want)
 	}
 }
 

@@ -80,30 +80,3 @@ func Sum(runs int, base uint64, run func(seed uint64) []float64) []float64 {
 	}
 	return total
 }
-
-// Covariance accumulates the empirical covariance of two keys' adjusted
-// weights across runs — used to probe the paper's zero-covariance
-// conjecture (Conjecture 8.1).
-type Covariance struct {
-	n           float64
-	sx, sy, sxy float64
-}
-
-// Add records one run's adjusted weights for the two keys.
-func (c *Covariance) Add(x, y float64) {
-	c.n++
-	c.sx += x
-	c.sy += y
-	c.sxy += x * y
-}
-
-// Value returns the empirical covariance (0 for fewer than 2 samples).
-func (c *Covariance) Value() float64 {
-	if c.n < 2 {
-		return 0
-	}
-	return c.sxy/c.n - (c.sx/c.n)*(c.sy/c.n)
-}
-
-// N returns the number of recorded runs.
-func (c *Covariance) N() int { return int(c.n) }

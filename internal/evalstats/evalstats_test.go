@@ -208,30 +208,26 @@ func TestZeroCovarianceConjecture(t *testing.T) {
 	if f1 == 0 || f2 == 0 {
 		t.Fatal("dataset has no keys with positive min")
 	}
-	var cov Covariance
-	var v1, v2 Covariance // reuse as variance accumulators
 	const runs = 6000
-	for r := 0; r < runs; r++ {
-		cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: uint64(r) + 1, K: 12}
+	s := Sum(runs, 1, func(seed uint64) []float64 {
+		cfg := core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: seed, K: 12}
 		aw := core.SummarizeDispersed(cfg, ds).MinLSet(nil)
 		x, y := aw.AdjustedWeight(k1), aw.AdjustedWeight(k2)
-		cov.Add(x, y)
-		v1.Add(x, x)
-		v2.Add(y, y)
-	}
-	sd1 := math.Sqrt(v1.Value())
-	sd2 := math.Sqrt(v2.Value())
+		return []float64{x, y, x * y, x * x, y * y}
+	})
+	mx, my := s[0]/runs, s[1]/runs
+	cov := s[2]/runs - mx*my
+	sd1 := math.Sqrt(s[3]/runs - mx*mx)
+	sd2 := math.Sqrt(s[4]/runs - my*my)
 	if sd1 == 0 || sd2 == 0 {
 		t.Skip("degenerate key variance")
 	}
-	corr := cov.Value() / (sd1 * sd2)
+	corr := cov / (sd1 * sd2)
 	// Correlation standard error ~ 1/sqrt(runs) ≈ 0.013; allow 5σ.
 	if math.Abs(corr) > 0.065 {
 		t.Fatalf("empirical correlation %v too far from zero (Conjecture 8.1)", corr)
 	}
-	if cov.N() != runs {
-		t.Fatal("covariance bookkeeping")
-	}
+	t.Logf("correlation %v over %d runs", corr, runs)
 }
 
 func TestMeasureValidation(t *testing.T) {

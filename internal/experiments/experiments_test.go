@@ -116,14 +116,12 @@ func TestFig9QualitativeShape(t *testing.T) {
 	opts := tinyOpts()
 	w := newWorkloads(opts.WithDefaults())
 	ds := w.stocksColocated()
-	points := colocatedRatioSweep(ds, []int{30}, 10, 3)
-	for b, r := range points[0].RatioCoord {
-		if r >= 1.05 {
+	p := colocatedSweep(ds, []int{30}, 10, 3)[0]
+	for b, plain := range p.PlainCoord {
+		if r := p.InclCoord[b] / plain; r >= 1.05 {
 			t.Fatalf("coordinated inclusive/plain ratio for weight %d is %v; want < 1", b, r)
 		}
-	}
-	for b, r := range points[0].RatioInd {
-		if r >= 1.05 {
+		if r := p.InclInd[b] / plain; r >= 1.05 {
 			t.Fatalf("independent inclusive/plain ratio for weight %d is %v; want < 1", b, r)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"coordsample/internal/datagen"
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
+	"coordsample/internal/evalstats"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 )
@@ -342,7 +343,7 @@ func runColocatedRatioFigure(opts Options, combos []colocatedCombo) Result {
 	var res Result
 	for _, c := range combos {
 		ds := c.ds(w)
-		points := colocatedRatioSweep(ds, opts.Ks, opts.Runs, opts.Seed)
+		points := colocatedSweep(ds, opts.Ks, opts.Runs, opts.Seed)
 		names := ds.AssignmentNames()
 		coord := Table{Title: c.name + " — ΣV[inclusive,coord]/ΣV[plain]", Columns: append([]string{"k"}, names...)}
 		ind := Table{Title: c.name + " — ΣV[inclusive,indep]/ΣV[plain]", Columns: append([]string{"k"}, names...)}
@@ -350,8 +351,12 @@ func runColocatedRatioFigure(opts Options, combos []colocatedCombo) Result {
 			rc := []string{fmt.Sprint(p.K)}
 			ri := []string{fmt.Sprint(p.K)}
 			for b := range names {
-				rc = append(rc, ffix(p.RatioCoord[b]))
-				ri = append(ri, ffix(p.RatioInd[b]))
+				coordRatio, indRatio := 0.0, 0.0
+				if plain := p.PlainCoord[b]; plain > 0 {
+					coordRatio, indRatio = p.InclCoord[b]/plain, p.InclInd[b]/plain
+				}
+				rc = append(rc, ffix(coordRatio))
+				ri = append(ri, ffix(indRatio))
 			}
 			coord.Rows = append(coord.Rows, rc)
 			ind.Rows = append(ind.Rows, ri)
@@ -365,8 +370,9 @@ func runSizeFigure(opts Options, c colocatedCombo) Result {
 	opts = opts.WithDefaults()
 	w := newWorkloads(opts)
 	ds := c.ds(w)
-	points := sizeTradeoffSweep(ds, opts.Ks, opts.Runs, opts.Seed)
+	points := colocatedSweep(ds, opts.Ks, opts.Runs, opts.Seed)
 	names := ds.AssignmentNames()
+	n := float64(opts.Runs)
 	var res Result
 	for b, name := range names {
 		t := Table{
@@ -374,10 +380,18 @@ func runSizeFigure(opts Options, c colocatedCombo) Result {
 			Columns: []string{"k", "size(coord)", "size(ind)",
 				"plain,coord", "plain,ind", "incl,coord", "incl,ind"},
 		}
+		truth := evalstats.TruthOf(ds, estimate.SingleOf(b))
+		denom := truth.SumF * truth.SumF
+		norm := func(total float64) float64 {
+			if denom == 0 {
+				return 0
+			}
+			return total / n / denom
+		}
 		for _, p := range points {
-			t.AddRow(fmt.Sprint(p.K), fint(p.SizeCoord), fint(p.SizeInd),
-				fsci(p.NPlainCoord[b]), fsci(p.NPlainInd[b]),
-				fsci(p.NInclusiveCoord[b]), fsci(p.NInclusiveInd[b]))
+			t.AddRow(fmt.Sprint(p.K), fint(p.SizeCoord/n), fint(p.SizeInd/n),
+				fsci(norm(p.PlainCoord[b])), fsci(norm(p.PlainInd[b])),
+				fsci(norm(p.InclCoord[b])), fsci(norm(p.InclInd[b])))
 		}
 		res.Tables = append(res.Tables, t)
 	}

@@ -81,68 +81,22 @@ func dispersedSweep(ds *dataset.Dataset, R []int, ks []int, runs int, seed uint6
 	return points
 }
 
-// colocatedRatioPoint holds, for one k, the per-weight-assignment ΣV ratios
-// of the inclusive estimators to the plain single-sketch estimator
-// (Figures 9–11).
-type colocatedRatioPoint struct {
-	K          int
-	RatioCoord []float64 // ΣV[a_c^(b)]/ΣV[a_p^(b)]
-	RatioInd   []float64 // ΣV[a_i^(b)]/ΣV[a_p^(b)]
+// colocatedPoint holds, for one k, totals over the runs of the Section 6
+// colocated comparison: the combined summary sizes and, per weight
+// assignment b, the ΣV of the plain single-sketch estimator a_p^(b) and of
+// the inclusive estimator, on coordinated and on independent summaries.
+// Figures 9–11 divide totals by totals; Figures 12–16 normalize them.
+type colocatedPoint struct {
+	K                    int
+	SizeCoord, SizeInd   float64
+	PlainCoord, PlainInd []float64
+	InclCoord, InclInd   []float64
 }
 
-func colocatedRatioSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []colocatedRatioPoint {
+func colocatedSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []colocatedPoint {
 	w := ds.NumAssignments()
-	truths := make([]evalstats.Truth, w)
-	for b := 0; b < w; b++ {
-		truths[b] = evalstats.TruthOf(ds, estimate.SingleOf(b))
-	}
 	ks = capKs(ks, ds.NumKeys())
-	points := make([]colocatedRatioPoint, 0, len(ks))
-	for ki, k := range ks {
-		totals := evalstats.Sum(runs, sweepBase(seed, ki), func(runSeed uint64) []float64 {
-			cc := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}, ds)
-			ci := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.Independent, Seed: runSeed, K: k}, ds)
-			vec := make([]float64, 3*w)
-			for b := 0; b < w; b++ {
-				incl, plain := evalstats.CondVarColocated(ds, cc, b)
-				inclInd, _ := evalstats.CondVarColocated(ds, ci, b)
-				vec[b], vec[w+b], vec[2*w+b] = plain, incl, inclInd
-			}
-			return vec
-		})
-		sePlain, seCoord, seInd := totals[:w], totals[w:2*w], totals[2*w:]
-		p := colocatedRatioPoint{K: k, RatioCoord: make([]float64, w), RatioInd: make([]float64, w)}
-		for b := 0; b < w; b++ {
-			if sePlain[b] > 0 {
-				p.RatioCoord[b] = seCoord[b] / sePlain[b]
-				p.RatioInd[b] = seInd[b] / sePlain[b]
-			}
-		}
-		points = append(points, p)
-	}
-	return points
-}
-
-// sizePoint holds the variance-versus-storage tradeoff at one k
-// (Figures 12–16): mean combined summary size and per-weight nΣV for the
-// four estimator/summary variants.
-type sizePoint struct {
-	K                  int
-	SizeCoord, SizeInd float64
-	NPlainCoord        []float64 // plain RC, coordinated summary
-	NPlainInd          []float64 // plain RC, independent summary
-	NInclusiveCoord    []float64
-	NInclusiveInd      []float64
-}
-
-func sizeTradeoffSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []sizePoint {
-	w := ds.NumAssignments()
-	truths := make([]evalstats.Truth, w)
-	for b := 0; b < w; b++ {
-		truths[b] = evalstats.TruthOf(ds, estimate.SingleOf(b))
-	}
-	ks = capKs(ks, ds.NumKeys())
-	points := make([]sizePoint, 0, len(ks))
+	points := make([]colocatedPoint, 0, len(ks))
 	for ki, k := range ks {
 		totals := evalstats.Sum(runs, sweepBase(seed, ki), func(runSeed uint64) []float64 {
 			cc := core.SummarizeColocated(core.Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: runSeed, K: k}, ds)
@@ -156,26 +110,11 @@ func sizeTradeoffSweep(ds *dataset.Dataset, ks []int, runs int, seed uint64) []s
 			}
 			return vec
 		})
-		sizeC, sizeI := totals[0], totals[1]
-		sePC, sePI := totals[2:2+w], totals[2+w:2+2*w]
-		seIC, seII := totals[2+2*w:2+3*w], totals[2+3*w:]
-		n := float64(runs)
-		p := sizePoint{
-			K: k, SizeCoord: sizeC / n, SizeInd: sizeI / n,
-			NPlainCoord: make([]float64, w), NPlainInd: make([]float64, w),
-			NInclusiveCoord: make([]float64, w), NInclusiveInd: make([]float64, w),
-		}
-		for b := 0; b < w; b++ {
-			denom := truths[b].SumF * truths[b].SumF
-			if denom == 0 {
-				continue
-			}
-			p.NPlainCoord[b] = sePC[b] / n / denom
-			p.NPlainInd[b] = sePI[b] / n / denom
-			p.NInclusiveCoord[b] = seIC[b] / n / denom
-			p.NInclusiveInd[b] = seII[b] / n / denom
-		}
-		points = append(points, p)
+		points = append(points, colocatedPoint{
+			K: k, SizeCoord: totals[0], SizeInd: totals[1],
+			PlainCoord: totals[2 : 2+w], PlainInd: totals[2+w : 2+2*w],
+			InclCoord: totals[2+2*w : 2+3*w], InclInd: totals[2+3*w:],
+		})
 	}
 	return points
 }

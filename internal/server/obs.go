@@ -90,7 +90,7 @@ func (s *Server) initObs(cfg Config) {
 		r.GaugeL("cws_ingest_admission_threshold", "Shared admission threshold of the open epoch: the smallest bound (k-th rank as of its last compaction) any lane's builder has reached (+Inf until a lane fills).", label, func() float64 {
 			s.ingestMu.RLock()
 			defer s.ingestMu.RUnlock()
-			return s.ingest.ms.Sketchers()[b].AdmissionThreshold()
+			return s.ingest.ms.AdmissionThreshold(b)
 		})
 		r.GaugeL("cws_ingest_sample_fill", "Entries the open epoch's sample would hold if frozen now, as a fraction of k.", label, func() float64 {
 			s.ingestMu.RLock()

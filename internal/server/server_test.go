@@ -367,8 +367,8 @@ func TestFailedFreezeDoesNotLeakWorkers(t *testing.T) {
 	t.Cleanup(s.Close)
 	offerAll := func(key string, w float64) {
 		s.ingestMu.RLock()
-		for b := 0; b < len(s.ingest.ms.Sketchers()); b++ {
-			s.ingest.ms.Offer(b, key, w)
+		for b := 0; b < cfg.Assignments; b++ {
+			s.ingest.ms.Lanes()[0].Offer(b, key, w)
 		}
 		s.ingestMu.RUnlock()
 	}

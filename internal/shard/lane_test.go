@@ -247,10 +247,10 @@ func TestLaneDefaults(t *testing.T) {
 		}
 	}
 	m := NewMultiSketcher(a, 3, 4, 2)
-	if len(m.Lanes()) != 2 || len(m.Sketchers()) != 3 {
-		t.Fatalf("MultiSketcher has %d lanes over %d assignments, want 2 over 3", len(m.Lanes()), len(m.Sketchers()))
+	if len(m.Lanes()) != 2 || len(m.sketchers) != 3 {
+		t.Fatalf("MultiSketcher has %d lanes over %d assignments, want 2 over 3", len(m.Lanes()), len(m.sketchers))
 	}
-	for b, sk := range m.Sketchers() {
+	for b, sk := range m.sketchers {
 		if len(sk.Lanes()) != 2 {
 			t.Errorf("sketcher %d: %d lanes, want 2", b, len(sk.Lanes()))
 		}

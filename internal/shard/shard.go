@@ -98,8 +98,7 @@ type Observation struct {
 // single-stream sketcher: the frozen sketch is bit-identical to the
 // one-builder construction.
 //
-// The Sketcher's own Offer methods delegate to lane 0 and must be called
-// from a single goroutine; concurrent producers each take their own Lane.
+// Producers offer through its Lanes, one goroutine per lane at a time.
 // Sketch is terminal: no lane may Offer afterwards, and all producers must
 // have stopped before it is called.
 type Sketcher struct {
@@ -248,12 +247,6 @@ func (l *Lane) TakeCounts() (offered, admitted uint64, retained int) {
 	return offered, admitted, l.b.Len()
 }
 
-// Offer presents one aggregated key with its weight in this assignment on
-// the Sketcher's default lane (lane 0). See Lane.Offer.
-func (s *Sketcher) Offer(key string, weight float64) {
-	s.lanes[0].Offer(key, weight)
-}
-
 // Lanes returns the Sketcher's producer lanes. Each lane must be driven by
 // at most one goroutine at a time; distinct lanes may be driven
 // concurrently.
@@ -297,10 +290,8 @@ func (s *Sketcher) Sketch() *sketch.BottomK {
 // seed u(i)), so a key offered with its whole weight vector is hashed
 // exactly once and the raw 64-bit word fanned to every assignment's lane.
 //
-// The MultiSketcher's own Offer variants delegate to lane 0 of every
-// sketcher and must be called from a single producer goroutine; for
-// concurrent producers use Lanes, which pairs up lane j of every assignment
-// into one MultiLane. Sketches is terminal.
+// Producers offer through its Lanes: MultiLane j pairs up lane j of every
+// assignment, one goroutine per MultiLane at a time. Sketches is terminal.
 type MultiSketcher struct {
 	shared    bool
 	sketchers []*Sketcher
@@ -330,18 +321,6 @@ func NewMultiSketcher(assigner rank.Assigner, assignments, k, lanes int) *MultiS
 		m.mlanes[j] = ml
 	}
 	return m
-}
-
-// Offer presents one aggregated key with its weight in one assignment —
-// the dispersed-stream entry point (default lane).
-func (m *MultiSketcher) Offer(assignment int, key string, weight float64) {
-	m.sketchers[assignment].Offer(key, weight)
-}
-
-// OfferVector presents one key with its weight in every assignment at once
-// (default lane); see MultiLane.OfferVector.
-func (m *MultiSketcher) OfferVector(key string, weights []float64) {
-	m.mlanes[0].OfferVector(key, weights)
 }
 
 // MultiLane is one producer front-end of a MultiSketcher: lane j of every
@@ -425,10 +404,10 @@ func (ml *MultiLane) TakeCounts(assignment int) (offered, admitted uint64, retai
 // lane j of every assignment's sketcher.
 func (m *MultiSketcher) Lanes() []*MultiLane { return m.mlanes }
 
-// Sketchers returns the per-assignment sketchers in assignment order (for
-// callers that freeze them individually, e.g. to isolate per-assignment
-// contract violations).
-func (m *MultiSketcher) Sketchers() []*Sketcher { return m.sketchers }
+// AdmissionThreshold is Sketcher.AdmissionThreshold for assignment b.
+func (m *MultiSketcher) AdmissionThreshold(b int) float64 {
+	return m.sketchers[b].AdmissionThreshold()
+}
 
 // Sketches terminally freezes every assignment's sketcher across a bounded
 // worker pool and returns the frozen sketches in assignment order. A panic

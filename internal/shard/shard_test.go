@@ -306,8 +306,9 @@ func TestStagedSeedMismatchPanics(t *testing.T) {
 func TestSketchIsTerminal(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 9}
 	s := NewSketcher(a, 0, 4, 2)
+	lane := s.Lanes()[0]
 	for i := 0; i < 100; i++ {
-		s.Offer(fmt.Sprintf("t-%03d", i), 1+float64(i))
+		lane.Offer(fmt.Sprintf("t-%03d", i), 1+float64(i))
 	}
 	first := s.Sketch()
 	requireIdentical(t, s.Sketch(), first, "repeated Sketch")
@@ -316,7 +317,7 @@ func TestSketchIsTerminal(t *testing.T) {
 			t.Fatal("Offer after Sketch did not panic")
 		}
 	}()
-	s.Offer("late", 1)
+	lane.Offer("late", 1)
 }
 
 // TestAscendingRankOrderThreshold is the adversarial case for pruning: keys
@@ -357,19 +358,21 @@ func TestNonFiniteWeightsRejectedAtProducer(t *testing.T) {
 	want := singleStream(a, 0, 64, keys, weights)
 
 	s := NewSketcher(a, 0, 64, 2)
+	lane := s.Lanes()[0]
 	for i, key := range keys {
-		s.Offer(key, weights[i])
+		lane.Offer(key, weights[i])
 	}
-	s.Offer("poison-nan", math.NaN())
-	s.Offer("poison-posinf", math.Inf(1))
-	s.Offer("poison-neginf", math.Inf(-1))
+	lane.Offer("poison-nan", math.NaN())
+	lane.Offer("poison-posinf", math.Inf(1))
+	lane.Offer("poison-neginf", math.Inf(-1))
 	requireIdentical(t, s.Sketch(), want, "non-finite weights")
 
 	m := NewMultiSketcher(a, 2, 64, 2)
+	ml := m.Lanes()[0]
 	for i, key := range keys {
-		m.OfferVector(key, []float64{weights[i], weights[i]})
+		ml.OfferVector(key, []float64{weights[i], weights[i]})
 	}
-	m.OfferVector("poison-vec", []float64{math.NaN(), math.Inf(1)})
+	ml.OfferVector("poison-vec", []float64{math.NaN(), math.Inf(1)})
 	staged := NewStaged(a, 2)
 	Stage(staged, 0, "poison-staged", math.NaN())
 	Stage(staged, 1, "poison-staged", math.Inf(1))
@@ -416,7 +419,7 @@ func TestMultiSketcherEquivalence(t *testing.T) {
 			for b := range cols {
 				vec[b] = cols[b][i]
 			}
-			m.OfferVector(key, vec)
+			m.Lanes()[0].OfferVector(key, vec)
 		}
 		for b, got := range m.Sketches() {
 			requireIdentical(t, got, want[b], fmt.Sprintf("%v OfferVector assignment %d", a, b))
@@ -425,7 +428,7 @@ func TestMultiSketcherEquivalence(t *testing.T) {
 		m = NewMultiSketcher(a, numAsg, k, 1)
 		for b := range cols {
 			for i, key := range keys {
-				m.Offer(b, key, cols[b][i])
+				m.Lanes()[0].Offer(b, key, cols[b][i])
 			}
 		}
 		for b, got := range m.Sketches() {
@@ -446,7 +449,7 @@ func TestProducerFastPathZeroAllocs(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		ml.Offer(0, fmt.Sprintf("warm-%05d", i), 1)
 	}
-	if math.IsInf(m.Sketchers()[0].AdmissionThreshold(), 1) {
+	if math.IsInf(m.AdmissionThreshold(0), 1) {
 		t.Fatal("shared threshold not lowered after the sample filled")
 	}
 	// A vanishing weight makes w·T smaller than any unit seed, so the offer
@@ -493,9 +496,10 @@ func TestProducerFastPathZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// Every other face of the lane entry point takes a string key and must
-	// not allocate, pruned (1e-300) or admitted (1e300), under both families
-	// (Quantile's two branches) and both dispersed modes (OfferVector's two).
+	// Every face of the lane entry point, pruned (1e-300) or admitted
+	// (1e300), under both families (Quantile's two branches) and both
+	// dispersed modes (OfferVector's two): a string key costs nothing, and a
+	// staged []byte key nothing when pruned and its one string when admitted.
 	for _, a := range []rank.Assigner{
 		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 71},
 		{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 71},
@@ -503,29 +507,38 @@ func TestProducerFastPathZeroAllocs(t *testing.T) {
 		{Family: rank.EXP, Mode: rank.Independent, Seed: 71},
 	} {
 		m := NewMultiSketcher(a, 2, 8, 1)
-		ml, lane := m.Lanes()[0], m.Sketchers()[0].Lanes()[0]
+		ml, lane := m.Lanes()[0], m.sketchers[0].lanes[0]
 		for i := 0; i < 4096; i++ {
 			ml.OfferVector(fmt.Sprintf("warm-%05d", i), []float64{1, 1})
 		}
 		for _, weight := range []float64{1e-300, 1e300} {
 			vec := []float64{weight, weight}
 			batch := []Observation{{Key: "batch-key", Weight: weight}}
+			staged := NewStaged(a, 2)
+			Stage(staged, 1, []byte("a-key-long-enough-to-need-the-heap-0123456789"), weight)
+			stagedAllocs := 0.0
+			if weight > 1 {
+				stagedAllocs = 1
+			}
 			for _, entry := range []struct {
-				name string
-				call func()
+				name   string
+				call   func()
+				allocs float64
 			}{
-				{"Sketcher.Offer", func() { m.Sketchers()[0].Offer("key", weight) }},
-				{"Lane.OfferBatch", func() { lane.OfferBatch(batch) }},
-				{"Lane.TakeCounts", func() { lane.TakeCounts() }},
-				{"MultiSketcher.Offer", func() { m.Offer(1, "key", weight) }},
-				{"MultiSketcher.OfferVector", func() { m.OfferVector("key", vec) }},
-				{"MultiLane.OfferBatch", func() { ml.OfferBatch(1, batch) }},
-				{"MultiLane.OfferVector", func() { ml.OfferVector("key", vec) }},
-				{"MultiLane.TakeCounts", func() { ml.TakeCounts(1) }},
-				{"ShardOf", func() { ShardOf("key", 3) }},
+				// First: a later admission into assignment 1 may rank below
+				// the staged key and prune it.
+				{"MultiLane.OfferStaged", func() { ml.OfferStaged(staged) }, stagedAllocs},
+				{"Lane.Offer", func() { lane.Offer("key", weight) }, 0},
+				{"Lane.OfferBatch", func() { lane.OfferBatch(batch) }, 0},
+				{"Lane.TakeCounts", func() { lane.TakeCounts() }, 0},
+				{"MultiLane.Offer", func() { ml.Offer(1, "key", weight) }, 0},
+				{"MultiLane.OfferBatch", func() { ml.OfferBatch(1, batch) }, 0},
+				{"MultiLane.OfferVector", func() { ml.OfferVector("key", vec) }, 0},
+				{"MultiLane.TakeCounts", func() { ml.TakeCounts(1) }, 0},
+				{"ShardOf", func() { ShardOf("key", 3) }, 0},
 			} {
-				if allocs := testing.AllocsPerRun(100, entry.call); allocs != 0 {
-					t.Errorf("%v %v, weight %g: %s allocates %v per op, want 0", a.Family, a.Mode, weight, entry.name, allocs)
+				if allocs := testing.AllocsPerRun(100, entry.call); allocs != entry.allocs {
+					t.Errorf("%v %v, weight %g: %s allocates %v per op, want %v", a.Family, a.Mode, weight, entry.name, allocs, entry.allocs)
 				}
 			}
 		}
@@ -566,7 +579,7 @@ func TestCandidateBufferAllocations(t *testing.T) {
 		// Lane 0 of each assignment takes every offer; lane 1 stays idle.
 		bytes := allocated(func() {
 			for _, key := range keys {
-				m.OfferVector(key, weights)
+				m.Lanes()[0].OfferVector(key, weights)
 			}
 		})
 		// The first epoch takes a buffer per busy lane (fewer when an
