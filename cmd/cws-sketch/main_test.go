@@ -54,3 +54,20 @@ func TestInvalidKIsOneLine(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteWeightIsRefused: a NaN or infinite weight fails the run
+// with one line naming its line number, as the server refuses it with 400,
+// instead of being dropped while the other rows are answered.
+func TestNonFiniteWeightIsRefused(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "in.csv")
+	if err := os.WriteFile(in, []byte("key,a,b\nx,NaN,1\ny,Inf,2\nz,3,4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, ok := runSketch(t, "-in", in, "-query", "sum", "-b", "0")
+	if ok {
+		t.Fatalf("exited 0, stdout %q", stdout)
+	}
+	if want := "cws-sketch: csvio: line 2: invalid weight NaN"; !strings.HasPrefix(strings.TrimSpace(stderr), want) || strings.Count(stderr, "\n") != 1 {
+		t.Fatalf("stderr %q, want one line starting %q", stderr, want)
+	}
+}

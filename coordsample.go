@@ -267,8 +267,8 @@ func KMinsJaccard(cfg Config, ds *Dataset, b1, b2 int) float64 {
 // carries a fingerprint digesting exactly those parameters, and a mismatch
 // (incomparable ranks from different hash functions, or different k)
 // returns a *FingerprintMismatchError instead of silently producing a
-// sample that is NOT a bottom-k sample of the union. Standalone,
-// unfingerprinted sketches (BottomKFromRanks, Prefix) are refused too.
+// sample that is NOT a bottom-k sample of the union. A standalone,
+// unfingerprinted sketch, such as a BottomK.Prefix, is refused too.
 // Disjointness remains the caller's responsibility, but its most common
 // violation is detected: if both copies of a key survive into the merged
 // sample, the merge panics with "offered more than once" rather than

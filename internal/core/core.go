@@ -16,6 +16,9 @@
 //     summary with the inclusive estimators of Section 6. A
 //     fixed-distinct-keys variant grows the per-assignment sample size ℓ ≥ k
 //     adaptively under a total budget of |W|·k distinct keys.
+//
+// Both pipelines are generic over the sample builder: poisson.go runs them
+// over Poisson-τ samples, the case Section 4 calls "similar and simpler".
 package core
 
 import (
@@ -86,23 +89,41 @@ func (c Config) validate() {
 
 // --- Dispersed pipeline ---
 
-// AssignmentSketcher builds the bottom-k sketch of one weight assignment
-// from its aggregated (key, weight) stream, independently of every other
-// assignment — the decoupling the dispersed model mandates. Keys must be
-// pre-aggregated (each key offered at most once per assignment).
-type AssignmentSketcher struct {
-	assigner   rank.Assigner
-	assignment int
-	builder    *sketch.BottomKBuilder
-}
-
-// NewAssignmentSketcher creates a sketcher for assignment index b.
-func NewAssignmentSketcher(cfg Config, assignment int) *AssignmentSketcher {
+// dispersedAssigner validates cfg for a dispersed-stream sketcher.
+func dispersedAssigner(cfg Config) rank.Assigner {
 	cfg.validate()
 	if cfg.Mode == rank.IndependentDifferences {
 		panic("core: independent-differences coordination requires colocated weights")
 	}
-	a := cfg.Assigner()
+	return cfg.Assigner()
+}
+
+// builder is what the pipelines need of a sample builder: the
+// (key, rank, weight) stream in, the frozen sample out.
+// sketch.BottomKBuilder and sketch.PoissonBuilder are the two.
+type builder[S estimate.AssignmentSketch] interface {
+	Offer(key string, rank, weight float64)
+	Sketch() S
+}
+
+// Sketcher builds the sample of one weight assignment from its aggregated
+// (key, weight) stream, independently of every other assignment — the
+// decoupling the dispersed model mandates; coordination comes entirely
+// from the shared hash seed in Config. Keys must be pre-aggregated (each
+// key offered at most once per assignment). AssignmentSketcher and
+// PoissonSketcher are its two instances.
+type Sketcher[S estimate.AssignmentSketch] struct {
+	assigner   rank.Assigner
+	assignment int
+	builder    builder[S]
+}
+
+// AssignmentSketcher builds the bottom-k sketch of one weight assignment.
+type AssignmentSketcher = Sketcher[*sketch.BottomK]
+
+// NewAssignmentSketcher creates a sketcher for assignment b.
+func NewAssignmentSketcher(cfg Config, assignment int) *AssignmentSketcher {
+	a := dispersedAssigner(cfg)
 	return &AssignmentSketcher{
 		assigner:   a,
 		assignment: assignment,
@@ -111,12 +132,12 @@ func NewAssignmentSketcher(cfg Config, assignment int) *AssignmentSketcher {
 }
 
 // Offer presents one aggregated key with its weight in this assignment.
-func (s *AssignmentSketcher) Offer(key string, weight float64) {
+func (s *Sketcher[S]) Offer(key string, weight float64) {
 	s.builder.Offer(key, s.assigner.Rank(key, s.assignment, weight), weight)
 }
 
-// Sketch snapshots the current bottom-k sketch.
-func (s *AssignmentSketcher) Sketch() *sketch.BottomK { return s.builder.Sketch() }
+// Sketch snapshots the current sample.
+func (s *Sketcher[S]) Sketch() S { return s.builder.Sketch() }
 
 // CombineDispersed merges independently built per-assignment sketches into a
 // dispersed summary. The sketches must come from AssignmentSketchers sharing
@@ -127,15 +148,24 @@ func (s *AssignmentSketcher) Sketch() *sketch.BottomK { return s.builder.Sketch(
 // yields a *sketch.FingerprintMismatchError (with Index naming the
 // offending position) instead of a summary whose estimates would be
 // silently corrupt. Per-assignment sample sizes may differ from cfg.K (the
-// estimators support bottom-k^(b) sketches); standalone sketches without
-// a fingerprint (BottomKFromRanks, Prefix), which sketch.Merge refuses, are
+// estimators support bottom-k^(b) sketches); a standalone sketch without a
+// fingerprint, such as a BottomK.Prefix, which sketch.Merge refuses, is
 // accepted here unverified.
 func CombineDispersed(cfg Config, sketches []*sketch.BottomK) (*estimate.Dispersed, error) {
+	return combine(cfg, sketches, (*sketch.BottomK).K)
+}
+
+// combine verifies each fingerprinted sketch against cfg's digest of its
+// assignment index and size k(sketch), then combines them.
+func combine[S interface {
+	estimate.AssignmentSketch
+	Fingerprint() uint64
+}](cfg Config, sketches []S, k func(S) int) (*estimate.Dispersed, error) {
 	cfg.validate()
 	a := cfg.Assigner()
 	for b, s := range sketches {
 		if fp := s.Fingerprint(); fp != 0 {
-			if want := a.Fingerprint(b, s.K()); fp != want {
+			if want := a.Fingerprint(b, k(s)); fp != want {
 				return nil, &sketch.FingerprintMismatchError{Index: b, Want: want, Got: fp}
 			}
 		}
@@ -143,14 +173,27 @@ func CombineDispersed(cfg Config, sketches []*sketch.BottomK) (*estimate.Dispers
 	return estimate.NewDispersed(a, sketches), nil
 }
 
-// mustCombineDispersed is CombineDispersed for sketches the pipeline just
-// built itself, where a fingerprint mismatch is impossible.
-func mustCombineDispersed(cfg Config, sketches []*sketch.BottomK) *estimate.Dispersed {
-	d, err := CombineDispersed(cfg, sketches)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
+// offerColumn offers assignment b's positive weights in ds, in key order:
+// the pass a dispersed site makes over its own assignment alone.
+func offerColumn(ds *dataset.Dataset, b int, offer func(key string, weight float64)) {
+	col := ds.Column(b)
+	for i := 0; i < ds.NumKeys(); i++ {
+		if col[i] > 0 {
+			offer(ds.Key(i), col[i])
+		}
 	}
-	return d
+}
+
+// sketchColumns runs newSketcher(b) over each assignment b's column of ds
+// and returns the samples, in assignment order.
+func sketchColumns[S estimate.AssignmentSketch](ds *dataset.Dataset, newSketcher func(b int) *Sketcher[S]) []S {
+	sketches := make([]S, ds.NumAssignments())
+	for b := range sketches {
+		s := newSketcher(b)
+		offerColumn(ds, b, s.Offer)
+		sketches[b] = s.Sketch()
+	}
+	return sketches
 }
 
 // SummarizeDispersed runs the full dispersed pipeline over an in-memory
@@ -158,66 +201,63 @@ func mustCombineDispersed(cfg Config, sketches []*sketch.BottomK) *estimate.Disp
 // assignment's pass touches only that assignment's column, exactly as
 // physically dispersed sites would.
 func SummarizeDispersed(cfg Config, ds *dataset.Dataset) *estimate.Dispersed {
-	cfg.validate()
-	sketches := make([]*sketch.BottomK, ds.NumAssignments())
-	for b := range sketches {
-		sk := NewAssignmentSketcher(cfg, b)
-		col := ds.Column(b)
-		for i := 0; i < ds.NumKeys(); i++ {
-			if col[i] > 0 {
-				sk.Offer(ds.Key(i), col[i])
-			}
-		}
-		sketches[b] = sk.Sketch()
-	}
-	return mustCombineDispersed(cfg, sketches)
+	sketches := sketchColumns(ds, func(b int) *AssignmentSketcher { return NewAssignmentSketcher(cfg, b) })
+	return estimate.NewDispersed(cfg.Assigner(), sketches)
 }
 
 // --- Colocated pipeline ---
 
-// ColocatedSummarizer consumes colocated (key, weight-vector) records in one
-// pass and produces a summary embedding a bottom-k sample per assignment.
+// Summarizer consumes colocated (key, weight-vector) records in one pass
+// and produces a summary embedding one sample per assignment: bottom-k in
+// a ColocatedSummarizer, Poisson-τ^(b) in SummarizeColocatedPoisson.
 // Weight vectors of candidate keys are retained and periodically compacted
 // down to the keys still present in some embedded sample, keeping memory
 // proportional to the summary, not the data.
-type ColocatedSummarizer struct {
+type Summarizer[S estimate.AssignmentSketch] struct {
 	cfg      Config
 	assigner rank.Assigner
-	builders []*sketch.BottomKBuilder
+	builders []builder[S]
 	vectors  map[string][]float64
 	ranks    []float64
 	offers   int
 	compact  int
 }
 
+// ColocatedSummarizer is the Summarizer of embedded bottom-k samples.
+type ColocatedSummarizer = Summarizer[*sketch.BottomK]
+
 // NewColocatedSummarizer creates a summarizer for numAssignments weight
 // assignments.
 func NewColocatedSummarizer(cfg Config, numAssignments int) *ColocatedSummarizer {
+	return newSummarizer(cfg, numAssignments, func(int) builder[*sketch.BottomK] {
+		return sketch.NewBottomKBuilder(cfg.K)
+	})
+}
+
+// newSummarizer creates a summarizer whose assignment b samples into
+// newBuilder(b).
+func newSummarizer[S estimate.AssignmentSketch](cfg Config, numAssignments int, newBuilder func(b int) builder[S]) *Summarizer[S] {
 	cfg.validate()
 	if numAssignments < 1 {
 		panic("core: need at least one assignment")
 	}
-	builders := make([]*sketch.BottomKBuilder, numAssignments)
+	builders := make([]builder[S], numAssignments)
 	for b := range builders {
-		builders[b] = sketch.NewBottomKBuilder(cfg.K)
+		builders[b] = newBuilder(b)
 	}
-	compact := 4 * cfg.K * numAssignments
-	if compact < 1024 {
-		compact = 1024
-	}
-	return &ColocatedSummarizer{
+	return &Summarizer[S]{
 		cfg:      cfg,
 		assigner: cfg.Assigner(),
 		builders: builders,
 		vectors:  make(map[string][]float64),
 		ranks:    make([]float64, numAssignments),
-		compact:  compact,
+		compact:  max(4*cfg.K*numAssignments, 1024),
 	}
 }
 
 // Offer presents one key with its full weight vector. Keys must be
 // pre-aggregated (offered at most once).
-func (s *ColocatedSummarizer) Offer(key string, weights []float64) {
+func (s *Summarizer[S]) Offer(key string, weights []float64) {
 	if len(weights) != len(s.builders) {
 		panic("core: weight vector length mismatch")
 	}
@@ -238,9 +278,19 @@ func (s *ColocatedSummarizer) Offer(key string, weights []float64) {
 	}
 }
 
+// offerRows offers every row of ds, in key order, and returns s.
+func (s *Summarizer[S]) offerRows(ds *dataset.Dataset) *Summarizer[S] {
+	vec := make([]float64, ds.NumAssignments())
+	for i := 0; i < ds.NumKeys(); i++ {
+		ds.WeightVectorInto(vec, i)
+		s.Offer(ds.Key(i), vec)
+	}
+	return s
+}
+
 // compactVectors drops stored weight vectors for keys that have fallen out
 // of every embedded sample.
-func (s *ColocatedSummarizer) compactVectors() {
+func (s *Summarizer[S]) compactVectors() {
 	live := make(map[string]bool, len(s.builders)*s.cfg.K)
 	for _, bld := range s.builders {
 		for _, e := range bld.Sketch().Entries() {
@@ -256,15 +306,24 @@ func (s *ColocatedSummarizer) compactVectors() {
 
 // RetainedVectors reports how many weight vectors are currently stored
 // (diagnostic for the compaction behaviour).
-func (s *ColocatedSummarizer) RetainedVectors() int { return len(s.vectors) }
+func (s *Summarizer[S]) RetainedVectors() int { return len(s.vectors) }
 
 // Summary freezes the summarizer into a colocated summary with the inclusive
 // estimators of Section 6.
-func (s *ColocatedSummarizer) Summary() *estimate.Colocated {
-	sketches := make([]*sketch.BottomK, len(s.builders))
+func (s *Summarizer[S]) Summary() *estimate.Colocated { return s.summary(s.sketches()) }
+
+// sketches freezes every embedded sample, in assignment order.
+func (s *Summarizer[S]) sketches() []S {
+	sketches := make([]S, len(s.builders))
 	for b, bld := range s.builders {
 		sketches[b] = bld.Sketch()
 	}
+	return sketches
+}
+
+// summary combines sketches of the embedded samples (or prefixes of them)
+// with the weight vectors the summarizer kept for their keys.
+func (s *Summarizer[S]) summary(sketches []S) *estimate.Colocated {
 	return estimate.NewColocated(s.assigner, sketches, func(key string) []float64 {
 		vec, ok := s.vectors[key]
 		if !ok {
@@ -276,13 +335,7 @@ func (s *ColocatedSummarizer) Summary() *estimate.Colocated {
 
 // SummarizeColocated runs the colocated pipeline over an in-memory dataset.
 func SummarizeColocated(cfg Config, ds *dataset.Dataset) *estimate.Colocated {
-	s := NewColocatedSummarizer(cfg, ds.NumAssignments())
-	vec := make([]float64, ds.NumAssignments())
-	for i := 0; i < ds.NumKeys(); i++ {
-		ds.WeightVectorInto(vec, i)
-		s.Offer(ds.Key(i), vec)
-	}
-	return s.Summary()
+	return NewColocatedSummarizer(cfg, ds.NumAssignments()).offerRows(ds).Summary()
 }
 
 // --- Fixed-distinct-keys colocated summaries (Section 4) ---
@@ -346,28 +399,11 @@ func FitDistinctBudget(sketches []*sketch.BottomK, k int) (int, []*sketch.Bottom
 // the largest feasible ℓ. Returns the summary and the chosen ℓ.
 func SummarizeColocatedFixed(cfg Config, ds *dataset.Dataset) (*estimate.Colocated, int) {
 	cfg.validate()
-	w := ds.NumAssignments()
 	big := cfg
-	big.K = cfg.K * w
-	s := NewColocatedSummarizer(big, w)
-	vec := make([]float64, w)
-	for i := 0; i < ds.NumKeys(); i++ {
-		ds.WeightVectorInto(vec, i)
-		s.Offer(ds.Key(i), vec)
-	}
-	sketches := make([]*sketch.BottomK, w)
-	for b, bld := range s.builders {
-		sketches[b] = bld.Sketch()
-	}
-	ell, trimmed := FitDistinctBudget(sketches, cfg.K)
-	summary := estimate.NewColocated(s.assigner, trimmed, func(key string) []float64 {
-		vec, ok := s.vectors[key]
-		if !ok {
-			panic(fmt.Sprintf("core: missing weight vector for sampled key %q", key))
-		}
-		return vec
-	})
-	return summary, ell
+	big.K = cfg.K * ds.NumAssignments()
+	s := NewColocatedSummarizer(big, ds.NumAssignments()).offerRows(ds)
+	ell, trimmed := FitDistinctBudget(s.sketches(), cfg.K)
+	return s.summary(trimmed), ell
 }
 
 // --- k-mins similarity (Theorem 4.1) ---
@@ -390,31 +426,6 @@ func KMinsJaccard(cfg Config, ds *dataset.Dataset, b1, b2 int) float64 {
 	return sketch.CommonMinFraction(s[0], s[1])
 }
 
-// --- Poisson sketches (single assignment) ---
-
-// PoissonTau returns the threshold τ for which a Poisson sketch of the given
-// weights has expected size k (re-exported from the sketch layer for
-// callers sizing Poisson summaries against bottom-k ones).
-func PoissonTau(family rank.Family, weights []float64, k float64) float64 {
-	return sketch.SolveTau(family, weights, k)
-}
-
-// PoissonSingle builds a Poisson-τ sketch of assignment b under cfg's rank
-// assigner and returns its Horvitz–Thompson AW-summary — the baseline
-// design bottom-k sketches are compared against (Section 3).
-func PoissonSingle(cfg Config, ds *dataset.Dataset, b int, tau float64) estimate.AWSummary {
-	cfg.validate()
-	a := cfg.Assigner()
-	bld := sketch.NewPoissonBuilder(tau)
-	col := ds.Column(b)
-	for i := 0; i < ds.NumKeys(); i++ {
-		if col[i] > 0 {
-			bld.Offer(ds.Key(i), a.Rank(ds.Key(i), b, col[i]), col[i])
-		}
-	}
-	return estimate.PoissonHT(bld.Sketch(), cfg.Family)
-}
-
 // --- Unweighted baseline (Section 9.2) ---
 
 // SummarizeUniformBaseline builds the prior-work baseline: coordinated
@@ -426,12 +437,7 @@ func SummarizeUniformBaseline(cfg Config, ds *dataset.Dataset) []*sketch.BottomK
 	sketches := make([]*sketch.BottomK, ds.NumAssignments())
 	for b := range sketches {
 		bld := sketch.NewBottomKBuilder(cfg.K)
-		col := ds.Column(b)
-		for i := 0; i < ds.NumKeys(); i++ {
-			if col[i] > 0 {
-				bld.Offer(ds.Key(i), a.Rank(ds.Key(i), b, 1), col[i])
-			}
-		}
+		offerColumn(ds, b, func(key string, w float64) { bld.Offer(key, a.Rank(key, b, 1), w) })
 		sketches[b] = bld.Sketch()
 	}
 	return sketches

@@ -5,7 +5,6 @@ import (
 
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
-	"coordsample/internal/rank"
 	"coordsample/internal/shard"
 )
 
@@ -18,15 +17,6 @@ type LaneSketcher = shard.Sketcher
 // per assignment, hashing each key once per offer (and, under SharedSeed
 // coordination, once per weight vector).
 type MultiSketcher = shard.MultiSketcher
-
-// dispersedAssigner validates cfg for a dispersed-stream sketcher.
-func dispersedAssigner(cfg Config) rank.Assigner {
-	cfg.validate()
-	if cfg.Mode == rank.IndependentDifferences {
-		panic("core: independent-differences coordination requires colocated weights")
-	}
-	return cfg.Assigner()
-}
 
 // NewLaneSketcher creates a concurrent dispersed-model sketcher for
 // assignment index assignment with the given number of producer lanes
@@ -77,5 +67,5 @@ func SummarizeDispersedParallel(cfg Config, ds *dataset.Dataset, lanes int) *est
 		}()
 	}
 	wg.Wait()
-	return mustCombineDispersed(cfg, m.Sketches())
+	return estimate.NewDispersed(cfg.Assigner(), m.Sketches())
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
 	"coordsample/internal/rank"
+	"coordsample/internal/sketch"
 )
 
 // shardedTestDataset builds a sparse heavy-tailed multi-assignment dataset.
@@ -161,6 +163,61 @@ func TestEstimatorSeamShardInvariance(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestUnsampleableWeightsSkippedLikeTheLane offers the weights a lane
+// drops — +Inf, NaN, −1 and 0 — beside one positive weight to every
+// sketcher. Each must keep the positive key alone, entry for entry as
+// LaneSketcher does, so that the sample answers exactly; the bottom-k
+// sketches a pipeline fingerprints must also survive the segment codec.
+func TestUnsampleableWeightsSkippedLikeTheLane(t *testing.T) {
+	keys := []string{"inf", "nan", "neg", "zero", "two"}
+	weights := []float64{math.Inf(1), math.NaN(), -1, 0, 2}
+	for _, cfg := range []Config{
+		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3, K: 4},
+		{Family: rank.EXP, Mode: rank.Independent, Seed: 4, K: 4},
+	} {
+		lane := NewLaneSketcher(cfg, 0, 1)
+		seq := NewAssignmentSketcher(cfg, 0)
+		poisson := NewPoissonSketcher(cfg, 0, math.Inf(1))
+		colocated := NewColocatedSummarizer(cfg, 1)
+		for i, key := range keys {
+			lane.Lanes()[0].Offer(key, weights[i])
+			seq.Offer(key, weights[i])
+			poisson.Offer(key, weights[i])
+			colocated.Offer(key, weights[i:i+1])
+		}
+		want := lane.Sketch()
+		if n := len(want.Entries()); n != 1 || want.Entries()[0].Key != "two" {
+			t.Fatalf("%s: lane kept %+v, want the key two alone", cfg.Mode, want.Entries())
+		}
+		summary := colocated.Summary()
+		for name, got := range map[string]estimate.AssignmentSketch{
+			"AssignmentSketcher":  seq.Sketch(),
+			"PoissonSketcher":     poisson.Sketch(),
+			"ColocatedSummarizer": summary.Sketch(0),
+			"segment round trip":  ship(t, cfg, 0, seq.Sketch()).BottomK,
+			"lane round trip":     ship(t, cfg, 0, want).BottomK,
+		} {
+			if !slices.Equal(got.Entries(), want.Entries()) {
+				t.Errorf("%s %s: entries %+v, want %+v", cfg.Mode, name, got.Entries(), want.Entries())
+			}
+			if bk, ok := got.(*sketch.BottomK); ok && (bk.KthRank() != want.KthRank() || bk.Threshold() != want.Threshold()) {
+				t.Errorf("%s %s: conditioning ranks (%v, %v), want (%v, %v)",
+					cfg.Mode, name, bk.KthRank(), bk.Threshold(), want.KthRank(), want.Threshold())
+			}
+		}
+		d, err := CombineDispersed(cfg, []*sketch.BottomK{seq.Sketch()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est, se := d.Single(0).EstimateWithStdErr(nil); est != 2 || se != 0 {
+			t.Errorf("%s: Single(0) = %v ± %v, want 2 ± 0", cfg.Mode, est, se)
+		}
+		if est, se := summary.Inclusive(estimate.MaxOf()).EstimateWithStdErr(nil); est != 2 || se != 0 {
+			t.Errorf("%s: colocated Inclusive(max) = %v ± %v, want 2 ± 0", cfg.Mode, est, se)
 		}
 	}
 }

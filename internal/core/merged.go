@@ -90,7 +90,7 @@ func NewMerged(cfg Config, sets [][]*sketch.BottomK) *Merged {
 		}
 		views[b] = &m.slots[b]
 	}
-	m.summary = estimate.NewDispersedFromSketches(m.assigner, views)
+	m.summary = estimate.NewDispersed(m.assigner, views)
 	return m
 }
 

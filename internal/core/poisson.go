@@ -1,32 +1,24 @@
 package core
 
 import (
-	"fmt"
-
 	"coordsample/internal/dataset"
 	"coordsample/internal/estimate"
 	"coordsample/internal/rank"
 	"coordsample/internal/sketch"
 )
 
-// PoissonSketcher builds the Poisson-τ sketch of one weight assignment from
-// its aggregated (key, weight) stream — the Poisson counterpart of
-// AssignmentSketcher. Coordination across assignments again comes entirely
-// from the shared hash seed in cfg; τ may differ per assignment.
-type PoissonSketcher struct {
-	assigner   rank.Assigner
-	assignment int
-	builder    *sketch.PoissonBuilder
-}
+// The Poisson-τ instances of the dispersed and colocated pipelines: "the
+// treatment of Poisson sketches is similar and simpler" (Section 4), so
+// each is the bottom-k pipeline over a sketch.PoissonBuilder.
+
+// PoissonSketcher builds the Poisson-τ sketch of one weight assignment; τ
+// may differ per assignment.
+type PoissonSketcher = Sketcher[*sketch.Poisson]
 
 // NewPoissonSketcher creates a Poisson sketcher for assignment b with
 // threshold τ (use PoissonTau to target an expected sample size).
 func NewPoissonSketcher(cfg Config, assignment int, tau float64) *PoissonSketcher {
-	cfg.validate()
-	if cfg.Mode == rank.IndependentDifferences {
-		panic("core: independent-differences coordination requires colocated weights")
-	}
-	a := cfg.Assigner()
+	a := dispersedAssigner(cfg)
 	return &PoissonSketcher{
 		assigner:   a,
 		assignment: assignment,
@@ -34,13 +26,12 @@ func NewPoissonSketcher(cfg Config, assignment int, tau float64) *PoissonSketche
 	}
 }
 
-// Offer presents one aggregated key with its weight in this assignment.
-func (s *PoissonSketcher) Offer(key string, weight float64) {
-	s.builder.Offer(key, s.assigner.Rank(key, s.assignment, weight), weight)
+// PoissonTau returns the threshold τ for which a Poisson sketch of the given
+// weights has expected size k (re-exported from the sketch layer for
+// callers sizing Poisson summaries against bottom-k ones).
+func PoissonTau(family rank.Family, weights []float64, k float64) float64 {
+	return sketch.SolveTau(family, weights, k)
 }
-
-// Sketch snapshots the current Poisson sketch.
-func (s *PoissonSketcher) Sketch() *sketch.Poisson { return s.builder.Sketch() }
 
 // CombineDispersedPoisson merges per-assignment Poisson sketches built with
 // cfg into a dispersed summary supporting the same estimator suite as
@@ -49,87 +40,34 @@ func (s *PoissonSketcher) Sketch() *sketch.Poisson { return s.builder.Sketch() }
 // as in CombineDispersed (Poisson fingerprints digest Family/Mode/Seed and
 // the assignment index; τ is data-dependent and carried by the sketch).
 func CombineDispersedPoisson(cfg Config, sketches []*sketch.Poisson) (*estimate.Dispersed, error) {
-	cfg.validate()
-	a := cfg.Assigner()
-	for b, s := range sketches {
-		if fp := s.Fingerprint(); fp != 0 {
-			if want := a.Fingerprint(b, 0); fp != want {
-				return nil, &sketch.FingerprintMismatchError{Index: b, Want: want, Got: fp}
-			}
-		}
-	}
-	return estimate.NewDispersedPoisson(a, sketches), nil
+	return combine(cfg, sketches, func(*sketch.Poisson) int { return 0 })
 }
 
 // SummarizeDispersedPoisson runs the dispersed Poisson pipeline over an
 // in-memory dataset, solving each assignment's τ^(b) for expected sample
 // size cfg.K.
 func SummarizeDispersedPoisson(cfg Config, ds *dataset.Dataset) *estimate.Dispersed {
-	cfg.validate()
-	sketches := make([]*sketch.Poisson, ds.NumAssignments())
-	for b := range sketches {
-		tau := sketch.SolveTau(cfg.Family, ds.Column(b), float64(cfg.K))
-		sk := NewPoissonSketcher(cfg, b, tau)
-		col := ds.Column(b)
-		for i := 0; i < ds.NumKeys(); i++ {
-			if col[i] > 0 {
-				sk.Offer(ds.Key(i), col[i])
-			}
-		}
-		sketches[b] = sk.Sketch()
-	}
-	d, err := CombineDispersedPoisson(cfg, sketches)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err)) // sketches built above share cfg
-	}
-	return d
+	sketches := sketchColumns(ds, func(b int) *PoissonSketcher {
+		return NewPoissonSketcher(cfg, b, PoissonTau(cfg.Family, ds.Column(b), float64(cfg.K)))
+	})
+	return estimate.NewDispersed(cfg.Assigner(), sketches)
 }
 
 // SummarizeColocatedPoisson runs the colocated pipeline with embedded
 // Poisson samples of expected size cfg.K per assignment: the inclusive
 // estimators of Section 6 apply with τ^(b) as the conditioning thresholds.
 func SummarizeColocatedPoisson(cfg Config, ds *dataset.Dataset) *estimate.Colocated {
-	cfg.validate()
-	w := ds.NumAssignments()
-	if w < 1 {
-		panic("core: need at least one assignment")
-	}
-	taus := make([]float64, w)
-	for b := 0; b < w; b++ {
-		taus[b] = sketch.SolveTau(cfg.Family, ds.Column(b), float64(cfg.K))
-	}
-	assigner := cfg.Assigner()
-	builders := make([]*sketch.PoissonBuilder, w)
-	for b := range builders {
-		builders[b] = sketch.NewPoissonBuilder(taus[b])
-	}
-	ranks := make([]float64, w)
-	vec := make([]float64, w)
-	vectors := make(map[string][]float64)
-	for i := 0; i < ds.NumKeys(); i++ {
-		key := ds.Key(i)
-		ds.WeightVectorInto(vec, i)
-		assigner.RankVectorInto(ranks, key, vec)
-		sampled := false
-		for b := range builders {
-			builders[b].Offer(key, ranks[b], vec[b])
-			if vec[b] > 0 && ranks[b] < taus[b] {
-				sampled = true
-			}
-		}
-		if sampled {
-			vectors[key] = append([]float64(nil), vec...)
-		}
-	}
-	sketches := make([]*sketch.Poisson, w)
-	for b := range builders {
-		sketches[b] = builders[b].Sketch()
-	}
-	return estimate.NewColocatedPoisson(assigner, sketches, func(key string) []float64 {
-		v, ok := vectors[key]
-		if !ok {
-			panic(fmt.Sprintf("core: missing weight vector for sampled key %q", key))
-		}
-		return v
+	s := newSummarizer(cfg, ds.NumAssignments(), func(b int) builder[*sketch.Poisson] {
+		return sketch.NewPoissonBuilder(PoissonTau(cfg.Family, ds.Column(b), float64(cfg.K)))
 	})
+	return s.offerRows(ds).Summary()
+}
+
+// PoissonSingle builds a Poisson-τ sketch of assignment b under cfg's rank
+// assigner and returns its Horvitz–Thompson AW-summary — the baseline
+// design bottom-k sketches are compared against (Section 3).
+func PoissonSingle(cfg Config, ds *dataset.Dataset, b int, tau float64) estimate.AWSummary {
+	s := NewPoissonSketcher(cfg, b, tau)
+	offerColumn(ds, b, s.Offer)
+	return estimate.PoissonHT(s.Sketch(), cfg.Family)
 }

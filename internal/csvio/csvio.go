@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"coordsample/internal/dataset"
@@ -66,8 +67,8 @@ func (r *Reader) Next() (Row, error) {
 		if err != nil {
 			return Row{}, fmt.Errorf("csvio: line %d: bad weight %q: %w", r.line, rec[b+1], err)
 		}
-		if w < 0 {
-			return Row{}, fmt.Errorf("csvio: line %d: negative weight %v", r.line, w)
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return Row{}, fmt.Errorf("csvio: line %d: invalid weight %v (want finite and ≥ 0)", r.line, w)
 		}
 		row.Weights[b] = w
 	}

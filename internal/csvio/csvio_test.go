@@ -104,6 +104,18 @@ func TestReaderErrors(t *testing.T) {
 	}
 }
 
+// TestReaderRefusesNonFiniteWeights: NaN and infinite weights are refused
+// with their line number, as negative ones are, rather than passed on for
+// a sketcher to drop without a word.
+func TestReaderRefusesNonFiniteWeights(t *testing.T) {
+	for _, w := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-5"} {
+		_, err := ReadDataset(strings.NewReader("key,a,b\nz,3,4\nx," + w + ",1\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3: invalid weight") {
+			t.Errorf("weight %s: error %v, want line 3's invalid weight", w, err)
+		}
+	}
+}
+
 func TestDuplicateKeysAccumulate(t *testing.T) {
 	ds, err := ReadDataset(strings.NewReader("key,a\nx,1\nx,2\n"))
 	if err != nil {

@@ -30,7 +30,7 @@ func coldDispersed(k, w int) *Dispersed {
 // fresh returns a summary of d's sketches that has built no view yet (the
 // sketches' key orders stay memoized, as they are for every query after a
 // sketch's first).
-func fresh(d *Dispersed) *Dispersed { return NewDispersedFromSketches(d.assigner, d.sketches) }
+func fresh(d *Dispersed) *Dispersed { return NewDispersed(d.assigner, d.sketches) }
 
 // allocsOnFresh averages the allocations of f over runs that each get their
 // own fresh summary of d, first prepared by warm (nil: left cold).

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"coordsample/internal/rank"
-	"coordsample/internal/sketch"
 )
 
 // Colocated is a summary of colocated-weights data (Section 6): the set of
@@ -25,33 +24,23 @@ type Colocated struct {
 // the richer predicates the colocated model supports.
 type VecPred func(key string, vec []float64) bool
 
-// NewColocated builds a colocated summary from per-assignment bottom-k
-// sketches and a source of full weight vectors for the union keys. vectors
-// is called once per distinct sampled key and must return the key's complete
-// weight vector (one entry per assignment).
-func NewColocated(assigner rank.Assigner, sketches []*sketch.BottomK, vectors func(key string) []float64) *Colocated {
-	return NewColocatedFromSketches(assigner, asSketches(sketches), vectors)
-}
-
-// NewColocatedPoisson builds a colocated summary whose embedded samples are
-// Poisson-τ^(b) sketches; the inclusive-estimator expressions are obtained
-// by substituting τ^(b) for r^(b)_k(I∖{i}) (Section 6).
-func NewColocatedPoisson(assigner rank.Assigner, sketches []*sketch.Poisson, vectors func(key string) []float64) *Colocated {
-	return NewColocatedFromSketches(assigner, asSketches(sketches), vectors)
-}
-
-// NewColocatedFromSketches builds a colocated summary from arbitrary
-// per-assignment sketch views.
-func NewColocatedFromSketches(assigner rank.Assigner, sketches []AssignmentSketch, vectors func(key string) []float64) *Colocated {
+// NewColocated builds a colocated summary from per-assignment sketches —
+// bottom-k, or Poisson-τ^(b), for which the inclusive-estimator
+// expressions substitute τ^(b) for r^(b)_k(I∖{i}) (Section 6) — and a
+// source of full weight vectors for the union keys. vectors is called once
+// per distinct sampled key and must return the key's complete weight
+// vector (one entry per assignment).
+func NewColocated[S AssignmentSketch](assigner rank.Assigner, sketches []S, vectors func(key string) []float64) *Colocated {
 	if len(sketches) == 0 {
 		panic("estimate: colocated summary needs at least one sketch")
 	}
 	// The summarized keys are the union of the embedded samples: the rows
 	// of the all-assignments sample view, already in key order.
-	rows := NewDispersedFromSketches(assigner, sketches).View(nil).rows
+	d := NewDispersed(assigner, sketches)
+	rows := d.View(nil).rows
 	c := &Colocated{
 		assigner: assigner,
-		sketches: sketches,
+		sketches: d.sketches,
 		keys:     make([]string, len(rows)),
 		vectors:  make([][]float64, len(rows)),
 	}

@@ -339,7 +339,7 @@ func TestColocatedAccessorsAndValidation(t *testing.T) {
 		t.Fatal("Sketch accessor")
 	}
 	assertPanics(t, func() { c.InclusionProbability("zzz") })
-	assertPanics(t, func() { NewColocated(a, nil, nil) })
+	assertPanics(t, func() { NewColocated[*sketch.BottomK](a, nil, nil) })
 	assertPanics(t, func() {
 		NewColocated(a, []*sketch.BottomK{c.Sketch(0).(*sketch.BottomK)}, func(string) []float64 { return []float64{1, 2, 3} })
 	})

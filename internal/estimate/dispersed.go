@@ -50,35 +50,27 @@ type Dispersed struct {
 	views  map[string]*SampleView // by R, uvarint-encoded in R's order
 }
 
-// asSketches widens concrete sketches to the interface the summaries hold.
-func asSketches[S AssignmentSketch](sketches []S) []AssignmentSketch {
-	views := make([]AssignmentSketch, len(sketches))
-	for b, s := range sketches {
-		views[b] = s
-	}
-	return views
-}
-
-// NewDispersed combines per-assignment bottom-k sketches built with assigner
-// into a dispersed summary. sketches[b] must have been built from the ranks
-// assigner.Rank(key, b, w^(b)(key)). The sketches may have different sizes
-// k^(b) (the paper notes the derivations extend to bottom-k^(b) sketches).
-func NewDispersed(assigner rank.Assigner, sketches []*sketch.BottomK) *Dispersed {
-	return NewDispersedFromSketches(assigner, asSketches(sketches))
-}
-
-// NewDispersedPoisson combines per-assignment Poisson sketches into a
-// dispersed summary; thresholds τ^(b) may differ per assignment.
-func NewDispersedPoisson(assigner rank.Assigner, sketches []*sketch.Poisson) *Dispersed {
-	return NewDispersedFromSketches(assigner, asSketches(sketches))
-}
-
-// NewDispersedFromSketches combines arbitrary per-assignment sketch views.
-func NewDispersedFromSketches(assigner rank.Assigner, sketches []AssignmentSketch) *Dispersed {
+// NewDispersed combines per-assignment sketches built with assigner into a
+// dispersed summary: bottom-k sketches, Poisson sketches (whose thresholds
+// τ^(b) may differ per assignment) or any other AssignmentSketch.
+// sketches[b] must have been built from the ranks
+// assigner.Rank(key, b, w^(b)(key)). Bottom-k sketches may have different
+// sizes k^(b) (the paper notes the derivations extend to bottom-k^(b)
+// sketches).
+func NewDispersed[S AssignmentSketch](assigner rank.Assigner, sketches []S) *Dispersed {
 	if len(sketches) == 0 {
 		panic("estimate: dispersed summary needs at least one sketch")
 	}
-	return &Dispersed{assigner: assigner, sketches: sketches, all: allR(len(sketches))}
+	// A slice that already holds the interface (core.Merged's slots) is
+	// kept, not copied.
+	views, ok := any(sketches).([]AssignmentSketch)
+	if !ok {
+		views = make([]AssignmentSketch, len(sketches))
+		for b, s := range sketches {
+			views[b] = s
+		}
+	}
+	return &Dispersed{assigner: assigner, sketches: views, all: allR(len(sketches))}
 }
 
 // NumAssignments returns |W|.

@@ -420,7 +420,7 @@ func TestDispersedValidation(t *testing.T) {
 	a := rank.Assigner{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 1}
 	d := buildDispersed(a, 2, keys, cols)
 
-	assertPanics(t, func() { NewDispersed(a, nil) })
+	assertPanics(t, func() { NewDispersed[*sketch.BottomK](a, nil) })
 	assertPanics(t, func() { d.SSetTopL([]int{0, 1}, 0, topLMax) })
 	assertPanics(t, func() { d.SSetTopL([]int{0, 1}, 3, topLMax) })
 	assertPanics(t, func() { d.checkR([]int{0, 0}) })
@@ -449,6 +449,12 @@ func TestDispersedValidation(t *testing.T) {
 	s2 := sketch.BottomKFromRanks(2, []string{"b", "c", "d"}, []float64{0.1, 0.2, 0.3}, []float64{1, 1, 1})
 	if got := NewDispersed(a, []*sketch.BottomK{s1, s2}).DistinctKeys(nil); got != 3 {
 		t.Fatalf("DistinctKeys of overlapping samples = %d, want 3", got)
+	}
+	// A slice of the interface itself, what core.NewMerged passes, becomes
+	// the summary's own, not a copy.
+	views := []AssignmentSketch{s1, s2}
+	if got := NewDispersed(a, views).sketches; &got[0] != &views[0] {
+		t.Fatal("NewDispersed copied a []AssignmentSketch")
 	}
 }
 

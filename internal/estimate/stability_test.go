@@ -143,11 +143,11 @@ func TestPoissonConstructorsInPackage(t *testing.T) {
 	for i, key := range keys {
 		vectors[key] = []float64{cols[0][i], cols[1][i]}
 	}
-	d := NewDispersedPoisson(a, sketches)
+	d := NewDispersed(a, sketches)
 	if got := d.Max(nil).Estimate(nil); got != 4+3+3+4 {
 		t.Fatalf("Poisson dispersed max = %v", got)
 	}
-	c := NewColocatedPoisson(a, sketches, func(key string) []float64 { return vectors[key] })
+	c := NewColocated(a, sketches, func(key string) []float64 { return vectors[key] })
 	if got := c.Inclusive(MinOf()).Estimate(nil); got != 1+2+2+1 {
 		t.Fatalf("Poisson colocated min = %v", got)
 	}

@@ -176,8 +176,7 @@ func offer[K string | []byte](l *Lane, key K, h uint64, weight float64) string {
 	if s.closed {
 		panic("shard: Offer after Sketch")
 	}
-	// Nonpositive, NaN, and +Inf weights are never sampled.
-	if !(weight > 0) || math.IsInf(weight, 1) {
+	if !sketch.Sampleable(weight) {
 		return ""
 	}
 	l.offered++

@@ -40,6 +40,11 @@ type Entry struct {
 	Weight float64
 }
 
+// Sampleable reports whether an item of this weight can be sampled:
+// positive and finite. Builders and lanes skip every other weight, and the
+// codec refuses it in an entry.
+func Sampleable(weight float64) bool { return weight > 0 && weight <= math.MaxFloat64 }
+
 // entryLess orders entries by (rank, key); the key tiebreak makes stream and
 // offline constructions agree exactly even in artificial tie cases.
 func entryLess(a, b Entry) bool {
@@ -363,10 +368,11 @@ func (b *BottomKBuilder) Len() int { return len(b.cand) }
 // them. +Inf (no items pruned) is a no-op.
 func (b *BottomKBuilder) NoteRejected(rank float64) { b.next = min(b.next, rank) }
 
-// Offer presents one aggregated key with its rank and weight. Keys with
-// nonpositive weight or infinite rank are never sampled and are skipped.
+// Offer presents one aggregated key with its rank and weight. Keys whose
+// weight is not Sampleable, or whose rank is infinite or NaN, are never
+// sampled and are skipped.
 func (b *BottomKBuilder) Offer(key string, rankValue, weight float64) {
-	if weight <= 0 || math.IsInf(rankValue, 1) || math.IsNaN(rankValue) {
+	if !Sampleable(weight) || math.IsInf(rankValue, 1) || math.IsNaN(rankValue) {
 		return
 	}
 	if rankValue > b.bound {

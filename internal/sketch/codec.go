@@ -105,7 +105,7 @@ func validateDecoded(meta WireMeta, k int, fp uint64, kth, threshold float64, en
 		return nil, fmt.Errorf("sketch: assignment index %d out of range", meta.Assignment)
 	}
 	for i, e := range entries {
-		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) || e.Weight <= 0 {
+		if !Sampleable(e.Weight) {
 			return nil, fmt.Errorf("sketch: entry %d has invalid weight %v", i, e.Weight)
 		}
 		if math.IsNaN(e.Rank) || math.IsInf(e.Rank, 0) || e.Rank <= 0 {

@@ -64,9 +64,10 @@ func NewPoissonBuilderWithFingerprint(tau float64, fingerprint uint64) *PoissonB
 	return &PoissonBuilder{tau: tau, fingerprint: fingerprint}
 }
 
-// Offer presents one aggregated key with its rank and weight.
+// Offer presents one aggregated key with its rank and weight. Keys whose
+// weight is not Sampleable, or whose rank is NaN, are skipped.
 func (b *PoissonBuilder) Offer(key string, rankValue, weight float64) {
-	if weight <= 0 || math.IsNaN(rankValue) {
+	if !Sampleable(weight) || math.IsNaN(rankValue) {
 		return
 	}
 	if rankValue < b.tau {
