@@ -189,42 +189,25 @@ func summarizeFiles(args []string, verbose bool, stdout io.Writer) (*coordsample
 			}
 		}
 	}
-	if err := checkFingerprints(from, decoded); err != nil {
-		return nil, "", err
-	}
 	summary, err := coordsample.CombineDecoded(decoded)
 	if err != nil {
 		// The combiner's typed errors index the decoded sketches; translate
-		// the index back to the file that held it.
+		// the index back to the file that held it: the classic failure is
+		// one rogue file among dozens, and the error must say which.
+		index := -1
 		var cm *coordsample.CoordinationMismatchError
-		if errors.As(err, &cm) && cm.Index >= 0 && cm.Index < len(from) {
-			return nil, "", fmt.Errorf("%s: %w", from[cm.Index], err)
+		var fm *coordsample.FingerprintMismatchError
+		if errors.As(err, &cm) {
+			index = cm.Index
+		} else if errors.As(err, &fm) {
+			index = fm.Index
+		}
+		if index >= 0 && index < len(from) {
+			return nil, "", fmt.Errorf("%s: %w", from[index], err)
 		}
 		return nil, "", err
 	}
 	return summary, fmt.Sprintf("%d sketch files", len(files)), nil
-}
-
-// checkFingerprints reports same-assignment fingerprint conflicts by file
-// name before the combiner's merge reports them by position: the classic
-// failure is one rogue file among dozens, and the error must say which.
-// from[i] names the file decoded[i] came from.
-func checkFingerprints(from []string, decoded []*coordsample.DecodedSketch) error {
-	first := make(map[int]int) // assignment → index of the first sketch of it
-	for i, d := range decoded {
-		b := d.Meta.Assignment
-		j, ok := first[b]
-		if !ok {
-			first[b] = i
-			continue
-		}
-		if d.Fingerprint() != decoded[j].Fingerprint() {
-			return fmt.Errorf(
-				"%s: fingerprint %#016x conflicts with %s (%#016x) for assignment %d: shard sketches of one assignment must share Family, Mode, Seed, and K",
-				from[i], d.Fingerprint(), from[j], decoded[j].Fingerprint(), b)
-		}
-	}
-	return nil
 }
 
 // expandArgs resolves each argument to sketch files: a directory expands

@@ -326,8 +326,9 @@ func DecodeSketches(r io.Reader) ([]*DecodedSketch, error) {
 // Sketches sharing an assignment index are shard sketches and are merged
 // (fingerprint-verified); the assignments present must cover 0..max.
 // Sketches whose Family, Mode, or Seed disagree are rejected with a
-// *CoordinationMismatchError; shard sketches built under a different K or
-// Seed are rejected with a *FingerprintMismatchError.
+// *CoordinationMismatchError; a shard built under a different K than its
+// assignment's first sketch with a *FingerprintMismatchError. Both errors'
+// Index is the offending sketch's position in decoded.
 func CombineDecoded(decoded []*DecodedSketch) (*Dispersed, error) {
 	return core.CombineDecoded(decoded)
 }

@@ -218,6 +218,7 @@ type Summarizer[S estimate.AssignmentSketch] struct {
 	assigner rank.Assigner
 	builders []builder[S]
 	vectors  map[string][]float64
+	clean    []float64 // the offered weights, cleaned (sketch.CleanWeights)
 	ranks    []float64
 	offers   int
 	compact  int
@@ -250,27 +251,25 @@ func newSummarizer[S estimate.AssignmentSketch](cfg Config, numAssignments int, 
 		assigner: cfg.Assigner(),
 		builders: builders,
 		vectors:  make(map[string][]float64),
+		clean:    make([]float64, numAssignments),
 		ranks:    make([]float64, numAssignments),
 		compact:  max(4*cfg.K*numAssignments, 1024),
 	}
 }
 
 // Offer presents one key with its full weight vector. Keys must be
-// pre-aggregated (offered at most once).
+// pre-aggregated (offered at most once). A weight that is not
+// sketch.Sampleable (NaN, ±Inf, negative) is read as 0, absent.
 func (s *Summarizer[S]) Offer(key string, weights []float64) {
 	if len(weights) != len(s.builders) {
 		panic("core: weight vector length mismatch")
 	}
-	s.assigner.RankVectorInto(s.ranks, key, weights)
-	positive := false
-	for b, bld := range s.builders {
-		bld.Offer(key, s.ranks[b], weights[b])
-		if weights[b] > 0 {
-			positive = true
+	if sketch.CleanWeights(s.clean, weights) {
+		s.assigner.RankVectorInto(s.ranks, key, s.clean)
+		for b, bld := range s.builders {
+			bld.Offer(key, s.ranks[b], s.clean[b])
 		}
-	}
-	if positive {
-		s.vectors[key] = append([]float64(nil), weights...)
+		s.vectors[key] = append([]float64(nil), s.clean...)
 	}
 	s.offers++
 	if s.offers%s.compact == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coordsample/internal/dataset"
@@ -281,5 +282,45 @@ func TestZeroWeightKeysNeverStored(t *testing.T) {
 	sum := s.Summary()
 	if sum.DistinctKeys() != 1 {
 		t.Fatalf("summary keys = %d", sum.DistinctKeys())
+	}
+}
+
+// TestSummarizerUnsampleableWeightIsAbsent: a weight that is not
+// sketch.Sampleable is read as 0. Before that rule the summarizer stored the
+// vector as offered, so the inclusive estimators read the +Inf of {+Inf, 50}
+// while the samples themselves skipped it.
+func TestSummarizerUnsampleableWeightIsAbsent(t *testing.T) {
+	for _, cfg := range []Config{
+		{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 3, K: 4},
+		{Family: rank.IPPS, Mode: rank.Independent, Seed: 3, K: 4},
+		{Family: rank.EXP, Mode: rank.IndependentDifferences, Seed: 3, K: 4},
+	} {
+		for _, bad := range []float64{math.Inf(1), math.NaN(), -1} {
+			got, want := NewColocatedSummarizer(cfg, 2), NewColocatedSummarizer(cfg, 2)
+			got.Offer("x", []float64{bad, 50})
+			want.Offer("x", []float64{0, 50})
+			for i := 0; i < 10; i++ {
+				vec := []float64{1 + float64(i%3), 1 + float64(i%5)}
+				got.Offer("k"+itoa(i), vec)
+				want.Offer("k"+itoa(i), vec)
+			}
+			if got.RetainedVectors() != want.RetainedVectors() {
+				t.Fatalf("%v/%v, weight %v: %d vectors retained, want %d", cfg.Family, cfg.Mode, bad, got.RetainedVectors(), want.RetainedVectors())
+			}
+			g, w := got.Summary(), want.Summary()
+			for b := 0; b < 2; b++ {
+				gs, ws := g.Sketch(b), w.Sketch(b)
+				gt, _ := gs.ConditioningRanks()
+				wt, _ := ws.ConditioningRanks()
+				if !slices.Equal(gs.Entries(), ws.Entries()) || gt != wt {
+					t.Fatalf("%v/%v, weight %v: sketch %d differs from weight 0's", cfg.Family, cfg.Mode, bad, b)
+				}
+			}
+			for _, f := range []estimate.AggFunc{estimate.SingleOf(0), estimate.SingleOf(1), estimate.MaxOf(), estimate.MinOf(), estimate.RangeOf()} {
+				if !g.Inclusive(f).Equal(w.Inclusive(f)) {
+					t.Fatalf("%v/%v, weight %v: Inclusive(%v) differs from weight 0's", cfg.Family, cfg.Mode, bad, f.Kind)
+				}
+			}
+		}
 	}
 }

@@ -69,5 +69,5 @@ func SummarizeColocatedPoisson(cfg Config, ds *dataset.Dataset) *estimate.Coloca
 func PoissonSingle(cfg Config, ds *dataset.Dataset, b int, tau float64) estimate.AWSummary {
 	s := NewPoissonSketcher(cfg, b, tau)
 	offerColumn(ds, b, s.Offer)
-	return estimate.PoissonHT(s.Sketch(), cfg.Family)
+	return estimate.NewDispersed(cfg.Assigner(), []*sketch.Poisson{s.Sketch()}).Single(0)
 }

@@ -13,7 +13,7 @@ import (
 // or hash seed disagree, so their samples are not coordinated samples of
 // anything and no cross-assignment estimate over them is meaningful.
 // (Same-assignment conflicts — different K or seed among shard sketches —
-// surface as *sketch.FingerprintMismatchError from the merge instead.)
+// surface as *sketch.FingerprintMismatchError instead.)
 type CoordinationMismatchError struct {
 	// Index is the position (among the decoded inputs) of the sketch that
 	// disagrees with input 0.
@@ -33,10 +33,11 @@ func (e *CoordinationMismatchError) Error() string {
 //
 // All sketches must share the coordination configuration (Family, Mode,
 // Seed; verified, *CoordinationMismatchError otherwise). Sketches for the
-// same assignment index are shard sketches and are merged (sketch.Merge,
-// which verifies their fingerprints — a shard built under a different K or
-// seed fails loudly); the assignment indexes present must then cover
-// 0..max contiguously, in any input order.
+// same assignment index are shard sketches and are merged; each must carry
+// the fingerprint of the first sketch of its assignment (a shard built
+// under a different K fails with a *sketch.FingerprintMismatchError). Both
+// errors' Index is the position among the decoded inputs. The assignment
+// indexes present must cover 0..max contiguously, in any input order.
 func CombineDecoded(decoded []*sketch.Decoded) (*estimate.Dispersed, error) {
 	if len(decoded) == 0 {
 		return nil, fmt.Errorf("core: no sketches to combine")
@@ -46,10 +47,17 @@ func CombineDecoded(decoded []*sketch.Decoded) (*estimate.Dispersed, error) {
 		return nil, fmt.Errorf("core: independent-differences sketches require colocated weights and cannot be combined from shipped per-assignment files")
 	}
 	maxAssignment := -1
+	first := make(map[int]uint64) // assignment → fingerprint of its first sketch
 	for i, d := range decoded {
 		m := d.Meta
 		if m.Family != want.Family || m.Mode != want.Mode || m.Seed != want.Seed {
 			return nil, &CoordinationMismatchError{Index: i, Want: want, Got: m}
+		}
+		fp, seen := first[m.Assignment]
+		if !seen {
+			first[m.Assignment] = d.Fingerprint()
+		} else if d.Fingerprint() != fp {
+			return nil, &sketch.FingerprintMismatchError{Index: i, Want: fp, Got: d.Fingerprint()}
 		}
 		if m.Assignment > maxAssignment {
 			maxAssignment = m.Assignment
@@ -75,11 +83,8 @@ func CombineDecoded(decoded []*sketch.Decoded) (*estimate.Dispersed, error) {
 		// files that contract cannot be trusted (the classic mistake is
 		// listing the same file twice via overlapping globs), so retained
 		// overlaps are rejected here as an error — the in-process merge
-		// would catch a surviving duplicate only by panicking. The scan
-		// runs only when the fingerprints already agree, so a
-		// configuration conflict is still reported as the (more
-		// fundamental) FingerprintMismatchError from the merge below.
-		if len(parts) > 1 && sameFingerprints(parts) {
+		// would catch a surviving duplicate only by panicking.
+		if len(parts) > 1 {
 			seen := make(map[string]bool)
 			for _, p := range parts {
 				for _, e := range p.Entries() {
@@ -98,14 +103,4 @@ func CombineDecoded(decoded []*sketch.Decoded) (*estimate.Dispersed, error) {
 	}
 	cfg := Config{Family: want.Family, Mode: want.Mode, Seed: want.Seed, K: sketches[0].K()}
 	return CombineDispersed(cfg, sketches)
-}
-
-// sameFingerprints reports whether all sketches carry one fingerprint.
-func sameFingerprints(parts []*sketch.BottomK) bool {
-	for _, p := range parts {
-		if p.Fingerprint() != parts[0].Fingerprint() {
-			return false
-		}
-	}
-	return true
 }

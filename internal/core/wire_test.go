@@ -134,7 +134,7 @@ func TestCombineDecodedRejectsMismatches(t *testing.T) {
 	}
 
 	// Same-assignment shard conflicts (different K, or different seed with
-	// everything else equal): typed FingerprintMismatchError from the merge.
+	// everything else equal): typed FingerprintMismatchError.
 	var fpErr *sketch.FingerprintMismatchError
 	diffK := base
 	diffK.K = 64
@@ -145,6 +145,31 @@ func TestCombineDecodedRejectsMismatches(t *testing.T) {
 	// Missing assignment coverage.
 	if _, err := CombineDecoded([]*sketch.Decoded{good, build(base, 2)}); err == nil {
 		t.Fatal("gap in assignment coverage not rejected")
+	}
+}
+
+// TestCombineDecodedFingerprintIndex: a shard that disagrees with the
+// first sketch of its assignment is reported by its position among the
+// decoded inputs, as a coordination mismatch is, not by its position in
+// its assignment's shard group.
+func TestCombineDecodedFingerprintIndex(t *testing.T) {
+	a := Config{Family: rank.IPPS, Mode: rank.SharedSeed, Seed: 5, K: 128}
+	b := a
+	b.K = 64
+	shipped := func(cfg Config, asg int) *sketch.Decoded {
+		sk := NewAssignmentSketcher(cfg, asg)
+		for i := 0; i < 300; i++ {
+			sk.Offer(itoa(asg)+"-"+itoa(i), 1+float64(i%7))
+		}
+		return ship(t, cfg, asg, sk.Sketch())
+	}
+	var fpErr *sketch.FingerprintMismatchError
+	_, err := CombineDecoded([]*sketch.Decoded{shipped(a, 0), shipped(a, 1), shipped(b, 0)})
+	if !errors.As(err, &fpErr) {
+		t.Fatalf("got %v, want *FingerprintMismatchError", err)
+	}
+	if fpErr.Index != 2 {
+		t.Fatalf("Index = %d, want 2 (the input's position)", fpErr.Index)
 	}
 }
 

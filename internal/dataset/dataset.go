@@ -60,13 +60,15 @@ func NewBuilder(assignments ...string) *Builder {
 	}
 }
 
-// Add accumulates weight w for key under assignment b. Negative weights are
-// rejected; zero weights are allowed and equivalent to absence.
+// Add accumulates weight w for key under assignment b. Negative, NaN and
+// +Inf weights are rejected, as is a sum that overflows to +Inf: every
+// sampler skips such a weight, and it would make every exact sum +Inf.
+// Zero weights are allowed and equivalent to absence.
 func (bld *Builder) Add(b int, key string, w float64) {
 	if b < 0 || b >= len(bld.names) {
 		panic(fmt.Sprintf("dataset: assignment %d out of range", b))
 	}
-	if w < 0 || math.IsNaN(w) {
+	if w < 0 || math.IsNaN(w) || math.IsInf(w, 1) {
 		panic(fmt.Sprintf("dataset: invalid weight %v for key %q", w, key))
 	}
 	i, ok := bld.index[key]
@@ -77,6 +79,9 @@ func (bld *Builder) Add(b int, key string, w float64) {
 		for b := range bld.weights {
 			bld.weights[b] = append(bld.weights[b], 0)
 		}
+	}
+	if math.IsInf(bld.weights[b][i]+w, 1) {
+		panic(fmt.Sprintf("dataset: weight of key %q overflows", key))
 	}
 	bld.weights[b][i] += w
 }
@@ -110,7 +115,7 @@ func FromColumns(names []string, keys []string, columns [][]float64) *Dataset {
 			panic(fmt.Sprintf("dataset: column %d length mismatch", b))
 		}
 		for _, w := range col {
-			if w < 0 || math.IsNaN(w) {
+			if w < 0 || math.IsNaN(w) || math.IsInf(w, 1) {
 				panic("dataset: invalid weight")
 			}
 		}

@@ -103,6 +103,9 @@ func TestBuilderValidation(t *testing.T) {
 	assertPanics(t, func() { b.Add(1, "k", 1) })
 	assertPanics(t, func() { b.Add(0, "k", -1) })
 	assertPanics(t, func() { b.Add(0, "k", math.NaN()) })
+	assertPanics(t, func() { b.Add(0, "k", math.Inf(1)) })
+	b.Add(0, "big", math.MaxFloat64)
+	assertPanics(t, func() { b.Add(0, "big", math.MaxFloat64) })
 }
 
 func TestFromColumnsValidation(t *testing.T) {
@@ -110,6 +113,7 @@ func TestFromColumnsValidation(t *testing.T) {
 	assertPanics(t, func() { FromColumns([]string{"a"}, []string{"k", "k"}, [][]float64{{1, 2}}) })
 	assertPanics(t, func() { FromColumns([]string{"a"}, []string{"k"}, [][]float64{{1, 2}}) })
 	assertPanics(t, func() { FromColumns([]string{"a"}, []string{"k"}, [][]float64{{-1}}) })
+	assertPanics(t, func() { FromColumns([]string{"a"}, []string{"k"}, [][]float64{{math.Inf(1)}}) })
 }
 
 func assertPanics(t *testing.T, f func()) {

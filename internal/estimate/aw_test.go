@@ -132,7 +132,7 @@ func fig1BottomK(k int) *sketch.BottomK {
 func TestFigure1BottomKAdjustedWeights(t *testing.T) {
 	// k=1: sample {i1}, r_2 = 0.037, p = 0.74, a = 20/0.74 ≈ 27.03 (the
 	// paper prints 27.02).
-	aw := BottomKRC(fig1BottomK(1), rank.IPPS)
+	aw := awSingle(fig1BottomK(1), rank.IPPS)
 	if got := aw.AdjustedWeight("i1"); math.Abs(got-20/0.74) > 1e-9 {
 		t.Fatalf("k=1: a(i1) = %v, want %v", got, 20/0.74)
 	}
@@ -141,7 +141,7 @@ func TestFigure1BottomKAdjustedWeights(t *testing.T) {
 	}
 
 	// k=2: sample {i1,i6}, r_3 = 0.046: both adjusted weights 21.74.
-	aw = BottomKRC(fig1BottomK(2), rank.IPPS)
+	aw = awSingle(fig1BottomK(2), rank.IPPS)
 	for _, key := range []string{"i1", "i6"} {
 		if got := aw.AdjustedWeight(key); math.Abs(got-21.7391304) > 1e-4 {
 			t.Fatalf("k=2: a(%s) = %v, want 21.74", key, got)
@@ -149,7 +149,7 @@ func TestFigure1BottomKAdjustedWeights(t *testing.T) {
 	}
 
 	// k=3: sample {i1,i6,i4}, r_4 = 0.055: a = 20.00, 18.18, 20.00.
-	aw = BottomKRC(fig1BottomK(3), rank.IPPS)
+	aw = awSingle(fig1BottomK(3), rank.IPPS)
 	if got := aw.AdjustedWeight("i1"); got != 20 {
 		t.Fatalf("k=3: a(i1) = %v, want 20", got)
 	}
@@ -167,7 +167,7 @@ func TestFigure1SubpopulationEstimates(t *testing.T) {
 	J := func(key string) bool { return key == "i2" || key == "i4" || key == "i6" }
 	want := []float64{0, 21.739, 38.182}
 	for k := 1; k <= 3; k++ {
-		aw := BottomKRC(fig1BottomK(k), rank.IPPS)
+		aw := awSingle(fig1BottomK(k), rank.IPPS)
 		if got := aw.Estimate(J); math.Abs(got-want[k-1]) > 0.01 {
 			t.Fatalf("k=%d: estimate(J) = %v, want %v", k, got, want[k-1])
 		}
@@ -184,7 +184,7 @@ func TestFigure1PoissonAdjustedWeights(t *testing.T) {
 		for i, key := range fig1Keys {
 			b.Offer(key, fig1Ranks[i], fig1Weights[i])
 		}
-		aw := PoissonHT(b.Sketch(), rank.IPPS)
+		aw := awSingle(b.Sketch(), rank.IPPS)
 		if aw.Len() != 1 {
 			t.Fatalf("k=%d: sample size %d", k, aw.Len())
 		}

@@ -462,8 +462,9 @@ func runFig1(Options) Result {
 		}
 		ps := pb.Sketch()
 		bs := bb.Sketch()
-		paw := estimate.PoissonHT(ps, rank.IPPS)
-		baw := estimate.BottomKRC(bs, rank.IPPS)
+		ipps := rank.Assigner{Family: rank.IPPS}
+		paw := estimate.NewDispersed(ipps, []*sketch.Poisson{ps}).Single(0)
+		baw := estimate.NewDispersed(ipps, []*sketch.BottomK{bs}).Single(0)
 
 		t := Table{Title: fmt.Sprintf("k=%d: Poisson (τ=%.4f) and bottom-k (r_{k+1}=%.4f) AW-summaries", k, tau, bs.Threshold()),
 			Columns: append([]string{"summary"}, keys...)}

@@ -45,6 +45,23 @@ type Entry struct {
 // codec refuses it in an entry.
 func Sampleable(weight float64) bool { return weight > 0 && weight <= math.MaxFloat64 }
 
+// CleanWeights copies a weight vector into dst, reading every weight that
+// is not Sampleable as 0 (absent), and reports whether any was Sampleable.
+// The colocated builders rank the cleaned vector, so an unsampleable entry
+// cannot move another assignment's rank.
+func CleanWeights(dst, weights []float64) bool {
+	some := false
+	for b, w := range weights {
+		if Sampleable(w) {
+			some = true
+		} else {
+			w = 0
+		}
+		dst[b] = w
+	}
+	return some
+}
+
 // entryLess orders entries by (rank, key); the key tiebreak makes stream and
 // offline constructions agree exactly even in artificial tie cases.
 func entryLess(a, b Entry) bool {

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"fmt"
 	"math"
 
 	"coordsample/internal/hashing"
@@ -20,66 +19,13 @@ type KMins struct {
 // K returns the number of coordinates.
 func (s *KMins) K() int { return len(s.keys) }
 
-// MinKey returns the key with minimum rank in coordinate j ("" if none).
-func (s *KMins) MinKey(j int) string { return s.keys[j] }
-
-// MinRank returns the minimum rank in coordinate j (+Inf if none).
-func (s *KMins) MinRank(j int) float64 { return s.ranks[j] }
-
-// KMinsBuilder builds a k-mins sketch of one assignment from a (key, weight)
-// stream in the dispersed model. Coordinate j uses the rank assignment
-// derived from the builder's base seed and j, so builders with the same base
-// Assigner are coordinated across assignments.
-type KMinsBuilder struct {
-	coords     []rank.Assigner
-	assignment int
-	keys       []string
-	ranks      []float64
-}
-
-// NewKMinsBuilder returns a builder for the given assignment index with k
-// coordinates.
-func NewKMinsBuilder(a rank.Assigner, assignment, k int) *KMinsBuilder {
-	if k < 1 {
-		panic(fmt.Sprintf("sketch: invalid k-mins size %d", k))
-	}
-	b := &KMinsBuilder{
-		coords:     coordAssigners(a, k),
-		assignment: assignment,
-		keys:       make([]string, k),
-		ranks:      make([]float64, k),
-	}
-	for j := range b.ranks {
-		b.ranks[j] = math.Inf(1)
-	}
-	return b
-}
-
+// coordAssigners derives coordinate j's rank assigner from a's seed and j.
 func coordAssigners(a rank.Assigner, k int) []rank.Assigner {
 	coords := make([]rank.Assigner, k)
 	for j := range coords {
 		coords[j] = rank.Assigner{Family: a.Family, Mode: a.Mode, Seed: hashing.Derive(a.Seed, j)}
 	}
 	return coords
-}
-
-// Offer presents one aggregated key with its weight in this assignment.
-func (b *KMinsBuilder) Offer(key string, weight float64) {
-	if weight <= 0 {
-		return
-	}
-	for j, a := range b.coords {
-		r := a.Rank(key, b.assignment, weight)
-		if r < b.ranks[j] || (r == b.ranks[j] && key < b.keys[j]) {
-			b.ranks[j] = r
-			b.keys[j] = key
-		}
-	}
-}
-
-// Sketch freezes the builder into a KMins sketch.
-func (b *KMinsBuilder) Sketch() *KMins {
-	return &KMins{keys: append([]string(nil), b.keys...), ranks: append([]float64(nil), b.ranks...)}
 }
 
 // KMinsSetBuilder builds coordinated k-mins sketches for all assignments of
@@ -91,7 +37,7 @@ type KMinsSetBuilder struct {
 	numAsg int
 	keys   [][]string  // [assignment][coordinate]
 	ranks  [][]float64 // [assignment][coordinate]
-	buf    []float64
+	w, r   []float64   // the offered weights, cleaned, and their ranks
 }
 
 // NewKMinsSetBuilder returns a colocated builder for numAssignments weight
@@ -105,7 +51,8 @@ func NewKMinsSetBuilder(a rank.Assigner, numAssignments, k int) *KMinsSetBuilder
 		numAsg: numAssignments,
 		keys:   make([][]string, numAssignments),
 		ranks:  make([][]float64, numAssignments),
-		buf:    make([]float64, numAssignments),
+		w:      make([]float64, numAssignments),
+		r:      make([]float64, numAssignments),
 	}
 	for asg := 0; asg < numAssignments; asg++ {
 		b.keys[asg] = make([]string, k)
@@ -117,14 +64,19 @@ func NewKMinsSetBuilder(a rank.Assigner, numAssignments, k int) *KMinsSetBuilder
 	return b
 }
 
-// Offer presents one key with its full weight vector.
+// Offer presents one key with its full weight vector. A weight that is not
+// Sampleable (NaN, ±Inf, negative) is read as 0: the key is absent from
+// that assignment.
 func (b *KMinsSetBuilder) Offer(key string, weights []float64) {
 	if len(weights) != b.numAsg {
 		panic("sketch: weight vector length mismatch")
 	}
+	if !CleanWeights(b.w, weights) {
+		return
+	}
 	for j, a := range b.coords {
-		a.RankVectorInto(b.buf, key, weights)
-		for asg, r := range b.buf {
+		a.RankVectorInto(b.r, key, b.w)
+		for asg, r := range b.r {
 			if r < b.ranks[asg][j] || (r == b.ranks[asg][j] && key < b.keys[asg][j]) {
 				b.ranks[asg][j] = r
 				b.keys[asg][j] = key
@@ -163,53 +115,4 @@ func CommonMinFraction(a, b *KMins) float64 {
 		}
 	}
 	return float64(common) / float64(a.K())
-}
-
-// Selectivity returns the fraction of coordinates whose minimum-rank key
-// satisfies pred. For EXP ranks the minimum-rank key of each coordinate is
-// key i with probability w(i)/w(I), so the fraction is an unbiased
-// estimator of the weighted selectivity w(J)/w(I) of the subpopulation J
-// selected by pred — the classic k-mins subset query [Cohen 1997].
-func (s *KMins) Selectivity(pred func(key string) bool) float64 {
-	if s.K() == 0 {
-		return 0
-	}
-	hits := 0
-	for j, key := range s.keys {
-		if key == "" || math.IsInf(s.ranks[j], 1) {
-			continue
-		}
-		if pred == nil || pred(key) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(s.K())
-}
-
-// SubsetWeightEstimate combines Selectivity with TotalWeightEstimate to
-// estimate w(J) = Σ_{i∈J} w(i) from a k-mins sketch with EXP ranks
-// (requires k ≥ 2). The two factors are dependent, so the product is
-// consistent rather than exactly unbiased; bottom-k summaries give unbiased
-// subset sums and are preferred when available.
-func (s *KMins) SubsetWeightEstimate(pred func(key string) bool) float64 {
-	return s.Selectivity(pred) * s.TotalWeightEstimate()
-}
-
-// TotalWeightEstimate returns the classic k-mins estimator of the total
-// weight w(I) for EXP ranks: (k−1)/Σ_j r_j. The minimum rank of each
-// coordinate is Exponential(w(I)), so the sum of k independent minima is
-// Gamma(k, w(I)) and (k−1)/sum is unbiased for k ≥ 2.
-func (s *KMins) TotalWeightEstimate() float64 {
-	k := s.K()
-	if k < 2 {
-		panic("sketch: total-weight estimate requires k ≥ 2")
-	}
-	sum := 0.0
-	for _, r := range s.ranks {
-		if math.IsInf(r, 1) {
-			return 0 // empty set
-		}
-		sum += r
-	}
-	return float64(k-1) / sum
 }

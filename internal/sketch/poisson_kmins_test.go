@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"coordsample/internal/rank"
@@ -109,17 +110,36 @@ func TestKMinsCoordinationSharesMinKeys(t *testing.T) {
 	// Two identical assignments sketched with the same base assigner must
 	// produce identical k-mins sketches (coordination at its strongest).
 	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 77}
-	b1 := NewKMinsBuilder(a, 0, 16)
-	b2 := NewKMinsBuilder(a, 1, 16)
+	bld := NewKMinsSetBuilder(a, 2, 16)
 	for i := 0; i < 200; i++ {
-		key := "k" + itoa(i)
 		w := 1 + float64(i%13)
-		b1.Offer(key, w)
-		b2.Offer(key, w)
+		bld.Offer("k"+itoa(i), []float64{w, w})
 	}
-	s1, s2 := b1.Sketch(), b2.Sketch()
-	if got := CommonMinFraction(s1, s2); got != 1 {
+	s := bld.Sketches()
+	if got := CommonMinFraction(s[0], s[1]); got != 1 {
 		t.Fatalf("identical assignments: common fraction = %v, want 1", got)
+	}
+}
+
+// TestKMinsUnsampleableWeightIsAbsent: a weight that is not Sampleable is
+// read as 0. An EXP rank of +Inf weight is 0, so before that rule the key
+// won every coordinate of its assignment.
+func TestKMinsUnsampleableWeightIsAbsent(t *testing.T) {
+	for _, mode := range []rank.Coordination{rank.SharedSeed, rank.Independent, rank.IndependentDifferences} {
+		a := rank.Assigner{Family: rank.EXP, Mode: mode, Seed: 9}
+		for _, bad := range []float64{math.Inf(1), math.NaN(), -1} {
+			got, want := NewKMinsSetBuilder(a, 2, 8), NewKMinsSetBuilder(a, 2, 8)
+			got.Offer("inf", []float64{bad, 1})
+			want.Offer("inf", []float64{0, 1})
+			got.Offer("z", []float64{1, 1})
+			want.Offer("z", []float64{1, 1})
+			g, w := got.Sketches(), want.Sketches()
+			for b := range g {
+				if !reflect.DeepEqual(g[b], w[b]) {
+					t.Fatalf("%v, weight %v: assignment %d min keys %q, want those of weight 0, %q", mode, bad, b, g[b].keys, w[b].keys)
+				}
+			}
+		}
 	}
 }
 
@@ -192,57 +212,32 @@ func TestKMinsSharedSeedOverestimatesJaccard(t *testing.T) {
 	}
 }
 
-func TestKMinsTotalWeightEstimate(t *testing.T) {
-	n := 100
-	totalWeight := 0.0
-	weights := make([]float64, n)
-	rng := rand.New(rand.NewSource(3))
-	for i := range weights {
-		weights[i] = rng.Float64() * 10
-		totalWeight += weights[i]
-	}
-	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 21}
-	b := NewKMinsBuilder(a, 0, 1000)
-	for i, w := range weights {
-		b.Offer("k"+itoa(i), w)
-	}
-	got := b.Sketch().TotalWeightEstimate()
-	if math.Abs(got-totalWeight) > 0.15*totalWeight {
-		t.Fatalf("total weight estimate %v, want ≈ %v", got, totalWeight)
-	}
-}
-
 func TestKMinsEmptySet(t *testing.T) {
 	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 21}
-	b := NewKMinsBuilder(a, 0, 4)
-	s := b.Sketch()
-	if s.K() != 4 || s.MinKey(0) != "" || !math.IsInf(s.MinRank(0), 1) {
+	s := NewKMinsSetBuilder(a, 1, 4).Sketches()[0]
+	if s.K() != 4 || s.keys[0] != "" || !math.IsInf(s.ranks[0], 1) {
 		t.Fatal("empty k-mins sketch malformed")
-	}
-	if got := s.TotalWeightEstimate(); got != 0 {
-		t.Fatalf("empty-set weight estimate = %v", got)
 	}
 }
 
 func TestKMinsValidation(t *testing.T) {
 	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 1}
-	assertPanics(t, func() { NewKMinsBuilder(a, 0, 0) })
+	assertPanics(t, func() { NewKMinsSetBuilder(a, 1, 0) })
 	assertPanics(t, func() { NewKMinsSetBuilder(a, 0, 4) })
 	b := NewKMinsSetBuilder(a, 2, 4)
 	assertPanics(t, func() { b.Offer("x", []float64{1}) })
-	s1 := NewKMinsBuilder(a, 0, 2).Sketch()
-	s2 := NewKMinsBuilder(a, 0, 3).Sketch()
+	s1 := NewKMinsSetBuilder(a, 1, 2).Sketches()[0]
+	s2 := NewKMinsSetBuilder(a, 1, 3).Sketches()[0]
 	assertPanics(t, func() { CommonMinFraction(s1, s2) })
-	one := NewKMinsBuilder(a, 0, 1).Sketch()
-	assertPanics(t, func() { one.TotalWeightEstimate() })
 }
 
 func BenchmarkKMinsOffer(b *testing.B) {
 	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 1}
-	bld := NewKMinsBuilder(a, 0, 64)
+	bld := NewKMinsSetBuilder(a, 1, 64)
+	w := []float64{1.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bld.Offer("key-"+itoa(i%1000), 1.5)
+		bld.Offer("key-"+itoa(i%1000), w)
 	}
 }
 
@@ -256,51 +251,5 @@ func BenchmarkPoissonOffer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bld.Offer("key", ranks[i%len(ranks)], 1)
-	}
-}
-
-func TestKMinsSelectivity(t *testing.T) {
-	// Selectivity of a subpopulation J must converge to w(J)/w(I).
-	n := 120
-	rng := rand.New(rand.NewSource(19))
-	weights := make([]float64, n)
-	var total, subset float64
-	pred := func(key string) bool { return key[len(key)-1] == '3' }
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = "s" + itoa(i)
-		weights[i] = math.Exp(rng.NormFloat64())
-		total += weights[i]
-		if pred(keys[i]) {
-			subset += weights[i]
-		}
-	}
-	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 33}
-	b := NewKMinsBuilder(a, 0, 5000)
-	for i, key := range keys {
-		b.Offer(key, weights[i])
-	}
-	s := b.Sketch()
-	want := subset / total
-	if got := s.Selectivity(pred); math.Abs(got-want) > 0.03 {
-		t.Fatalf("selectivity = %v, want ≈ %v", got, want)
-	}
-	if got := s.SubsetWeightEstimate(pred); math.Abs(got-subset) > 0.1*subset {
-		t.Fatalf("subset weight = %v, want ≈ %v", got, subset)
-	}
-	// nil predicate selects everything.
-	if got := s.Selectivity(nil); got != 1 {
-		t.Fatalf("full selectivity = %v", got)
-	}
-}
-
-func TestKMinsSelectivityEmpty(t *testing.T) {
-	a := rank.Assigner{Family: rank.EXP, Mode: rank.SharedSeed, Seed: 1}
-	s := NewKMinsBuilder(a, 0, 8).Sketch()
-	if got := s.Selectivity(nil); got != 0 {
-		t.Fatalf("empty-set selectivity = %v", got)
-	}
-	if got := s.SubsetWeightEstimate(nil); got != 0 {
-		t.Fatalf("empty-set subset weight = %v", got)
 	}
 }

@@ -7,7 +7,7 @@
 # Run from the repository root: sh scripts/check_loc.sh
 set -u
 
-ceiling=14957
+ceiling=14848
 lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -exec cat {} + | wc -l | tr -d ' ')
 total=$(find . -name '*.go' ! -path './bench/*' ! -path './.git/*' -exec cat {} + | wc -l | tr -d ' ')
 echo "non-test Go outside bench/: $lines lines (ceiling $ceiling)"
